@@ -123,7 +123,10 @@ def _throughput_scenario(nodes: int, jobs: int) -> BenchScenario:
         entry_points=(
             "repro.cluster.fleet.FleetSimulator.run",
             "repro.cluster.fleet.FleetSimulator._place_range",
+            "repro.cluster.fleet.FleetSimulator._fill_gpu",
+            "repro.cluster.jobstore.JobStore.reserve",
             "repro.cluster.jobstore.JobStore.append_batch",
+            "repro.cluster.jobstore.JobStore.start_span",
         ),
     )
 

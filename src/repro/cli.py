@@ -158,9 +158,6 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 
 def cmd_cases(args: argparse.Namespace) -> int:
-    # The demonstration lives in the example; reuse it for one source of
-    # truth.
-    sys.path.insert(0, "examples")
     from repro.gpusim.smi import render_table
 
     def overlapped(deployment, tool_id):
@@ -636,15 +633,14 @@ def _fleet_autoscale_config(args: argparse.Namespace):
     )
 
 
-def _fleet_parity_errors(config, profile) -> list[str]:
-    """Run both fleet implementations; list every field that diverges."""
+def _fleet_parity_errors(config, tools, batches) -> list[str]:
+    """Run both fleet implementations over the same batch objects; list
+    every field that diverges."""
     from repro.cluster.fleet import FleetSimulator
     from repro.cluster.fleet_reference import ObjectFleetReference
-    from repro.workloads.diurnal import diurnal_batches
 
-    batches = diurnal_batches(profile)
-    result = FleetSimulator(config, profile.tools).run(batches)
-    reference = ObjectFleetReference(config, profile.tools)
+    result = FleetSimulator(config, tools).run(batches)
+    reference = ObjectFleetReference(config, tools)
     store = reference.run(batches)
     checks = [
         ("store_digest", result.store_digest, store.digest()),
@@ -694,7 +690,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 autoscale=autoscale,
             )
             if args.check_parity:
-                errors = _fleet_parity_errors(config, profile)
+                errors = _fleet_parity_errors(config, profile.tools, batches)
                 if errors:
                     for error in errors:
                         print(f"fleet: parity mismatch [{policy}] {error}",

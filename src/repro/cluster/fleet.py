@@ -8,7 +8,9 @@ per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
   holds all job fields in ``array('q')``/``array('d')`` columns; every
-  lifecycle transition is a contiguous range slice-assign.
+  lifecycle transition is a contiguous range slice-assign.  The store
+  is sized once per day and a placed span writes each shared column
+  once, so it costs per arrival batch, not per growth or per node.
 * **Batched mapping** — arrivals come from the diurnal generator as
   same-instant :class:`~repro.workloads.diurnal.ArrivalBatch` groups;
   Pseudocode-2 eligibility (GPU-wanted × fleet-has-capacity) is decided
@@ -69,6 +71,7 @@ import itertools
 import json
 import math
 from collections import deque
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -85,7 +88,7 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.jobstore import NO_NODE, FleetJobState, JobStore
 from repro.hotpath import hot_path
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import CounterChild, MetricsRegistry
 from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import (
     DiurnalProfile,
@@ -279,6 +282,8 @@ class FleetSimulator:
             deque() for _ in range(n)
         ]
         self._quarantined = [False] * n
+        #: active, not draining, not quarantined (moves with _usable_count).
+        self._usable = [i < start_nodes for i in range(n)]
         #: seq → (node, lo, hi, tool) for every in-flight GPU group.
         self._running: dict[int, tuple[int, int, int, int]] = {}
         self._node_groups: list[set[int]] = [set() for _ in range(n)]
@@ -352,6 +357,7 @@ class FleetSimulator:
             "Batched mapping decisions by arm",
             labels=("arm",),
         )
+        self._mapped_children: dict[str, CounterChild] = {}
         self._c_queued = self.metrics.counter(
             "gyan_fleet_jobs_queued_total",
             "Jobs that waited in a bounded per-node queue",
@@ -415,14 +421,6 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     # indexed node selection
     # ------------------------------------------------------------------ #
-    def _usable(self, node: int) -> bool:
-        """May this node accept new placements or queue entries?"""
-        return (
-            self._active[node]
-            and not self._draining[node]
-            and not self._quarantined[node]
-        )
-
     def _peek_free_node(self) -> int | None:
         """The policy's best node with a free GPU slot, O(log n).
 
@@ -435,14 +433,14 @@ class FleetSimulator:
         if self._pack:
             while heap:
                 free, node = heap[0]
-                if not self._usable(node) or self._free[node] != free:
+                if not self._usable[node] or self._free[node] != free:
                     heapq.heappop(heap)
                     continue
                 return node
             return None
         while heap:
             node = heap[0]
-            if not self._usable(node) or self._free[node] <= 0:
+            if not self._usable[node] or self._free[node] <= 0:
                 heapq.heappop(heap)
                 self._in_slot_heap[node] = False
                 continue
@@ -457,7 +455,7 @@ class FleetSimulator:
             while heap:
                 room, node = heap[0]
                 if (
-                    not self._usable(node)
+                    not self._usable[node]
                     or limit - self._depth[node] != room
                 ):
                     heapq.heappop(heap)
@@ -466,7 +464,7 @@ class FleetSimulator:
             return None
         while heap:
             node = heap[0]
-            if not self._usable(node) or self._depth[node] >= limit:
+            if not self._usable[node] or self._depth[node] >= limit:
                 heapq.heappop(heap)
                 self._in_queue_heap[node] = False
                 continue
@@ -475,7 +473,7 @@ class FleetSimulator:
 
     def _touch_node(self, node: int) -> None:
         """Refresh the selection heaps after this node's counts changed."""
-        if not self._usable(node):
+        if not self._usable[node]:
             return
         if self._pack:
             free = self._free[node]
@@ -498,26 +496,73 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     # group starts
     # ------------------------------------------------------------------ #
-    def _start_gpu(
-        self, lo: int, hi: int, node: int, tool_index: int, now: float
+    def _count_mapped(self, arm: str, count: int) -> None:
+        """Bound on first use: an arm that never fires emits no series."""
+        child = self._mapped_children.get(arm)
+        if child is None:
+            child = self._mapped_children[arm] = self._c_mapped.labels(arm=arm)
+        child.inc(count)
+
+    def _launch(
+        self, node: int, lo: int, hi: int, tool_index: int, done_at: float
     ) -> None:
-        count = hi - lo
-        self.store.start_range(
-            lo, hi, node, now, gpu=True,
-            pool=pool_of(node, self._base), epoch=self._epoch[node],
-        )
-        self._free[node] -= count
-        self._free_total -= count
-        self._busy += count
+        """One node's share of a GPU start: slots, interrupt index, event."""
+        self._free[node] -= hi - lo
         seq = next(self._seq)
         self._running[seq] = (node, lo, hi, tool_index)
         self._node_groups[node].add(seq)
         heapq.heappush(
             self._events,
-            (now + self.tools[tool_index].gpu_seconds, seq, _EV_GPU_DONE,
-             node, lo, hi, tool_index),
+            (done_at, seq, _EV_GPU_DONE, node, lo, hi, tool_index),
         )
-        self._c_mapped.labels(arm="gpu").inc(count)
+
+    def _start_gpu(
+        self, lo: int, hi: int, node: int, tool_index: int, now: float
+    ) -> None:
+        """Start one group on one node (the queue-drain path)."""
+        self.store.start_range(
+            lo, hi, node, now, gpu=True,
+            pool=pool_of(node, self._base), epoch=self._epoch[node],
+        )
+        self._launch(
+            node, lo, hi, tool_index, now + self.tools[tool_index].gpu_seconds
+        )
+        self._free_total -= hi - lo
+        self._busy += hi - lo
+        self._count_mapped("gpu", hi - lo)
+
+    @hot_path
+    def _fill_gpu(
+        self, lo: int, hi: int, tool_index: int, now: float
+    ) -> int:
+        """Start rows from ``lo`` on free slots; returns the first unplaced.
+
+        Peels pieces off the front, filling the policy's best node to
+        capacity before moving on.  Per piece only the node's own
+        bookkeeping happens; the store columns, fleet totals and arm
+        counter are settled once for the placed span.
+        """
+        done_at = now + self.tools[tool_index].gpu_seconds
+        pieces = []
+        cursor = lo
+        while cursor < hi:
+            node = self._peek_free_node()
+            if node is None:
+                break
+            stop = cursor + min(hi - cursor, self._free[node])
+            self._launch(node, cursor, stop, tool_index, done_at)
+            pieces.append(
+                (stop, node, pool_of(node, self._base), self._epoch[node])
+            )
+            if self._pack:
+                self._touch_node(node)
+            cursor = stop
+        if pieces:
+            self.store.start_span(lo, now, pieces)
+            self._free_total -= cursor - lo
+            self._busy += cursor - lo
+            self._count_mapped("gpu", cursor - lo)
+        return cursor
 
     def _start_cpu(
         self, lo: int, hi: int, tool_index: int, now: float, degraded: bool
@@ -529,7 +574,7 @@ class FleetSimulator:
             (now + self.tools[tool_index].cpu_seconds, next(self._seq),
              _EV_CPU_DONE, NO_NODE, lo, hi, tool_index),
         )
-        self._c_mapped.labels(arm="cpu").inc(count)
+        self._count_mapped("cpu", count)
         if degraded:
             self._c_degraded.inc(count)
 
@@ -566,16 +611,7 @@ class FleetSimulator:
         ):
             self._place_low_benefit(lo, hi, tool_index, now)
             return
-        cursor = lo
-        while cursor < hi:
-            node = self._peek_free_node()
-            if node is None:
-                break
-            take = min(hi - cursor, self._free[node])
-            self._start_gpu(cursor, cursor + take, node, tool_index, now)
-            if self._pack:
-                self._touch_node(node)
-            cursor += take
+        cursor = self._fill_gpu(lo, hi, tool_index, now)
         limit = self.config.queue_limit
         while cursor < hi:
             node = self._peek_queue_node()
@@ -615,15 +651,7 @@ class FleetSimulator:
         )
         avail = self._free_total - reserve
         take_total = min(hi - lo, avail) if avail > 0 else 0
-        cursor = lo
-        end = lo + take_total
-        while cursor < end:
-            node = self._peek_free_node()
-            if node is None:
-                break
-            take = min(end - cursor, self._free[node])
-            self._start_gpu(cursor, cursor + take, node, tool_index, now)
-            cursor += take
+        cursor = self._fill_gpu(lo, lo + take_total, tool_index, now)
         if cursor < hi:
             self._start_cpu(cursor, hi, tool_index, now, degraded=True)
 
@@ -671,10 +699,9 @@ class FleetSimulator:
         count = hi - lo
         self._free[node] += count
         self._busy -= count
-        if self._usable(node):
+        if self._usable[node]:
             self._free_total += count
-            self._touch_node(node)
-            self._drain_queue(node, now)
+            self._drain_queue(node, now)  # ends by re-indexing the node
         elif self._draining[node] and not self._node_groups[node]:
             self._decommission(node, now)
 
@@ -692,11 +719,11 @@ class FleetSimulator:
     def _on_fail(self, now: float, node: int, recovery_seconds: float) -> None:
         if not self._active[node]:
             return  # outage aimed at a node that isn't commissioned
-        was_usable = self._usable(node)
         was_draining = self._draining[node]
         self._quarantined[node] = True
         self._c_quarantines.inc()
-        if was_usable:
+        if self._usable[node]:
+            self._usable[node] = False
             self._usable_count -= 1
             self._free_total -= self._free[node]
         # Interrupt running groups in ascending row order (== ascending
@@ -734,6 +761,7 @@ class FleetSimulator:
             return  # stale recovery (overlapping outage windows)
         self._quarantined[node] = False
         self._free[node] = self._cap
+        self._usable[node] = True
         self._usable_count += 1
         self._free_total += self._cap
         self._touch_node(node)
@@ -779,6 +807,7 @@ class FleetSimulator:
         for node in victims:
             self._draining[node] = True
             self._draining_count += 1
+            self._usable[node] = False
             self._usable_count -= 1
             self._free_total -= self._free[node]
         for node in victims:
@@ -810,6 +839,7 @@ class FleetSimulator:
             self._epoch[node] += 1
             self._free[node] = self._cap
             self._active_count += 1
+            self._usable[node] = True
             self._usable_count += 1
             self._free_total += self._cap
             self._touch_node(node)
@@ -827,10 +857,7 @@ class FleetSimulator:
         shed_delta = self._shed_n - self._shed_at_eval
         self._shed_at_eval = self._shed_n
         candidates = [
-            i for i in range(self._base, self.config.nodes)
-            if self._active[i]
-            and not self._draining[i]
-            and not self._quarantined[i]
+            i for i in range(self._base, self.config.nodes) if self._usable[i]
         ]
         provisioned = (
             self._active_count - self._draining_count + self._pending_nodes
@@ -897,6 +924,10 @@ class FleetSimulator:
         """Drive the fleet through time-sorted arrival batches."""
         store = self.store
         config = self.config
+        if isinstance(batches, Sized):  # a generator grows by doubling
+            store.reserve(len(store) + sum(
+                batch.count for batch in batches if batch.count > 0
+            ))
         for batch in batches:
             if batch.count <= 0:
                 continue

@@ -14,6 +14,14 @@ simulator works in contiguous *[lo, hi)* row groups (an arrival batch
 lands as one contiguous range and every split keeps sub-ranges
 contiguous), so all transitions here are range operations.
 
+Capacity is separate from length: :meth:`JobStore.reserve` allocates
+every column once, pre-filled with a fresh job's values, so
+:meth:`JobStore.append_batch` writes only ``tool``/``submit``/
+``deadline`` (an unsized store grows through the same ``reserve`` by
+doubling) and every reader sees the logical prefix only.
+:meth:`JobStore.start_span` is the placement-side counterpart: columns
+the node pieces of a placed span share are written once over the span.
+
 The per-job-object reference model
 (:mod:`repro.cluster.fleet_reference`) materialises its jobs into this
 same layout via :meth:`JobStore.append_batch` + single-row transitions,
@@ -26,10 +34,11 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.hotpath import hot_path
 from repro.resilience.shedding import ShedReason
@@ -118,37 +127,56 @@ class JobStore:
     pool       'q'   node pool of the last placement (:data:`NO_POOL`)
     epoch      'q'   commission epoch of the destination node (0 = n/a)
     ========== ===== =================================================
+
+    Rows past ``len(store)`` are reserved capacity; no reader sees them.
     """
 
-    __slots__ = (
-        "state", "tool", "submit", "deadline", "dest",
-        "hops", "shed", "start", "finish", "gpu", "pool", "epoch",
+    #: (column, typecode, value of a freshly submitted job) in digest
+    #: order; ``tool``/``submit``/``deadline`` are set per batch.
+    _SPECS = (
+        ("state", "q", int(FleetJobState.PENDING)),
+        ("tool", "q", 0),
+        ("submit", "d", 0.0),
+        ("deadline", "d", 0.0),
+        ("dest", "q", NO_NODE),
+        ("hops", "q", 0),
+        ("shed", "q", NO_REASON),
+        ("start", "d", NO_INSTANT),
+        ("finish", "d", NO_INSTANT),
+        ("gpu", "q", 0),
+        ("pool", "q", NO_POOL),
+        ("epoch", "q", 0),
     )
 
     #: Column names in digest order (also the ``rows()`` field order).
-    COLUMNS = (
-        "state", "tool", "submit", "deadline", "dest",
-        "hops", "shed", "start", "finish", "gpu", "pool", "epoch",
-    )
+    COLUMNS = tuple(name for name, _code, _fresh in _SPECS)
+
+    __slots__ = (*COLUMNS, "_n")
 
     def __init__(self) -> None:
-        self.state = array("q")
-        self.tool = array("q")
-        self.submit = array("d")
-        self.deadline = array("d")
-        self.dest = array("q")
-        self.hops = array("q")
-        self.shed = array("q")
-        self.start = array("d")
-        self.finish = array("d")
-        self.gpu = array("q")
-        self.pool = array("q")
-        self.epoch = array("q")
+        for name, code, _fresh in self._SPECS:
+            setattr(self, name, array(code))
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self.state)
+        return self._n
 
     # -- appends -------------------------------------------------------- #
+    @hot_path
+    def reserve(self, capacity: int) -> None:
+        """Allocate room for ``capacity`` jobs in total (never shrinks).
+
+        Columns are rebuilt at exactly that size with a fresh-job tail,
+        so column objects change: re-read ``store.<column>`` afterwards.
+        """
+        extra = capacity - len(self.state)
+        if extra <= 0:
+            return
+        for name, code, fresh in self._SPECS:
+            setattr(
+                self, name, getattr(self, name) + array(code, (fresh,)) * extra
+            )
+
     @hot_path
     def append_batch(
         self, count: int, tool: int, submit: float, deadline: float
@@ -156,20 +184,16 @@ class JobStore:
         """Append ``count`` PENDING jobs of one class; returns [lo, hi)."""
         if count <= 0:
             raise ValueError(f"batch count must be positive, got {count}")
-        lo = len(self.state)
-        self.state.extend(_q_fill(int(FleetJobState.PENDING), count))
-        self.tool.extend(_q_fill(tool, count))
-        self.submit.extend(_d_fill(submit, count))
-        self.deadline.extend(_d_fill(deadline, count))
-        self.dest.extend(_q_fill(NO_NODE, count))
-        self.hops.extend(_q_fill(0, count))
-        self.shed.extend(_q_fill(NO_REASON, count))
-        self.start.extend(_d_fill(NO_INSTANT, count))
-        self.finish.extend(_d_fill(NO_INSTANT, count))
-        self.gpu.extend(_q_fill(0, count))
-        self.pool.extend(_q_fill(NO_POOL, count))
-        self.epoch.extend(_q_fill(0, count))
-        return lo, lo + count
+        lo = self._n
+        hi = lo + count
+        capacity = len(self.state)
+        if hi > capacity:
+            self.reserve(max(hi, 2 * capacity))
+        self.tool[lo:hi] = _q_fill(tool, count)
+        self.submit[lo:hi] = _d_fill(submit, count)
+        self.deadline[lo:hi] = _d_fill(deadline, count)
+        self._n = hi
+        return lo, hi
 
     # -- range transitions ---------------------------------------------- #
     def start_range(
@@ -183,13 +207,40 @@ class JobStore:
         epoch: int = 0,
     ) -> None:
         """PENDING/QUEUED → RUNNING on ``node`` (``NO_NODE`` = CPU arm)."""
+        self.start_span(lo, now, ((hi, node, pool, epoch),), gpu)
+
+    @hot_path
+    def start_span(
+        self,
+        lo: int,
+        now: float,
+        pieces: Sequence[tuple[int, int, int, int]],
+        gpu: bool = True,
+    ) -> None:
+        """Start consecutive node pieces of one placed span, at span cost.
+
+        ``pieces`` are ``(hi, node, pool, epoch)`` in row order, each
+        starting where the previous ended (``lo`` for the first).  The
+        shared columns are written once over the span; per piece only
+        ``dest`` is, plus ``pool``/``epoch`` where a node's differ from
+        the first piece's (an elastic or re-commissioned node).
+        """
+        _hi, _node, span_pool, span_epoch = pieces[0]
+        hi = pieces[-1][0]
         n = hi - lo
         self.state[lo:hi] = _q_fill(int(FleetJobState.RUNNING), n)
-        self.dest[lo:hi] = _q_fill(node, n)
         self.start[lo:hi] = _d_fill(now, n)
         self.gpu[lo:hi] = _q_fill(1 if gpu else 0, n)
-        self.pool[lo:hi] = _q_fill(pool, n)
-        self.epoch[lo:hi] = _q_fill(epoch, n)
+        self.pool[lo:hi] = _q_fill(span_pool, n)
+        self.epoch[lo:hi] = _q_fill(span_epoch, n)
+        dest = self.dest
+        for hi, node, pool, epoch in pieces:
+            dest[lo:hi] = _q_fill(node, hi - lo)
+            if pool != span_pool:
+                self.pool[lo:hi] = _q_fill(pool, hi - lo)
+            if epoch != span_epoch:
+                self.epoch[lo:hi] = _q_fill(epoch, hi - lo)
+            lo = hi
 
     def queue_range(
         self, lo: int, hi: int, node: int, pool: int = NO_POOL
@@ -235,8 +286,15 @@ class JobStore:
         self.hops[lo:hi] = array("q", [h + 1 for h in self.hops[lo:hi]])
 
     # -- reads ----------------------------------------------------------- #
+    def _prefix(self, name: str) -> np.ndarray:
+        """Zero-copy numpy view of one column's logical prefix."""
+        column = getattr(self, name)
+        return np.frombuffer(column, dtype=column.typecode)[: self._n]
+
     def row(self, index: int) -> JobRow:
         """Materialise one job row (tests/debugging, not the hot path)."""
+        if not 0 <= index < self._n:
+            raise IndexError(f"job row {index} out of range")
         shed_code = self.shed[index]
         return JobRow(
             index=index,
@@ -261,11 +319,13 @@ class JobStore:
 
     def count_by_state(self) -> dict[str, int]:
         """Job counts per :class:`FleetJobState` name (only nonzero)."""
-        counts = Counter(self.state)
+        counts = np.bincount(
+            self._prefix("state"), minlength=len(FleetJobState)
+        )
         return {
-            state.name: counts[int(state)]
+            state.name: int(counts[state])
             for state in FleetJobState
-            if counts[int(state)]
+            if counts[state]
         }
 
     def digest(self) -> str:
@@ -273,11 +333,12 @@ class JobStore:
 
         Two stores whose jobs went through equivalent transitions hash
         identically regardless of which implementation (columnar bulk
-        ops or the per-job-object reference) produced them.
+        ops or the per-job-object reference) produced them and of how
+        much capacity either reserved.
         """
         hasher = hashlib.sha256()
         for name in self.COLUMNS:
-            hasher.update(getattr(self, name).tobytes())
+            hasher.update(self._prefix(name))
         return hasher.hexdigest()
 
 
@@ -295,15 +356,15 @@ def gpu_wait_percentile(
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    completed = int(FleetJobState.COMPLETED)
-    waits = sorted(
-        store.start[i] - store.submit[i]
-        for i in range(len(store))
-        if store.gpu[i]
-        and store.state[i] == completed
-        and window_lo <= store.submit[i] < window_hi
+    submit = store._prefix("submit")
+    wanted = (
+        (store._prefix("gpu") != 0)
+        & (store._prefix("state") == int(FleetJobState.COMPLETED))
+        & (submit >= window_lo)
+        & (submit < window_hi)
     )
-    if not waits:
+    waits = store._prefix("start")[wanted] - submit[wanted]
+    if not waits.size:
         return 0.0
-    rank = max(0, min(len(waits) - 1, int(math.ceil(quantile * len(waits))) - 1))
-    return waits[rank]
+    rank = max(0, min(waits.size - 1, int(math.ceil(quantile * waits.size)) - 1))
+    return float(np.partition(waits, rank)[rank])

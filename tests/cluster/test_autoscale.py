@@ -130,6 +130,41 @@ class TestAutoscaleParity:
         assert result.quarantines == 0
 
 
+class TestSpanKeepsPerNodePoolAndEpoch:
+    """One placed span can cross pools and commission epochs: the
+    shared-column write must not smear the first node's over the rest."""
+
+    def test_recommissioned_elastic_node_inside_a_span(self):
+        config = elastic_config()
+        profile = day_profile(3)
+        batches = diurnal_batches(profile)
+        simulator = FleetSimulator(config, profile.tools)
+        result = simulator.run(batches)
+        reference = ObjectFleetReference(config, profile.tools)
+        assert_bit_identical(result, reference, reference.run(batches))
+        store = simulator.store
+        crossing = 0
+        lo = 0
+        for batch in batches:
+            hi = lo + batch.count
+            placed = {
+                (store.pool[i], store.epoch[i]) for i in range(lo, hi)
+                if store.gpu[i] and store.start[i] == store.submit[i]
+            }
+            if (POOL_BASE, 1) in placed and any(
+                pool == POOL_ELASTIC and epoch > 1 for pool, epoch in placed
+            ):
+                crossing += 1
+            lo = hi
+        assert crossing > 0  # the fixture really exercises the case
+        for row in store.rows():
+            if row.gpu:
+                assert row.pool == pool_of(row.destination, AUTO.min_nodes)
+                assert row.epoch >= 1
+                if row.pool == POOL_BASE:
+                    assert row.epoch == 1  # base nodes never re-commission
+
+
 class TestPoolSemantics:
     def test_pool_of(self):
         assert pool_of(0, 4) == POOL_BASE

@@ -214,3 +214,68 @@ class TestFleetSemantics:
         for row in simulator.store.rows():
             if row.state is FleetJobState.COMPLETED:
                 assert row.submit <= row.start <= row.finish
+
+
+class TestStoreSizing:
+    """`run` reserves the day when it can count it; either way the
+    result is the same bytes."""
+
+    def test_generator_input_equals_list_input(self):
+        profile = stress_profile(seed=1)
+        batches = diurnal_batches(profile)
+        from_list = FleetSimulator(STRESS_CONFIG, profile.tools)
+        listed = from_list.run(batches)
+        from_gen = FleetSimulator(STRESS_CONFIG, profile.tools)
+        streamed = from_gen.run(batch for batch in batches)
+        assert streamed.to_json() == listed.to_json()
+        assert list(from_gen.store.rows()) == list(from_list.store.rows())
+        # The list was sized exactly; the generator grew by doubling.
+        assert len(from_list.store.state) == len(from_list.store)
+        assert len(from_gen.store.state) >= len(from_gen.store)
+
+    def test_empty_and_nonpositive_batches_reserve_nothing(self):
+        from repro.workloads.diurnal import ArrivalBatch
+
+        tools = stress_profile(0).tools
+        simulator = FleetSimulator(FleetConfig(nodes=2, gpus_per_node=1), tools)
+        result = simulator.run([ArrivalBatch(0.0, 0, 0), ArrivalBatch(1.0, 0, -3)])
+        assert result.jobs_submitted == 0
+        assert len(simulator.store.state) == 0
+
+
+class TestMappedSeriesBindLazily:
+    """Binding the arm counters' children must not invent series."""
+
+    def test_arm_that_never_fires_emits_no_series(self):
+        tools = (FleetToolClass("cpu_tool", False, 0.0, 300.0, 1.0),)
+        profile = DiurnalProfile(
+            users=100, jobs_per_user_day=2.0, days=0.1,
+            tick_seconds=60.0, seed=0, tools=tools,
+        )
+        simulator = FleetSimulator(FleetConfig(nodes=2, gpus_per_node=1), tools)
+        simulator.run(diurnal_batches(profile))
+        series = simulator.metrics.snapshot()[
+            "gyan_fleet_mapping_decisions_total"]["series"]
+        assert list(series) == ["gyan_fleet_mapping_decisions_total{arm=cpu}"]
+        text = simulator.metrics.render_prometheus()
+        assert 'arm="gpu"' not in text
+        assert "gyan_fleet_jobs_shed_total{" not in text  # nothing shed
+
+    def test_no_series_before_the_first_batch(self):
+        simulator = FleetSimulator(
+            FleetConfig(nodes=2, gpus_per_node=1), stress_profile(0).tools
+        )
+        snapshot = simulator.metrics.snapshot()
+        assert snapshot["gyan_fleet_mapping_decisions_total"]["series"] == {}
+        assert snapshot["gyan_fleet_jobs_shed_total"]["series"] == {}
+
+    def test_counts_match_the_store(self):
+        profile = stress_profile(seed=3)
+        simulator = FleetSimulator(STRESS_CONFIG, profile.tools)
+        result = simulator.run(diurnal_batches(profile))
+        value = simulator.metrics.value
+        assert result.mapped_gpu == value(
+            "gyan_fleet_mapping_decisions_total", arm="gpu")
+        assert result.mapped_cpu == value(
+            "gyan_fleet_mapping_decisions_total", arm="cpu")
+        assert result.mapped_gpu > 0 and result.mapped_cpu > 0

@@ -1,5 +1,7 @@
 """Columnar :class:`JobStore`: range transitions, digests, encodings."""
 
+import math
+
 import pytest
 
 from repro.cluster.jobstore import (
@@ -9,8 +11,10 @@ from repro.cluster.jobstore import (
     SHED_REASON_CODE,
     FleetJobState,
     JobStore,
+    gpu_wait_percentile,
 )
 from repro.resilience.shedding import ShedReason
+from repro.workloads.diurnal import AB_STORM_DURATION, AB_STORM_START
 
 
 class TestAppend:
@@ -138,3 +142,155 @@ class TestShedEncoding:
     def test_codes_are_stable_definition_order(self):
         assert SHED_REASON_CODE[ShedReason.QUEUE_FULL] == 0
         assert len(SHED_REASON_CODE) == len(ShedReason)
+
+
+def _scripted(store: JobStore) -> JobStore:
+    """Drive ``store`` through every transition kind over three batches."""
+    store.append_batch(6, tool=1, submit=0.0, deadline=60.0)
+    store.append_batch(4, tool=0, submit=5.0, deadline=65.0)
+    store.start_span(0, 1.0, [(3, 2, 0, 1), (5, 7, 1, 4)])
+    store.queue_range(5, 6, node=7, pool=1)
+    store.start_range(6, 8, NO_NODE, 5.0, gpu=False)
+    store.complete_range(0, 3, now=11.0)
+    store.resubmit_range(3, 5)
+    store.shed_range(8, 9, ShedReason.QUEUE_FULL, now=5.0)
+    store.fail_range(9, 10, now=6.0)
+    store.append_batch(2, tool=2, submit=9.0, deadline=69.0)
+    return store
+
+
+class TestCapacityIsNotLength:
+    """Reserved capacity is an allocation detail no reader can observe."""
+
+    def test_reserved_store_equals_grown_store(self):
+        grown = _scripted(JobStore())
+        reserved = JobStore()
+        reserved.reserve(1000)
+        _scripted(reserved)
+        assert len(reserved.state) == 1000  # the capacity is really there
+        assert len(reserved) == len(grown) == 12
+        assert reserved.digest() == grown.digest()
+        assert reserved.count_by_state() == grown.count_by_state()
+        assert list(reserved.rows()) == list(grown.rows())
+
+    def test_reserved_tail_is_invisible(self):
+        store = JobStore()
+        store.reserve(64)
+        assert len(store) == 0
+        assert list(store.rows()) == []
+        assert store.count_by_state() == {}
+        assert store.digest() == JobStore().digest()
+        assert gpu_wait_percentile(store, 0.95) == 0.0
+        store.append_batch(2, tool=0, submit=0.0, deadline=60.0)
+        assert store.count_by_state() == {"PENDING": 2}
+        with pytest.raises(IndexError):
+            store.row(2)  # allocated, but not a job
+        with pytest.raises(IndexError):
+            store.row(-1)
+
+    def test_reserve_never_shrinks_and_keeps_rows(self):
+        store = _scripted(JobStore())
+        before = store.digest()
+        store.reserve(4)
+        assert len(store.state) >= 12
+        store.reserve(500)
+        assert len(store) == 12 and store.digest() == before
+        lo, hi = store.append_batch(3, tool=0, submit=20.0, deadline=80.0)
+        assert (lo, hi) == (12, 15)
+        assert store.row(14).state is FleetJobState.PENDING
+        assert store.row(14).destination == NO_NODE
+
+    def test_unsized_store_grows_geometrically(self):
+        store = JobStore()
+        capacities = set()
+        for _ in range(200):
+            store.append_batch(1, tool=0, submit=0.0, deadline=1.0)
+            capacities.add(len(store.state))
+        assert len(store) == 200
+        assert len(capacities) <= 9  # doublings, not one growth per append
+
+
+class TestStartSpan:
+    def test_span_equals_one_start_range_per_piece(self):
+        span, ranges = JobStore(), JobStore()
+        for store in (span, ranges):
+            store.append_batch(10, tool=3, submit=2.0, deadline=62.0)
+        pieces = [(4, 0, 0, 1), (6, 9, 1, 3), (9, 1, 0, 2), (10, 2, 0, 1)]
+        span.start_span(0, 2.0, pieces)
+        lo = 0
+        for hi, node, pool, epoch in pieces:
+            ranges.start_range(lo, hi, node, 2.0, gpu=True,
+                               pool=pool, epoch=epoch)
+            lo = hi
+        assert span.digest() == ranges.digest()
+        rows = list(span.rows())
+        assert [row.destination for row in rows] == [0] * 4 + [9] * 2 + [1] * 3 + [2]
+        assert all(row.gpu and row.start == 2.0 for row in rows)
+        # The odd pieces kept their own pool/epoch, not the span's.
+        assert (span.row(5).pool, span.row(5).epoch) == (1, 3)
+        assert (span.row(8).pool, span.row(8).epoch) == (0, 2)
+        assert (span.row(9).pool, span.row(9).epoch) == (0, 1)
+
+    def test_span_leaves_rows_outside_alone(self):
+        store = JobStore()
+        store.append_batch(6, tool=0, submit=0.0, deadline=60.0)
+        store.start_span(2, 1.0, [(4, 5, 0, 1)])
+        states = [row.state for row in store.rows()]
+        assert states == [FleetJobState.PENDING] * 2 + \
+            [FleetJobState.RUNNING] * 2 + [FleetJobState.PENDING] * 2
+
+
+def naive_gpu_wait_percentile(store, quantile, window_lo=0.0,
+                              window_hi=float("inf")):
+    """The pre-vectorisation implementation, kept as the reference."""
+    completed = int(FleetJobState.COMPLETED)
+    waits = sorted(
+        store.start[i] - store.submit[i]
+        for i in range(len(store))
+        if store.gpu[i]
+        and store.state[i] == completed
+        and window_lo <= store.submit[i] < window_hi
+    )
+    if not waits:
+        return 0.0
+    rank = max(0, min(len(waits) - 1, int(math.ceil(quantile * len(waits))) - 1))
+    return waits[rank]
+
+
+class TestGpuWaitPercentile:
+    @pytest.fixture(scope="class")
+    def storm_store(self):
+        from repro.cluster.fleet import FleetConfig, FleetSimulator
+        from repro.workloads.diurnal import ab_storm_profile, diurnal_batches
+
+        profile = ab_storm_profile(8_000)
+        config = FleetConfig(nodes=12, gpus_per_node=4, queue_limit=8)
+        simulator = FleetSimulator(config, profile.tools)
+        simulator.run(diurnal_batches(profile))
+        return simulator.store
+
+    @pytest.mark.parametrize("quantile", [0.01, 0.5, 0.95, 0.999, 1.0])
+    @pytest.mark.parametrize("window", [
+        (0.0, float("inf")),
+        (AB_STORM_START, AB_STORM_START + AB_STORM_DURATION),
+        (AB_STORM_START + 600.0, AB_STORM_START + 660.0),
+    ])
+    def test_bit_equal_to_naive_reference(self, storm_store, quantile, window):
+        ours = gpu_wait_percentile(storm_store, quantile, *window)
+        theirs = naive_gpu_wait_percentile(storm_store, quantile, *window)
+        assert type(ours) is float
+        assert ours == theirs
+
+    def test_storm_fixture_has_real_waits(self, storm_store):
+        lo, hi = AB_STORM_START, AB_STORM_START + AB_STORM_DURATION
+        assert naive_gpu_wait_percentile(storm_store, 0.95, lo, hi) > 0.0
+
+    def test_empty_window_is_zero(self, storm_store):
+        assert gpu_wait_percentile(storm_store, 0.95, 1e9, 2e9) == 0.0
+        assert gpu_wait_percentile(storm_store, 0.95, 500.0, 500.0) == 0.0
+        assert gpu_wait_percentile(JobStore(), 0.5) == 0.0
+
+    def test_quantile_validated(self, storm_store):
+        for bad in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                gpu_wait_percentile(storm_store, bad)

@@ -60,6 +60,15 @@ class TestCasesAndExperiments:
             assert case in out
         assert out.count("NVIDIA-SMI") == 4
 
+    def test_cases_leaves_sys_path_alone(self, capsys):
+        import sys
+
+        before = list(sys.path)
+        assert main(["cases"]) == 0
+        assert main(["cases"]) == 0
+        capsys.readouterr()
+        assert sys.path == before
+
     def test_single_case(self, capsys):
         assert main(["cases", "--case", "3"]) == 0
         out = capsys.readouterr().out
@@ -125,3 +134,28 @@ class TestTopoCommand:
         assert main(["topo", "--boards", "2"]) == 0
         out = capsys.readouterr().out
         assert "PIX" in out and "PHB" in out and "GPU3" in out
+
+
+class TestFleet:
+    ARGV = ["fleet", "--jobs", "3000", "--nodes", "6", "--gpus-per-node", "2",
+            "--queue-limit", "4", "--storm"]
+
+    @pytest.fixture
+    def days(self, monkeypatch):
+        """Every day ``repro fleet`` generates."""
+        import repro.workloads.diurnal as diurnal
+
+        seen = []
+        generate = diurnal.diurnal_batches
+
+        def counted_generate(profile):
+            seen.append(generate(profile))
+            return seen[-1]
+
+        monkeypatch.setattr(diurnal, "diurnal_batches", counted_generate)
+        return seen
+
+    def test_check_parity_generates_the_day_once(self, days, capsys):
+        assert main([*self.ARGV, "--ab", "--check-parity"]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        assert len(days) == 1  # three policies, two models, one day
