@@ -12,6 +12,11 @@ Commands
     record (command line, environment, destination, timing breakdown).
 ``cases``
     Re-play the paper's four multi-GPU scheduling cases.
+``trace``
+    Replay a Poisson arrival trace on the paper's node, untraced (stats
+    only) or traced (``--emit``/``--format json``/``--plan``).  Exit 0
+    done, 1 when arrivals outrun the node's 48 CPU slots (one
+    ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``.
 ``experiment``
     Regenerate one of the paper's headline results (fig3, fig5, e11,
     stalls) as a quick table.
@@ -254,6 +259,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.cluster.node import NodeCapacityError
+
+    try:
+        return _run_trace(args)
+    except NodeCapacityError as exc:
+        print(f"trace: {exc}: arrivals outrun the node; raise --interarrival "
+              f"(now {args.interarrival:g} s) or lower --jobs", file=sys.stderr)
+        return 1
+
+
+def _run_trace(args: argparse.Namespace) -> int:
     traced = (
         args.plan is not None
         or args.emit is not None
@@ -751,26 +767,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # parser
 # --------------------------------------------------------------------- #
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="GYAN reproduction command line"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("info", help="show the default deployment").set_defaults(
-        func=cmd_info
-    )
-
-    smi = sub.add_parser("smi", help="render the simulated nvidia-smi table")
+def _smi_arguments(smi: argparse.ArgumentParser) -> None:
     smi.add_argument("--demo", action="store_true",
                      help="launch a demo GPU job before rendering")
-    smi.set_defaults(func=cmd_smi)
 
-    topo = sub.add_parser("topo", help="render the GPU topology matrix")
+
+def _topo_arguments(topo: argparse.ArgumentParser) -> None:
     topo.add_argument("--boards", type=int, default=2)
-    topo.set_defaults(func=cmd_topo)
 
-    racon = sub.add_parser("racon", help="run the Racon tool through GYAN")
+
+def _racon_arguments(racon: argparse.ArgumentParser) -> None:
     racon.add_argument("--threads", type=int, default=4)
     racon.add_argument("--batches", type=int, default=1)
     racon.add_argument("--banded", action="store_true")
@@ -780,27 +786,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run via the Docker destination")
     racon.add_argument("--allocation", choices=("pid", "memory", "utilization"),
                        default="pid")
-    racon.set_defaults(func=cmd_racon)
 
-    bonito = sub.add_parser("bonito", help="run the Bonito tool through GYAN")
+
+def _bonito_arguments(bonito: argparse.ArgumentParser) -> None:
     bonito.add_argument("--workload", choices=("unit", "dataset"), default="dataset")
     bonito.add_argument("--dataset", default="Acinetobacter_pittii")
     bonito.add_argument("--allocation", choices=("pid", "memory", "utilization"),
                         default="pid")
-    bonito.set_defaults(func=cmd_bonito)
 
-    cases = sub.add_parser("cases", help="replay the multi-GPU cases")
+
+def _cases_arguments(cases: argparse.ArgumentParser) -> None:
     cases.add_argument("--case", type=int, choices=(0, 1, 2, 3, 4), default=0,
                        help="which case (0 = all)")
-    cases.set_defaults(func=cmd_cases)
 
-    experiment = sub.add_parser("experiment", help="regenerate a headline result")
+
+def _experiment_arguments(experiment: argparse.ArgumentParser) -> None:
     experiment.add_argument("name", choices=("all", "fig3", "fig5", "e11", "stalls"))
-    experiment.set_defaults(func=cmd_experiment)
 
-    trace = sub.add_parser(
-        "trace", help="replay a Poisson arrival trace and print scheduling stats"
-    )
+
+def _trace_arguments(trace: argparse.ArgumentParser) -> None:
     trace.add_argument("--jobs", type=int, default=20)
     trace.add_argument("--interarrival", type=float, default=2.0)
     trace.add_argument("--seed", type=int, default=0)
@@ -817,11 +821,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--format", choices=("text", "json"), default="text",
                        help="json prints the byte-stable run summary; "
                             "implies tracing")
-    trace.set_defaults(func=cmd_trace)
 
-    lint = sub.add_parser(
-        "lint", help="statically analyze GYAN configs and repro sources"
-    )
+
+def _lint_arguments(lint: argparse.ArgumentParser) -> None:
     lint.add_argument("paths", nargs="*",
                       help="files or directories (.xml configs, .py sources)")
     lint.add_argument("--format", choices=("text", "json"), default="text")
@@ -839,13 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", default=None, metavar="FILE",
                       help="capture this run's findings as a byte-"
                            "deterministic baseline file")
-    lint.set_defaults(func=cmd_lint)
 
-    perf = sub.add_parser(
-        "perf",
-        help="profile-guided static performance analysis (PERF6xx): "
-             "error on hot paths, info elsewhere",
-    )
+
+def _perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("paths", nargs="*",
                       help="files or directories of .py sources "
                            "(default: src/repro)")
@@ -872,11 +870,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "deterministic baseline file")
     perf.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    perf.set_defaults(func=cmd_perf)
 
-    faults = sub.add_parser(
-        "faults", help="run a chaos scenario and report job survival"
-    )
+
+def _faults_arguments(faults: argparse.ArgumentParser) -> None:
     faults.add_argument("--scenario", default="k80-die-midrun",
                         help="named scenario (see repro.gpusim.faults.SCENARIOS)")
     faults.add_argument("--plan", default=None,
@@ -888,12 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario seed (plans are (name, seed)-determined)")
     faults.add_argument("--no-resilience", action="store_true",
                         help="run the stock, fragile deployment for comparison")
-    faults.set_defaults(func=cmd_faults)
 
-    storm = sub.add_parser(
-        "storm",
-        help="drive a burst-arrival storm and report the overload ledger",
-    )
+
+def _storm_arguments(storm: argparse.ArgumentParser) -> None:
     storm.add_argument("--jobs", type=int, default=48,
                        help="submissions in the storm trace")
     storm.add_argument("--seed", type=int, default=0,
@@ -911,13 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail (exit 1) when more than this fraction of "
                             "jobs is shed")
     storm.add_argument("--format", choices=("text", "json"), default="text")
-    storm.set_defaults(func=cmd_storm)
 
-    verify = sub.add_parser(
-        "verify",
-        help="whole-deployment verification: dataflow, capacity, and "
-             "small-scope model checking",
-    )
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("paths", nargs="*",
                         help="files or directories (job_conf.xml, tool "
                              "wrappers, chaos-plan JSON)")
@@ -938,12 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--emit-plans", default=None, metavar="DIR",
                         help="write each VER4xx counterexample as a "
                              "replayable chaos-plan JSON into DIR")
-    verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser(
-        "bench",
-        help="time simulation-core hot paths and emit BENCH_sim_core.json",
-    )
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("--suite", choices=("sim_core", "fleet_core"),
                        default="sim_core",
                        help="scenario suite: sim_core (simulation hot "
@@ -963,8 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the named scenario (repeatable)")
     bench.add_argument("--list", action="store_true",
                        help="list scenario names and exit")
-    bench.set_defaults(func=cmd_bench)
 
+
+def _fleet_arguments(fleet: argparse.ArgumentParser) -> None:
     from repro.cluster.autoscale import PLACEMENT_POLICIES, PLACEMENT_SPREAD
     from repro.cluster.fleet import (
         AB_FLEET_GPUS_PER_NODE,
@@ -974,10 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         AB_FLEET_SEED,
     )
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="run the fleet-scale simulator (placement + autoscaling)",
-    )
     fleet.add_argument("--nodes", type=int, default=AB_FLEET_NODES,
                        help="fleet chassis count (default: %(default)s)")
     fleet.add_argument("--gpus-per-node", type=int,
@@ -1029,13 +1012,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="autoscale: seconds between scale actions "
                             "(default: %(default)s)")
     fleet.add_argument("--format", choices=("text", "json"), default="text")
-    fleet.set_defaults(func=cmd_fleet, ab_policies=PLACEMENT_POLICIES)
+    fleet.set_defaults(ab_policies=PLACEMENT_POLICIES)
 
-    race = sub.add_parser(
-        "race",
-        help="determinism checker: DET4xx static rules + happens-before "
-             "tie permutation (DET5xx)",
-    )
+
+def _race_arguments(race: argparse.ArgumentParser) -> None:
     race.add_argument("paths", nargs="*",
                       help="files or directories for the static DET4xx "
                            "pass (.py sources; default: none)")
@@ -1062,8 +1042,64 @@ def build_parser() -> argparse.ArgumentParser:
                            "nonzero")
     race.add_argument("--list-scenarios", action="store_true",
                       help="list dynamic scenario names and exit")
-    race.set_defaults(func=cmd_race)
 
+
+#: name -> (help, add_arguments or None, handler): the one place commands
+#: are declared; :func:`build_parser` registers all of them or just one.
+_COMMANDS = {
+    "info": ("show the default deployment", None, cmd_info),
+    "smi": ("render the simulated nvidia-smi table", _smi_arguments, cmd_smi),
+    "topo": ("render the GPU topology matrix", _topo_arguments, cmd_topo),
+    "racon": ("run the Racon tool through GYAN", _racon_arguments, cmd_racon),
+    "bonito": ("run the Bonito tool through GYAN", _bonito_arguments,
+               cmd_bonito),
+    "cases": ("replay the multi-GPU cases", _cases_arguments, cmd_cases),
+    "experiment": ("regenerate a headline result", _experiment_arguments,
+                   cmd_experiment),
+    "trace": ("replay a Poisson arrival trace and print scheduling stats",
+              _trace_arguments, cmd_trace),
+    "lint": ("statically analyze GYAN configs and repro sources",
+             _lint_arguments, cmd_lint),
+    "perf": ("profile-guided static performance analysis (PERF6xx): "
+             "error on hot paths, info elsewhere", _perf_arguments, cmd_perf),
+    "faults": ("run a chaos scenario and report job survival",
+               _faults_arguments, cmd_faults),
+    "storm": ("drive a burst-arrival storm and report the overload ledger",
+              _storm_arguments, cmd_storm),
+    "verify": ("whole-deployment verification: dataflow, capacity, and "
+               "small-scope model checking", _verify_arguments, cmd_verify),
+    "bench": ("time simulation-core hot paths and emit BENCH_sim_core.json",
+              _bench_arguments, cmd_bench),
+    "fleet": ("run the fleet-scale simulator (placement + autoscaling)",
+              _fleet_arguments, cmd_fleet),
+    "race": ("determinism checker: DET4xx static rules + happens-before "
+             "tie permutation (DET5xx)", _race_arguments, cmd_race),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every command, or with just ``only``
+    (a declared command name; anything else is a ``KeyError``).
+
+    One CLI call runs one command, so :func:`main` passes ``argv[0]``
+    when it names one and pays for a single sub-parser.  The top-level
+    usage line (printed with "unrecognized arguments") still lists every
+    command: with ``only`` the list is given as the metavar argparse
+    would otherwise derive from the registered choices.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro", description="GYAN reproduction command line"
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(_COMMANDS),
+    )
+    for name in _COMMANDS if only is None else (only,):
+        help_text, add_arguments, handler = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        if add_arguments is not None:
+            add_arguments(command)
+        command.set_defaults(func=handler)
     return parser
 
 
@@ -1072,8 +1108,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.analysis import sanitizer as simsan
 
     simsan.install_from_env()  # honour GYAN_SIMSAN=1 for every command
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a known command first (--help, a typo, nothing) gets
+    # the full parser and so the full help and error text.
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     return args.func(args)
 
 

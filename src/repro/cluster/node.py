@@ -29,6 +29,10 @@ class NodeResources:
             raise ValueError("gpu_count must be non-negative")
 
 
+class NodeCapacityError(ValueError):
+    """A CPU reservation asked for more slots than the node has free."""
+
+
 class ComputeNode:
     """One machine in the cluster.
 
@@ -77,12 +81,14 @@ class ComputeNode:
         Raises
         ------
         ValueError
-            If the request is non-positive or exceeds free slots.
+            If the request is non-positive.
+        NodeCapacityError
+            If it exceeds the free slots (a ``ValueError`` subclass).
         """
         if count <= 0:
             raise ValueError("must reserve at least one CPU slot")
         if count > self.cpu_slots_free:
-            raise ValueError(
+            raise NodeCapacityError(
                 f"{self.hostname}: requested {count} CPU slots, "
                 f"only {self.cpu_slots_free} free"
             )

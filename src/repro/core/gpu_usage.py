@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.gpusim.host import GPUHost
 from repro.gpusim.smi import SmiSoup, run_query
+from repro.hotpath import hot_path
 
 
 @dataclass
@@ -60,6 +61,7 @@ def get_gpu_usage(host: GPUHost, retry=None) -> tuple[list[str], list[str]]:
     return snapshot.available_gpus, snapshot.all_gpus
 
 
+@hot_path
 def get_gpu_usage_snapshot(host: GPUHost, retry=None) -> GpuUsageSnapshot:
     """Pseudocode 1 plus the memory figures §IV-C2's strategy also reads.
 

@@ -24,6 +24,7 @@ import enum
 from repro.gpusim.errors import GpuSimError, InvalidDeviceError
 from repro.gpusim.memory import MIB, Allocation, MemoryAllocator
 from repro.gpusim.process import GPUProcess, ProcessType
+from repro.hotpath import hot_path
 
 
 class ComputeMode(str, enum.Enum):
@@ -138,6 +139,8 @@ class GPUDevice:
         self.bus_id = bus_id or f"00000000:{5 + minor_number:02X}:00.0"
         self.uuid = uuid or f"GPU-SIM{minor_number:04d}-0000-0000-0000-000000000000"
         self.memory = MemoryAllocator(arch.fb_memory_bytes, device_index=minor_number)
+        #: Attached (live) processes only, in attach order: detach removes
+        #: the record, so every scan below costs O(live), not O(history).
         self._processes: dict[int, GPUProcess] = {}
         #: Bumped on every observable mutation (utilisation, link state,
         #: health, process table); the mapper's snapshot cache keys on the
@@ -231,8 +234,9 @@ class GPUDevice:
             in ``PROHIBITED`` mode always — CUDA's
             ``cudaErrorDevicesUnavailable``.
         """
-        if pid in self._processes and self._processes[pid].alive:
-            return self._processes[pid]
+        attached = self._processes.get(pid)
+        if attached is not None:
+            return attached
         if self.compute_mode is ComputeMode.PROHIBITED:
             raise ComputeModeError(
                 f"GPU {self.minor_number}: compute mode Prohibited"
@@ -257,8 +261,8 @@ class GPUDevice:
 
     def detach_process(self, pid: int, now: float = 0.0) -> int:
         """Detach ``pid`` and reclaim all its memory; returns bytes freed."""
-        proc = self._processes.get(pid)
-        if proc is not None and proc.alive:
+        proc = self._processes.pop(pid, None)
+        if proc is not None:
             proc.end_time = now
         self._version += 1
         freed = self.memory.release_pid(pid)
@@ -268,12 +272,13 @@ class GPUDevice:
             self.pcie_generation_current = 1
         return freed
 
+    @hot_path
     def compute_processes(self) -> list[GPUProcess]:
         """Live compute processes, in attach order (nvidia-smi row order)."""
         return [
             p
             for p in self._processes.values()
-            if p.alive and p.process_type is ProcessType.COMPUTE
+            if p.process_type is ProcessType.COMPUTE
         ]
 
     def process_pids(self) -> list[int]:

@@ -22,6 +22,7 @@ from xml.sax.saxutils import escape
 
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.host import GPUHost
+from repro.hotpath import hot_path
 
 
 # --------------------------------------------------------------------- #
@@ -76,6 +77,7 @@ def _gpu_xml(dev: GPUDevice) -> str:
     )
 
 
+@hot_path
 def render_xml(host: GPUHost) -> str:
     """The full ``nvidia-smi -q -x`` document for ``host``.
 
@@ -156,7 +158,7 @@ class SmiSoup:
         """First descendant with the given tag, or the node itself."""
         if self._element.tag == tag:
             return self
-        found = self._element.find(f".//{tag}")
+        found = next(self._element.iter(tag), None)
         return SmiSoup(found) if found is not None else None
 
     def find_all(self, tag: str) -> list["SmiSoup"]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.energy import EnergyMeter, power_watts
+from repro.core.monitor import GPUUsageMonitor, MonitoredJob
 
 
 class TestPowerModel:
@@ -52,3 +53,88 @@ class TestEnergyMeter:
         meter = EnergyMeter(deployment.monitor)
         with pytest.raises(KeyError):
             meter.job_energy(424242)
+
+
+def loop_energy(monitor, job_id):
+    """The per-sample trapezoid, one Python float at a time, summed left to
+    right: the naive reference ``job_energy`` must equal bit for bit."""
+    session = monitor.session_for(job_id)
+    times = session.times
+    per_device = {}
+    for device in monitor.host.devices:
+        series = session.device_series(device.minor_number)
+        joules = 0.0
+        if series is not None:
+            utils = series.gpu_util
+            for i in range(1, len(utils)):
+                dt = times[i] - times[i - 1]
+                p0 = power_watts(device, utils[i - 1])
+                p1 = power_watts(device, utils[i])
+                joules += 0.5 * (p0 + p1) * dt
+        per_device[device.minor_number] = joules
+    duration = times[-1] - times[0] if len(times) >= 2 else 0.0
+    return duration, per_device
+
+
+def hexed(per_device):
+    return {index: joules.hex() for index, joules in per_device.items()}
+
+
+class TestBitEqualToTheLoop:
+    def session(self, host, ticks, device_indices=(0, 1)):
+        """A hand-built session: ``ticks`` is ``[(time, util), ...]``."""
+        monitor = GPUUsageMonitor(host)
+        session = MonitoredJob(7, ticks[0][0], list(device_indices))
+        for time, util in ticks:
+            session.times.append(time)
+            for series in session.series:
+                series.push(util + series.device_index, 0.0, 0, 3)
+        monitor.sessions[7] = session
+        return monitor
+
+    def check(self, monitor, job_id):
+        report = EnergyMeter(monitor).job_energy(job_id)
+        duration, per_device = loop_energy(monitor, job_id)
+        assert hexed(report.per_device_joules) == hexed(per_device)
+        assert list(report.per_device_joules) == list(per_device)
+        assert report.duration_seconds.hex() == float(duration).hex()
+        assert all(type(j) is float for j in report.per_device_joules.values())
+        assert type(report.duration_seconds) is float
+        return report
+
+    def test_bonito_dataset_session(self, deployment):
+        job = deployment.run_tool("bonito", {"workload": "dataset"})
+        session = deployment.monitor.session_for(job.job_id)
+        assert len(session.times) > 14_000  # hours of one-second samples
+        report = self.check(deployment.monitor, job.job_id)
+        # Bonito's wrapper asks for GPU 1; GPU 0 idles at 26 W throughout.
+        assert report.per_device_joules[1] > report.per_device_joules[0] > 0
+
+    def test_two_tick_session(self, host):
+        report = self.check(self.session(host, [(1.5, 40.0), (2.25, 90.0)]), 7)
+        assert report.duration_seconds == 0.75
+        assert report.per_device_joules[0] > 26.0 * 0.75
+
+    def test_one_tick_session_is_zero(self, host):
+        report = self.check(self.session(host, [(3.0, 80.0)]), 7)
+        assert report.duration_seconds == 0.0
+        assert report.per_device_joules == {0: 0.0, 1: 0.0}
+        assert report.mean_watts == 0.0
+
+    def test_device_without_a_series(self, host):
+        monitor = self.session(
+            host, [(0.0, 10.0), (1.0, 55.5), (2.0, 55.5), (2.5, 0.0)],
+            device_indices=(1,),
+        )
+        report = self.check(monitor, 7)
+        assert report.per_device_joules[0] == 0.0
+        assert report.per_device_joules[1] > 0.0
+
+    def test_session_can_grow_after_a_reading(self, deployment):
+        """The buffer views are gone when ``job_energy`` returns: an array
+        that still exported one would refuse to grow."""
+        job = deployment.run_tool("racon", {"workload": "unit"})
+        EnergyMeter(deployment.monitor).job_energy(job.job_id)
+        session = deployment.monitor.session_for(job.job_id)
+        session.times.append(session.times[-1] + 1.0)
+        session.series[0].gpu_util.append(0.0)

@@ -131,3 +131,82 @@ class TestHost:
         host = make_k80_host()
         ordered = host.visible_devices("1,0")
         assert [d.minor_number for d in ordered] == [1, 0]
+
+
+class TestAgedHost:
+    """A device forgets a process when it detaches; the host remembers."""
+
+    CYCLES = 500
+
+    @pytest.fixture
+    def aged(self):
+        """A host after 500 launch/terminate cycles, two processes live."""
+        host = make_k80_host()
+        dead = []
+        for _ in range(self.CYCLES):
+            proc = host.launch_process("/usr/bin/racon_gpu")
+            host.terminate_process(proc.pid)
+            dead.append(proc.pid)
+        live = [
+            host.launch_process("/usr/bin/racon_gpu", cuda_visible_devices="0"),
+            host.launch_process("/usr/bin/bonito", cuda_visible_devices="0,1"),
+        ]
+        return host, dead, live
+
+    def test_a_render_probes_only_live_processes(self, aged, monkeypatch):
+        from repro.gpusim.process import GPUProcess
+        from repro.gpusim.smi import process_placement, render_xml
+
+        host, _, live = aged
+        probes = []
+        alive = GPUProcess.alive.fget
+        monkeypatch.setattr(
+            GPUProcess, "alive",
+            property(lambda proc: probes.append(proc.pid) or alive(proc)),
+        )
+        xml = render_xml(host)
+        attachments = sum(len(proc.device_indices) for proc in live)
+        assert xml.count("<process_info>") == attachments == 3
+        assert len(probes) <= attachments  # at the parent: 1 000 per device
+        assert process_placement(host) == {
+            0: [live[0].pid, live[1].pid], 1: [live[1].pid],
+        }
+
+    def test_the_host_keeps_its_tombstones(self, aged):
+        host, dead, _ = aged
+        assert len(dead) == self.CYCLES
+        for pid in (dead[0], dead[-1]):
+            assert host.process(pid).alive is False
+            with pytest.raises(ProcessError, match="already terminated"):
+                host.terminate_process(pid)
+
+    def test_a_detached_process_keeps_its_end_time(self):
+        host = make_k80_host()
+        proc = host.launch_process("tool", cuda_visible_devices="0")
+        record = host.device(0).compute_processes()[0]
+        host.clock.advance_to(4.0)
+        host.terminate_process(proc.pid)
+        assert record.end_time == 4.0 and not record.alive
+        assert host.device(0).compute_processes() == []
+
+    def test_reattaching_a_live_pid_returns_the_existing_record(self, aged):
+        host, dead, live = aged
+        device = host.device(0)
+        record = device.attach_process(live[0].pid, "/usr/bin/racon_gpu")
+        assert record is device.compute_processes()[0]
+        assert device.process_pids() == [live[0].pid, live[1].pid]
+        # A pid that detached long ago attaches as a new record, last in order.
+        again = device.attach_process(dead[0], "/usr/bin/racon_gpu", now=9.0)
+        assert again.alive and again.start_time == 9.0
+        assert device.process_pids() == [live[0].pid, live[1].pid, dead[0]]
+
+    def test_exclusive_mode_and_failure_see_only_the_living(self, aged):
+        from repro.gpusim.device import ComputeMode, ComputeModeError
+
+        host, _, live = aged
+        device = host.device(1)
+        device.compute_mode = ComputeMode.EXCLUSIVE_PROCESS
+        with pytest.raises(ComputeModeError):
+            device.attach_process(1, "intruder")
+        assert device.mark_failed(now=1.0) == [live[1].pid]
+        assert not device.is_idle and device.compute_processes() == []

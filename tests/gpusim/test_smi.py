@@ -2,6 +2,7 @@
 
 import xml.etree.ElementTree as ET
 
+import pytest
 
 from repro.gpusim.smi import (
     SmiSoup,
@@ -83,6 +84,28 @@ class TestSmiSoup:
     def test_find_all_document_order(self):
         soup = SmiSoup("<r><g><p>1</p></g><g><p>2</p></g></r>")
         assert [p.text for p in soup.find_all("p")] == ["1", "2"]
+
+    @pytest.mark.parametrize("tag", ["r", "g", "p", "q", "absent", "leaf"])
+    def test_find_and_find_all_match_the_elementpath_expression(self, tag):
+        """``find`` is the node itself or else the first ``.//tag`` hit;
+        ``find_all`` is every ``.//tag`` hit — on nested, repeated, absent
+        and self-matching tags, from the root and from an inner node."""
+        root = ET.fromstring(
+            "<r><g><p>1</p><g><p>2</p><q>3</q></g></g><q>4</q><g><p>5</p></g>"
+            "<leaf/></r>"
+        )
+        for element in (root, root.find("g"), root.find("leaf")):
+            soup = SmiSoup(element)
+            found = soup.find(tag)
+            if element.tag == tag:
+                assert found is soup
+            elif element.find(f".//{tag}") is None:
+                assert found is None
+            else:
+                assert found._element is element.find(f".//{tag}")
+            assert [s._element for s in soup.find_all(tag)] == element.findall(
+                f".//{tag}"
+            )
 
     def test_text_strips(self):
         assert SmiSoup("<a>  42  </a>").text == "42"

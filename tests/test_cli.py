@@ -112,6 +112,18 @@ class TestTraceCommand:
         assert "peak sharing per GPU: {'0': 1, '1': 1}" in out
 
 
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
+    def test_trace_that_outruns_the_node_is_one_stderr_line(self, capsys, extra):
+        """200 jobs at the default 2 s inter-arrival exhaust the 48 CPU
+        slots: exit 1 and a pointer at --interarrival, not a traceback."""
+        assert main(["trace", "--jobs", "200", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("trace: gyan-node-0: requested 1 CPU slots")
+        assert "--interarrival (now 2 s)" in captured.err
+
+
 class TestMonitorDump:
     def test_dump_writes_files(self, tmp_path):
         from repro import build_deployment, register_paper_tools
@@ -159,3 +171,135 @@ class TestFleet:
         assert main([*self.ARGV, "--ab", "--check-parity"]) == 0
         assert "bit-identical" in capsys.readouterr().out
         assert len(days) == 1  # three policies, two models, one day
+
+
+class TestOneSubParserPerCall:
+    """``main`` builds only the invoked command's sub-parser; what a user
+    can see (parsed values, help, errors, exit codes) does not change."""
+
+    #: One argv per command, off the defaults where the command has flags.
+    SAMPLES = {
+        "info": ["info"],
+        "smi": ["smi", "--demo"],
+        "topo": ["topo", "--boards", "3"],
+        "racon": ["racon", "--threads", "8", "--banded", "--workload",
+                  "dataset", "--container", "--allocation", "memory"],
+        "bonito": ["bonito", "--workload", "unit", "--dataset", "x"],
+        "cases": ["cases", "--case", "3"],
+        "experiment": ["experiment", "fig5"],
+        "trace": ["trace", "--jobs", "7", "--policy", "wait", "--plan", "p.json",
+                  "--emit", "out", "--format", "json"],
+        "lint": ["lint", "a.xml", "b.py", "--fail-on", "warning", "--devices",
+                 "4", "--baseline", "base.json"],
+        "perf": ["perf", "src", "--profile", "a.json", "--profile", "b.json",
+                 "--no-profile", "--format", "json"],
+        "faults": ["faults", "--scenario", "nvml-flaky", "--jobs", "3",
+                   "--no-resilience"],
+        "storm": ["storm", "--jobs", "9", "--burst-factor", "2.5", "--no-faults"],
+        "verify": ["verify", "examples", "--scope", "1,2,3", "--no-model-check",
+                   "--emit-plans", "plans"],
+        "bench": ["bench", "--suite", "fleet_core", "--quick", "--scenario", "a",
+                  "--output", ""],
+        "fleet": ["fleet", "--nodes", "12", "--policy", "pack", "--ab",
+                  "--autoscale", "--max-nodes", "20", "--cooldown", "60"],
+        "race": ["race", "src", "--scenario", "trace", "--schedule", "s.json",
+                 "--static-only", "--fail-on", "info"],
+    }
+
+    @staticmethod
+    def commands():
+        """The command names, read back from a full parser (built here: a
+        test that counts ``add_parser`` calls snapshots its count first)."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    @pytest.fixture
+    def add_parser_calls(self, monkeypatch):
+        import argparse
+
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(action, name, **kwargs):
+            calls.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        return calls
+
+    def test_every_command_has_a_sample(self):
+        assert sorted(self.SAMPLES) == sorted(self.commands())
+
+    @pytest.mark.parametrize("command", sorted(SAMPLES))
+    def test_single_parser_parses_like_the_full_one(self, command):
+        from repro.cli import build_parser
+
+        argv = self.SAMPLES[command]
+        alone = build_parser(command).parse_args(argv)
+        assert alone == build_parser().parse_args(argv)
+        assert alone.command == command and callable(alone.func)
+
+    @pytest.mark.parametrize("command", sorted(SAMPLES))
+    def test_single_parser_errors_like_the_full_one(self, command, capsys):
+        """An unknown flag is reported by the top-level parser, whose usage
+        line lists every command either way."""
+        from repro.cli import build_parser
+
+        texts = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([*self.SAMPLES[command], "--no-such-flag"])
+            assert exit_info.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[0] == texts[1]
+        assert "{" + ",".join(self.commands()) + "}" in "".join(texts[0].split())
+
+    def test_validation_of_the_invoked_command_is_intact(self, capsys):
+        for argv in (["racon", "--workload", "nope"], ["racon", "--threads", "x"],
+                     ["cases", "--case", "9"], ["experiment"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"repro {argv[0]}: error:" in capsys.readouterr().err
+
+    def test_main_registers_one_sub_parser_for_a_command(self, add_parser_calls,
+                                                         capsys):
+        assert main(["info"]) == 0
+        assert add_parser_calls == ["info"]
+        del add_parser_calls[:]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--help"])
+        assert exit_info.value.code == 0
+        assert add_parser_calls == ["fleet"]
+        assert capsys.readouterr().out.count("usage: repro fleet") == 1
+
+    def test_help_lists_every_command(self, add_parser_calls, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert list(add_parser_calls) == self.commands()
+        out = capsys.readouterr().out
+        for command in self.commands():
+            assert f"\n    {command} " in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from "
+                     "'info', 'smi', 'topo', 'racon', 'bonito', 'cases', "
+                     "'experiment', 'trace', 'lint', 'perf', 'faults', 'storm', "
+                     "'verify', 'bench', 'fleet', 'race')"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_unknown_and_missing_command_exit_2(self, argv, message,
+                                                add_parser_calls, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert list(add_parser_calls) == self.commands()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro [-h]")
+        assert err.endswith(f"repro: error: {message}\n")
