@@ -1,9 +1,10 @@
 """Golden-file tests: freeze every serialised surface the repo ships.
 
 Each test renders one externally-consumed artifact — the ``nvidia-smi``
-emulator's XML/table output, the JSON of ``lint``/``verify``/``bench``
-and the four ``trace`` artifacts — and compares it byte-for-byte against
-a checked-in snapshot under ``tests/golden/goldens/``.  Schema drift
+emulator's XML/table output, the JSON of ``lint``/``verify``/``bench``,
+the four analyzers' CLI output and the four ``trace`` artifacts — and
+compares it byte-for-byte against a checked-in snapshot under
+``tests/golden/goldens/``.  Schema drift
 (a renamed key, a reordered field, a changed number format) fails CI
 with a readable unified diff instead of a silent consumer break.
 
@@ -118,6 +119,31 @@ class TestAnalysisGoldens:
         assert not report.errors
         assert report.findings, "the fixture must keep tripping passes"
         assert_matches_golden("verify.json", report.render_json() + "\n")
+
+    # The four analyzers through the CLI on the seeded-bad fixtures of
+    # tests/analysis: stdout exactly as printed, and exit status 1.
+    @pytest.mark.parametrize("golden, argv", [
+        ("analyzers/lint.txt", ["lint", "analysis/fixtures/bad"]),
+        ("analyzers/verify.txt", ["verify", "analysis/fixtures/deployments"]),
+        ("analyzers/perf.txt",
+         ["perf", "--no-profile", "analysis/fixtures/perf_bad"]),
+        ("analyzers/perf.json",
+         ["perf", "--no-profile", "--format", "json",
+          "analysis/fixtures/perf_bad"]),
+        ("analyzers/race.txt",
+         ["race", "--static-only", "analysis/fixtures/race_bad"]),
+        ("analyzers/race.json",
+         ["race", "--static-only", "--format", "json",
+          "analysis/fixtures/race_bad"]),
+    ])
+    def test_analyzer_cli_stdout(self, golden, argv, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(HERE.parent)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_matches_golden(golden, captured.out)
 
 
 # --------------------------------------------------------------------- #
