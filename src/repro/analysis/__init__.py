@@ -8,8 +8,10 @@ This package catches those mistakes *before* anything runs:
 
 ``findings`` / ``rules``
     The :class:`~repro.analysis.findings.Finding` model with ordered
-    severities, and the rule catalogue (``GYAN1xx`` config, ``SRC2xx``
-    source, ``SIM3xx`` sanitizer).
+    severities, the report spine every analyzer returns (exit codes,
+    file walk, ``--baseline`` step, text/JSON rendering), and the rule
+    catalogue (``GYAN1xx`` config, ``SRC2xx`` source, ``SIM3xx``
+    sanitizer).
 ``config_rules``
     Static analysis of tool wrapper XML and ``job_conf.xml`` against a
     simulated host description.
@@ -21,8 +23,8 @@ This package catches those mistakes *before* anything runs:
     utilization bounds, clock monotonicity), enabled via
     ``GYAN_SIMSAN=1`` and on for the whole test suite.
 ``linter``
-    Path walking, suppressions, text/JSON rendering and exit codes —
-    what ``python -m repro lint`` calls.
+    File classification, suppressions and the per-file dispatch — what
+    ``python -m repro lint`` calls.
 ``verifier``
     gyan-verify — whole-deployment verification (``VER2xx`` dataflow,
     ``VER3xx`` capacity, ``VER4xx`` small-scope model checking with
@@ -30,15 +32,15 @@ This package catches those mistakes *before* anything runs:
     calls.
 """
 
-from repro.analysis.findings import Finding, Severity, worst_severity
-from repro.analysis.linter import (
+from repro.analysis.findings import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
     EXIT_USAGE,
-    LintOptions,
-    LintReport,
-    lint_paths,
+    Finding,
+    Severity,
+    worst_severity,
 )
+from repro.analysis.linter import LintOptions, LintReport, lint_paths
 from repro.analysis.rules import REGISTRY, LintRule, RuleRegistry
 from repro.analysis.sanitizer import SanitizerError, SimSanitizer
 from repro.analysis.verifier import (

@@ -17,8 +17,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.findings import Finding
+from repro.observability.export import render_document
+
+if TYPE_CHECKING:  # findings.py imports this module for the --baseline step
+    from repro.analysis.findings import Finding
 
 #: Schema tag written into every baseline file.
 BASELINE_SCHEMA = "gyan.baseline/v1"
@@ -35,11 +39,7 @@ def render_baseline(findings: list[Finding]) -> str:
         {"path": path, "rule_id": rule_id, "message": message, "count": n}
         for (path, rule_id, message), n in sorted(counts.items())
     ]
-    return json.dumps(
-        {"schema": BASELINE_SCHEMA, "entries": entries},
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+    return render_document({"schema": BASELINE_SCHEMA, "entries": entries})
 
 
 def write_baseline(findings: list[Finding], path: str | Path) -> None:
@@ -57,14 +57,22 @@ def load_baseline(path: str | Path) -> Counter:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema") != BASELINE_SCHEMA:
         raise ValueError(f"{path}: not a {BASELINE_SCHEMA} document")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'entries' is not a list")
     budgets: Counter = Counter()
-    for entry in data.get("entries", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: entry {entry!r} is not an object")
+        count = entry.get("count", 0)
+        if not isinstance(count, int):
+            raise ValueError(f"{path}: count {count!r} is not an integer")
         key = (
             str(entry.get("path", "")),
             str(entry.get("rule_id", "")),
             str(entry.get("message", "")),
         )
-        budgets[key] += int(entry.get("count", 0))
+        budgets[key] += count
     return budgets
 
 

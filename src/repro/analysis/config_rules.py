@@ -224,14 +224,17 @@ def analyze_tool_text(
         return None, [rule.finding(message, path)]
 
     findings: list[Finding] = []
+    devices = (
+        f"devices 0...{ctx.device_count - 1}"
+        if ctx.device_count else "no GPU devices"
+    )
     for raw_id in tool.requested_gpu_ids:
         minor = int(raw_id)  # parse_tool_xml already validated the format
         if minor >= ctx.device_count:
             findings.append(
                 R.GYAN102.finding(
                     f"tool {tool.tool_id!r} requests GPU minor ID {minor}, "
-                    f"but the configured host has devices 0..."
-                    f"{ctx.device_count - 1}",
+                    f"but the configured host has {devices}",
                     path,
                     suggestion="pass --devices N if the target host differs",
                 )

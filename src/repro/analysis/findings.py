@@ -1,14 +1,30 @@
-"""The finding model shared by every gyan-lint analyzer family.
+"""The finding model and report spine shared by every analyzer family.
 
 A *finding* is one diagnosed problem: which rule fired, how severe it
 is, where it was found, and what to do about it.  Severities are totally
 ordered so a ``--fail-on`` threshold is a single comparison.
+
+:class:`FindingsReport` is what ``lint``, ``verify``, ``race`` and
+``perf`` each return: the findings, the usage errors, one exit-code
+rule, one ``--baseline`` step and one text/JSON rendering.  A tool's
+report subclass adds only its own counters, its summary line and its
+JSON ``payload``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, ClassVar
+
+from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
+
+#: Exit codes (modeled on ruff/flake8): clean / findings / usage error.
+EXIT_CLEAN = 0
+EXIT_FINDINGS = 1
+EXIT_USAGE = 2
 
 
 class Severity(enum.IntEnum):
@@ -91,3 +107,104 @@ def worst_severity(findings: list[Finding]) -> Severity | None:
     if not findings:
         return None
     return max(f.severity for f in findings)
+
+
+def finding_sort_key(f: Finding) -> tuple:
+    """Total order for findings: (path, line, rule-id), then message and
+    severity as tie-breakers so equal-location findings are byte-stable
+    across runs and Python versions."""
+    return (f.path or "", f.line or 0, f.rule_id, f.message, int(f.severity))
+
+
+def discover_files(
+    paths: list[str], suffixes: tuple[str, ...] = (".xml", ".py")
+) -> tuple[list[Path], list[str]]:
+    """Expand files/directories into analyzable files, reporting bad paths.
+
+    Directories are walked for ``suffixes``; a file named explicitly is
+    kept whatever its suffix.
+    """
+    files: list[Path] = []
+    errors: list[str] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for suffix in suffixes:
+                files.extend(sorted(path.rglob(f"*{suffix}")))
+        elif path.is_file():
+            files.append(path)
+        else:
+            errors.append(f"no such file or directory: {raw}")
+    # De-duplicate while keeping order (a file may be reachable twice).
+    seen: set[Path] = set()
+    unique: list[Path] = []
+    for path in files:
+        resolved = path.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            unique.append(path)
+    return unique, errors
+
+
+@dataclass
+class FindingsReport:
+    """What one analyzer run produced; the base of every tool's report."""
+
+    findings: list[Finding] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)  # usage errors (bad paths)
+    baselined: int = 0  # findings subtracted by --baseline
+
+    #: ``render_json`` emits sorted keys unless a subclass turns it off.
+    JSON_SORT_KEYS: ClassVar[bool] = True
+
+    def exit_code(self, fail_on: Severity) -> int:
+        if self.errors:
+            return EXIT_USAGE
+        worst = worst_severity(self.findings)
+        if worst is not None and worst >= fail_on:
+            return EXIT_FINDINGS
+        return EXIT_CLEAN
+
+    def ratchet(self, baseline: str | None, write_path: str | None) -> None:
+        """The ``--baseline`` / ``--write-baseline`` step, run on the
+        sorted findings: subtract the captured debt, then capture what
+        is left.  An unloadable baseline is a usage error and leaves
+        the findings as they are."""
+        if baseline is not None:
+            try:
+                budgets = load_baseline(baseline)
+            except (OSError, ValueError) as exc:
+                self.errors.append(f"cannot load baseline {baseline}: {exc}")
+                return
+            self.findings, self.baselined = apply_baseline(self.findings, budgets)
+        if write_path is not None:
+            write_baseline(self.findings, write_path)
+
+    def severity_counts(self) -> str:
+        """`` (2 error, 1 warning)`` for the summary line; empty when clean."""
+        if not self.findings:
+            return ""
+        counts: dict[str, int] = {}
+        for f in self.findings:
+            counts[str(f.severity)] = counts.get(str(f.severity), 0) + 1
+        return " (" + ", ".join(
+            f"{n} {sev}" for sev, n in sorted(counts.items())
+        ) + ")"
+
+    def summary_lines(self) -> list[str]:
+        """The lines ``render_text`` prints after the findings."""
+        raise NotImplementedError
+
+    def payload(self) -> dict[str, Any]:
+        """The ``--format json`` document."""
+        raise NotImplementedError
+
+    def render_text(self) -> str:
+        return "\n".join(
+            [f.format_text() for f in self.findings] + self.summary_lines()
+        )
+
+    def render_json(self) -> str:
+        return json.dumps(
+            self.payload(), indent=2, sort_keys=self.JSON_SORT_KEYS
+        )

@@ -31,11 +31,11 @@ Suppressions:
 
 from __future__ import annotations
 
-import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, ClassVar
 
 from repro.analysis.config_rules import (
     ConfigContext,
@@ -43,14 +43,19 @@ from repro.analysis.config_rules import (
     analyze_tool_against_job_conf,
     analyze_tool_text,
 )
-from repro.analysis.findings import Finding, Severity, worst_severity
-from repro.analysis.rules import REGISTRY
+# Re-exported: the exit codes live with the report spine in findings.py.
+from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE  # noqa: F401
+from repro.analysis.findings import (
+    Finding,
+    FindingsReport,
+    discover_files,
+    finding_sort_key,
+)
+from repro.analysis.perf.driver import analyze_sources as _perf_analyze
+from repro.analysis.race.det_rules import analyze_det_text
+from repro.analysis.rules import FAMILY_DOCS, FAMILY_ORDER, GYAN100, REGISTRY
 from repro.analysis.source_rules import analyze_source_text
-
-#: Exit codes (modeled on ruff/flake8): clean / findings / usage error.
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
-EXIT_USAGE = 2
+from repro.analysis.suppressions import SuppressionSet
 
 _SUPPRESS_RE = re.compile(r"gyan-lint:\s*disable(?P<scope>-file)?\s*=\s*(?P<ids>[A-Z0-9, ]+)")
 
@@ -60,83 +65,38 @@ class LintOptions:
     """Knobs the CLI exposes."""
 
     device_count: int = 2
-    fail_on: Severity = Severity.ERROR
-    output_format: str = "text"  # 'text' | 'json'
     baseline: str | None = None
     write_baseline_path: str | None = None
 
 
 @dataclass
-class LintReport:
+class LintReport(FindingsReport):
     """Everything one lint run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    errors: list[str] = field(default_factory=list)  # usage errors (bad paths)
-    baselined: int = 0  # findings subtracted by --baseline
 
-    def exit_code(self, fail_on: Severity) -> int:
-        if self.errors:
-            return EXIT_USAGE
-        worst = worst_severity(self.findings)
-        if worst is not None and worst >= fail_on:
-            return EXIT_FINDINGS
-        return EXIT_CLEAN
+    #: goldens/lint.json pins insertion key order, not sorted keys.
+    JSON_SORT_KEYS: ClassVar[bool] = False
 
-    def render_text(self) -> str:
-        lines = [f.format_text() for f in self.findings]
+    def summary_lines(self) -> list[str]:
         summary = (
             f"{self.files_checked} file(s) checked, "
             f"{len(self.findings)} finding(s)"
         )
         if self.baselined:
             summary += f", {self.baselined} baselined"
-        if self.findings:
-            counts: dict[str, int] = {}
-            for f in self.findings:
-                counts[str(f.severity)] = counts.get(str(f.severity), 0) + 1
-            summary += " (" + ", ".join(
-                f"{n} {sev}" for sev, n in sorted(counts.items())
-            ) + ")"
-        return "\n".join(lines + [summary])
+        return [summary + self.severity_counts()]
 
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "files_checked": self.files_checked,
-                "findings": [f.as_dict() for f in self.findings],
-            },
-            indent=2,
-        )
+    def payload(self) -> dict[str, Any]:
+        return {
+            "files_checked": self.files_checked,
+            "findings": [f.as_dict() for f in self.findings],
+        }
 
 
 # --------------------------------------------------------------------- #
-# file discovery and classification
+# file classification and suppressions
 # --------------------------------------------------------------------- #
-def discover_files(paths: list[str]) -> tuple[list[Path], list[str]]:
-    """Expand files/directories into lintable files, reporting bad paths."""
-    files: list[Path] = []
-    errors: list[str] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.xml")))
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.is_file():
-            files.append(path)
-        else:
-            errors.append(f"no such file or directory: {raw}")
-    # De-duplicate while keeping order (a file may be reachable twice).
-    seen: set[Path] = set()
-    unique = []
-    for path in files:
-        resolved = path.resolve()
-        if resolved not in seen:
-            seen.add(resolved)
-            unique.append(path)
-    return unique, errors
-
-
 def classify_xml(text: str) -> str | None:
     """Root tag of an XML document, or ``None`` when unparseable."""
     try:
@@ -211,8 +171,6 @@ def lint_paths(paths: list[str], options: LintOptions | None = None) -> LintRepo
     # propagates across modules), so it runs before the per-file loop.
     # Inside `repro lint` the hot model is annotation-seeded only; the
     # profile-guided variant is `repro perf`.
-    from repro.analysis.perf.driver import analyze_sources as _perf_analyze
-
     py_sources = [
         (str(path), texts[path])
         for path in files
@@ -229,10 +187,6 @@ def lint_paths(paths: list[str], options: LintOptions | None = None) -> LintRepo
             continue
         findings: list[Finding] = []
         if kind == "python":
-            # Imported lazily: the race package's driver imports this
-            # module, so a top-level import would cycle.
-            from repro.analysis.race.det_rules import analyze_det_text
-
             findings = analyze_source_text(text, str(path))
             findings.extend(analyze_det_text(text, str(path)))
             findings.extend(perf_by_path.get(str(path), []))
@@ -248,16 +202,12 @@ def lint_paths(paths: list[str], options: LintOptions | None = None) -> LintRepo
         elif kind == "macros":
             pass  # consumed via tool imports
         elif kind == "invalid":
-            from repro.analysis.rules import GYAN100
-
             findings = [GYAN100.finding("XML is not well-formed", str(path))]
         # Any other root tag: not a Galaxy config — skip silently.
         if kind == "python":
             # The richer engine: def-scoped `# gyan: disable=` pragmas
             # with unused-suppression accounting (all AST families are
             # active in a lint run, so audit every pragma).
-            from repro.analysis.suppressions import SuppressionSet
-
             suppressions = SuppressionSet.parse(text)
             report.findings.extend(
                 suppressions.apply(findings, str(path), active_prefixes=None)
@@ -275,32 +225,8 @@ def lint_paths(paths: list[str], options: LintOptions | None = None) -> LintRepo
         report.findings.extend(apply_suppressions(cross, texts[path]))
 
     report.findings.sort(key=finding_sort_key)
-
-    if options.baseline is not None:
-        from repro.analysis.baseline import apply_baseline, load_baseline
-
-        try:
-            budgets = load_baseline(options.baseline)
-        except (OSError, ValueError) as exc:
-            report.errors.append(f"cannot load baseline {options.baseline}: {exc}")
-            return report
-        report.findings, report.baselined = apply_baseline(
-            report.findings, budgets
-        )
-
-    if options.write_baseline_path is not None:
-        from repro.analysis.baseline import write_baseline
-
-        write_baseline(report.findings, options.write_baseline_path)
-
+    report.ratchet(options.baseline, options.write_baseline_path)
     return report
-
-
-def finding_sort_key(f: Finding) -> tuple:
-    """Total order for findings: (path, line, rule-id), then message and
-    severity as tie-breakers so equal-location findings are byte-stable
-    across runs and Python versions."""
-    return (f.path or "", f.line or 0, f.rule_id, f.message, int(f.severity))
 
 
 def _sibling_macros(
@@ -345,8 +271,6 @@ def list_rules_text() -> str:
     each rule prints its id, default severity, and title, followed by a
     wrapped first sentence of its catalogue description.
     """
-    from repro.analysis.rules import FAMILY_DOCS, FAMILY_ORDER
-
     lines = []
     for family in FAMILY_ORDER:
         doc = FAMILY_DOCS.get(family, "")

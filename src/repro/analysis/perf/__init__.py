@@ -8,11 +8,9 @@ severity on hot paths, **info** elsewhere.  See
 ``docs/performance-lint.md``.
 """
 
+from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
 from repro.analysis.perf.callgraph import CallGraph, FunctionNode, build_call_graph
 from repro.analysis.perf.driver import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
     PERF_SCHEMA,
     PerfFinding,
     PerfOptions,

@@ -19,21 +19,20 @@ findings, sorted keys, no timestamps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Any
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.findings import Finding, Severity, worst_severity
+from repro.analysis.findings import (
+    Finding,
+    FindingsReport,
+    Severity,
+    discover_files,
+    finding_sort_key,
+)
 from repro.analysis.perf.callgraph import CallGraph, build_call_graph
 from repro.analysis.perf.hotmodel import HotModel, build_hot_model, profile_seeds
 from repro.analysis.perf.perf_rules import perf_hits
 from repro.analysis.suppressions import SuppressionSet
-
-#: Exit codes, shared with gyan-lint.
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
-EXIT_USAGE = 2
 
 PERF_SCHEMA = "gyan.perf/v1"
 
@@ -64,41 +63,26 @@ class PerfFinding(Finding):
 class PerfOptions:
     """Knobs the CLI exposes."""
 
-    profile: str | None = None  #: gyan.bench/v1 report path, or None
-    #: Additional gyan.bench/v1 reports; seeds from every listed profile
-    #: are merged (the CLI seeds from both ``BENCH_sim_core.json`` and
+    #: gyan.bench/v1 reports; seeds from every listed profile are merged
+    #: (the CLI seeds from both ``BENCH_sim_core.json`` and
     #: ``BENCH_fleet_core.json`` when present).
     profiles: tuple[str, ...] = ()
-    fail_on: Severity = Severity.ERROR
-    output_format: str = "text"  # 'text' | 'json'
     baseline: str | None = None
     write_baseline_path: str | None = None
 
 
 @dataclass
-class PerfReport:
+class PerfReport(FindingsReport):
     """Everything one gyan-perf run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     graph_functions: int = 0
     graph_edges: int = 0
     hot_functions: int = 0
     seeds: list[str] = field(default_factory=list)
     unresolved_seeds: list[str] = field(default_factory=list)
-    baselined: int = 0
-    errors: list[str] = field(default_factory=list)
 
-    def exit_code(self, fail_on: Severity) -> int:
-        if self.errors:
-            return EXIT_USAGE
-        worst = worst_severity(self.findings)
-        if worst is not None and worst >= fail_on:
-            return EXIT_FINDINGS
-        return EXIT_CLEAN
-
-    def render_text(self) -> str:
-        lines = [f.format_text() for f in self.findings]
+    def summary_lines(self) -> list[str]:
         summary = (
             f"{self.files_checked} file(s), "
             f"{self.graph_functions} function(s), "
@@ -108,54 +92,29 @@ class PerfReport:
         if self.baselined:
             summary += f", {self.baselined} baselined"
         if self.unresolved_seeds:
-            lines.append(
+            return [
                 "warning: unresolved profile entry points: "
-                + ", ".join(self.unresolved_seeds)
-            )
-        return "\n".join(lines + [summary])
+                + ", ".join(self.unresolved_seeds),
+                summary,
+            ]
+        return [summary]
 
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": PERF_SCHEMA,
-                "files_checked": self.files_checked,
-                "graph": {
-                    "functions": self.graph_functions,
-                    "edges": self.graph_edges,
-                },
-                "hot": {
-                    "functions": self.hot_functions,
-                    "seeds": self.seeds,
-                    "unresolved_seeds": self.unresolved_seeds,
-                },
-                "baselined": self.baselined,
-                "findings": [f.as_dict() for f in self.findings],
+    def payload(self) -> dict[str, Any]:
+        return {
+            "schema": PERF_SCHEMA,
+            "files_checked": self.files_checked,
+            "graph": {
+                "functions": self.graph_functions,
+                "edges": self.graph_edges,
             },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def discover_python_files(paths: list[str]) -> tuple[list[Path], list[str]]:
-    """Expand files/directories into ``.py`` files, reporting bad paths."""
-    files: list[Path] = []
-    errors: list[str] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.is_file():
-            files.append(path)
-        else:
-            errors.append(f"no such file or directory: {raw}")
-    seen: set[Path] = set()
-    unique: list[Path] = []
-    for path in files:
-        resolved = path.resolve()
-        if resolved not in seen:
-            seen.add(resolved)
-            unique.append(path)
-    return unique, errors
+            "hot": {
+                "functions": self.hot_functions,
+                "seeds": self.seeds,
+                "unresolved_seeds": self.unresolved_seeds,
+            },
+            "baselined": self.baselined,
+            "findings": [f.as_dict() for f in self.findings],
+        }
 
 
 def analyze_sources(
@@ -202,34 +161,26 @@ def run_perf(paths: list[str], options: PerfOptions | None = None) -> PerfReport
     options = options or PerfOptions()
     report = PerfReport()
 
-    files, errors = discover_python_files(paths)
+    files, errors = discover_files(paths, suffixes=(".py",))
     report.errors.extend(errors)
     if report.errors:
         return report
 
     sources: list[tuple[str, str]] = []
-    texts: dict[str, str] = {}
     for path in files:
         try:
-            text = path.read_text()
+            sources.append((str(path), path.read_text()))
         except OSError as exc:
             report.errors.append(f"cannot read {path}: {exc}")
             return report
-        sources.append((str(path), text))
-        texts[str(path)] = text
 
-    profile_paths = [
-        path
-        for path in (options.profile, *options.profiles)
-        if path is not None
-    ]
     profile: list[tuple[str, str]] | None = None
-    if profile_paths:
+    if options.profiles:
         profile = []
-        for profile_path in profile_paths:
+        for profile_path in options.profiles:
             try:
                 profile.extend(profile_seeds(profile_path))
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 report.errors.append(
                     f"cannot load profile {profile_path}: {exc}"
                 )
@@ -248,33 +199,13 @@ def run_perf(paths: list[str], options: PerfOptions | None = None) -> PerfReport
     by_path: dict[str, list[Finding]] = {}
     for finding in findings:
         by_path.setdefault(finding.path or "", []).append(finding)
-    kept: list[Finding] = []
-    for path_str, text in texts.items():
+    for path_str, text in sources:
         suppressions = SuppressionSet.parse(text)
-        kept.extend(
+        report.findings.extend(
             suppressions.apply(
                 by_path.get(path_str, []), path_str, active_prefixes={"PERF"}
             )
         )
-    kept.sort(key=_sort_key)
-
-    if options.baseline is not None:
-        try:
-            budgets = load_baseline(options.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            report.errors.append(
-                f"cannot load baseline {options.baseline}: {exc}"
-            )
-            return report
-        kept, report.baselined = apply_baseline(kept, budgets)
-
-    report.findings = kept
-
-    if options.write_baseline_path is not None:
-        write_baseline(report.findings, options.write_baseline_path)
-
+    report.findings.sort(key=finding_sort_key)
+    report.ratchet(options.baseline, options.write_baseline_path)
     return report
-
-
-def _sort_key(f: Finding) -> tuple:
-    return (f.path or "", f.line or 0, f.rule_id, f.message, int(f.severity))

@@ -60,7 +60,7 @@ def load_profile_scenarios(profile_path: str | Path) -> list[str]:
     """Scenario names recorded in a ``gyan.bench/v1`` report."""
     with open(profile_path, encoding="utf-8") as fh:
         data = json.load(fh)
-    scenarios = data.get("scenarios")
+    scenarios = data.get("scenarios") if isinstance(data, dict) else None
     if not isinstance(scenarios, list):
         raise ValueError(f"{profile_path}: not a gyan.bench report (no scenarios)")
     names = [

@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.gpusim.clock import TimerHandle, VirtualClock
 from repro.gpusim.errors import ClockError
 from repro.gpusim.footprint import FootprintRecorder
+from repro.observability.export import render_document
 
 #: Schema identifier stamped into serialised schedules.
 SCHEDULE_SCHEMA = "gyan.race/v1"
@@ -108,19 +109,22 @@ class Schedule:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return render_document(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        schema = data.get("schema")
+        schema = data.get("schema") if isinstance(data, dict) else None
         if schema != SCHEDULE_SCHEMA:
             raise ValueError(
                 f"not a gyan-race schedule (schema={schema!r}, "
                 f"expected {SCHEDULE_SCHEMA!r})"
             )
         flips: dict[int, tuple[int, ...]] = {}
-        for flip in data.get("flips", []):
-            flips[int(flip["tie"])] = tuple(int(i) for i in flip["order"])
+        try:
+            for flip in data.get("flips", []):
+                flips[int(flip["tie"])] = tuple(int(i) for i in flip["order"])
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed schedule flip: {exc!r}") from None
         return cls(scenario=str(data.get("scenario", "")), flips=flips)
 
     @classmethod

@@ -14,18 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
-from repro.analysis.findings import Finding, Severity, worst_severity
-from repro.analysis.linter import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    discover_files,
-    finding_sort_key,
-)
+from repro.analysis.findings import FindingsReport, discover_files, finding_sort_key
 from repro.analysis.race import checker
 from repro.analysis.race.clock_shim import Schedule
 from repro.analysis.race.det_rules import analyze_det_text
+from repro.analysis.suppressions import SuppressionSet
+from repro.observability.export import render_document
 
 #: Schema identifier stamped into the JSON report.
 REPORT_SCHEMA = "gyan.race-report/v1"
@@ -44,15 +40,12 @@ class RaceOptions:
     seed: int = 0
     run_static: bool = True
     run_dynamic: bool = True
-    fail_on: Severity = Severity.ERROR
-    output_format: str = "text"  # 'text' | 'json'
 
 
 @dataclass
-class RaceReport:
+class RaceReport(FindingsReport):
     """Everything one race run produced, byte-stably renderable."""
 
-    findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     scenarios_run: list[str] = field(default_factory=list)
     ties_observed: int = 0
@@ -61,54 +54,40 @@ class RaceReport:
     #: Divergence-reproducing schedules (gyan.race/v1 dicts), in finding
     #: order; feed one to ``--schedule`` to replay it.
     schedules: list[dict] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
 
-    def exit_code(self, fail_on: Severity) -> int:
-        if self.errors:
-            return EXIT_USAGE
-        worst = worst_severity(self.findings)
-        if worst is not None and worst >= fail_on:
-            return EXIT_FINDINGS
-        return EXIT_CLEAN
-
-    def render_text(self) -> str:
-        lines = [f.format_text() for f in self.findings]
-        summary = (
+    def summary_lines(self) -> list[str]:
+        lines = [
             f"{self.files_checked} file(s) checked, "
             f"{len(self.scenarios_run)} scenario(s) permuted "
             f"({self.ties_observed} tie(s), {self.ties_pruned} pruned "
             f"commutative, {self.replays} replay(s)), "
             f"{len(self.findings)} finding(s)"
-        )
-        lines.append(summary)
+        ]
         for index, schedule in enumerate(self.schedules):
             lines.append(
                 f"schedule #{index}: "
                 + json.dumps(schedule, sort_keys=True)
             )
-        return "\n".join(lines)
+        return lines
+
+    def payload(self) -> dict[str, Any]:
+        return {
+            "schema": REPORT_SCHEMA,
+            "files_checked": self.files_checked,
+            "scenarios_run": self.scenarios_run,
+            "ties_observed": self.ties_observed,
+            "ties_pruned": self.ties_pruned,
+            "replays": self.replays,
+            "findings": [f.as_dict() for f in self.findings],
+            "schedules": self.schedules,
+        }
 
     def render_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": REPORT_SCHEMA,
-                "files_checked": self.files_checked,
-                "scenarios_run": self.scenarios_run,
-                "ties_observed": self.ties_observed,
-                "ties_pruned": self.ties_pruned,
-                "replays": self.replays,
-                "findings": [f.as_dict() for f in self.findings],
-                "schedules": self.schedules,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        """A whole ``gyan.race-report/v1`` document, newline included."""
+        return render_document(self.payload())
 
 
 def _static_pass(options: RaceOptions, report: RaceReport) -> None:
-    # Imported lazily to match the linter (which imports this module).
-    from repro.analysis.suppressions import SuppressionSet
-
     files, errors = discover_files(options.paths)
     report.errors.extend(errors)
     for path in files:
@@ -169,7 +148,7 @@ def run_schedule_replay(schedule_path: str | Path) -> RaceReport:
     report = RaceReport()
     try:
         schedule = Schedule.from_file(schedule_path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         report.errors.append(f"cannot load schedule {schedule_path}: {exc}")
         return report
     try:

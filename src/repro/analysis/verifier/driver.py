@@ -19,18 +19,12 @@ directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.analysis.config_rules import ConfigContext
-from repro.analysis.findings import Finding, Severity, worst_severity
-from repro.analysis.linter import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    finding_sort_key,
-)
+from repro.analysis.findings import FindingsReport, finding_sort_key
 from repro.analysis.verifier.autoscale import analyze_autoscale
 from repro.analysis.verifier.capacity import analyze_capacity
 from repro.analysis.verifier.dataflow import analyze_dataflow
@@ -41,6 +35,7 @@ from repro.analysis.verifier.model_check import (
     analyze_model_check,
 )
 from repro.analysis.verifier.overload import analyze_overload
+from repro.observability.export import render_document
 
 
 @dataclass
@@ -48,71 +43,47 @@ class VerifyOptions:
     """Knobs the CLI exposes."""
 
     device_count: int = 2
-    fail_on: Severity = Severity.ERROR
-    output_format: str = "text"  # 'text' | 'json'
     scope: Scope = field(default_factory=Scope)
     model_check: bool = True
     emit_plans: str | None = None  # directory for counterexample plans
 
 
 @dataclass
-class VerifyReport:
+class VerifyReport(FindingsReport):
     """Everything one verify run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
     counterexamples: list[Counterexample] = field(default_factory=list)
     deployments_checked: int = 0
     replays: int = 0
-    errors: list[str] = field(default_factory=list)  # usage errors
     emitted_plans: list[str] = field(default_factory=list)
 
-    def exit_code(self, fail_on: Severity) -> int:
-        if self.errors:
-            return EXIT_USAGE
-        worst = worst_severity(self.findings)
-        if worst is not None and worst >= fail_on:
-            return EXIT_FINDINGS
-        return EXIT_CLEAN
-
-    def render_text(self) -> str:
-        lines = [f.format_text() for f in self.findings]
+    def summary_lines(self) -> list[str]:
         summary = (
             f"{self.deployments_checked} deployment(s) checked, "
-            f"{len(self.findings)} finding(s)"
+            f"{len(self.findings)} finding(s)" + self.severity_counts()
         )
-        if self.findings:
-            counts: dict[str, int] = {}
-            for f in self.findings:
-                counts[str(f.severity)] = counts.get(str(f.severity), 0) + 1
-            summary += " (" + ", ".join(
-                f"{n} {sev}" for sev, n in sorted(counts.items())
-            ) + ")"
         if self.replays:
             summary += f"; {self.replays} model-check replay(s)"
-        lines.append(summary)
-        for path in self.emitted_plans:
-            lines.append(f"counterexample plan written: {path}")
-        return "\n".join(lines)
+        return [summary] + [
+            f"counterexample plan written: {path}"
+            for path in self.emitted_plans
+        ]
 
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "deployments_checked": self.deployments_checked,
-                "findings": [f.as_dict() for f in self.findings],
-                "counterexamples": [
-                    {
-                        "rule_id": ce.rule_id,
-                        "lost_tool": ce.lost_tool,
-                        "chain_destinations": list(ce.chain_destinations),
-                        "plan": ce.plan.to_dict(),
-                    }
-                    for ce in self.counterexamples
-                ],
-                "emitted_plans": list(self.emitted_plans),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def payload(self) -> dict[str, Any]:
+        return {
+            "deployments_checked": self.deployments_checked,
+            "findings": [f.as_dict() for f in self.findings],
+            "counterexamples": [
+                {
+                    "rule_id": ce.rule_id,
+                    "lost_tool": ce.lost_tool,
+                    "chain_destinations": list(ce.chain_destinations),
+                    "plan": ce.plan.to_dict(),
+                }
+                for ce in self.counterexamples
+            ],
+            "emitted_plans": list(self.emitted_plans),
+        }
 
 
 def verify_paths(
@@ -150,9 +121,7 @@ def verify_paths(
         out_dir.mkdir(parents=True, exist_ok=True)
         for ce in report.counterexamples:
             path = out_dir / f"{ce.plan.name}.json"
-            path.write_text(
-                json.dumps(ce.plan.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
+            path.write_text(render_document(ce.plan.to_dict()))
             report.emitted_plans.append(str(path))
         report.emitted_plans.sort()
 

@@ -18,10 +18,11 @@ Design rules:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
+
+from repro.observability.export import render_document
 
 #: Schema identifier embedded in every report; bump on layout changes.
 BENCH_SCHEMA = "gyan.bench/v1"
@@ -155,7 +156,7 @@ class BenchReport:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return render_document(self.as_dict())
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -57,6 +57,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -334,15 +335,32 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
+def _emit_findings(tool: str, report, args: argparse.Namespace) -> int:
+    """The tail lint, verify, race and perf share: usage errors to stderr
+    under the tool's name, the report to stdout in ``--format``, and the
+    exit code ``--fail-on`` selects (0 clean, 1 findings, 2 usage)."""
     from repro.analysis.findings import Severity
-    from repro.analysis.linter import (
-        EXIT_CLEAN,
-        EXIT_USAGE,
-        LintOptions,
-        lint_paths,
-        list_rules_text,
-    )
+
+    for error in report.errors:
+        print(f"{tool}: {error}", file=sys.stderr)
+    text = report.render_json() if args.format == "json" else report.render_text()
+    # The race report's JSON document ends in its own newline.
+    print(text.rstrip("\n"))
+    return report.exit_code(Severity.from_name(args.fail_on))
+
+
+def _devices_ok(tool: str, args: argparse.Namespace) -> bool:
+    """``--devices`` describes a host: zero or more GPUs."""
+    if args.devices >= 0:
+        return True
+    print(f"{tool}: --devices must be 0 or more, got {args.devices}",
+          file=sys.stderr)
+    return False
+
+
+def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
+    from repro.analysis.linter import LintOptions, lint_paths, list_rules_text
 
     if args.list_rules:
         print(list_rules_text(), end="")
@@ -352,27 +370,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print("lint: no paths given (try: python -m repro lint examples/ src/)",
               file=sys.stderr)
         return EXIT_USAGE
+    if not _devices_ok("lint", args):
+        return EXIT_USAGE
 
     options = LintOptions(
         device_count=args.devices,
-        fail_on=Severity.from_name(args.fail_on),
-        output_format=args.format,
         baseline=args.baseline,
         write_baseline_path=args.write_baseline,
     )
-    report = lint_paths(args.paths, options)
-    for error in report.errors:
-        print(f"lint: {error}", file=sys.stderr)
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code(options.fail_on)
+    return _emit_findings("lint", lint_paths(args.paths, options), args)
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.analysis.findings import Severity
-    from repro.analysis.linter import EXIT_CLEAN, EXIT_USAGE, list_rules_text
+    from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
+    from repro.analysis.linter import list_rules_text
     from repro.analysis.perf import PerfOptions, run_perf
 
     if args.list_rules:
@@ -398,19 +409,10 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
     options = PerfOptions(
         profiles=tuple(profiles),
-        fail_on=Severity.from_name(args.fail_on),
-        output_format=args.format,
         baseline=args.baseline,
         write_baseline_path=args.write_baseline,
     )
-    report = run_perf(paths, options)
-    for error in report.errors:
-        print(f"perf: {error}", file=sys.stderr)
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code(options.fail_on)
+    return _emit_findings("perf", run_perf(paths, options), args)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -520,8 +522,7 @@ def cmd_storm(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.analysis.findings import Severity
-    from repro.analysis.linter import EXIT_USAGE
+    from repro.analysis.findings import EXIT_USAGE
     from repro.analysis.verifier import Scope, VerifyOptions, verify_paths
 
     if not args.paths:
@@ -538,28 +539,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"verify: bad --scope {args.scope!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not _devices_ok("verify", args):
+        return EXIT_USAGE
 
     options = VerifyOptions(
         device_count=args.devices,
-        fail_on=Severity.from_name(args.fail_on),
-        output_format=args.format,
         scope=scope,
         model_check=not args.no_model_check,
         emit_plans=args.emit_plans,
     )
-    report = verify_paths(args.paths, options)
-    for error in report.errors:
-        print(f"verify: {error}", file=sys.stderr)
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code(options.fail_on)
+    return _emit_findings("verify", verify_paths(args.paths, options), args)
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    from repro.analysis.findings import Severity
-    from repro.analysis.linter import EXIT_CLEAN, EXIT_USAGE
+    from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
     from repro.analysis.race.checker import get_scenario, scenario_names
     from repro.analysis.race.driver import (
         RaceOptions,
@@ -574,7 +567,6 @@ def cmd_race(args: argparse.Namespace) -> int:
             print(f"{name:<18}{scenario.description}{tag}")
         return EXIT_CLEAN
 
-    fail_on = Severity.from_name(args.fail_on)
     if args.schedule is not None:
         report = run_schedule_replay(args.schedule)
     else:
@@ -589,17 +581,9 @@ def cmd_race(args: argparse.Namespace) -> int:
             seed=args.seed,
             run_static=not args.dynamic_only,
             run_dynamic=not args.static_only,
-            fail_on=fail_on,
-            output_format=args.format,
         )
         report = run_race(options)
-    for error in report.errors:
-        print(f"race: {error}", file=sys.stderr)
-    if args.format == "json":
-        print(report.render_json(), end="")
-    else:
-        print(report.render_text())
-    return report.exit_code(fail_on)
+    return _emit_findings("race", report, args)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -649,13 +633,11 @@ def _fleet_autoscale_config(args: argparse.Namespace):
     )
 
 
-def _fleet_parity_errors(config, tools, batches) -> list[str]:
-    """Run both fleet implementations over the same batch objects; list
-    every field that diverges."""
-    from repro.cluster.fleet import FleetSimulator
+def _fleet_parity_errors(result, config, tools, batches) -> list[str]:
+    """Run the per-job reference over the batch objects the columnar
+    ``result`` came from; list every field that diverges."""
     from repro.cluster.fleet_reference import ObjectFleetReference
 
-    result = FleetSimulator(config, tools).run(batches)
     reference = ObjectFleetReference(config, tools)
     store = reference.run(batches)
     checks = [
@@ -674,10 +656,9 @@ def _fleet_parity_errors(config, tools, batches) -> list[str]:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from repro.cluster.fleet import FleetConfig, FleetSimulator
     from repro.cluster.jobstore import gpu_wait_percentile
+    from repro.observability.export import render_document
     from repro.workloads.diurnal import (
         AB_STORM_DURATION,
         AB_STORM_START,
@@ -705,15 +686,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 placement=policy,
                 autoscale=autoscale,
             )
+            simulator = FleetSimulator(config, profile.tools)
+            result = simulator.run(batches)
             if args.check_parity:
-                errors = _fleet_parity_errors(config, profile.tools, batches)
+                errors = _fleet_parity_errors(
+                    result, config, profile.tools, batches
+                )
                 if errors:
                     for error in errors:
                         print(f"fleet: parity mismatch [{policy}] {error}",
                               file=sys.stderr)
                     return 1
-            simulator = FleetSimulator(config, profile.tools)
-            result = simulator.run(batches)
             p95 = gpu_wait_percentile(
                 simulator.store, 0.95, storm_lo, storm_hi
             )
@@ -731,13 +714,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 "storm": [storm_lo, storm_hi],
                 "runs": {
                     policy: {
-                        **json_module.loads(result.to_json()),
+                        **result.to_dict(),
                         "storm_gpu_wait_p95": round(p95, 6),
                     }
                     for policy, result, p95 in runs
                 },
             }
-            print(json_module.dumps(payload, indent=2, sort_keys=True))
+            print(render_document(payload), end="")
         else:
             print(runs[0][1].to_json(), end="")
         return 0
@@ -1105,9 +1088,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.analysis import sanitizer as simsan
+    # GYAN_SIMSAN=1 sanitizes any command; unset, skip importing repro.analysis.
+    if os.environ.get("GYAN_SIMSAN"):
+        from repro.analysis import sanitizer as simsan
 
-    simsan.install_from_env()  # honour GYAN_SIMSAN=1 for every command
+        simsan.install_from_env()
     argv = sys.argv[1:] if argv is None else list(argv)
     # Anything but a known command first (--help, a typo, nothing) gets
     # the full parser and so the full help and error text.

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from collections import deque
 from collections.abc import Sized
@@ -88,6 +87,7 @@ from repro.cluster.autoscale import (
 )
 from repro.cluster.jobstore import NO_NODE, FleetJobState, JobStore
 from repro.hotpath import hot_path
+from repro.observability.export import render_document
 from repro.observability.metrics import CounterChild, MetricsRegistry
 from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import (
@@ -209,8 +209,10 @@ class FleetResult:
         default_factory=tuple
     )
 
-    def to_json(self) -> str:
-        data = {
+    def to_dict(self) -> dict:
+        """The ``gyan.fleet/v1`` payload (also embedded per policy in
+        ``repro fleet --ab``'s ``gyan.fleet-ab/v1``)."""
+        return {
             "schema": "gyan.fleet/v1",
             "nodes": self.nodes,
             "gpus_per_node": self.gpus_per_node,
@@ -242,7 +244,9 @@ class FleetResult:
                 for t, active, pending in self.pool_timeline
             ],
         }
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return render_document(self.to_dict())
 
 
 class FleetSimulator:

@@ -11,7 +11,6 @@ it, or :meth:`~TraceArtifacts.write` it to a directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -19,6 +18,7 @@ from typing import Any
 from repro.observability.export import (
     TRACE_SCHEMA,
     render_chrome_trace,
+    render_document,
     render_job_timeline,
     render_prometheus,
 )
@@ -47,7 +47,7 @@ class TraceArtifacts:
 
     def summary_json(self) -> str:
         """Byte-stable serialisation of :attr:`summary`."""
-        return json.dumps(self.summary, indent=2, sort_keys=True) + "\n"
+        return render_document(self.summary)
 
     def write(self, directory: str | Path) -> list[Path]:
         """Write all four artifacts into ``directory`` (created if needed).

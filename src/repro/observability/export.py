@@ -12,6 +12,10 @@ identical simulated runs:
 * :func:`render_job_timeline` — a human-readable per-job phase listing,
   the ``nvprof --print-gpu-trace``-style quick look.
 
+:func:`render_document` is the one emitter every whole-document JSON
+payload in the repo (``gyan.*/v1`` artifacts, baselines, plans,
+schedules) goes through, so the byte layout is stated once.
+
 Job ids come from a process-global counter, so two runs in one process
 would differ; every exporter renumbers ids relative to the smallest
 traced id (the same normalisation the chaos harness applies to
@@ -165,14 +169,19 @@ def chrome_trace_dict(
     }
 
 
+def render_document(payload: Any) -> str:
+    """A JSON document as the repo writes it to disk and stdout: two-space
+    indent, sorted keys, one trailing newline.  CI's double-run byte
+    diffs depend on every artifact going through here."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @hot_path
 def render_chrome_trace(
     tracer: Tracer, metadata: dict[str, Any] | None = None
 ) -> str:
     """Serialise :func:`chrome_trace_dict` byte-stably."""
-    return json.dumps(
-        chrome_trace_dict(tracer, metadata), indent=2, sort_keys=True
-    ) + "\n"
+    return render_document(chrome_trace_dict(tracer, metadata))
 
 
 @hot_path

@@ -18,12 +18,12 @@ layer's contribution, which is the point of the exercise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.gpusim.faults import InjectionPlan, build_scenario
+from repro.observability.export import render_document
 from repro.observability.tracing import Tracer
 
 #: The default alternating workload (tool ids cycled over ``jobs``).
@@ -131,7 +131,7 @@ class ChaosRunResult:
 
     def to_json(self) -> str:
         """Stable serialisation for byte-for-byte reproducibility checks."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return render_document(self.to_dict())
 
 
 def resolve_plan(

@@ -18,7 +18,6 @@ overload-smoke job double-runs it and diffs.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.galaxy.job import JobState
 from repro.gpusim.faults import build_scenario
+from repro.observability.export import render_document
 from repro.resilience.shedding import RejectedBusy, ShedReason
 from repro.workloads.traces import (
     ArrivalTrace,
@@ -160,7 +160,7 @@ class StormResult:
 
     def to_json(self) -> str:
         """Stable serialisation for byte-for-byte reproducibility checks."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return render_document(self.to_dict())
 
 
 def run_storm(

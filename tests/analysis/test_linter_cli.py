@@ -131,11 +131,8 @@ class TestJsonOutput:
 
 
 class TestCli:
-    def test_lint_good_exits_clean(self, capsys):
-        code = main(["lint", str(FIXTURES / "good")])
-        assert code == EXIT_CLEAN
-        assert "0 finding(s)" in capsys.readouterr().out
-
+    # Clean → 0, missing path → 2 and --format json are pinned for all
+    # four analyzers at once in test_findings_contract.py.
     def test_lint_bad_exits_findings(self, capsys):
         code = main(["lint", str(FIXTURES / "bad")])
         assert code == EXIT_FINDINGS
@@ -169,10 +166,26 @@ class TestCli:
         assert code == EXIT_USAGE
         assert "path" in capsys.readouterr().err.lower()
 
-    def test_missing_path_is_usage_error(self, capsys):
-        code = main(["lint", "does/not/exist"])
-        capsys.readouterr()
+    def test_negative_devices_is_usage_error(self, capsys):
+        code = main(["lint", "--devices", "-1", str(FIXTURES / "good")])
         assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lint: --devices must be 0 or more, got -1\n"
+        assert main(
+            ["verify", "--devices", "-1", str(FIXTURES / "deployments" / "clean")]
+        ) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("verify: --devices must be")
+
+    def test_zero_devices_host_has_no_gpu_devices(self, capsys):
+        code = main([
+            "lint", "--devices", "0", str(FIXTURES / "bad" / "out_of_range.xml")
+        ])
+        assert code == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "GYAN102" in out
+        assert "the configured host has no GPU devices" in out
+        assert "0...-1" not in out
 
     def test_list_rules(self, capsys):
         code = main(["lint", "--list-rules"])

@@ -48,7 +48,7 @@ class TestRunPerf:
     def test_shipped_sources_clean_at_error(self):
         report = _run(
             [REPO_ROOT / "src"],
-            profile=str(REPO_ROOT / "BENCH_sim_core.json"),
+            profiles=(str(REPO_ROOT / "BENCH_sim_core.json"),),
         )
         assert report.errors == []
         assert report.unresolved_seeds == []
@@ -85,7 +85,7 @@ class TestRunPerf:
         # The repo profile names scenarios whose entry points are not in
         # the fixture-only graph: they must surface, not silently cool.
         report = _run(
-            [PERF_BAD], profile=str(REPO_ROOT / "BENCH_sim_core.json")
+            [PERF_BAD], profiles=(str(REPO_ROOT / "BENCH_sim_core.json"),)
         )
         assert report.unresolved_seeds
         assert "unresolved profile entry points" in report.render_text()
@@ -254,11 +254,6 @@ class TestPerfCli:
 
     def test_missing_profile_is_usage_error(self, capsys):
         code = main(["perf", "--profile", "no/such/profile.json", str(PERF_BAD)])
-        capsys.readouterr()
-        assert code == EXIT_USAGE
-
-    def test_missing_path_is_usage_error(self, capsys):
-        code = main(["perf", "--no-profile", "does/not/exist"])
         capsys.readouterr()
         assert code == EXIT_USAGE
 

@@ -303,3 +303,33 @@ class TestOneSubParserPerCall:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro [-h]")
         assert err.endswith(f"repro: error: {message}\n")
+
+
+class TestSanitizerGate:
+    """``main`` installs simsan when GYAN_SIMSAN asks, and otherwise does
+    not import the analysis package on behalf of a non-analyzer verb."""
+
+    PROBE = (
+        "import sys; from repro.cli import main; main(['topo']); "
+        "from_analysis = [m for m in sys.modules if m.startswith('repro.analysis')]; "
+        "import repro.analysis.sanitizer as s; "
+        "print(bool(from_analysis), s.is_installed())"
+    )
+
+    @pytest.mark.parametrize("value, expected", [
+        (None, "False False"), ("", "False False"),
+        ("0", "True False"), ("1", "True True"),
+    ])
+    def test_env_decides(self, value, expected):
+        import os
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "GYAN_SIMSAN"}
+        if value is not None:
+            env["GYAN_SIMSAN"] = value
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == expected
