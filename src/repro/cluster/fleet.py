@@ -7,10 +7,11 @@ per job.  At 1M jobs the fleet tier flips every per-job cost to a
 per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
-  holds all job fields in ``array('q')``/``array('d')`` columns; every
-  lifecycle transition is a contiguous range slice-assign.  The store
-  is sized once per day and a placed span writes each shared column
-  once, so it costs per arrival batch, not per growth or per node.
+  holds all job fields in right-sized ``array`` columns (48 bytes a
+  job); every lifecycle transition is a contiguous range slice-assign.
+  The store is sized once per day and a placed span writes each shared
+  column once at start and once at completion, so it costs per arrival
+  batch, not per growth or per node.
 * **Batched mapping** — arrivals come from the diurnal generator as
   same-instant :class:`~repro.workloads.diurnal.ArrivalBatch` groups;
   Pseudocode-2 eligibility (GPU-wanted × fleet-has-capacity) is decided
@@ -20,8 +21,11 @@ per-*group* cost:
 * **Sharded node state with indexed selection** — per-node shards hold
   free GPU slots and the bounded queue; selection pops the policy's
   best node from a lazy heap in O(log n) instead of scanning 1000
-  nodes per job.  Completions are per-node shards merged through one
-  global head heap.
+  nodes per job.  A placed span — however many nodes it covers — is
+  ONE ``_EV_GPU_DONE`` entry in the global event heap; its handler
+  completes each contiguous still-live run of node pieces with one
+  store write.  Interruption stays per node: a failure or scale-in
+  drain tombstones only that node's share of every span it hosts.
 * **Aggregate observability** — counters increment per group and
   latencies land via
   :meth:`~repro.observability.metrics.HistogramChild.observe_many`;
@@ -85,7 +89,13 @@ from repro.cluster.autoscale import (
     pool_of,
     reserve_slots,
 )
-from repro.cluster.jobstore import NO_NODE, FleetJobState, JobStore
+from repro.cluster.jobstore import (
+    MAX_HOPS,
+    MAX_NODES,
+    MAX_TOOLS,
+    NO_NODE,
+    JobStore,
+)
 from repro.hotpath import hot_path
 from repro.observability.export import render_document
 from repro.observability.metrics import CounterChild, MetricsRegistry
@@ -145,10 +155,28 @@ class FleetConfig:
         return self.gpus_per_node * self.slots_per_gpu
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("fleet needs at least one node")
+        # Upper bounds are the JobStore column widths: a shape that fits
+        # here can never overflow a column write mid-run.
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise ValueError(
+                f"fleet needs between 1 and {MAX_NODES} nodes, "
+                f"got {self.nodes}"
+            )
         if self.slots_per_node < 1:
             raise ValueError("fleet nodes need at least one GPU slot")
+        if self.queue_limit < 0:
+            raise ValueError(
+                f"queue_limit must be non-negative, got {self.queue_limit}"
+            )
+        if not 0 <= self.max_hops <= MAX_HOPS:
+            raise ValueError(
+                f"max_hops must be in [0, {MAX_HOPS}], got {self.max_hops}"
+            )
+        if not 0.0 < self.deadline_seconds < math.inf:
+            raise ValueError(
+                "deadline_seconds must be positive and finite, "
+                f"got {self.deadline_seconds}"
+            )
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; "
@@ -264,6 +292,11 @@ class FleetSimulator:
         tools: tuple[FleetToolClass, ...],
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if len(tools) > MAX_TOOLS:
+            raise ValueError(
+                f"tool table holds at most {MAX_TOOLS} classes, "
+                f"got {len(tools)}"
+            )
         self.config = config
         self.tools = tools
         self.store = JobStore()
@@ -288,9 +321,12 @@ class FleetSimulator:
         self._quarantined = [False] * n
         #: active, not draining, not quarantined (moves with _usable_count).
         self._usable = [i < start_nodes for i in range(n)]
-        #: seq → (node, lo, hi, tool) for every in-flight GPU group.
-        self._running: dict[int, tuple[int, int, int, int]] = {}
-        self._node_groups: list[set[int]] = [set() for _ in range(n)]
+        #: Per node: span seq → (lo, hi, tool) of its in-flight piece (a
+        #: node holds at most one piece of a span).  Popping an entry
+        #: tombstones that piece of the span's completion event.
+        self._live: list[dict[int, tuple[int, int, int]]] = [
+            {} for _ in range(n)
+        ]
         # -- aggregate fleet state (the autoscaler's signal inputs) ----- #
         self._active_count = start_nodes
         self._draining_count = 0
@@ -334,8 +370,10 @@ class FleetSimulator:
             self._in_slot_heap = [i < start_nodes for i in range(n)]
             self._queue_heap = list(range(start_nodes))
             self._in_queue_heap = [i < start_nodes for i in range(n)]
-        # -- global head heap over the per-node event shards ------------ #
-        self._events: list[tuple[float, int, int, int, int, int, float]] = []
+        # -- global event heap: (time, seq, kind, node, lo, hi, extra) --- #
+        # (time, seq) is unique, so ``extra`` — recovery seconds, a tool
+        # index or a GPU span's piece list — is never compared.
+        self._events: list[tuple] = []
         self._seq = itertools.count()
         self._now = 0.0
         for failure in config.failures:
@@ -507,33 +545,29 @@ class FleetSimulator:
             child = self._mapped_children[arm] = self._c_mapped.labels(arm=arm)
         child.inc(count)
 
-    def _launch(
-        self, node: int, lo: int, hi: int, tool_index: int, done_at: float
-    ) -> None:
-        """One node's share of a GPU start: slots, interrupt index, event."""
+    def _claim(
+        self, seq: int, node: int, lo: int, hi: int, tool_index: int
+    ) -> tuple[int, int, int, int]:
+        """One node's share of span ``seq``: slots, interrupt index, piece."""
         self._free[node] -= hi - lo
-        seq = next(self._seq)
-        self._running[seq] = (node, lo, hi, tool_index)
-        self._node_groups[node].add(seq)
+        self._live[node][seq] = (lo, hi, tool_index)
+        return hi, node, pool_of(node, self._base), self._epoch[node]
+
+    def _launch(
+        self, seq: int, lo: int, tool_index: int, now: float, pieces: list
+    ) -> None:
+        """Start the claimed ``pieces`` of span ``seq`` at span cost: one
+        store write per shared column, one completion event, one count."""
+        count = pieces[-1][0] - lo
+        self.store.start_span(lo, now, pieces)
         heapq.heappush(
             self._events,
-            (done_at, seq, _EV_GPU_DONE, node, lo, hi, tool_index),
+            (now + self.tools[tool_index].gpu_seconds, seq, _EV_GPU_DONE,
+             NO_NODE, lo, 0, pieces),
         )
-
-    def _start_gpu(
-        self, lo: int, hi: int, node: int, tool_index: int, now: float
-    ) -> None:
-        """Start one group on one node (the queue-drain path)."""
-        self.store.start_range(
-            lo, hi, node, now, gpu=True,
-            pool=pool_of(node, self._base), epoch=self._epoch[node],
-        )
-        self._launch(
-            node, lo, hi, tool_index, now + self.tools[tool_index].gpu_seconds
-        )
-        self._free_total -= hi - lo
-        self._busy += hi - lo
-        self._count_mapped("gpu", hi - lo)
+        self._free_total -= count
+        self._busy += count
+        self._count_mapped("gpu", count)
 
     @hot_path
     def _fill_gpu(
@@ -543,10 +577,10 @@ class FleetSimulator:
 
         Peels pieces off the front, filling the policy's best node to
         capacity before moving on.  Per piece only the node's own
-        bookkeeping happens; the store columns, fleet totals and arm
-        counter are settled once for the placed span.
+        bookkeeping happens; the rest is settled once for the placed
+        span (:meth:`_launch`).
         """
-        done_at = now + self.tools[tool_index].gpu_seconds
+        seq = next(self._seq)
         pieces = []
         cursor = lo
         while cursor < hi:
@@ -554,18 +588,12 @@ class FleetSimulator:
             if node is None:
                 break
             stop = cursor + min(hi - cursor, self._free[node])
-            self._launch(node, cursor, stop, tool_index, done_at)
-            pieces.append(
-                (stop, node, pool_of(node, self._base), self._epoch[node])
-            )
+            pieces.append(self._claim(seq, node, cursor, stop, tool_index))
             if self._pack:
                 self._touch_node(node)
             cursor = stop
         if pieces:
-            self.store.start_span(lo, now, pieces)
-            self._free_total -= cursor - lo
-            self._busy += cursor - lo
-            self._count_mapped("gpu", cursor - lo)
+            self._launch(seq, lo, tool_index, now, pieces)
         return cursor
 
     def _start_cpu(
@@ -689,25 +717,46 @@ class FleetSimulator:
                 queue[0] = (glo + take, ghi, gtool)
             self._depth[node] -= take
             self._queued_now -= take
-            self._start_gpu(glo, glo + take, node, gtool, now)
+            # A queue-drain start is a one-piece span on this node.
+            seq = next(self._seq)
+            self._launch(
+                seq, glo, gtool, now,
+                [self._claim(seq, node, glo, glo + take, gtool)],
+            )
         self._touch_node(node)
 
-    def _on_gpu_done(
-        self, now: float, seq: int, node: int, lo: int, hi: int
+    @hot_path
+    def _on_span_done(
+        self, now: float, seq: int, lo: int, pieces: list
     ) -> None:
-        if seq not in self._running:
-            return  # interrupted by a node failure: tombstone
-        del self._running[seq]
-        self._node_groups[node].discard(seq)
-        self._complete_range(lo, hi, now)
-        count = hi - lo
-        self._free[node] += count
-        self._busy -= count
-        if self._usable[node]:
-            self._free_total += count
-            self._drain_queue(node, now)  # ends by re-indexing the node
-        elif self._draining[node] and not self._node_groups[node]:
-            self._decommission(node, now)
+        """Complete span ``seq``: one store write per still-live run of
+        pieces, then each live node's bookkeeping in piece order.
+
+        A piece whose node failed or was drained since the start is a
+        tombstone (its ``_live`` entry is gone, its rows were
+        resubmitted) and splits the span into separate runs.
+        """
+        live = self._live
+        freed = []
+        run_lo = lo
+        for stop, node, _pool, _epoch in pieces:
+            if live[node].pop(seq, None) is None:
+                if run_lo < lo:
+                    self._complete_range(run_lo, lo, now)
+                run_lo = stop
+            else:
+                freed.append((node, stop - lo))
+            lo = stop
+        if run_lo < lo:
+            self._complete_range(run_lo, lo, now)
+        for node, count in freed:
+            self._free[node] += count
+            self._busy -= count
+            if self._usable[node]:
+                self._free_total += count
+                self._drain_queue(node, now)  # ends by re-indexing the node
+            elif self._draining[node] and not live[node]:
+                self._decommission(node, now)
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
         count = hi - lo
@@ -732,15 +781,11 @@ class FleetSimulator:
             self._free_total -= self._free[node]
         # Interrupt running groups in ascending row order (== ascending
         # job-id order, the reference model's iteration order).
-        groups = sorted(
-            self._running[seq] for seq in self._node_groups[node]
-        )
-        for seq in self._node_groups[node]:
-            del self._running[seq]
-        self._node_groups[node].clear()
+        groups = sorted(self._live[node].values())
+        self._live[node].clear()
         self._free[node] = 0
-        self._busy -= sum(ghi - glo for _n, glo, ghi, _t in groups)
-        for _node, lo, hi, tool_index in groups:
+        self._busy -= sum(ghi - glo for glo, ghi, _tool in groups)
+        for lo, hi, tool_index in groups:
             self._resubmit(lo, hi, tool_index, now)
         # Queued groups resubmit in FIFO order after the running ones.
         queued = list(self._queues[node])
@@ -823,7 +868,7 @@ class FleetSimulator:
             self._depth[node] = 0
             for lo, hi, tool_index in queued:
                 self._resubmit(lo, hi, tool_index, now)
-            if not self._node_groups[node]:
+            if not self._live[node]:
                 self._decommission(node, now)
 
     def _on_provision(self, now: float, count: int) -> None:
@@ -910,7 +955,7 @@ class FleetSimulator:
             time, seq, kind, node, lo, hi, extra = heapq.heappop(events)
             self._now = time
             if kind == _EV_GPU_DONE:
-                self._on_gpu_done(time, seq, node, lo, hi)
+                self._on_span_done(time, seq, lo, extra)
             elif kind == _EV_CPU_DONE:
                 self._complete_range(lo, hi, time)
             elif kind == _EV_FAIL:

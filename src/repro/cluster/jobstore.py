@@ -4,10 +4,10 @@ At fleet scale (1000 nodes × 8 GPUs × 1M jobs) per-job Python objects
 are the bottleneck: a million ``GalaxyJob``-sized instances cost ~GBs of
 allocator churn and force every state transition through attribute
 access.  :class:`JobStore` is the struct-of-arrays answer — one stdlib
-``array`` per field, ``'q'`` (int64) for discrete columns and ``'d'``
-(float64) for instants — so the fleet path appends, transitions, and
-digests job state with C-speed bulk slice operations instead of per-job
-Python work.
+``array`` per field, ``'d'`` (float64) for instants and the narrowest
+signed integer that holds the field for discrete columns (48 bytes a
+job) — so the fleet path appends, transitions, and digests job state
+with C-speed bulk slice operations instead of per-job Python work.
 
 Jobs are identified by row index (dense, append-only).  The fleet
 simulator works in contiguous *[lo, hi)* row groups (an arrival batch
@@ -26,7 +26,8 @@ The per-job-object reference model
 (:mod:`repro.cluster.fleet_reference`) materialises its jobs into this
 same layout via :meth:`JobStore.append_batch` + single-row transitions,
 which is what lets the property tests assert *bit-identical* state:
-:meth:`digest` hashes the raw column bytes.
+:meth:`digest` hashes the canonical 64-bit view of every column, so a
+column's storage width is an allocation detail no digest can see.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ NO_INSTANT = -1.0
 NO_REASON = -1
 #: Sentinel for "no node pool" (CPU arm / never placed).
 NO_POOL = -1
+
+#: Largest fleet shape the column widths hold: ``hops`` is a signed
+#: byte, ``tool`` a signed short, ``dest`` a signed 32-bit node index.
+MAX_HOPS = 2**7 - 1
+MAX_TOOLS = 2**15
+MAX_NODES = 2**31 - 1
 
 #: Stable ShedReason → int column encoding (enum definition order).
 SHED_REASON_CODE: dict[ShedReason, int] = {
@@ -96,14 +103,13 @@ class JobRow:
     epoch: int
 
 
-def _q_fill(value: int, count: int) -> array:
-    """A length-``count`` int64 array of ``value`` (C-level repeat)."""
-    return array("q", (value,)) * count
+def _fill(column: array, lo: int, hi: int, value: float) -> None:
+    """``column[lo:hi] = value`` at the column's own width (C-level repeat)."""
+    column[lo:hi] = array(column.typecode, (value,)) * (hi - lo)
 
 
-def _d_fill(value: float, count: int) -> array:
-    """A length-``count`` float64 array of ``value`` (C-level repeat)."""
-    return array("d", (value,)) * count
+#: Rows widened per :meth:`JobStore.digest` step (a 512 KiB temporary).
+_DIGEST_CHUNK = 1 << 16
 
 
 class JobStore:
@@ -114,38 +120,42 @@ class JobStore:
     ========== ===== =================================================
     column     type  meaning
     ========== ===== =================================================
-    state      'q'   :class:`FleetJobState`
-    tool       'q'   tool-class index into the workload's tool table
+    state      'b'   :class:`FleetJobState`
+    tool       'h'   tool-class index into the workload's tool table
     submit     'd'   submission instant (virtual seconds)
     deadline   'd'   queue-TTL instant (submit + deadline_s)
-    dest       'q'   destination node index (:data:`NO_NODE` = none/CPU)
-    hops       'q'   resubmit chain length (PR-7 hop cap)
-    shed       'q'   :data:`SHED_REASON_CODE` (:data:`NO_REASON` = none)
+    dest       'i'   destination node index (:data:`NO_NODE` = none/CPU)
+    hops       'b'   resubmit chain length (PR-7 hop cap)
+    shed       'b'   :data:`SHED_REASON_CODE` (:data:`NO_REASON` = none)
     start      'd'   last execution start (:data:`NO_INSTANT` = never)
     finish     'd'   terminal instant (:data:`NO_INSTANT` = not yet)
-    gpu        'q'   1 when the last mapping landed on a GPU slot
-    pool       'q'   node pool of the last placement (:data:`NO_POOL`)
-    epoch      'q'   commission epoch of the destination node (0 = n/a)
+    gpu        'b'   1 when the last mapping landed on a GPU slot
+    pool       'h'   node pool of the last placement (:data:`NO_POOL`)
+    epoch      'i'   commission epoch of the destination node (0 = n/a)
     ========== ===== =================================================
 
+    The integer widths bound the fleet shape (:data:`MAX_HOPS`,
+    :data:`MAX_TOOLS`, :data:`MAX_NODES`); :class:`FleetConfig` and
+    :class:`FleetSimulator` reject larger shapes at construction, so no
+    column write can overflow mid-run.
     Rows past ``len(store)`` are reserved capacity; no reader sees them.
     """
 
     #: (column, typecode, value of a freshly submitted job) in digest
     #: order; ``tool``/``submit``/``deadline`` are set per batch.
     _SPECS = (
-        ("state", "q", int(FleetJobState.PENDING)),
-        ("tool", "q", 0),
+        ("state", "b", int(FleetJobState.PENDING)),
+        ("tool", "h", 0),
         ("submit", "d", 0.0),
         ("deadline", "d", 0.0),
-        ("dest", "q", NO_NODE),
-        ("hops", "q", 0),
-        ("shed", "q", NO_REASON),
+        ("dest", "i", NO_NODE),
+        ("hops", "b", 0),
+        ("shed", "b", NO_REASON),
         ("start", "d", NO_INSTANT),
         ("finish", "d", NO_INSTANT),
-        ("gpu", "q", 0),
-        ("pool", "q", NO_POOL),
-        ("epoch", "q", 0),
+        ("gpu", "b", 0),
+        ("pool", "h", NO_POOL),
+        ("epoch", "i", 0),
     )
 
     #: Column names in digest order (also the ``rows()`` field order).
@@ -169,13 +179,13 @@ class JobStore:
         Columns are rebuilt at exactly that size with a fresh-job tail,
         so column objects change: re-read ``store.<column>`` afterwards.
         """
-        extra = capacity - len(self.state)
-        if extra <= 0:
+        have = len(self.state)
+        if capacity <= have:
             return
         for name, code, fresh in self._SPECS:
-            setattr(
-                self, name, getattr(self, name) + array(code, (fresh,)) * extra
-            )
+            tail = array(code, (fresh,)) * (capacity - have)
+            # An empty store takes the tail as the column: no second copy.
+            setattr(self, name, getattr(self, name) + tail if have else tail)
 
     @hot_path
     def append_batch(
@@ -189,9 +199,9 @@ class JobStore:
         capacity = len(self.state)
         if hi > capacity:
             self.reserve(max(hi, 2 * capacity))
-        self.tool[lo:hi] = _q_fill(tool, count)
-        self.submit[lo:hi] = _d_fill(submit, count)
-        self.deadline[lo:hi] = _d_fill(deadline, count)
+        _fill(self.tool, lo, hi, tool)
+        _fill(self.submit, lo, hi, submit)
+        _fill(self.deadline, lo, hi, deadline)
         self._n = hi
         return lo, hi
 
@@ -227,63 +237,58 @@ class JobStore:
         """
         _hi, _node, span_pool, span_epoch = pieces[0]
         hi = pieces[-1][0]
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.RUNNING), n)
-        self.start[lo:hi] = _d_fill(now, n)
-        self.gpu[lo:hi] = _q_fill(1 if gpu else 0, n)
-        self.pool[lo:hi] = _q_fill(span_pool, n)
-        self.epoch[lo:hi] = _q_fill(span_epoch, n)
+        _fill(self.state, lo, hi, int(FleetJobState.RUNNING))
+        _fill(self.start, lo, hi, now)
+        _fill(self.gpu, lo, hi, 1 if gpu else 0)
+        _fill(self.pool, lo, hi, span_pool)
+        _fill(self.epoch, lo, hi, span_epoch)
         dest = self.dest
         for hi, node, pool, epoch in pieces:
-            dest[lo:hi] = _q_fill(node, hi - lo)
+            _fill(dest, lo, hi, node)
             if pool != span_pool:
-                self.pool[lo:hi] = _q_fill(pool, hi - lo)
+                _fill(self.pool, lo, hi, pool)
             if epoch != span_epoch:
-                self.epoch[lo:hi] = _q_fill(epoch, hi - lo)
+                _fill(self.epoch, lo, hi, epoch)
             lo = hi
 
     def queue_range(
         self, lo: int, hi: int, node: int, pool: int = NO_POOL
     ) -> None:
         """PENDING → QUEUED at ``node`` (bounded per-node queue)."""
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.QUEUED), n)
-        self.dest[lo:hi] = _q_fill(node, n)
-        self.pool[lo:hi] = _q_fill(pool, n)
+        _fill(self.state, lo, hi, int(FleetJobState.QUEUED))
+        _fill(self.dest, lo, hi, node)
+        _fill(self.pool, lo, hi, pool)
 
     def complete_range(self, lo: int, hi: int, now: float) -> None:
         """RUNNING → COMPLETED at ``now``."""
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.COMPLETED), n)
-        self.finish[lo:hi] = _d_fill(now, n)
+        _fill(self.state, lo, hi, int(FleetJobState.COMPLETED))
+        _fill(self.finish, lo, hi, now)
 
     def shed_range(
         self, lo: int, hi: int, reason: ShedReason, now: float
     ) -> None:
         """Any live state → SHED with ``reason`` at ``now``."""
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.SHED), n)
-        self.shed[lo:hi] = _q_fill(SHED_REASON_CODE[reason], n)
-        self.finish[lo:hi] = _d_fill(now, n)
+        _fill(self.state, lo, hi, int(FleetJobState.SHED))
+        _fill(self.shed, lo, hi, SHED_REASON_CODE[reason])
+        _fill(self.finish, lo, hi, now)
 
     def fail_range(self, lo: int, hi: int, now: float) -> None:
         """Resubmit budget exhausted → FAILED at ``now``."""
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.FAILED), n)
-        self.finish[lo:hi] = _d_fill(now, n)
+        _fill(self.state, lo, hi, int(FleetJobState.FAILED))
+        _fill(self.finish, lo, hi, now)
 
     def resubmit_range(self, lo: int, hi: int) -> None:
         """Interrupted RUNNING/QUEUED → PENDING with one more hop."""
-        n = hi - lo
-        self.state[lo:hi] = _q_fill(int(FleetJobState.PENDING), n)
-        self.dest[lo:hi] = _q_fill(NO_NODE, n)
-        self.start[lo:hi] = _d_fill(NO_INSTANT, n)
-        self.gpu[lo:hi] = _q_fill(0, n)
-        self.pool[lo:hi] = _q_fill(NO_POOL, n)
-        self.epoch[lo:hi] = _q_fill(0, n)
+        _fill(self.state, lo, hi, int(FleetJobState.PENDING))
+        _fill(self.dest, lo, hi, NO_NODE)
+        _fill(self.start, lo, hi, NO_INSTANT)
+        _fill(self.gpu, lo, hi, 0)
+        _fill(self.pool, lo, hi, NO_POOL)
+        _fill(self.epoch, lo, hi, 0)
         # Resubmits are rare (node failures only); the per-element
         # rewrite stays off the per-batch hot path.
-        self.hops[lo:hi] = array("q", [h + 1 for h in self.hops[lo:hi]])
+        hops = self.hops
+        hops[lo:hi] = array(hops.typecode, [h + 1 for h in hops[lo:hi]])
 
     # -- reads ----------------------------------------------------------- #
     def _prefix(self, name: str) -> np.ndarray:
@@ -329,16 +334,24 @@ class JobStore:
         }
 
     def digest(self) -> str:
-        """SHA-256 over the raw column bytes — the bit-identity probe.
+        """SHA-256 over the canonical column bytes — the bit-identity probe.
 
-        Two stores whose jobs went through equivalent transitions hash
-        identically regardless of which implementation (columnar bulk
-        ops or the per-job-object reference) produced them and of how
-        much capacity either reserved.
+        Canonical means int64 for every discrete column and float64 for
+        every instant, whatever width the column is stored at: narrow
+        columns are widened a bounded chunk at a time.  Two stores whose
+        jobs went through equivalent transitions hash identically
+        regardless of which implementation (columnar bulk ops or the
+        per-job-object reference) produced them and of how much
+        capacity either reserved.
         """
         hasher = hashlib.sha256()
         for name in self.COLUMNS:
-            hasher.update(self._prefix(name))
+            column = self._prefix(name)
+            for at in range(0, self._n, _DIGEST_CHUNK):
+                chunk = column[at:at + _DIGEST_CHUNK]
+                hasher.update(
+                    chunk if chunk.itemsize == 8 else chunk.astype(np.int64)
+                )
         return hasher.hexdigest()
 
 

@@ -120,6 +120,10 @@ class DiurnalProfile:
     def scaled_to(self, target_jobs: int) -> "DiurnalProfile":
         """The same shape with the user population resized so expected
         arrivals (storms excluded) reach ``target_jobs``."""
+        if target_jobs < 0:
+            raise ValueError(
+                f"jobs must be non-negative, got {target_jobs}"
+            )
         users = math.ceil(target_jobs / (self.jobs_per_user_day * self.days))
         return replace(self, users=users)
 

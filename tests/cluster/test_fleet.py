@@ -8,9 +8,17 @@ from repro.cluster.fleet import (
     NodeFailure,
     run_fleet,
 )
+from repro.cluster.autoscale import AutoscalerConfig
 from repro.cluster.fleet_reference import ObjectFleetReference
-from repro.cluster.jobstore import FleetJobState
+from repro.cluster.jobstore import (
+    MAX_HOPS,
+    MAX_NODES,
+    MAX_TOOLS,
+    FleetJobState,
+    JobStore,
+)
 from repro.workloads.diurnal import (
+    ArrivalBatch,
     BurstStorm,
     DiurnalProfile,
     FleetToolClass,
@@ -188,6 +196,43 @@ class TestFleetSemantics:
                                       recovery_seconds=1.0),),
             )
 
+    @pytest.mark.parametrize("knobs", [
+        {"queue_limit": -1},
+        {"max_hops": -1},
+        {"deadline_seconds": 0.0},
+        {"deadline_seconds": -5.0},
+        {"deadline_seconds": float("inf")},
+        {"deadline_seconds": float("nan")},
+    ])
+    def test_degenerate_knobs_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            FleetConfig(nodes=2, **knobs)
+
+    def test_zero_queue_and_zero_hops_are_defined(self):
+        config = FleetConfig(nodes=2, queue_limit=0, max_hops=0)
+        result = run_fleet(config, DiurnalProfile(seed=1).scaled_to(200))
+        assert result.queued == 0 and result.resubmitted == 0
+
+    def test_column_widths_bound_the_shape(self):
+        """A shape that constructs can never overflow a narrow column."""
+        FleetConfig(nodes=2, max_hops=MAX_HOPS)
+        with pytest.raises(ValueError, match="max_hops"):
+            FleetConfig(nodes=2, max_hops=MAX_HOPS + 1)
+        FleetConfig(nodes=MAX_NODES)
+        with pytest.raises(ValueError, match="nodes"):
+            FleetConfig(nodes=MAX_NODES + 1)
+        tool = FleetToolClass("t", True, 1.0, 2.0, 1.0)
+        FleetSimulator(FleetConfig(nodes=1), (tool,) * MAX_TOOLS)
+        with pytest.raises(ValueError, match="tool table"):
+            FleetSimulator(FleetConfig(nodes=1), (tool,) * (MAX_TOOLS + 1))
+        # The bounds are the largest values the columns really hold.
+        store = JobStore()
+        store.append_batch(1, tool=MAX_TOOLS - 1, submit=0.0, deadline=1.0)
+        store.start_range(0, 1, MAX_NODES - 1, 0.0, gpu=True, epoch=MAX_NODES)
+        for _ in range(MAX_HOPS):
+            store.resubmit_range(0, 1)
+        assert store.row(0).hops == MAX_HOPS
+
     def test_aggregate_metrics_not_per_job(self):
         """Observability at fleet scale is aggregate: counter families
         stay fixed no matter how many jobs run."""
@@ -279,3 +324,184 @@ class TestMappedSeriesBindLazily:
         assert result.mapped_cpu == value(
             "gyan_fleet_mapping_decisions_total", arm="cpu")
         assert result.mapped_gpu > 0 and result.mapped_cpu > 0
+
+
+class CountingStore(JobStore):
+    """A :class:`JobStore` that logs every ``complete_range`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.completes = []
+
+    def complete_range(self, lo, hi, now):
+        self.completes.append((lo, hi, now))
+        super().complete_range(lo, hi, now)
+
+
+def run_counted(config, tools, batches):
+    """Run both models; assert digest + full ledger parity; return the
+    columnar simulator, its result and its (finish, lo, hi) span events
+    — one per ``_EV_GPU_DONE`` heap entry, since every entry is popped."""
+    simulator = FleetSimulator(config, tools)
+    simulator.store = CountingStore()
+    spans = []
+    handler = simulator._on_span_done
+
+    def counted(now, seq, lo, pieces):
+        spans.append((now, lo, pieces[-1][0]))
+        handler(now, seq, lo, pieces)
+
+    simulator._on_span_done = counted
+    result = simulator.run(batches)
+    reference = ObjectFleetReference(config, tools)
+    store = reference.run(batches)
+    assert result.store_digest == store.digest()
+    assert list(simulator.store.rows()) == list(store.rows())
+    ledger = {
+        "submitted": result.jobs_submitted,
+        "mapped_gpu": result.mapped_gpu,
+        "mapped_cpu": result.mapped_cpu,
+        "degraded": result.degraded,
+        "queued": result.queued,
+        "completed": result.completed,
+        "resubmitted": result.resubmitted,
+        "failed": result.failed,
+        "quarantines": result.quarantines,
+        "provisioned": result.provisioned_nodes,
+        "decommissioned": result.decommissioned_nodes,
+    }
+    assert ledger == reference.counts
+    assert result.shed == reference.shed
+    assert result.node_seconds == reference.meter.total
+    assert result.jobs_submitted == (
+        result.completed + sum(result.shed.values()) + result.failed
+    )
+    return simulator, result, spans
+
+
+def finishes(simulator):
+    return [row.finish for row in simulator.store.rows()]
+
+
+class TestSpanCompletion:
+    """One heap entry per placed span, one ``complete_range`` per
+    still-live run of its node pieces — counted, so a regression back
+    to per-piece completion fails here."""
+
+    GPU_100 = FleetToolClass("gpu_100", True, 100.0, 1000.0, 1.0)
+    GPU_300 = FleetToolClass("gpu_300", True, 300.0, 3000.0, 1.0)
+
+    def three_node_span(self, failure_time):
+        config = FleetConfig(
+            nodes=4, gpus_per_node=2,
+            failures=(NodeFailure(failure_time, node=1,
+                                  recovery_seconds=1000.0),),
+        )
+        return run_counted(config, (self.GPU_100,), [ArrivalBatch(0.0, 0, 6)])
+
+    def test_middle_node_fails_mid_span(self):
+        simulator, result, spans = self.three_node_span(failure_time=50.0)
+        # The span over nodes 0-2 lost its middle piece: two live runs.
+        # Rows 2-3 resubmitted onto node 3 as a span of their own.
+        assert spans == [(100.0, 0, 6), (150.0, 2, 4)]
+        assert simulator.store.completes == [
+            (0, 2, 100.0), (4, 6, 100.0), (2, 4, 150.0),
+        ]
+        assert finishes(simulator) == [100.0] * 2 + [150.0] * 2 + [100.0] * 2
+        rows = list(simulator.store.rows())
+        assert all(row.state is FleetJobState.COMPLETED for row in rows)
+        assert [row.hops for row in rows] == [0, 0, 1, 1, 0, 0]
+        assert [row.destination for row in rows] == [0, 0, 3, 3, 2, 2]
+        assert (result.resubmitted, result.completed) == (2, 6)
+
+    def test_failure_at_the_finish_instant_wins(self):
+        """The outage was scheduled first, so at t=100 it interrupts
+        node 1's piece before the span's completion event fires."""
+        simulator, result, spans = self.three_node_span(failure_time=100.0)
+        assert spans == [(100.0, 0, 6), (200.0, 2, 4)]
+        assert simulator.store.completes == [
+            (0, 2, 100.0), (4, 6, 100.0), (2, 4, 200.0),
+        ]
+        assert [row.start for row in simulator.store.rows()] == (
+            [0.0] * 2 + [100.0] * 2 + [0.0] * 2
+        )
+        assert result.resubmitted == 2
+
+    def test_scale_in_drain_empties_nodes_mid_span(self):
+        auto = AutoscalerConfig(
+            min_nodes=1, max_nodes=5, initial_nodes=5, eval_interval_s=10.0,
+            hysteresis_windows=1, cooldown_s=0.0,
+            scale_down_utilization=0.9, scale_down_step=3,
+        )
+        config = FleetConfig(nodes=5, gpus_per_node=2, autoscale=auto)
+        # Span A: nodes 0, 1, 2 full and one slot of node 3; span B
+        # takes node 3's other slot; node 4 idles.  The t=10 evaluation
+        # drains nodes 4 (idle: gone at once), 3 and 2.
+        simulator, result, spans = run_counted(
+            config, (self.GPU_100, self.GPU_300),
+            [ArrivalBatch(0.0, 0, 7), ArrivalBatch(0.0, 1, 1)],
+        )
+        assert spans == [(100.0, 0, 7), (300.0, 7, 8)]
+        assert simulator.store.completes == [(0, 7, 100.0), (7, 8, 300.0)]
+        # Node 2 empties when span A finishes (t=100) and decommissions
+        # there; the t=100 evaluation, ordered after it, drains the now
+        # idle node 1; node 3 runs span B's piece until t=300.
+        assert result.decommissioned_nodes == 4
+        assert [
+            (t, active) for t, active, _pending in result.pool_timeline
+            if t in (10.0, 90.0, 100.0, 300.0)
+        ] == [(10.0, 4), (90.0, 4), (100.0, 2), (300.0, 1)]
+        assert result.end_time == 300.0
+        assert result.node_seconds == 5 * 10.0 + 4 * 90.0 + 2 * 200.0
+
+    def test_zero_second_gpu_tool(self):
+        instant = FleetToolClass("instant", True, 0.0, 10.0, 1.0)
+        config = FleetConfig(nodes=2, gpus_per_node=2, queue_limit=4)
+        simulator, result, spans = run_counted(
+            config, (instant,), [ArrivalBatch(5.0, 0, 5)]
+        )
+        # Four start at once; the fifth queues on node 0 and starts (and
+        # finishes) at the same instant as a one-piece span.
+        assert spans == [(5.0, 0, 4), (5.0, 4, 5)]
+        assert simulator.store.completes == [(0, 4, 5.0), (4, 5, 5.0)]
+        assert finishes(simulator) == [5.0] * 5
+        assert (result.queued, result.end_time) == (1, 5.0)
+
+    def test_queue_drain_spans_interleave_with_fresh_spans(self):
+        config = FleetConfig(nodes=3, gpus_per_node=1, queue_limit=1)
+        simulator, result, spans = run_counted(
+            config, (self.GPU_100,),
+            [ArrivalBatch(0.0, 0, 5), ArrivalBatch(100.0, 0, 2)],
+        )
+        # t=100: the first span frees nodes 0-2; rows 3 and 4 leave the
+        # queues of nodes 0 and 1 as one-piece spans, then the fresh
+        # batch puts row 5 on node 2 and queues row 6 on node 0.
+        # t=200: all three finish, in start order; row 6 follows row 3.
+        assert spans == [
+            (100.0, 0, 3), (200.0, 3, 4), (200.0, 4, 5), (200.0, 5, 6),
+            (300.0, 6, 7),
+        ]
+        assert simulator.store.completes == [
+            (lo, hi, now) for now, lo, hi in spans
+        ]
+        assert finishes(simulator) == [100.0] * 3 + [200.0] * 3 + [300.0]
+        assert [row.destination for row in simulator.store.rows()] == [
+            0, 1, 2, 0, 1, 2, 0,
+        ]
+        assert result.queued == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stressed_day_completes_per_run_not_per_piece(self, seed):
+        """Under queues, sheds and three node failures: at most one
+        write per span plus one per piece a failure could have split
+        off, and far fewer than one per node piece."""
+        profile = stress_profile(seed)
+        simulator, result, spans = run_counted(
+            STRESS_CONFIG, profile.tools, diurnal_batches(profile)
+        )
+        cpu_groups = sum(
+            1 for lo, _hi, _now in simulator.store.completes
+            if not simulator.store.gpu[lo]
+        )
+        gpu_writes = len(simulator.store.completes) - cpu_groups
+        assert 0 < gpu_writes <= len(spans) + result.resubmitted

@@ -1,12 +1,17 @@
 """Columnar :class:`JobStore`: range transitions, digests, encodings."""
 
+import hashlib
 import math
+from array import array
+from collections import Counter
 
 import pytest
 
+import repro.cluster.jobstore as jobstore
 from repro.cluster.jobstore import (
     NO_INSTANT,
     NO_NODE,
+    NO_REASON,
     SHED_REASON_BY_CODE,
     SHED_REASON_CODE,
     FleetJobState,
@@ -210,6 +215,77 @@ class TestCapacityIsNotLength:
         assert len(capacities) <= 9  # doublings, not one growth per append
 
 
+def canonical_digest(store: JobStore) -> str:
+    """SHA-256 over int64/float64 columns rebuilt from ``rows()`` alone."""
+    rows = list(store.rows())
+    columns = [
+        array("q", [int(row.state) for row in rows]),
+        array("q", [row.tool for row in rows]),
+        array("d", [row.submit for row in rows]),
+        array("d", [row.deadline for row in rows]),
+        array("q", [row.destination for row in rows]),
+        array("q", [row.hops for row in rows]),
+        array("q", [NO_REASON if row.shed is None
+                    else SHED_REASON_CODE[row.shed] for row in rows]),
+        array("d", [row.start for row in rows]),
+        array("d", [row.finish for row in rows]),
+        array("q", [int(row.gpu) for row in rows]),
+        array("q", [row.pool for row in rows]),
+        array("q", [row.epoch for row in rows]),
+    ]
+    hasher = hashlib.sha256()
+    for column in columns:
+        hasher.update(column.tobytes())
+    return hasher.hexdigest()
+
+
+class TestCanonicalDigest:
+    """Columns are stored narrow; the digest is of their 64-bit view, so
+    no recorded digest depends on a storage width."""
+
+    def test_a_row_is_48_bytes(self):
+        store = JobStore()
+        assert sum(getattr(store, name).itemsize
+                   for name in JobStore.COLUMNS) == 48
+        assert all(getattr(store, name).itemsize == 8
+                   for name in ("submit", "deadline", "start", "finish"))
+
+    @pytest.mark.parametrize("reserved", [0, 1000])
+    def test_digest_is_sha256_of_the_64_bit_columns(self, reserved):
+        store = JobStore()
+        store.reserve(reserved)
+        _scripted(store)
+        assert {row.state for row in store.rows()} == set(FleetJobState)
+        assert store.digest() == canonical_digest(store)
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 8, 9])
+    def test_chunked_widening_has_no_seams(self, monkeypatch, length):
+        monkeypatch.setattr(jobstore, "_DIGEST_CHUNK", 4)
+        store = JobStore()
+        for i in range(length):  # every row differs in a narrow column
+            store.append_batch(1, tool=i, submit=float(i), deadline=i + 60.0)
+            store.start_range(i, i + 1, node=100 + i, now=float(i), gpu=True,
+                              pool=i % 2, epoch=i + 1)
+        assert store.digest() == canonical_digest(store)
+
+    def test_the_real_chunk_seam_is_hashed(self):
+        store = JobStore()
+        store.reserve(jobstore._DIGEST_CHUNK + 1)
+        digests = set()
+        for count in (jobstore._DIGEST_CHUNK - 1, 1, 1):
+            lo, hi = store.append_batch(count, tool=3, submit=1.0, deadline=2.0)
+            store.queue_range(hi - 1, hi, node=hi, pool=1)
+            digests.add(store.digest())
+        assert len(store) == jobstore._DIGEST_CHUNK + 1
+        assert len(digests) == 3  # the row past the seam is hashed too
+        whole = hashlib.sha256()
+        for name in JobStore.COLUMNS:
+            column = getattr(store, name)
+            code = "d" if column.typecode == "d" else "q"
+            whole.update(array(code, column).tobytes())
+        assert store.digest() == whole.hexdigest()
+
+
 class TestStartSpan:
     def test_span_equals_one_start_range_per_piece(self):
         span, ranges = JobStore(), JobStore()
@@ -280,6 +356,14 @@ class TestGpuWaitPercentile:
         theirs = naive_gpu_wait_percentile(storm_store, quantile, *window)
         assert type(ours) is float
         assert ours == theirs
+
+    def test_count_by_state_equals_a_per_row_count(self, storm_store):
+        counted = Counter(
+            FleetJobState(state).name
+            for state in storm_store.state[:len(storm_store)]
+        )
+        assert len(counted) > 1
+        assert storm_store.count_by_state() == dict(counted)
 
     def test_storm_fixture_has_real_waits(self, storm_store):
         lo, hi = AB_STORM_START, AB_STORM_START + AB_STORM_DURATION

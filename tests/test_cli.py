@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -171,6 +173,26 @@ class TestFleet:
         assert main([*self.ARGV, "--ab", "--check-parity"]) == 0
         assert "bit-identical" in capsys.readouterr().out
         assert len(days) == 1  # three policies, two models, one day
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "-3"], "fleet: jobs must be non-negative, got -3\n"),
+        (["--queue-limit", "-5"],
+         "fleet: queue_limit must be non-negative, got -5\n"),
+        (["--nodes", str(2**31)],
+         f"fleet: fleet needs between 1 and {2**31 - 1} nodes, "
+         f"got {2**31}\n"),
+    ])
+    def test_out_of_range_shape_is_a_usage_error(self, flags, message, capsys):
+        assert main(["fleet", "--nodes", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    def test_zero_jobs_is_a_defined_empty_day(self, capsys):
+        assert main(["fleet", "--nodes", "4", "--jobs", "0",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["jobs_submitted"] == 0
+        assert payload["states"] == {} and payload["end_time"] == 0.0
 
 
 class TestOneSubParserPerCall:
