@@ -100,6 +100,38 @@ class TestOtherPolicies:
             assert cluster.policy.name == policy.name
 
 
+class TestPlacementSequence:
+    """The exact placement history of a 12-job overlapped burst, per
+    policy — the literals hold whichever way a policy finds its node."""
+
+    GPU0, GPU1, CPU0 = "gpu-node-0", "gpu-node-1", "cpu-node-0"
+    EXPECTED = {
+        "first-available-gpu": [
+            GPU0, GPU0, CPU0, GPU1, GPU1, CPU0,
+            GPU0, GPU1, CPU0, GPU0, GPU1, CPU0,
+        ],
+        # One shared rotation counter: seqstats always draws 2 mod 3 of
+        # (cpu-node-0, gpu-node-0, gpu-node-1).
+        "round-robin": [
+            GPU0, GPU1, GPU1, GPU1, GPU0, GPU1,
+            GPU0, GPU1, GPU1, GPU1, GPU0, GPU1,
+        ],
+        "least-loaded": [GPU0, GPU1, CPU0] * 4,
+    }
+
+    @pytest.mark.parametrize("policy", sorted(EXPECTED))
+    def test_overlapped_burst_history(self, policy):
+        cluster = build_cluster(gpu_nodes=2, cpu_nodes=1, policy=policy)
+        tools = sorted(next(iter(cluster.deployments.values())).app.tools)
+        assert tools == ["bonito", "racon", "seqstats"]
+        for i in range(12):
+            cluster.launch_overlapped(tools[i % 3])
+        assert [(r.tool_id, r.hostname) for r in cluster.history] == [
+            (tools[i % 3], host)
+            for i, host in enumerate(self.EXPECTED[policy])
+        ]
+
+
 class TestNodeLoad:
     def test_gpu_node_load(self, cluster):
         node = next(n for n in cluster.nodes if n.hostname == "gpu-node-0")
