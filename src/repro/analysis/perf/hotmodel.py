@@ -76,14 +76,18 @@ def profile_seeds(profile_path: str | Path) -> list[tuple[str, str]]:
 
     The scenario→entry-point manifest lives next to the scenarios
     themselves (:func:`repro.benchmarking.scenario_entry_points`) so it
-    cannot drift from what ``python -m repro bench`` actually times.
+    cannot drift from what ``python -m repro bench`` actually times.  A
+    profile naming a scenario the manifest no longer has yields the
+    placeholder entry ``<unknown scenario>``, which resolves to nothing
+    and so lands in ``unresolved_seeds`` (``bench:<name>:<unknown
+    scenario>``) instead of cooling its paths without a word.
     """
     from repro.benchmarking import scenario_entry_points
 
     manifest = scenario_entry_points()
     pairs: list[tuple[str, str]] = []
     for name in load_profile_scenarios(profile_path):
-        for entry in manifest.get(name, ()):
+        for entry in manifest.get(name, ("<unknown scenario>",)):
             pairs.append((f"bench:{name}", entry))
     return pairs
 

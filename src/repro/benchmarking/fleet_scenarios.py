@@ -1,7 +1,9 @@
 """Named fleet-core scenarios for ``python -m repro bench --suite fleet_core``.
 
-Where the sim-core suite times the single-host hot paths, this suite
-times the fleet tier end to end:
+Where the sim-core suite times the single-host hot paths (the object
+tier), this suite times the columnar fleet tier end to end — every
+scenario runs :class:`~repro.cluster.fleet.FleetSimulator` or its
+arrival generator:
 
 ``fleet-map-throughput``
     The headline: one simulated day of diurnal traffic — ≥1M jobs
@@ -15,16 +17,6 @@ times the fleet tier end to end:
     queues fill, deadlines expire, degradable classes fall to the CPU
     arm and node failures force resubmit chains — the resilience-path
     cost at fleet scale.
-``fleet-burst-batched`` / ``fleet-burst-perjob``
-    The same same-instant GPU burst through one real GYAN host, mapped
-    via :meth:`~repro.core.mapper.GpuComputationMapper.
-    prepare_environment_batch` versus the historical per-job loop — the
-    batched-decision amortisation, measured on the object path the
-    fleet tier's columnar mapping mirrors.
-``fleet-node-select``
-    Indexed least-loaded node selection over a large static cluster
-    through :class:`~repro.cluster.multinode.NodeLoadIndex` — the
-    O(log n) selection structure versus the historical per-call scan.
 ``diurnal-generate``
     The seeded diurnal workload generator producing a ≥1M-job day —
     the cost of the arrival side of the headline scenario.
@@ -62,14 +54,6 @@ SURGE_JOBS = 200_000
 QUICK_SURGE_NODES = 5
 QUICK_SURGE_JOBS = 4_000
 
-MAPPER_BURST_JOBS = 500
-QUICK_MAPPER_BURST_JOBS = 100
-
-SELECT_NODES = 200
-SELECT_CALLS = 5_000
-QUICK_SELECT_NODES = 20
-QUICK_SELECT_CALLS = 500
-
 GENERATE_JOBS = 1_100_000
 QUICK_GENERATE_JOBS = 100_000
 
@@ -84,13 +68,6 @@ AUTOSCALE_JOBS = 1_100_000
 QUICK_AUTOSCALE_NODES = 10
 QUICK_AUTOSCALE_MIN_NODES = 3
 QUICK_AUTOSCALE_JOBS = 10_000
-
-
-_GPU_TOOL_XML = (
-    '<tool id="fleet_gpu"><requirements>'
-    '<requirement type="compute">gpu</requirement>'
-    "</requirements><command>racon_gpu</command></tool>"
-)
 
 
 def _throughput_scenario(nodes: int, jobs: int) -> BenchScenario:
@@ -182,95 +159,6 @@ def _surge_scenario(nodes: int, jobs: int) -> BenchScenario:
         entry_points=(
             "repro.cluster.fleet.FleetSimulator.run",
             "repro.cluster.fleet.FleetSimulator._drain_queue",
-        ),
-    )
-
-
-def _mapper_burst_scenario(jobs: int, batched: bool) -> BenchScenario:
-    def setup():
-        from repro.core.mapper import GpuComputationMapper
-        from repro.galaxy.job import GalaxyJob
-        from repro.galaxy.tool_xml import parse_tool_xml
-        from repro.gpusim.host import make_k80_host
-
-        host = make_k80_host(boards=1)
-        mapper = GpuComputationMapper(host)
-        tool = parse_tool_xml(_GPU_TOOL_XML)
-        return mapper, [GalaxyJob(tool=tool) for _ in range(jobs)]
-
-    def run_batched(context) -> RunOutcome:
-        mapper, burst = context
-        mapper.prepare_environment_batch(burst)
-        return RunOutcome(work_units=float(len(burst)))
-
-    def run_perjob(context) -> RunOutcome:
-        mapper, burst = context
-        for job in burst:
-            mapper.prepare_environment(job)
-        return RunOutcome(work_units=float(len(burst)))
-
-    name = "fleet-burst-batched" if batched else "fleet-burst-perjob"
-    return BenchScenario(
-        name=name,
-        description=(
-            "map a same-instant GPU burst through one real host via "
-            + ("one batched decision (single probe, memoised strategy)"
-               if batched else
-               "the historical per-job loop (the comparison point)")
-        ),
-        setup=setup,
-        run=run_batched if batched else run_perjob,
-        workload={"jobs": jobs, "batched": batched},
-        entry_points=(
-            (
-                "repro.core.mapper.GpuComputationMapper."
-                "prepare_environment_batch",
-            )
-            if batched
-            else ("repro.core.mapper.GpuComputationMapper."
-                  "prepare_environment",)
-        ),
-    )
-
-
-def _node_select_scenario(nodes: int, calls: int) -> BenchScenario:
-    def setup():
-        from repro.cluster.multinode import LeastLoadedPolicy, NodeLoadIndex
-        from repro.cluster.node import ComputeNode
-        from repro.gpusim.clock import VirtualClock
-
-        clock = VirtualClock()
-        fleet = []
-        for i in range(nodes):
-            if i % 4 == 3:
-                node = ComputeNode.cpu_only(
-                    hostname=f"cpu-{i:04d}", clock=clock
-                )
-            else:
-                node = ComputeNode.paper_testbed(clock=clock)
-                node.hostname = f"gpu-{i:04d}"
-                node.gpu_host.hostname = node.hostname
-            fleet.append(node)
-        policy = LeastLoadedPolicy()
-        policy.attach_index(NodeLoadIndex(fleet))
-        return policy, fleet
-
-    def run(context) -> RunOutcome:
-        policy, fleet = context
-        for i in range(calls):
-            policy.select(fleet, wants_gpu=bool(i % 2))
-        return RunOutcome(work_units=float(calls))
-
-    return BenchScenario(
-        name="fleet-node-select",
-        description="indexed least-loaded node selection over a large "
-                    "static cluster (the O(log n) load-heap path)",
-        setup=setup,
-        run=run,
-        workload={"nodes": nodes, "selects": calls},
-        entry_points=(
-            "repro.cluster.multinode.NodeLoadIndex.best",
-            "repro.cluster.multinode.LeastLoadedPolicy.select",
         ),
     )
 
@@ -397,18 +285,6 @@ def fleet_core_suite(quick: bool = False) -> list[BenchScenario]:
         _surge_scenario(
             QUICK_SURGE_NODES if quick else SURGE_NODES,
             QUICK_SURGE_JOBS if quick else SURGE_JOBS,
-        ),
-        _mapper_burst_scenario(
-            QUICK_MAPPER_BURST_JOBS if quick else MAPPER_BURST_JOBS,
-            batched=True,
-        ),
-        _mapper_burst_scenario(
-            QUICK_MAPPER_BURST_JOBS if quick else MAPPER_BURST_JOBS,
-            batched=False,
-        ),
-        _node_select_scenario(
-            QUICK_SELECT_NODES if quick else SELECT_NODES,
-            QUICK_SELECT_CALLS if quick else SELECT_CALLS,
         ),
         _generate_scenario(QUICK_GENERATE_JOBS if quick else GENERATE_JOBS),
         *(

@@ -15,9 +15,9 @@ per-*group* cost:
 * **Batched mapping** — arrivals come from the diurnal generator as
   same-instant :class:`~repro.workloads.diurnal.ArrivalBatch` groups;
   Pseudocode-2 eligibility (GPU-wanted × fleet-has-capacity) is decided
-  once per batch and applied to the whole range, mirroring
-  :meth:`~repro.core.mapper.GpuComputationMapper.prepare_environment_batch`
-  at single-host scale.
+  once per batch and applied to the whole range — the object tier's
+  :meth:`~repro.core.mapper.GpuComputationMapper.prepare_environment`
+  decides it once per job.
 * **Sharded node state with indexed selection** — per-node shards hold
   free GPU slots and the bounded queue; selection pops the policy's
   best node from a lazy heap in O(log n) instead of scanning 1000

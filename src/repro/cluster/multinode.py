@@ -20,31 +20,24 @@ Policies
 ``least-loaded``
     The node with the smallest (gpu_processes, cpu_in_use) load vector.
 
-Fleet-scale selection
----------------------
-Recomputing :func:`node_load` over every node on every ``select()`` is
-O(nodes × devices) per dispatch — fine at 3 nodes, ruinous at 1000.
-:class:`NodeLoadIndex` keeps a lazy min-heap per eligibility class
-(GPU nodes / all nodes) keyed by the load vector, with version-stamped
-entries: a node's entry is only recomputed when its
-:attr:`~repro.gpusim.host.GPUHost.state_version` or free CPU slots
-actually changed, so selection is O(log n) amortised.  The
-:class:`ClusterDispatcher` builds one index over its node set and
-attaches it to the policy; standalone ``policy.select(...)`` calls
-(no index attached) keep the historical full-scan behaviour.
+Which tier answers which question
+---------------------------------
+Every ``select()`` scans its ``nodes`` argument, O(nodes × devices) per
+dispatch: the right size for what this object tier carries — the
+paper's node and the 3-node ablation
+(``benchmarks/test_ablation_cluster.py``), every job a real
+:class:`~repro.galaxy.job.GalaxyJob`.  Anything fleet-sized belongs to
+the columnar tier, :mod:`repro.cluster.fleet`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.cluster.node import ComputeNode
 from repro.gpusim.clock import VirtualClock
-from repro.hotpath import hot_path
-from repro.resilience.shedding import RejectedBusy, ShedReason
 
 
 @dataclass
@@ -77,186 +70,21 @@ def node_load(node: ComputeNode) -> NodeLoad:
     )
 
 
-class _LoadHeap:
-    """A lazy min-heap of nodes keyed by the load vector.
-
-    Entries are ``(key, stamp, version, hostname)`` where ``key`` is
-    ``(gpu_processes, cpu_used, hostname)`` — the least-loaded order —
-    and ``version`` captures the node state the key was computed from
-    (``gpu_host.state_version``, free CPU slots).  :meth:`best` pops
-    superseded/stale entries lazily and re-pushes a fresh one, so a
-    node's load is only *evaluated* when its state actually changed:
-    selection is O(log n) amortised instead of O(n × devices) per call.
-    """
-
-    __slots__ = ("_by_name", "_heap", "_latest", "_counter", "load_evaluations")
-
-    def __init__(self, nodes: list[ComputeNode]) -> None:
-        self._by_name = {node.hostname: node for node in nodes}
-        self._heap: list[tuple[tuple[int, int, str], int, tuple[int, int], str]] = []
-        self._latest: dict[str, int] = {}
-        self._counter = itertools.count()
-        #: How many times a node's load vector was actually computed —
-        #: the regression-test observable for the O(log n) contract.
-        self.load_evaluations = 0
-        for hostname in sorted(self._by_name):
-            self._push(self._by_name[hostname])
-
-    @staticmethod
-    def _version(node: ComputeNode) -> tuple[int, int]:
-        gpu_version = (
-            node.gpu_host.state_version if node.gpu_host is not None else -1
-        )
-        return (gpu_version, node.cpu_slots_free)
-
-    def _push(self, node: ComputeNode) -> None:
-        self.load_evaluations += 1
-        if node.gpu_host is not None:
-            gpu_processes = sum(
-                len(d.compute_processes()) for d in node.gpu_host.devices
-            )
-        else:
-            gpu_processes = 0
-        cpu_used = node.resources.cpu_slots - node.cpu_slots_free
-        stamp = next(self._counter)
-        self._latest[node.hostname] = stamp
-        heapq.heappush(
-            self._heap,
-            (
-                (gpu_processes, cpu_used, node.hostname),
-                stamp,
-                self._version(node),
-                node.hostname,
-            ),
-        )
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-    def add(self, node: ComputeNode) -> None:
-        """Admit a node (commissioned mid-run) into the heap."""
-        self._by_name[node.hostname] = node
-        self._push(node)
-
-    def remove(self, hostname: str) -> None:
-        """Retire a node that left the fleet (scale-in or quarantine).
-
-        Heap entries are not searched out: dropping the membership and
-        stamp records turns every entry for this hostname stale, and
-        :meth:`best` pop-discards them lazily — the same O(log n)
-        amortised contract as supersession.
-        """
-        self._by_name.pop(hostname, None)
-        self._latest.pop(hostname, None)
-
-    def best(self) -> ComputeNode:
-        """The least-loaded node, refreshing stale entries lazily."""
-        heap = self._heap
-        while heap:
-            _key, stamp, version, hostname = heap[0]
-            node = self._by_name.get(hostname)
-            if node is None or stamp != self._latest.get(hostname):
-                heapq.heappop(heap)  # node left, or superseded entry
-                continue
-            if version != self._version(node):
-                heapq.heappop(heap)
-                self._push(node)  # state changed: recompute once
-                continue
-            return node
+def _by_hostname(nodes: list[ComputeNode]) -> list[ComputeNode]:
+    """``nodes`` in hostname order; an empty set is a typed error."""
+    if not nodes:
         raise LookupError("no nodes available for selection")
-
-
-class NodeLoadIndex:
-    """Indexed node selection for fleet-sized clusters.
-
-    Maintains one :class:`_LoadHeap` per eligibility class — GPU nodes
-    and all nodes — plus the hostname-sorted eligibility lists the
-    round-robin policy rotates over.  Built once per
-    :class:`ClusterDispatcher` and shared by every ``select()`` call.
-    """
-
-    def __init__(self, nodes: list[ComputeNode]) -> None:
-        ordered = sorted(nodes, key=lambda n: n.hostname)
-        #: Hostname-sorted tuples for rotation-style policies.
-        self.all_nodes: tuple[ComputeNode, ...] = tuple(ordered)
-        self.gpu_nodes: tuple[ComputeNode, ...] = tuple(
-            n for n in ordered if n.has_gpus
-        )
-        self._all_heap = _LoadHeap(list(self.all_nodes))
-        self._gpu_heap = (
-            _LoadHeap(list(self.gpu_nodes)) if self.gpu_nodes else None
-        )
-
-    @property
-    def load_evaluations(self) -> int:
-        """Total load-vector computations across both heaps."""
-        total = self._all_heap.load_evaluations
-        if self._gpu_heap is not None:
-            total += self._gpu_heap.load_evaluations
-        return total
-
-    def add(self, node: ComputeNode) -> None:
-        """Admit a node commissioned mid-run into the index."""
-        self.all_nodes = tuple(sorted(
-            (*self.all_nodes, node), key=lambda n: n.hostname
-        ))
-        self._all_heap.add(node)
-        if node.has_gpus:
-            self.gpu_nodes = tuple(sorted(
-                (*self.gpu_nodes, node), key=lambda n: n.hostname
-            ))
-            if self._gpu_heap is None:
-                self._gpu_heap = _LoadHeap(list(self.gpu_nodes))
-            else:
-                self._gpu_heap.add(node)
-
-    def remove(self, hostname: str) -> None:
-        """Retire a node that left mid-window (scale-in / quarantine).
-
-        Stale heap entries for the departed node pop-discard lazily on
-        the next :meth:`best` call instead of dangling into a
-        ``KeyError`` — the staleness edge the pool-drain regression
-        test pins.
-        """
-        self.all_nodes = tuple(
-            n for n in self.all_nodes if n.hostname != hostname
-        )
-        self.gpu_nodes = tuple(
-            n for n in self.gpu_nodes if n.hostname != hostname
-        )
-        self._all_heap.remove(hostname)
-        if self._gpu_heap is not None:
-            self._gpu_heap.remove(hostname)
-
-    @hot_path
-    def best(self, wants_gpu: bool) -> ComputeNode:
-        """Least-loaded eligible node (GPU nodes first when wanted).
-
-        Falls back to the all-nodes heap when every GPU node has left
-        the fleet; raises :class:`LookupError` once no nodes remain.
-        """
-        if wants_gpu and self._gpu_heap is not None and len(self._gpu_heap):
-            return self._gpu_heap.best()
-        return self._all_heap.best()
-
-    def eligible(self, wants_gpu: bool) -> tuple[ComputeNode, ...]:
-        """The hostname-sorted eligibility list for ``wants_gpu``."""
-        if wants_gpu and self.gpu_nodes:
-            return self.gpu_nodes
-        return self.all_nodes
+    return sorted(nodes, key=lambda n: n.hostname)
 
 
 class NodeSelectionPolicy:
-    """Base class: pick a node for a job needing (or not) a GPU."""
+    """Base class: pick a node for a job needing (or not) a GPU.
+
+    ``nodes`` is each call's whole membership (a departed node is simply
+    not passed); an empty ``nodes`` raises :class:`LookupError`.
+    """
 
     name = "abstract"
-    #: Shared :class:`NodeLoadIndex`, attached by the dispatcher.  When
-    #: ``None`` (standalone use) policies fall back to full scans.
-    _index: NodeLoadIndex | None = None
-
-    def attach_index(self, index: NodeLoadIndex | None) -> None:
-        """Adopt the dispatcher's load index (``None`` detaches)."""
-        self._index = index
 
     def select(self, nodes: list[ComputeNode], wants_gpu: bool) -> ComputeNode:
         raise NotImplementedError
@@ -268,7 +96,7 @@ class FirstAvailableGpuPolicy(NodeSelectionPolicy):
     name = "first-available-gpu"
 
     def select(self, nodes: list[ComputeNode], wants_gpu: bool) -> ComputeNode:
-        ordered = sorted(nodes, key=lambda n: n.hostname)
+        ordered = _by_hostname(nodes)
         if wants_gpu:
             gpu_nodes = [n for n in ordered if n.has_gpus]
             if gpu_nodes:
@@ -290,19 +118,10 @@ class RoundRobinPolicy(NodeSelectionPolicy):
         self._counter = itertools.count()
 
     def select(self, nodes: list[ComputeNode], wants_gpu: bool) -> ComputeNode:
-        index = self._index
-        if index is not None:
-            # The dispatcher's node set is static: rotate over the
-            # prebuilt hostname-sorted eligibility list instead of
-            # re-sorting the fleet on every call.
-            eligible = index.eligible(wants_gpu)
-            return eligible[next(self._counter) % len(eligible)]
-        scan = [n for n in sorted(nodes, key=lambda n: n.hostname)
-                if n.has_gpus] if wants_gpu else sorted(
-                    nodes, key=lambda n: n.hostname)
-        if not scan:
-            scan = sorted(nodes, key=lambda n: n.hostname)
-        return scan[next(self._counter) % len(scan)]
+        ordered = _by_hostname(nodes)
+        eligible = [n for n in ordered if n.has_gpus] if wants_gpu else ordered
+        eligible = eligible or ordered
+        return eligible[next(self._counter) % len(eligible)]
 
 
 class LeastLoadedPolicy(NodeSelectionPolicy):
@@ -311,20 +130,13 @@ class LeastLoadedPolicy(NodeSelectionPolicy):
     name = "least-loaded"
 
     def select(self, nodes: list[ComputeNode], wants_gpu: bool) -> ComputeNode:
-        index = self._index
-        if index is not None:
-            # O(log n) amortised: only nodes whose state changed since
-            # their last evaluation are recomputed.
-            return index.best(wants_gpu)
-        eligible = [n for n in nodes if n.has_gpus] if wants_gpu else list(nodes)
-        if not eligible:
-            eligible = list(nodes)
-        return min(
-            eligible,
+        ordered = _by_hostname(nodes)
+        eligible = [n for n in ordered if n.has_gpus] if wants_gpu else ordered
+        return min(  # ties: first in hostname order
+            eligible or ordered,
             key=lambda n: (
                 node_load(n).gpu_processes,
                 n.resources.cpu_slots - n.cpu_slots_free,
-                n.hostname,
             ),
         )
 
@@ -356,25 +168,15 @@ class ClusterDispatcher:
         all must share a single virtual clock (the cluster's timebase).
     policy:
         Node-selection policy name or instance.
-    max_inflight_per_node:
-        Optional per-node depth limit for :meth:`launch_overlapped`.
-        When every eligible node is at its limit the dispatcher raises
-        :class:`~repro.resilience.shedding.RejectedBusy` instead of
-        piling more work onto saturated nodes — cluster-level
-        backpressure.  ``None`` (the default) keeps the historical
-        unbounded behaviour.
     """
 
     def __init__(
         self,
         deployments: list[Any],
         policy: str | NodeSelectionPolicy = "first-available-gpu",
-        max_inflight_per_node: int | None = None,
     ) -> None:
         if not deployments:
             raise ValueError("a cluster needs at least one node deployment")
-        if max_inflight_per_node is not None and max_inflight_per_node < 1:
-            raise ValueError("max_inflight_per_node must be >= 1 when set")
         clocks = {id(d.clock) for d in deployments}
         if len(clocks) != 1:
             raise ValueError("all node deployments must share one clock")
@@ -390,13 +192,6 @@ class ClusterDispatcher:
                     f"unknown policy {policy!r}; expected one of {sorted(POLICIES)}"
                 ) from None
         self.policy = policy
-        #: Shared load index over the (static) node set; policies use it
-        #: for O(log n) indexed selection instead of per-call scans.
-        self.load_index = NodeLoadIndex([d.node for d in deployments])
-        self.policy.attach_index(self.load_index)
-        self.max_inflight_per_node = max_inflight_per_node
-        self._inflight: dict[str, int] = {name: 0 for name in sorted(names)}
-        self.peak_inflight: dict[str, int] = dict(self._inflight)
         self.history: list[DispatchRecord] = []
 
     # ------------------------------------------------------------------ #
@@ -412,7 +207,7 @@ class ClusterDispatcher:
 
     def loads(self) -> list[NodeLoad]:
         """Current load of every node (by hostname order)."""
-        return [node_load(n) for n in sorted(self.nodes, key=lambda n: n.hostname)]
+        return [node_load(n) for n in _by_hostname(self.nodes)]
 
     def _wants_gpu(self, deployment: Any, tool_id: str) -> bool:
         return deployment.app.tool(tool_id).requires_gpu
@@ -440,64 +235,20 @@ class ClusterDispatcher:
         )
         return job
 
-    def inflight(self, hostname: str) -> int:
-        """Overlapped launches on one node not yet finished."""
-        return self._inflight.get(hostname, 0)
-
-    def _admit_node(self, preferred: Any) -> Any:
-        """Enforce the per-node inflight bound, degrading to another node.
-
-        The policy-selected node is tried first; when it is full, the
-        least-loaded node with room (hostname-ordered tie-break) takes
-        the job instead — depth limits redirect load before refusing it.
-        Raises :class:`RejectedBusy` only when the whole cluster is full.
-        """
-        limit = self.max_inflight_per_node
-        if limit is None:
-            return preferred
-        preferred_name = preferred.node.hostname
-        if self._inflight[preferred_name] < limit:
-            return preferred
-        open_nodes = [
-            name
-            for name in sorted(self.deployments)
-            if self._inflight[name] < limit
-        ]
-        if not open_nodes:
-            raise RejectedBusy(
-                "cluster",
-                ShedReason.QUEUE_FULL,
-                depth=self._inflight[preferred_name],
-                limit=limit,
-            )
-        best = min(open_nodes, key=lambda name: (self._inflight[name], name))
-        return self.deployments[best]
-
     def launch_overlapped(self, tool_id: str, params: Mapping[str, Any] | None = None):
         """Route and *launch* a tool, leaving it running (for tests that
-        need cluster-wide contention); returns (deployment, runner, handle).
-
-        With ``max_inflight_per_node`` set, a full node redirects the
-        launch to a node with room and a fully saturated cluster raises
-        :class:`RejectedBusy`; call :meth:`finish_overlapped` to release
-        the slot.
-        """
-        deployment = self._admit_node(self.select_node(tool_id))
+        need cluster-wide contention); returns (deployment, runner, handle)."""
+        deployment = self.select_node(tool_id)
         job_params = dict(params or {})
         job_params.setdefault("workload", "unit")
         job = deployment.app.submit(tool_id, job_params)
         destination = deployment.app.map_destination(job)
         runner = deployment.app.runner_for(destination)
         handle = runner.launch(job, destination)
-        hostname = deployment.node.hostname
-        self._inflight[hostname] += 1
-        self.peak_inflight[hostname] = max(
-            self.peak_inflight[hostname], self._inflight[hostname]
-        )
         self.history.append(
             DispatchRecord(
                 tool_id=tool_id,
-                hostname=hostname,
+                hostname=deployment.node.hostname,
                 wants_gpu=self._wants_gpu(deployment, tool_id),
                 job_id=job.job_id,
             )
@@ -505,11 +256,8 @@ class ClusterDispatcher:
         return deployment, runner, handle
 
     def finish_overlapped(self, deployment: Any, runner: Any, handle: Any):
-        """Finish an overlapped launch and release its node slot."""
-        job = runner.finish(handle)
-        hostname = deployment.node.hostname
-        self._inflight[hostname] = max(0, self._inflight[hostname] - 1)
-        return job
+        """Finish an overlapped launch; returns the finished job."""
+        return runner.finish(handle)
 
 
 def build_cluster(

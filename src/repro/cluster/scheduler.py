@@ -1,4 +1,4 @@
-"""A FIFO cluster scheduler with CPU-slot accounting and overload limits.
+"""A FIFO cluster scheduler with CPU-slot accounting.
 
 Galaxy can hand jobs to an external scheduler (Slurm, HTCondor) or run
 them locally; GYAN's evaluation uses the local path, but the destination
@@ -7,20 +7,11 @@ runners a realistic admission layer: jobs queue FIFO per node, start when
 their CPU-slot request fits, and release slots on completion.  Time is
 virtual — callers drive progress through :meth:`ClusterScheduler.pump`.
 
-The overload layer (``repro.resilience``) adds three protections, all
-off by default so the stock scheduler keeps its unbounded-FIFO
-semantics:
-
-* ``max_queue_depth`` — :meth:`submit` raises
-  :class:`~repro.resilience.shedding.RejectedBusy` instead of growing
-  the queue without bound;
-* per-job ``deadline`` — queued jobs whose virtual-clock deadline has
-  passed are *shed* (state :data:`JobState.SHED`, typed reason) at the
-  next pump instead of running stale work;
-* per-job ``runtime_budget_s`` — a job whose body overran its budget is
-  *killed* (state :data:`JobState.KILLED`) and, when the scheduler
-  carries a :class:`~repro.core.retry.BackoffPolicy`, requeued with the
-  policy's (possibly jittered) delay until its attempt budget runs out.
+The queue is unbounded and nothing is shed: overload protection (bounded
+queues, deadlines, runtime budgets) lives in
+:class:`~repro.resilience.overload.OverloadController` on the object
+path and in :class:`~repro.cluster.fleet.FleetSimulator` on the columnar
+one.
 """
 
 from __future__ import annotations
@@ -31,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.node import ComputeNode
-from repro.core.retry import BackoffPolicy
-from repro.observability.tracing import NULL_TRACER
-from repro.resilience.shedding import RejectedBusy, ShedReason
 
 
 class JobState(str, enum.Enum):
@@ -43,16 +31,6 @@ class JobState(str, enum.Enum):
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-    #: Refused before running, with a typed ``shed_reason``.
-    SHED = "shed"
-    #: Ran past its runtime budget and was terminated.
-    KILLED = "killed"
-
-
-#: States from which a job can never leave the scheduler again.
-TERMINAL_STATES = frozenset(
-    {JobState.DONE, JobState.FAILED, JobState.SHED, JobState.KILLED}
-)
 
 
 @dataclass(frozen=True)
@@ -85,18 +63,7 @@ class ScheduledJob:
     submit_time: float = 0.0
     start_time: float | None = None
     end_time: float | None = None
-    #: Absolute virtual-clock deadline; expired queued jobs are shed.
-    deadline: float | None = None
-    #: Kill threshold for the body's virtual runtime.
-    runtime_budget_s: float | None = None
-    #: Why the scheduler refused this job (set iff state is SHED).
-    shed_reason: ShedReason | None = None
-    #: 1-based execution attempt (grows on runtime-budget requeues).
-    attempt: int = 1
-    #: Earliest virtual time this job may start (backoff requeues).
-    not_before: float = 0.0
     _cpu_token: int | None = field(default=None, repr=False)
-    _queue_span: object = field(default=None, repr=False)
 
 
 class ClusterScheduler:
@@ -107,44 +74,11 @@ class ClusterScheduler:
     backfilling) — matching Galaxy's default local-runner worker queue.
     """
 
-    def __init__(
-        self,
-        node: ComputeNode,
-        tracer=None,
-        max_queue_depth: int | None = None,
-        retry_policy: BackoffPolicy | None = None,
-        metrics=None,
-    ) -> None:
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 when set")
+    def __init__(self, node: ComputeNode) -> None:
         self.node = node
-        #: Optional job tracer; scheduler spans carry no Galaxy job id
-        #: (scheduler ids are a different namespace) and land on the
-        #: deployment track, named after the scheduled unit.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.max_queue_depth = max_queue_depth
-        self.retry_policy = retry_policy
         self._queue: list[ScheduledJob] = []
         self._jobs: dict[int, ScheduledJob] = {}
         self._ids = itertools.count(1)
-        #: Jobs refused by depth/deadline protection, in shed order.
-        self.shed_jobs: list[ScheduledJob] = []
-        self.peak_queue_depth = 0
-        self._c_shed = self._c_kills = self._g_depth = None
-        if metrics is not None:
-            self._c_shed = metrics.counter(
-                "gyan_overload_shed_total",
-                "Jobs refused or dropped by the overload layer, by typed reason.",
-                labels=("reason",),
-            )
-            self._c_kills = metrics.counter(
-                "gyan_overload_runtime_kills_total",
-                "Running jobs killed past their destination runtime budget.",
-            )
-            self._g_depth = metrics.gauge(
-                "gyan_overload_queue_depth",
-                "Jobs waiting in the scheduler queue.",
-            )
 
     # ------------------------------------------------------------------ #
     def submit(
@@ -152,47 +86,17 @@ class ClusterScheduler:
         name: str,
         body: Callable[[], object],
         request: SlotRequest | None = None,
-        deadline: float | None = None,
-        runtime_budget_s: float | None = None,
     ) -> ScheduledJob:
-        """Queue a job; it will run on a later :meth:`pump`.
-
-        Raises
-        ------
-        RejectedBusy
-            When ``max_queue_depth`` is set and the queue is full — the
-            bounded-queue backpressure signal.  The caller decides what
-            to do (degrade route, hold, shed); the scheduler never grows
-            past its bound.
-        """
-        depth = len(self._queue)
-        if self.max_queue_depth is not None and depth >= self.max_queue_depth:
-            raise RejectedBusy(
-                f"{self.node.hostname}/queue",
-                ShedReason.QUEUE_FULL,
-                depth=depth,
-                limit=self.max_queue_depth,
-            )
+        """Queue a job; it will run on a later :meth:`pump`."""
         job = ScheduledJob(
             job_id=next(self._ids),
             name=name,
             request=request or SlotRequest(),
             body=body,
             submit_time=self.node.clock.now,
-            deadline=deadline,
-            runtime_budget_s=runtime_budget_s,
         )
         self._queue.append(job)
         self._jobs[job.job_id] = job
-        self._note_depth()
-        if self.tracer.enabled:
-            job._queue_span = self.tracer.begin(
-                "sched.queue",
-                "scheduler",
-                unit=name,
-                sched_id=job.job_id,
-                cpu_slots=job.request.cpu_slots,
-            )
         return job
 
     def job(self, job_id: int) -> ScheduledJob:
@@ -203,91 +107,30 @@ class ClusterScheduler:
         """Jobs still waiting for admission, FIFO order."""
         return [j for j in self._queue if j.state is JobState.QUEUED]
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------ #
     def pump(self, max_jobs: int | None = None) -> list[ScheduledJob]:
         """Admit and run queued jobs head-first; returns jobs completed.
 
         Each admitted job runs to completion synchronously (its body
         advances the virtual clock).  Admission stops at the first job
-        whose CPU request does not fit, whose backoff hold
-        (``not_before``) has not elapsed, or after ``max_jobs``.  Queued
-        jobs past their deadline are shed first and never run.
+        whose CPU request does not fit, or after ``max_jobs``.
         """
-        self._shed_expired()
         completed: list[ScheduledJob] = []
         while self._queue:
             if max_jobs is not None and len(completed) >= max_jobs:
                 break
             head = self._queue[0]
-            if head.deadline is not None and self.node.clock.now > head.deadline:
-                self._queue.pop(0)
-                self._shed(head, ShedReason.DEADLINE_EXPIRED)
-                continue
-            if head.not_before > self.node.clock.now:
-                break
             if head.request.cpu_slots > self.node.cpu_slots_free:
                 break
             self._queue.pop(0)
-            self._note_depth()
             self._run(head)
-            if head.state in TERMINAL_STATES:
-                completed.append(head)
+            completed.append(head)
         return completed
-
-    def _shed_expired(self) -> None:
-        """Drop every queued job whose deadline already passed (typed)."""
-        now = self.node.clock.now
-        keep: list[ScheduledJob] = []
-        for job in self._queue:
-            if job.deadline is not None and now > job.deadline:
-                self._shed(job, ShedReason.DEADLINE_EXPIRED)
-            else:
-                keep.append(job)
-        if len(keep) != len(self._queue):
-            self._queue = keep
-            self._note_depth()
-
-    def _shed(self, job: ScheduledJob, reason: ShedReason) -> None:
-        job.state = JobState.SHED
-        job.shed_reason = reason
-        job.end_time = self.node.clock.now
-        self.shed_jobs.append(job)
-        tracer = self.tracer
-        tracer.end(job._queue_span, state=JobState.SHED.value, reason=reason.value)
-        job._queue_span = None
-        if tracer.enabled:
-            tracer.instant(
-                "sched.shed",
-                "scheduler",
-                unit=job.name,
-                sched_id=job.job_id,
-                reason=reason.value,
-            )
-        if self._c_shed is not None:
-            self._c_shed.labels(reason=reason.value).inc()
 
     def _run(self, job: ScheduledJob) -> None:
         job._cpu_token = self.node.reserve_cpus(job.request.cpu_slots)
         job.state = JobState.RUNNING
         job.start_time = self.node.clock.now
-        tracer = self.tracer
-        tracer.end(job._queue_span)
-        job._queue_span = None
-        run_span = (
-            tracer.begin(
-                "sched.run",
-                "scheduler",
-                unit=job.name,
-                sched_id=job.job_id,
-                attempt=job.attempt,
-            )
-            if tracer.enabled
-            else None
-        )
         try:
             job.result = job.body()
             job.state = JobState.DONE
@@ -297,69 +140,11 @@ class ClusterScheduler:
         finally:
             job.end_time = self.node.clock.now
             # Exactly-once slot release: the token is cleared the moment
-            # it is returned, so no terminal path (DONE, FAILED, KILLED,
-            # requeue) can double-free — audit_slots() is the ground
-            # truth check.
+            # it is returned, so neither terminal path (DONE, FAILED) can
+            # double-free — audit_slots() is the ground truth check.
             if job._cpu_token is not None:
                 self.node.release_cpus(job._cpu_token)
                 job._cpu_token = None
-            self._enforce_runtime_budget(job)
-            tracer.end(run_span, state=job.state.value)
-        if job.state is JobState.KILLED:
-            self._maybe_requeue(job)
-
-    def _enforce_runtime_budget(self, job: ScheduledJob) -> None:
-        if job.runtime_budget_s is None or job.start_time is None:
-            return
-        elapsed = (job.end_time or job.start_time) - job.start_time
-        if elapsed <= job.runtime_budget_s:
-            return
-        job.state = JobState.KILLED
-        if job.error is None:
-            job.error = TimeoutError(
-                f"runtime budget exceeded: ran {elapsed:g}s, "
-                f"budget {job.runtime_budget_s:g}s"
-            )
-        if self._c_kills is not None:
-            self._c_kills.inc()
-
-    def _maybe_requeue(self, job: ScheduledJob) -> None:
-        """Retry a runtime-budget kill under the scheduler's backoff policy."""
-        policy = self.retry_policy
-        if policy is None or job.attempt >= policy.max_attempts:
-            return
-        delay = policy.delay_for(job.attempt)
-        job.attempt += 1
-        job.state = JobState.QUEUED
-        job.result = None
-        job.error = None
-        job.start_time = None
-        job.end_time = None
-        job.not_before = self.node.clock.now + delay
-        self._queue.append(job)
-        self._note_depth()
-        if self.tracer.enabled:
-            job._queue_span = self.tracer.begin(
-                "sched.queue",
-                "scheduler",
-                unit=job.name,
-                sched_id=job.job_id,
-                cpu_slots=job.request.cpu_slots,
-                attempt=job.attempt,
-            )
-            self.tracer.instant(
-                "sched.requeue",
-                "scheduler",
-                unit=job.name,
-                sched_id=job.job_id,
-                retry_delay_s=delay,
-            )
-
-    def _note_depth(self) -> None:
-        depth = len(self._queue)
-        self.peak_queue_depth = max(self.peak_queue_depth, depth)
-        if self._g_depth is not None:
-            self._g_depth.set(depth)
 
     # ------------------------------------------------------------------ #
     def audit_slots(self) -> int:
@@ -369,7 +154,7 @@ class ClusterScheduler:
         table (total minus the requests of RUNNING jobs) and verifies it
         against the node's semaphore, plus the invariant that only
         RUNNING jobs hold a reservation token.  Catches
-        double-release/leak bugs on the FAILED/KILLED paths.
+        double-release/leak bugs on the FAILED path.
         """
         running = [j for j in self._jobs.values() if j.state is JobState.RUNNING]
         expected_free = self.node.resources.cpu_slots - sum(

@@ -145,14 +145,6 @@ class GpuComputationMapper:
             "Mapping decisions by strategy and outcome",
             labels=("strategy", "outcome"),
         )
-        self._c_batches = self.metrics_registry.counter(
-            "gyan_mapper_batches_total",
-            "Same-instant bursts mapped through prepare_environment_batch",
-        )
-        self._c_batched_jobs = self.metrics_registry.counter(
-            "gyan_mapper_batched_jobs_total",
-            "Jobs mapped through the batched (one-probe) path",
-        )
         #: The job lifecycle tracer (NULL_TRACER = disabled, zero cost).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Whether the most recent usage probe was served from cache
@@ -406,190 +398,6 @@ class GpuComputationMapper:
                 ),
             )
         return env
-
-    @property
-    def batches_mapped(self) -> int:
-        """Bursts mapped through the batched path (diagnostics)."""
-        return int(self._c_batches.value)
-
-    @property
-    def batched_jobs_mapped(self) -> int:
-        """Jobs mapped through the batched path (diagnostics)."""
-        return int(self._c_batched_jobs.value)
-
-    @hot_path
-    def prepare_environment_batch(
-        self, jobs: list[GalaxyJob]
-    ) -> list[dict[str, str]]:
-        """Pseudocode 2 over a same-instant burst, amortised.
-
-        Semantically equivalent to calling :meth:`prepare_environment`
-        on each job in order (same env entries, same history records,
-        same decision accounting), but the fleet-scale costs are paid
-        once per *batch* instead of once per job:
-
-        * one ``gpu_count`` + one usage snapshot for the whole burst —
-          a burst of thousands costs one device probe, not N probes
-          (or N cache lookups);
-        * one strategy decision per *distinct requested-device set*
-          (the snapshot is immutable for the batch, so same request ⇒
-          same decision) — per-job admission checks still run, since
-          admission depends on per-job memory demands;
-        * one aggregate ``map.batch`` span instead of N ``map.env``
-          spans — at 1M jobs per-job spans are themselves a hot-path
-          cost, so fleet observability aggregates;
-        * bulk counter increments (one per outcome class).
-
-        On a degradable probe failure the *whole batch* of GPU-wanting
-        jobs degrades to the CPU arm (the per-job path re-probes per
-        job; the batch path's contract is one probe per burst).
-        """
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        tracer = self.tracer
-        span = (
-            tracer.begin("map.batch", "mapper", jobs=len(jobs))
-            if tracer.enabled
-            else None
-        )
-        self._c_batches.inc()
-        self._c_batched_jobs.inc(len(jobs))
-
-        strategy = self.strategy
-        history = self.history
-        envs: list[dict[str, str]] = []
-        outcomes = {"gpu": 0, "cpu": 0, "brownout": 0, "degraded": 0}
-
-        # Lazy one-shot probe state for the whole burst.
-        probed = False
-        probe_degraded = False
-        gpu_available = False
-        snapshot = None
-        brownout_memo: dict[str, bool] = {}
-        decision_memo: dict[tuple[str, ...], AllocationDecision | None] = {}
-
-        for job in jobs:
-            tool = job.tool
-            gpu_flag = tool.requires_gpu
-            gpu_id_to_query = tool.requested_gpu_ids
-
-            if gpu_flag and self.brownout is not None:
-                allowed = brownout_memo.get(tool.tool_id)
-                if allowed is None:
-                    allowed = self.brownout.allows_gpu(tool.tool_id)
-                    brownout_memo[tool.tool_id] = allowed
-                if not allowed:
-                    envs.append({GPU_ENABLED_ENV_VAR: "false"})
-                    outcomes["brownout"] += 1
-                    history.append(
-                        MappingRecord(
-                            job_id=job.job_id,
-                            tool_id=tool.tool_id,
-                            requested_ids=gpu_id_to_query,
-                            decision=None,
-                            gpu_enabled=False,
-                        )
-                    )
-                    continue
-
-            if gpu_flag and not probed:
-                probed = True
-                gpu_available = self.gpu_count() > 0
-                if gpu_available:
-                    assert self.host is not None
-                    try:
-                        # The `probed` flag above makes this a once-per-
-                        # batch probe, not a per-iteration one — the
-                        # amortisation this path exists for.
-                        snapshot = self._probe_snapshot()  # gyan: disable=PERF603
-                    except Exception as exc:
-                        if not (self.resilient and self._degradable(exc)):
-                            if span is not None:
-                                tracer.end(
-                                    span, outcome="error", error=repr(exc)
-                                )
-                            raise
-                        probe_degraded = True
-                    else:
-                        if self.health is not None:
-                            snapshot = self.health.filter_snapshot(
-                                snapshot, now=self.host.clock.now
-                            )
-
-            if gpu_flag and probe_degraded:
-                envs.append({GPU_ENABLED_ENV_VAR: "false"})
-                outcomes["degraded"] += 1
-                history.append(
-                    MappingRecord(
-                        job_id=job.job_id,
-                        tool_id=tool.tool_id,
-                        requested_ids=gpu_id_to_query,
-                        decision=None,
-                        gpu_enabled=False,
-                    )
-                )
-                continue
-
-            gpu_enabled = bool(gpu_flag and gpu_available)
-            env: dict[str, str] = {
-                GPU_ENABLED_ENV_VAR: "true" if gpu_enabled else "false"
-            }
-            decision: AllocationDecision | None = None
-            if gpu_enabled:
-                request_key = tuple(gpu_id_to_query)
-                if request_key in decision_memo:
-                    decision = decision_memo[request_key]
-                else:
-                    decision = strategy.select(gpu_id_to_query, snapshot)
-                    decision_memo[request_key] = decision
-                if (
-                    decision is not None
-                    and not decision.is_empty
-                    and self.admission is not None
-                ):
-                    admission = self.admission.check(job, decision, snapshot)
-                    decision = admission.decision if admission.admitted else None
-                if decision is None or decision.is_empty:
-                    env[GPU_ENABLED_ENV_VAR] = "false"
-                    gpu_enabled = False
-                else:
-                    env["CUDA_VISIBLE_DEVICES"] = decision.cuda_visible_devices
-            outcomes["gpu" if gpu_enabled else "cpu"] += 1
-            history.append(
-                MappingRecord(
-                    job_id=job.job_id,
-                    tool_id=tool.tool_id,
-                    requested_ids=gpu_id_to_query,
-                    decision=decision,
-                    gpu_enabled=gpu_enabled,
-                )
-            )
-            envs.append(env)
-
-        # Bulk accounting: one labelled increment per outcome class.
-        if outcomes["degraded"]:
-            self._c_degraded.inc(outcomes["degraded"])
-            self._c_decisions.labels(
-                strategy=strategy.name, outcome="degraded"
-            ).inc(outcomes["degraded"])
-        for outcome in ("brownout", "cpu", "gpu"):
-            if outcomes[outcome]:
-                self._c_decisions.labels(
-                    strategy=strategy.name, outcome=outcome
-                ).inc(outcomes[outcome])
-        if span is not None:
-            tracer.end(
-                span,
-                strategy=strategy.name,
-                jobs=len(jobs),
-                gpu=outcomes["gpu"],
-                cpu=outcomes["cpu"],
-                brownout=outcomes["brownout"],
-                degraded=outcomes["degraded"],
-                snapshot_cache_hit=self._last_probe_cached if probed else False,
-            )
-        return envs
 
     def last_decision(self) -> AllocationDecision | None:
         """The most recent allocation decision (None before any mapping)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.cluster.node import ComputeNode
 from repro.containers.docker import DockerRuntime
 from repro.containers.image import ImageRegistry
-from repro.containers.singularity import SingularityRuntime, SingularityVersion
+from repro.containers.singularity import SingularityRuntime
 from repro.core.allocation import AllocationStrategy, strategy_by_name
 from repro.core.container_gpu import docker_gpu_flag_provider, singularity_nv_provider
 from repro.core.destination_rules import register_gyan_rules
@@ -43,7 +43,7 @@ from repro.gpusim.faults import FaultInjector, InjectionPlan
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.brownout import BrownoutConfig, BrownoutController
+from repro.resilience.brownout import BrownoutController
 from repro.resilience.overload import OverloadController
 
 #: The GYAN job configuration — paper Code 2, extended with the concrete
@@ -298,7 +298,6 @@ def build_deployment(
     allocation_strategy: str = "pid",
     with_monitor: bool = True,
     nvidia_docker_installed: bool = True,
-    singularity_version: SingularityVersion = SingularityVersion(3, 1),
     job_conf_xml: str | None = None,
     resilient: bool = False,
     health_tracker: DeviceHealthTracker | None = None,
@@ -309,10 +308,13 @@ def build_deployment(
     tracer: Tracer | None = None,
     metrics_registry: MetricsRegistry | None = None,
     overload: bool = False,
-    brownout_config: BrownoutConfig | None = None,
     default_deadline_s: float | None = None,
 ) -> GyanDeployment:
     """Build the paper's deployment on the given (or default testbed) node.
+
+    Fixed rather than options: the Singularity runtime is 3.1 (the
+    release whose ``--nv`` bind-mode rejection GYAN works around) and the
+    overload layer's brownout ladder runs on its default thresholds.
 
     Parameters
     ----------
@@ -359,9 +361,6 @@ def build_deployment(
         circuit breakers in front of the NVML probe and every runner's
         launch path.  Defaults the job configuration to
         :data:`GYAN_OVERLOAD_JOB_CONF_XML`.
-    brownout_config:
-        Override the brownout ladder's thresholds (implies nothing on
-        its own; only read when ``overload`` is set).
     default_deadline_s:
         Deadline applied to jobs whose destination declares none (only
         read when ``overload`` is set).
@@ -399,9 +398,7 @@ def build_deployment(
     nvml_breaker: CircuitBreaker | None = None
     launch_breakers: dict[str, CircuitBreaker] = {}
     if overload:
-        brownout_controller = BrownoutController(
-            config=brownout_config or BrownoutConfig()
-        )
+        brownout_controller = BrownoutController()
         overload_controller = OverloadController(
             clock=node.clock,
             metrics=app.metrics_registry,
@@ -466,9 +463,7 @@ def build_deployment(
         clock=node.clock,
         nvidia_docker_installed=nvidia_docker_installed,
     )
-    singularity_runtime = SingularityRuntime(
-        registry=registry, clock=node.clock, version=singularity_version
-    )
+    singularity_runtime = SingularityRuntime(registry=registry, clock=node.clock)
     if node.gpu_host is not None:
         # Container launches consume injected failures from the same
         # fault plane as NVML / nvidia-smi, so one plan drives all three.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.scheduler import ClusterScheduler, JobState as DrmState, SlotRequest
+from repro.cluster.scheduler import ClusterScheduler, SlotRequest
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.errors import GalaxyError
 from repro.galaxy.job import GalaxyJob
@@ -118,13 +118,14 @@ class DrmJobRunner(BaseJobRunner):
         return drm_job
 
     def queue_job(self, job: GalaxyJob, destination: Destination) -> GalaxyJob:
-        """Submit and pump the scheduler until this job completes."""
-        drm_job = self.submit(job, destination)
+        """Submit the job and pump the scheduler once.
+
+        When admission blocks (the node is out of CPU slots) the job
+        stays queued with the DRM: the caller gets it back with its
+        Galaxy state still NEW, and a later ``scheduler.pump()`` runs it.
+        """
+        self.submit(job, destination)
         self.scheduler.pump()
-        if drm_job.state is DrmState.QUEUED:
-            # Admission blocked (node busy): the job stays queued, which
-            # callers observe via its Galaxy state remaining NEW.
-            return job
         return job
 
     def script_for(self, galaxy_job_id: int) -> str:

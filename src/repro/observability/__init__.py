@@ -38,7 +38,6 @@ from repro.observability.tracing import (
     CATEGORY_JOB,
     CATEGORY_MAPPER,
     CATEGORY_RUNNER,
-    CATEGORY_SCHEDULER,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -50,7 +49,6 @@ __all__ = [
     "CATEGORY_JOB",
     "CATEGORY_MAPPER",
     "CATEGORY_RUNNER",
-    "CATEGORY_SCHEDULER",
     "DEFAULT_BUCKETS",
     "MetricsError",
     "MetricsRegistry",

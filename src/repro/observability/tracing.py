@@ -27,11 +27,10 @@ from typing import Any
 CATEGORY_JOB = "job"
 CATEGORY_MAPPER = "mapper"
 CATEGORY_RUNNER = "runner"
-CATEGORY_SCHEDULER = "scheduler"
 
 
 class Span:
-    """One timed phase of a job (or scheduler) lifecycle.
+    """One timed phase of a job lifecycle.
 
     ``end`` is ``None`` while the span is open; the exporter closes
     leftover spans at export time (a crashed stock-mode run legitimately

@@ -1,9 +1,8 @@
 """Typed shed reasons and the overload-rejection exception.
 
 Everything the overload layer refuses to run carries one of these
-reasons, end to end: the scheduler stamps it on shed
-:class:`~repro.cluster.scheduler.ScheduledJob` entries, the Galaxy app
-writes it into ``job.metrics.shed_reason``, the storm driver buckets its
+reasons, end to end: the Galaxy app writes it into
+``job.metrics.shed_reason``, the storm driver buckets its
 summary by it, and the ``gyan_overload_shed_total{reason=...}`` counter
 is labelled with it.  A shed job is *not* a lost job — loss means the
 system accepted work and then dropped it silently; shedding is an

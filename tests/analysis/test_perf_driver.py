@@ -48,7 +48,10 @@ class TestRunPerf:
     def test_shipped_sources_clean_at_error(self):
         report = _run(
             [REPO_ROOT / "src"],
-            profiles=(str(REPO_ROOT / "BENCH_sim_core.json"),),
+            profiles=(
+                str(REPO_ROOT / "BENCH_sim_core.json"),
+                str(REPO_ROOT / "BENCH_fleet_core.json"),
+            ),
         )
         assert report.errors == []
         assert report.unresolved_seeds == []
@@ -89,6 +92,16 @@ class TestRunPerf:
         )
         assert report.unresolved_seeds
         assert "unresolved profile entry points" in report.render_text()
+
+    def test_profile_naming_an_unknown_scenario_surfaces(self, tmp_path):
+        # A committed BENCH_*.json that outlived a scenario must not
+        # silently cool the paths that scenario used to seed.
+        stale = tmp_path / "BENCH_stale.json"
+        stale.write_text(json.dumps({"scenarios": [{"name": "long-gone"}]}))
+        report = _run([PERF_BAD], profiles=(str(stale),))
+        assert report.unresolved_seeds == [
+            "bench:long-gone:<unknown scenario>"
+        ]
 
 
 class TestGoldenJson:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.multinode import (
+    POLICIES,
     ClusterDispatcher,
     FirstAvailableGpuPolicy,
     LeastLoadedPolicy,
@@ -144,136 +145,56 @@ class TestNodeLoad:
         assert load.gpu_total == 0 and load.cpu_free == 48
 
 
-class TestNodeLoadIndex:
-    def test_dispatcher_attaches_shared_index(self, cluster):
-        assert cluster.load_index is not None
-        assert cluster.policy._index is cluster.load_index
-
-    def test_least_loaded_select_does_not_rescan_fleet(self):
-        """The O(log n) regression guard: repeated selects on an idle
-        cluster must not recompute node_load per call.  The historical
-        scan evaluated every node's load vector on every select; the
-        indexed path only re-evaluates a node when its state version
-        actually changed."""
-        cluster = build_cluster(gpu_nodes=3, cpu_nodes=1, policy="least-loaded")
-        index = cluster.load_index
-        baseline = index.load_evaluations  # initial heap build
-        for _ in range(50):
-            cluster.policy.select(cluster.nodes, wants_gpu=True)
-            cluster.policy.select(cluster.nodes, wants_gpu=False)
-        # Zero state changes happened, so zero re-evaluations: the old
-        # full-scan behaviour would have cost 100 x nodes evaluations.
-        assert index.load_evaluations == baseline
-
-    def test_index_reevaluates_only_changed_nodes(self):
-        cluster = build_cluster(gpu_nodes=2, cpu_nodes=0, policy="least-loaded")
-        index = cluster.load_index
-        cluster.policy.select(cluster.nodes, wants_gpu=True)
-        baseline = index.load_evaluations
-        handle = cluster.launch_overlapped("racon")  # mutates one node
-        after_launch = index.load_evaluations
-        cluster.policy.select(cluster.nodes, wants_gpu=True)
-        # At most a couple of evaluations (the changed node, per heap),
-        # never a whole-fleet rescan.
-        assert index.load_evaluations - baseline <= 4
-        cluster.finish_overlapped(*handle)
-
-    def test_indexed_least_loaded_matches_scan(self):
-        """Indexed selection must agree with the historical full scan."""
-        cluster = build_cluster(gpu_nodes=3, cpu_nodes=0, policy="least-loaded")
-        handles = [cluster.launch_overlapped("racon") for _ in range(2)]
-        indexed = cluster.policy.select(cluster.nodes, wants_gpu=True)
-        detached = LeastLoadedPolicy()  # no index: full scan
-        scanned = detached.select(cluster.nodes, wants_gpu=True)
-        assert indexed.hostname == scanned.hostname
-        for handle in handles:
-            cluster.finish_overlapped(*handle)
-
-    def test_round_robin_uses_prebuilt_eligibility(self):
-        cluster = build_cluster(gpu_nodes=2, cpu_nodes=1, policy="round-robin")
-        index = cluster.load_index
-        baseline = index.load_evaluations
-        seen = {
-            cluster.policy.select(cluster.nodes, wants_gpu=True).hostname
-            for _ in range(4)
-        }
-        assert seen == {"gpu-node-0", "gpu-node-1"}
-        assert index.load_evaluations == baseline
-
-
 class TestNodeDeparture:
-    """Regression: a node leaving mid-window (scale-in drain or
-    quarantine) used to leave stale heap entries that ``best()`` could
-    hand back — selection must lazily discard them instead."""
+    """``nodes`` is each call's whole membership: a node that left the
+    cluster (scale-in drain, quarantine) is simply not passed, and every
+    policy answers from the survivors alone."""
 
     def test_departed_node_never_selected(self):
         cluster = build_cluster(gpu_nodes=3, cpu_nodes=0,
                                 policy="least-loaded")
-        index = cluster.load_index
-        # Load the other two nodes so gpu-node-0 is the heap head…
+        # Load the other two nodes so gpu-node-2 is the least loaded…
         busy = [cluster.launch_overlapped("racon") for _ in range(2)]
         assert cluster.policy.select(
             cluster.nodes, wants_gpu=True
         ).hostname == "gpu-node-2"
-        # …then retire the *least*-loaded node mid-window.
-        index.remove("gpu-node-2")
+        # …then retire exactly that node mid-window.
         survivors = [n for n in cluster.nodes
                      if n.hostname != "gpu-node-2"]
-        for _ in range(5):
-            chosen = cluster.policy.select(survivors, wants_gpu=True)
-            assert chosen.hostname != "gpu-node-2"
+        for name in sorted(POLICIES):
+            policy = POLICIES[name]()
+            for _ in range(5):
+                chosen = policy.select(survivors, wants_gpu=True)
+                assert chosen.hostname != "gpu-node-2"
         for handle in busy:
             cluster.finish_overlapped(*handle)
 
-    def test_drain_during_burst_storm(self):
-        """The pool-drain scenario: a burst keeps every node loaded,
-        one node drains mid-burst, selection keeps serving from the
-        survivors without ever dereferencing the departed node."""
-        cluster = build_cluster(gpu_nodes=3, cpu_nodes=1,
-                                policy="least-loaded")
-        index = cluster.load_index
-        burst = [cluster.launch_overlapped("racon") for _ in range(3)]
-        index.remove("gpu-node-1")
-        survivors = [n for n in cluster.nodes
-                     if n.hostname != "gpu-node-1"]
-        seen = {
-            cluster.policy.select(survivors, wants_gpu=True).hostname
-            for _ in range(6)
-        }
-        assert seen and "gpu-node-1" not in seen
-        assert all(name != "gpu-node-1" for name in seen)
-        for handle in burst:
-            cluster.finish_overlapped(*handle)
-
-    def test_gpu_heap_empty_falls_back_to_all_nodes(self):
-        cluster = build_cluster(gpu_nodes=1, cpu_nodes=1,
-                                policy="least-loaded")
-        index = cluster.load_index
-        index.remove("gpu-node-0")
-        chosen = index.best(wants_gpu=True)
-        assert chosen.hostname == "cpu-node-0"
-
-    def test_empty_index_raises_lookup_error(self):
-        cluster = build_cluster(gpu_nodes=1, cpu_nodes=1,
-                                policy="least-loaded")
-        index = cluster.load_index
-        index.remove("gpu-node-0")
-        index.remove("cpu-node-0")
-        with pytest.raises(LookupError):
-            index.best(wants_gpu=False)
+    def test_no_gpu_node_left_falls_back_to_all_nodes(self):
+        cluster = build_cluster(gpu_nodes=1, cpu_nodes=1)
+        survivors = [n for n in cluster.nodes if not n.has_gpus]
+        for name in sorted(POLICIES):
+            chosen = POLICIES[name]().select(survivors, wants_gpu=True)
+            assert chosen.hostname == "cpu-node-0"
 
     def test_readmitted_node_selected_again(self):
-        """A node added mid-run (commissioned by the autoscaler) joins
+        """A node passed again (commissioned by an autoscaler) joins
         selection immediately."""
         cluster = build_cluster(gpu_nodes=2, cpu_nodes=0,
                                 policy="least-loaded")
-        index = cluster.load_index
-        departed = next(
-            n for n in cluster.nodes if n.hostname == "gpu-node-1"
-        )
-        index.remove("gpu-node-1")
+        survivors = [n for n in cluster.nodes
+                     if n.hostname != "gpu-node-1"]
         busy = cluster.launch_overlapped("racon")  # loads gpu-node-0
-        index.add(departed)
-        assert index.best(wants_gpu=True).hostname == "gpu-node-1"
-        assert departed in index.gpu_nodes
+        assert cluster.policy.select(
+            survivors, wants_gpu=True
+        ).hostname == "gpu-node-0"
+        assert cluster.policy.select(
+            cluster.nodes, wants_gpu=True
+        ).hostname == "gpu-node-1"
         cluster.finish_overlapped(*busy)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("wants_gpu", [True, False])
+def test_empty_nodes_raise_lookup_error(policy, wants_gpu):
+    with pytest.raises(LookupError, match="no nodes available"):
+        POLICIES[policy]().select([], wants_gpu)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.cluster.node import ComputeNode
 from repro.cluster.scheduler import ClusterScheduler, JobState, SlotRequest
-from repro.core.retry import BackoffPolicy
-from repro.resilience.shedding import RejectedBusy, ShedReason
 
 
 @pytest.fixture
@@ -88,130 +86,21 @@ class TestSubmitAndPump:
         assert scheduler.job(job.job_id) is job
 
 
-class TestBoundedQueue:
-    def test_submit_past_depth_limit_raises_rejected_busy(self, node):
-        scheduler = ClusterScheduler(node, max_queue_depth=2)
-        scheduler.submit("a", lambda: None)
-        scheduler.submit("b", lambda: None)
-        with pytest.raises(RejectedBusy) as exc_info:
-            scheduler.submit("c", lambda: None)
-        assert exc_info.value.reason is ShedReason.QUEUE_FULL
-        assert exc_info.value.limit == 2
-
-    def test_pump_frees_the_bound(self, node):
-        scheduler = ClusterScheduler(node, max_queue_depth=1)
-        scheduler.submit("a", lambda: None)
-        scheduler.pump()
-        scheduler.submit("b", lambda: None)  # no raise: queue drained
-        assert scheduler.peak_queue_depth == 1
-
-    def test_invalid_depth_rejected(self, node):
-        with pytest.raises(ValueError):
-            ClusterScheduler(node, max_queue_depth=0)
-
-
-class TestDeadlines:
-    def test_expired_queued_jobs_are_shed_not_run(self, scheduler, node):
-        ran = []
-        fresh = scheduler.submit("fresh", lambda: ran.append("fresh"))
-        stale = scheduler.submit(
-            "stale", lambda: ran.append("stale"), deadline=5.0
-        )
-        node.clock.advance(6.0)
-        scheduler.pump()
-        assert ran == ["fresh"]
-        assert fresh.state is JobState.DONE
-        assert stale.state is JobState.SHED
-        assert stale.shed_reason is ShedReason.DEADLINE_EXPIRED
-        assert scheduler.shed_jobs == [stale]
-
-    def test_deadline_not_yet_expired_runs(self, scheduler, node):
-        job = scheduler.submit("timely", lambda: "ok", deadline=5.0)
-        node.clock.advance(5.0)  # exactly at the deadline is still fine
-        scheduler.pump()
-        assert job.state is JobState.DONE
-
-
-class TestRuntimeBudget:
-    def test_overrunning_job_is_killed(self, scheduler, node):
-        job = scheduler.submit(
-            "hog", lambda: node.clock.advance(10.0), runtime_budget_s=3.0
-        )
-        scheduler.pump()
-        assert job.state is JobState.KILLED
-        assert isinstance(job.error, TimeoutError)
-
-    def test_within_budget_is_done(self, scheduler, node):
-        job = scheduler.submit(
-            "ok", lambda: node.clock.advance(2.0), runtime_budget_s=3.0
-        )
-        scheduler.pump()
-        assert job.state is JobState.DONE
-
-    def test_kill_requeues_under_backoff_policy(self, node):
-        scheduler = ClusterScheduler(
-            node, retry_policy=BackoffPolicy(max_attempts=2, base_delay_s=1.0)
-        )
-        attempts = []
-
-        def body():
-            attempts.append(node.clock.now)
-            # Overrun on the first attempt only.
-            node.clock.advance(10.0 if len(attempts) == 1 else 1.0)
-
-        job = scheduler.submit("flaky", body, runtime_budget_s=3.0)
-        scheduler.pump()
-        assert job.state is JobState.QUEUED
-        assert job.attempt == 2
-        assert job.not_before == pytest.approx(10.0 + 1.0)
-        scheduler.pump()            # backoff hold not yet elapsed
-        assert job.state is JobState.QUEUED
-        node.clock.advance(1.0)
-        scheduler.pump()
-        assert job.state is JobState.DONE
-        assert len(attempts) == 2
-
-    def test_attempt_budget_exhausts_to_killed(self, node):
-        scheduler = ClusterScheduler(
-            node, retry_policy=BackoffPolicy(max_attempts=2, base_delay_s=1.0)
-        )
-        job = scheduler.submit(
-            "hopeless", lambda: node.clock.advance(10.0), runtime_budget_s=3.0
-        )
-        scheduler.pump()
-        node.clock.advance(11.0)
-        scheduler.pump()
-        assert job.state is JobState.KILLED
-        assert job.attempt == 2
-
-
 class TestSlotAudit:
-    """Regression: FAILED/KILLED paths must neither leak nor double-free."""
+    """Regression: the FAILED path must neither leak nor double-free."""
 
-    def test_audit_clean_after_mixed_outcomes(self, node):
-        scheduler = ClusterScheduler(
-            node, retry_policy=BackoffPolicy(max_attempts=2, base_delay_s=0.5)
-        )
-
+    def test_audit_clean_after_mixed_outcomes(self, scheduler, node):
         def crash():
             raise RuntimeError("tool crashed mid-run")
 
         scheduler.submit("ok", lambda: None, SlotRequest(cpu_slots=2))
         scheduler.submit("crash", crash, SlotRequest(cpu_slots=3))
-        scheduler.submit(
-            "hog",
-            lambda: node.clock.advance(9.0),
-            SlotRequest(cpu_slots=1),
-            runtime_budget_s=2.0,
-        )
-        scheduler.submit("late", lambda: None, deadline=0.5)
         for _ in range(6):
             scheduler.pump()
             assert scheduler.audit_slots() == node.cpu_slots_free
             node.clock.advance(5.0)
         stats = scheduler.stats()
         assert stats["done"] == 1 and stats["failed"] == 1
-        assert stats["shed"] == 1 and stats["killed"] == 1
         assert scheduler.audit_slots() == node.resources.cpu_slots
 
     def test_audit_detects_a_leaked_reservation(self, scheduler, node):
