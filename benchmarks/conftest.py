@@ -62,7 +62,7 @@ def report(request) -> ExperimentReport:
 @pytest.fixture
 def fresh_deployment():
     """Factory for fully wired GYAN deployments with the paper tools."""
-    from repro.core import build_deployment
+    from repro.core.orchestrator import build_deployment
     from repro.tools.executors import register_paper_tools
 
     def make(**kwargs):
@@ -77,7 +77,7 @@ def fresh_deployment():
 def cpu_deployment_factory():
     """Factory for CPU-only deployments (the paper's CPU baselines)."""
     from repro.cluster.node import ComputeNode
-    from repro.core import build_deployment
+    from repro.core.orchestrator import build_deployment
     from repro.tools.executors import register_paper_tools
 
     def make():

@@ -8,7 +8,7 @@ This ablation measures both paths on a burst of mixed-footprint jobs.
 """
 
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.core.admission import GpuMemoryAdmissionController
 from repro.galaxy.app import ToolExecutionResult
 from repro.galaxy.job import JobState

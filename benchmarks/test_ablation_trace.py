@@ -17,7 +17,7 @@ context switching" describes.
 """
 
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.tools.executors import register_paper_tools
 from repro.workloads.traces import TraceReplayer, generate_trace
 

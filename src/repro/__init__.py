@@ -19,9 +19,28 @@ Quick start::
     print(job.state, job.metrics.runtime_seconds, job.environment)
 """
 
-from repro.core.orchestrator import GyanDeployment, build_deployment
-from repro.tools.executors import register_paper_tools
+from importlib import import_module
 
 __version__ = "1.0.0"
 
 __all__ = ["GyanDeployment", "build_deployment", "register_paper_tools", "__version__"]
+
+#: The quick-start names and the modules that define them, resolved on
+#: access (PEP 562): ``import repro`` itself loads no sub-module.  This
+#: is the only lazy table in the tree — everything else is imported from
+#: its defining module.
+_DEFINED_IN = {
+    "GyanDeployment": "repro.core.orchestrator",
+    "build_deployment": "repro.core.orchestrator",
+    "register_paper_tools": "repro.tools.executors",
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_DEFINED_IN[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFINED_IN})

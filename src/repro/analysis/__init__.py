@@ -31,42 +31,3 @@ This package catches those mistakes *before* anything runs:
     replayable counterexamples) — what ``python -m repro verify``
     calls.
 """
-
-from repro.analysis.findings import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    Finding,
-    Severity,
-    worst_severity,
-)
-from repro.analysis.linter import LintOptions, LintReport, lint_paths
-from repro.analysis.rules import REGISTRY, LintRule, RuleRegistry
-from repro.analysis.sanitizer import SanitizerError, SimSanitizer
-from repro.analysis.verifier import (
-    Scope,
-    VerifyOptions,
-    VerifyReport,
-    verify_paths,
-)
-
-__all__ = [
-    "Scope",
-    "VerifyOptions",
-    "VerifyReport",
-    "verify_paths",
-    "Finding",
-    "Severity",
-    "worst_severity",
-    "LintRule",
-    "RuleRegistry",
-    "REGISTRY",
-    "LintOptions",
-    "LintReport",
-    "lint_paths",
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_USAGE",
-    "SimSanitizer",
-    "SanitizerError",
-]

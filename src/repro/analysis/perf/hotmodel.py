@@ -7,7 +7,7 @@ Hotness is seeded two ways and propagated with a deterministic BFS:
   ``anno:<qname>``.
 * **Profile** — a ``gyan.bench/v1`` report (``BENCH_sim_core.json``)
   names the scenarios that actually ran; the scenario→entry-point
-  manifest published by :func:`repro.benchmarking.scenario_entry_points`
+  manifest published by :func:`repro.benchmarking.scenarios.scenario_entry_points`
   maps each to the functions its timed ``run`` drives.  Each resolvable
   entry point seeds hotness labelled ``bench:<scenario>``.  This closes
   the loop the ISSUE calls profile-guided: what the bench observed as a
@@ -75,14 +75,15 @@ def profile_seeds(profile_path: str | Path) -> list[tuple[str, str]]:
     """``(seed_label, entry_point_qname)`` pairs from a bench profile.
 
     The scenario→entry-point manifest lives next to the scenarios
-    themselves (:func:`repro.benchmarking.scenario_entry_points`) so it
+    themselves
+    (:func:`repro.benchmarking.scenarios.scenario_entry_points`) so it
     cannot drift from what ``python -m repro bench`` actually times.  A
     profile naming a scenario the manifest no longer has yields the
     placeholder entry ``<unknown scenario>``, which resolves to nothing
     and so lands in ``unresolved_seeds`` (``bench:<name>:<unknown
     scenario>``) instead of cooling its paths without a word.
     """
-    from repro.benchmarking import scenario_entry_points
+    from repro.benchmarking.scenarios import scenario_entry_points
 
     manifest = scenario_entry_points()
     pairs: list[tuple[str, str]] = []

@@ -12,17 +12,3 @@ carrying the minimal tie-flip schedule.
 
 See ``docs/determinism.md`` for the full story.
 """
-
-from repro.analysis.race.clock_shim import PermutingClock, Schedule, TieRecord
-from repro.analysis.race.det_rules import analyze_det_text
-from repro.analysis.race.driver import RaceOptions, RaceReport, run_race
-
-__all__ = [
-    "PermutingClock",
-    "RaceOptions",
-    "RaceReport",
-    "Schedule",
-    "TieRecord",
-    "analyze_det_text",
-    "run_race",
-]

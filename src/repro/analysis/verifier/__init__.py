@@ -23,20 +23,3 @@ it:
 Entry point: :func:`~repro.analysis.verifier.driver.verify_paths`,
 shipped as ``python -m repro verify``.
 """
-
-from repro.analysis.verifier.driver import (
-    VerifyOptions,
-    VerifyReport,
-    verify_paths,
-)
-from repro.analysis.verifier.ir import DeploymentIR, load_deployments
-from repro.analysis.verifier.model_check import Scope
-
-__all__ = [
-    "DeploymentIR",
-    "Scope",
-    "VerifyOptions",
-    "VerifyReport",
-    "load_deployments",
-    "verify_paths",
-]

@@ -351,3 +351,21 @@ def sim_core_suite(quick: bool = False) -> list[BenchScenario]:
             QUICK_TIMELINE_QUERIES if quick else TIMELINE_QUERIES,
         ),
     ]
+
+
+def suite_scenarios(suite: str, quick: bool = False) -> list[BenchScenario]:
+    """Resolve a suite name to its scenario list.
+
+    ``sim_core`` is the simulation hot-path suite behind
+    ``BENCH_sim_core.json``; ``fleet_core`` is the 1000-node fleet tier
+    behind ``BENCH_fleet_core.json``.  The fleet module is imported
+    lazily so ``python -m repro bench`` (sim_core default) does not pay
+    for it.
+    """
+    if suite == "sim_core":
+        return sim_core_suite(quick=quick)
+    if suite == "fleet_core":
+        from repro.benchmarking.fleet_scenarios import fleet_core_suite
+
+        return fleet_core_suite(quick=quick)
+    raise ValueError(f"unknown bench suite: {suite!r}")

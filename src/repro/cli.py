@@ -16,7 +16,8 @@ Commands
     Replay a Poisson arrival trace on the paper's node, untraced (stats
     only) or traced (``--emit``/``--format json``/``--plan``).  Exit 0
     done, 1 when arrivals outrun the node's 48 CPU slots (one
-    ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``.
+    ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``
+    or a ``--jobs``/``--interarrival`` that is not positive.
 ``experiment``
     Regenerate one of the paper's headline results (fig3, fig5, e11,
     stalls) as a quick table.
@@ -27,7 +28,7 @@ Commands
 ``faults``
     Run a named chaos scenario (or a JSON injection plan) against a
     deployment and report job survival (exit 0 iff every job reached
-    OK).
+    OK, 2 unreadable plan or negative ``--jobs``).
 ``verify``
     gyan-verify: whole-deployment static verification — cross-file
     GPU-capability dataflow (VER2xx), capacity/schedulability against
@@ -37,7 +38,8 @@ Commands
 ``bench``
     Time the simulation-core hot paths (long-job monitor, burst
     dispatch, chaos run, timeline queries) on the wall clock and emit
-    ``BENCH_sim_core.json`` — the ROADMAP's perf-trajectory artifact.
+    ``BENCH_sim_core.json`` — the ROADMAP's perf-trajectory artifact
+    (exit 2 on an unknown ``--scenario`` or non-positive ``--repeats``).
 ``race``
     gyan-race: the determinism checker — static DET4xx AST rules over
     Python sources plus a dynamic happens-before pass that permutes
@@ -62,10 +64,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro import build_deployment, register_paper_tools
-
 
 def _fresh(allocation: str = "pid"):
+    from repro.core.orchestrator import build_deployment
+    from repro.tools.executors import register_paper_tools
+
     deployment = build_deployment(allocation_strategy=allocation)
     register_paper_tools(deployment.app)
     return deployment
@@ -268,6 +271,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace: {exc}: arrivals outrun the node; raise --interarrival "
               f"(now {args.interarrival:g} s) or lower --jobs", file=sys.stderr)
         return 1
+    except ValueError as exc:  # generate_trace: --jobs / --interarrival <= 0
+        print(f"trace: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run_trace(args: argparse.Namespace) -> int:
@@ -384,7 +390,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
     from repro.analysis.linter import list_rules_text
-    from repro.analysis.perf import PerfOptions, run_perf
+    from repro.analysis.perf.driver import PerfOptions, run_perf
 
     if args.list_rules:
         print(list_rules_text(), end="")
@@ -418,6 +424,10 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     from repro.workloads.chaos import resolve_plan, run_chaos
 
+    if args.jobs is not None and args.jobs < 0:
+        print(f"faults: --jobs must be 0 or more, got {args.jobs}",
+              file=sys.stderr)
+        return 2
     try:
         plan = resolve_plan(scenario=args.scenario, plan_file=args.plan,
                             seed=args.seed)
@@ -523,7 +533,8 @@ def cmd_storm(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.findings import EXIT_USAGE
-    from repro.analysis.verifier import Scope, VerifyOptions, verify_paths
+    from repro.analysis.verifier.driver import VerifyOptions, verify_paths
+    from repro.analysis.verifier.model_check import Scope
 
     if not args.paths:
         print("verify: no paths given "
@@ -587,7 +598,8 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchmarking import run_suite, suite_scenarios
+    from repro.benchmarking.harness import run_suite
+    from repro.benchmarking.scenarios import suite_scenarios
 
     scenarios = suite_scenarios(args.suite, quick=args.quick)
     if args.list:
@@ -603,6 +615,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 2
         scenarios = [s for s in scenarios if s.name in set(args.scenarios)]
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 5)
+    if repeats <= 0:
+        print(f"bench: --repeats must be positive, got {repeats}",
+              file=sys.stderr)
+        return 2
 
     report = run_suite(scenarios, suite=args.suite, repeats=repeats,
                        quick=args.quick)

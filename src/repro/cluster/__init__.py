@@ -8,15 +8,3 @@ written against a cluster abstraction, so we provide one: nodes with CPU
 slots and an optional GPU host, plus a FIFO scheduler with slot
 accounting that the Galaxy runners submit to.
 """
-
-from repro.cluster.node import ComputeNode, NodeResources
-from repro.cluster.scheduler import ClusterScheduler, SlotRequest, ScheduledJob, JobState
-
-__all__ = [
-    "ComputeNode",
-    "NodeResources",
-    "ClusterScheduler",
-    "SlotRequest",
-    "ScheduledJob",
-    "JobState",
-]

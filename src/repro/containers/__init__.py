@@ -15,33 +15,3 @@ available offline, so this package simulates the parts that matter:
 * a cold-start overhead model calibrated to the measured ~0.6 s (36 %)
   container launch cost of paper §VI-B.
 """
-
-from repro.containers.image import ContainerImage, ImageRegistry, RACON_GPU_IMAGE, BONITO_IMAGE
-from repro.containers.errors import (
-    ContainerError,
-    ContainerLaunchError,
-    ImageNotFoundError,
-    GpuRuntimeMissingError,
-    InvalidBindOptionError,
-)
-from repro.containers.docker import DockerRuntime, DockerRunResult
-from repro.containers.singularity import SingularityRuntime, SingularityRunResult, SingularityVersion
-from repro.containers.volumes import VolumeMount
-
-__all__ = [
-    "ContainerImage",
-    "ImageRegistry",
-    "RACON_GPU_IMAGE",
-    "BONITO_IMAGE",
-    "ContainerError",
-    "ContainerLaunchError",
-    "ImageNotFoundError",
-    "GpuRuntimeMissingError",
-    "InvalidBindOptionError",
-    "DockerRuntime",
-    "DockerRunResult",
-    "SingularityRuntime",
-    "SingularityRunResult",
-    "SingularityVersion",
-    "VolumeMount",
-]

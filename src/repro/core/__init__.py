@@ -30,57 +30,3 @@ challenges (§III-A / §IV):
     A façade wiring a complete GYAN-enabled Galaxy deployment in one
     call — the public entry point examples and benchmarks use.
 """
-
-from repro.core.gpu_usage import get_gpu_usage, GpuUsageSnapshot
-from repro.core.allocation import (
-    AllocationStrategy,
-    PidAllocationStrategy,
-    MemoryAllocationStrategy,
-    AllocationDecision,
-)
-from repro.core.mapper import GpuComputationMapper
-from repro.core.destination_rules import gpu_destination_rule, register_gyan_rules
-from repro.core.container_gpu import docker_gpu_flag_provider, singularity_nv_provider
-from repro.core.monitor import GPUUsageMonitor, UsageSample, UsageStatistics
-from repro.core.health import DeviceHealthTracker, HealthEvent
-from repro.core.retry import (
-    BackoffPolicy,
-    DEFAULT_LAUNCH_RETRY,
-    DEFAULT_NVML_RETRY,
-    is_transient_nvml_error,
-    retry_call,
-)
-from repro.core.orchestrator import (
-    GYAN_JOB_CONF_XML,
-    GYAN_RESILIENT_JOB_CONF_XML,
-    GyanDeployment,
-    build_deployment,
-)
-
-__all__ = [
-    "get_gpu_usage",
-    "GpuUsageSnapshot",
-    "AllocationStrategy",
-    "PidAllocationStrategy",
-    "MemoryAllocationStrategy",
-    "AllocationDecision",
-    "GpuComputationMapper",
-    "gpu_destination_rule",
-    "register_gyan_rules",
-    "docker_gpu_flag_provider",
-    "singularity_nv_provider",
-    "GPUUsageMonitor",
-    "UsageSample",
-    "UsageStatistics",
-    "DeviceHealthTracker",
-    "HealthEvent",
-    "BackoffPolicy",
-    "DEFAULT_LAUNCH_RETRY",
-    "DEFAULT_NVML_RETRY",
-    "is_transient_nvml_error",
-    "retry_call",
-    "GYAN_JOB_CONF_XML",
-    "GYAN_RESILIENT_JOB_CONF_XML",
-    "GyanDeployment",
-    "build_deployment",
-]

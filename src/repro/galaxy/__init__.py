@@ -22,58 +22,3 @@ that execute registered Python *tool executors* against the simulated
 node.  The GYAN enhancements themselves live in :mod:`repro.core` and
 plug into the hooks this package exposes.
 """
-
-from repro.galaxy.errors import (
-    GalaxyError,
-    ToolParseError,
-    JobConfError,
-    TemplateError,
-    ToolNotFoundError,
-    JobStateError,
-)
-from repro.galaxy.templating import CheetahLite, TemplateNamespace
-from repro.galaxy.tool_xml import (
-    ToolDefinition,
-    ToolRequirement,
-    ToolParameter,
-    ToolOutput,
-    ContainerSpec,
-    parse_tool_xml,
-    parse_macros_xml,
-)
-from repro.galaxy.job_conf import JobConfig, Destination, parse_job_conf_xml, DynamicRuleRegistry
-from repro.galaxy.job import GalaxyJob, JobState, JobMetrics
-from repro.galaxy.history import History, Dataset
-from repro.galaxy.params import build_param_dict
-from repro.galaxy.app import GalaxyApp, ToolExecutionContext, ToolExecutionResult
-
-__all__ = [
-    "GalaxyError",
-    "ToolParseError",
-    "JobConfError",
-    "TemplateError",
-    "ToolNotFoundError",
-    "JobStateError",
-    "CheetahLite",
-    "TemplateNamespace",
-    "ToolDefinition",
-    "ToolRequirement",
-    "ToolParameter",
-    "ToolOutput",
-    "ContainerSpec",
-    "parse_tool_xml",
-    "parse_macros_xml",
-    "JobConfig",
-    "Destination",
-    "parse_job_conf_xml",
-    "DynamicRuleRegistry",
-    "GalaxyJob",
-    "JobState",
-    "JobMetrics",
-    "History",
-    "Dataset",
-    "build_param_dict",
-    "GalaxyApp",
-    "ToolExecutionContext",
-    "ToolExecutionResult",
-]

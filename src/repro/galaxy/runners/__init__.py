@@ -15,20 +15,3 @@ layer (:mod:`repro.core`) can plug in:
 With no hooks installed the runners behave like stock Galaxy: GPU tools
 run their CPU arm and containers launch without GPU access.
 """
-
-from repro.galaxy.runners.base import BaseJobRunner, LaunchedTool, GpuMapper, UsageMonitor
-from repro.galaxy.runners.local import LocalRunner
-from repro.galaxy.runners.docker import DockerJobRunner
-from repro.galaxy.runners.singularity import SingularityJobRunner
-from repro.galaxy.runners.drm import DrmJobRunner
-
-__all__ = [
-    "BaseJobRunner",
-    "LaunchedTool",
-    "GpuMapper",
-    "UsageMonitor",
-    "LocalRunner",
-    "DockerJobRunner",
-    "SingularityJobRunner",
-    "DrmJobRunner",
-]

@@ -26,71 +26,3 @@ package provides a software model of that observable surface:
     An NVProf-like API-call accounting and stall-attribution model used to
     regenerate the hotspot figures (paper Figs. 4 and 6).
 """
-
-from repro.gpusim.clock import VirtualClock, Timeline, TimelineEvent
-from repro.gpusim.errors import (
-    GpuSimError,
-    DeviceLostError,
-    DeviceOutOfMemoryError,
-    InvalidDeviceError,
-    DoubleFreeError,
-    NVMLError,
-)
-from repro.gpusim.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlane,
-    InjectionPlan,
-    SCENARIOS,
-    build_scenario,
-)
-from repro.gpusim.memory import MemoryAllocator, Allocation
-from repro.gpusim.process import GPUProcess, PidAllocator, ProcessType
-from repro.gpusim.device import GPUArchitecture, GPUDevice, TESLA_GK210, TESLA_K80_BOARD
-from repro.gpusim.host import GPUHost, make_k80_host, parse_cuda_visible_devices
-from repro.gpusim.kernels import KernelLaunch, MemcpyKind, KernelTimingModel
-from repro.gpusim.profiler import CudaProfiler, ApiCallRecord, StallAnalysis
-from repro.gpusim.streams import CudaStream, StreamEngine
-from repro.gpusim.events import CudaEvent, EventApi
-
-__all__ = [
-    "VirtualClock",
-    "Timeline",
-    "TimelineEvent",
-    "GpuSimError",
-    "DeviceLostError",
-    "DeviceOutOfMemoryError",
-    "InvalidDeviceError",
-    "DoubleFreeError",
-    "NVMLError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlane",
-    "InjectionPlan",
-    "SCENARIOS",
-    "build_scenario",
-    "MemoryAllocator",
-    "Allocation",
-    "GPUProcess",
-    "PidAllocator",
-    "ProcessType",
-    "GPUArchitecture",
-    "GPUDevice",
-    "TESLA_GK210",
-    "TESLA_K80_BOARD",
-    "GPUHost",
-    "make_k80_host",
-    "parse_cuda_visible_devices",
-    "KernelLaunch",
-    "MemcpyKind",
-    "KernelTimingModel",
-    "CudaProfiler",
-    "ApiCallRecord",
-    "StallAnalysis",
-    "CudaStream",
-    "StreamEngine",
-    "CudaEvent",
-    "EventApi",
-]

@@ -18,7 +18,7 @@ the binary nor ``bs4``, so this module provides:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
+from html import escape
 
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.host import GPUHost
@@ -35,14 +35,14 @@ def _gpu_xml(dev: GPUDevice) -> str:
             "      <process_info>\n"
             f"        <pid>{p.pid}</pid>\n"
             f"        <type>{p.process_type.value}</type>\n"
-            f"        <process_name>{escape(p.name)}</process_name>\n"
+            f"        <process_name>{escape(p.name, quote=False)}</process_name>\n"
             f"        <used_memory>{dev.memory.used_by(p.pid) // (1024 * 1024)} MiB</used_memory>\n"
             "      </process_info>"
         )
     processes_block = "\n".join(procs) if procs else ""
     return (
         f'  <gpu id="{dev.bus_id}">\n'
-        f"    <product_name>{escape(dev.arch.name)}</product_name>\n"
+        f"    <product_name>{escape(dev.arch.name, quote=False)}</product_name>\n"
         f"    <uuid>{dev.uuid}</uuid>\n"
         f"    <minor_number>{dev.minor_number}</minor_number>\n"
         "    <pci>\n"

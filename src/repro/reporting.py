@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.gpusim.profiler import CudaProfiler
 from repro.tools.bonito.perf_model import BonitoPerfModel
 from repro.tools.executors import register_paper_tools

@@ -5,44 +5,3 @@ budgets, circuit breakers around NVML probes and runner launches, and a
 brownout ladder that degrades GPU mapping for low-benefit tools before
 shedding jobs outright.  See ``docs/overload.md``.
 """
-
-from repro.resilience.breaker import (
-    BreakerOpenError,
-    BreakerState,
-    CircuitBreaker,
-)
-from repro.resilience.brownout import (
-    MAX_BROWNOUT_LEVEL,
-    TOOL_GPU_BENEFIT,
-    BrownoutConfig,
-    BrownoutController,
-)
-from repro.resilience.overload import (
-    DEADLINE_PARAM,
-    QUEUE_DEPTH_PARAM,
-    RUNTIME_BUDGET_PARAM,
-    OverloadController,
-    destination_deadline_s,
-    destination_queue_limit,
-    destination_runtime_budget_s,
-)
-from repro.resilience.shedding import RejectedBusy, ShedReason
-
-__all__ = [
-    "BreakerOpenError",
-    "BreakerState",
-    "CircuitBreaker",
-    "BrownoutConfig",
-    "BrownoutController",
-    "MAX_BROWNOUT_LEVEL",
-    "TOOL_GPU_BENEFIT",
-    "OverloadController",
-    "QUEUE_DEPTH_PARAM",
-    "DEADLINE_PARAM",
-    "RUNTIME_BUDGET_PARAM",
-    "destination_queue_limit",
-    "destination_deadline_s",
-    "destination_runtime_budget_s",
-    "RejectedBusy",
-    "ShedReason",
-]

@@ -17,22 +17,3 @@ implements a working basecaller over simulated squiggles:
 * :mod:`perf_model` — the calibrated paper-scale model behind Fig. 5
   (CPU > 210 h on the 1.5 GB dataset; GPU > 50x faster).
 """
-
-from repro.tools.bonito.signal import PoreModel, SquiggleSimulator
-from repro.tools.bonito.model import Conv1dLayer, TemplateScorer
-from repro.tools.bonito.ctc import ctc_greedy_decode, ctc_beam_search
-from repro.tools.bonito.basecaller import Basecaller, BasecallResult
-from repro.tools.bonito.perf_model import BonitoPerfModel, BonitoTiming
-
-__all__ = [
-    "PoreModel",
-    "SquiggleSimulator",
-    "Conv1dLayer",
-    "TemplateScorer",
-    "ctc_greedy_decode",
-    "ctc_beam_search",
-    "Basecaller",
-    "BasecallResult",
-    "BonitoPerfModel",
-    "BonitoTiming",
-]

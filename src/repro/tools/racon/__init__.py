@@ -21,30 +21,3 @@ This package implements the whole pipeline from scratch:
 * :mod:`perf_model` — the calibrated paper-scale timing model behind
   Figs. 3 and 7 and the §VI-A breakdown.
 """
-
-from repro.tools.racon.alignment import (
-    AlignmentResult,
-    global_alignment,
-    banded_alignment,
-    identity,
-    edit_distance,
-)
-from repro.tools.racon.poa import POAGraph
-from repro.tools.racon.consensus import RaconPolisher, PolishResult, Window
-from repro.tools.racon.cuda import CudaPOABatcher
-from repro.tools.racon.perf_model import RaconPerfModel, RaconTiming
-
-__all__ = [
-    "AlignmentResult",
-    "global_alignment",
-    "banded_alignment",
-    "identity",
-    "edit_distance",
-    "POAGraph",
-    "RaconPolisher",
-    "PolishResult",
-    "Window",
-    "CudaPOABatcher",
-    "RaconPerfModel",
-    "RaconTiming",
-]

@@ -1,18 +1,1 @@
 """Sequence I/O: FASTA, FASTQ, PAF, and a FAST5-like signal container."""
-
-from repro.tools.seqio.records import SeqRecord, SignalRead
-from repro.tools.seqio.fasta import parse_fasta, write_fasta
-from repro.tools.seqio.fastq import parse_fastq, write_fastq
-from repro.tools.seqio.paf import PafRecord, parse_paf, write_paf
-
-__all__ = [
-    "SeqRecord",
-    "SignalRead",
-    "parse_fasta",
-    "write_fasta",
-    "parse_fastq",
-    "write_fastq",
-    "PafRecord",
-    "parse_paf",
-    "write_paf",
-]

@@ -21,9 +21,9 @@ from repro.analysis.findings import (
     FindingsReport,
 )
 from repro.analysis.linter import LintReport
-from repro.analysis.perf import PerfReport
-from repro.analysis.race import RaceReport
-from repro.analysis.verifier import VerifyReport
+from repro.analysis.perf.driver import PerfReport
+from repro.analysis.race.driver import RaceReport
+from repro.analysis.verifier.driver import VerifyReport
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -8,11 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import load_baseline, render_baseline, write_baseline
-from repro.analysis.findings import Severity
-from repro.analysis.perf import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
+from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, Severity
+from repro.analysis.perf.driver import (
     PERF_SCHEMA,
     PerfOptions,
     analyze_sources,

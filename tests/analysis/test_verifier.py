@@ -9,12 +9,9 @@ import pytest
 
 from repro.analysis.findings import Severity
 from repro.analysis.linter import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
-from repro.analysis.verifier import (
-    Scope,
-    VerifyOptions,
-    load_deployments,
-    verify_paths,
-)
+from repro.analysis.verifier.driver import VerifyOptions, verify_paths
+from repro.analysis.verifier.ir import load_deployments
+from repro.analysis.verifier.model_check import Scope
 from repro.cli import main
 from repro.gpusim.faults import InjectionPlan
 from repro.workloads.chaos import run_chaos

@@ -5,15 +5,15 @@ import time
 
 import pytest
 
-from repro.benchmarking import (
+from repro.benchmarking.harness import (
     BENCH_SCHEMA,
     BenchScenario,
     RunOutcome,
+    run_scenario,
     run_suite,
-    sim_core_suite,
-    suite_scenarios,
+    validate_report_dict,
 )
-from repro.benchmarking.harness import run_scenario, validate_report_dict
+from repro.benchmarking.scenarios import sim_core_suite, suite_scenarios
 from repro.cli import main
 
 

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.analysis import sanitizer as simsan
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.gpusim.host import make_k80_host
 from repro.tools.bonito.signal import PoreModel, SquiggleSimulator
 from repro.tools.executors import register_paper_tools

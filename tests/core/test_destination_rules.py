@@ -2,7 +2,7 @@
 
 
 from repro.cluster.node import ComputeNode
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.core.destination_rules import (
     LOCAL_CPU_DESTINATION,
     LOCAL_GPU_DESTINATION,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.core.allocation import MemoryAllocationStrategy, PidAllocationStrategy
 from repro.galaxy.errors import JobConfError
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.galaxy.app import ToolExecutionResult
 from repro.galaxy.errors import JobStateError
 from repro.galaxy.job import _TRANSITIONS, GalaxyJob, JobState

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.core.orchestrator import GYAN_JOB_CONF_XML
 from repro.galaxy.job import JobState
 from repro.tools.executors import register_paper_tools

@@ -109,7 +109,8 @@ class TestAnalysisGoldens:
         assert_matches_golden("lint.json", report.render_json() + "\n")
 
     def test_verify_json(self, monkeypatch):
-        from repro.analysis.verifier import Scope, VerifyOptions, verify_paths
+        from repro.analysis.verifier.driver import VerifyOptions, verify_paths
+        from repro.analysis.verifier.model_check import Scope
 
         monkeypatch.chdir(HERE)
         options = VerifyOptions(
@@ -150,7 +151,8 @@ class TestAnalysisGoldens:
 # bench JSON (schema only: wall-clock numbers are masked)
 # --------------------------------------------------------------------- #
 def _normalised_bench_json() -> str:
-    from repro.benchmarking import SUITE_NAME, run_suite, sim_core_suite
+    from repro.benchmarking.harness import run_suite
+    from repro.benchmarking.scenarios import SUITE_NAME, sim_core_suite
 
     report = run_suite(sim_core_suite(quick=True), suite=SUITE_NAME,
                        repeats=1, quick=True)

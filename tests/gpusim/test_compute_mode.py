@@ -38,7 +38,7 @@ class TestComputeModes:
         """The paper's Case 3 (processes 3 and 4 scattered onto busy
         GPUs) only works because the K80s ran in Default compute mode;
         under Exclusive_Process the same placement fails."""
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         deployment = build_deployment()

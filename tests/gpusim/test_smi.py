@@ -37,6 +37,18 @@ class TestXmlRendering:
         assert info[0].findtext("process_name") == "/usr/bin/racon_gpu"
         assert info[0].findtext("used_memory") == "60 MiB"
 
+    def test_process_name_escaping_is_saxutils_escape(self, host):
+        """``& < >`` become entities, quotes stay: the bytes
+        ``xml.sax.saxutils.escape`` produced before ``html.escape`` did."""
+        name = """a&b <c> "d" 'e'"""
+        host.launch_process(name, cuda_visible_devices="0")
+        xml = render_xml(host)
+        assert (
+            "        <process_name>a&amp;b &lt;c&gt; \"d\" 'e'</process_name>\n"
+            in xml
+        )
+        assert ET.fromstring(xml).find(".//process_name").text == name
+
     def test_fb_memory_usage_fields(self, host):
         host.launch_process("tool", cuda_visible_devices="1")
         root = ET.fromstring(render_xml(host))

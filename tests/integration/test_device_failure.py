@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.core.gpu_usage import get_gpu_usage
 from repro.galaxy.job import JobState
 from repro.gpusim.smi import render_table, render_xml

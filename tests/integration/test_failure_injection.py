@@ -1,6 +1,6 @@
 """Failure injection across the stack: every error path exercised."""
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.galaxy.job import JobState
 from repro.tools.executors import register_paper_tools
 

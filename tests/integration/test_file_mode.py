@@ -36,7 +36,7 @@ class TestFileModeExecution:
 
     def test_cpu_and_gpu_file_runs_identical(self, deployment, dataset_dir):
         from repro.cluster.node import ComputeNode
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         params = {

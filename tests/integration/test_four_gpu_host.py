@@ -7,7 +7,7 @@ two.  These tests scale the scheduling machinery to four minor numbers.
 import pytest
 
 from repro.cluster.node import ComputeNode, NodeResources
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.gpusim.host import make_k80_host
 from repro.gpusim.smi import process_placement
 from repro.tools.executors import register_paper_tools

@@ -9,7 +9,7 @@
 import pytest
 
 from repro.cluster.node import ComputeNode
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.galaxy.job import JobState
 from repro.galaxy.runners.local import LocalRunner
 from repro.tools.executors import register_paper_tools

@@ -8,7 +8,7 @@ verified through the same interface the paper uses: ``nvidia-smi``.
 
 import pytest
 
-from repro.core import build_deployment
+from repro.core.orchestrator import build_deployment
 from repro.gpusim.smi import process_placement, render_table
 from repro.tools.executors import register_paper_tools
 

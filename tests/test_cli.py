@@ -126,6 +126,37 @@ class TestTraceCommand:
         assert "--interarrival (now 2 s)" in captured.err
 
 
+class TestCountsOutOfRange:
+    """A job count, rate or repeat count the verb cannot run is one
+    ``<verb>: …`` line on stderr and exit 2, not a traceback or a run
+    reporting ``0/-1``."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["trace", "--jobs", "0"], "trace: n_jobs must be positive"),
+        (["trace", "--jobs", "-3", "--format", "json"],
+         "trace: n_jobs must be positive"),
+        (["trace", "--interarrival", "0"],
+         "trace: mean_interarrival_s must be positive"),
+        (["trace", "--interarrival", "-1", "--format", "json"],
+         "trace: mean_interarrival_s must be positive"),
+        (["bench", "--repeats", "0"],
+         "bench: --repeats must be positive, got 0"),
+        (["bench", "--quick", "--repeats", "-1"],
+         "bench: --repeats must be positive, got -1"),
+        (["faults", "--jobs", "-1"],
+         "faults: --jobs must be 0 or more, got -1"),
+    ])
+    def test_is_a_usage_error(self, capsys, argv, line):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    def test_faults_with_zero_jobs_is_the_empty_run(self, capsys):
+        assert main(["faults", "--jobs", "0"]) == 0
+        assert "survived:            0/0" in capsys.readouterr().out
+
+
 class TestMonitorDump:
     def test_dump_writes_files(self, tmp_path):
         from repro import build_deployment, register_paper_tools

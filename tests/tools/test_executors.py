@@ -15,7 +15,7 @@ class TestRaconUnitMode:
 
     def test_cpu_unit_time_when_no_gpu(self):
         from repro.cluster.node import ComputeNode
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         dep = build_deployment(node=ComputeNode.cpu_only())
@@ -88,7 +88,7 @@ class TestRaconPayloadMode:
         self, deployment, small_polish_inputs
     ):
         from repro.cluster.node import ComputeNode
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         backbone, reads, mappings = small_polish_inputs
@@ -119,7 +119,7 @@ class TestBonitoExecutor:
 
     def test_cpu_dataset_mode_exceeds_210h(self):
         from repro.cluster.node import ComputeNode
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         dep = build_deployment(node=ComputeNode.cpu_only())

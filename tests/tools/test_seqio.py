@@ -4,19 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tools.seqio import (
-    PafRecord,
-    SeqRecord,
-    SignalRead,
-    parse_fasta,
-    parse_fastq,
-    parse_paf,
-    write_fasta,
-    write_fastq,
-    write_paf,
-)
-from repro.tools.seqio.fastq import mean_quality
-from repro.tools.seqio.records import reverse_complement
+from repro.tools.seqio.fasta import parse_fasta, write_fasta
+from repro.tools.seqio.fastq import mean_quality, parse_fastq, write_fastq
+from repro.tools.seqio.paf import PafRecord, parse_paf, write_paf
+from repro.tools.seqio.records import SeqRecord, SignalRead, reverse_complement
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
 

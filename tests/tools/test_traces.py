@@ -97,7 +97,7 @@ class TestReplay:
     def test_memory_strategy_reduces_scatter(self):
         """The A1 finding over a whole trace: memory allocation never
         scatters, PID allocation does under load."""
-        from repro.core import build_deployment
+        from repro.core.orchestrator import build_deployment
         from repro.tools.executors import register_paper_tools
 
         trace = generate_trace(n_jobs=25, mean_interarrival_s=0.5, seed=11)
