@@ -111,8 +111,8 @@ def _rule(rule_id: str, title: str, severity: Severity, family: str, description
 # --------------------------------------------------------------------- #
 GYAN100 = _rule(
     "GYAN100", "config file does not parse", Severity.ERROR, "config",
-    "The XML is not well-formed, or the repro parsers reject it outright "
-    "(missing ids, unknown destinations, duplicate compute requirements).",
+    "The XML is not well-formed, or the repro parsers reject it outright (missing ids, unknown "
+    "destinations, duplicate compute requirements, a command template that does not compile).",
 )
 GYAN101 = _rule(
     "GYAN101", "malformed GPU minor ID", Severity.ERROR, "config",
@@ -239,8 +239,8 @@ SIM306 = _rule(
 VER200 = _rule(
     "VER200", "deployment does not load", Severity.ERROR, "verifier",
     "The deployment IR could not be built: a job_conf, tool wrapper, or "
-    "chaos plan in the deployment failed to parse, so no cross-file pass "
-    "can run.",
+    "chaos plan in the deployment failed to parse (or a wrapper's command "
+    "template does not compile), so no cross-file pass can run.",
 )
 VER201 = _rule(
     "VER201", "GPU tool can never receive a GPU", Severity.ERROR, "verifier",

@@ -10,7 +10,6 @@ body and tears down.  ``queue_job`` is the everyday launch-then-finish.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -198,9 +197,7 @@ class BaseJobRunner:
         if job.tool.command_template is None:
             raise GalaxyError(f"tool {job.tool.tool_id!r} has no command block")
         param_dict = build_param_dict(job, environment=env)
-        command = job.tool.command_template.render_command(param_dict)
-        job.command_line = command
-        argv = shlex.split(command)
+        job.command_line, argv = job.tool.command_template.render_argv(param_dict)
         if not argv:
             raise GalaxyError(f"tool {job.tool.tool_id!r} rendered an empty command")
         return argv

@@ -1,4 +1,4 @@
-"""CheetahLite: the subset of Cheetah templating Galaxy tools rely on.
+r"""CheetahLite: the subset of Cheetah templating Galaxy tools rely on.
 
 Galaxy command blocks are Cheetah templates.  The paper's Code 3 shows
 the pattern GYAN depends on::
@@ -12,6 +12,8 @@ the pattern GYAN depends on::
 This module implements the pieces real wrappers use:
 
 * ``$name`` / ``${name}`` / ``$name.attr`` substitution,
+* ``\$`` as a literal dollar, so Galaxy's ``\${GALAXY_SLOTS:-4}`` reaches
+  the shell as ``${GALAXY_SLOTS:-4}``,
 * ``#if EXPR`` / ``#elif EXPR`` / ``#else`` / ``#end if`` blocks (nested),
 * ``#for $x in EXPR`` / ``#end for`` loops,
 * ``#set $name = EXPR`` assignments,
@@ -26,6 +28,8 @@ core is easier to reason about.
 from __future__ import annotations
 
 import re
+import shlex
+from types import CodeType
 from typing import Any, Iterator, Mapping
 
 from repro.galaxy.errors import TemplateError
@@ -50,6 +54,8 @@ _SAFE_BUILTINS: dict[str, Any] = {
 _PLACEHOLDER = re.compile(
     r"\$\{(?P<braced>[^}]+)\}|\$(?P<plain>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
 )
+# In a text line a backslash-dollar is Cheetah's escape for a literal "$".
+_TEXT_TOKEN = re.compile(r"\\\$|" + _PLACEHOLDER.pattern)
 
 
 class TemplateNamespace(dict):
@@ -95,6 +101,9 @@ def _strip_dollars(expression: str) -> str:
 class CheetahLite:
     """Compile-once, render-many template engine.
 
+    Construction parses blocks and splits text lines into segments; an
+    expression compiles the first time a render reaches it (:class:`_Expr`).
+
     Parameters
     ----------
     source:
@@ -127,6 +136,29 @@ class CheetahLite:
         text = self.render(namespace)
         return " ".join(text.split())
 
+    def render_argv(self, namespace: Mapping[str, Any]) -> tuple[str, list[str]]:
+        """``(command_line, argv)``: :meth:`render_command` plus its tokens.
+
+        Once whitespace is normalised the only blank left is a single
+        U+0020, so unless the line holds a quote or an escape character
+        the runs between blanks are exactly what POSIX ``shlex`` yields
+        and its per-character loop is skipped.
+        """
+        tokens = self.render(namespace).split()
+        command_line = " ".join(tokens)
+        if "'" in command_line or '"' in command_line or "\\" in command_line:
+            return command_line, shlex.split(command_line)
+        return command_line, tokens
+
+    def check(self) -> None:
+        """Compile every expression without evaluating any (for lint and verify).
+
+        Raises :class:`TemplateError` naming the first that is not Python;
+        the run path would find it on the first render that reaches it.
+        """
+        for expression in _expressions(self._program):
+            expression.code()
+
 
 # --------------------------------------------------------------------- #
 # parsing: a tiny recursive-descent block parser over lines
@@ -134,18 +166,78 @@ class CheetahLite:
 _DIRECTIVE = re.compile(r"^\s*#(if|elif|else|end\s+if|for|end\s+for|set)\b(.*)$")
 
 
+class _Expr:
+    """One Cheetah expression and the slot for its code object.
+
+    The slot is filled by the first evaluation, not at parse: a
+    deployment parses every installed wrapper, while a job reaches only
+    the arms its conditions select.
+    """
+
+    __slots__ = ("source", "_code")
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self._code: CodeType | None = None
+
+    def code(self) -> CodeType:
+        """The code object; compiled on the first call."""
+        if self._code is None:
+            # As the built-in does for a source string: leading blanks go
+            # (``${ threads }``) and syntax errors name "<string>".
+            python_expr = _strip_dollars(self.source).lstrip(" \t")
+            try:
+                self._code = compile(python_expr, "<string>", "eval")
+            except Exception as exc:
+                raise TemplateError(f"failed to evaluate {self.source!r}: {exc}") from exc
+        return self._code
+
+    def evaluate(self, ns: TemplateNamespace) -> Any:
+        """Evaluate in the restricted namespace."""
+        try:
+            return eval(  # noqa: S307 - restricted globals, template-author input
+                self._code or self.code(), {"__builtins__": {}}, _EvalScope(ns)
+            )
+        except TemplateError:
+            raise
+        except Exception as exc:
+            raise TemplateError(f"failed to evaluate {self.source!r}: {exc}") from exc
+
+
+def _parse_text(line: str) -> tuple:
+    """``('text', line)``, or ``('subst', parts)`` when it has placeholders.
+
+    ``parts`` alternates literal, placeholder, literal, ...; a placeholder
+    is a dotted name (``$plain``) or an :class:`_Expr` (``${braced}``).
+    """
+    if "$" not in line:
+        return ("text", line)
+    # split() interleaves the two groups: literal, braced, plain, literal, ...
+    pieces = _TEXT_TOKEN.split(line)
+    parts: list[Any] = [pieces[:1]]  # a literal is a fragment list until joined below
+    for braced, plain, literal in zip(pieces[1::3], pieces[2::3], pieces[3::3]):
+        if braced is None and plain is None:  # the \$ escape
+            parts[-1] += ["$", literal]
+        else:
+            parts += [plain or _Expr(braced), [literal]]
+    parts[::2] = ["".join(fragments) for fragments in parts[::2]]
+    return ("text", parts[0]) if len(parts) == 1 else ("subst", parts)
+
+
 def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tuple]:
     """Parse lines until one of ``terminators``; returns an op list.
 
-    Ops are tuples: ``('text', line)``, ``('set', name, expr)``,
+    Ops are tuples: ``('text', line)``, ``('subst', parts)`` (see
+    :func:`_parse_text`), ``('set', name, expr)``,
     ``('if', [(cond_expr_or_None, body), ...])``,
-    ``('for', var, iterable_expr, body)``.
+    ``('for', var, iterable_expr, body)``; every ``expr`` is an
+    :class:`_Expr`.
     """
     program: list[tuple] = []
     for line in lines:
         match = _DIRECTIVE.match(line)
         if match is None:
-            program.append(("text", line))
+            program.append(_parse_text(line))
             continue
         keyword = re.sub(r"\s+", " ", match.group(1))
         rest = match.group(2).strip()
@@ -153,14 +245,14 @@ def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tup
             program.append(("__terminator__", keyword, rest))
             return program
         if keyword == "if":
-            arms: list[tuple[str | None, list[tuple]]] = []
+            arms: list[tuple[_Expr | None, list[tuple]]] = []
             condition = rest.rstrip(":").strip()
             while True:
                 body = _parse_block(lines, terminators=("elif", "else", "end if"))
                 if not body or body[-1][0] != "__terminator__":
                     raise TemplateError("unterminated #if block")
                 terminator = body.pop()
-                arms.append((condition, body))
+                arms.append((_Expr(condition), body))
                 if terminator[1] == "elif":
                     condition = terminator[2].rstrip(":").strip()
                     continue
@@ -180,12 +272,12 @@ def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tup
             if not body or body[-1][0] != "__terminator__":
                 raise TemplateError("unterminated #for block")
             body.pop()
-            program.append(("for", loop.group(1), loop.group(2), body))
+            program.append(("for", loop.group(1), _Expr(loop.group(2)), body))
         elif keyword == "set":
             assign = re.match(r"^\$?([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", rest)
             if assign is None:
                 raise TemplateError(f"malformed #set: {rest!r}")
-            program.append(("set", assign.group(1), assign.group(2)))
+            program.append(("set", assign.group(1), _Expr(assign.group(2))))
         elif keyword in ("elif", "else", "end if", "end for"):
             raise TemplateError(f"#{keyword} outside of a block")
     if terminators:
@@ -193,22 +285,18 @@ def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tup
     return program
 
 
+def _expressions(node: Any) -> Iterator[_Expr]:
+    """Every :class:`_Expr` of an op tree (ops nest in lists and tuples only)."""
+    if type(node) is _Expr:
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for child in node:
+            yield from _expressions(child)
+
+
 # --------------------------------------------------------------------- #
 # evaluation
 # --------------------------------------------------------------------- #
-def _evaluate(expression: str, ns: TemplateNamespace) -> Any:
-    """Evaluate a Cheetah expression in the restricted namespace."""
-    python_expr = _strip_dollars(expression)
-    try:
-        return eval(  # noqa: S307 - restricted globals, template-author input
-            python_expr, {"__builtins__": {}}, _EvalScope(ns)
-        )
-    except TemplateError:
-        raise
-    except Exception as exc:
-        raise TemplateError(f"failed to evaluate {expression!r}: {exc}") from exc
-
-
 class _EvalScope(dict):
     """Locals mapping that falls back to the namespace then safe builtins."""
 
@@ -224,36 +312,28 @@ class _EvalScope(dict):
         raise TemplateError(f"undefined template variable ${key}")
 
 
-def _substitute(line: str, ns: TemplateNamespace) -> str:
-    """Replace inline ``$name`` / ``${expr}`` placeholders in a text line."""
-
-    def replace(match: re.Match) -> str:
-        braced = match.group("braced")
-        value = (
-            _evaluate(braced, ns)
-            if braced is not None
-            else ns.resolve(match.group("plain"))
-        )
-        return "" if value is None else str(value)
-
-    return _PLACEHOLDER.sub(replace, line)
-
-
 def _execute(program: list[tuple], ns: TemplateNamespace, out: list[str]) -> None:
     for op in program:
         kind = op[0]
         if kind == "text":
-            out.append(_substitute(op[1], ns))
+            out.append(op[1])
+        elif kind == "subst":
+            filled = op[1].copy()
+            for index in range(1, len(filled), 2):
+                ref = filled[index]
+                value = ref.evaluate(ns) if type(ref) is _Expr else ns.resolve(ref)
+                filled[index] = "" if value is None else str(value)
+            out.append("".join(filled))
         elif kind == "set":
-            ns[op[1]] = _evaluate(op[2], ns)
+            ns[op[1]] = op[2].evaluate(ns)
         elif kind == "if":
             for condition, body in op[1]:
-                if condition is None or _evaluate(condition, ns):
+                if condition is None or condition.evaluate(ns):
                     _execute(body, ns, out)
                     break
         elif kind == "for":
             _var, iterable_expr, body = op[1], op[2], op[3]
-            for item in _evaluate(iterable_expr, ns):
+            for item in iterable_expr.evaluate(ns):
                 ns[_var] = item
                 _execute(body, ns, out)
         elif kind == "__terminator__":  # pragma: no cover - defensive

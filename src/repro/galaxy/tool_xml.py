@@ -22,7 +22,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from repro.galaxy.errors import ToolParseError
+from repro.galaxy.errors import TemplateError, ToolParseError
 from repro.galaxy.templating import CheetahLite
 
 #: GYAN's requirement type (Challenge I).  Values: "gpu" or "cpu".
@@ -388,9 +388,12 @@ def parse_tool_xml(
 
     command_node = root.find("command")
     if command_node is not None and command_node.text:
-        definition.command_template = CheetahLite(
-            _apply_tokens(command_node.text, library)
-        )
+        try:
+            definition.command_template = CheetahLite(
+                _apply_tokens(command_node.text, library)
+            )
+        except TemplateError as exc:
+            raise ToolParseError(f"command template: {exc}") from exc
 
     inputs_node = root.find("inputs")
     if inputs_node is not None:

@@ -159,16 +159,22 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> WorkloadSpec:
+        """Parse an embedded workload; ``ValueError`` for one no run can honour."""
+        tools = data.get("tools", ["racon", "bonito"])
+        if not (isinstance(tools, list) and tools and all(isinstance(t, str) for t in tools)):
+            raise ValueError(f"workload tools must be a non-empty list of tool ids, got {tools!r}")
+        jobs = int(data.get("jobs", 8))
+        hops = data.get("max_resubmit_hops")
+        hops = None if hops is None else int(hops)
+        for name, value in (("jobs", jobs), ("max_resubmit_hops", hops)):
+            if value is not None and value < 0:
+                raise ValueError(f"workload {name} must be 0 or more, got {value}")
         return cls(
-            jobs=int(data.get("jobs", 8)),
-            tools=tuple(data.get("tools", ("racon", "bonito"))),
+            jobs=jobs,
+            tools=tuple(tools),
             resilient=bool(data.get("resilient", True)),
             job_conf_xml=data.get("job_conf_xml"),
-            max_resubmit_hops=(
-                int(data["max_resubmit_hops"])
-                if data.get("max_resubmit_hops") is not None
-                else None
-            ),
+            max_resubmit_hops=hops,
             expect=data.get("expect"),
         )
 

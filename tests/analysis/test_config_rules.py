@@ -181,6 +181,9 @@ class TestToolRules:
         ("GYAN101", _tool_xml(version="0,x")),
         ("GYAN101", _tool_xml(version="-1")),
         ("GYAN102", _tool_xml(version="5")),
+        # The command block does not parse / parses but is not Python.
+        ("GYAN100", _tool_xml().replace("t1 input.fa", "#if $gpu\nt1 input.fa")),
+        ("GYAN100", _tool_xml().replace("t1 input.fa", "t1 ${threads +} input.fa")),
     ]
 
     def test_good_tool_is_clean(self, ctx):
@@ -196,6 +199,18 @@ class TestToolRules:
     def test_bad_tool_fires_rule(self, ctx, rule_id, xml):
         _, findings = analyze_tool_text(xml, "t.xml", ctx)
         assert rule_id in _ids(findings)
+
+    def test_uncompilable_command_names_the_expression(self, ctx):
+        """Lint compiles every expression; the run path would have found
+        this one on the first job whose render took the #else arm."""
+        xml = _tool_xml().replace(
+            "t1 input.fa", "#if $gpu\nt1 -g\n#else\nt1 -t ${threads +}\n#end if"
+        )
+        tool, findings = analyze_tool_text(xml, "t.xml", ctx)
+        assert tool is None
+        (finding,) = findings
+        assert finding.rule_id == "GYAN100" and finding.path == "t.xml"
+        assert finding.message.startswith("failed to evaluate 'threads +': ")
 
     def test_device_count_override(self):
         wide = ConfigContext(device_count=8)

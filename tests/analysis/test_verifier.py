@@ -67,6 +67,28 @@ class TestDeploymentIR:
         assert _rule_ids(report) == {"VER200"}
         assert report.exit_code(Severity.ERROR) == EXIT_FINDINGS
 
+    @pytest.mark.parametrize("command, reason", [
+        ("#if $gpu\nt1 input.fa", "command template: expected one of ('elif', "),
+        ("#if $gpu ==\nt1 input.fa\n#end if", "failed to evaluate '$gpu ==': "),
+    ])
+    def test_wrapper_whose_command_does_not_compile_is_ver200(
+        self, tmp_path, command, reason
+    ):
+        """Verify-clean must mean the first job renders: the loader
+        compiles every expression, which the run path leaves lazy."""
+        clean = FIXTURES / "clean"
+        (tmp_path / "job_conf.xml").write_text((clean / "job_conf.xml").read_text())
+        (tmp_path / "t1.xml").write_text(
+            f'<tool id="t1" name="T" version="1"><command>{command}</command></tool>'
+        )
+        deployments, findings, errors = load_deployments([str(tmp_path)])
+        assert errors == []
+        (finding,) = findings
+        assert finding.rule_id == "VER200"
+        assert finding.path == str(tmp_path / "t1.xml")
+        assert finding.message.startswith(f"tool wrapper does not load: {reason}")
+        assert [t.tool_id for ir in deployments for t in ir.tools] == []
+
     def test_missing_path_is_usage_error(self):
         report = _verify("no/such/path")
         assert report.exit_code(Severity.ERROR) == EXIT_USAGE

@@ -1,5 +1,8 @@
 """CheetahLite template engine."""
 
+import builtins
+import shlex
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,3 +128,166 @@ class TestRenderCommand:
         template = CheetahLite("tool -t $threads -b $batches")
         out = template.render_command({"threads": threads, "batches": batches})
         assert out == f"tool -t {threads} -b {batches}"
+
+
+def _eval_str_failure(expression: str, python_expr: str) -> str:
+    """The text a source-string evaluation (the engine before it kept
+    code objects) raised for ``expression``, on this interpreter."""
+    try:
+        eval(python_expr, {"__builtins__": {}}, {})
+    except Exception as exc:
+        return f"failed to evaluate {expression!r}: {exc}"
+    raise AssertionError(f"{python_expr!r} evaluated")
+
+
+class TestCompileOnce:
+    RACON = (
+        '#if $__galaxy_gpu_enabled__ == "true"\n'
+        "racon_gpu -t ${threads} --cudapoa-batches $batches\n"
+        "#else\n"
+        "racon -t ${threads * 2}\n"
+        "#end if\n"
+        " reads.fa"
+    )
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Sources handed to ``compile`` as expressions, in call order."""
+        real, seen = builtins.compile, []
+
+        def spy(source, filename, mode, *args, **kwargs):
+            if filename == "<string>" and mode == "eval":
+                seen.append(source)
+            return real(source, filename, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", spy)
+        return seen
+
+    def test_reached_expressions_compile_once_unreached_never(self, compiled):
+        template = CheetahLite(self.RACON)
+        assert compiled == []  # construction compiles nothing
+        ns = {"__galaxy_gpu_enabled__": "true", "threads": 4, "batches": 1}
+        for _ in range(1000):
+            assert template.render_command(ns) == (
+                "racon_gpu -t 4 --cudapoa-batches 1 reads.fa"
+            )
+        assert compiled == ['__galaxy_gpu_enabled__ == "true"', "threads"]
+
+        # The other arm compiles when a render first takes it, once.
+        ns["__galaxy_gpu_enabled__"] = "false"
+        for _ in range(10):
+            assert template.render_command(ns) == "racon -t 8 reads.fa"
+        assert compiled[2:] == ["threads * 2"]
+
+    def test_check_compiles_every_slot_and_evaluates_nothing(self, compiled):
+        template = CheetahLite(self.RACON + "\n${1 / 0} $undefined")
+        template.check()
+        assert compiled == [
+            '__galaxy_gpu_enabled__ == "true"', "threads", "threads * 2", "1 / 0",
+        ]
+        template.check()  # slots are filled: nothing compiles twice
+        assert len(compiled) == 4
+
+    def test_inner_blanks_in_braces(self):
+        assert CheetahLite("-t ${ threads }").render({"threads": 4}) == "-t 4"
+        assert CheetahLite("-t ${\tthreads * 2 }").render({"threads": 4}) == "-t 8"
+
+    def test_bad_expression_raises_at_render_with_the_same_text(self):
+        template = CheetahLite("#if $gpu ==\nx\n#end if")  # parses: blocks are fine
+        with pytest.raises(TemplateError) as excinfo:
+            template.render({"gpu": "true"})
+        message = str(excinfo.value)
+        assert message == _eval_str_failure("$gpu ==", "gpu ==")
+        assert message.startswith("failed to evaluate '$gpu ==': invalid syntax")
+        assert message.endswith("(<string>, line 1)")
+
+    def test_runtime_failure_text_unchanged(self):
+        with pytest.raises(TemplateError) as excinfo:
+            CheetahLite("${1 / 0}").render({})
+        assert str(excinfo.value) == "failed to evaluate '1 / 0': division by zero"
+
+    @pytest.mark.parametrize(
+        "source, expression, python_expr",
+        [
+            ("#if $gpu ==\nx\n#end if", "$gpu ==", "gpu =="),
+            ("#if $a\nx\n#elif $b $c\ny\n#end if", "$b $c", "b c"),
+            ("#set $mode = (1,\nrun", "(1,", "(1,"),
+            ("#for $f in $files[\nx\n#end for", "$files[", "files["),
+            ("#if $a\nok\n#else\n${threads +}\n#end if", "threads +", "threads +"),
+        ],
+    )
+    def test_check_names_the_expression(self, source, expression, python_expr):
+        template = CheetahLite(source)
+        with pytest.raises(TemplateError) as excinfo:
+            template.check()
+        assert str(excinfo.value) == _eval_str_failure(expression, python_expr)
+
+    def test_check_passes_every_shipped_shape(self):
+        CheetahLite(self.RACON).check()
+        CheetahLite("#for $f in $files\n--input $f\n#end for").check()
+        CheetahLite("plain text, no expressions").check()
+
+
+class TestDollarEscape:
+    def test_galaxy_slots_default_reaches_argv_as_one_token(self):
+        template = CheetahLite(r"racon -t \${GALAXY_SLOTS:-4} $reads")
+        command_line, argv = template.render_argv({"reads": "reads.fa"})
+        assert command_line == "racon -t ${GALAXY_SLOTS:-4} reads.fa"
+        assert argv == ["racon", "-t", "${GALAXY_SLOTS:-4}", "reads.fa"]
+
+    def test_escaped_plain_name_is_literal(self):
+        assert CheetahLite(r"cd \$HOME && ls").render({}) == "cd $HOME && ls"
+
+    def test_escapes_and_placeholders_mix_on_one_line(self):
+        template = CheetahLite(r"\$A$b\$C ${d}\$")
+        assert template.render({"b": 1, "d": 2}) == "$A1$C 2$"
+
+    def test_non_placeholder_dollars_stay(self):
+        assert CheetahLite("cost: 5$ or $5 ${}").render({}) == "cost: 5$ or $5 ${}"
+
+
+# Blanks str.split knows and shlex does not (and the reverse is empty):
+# normalisation must remove every one before the token path is exact.
+_BLANKS = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003"
+_LINE_TEXT = st.text(alphabet="ab-=/." + _BLANKS + "'\"\\", max_size=40)
+
+
+def _shlex_reference(command_line):
+    try:
+        return shlex.split(command_line)
+    except ValueError as exc:  # unbalanced quote, dangling escape
+        return str(exc)
+
+
+class TestRenderArgv:
+    def test_plain_line_is_its_blank_separated_runs(self):
+        template = CheetahLite("racon   -t $threads\n\n reads.fa ")
+        assert template.render_argv({"threads": 4}) == (
+            "racon -t 4 reads.fa", ["racon", "-t", "4", "reads.fa"],
+        )
+
+    def test_quotes_and_escapes_go_through_shlex(self):
+        template = CheetahLite("tool --name \"a  b\" 'c d' e\\ f ''")
+        command_line, argv = template.render_argv({})
+        assert command_line == "tool --name \"a b\" 'c d' e\\ f ''"
+        assert argv == ["tool", "--name", "a b", "c d", "e f", ""]
+
+    def test_empty_render(self):
+        assert CheetahLite("#if $a\nx\n#end if").render_argv({"a": False}) == ("", [])
+
+    @given(_LINE_TEXT, _LINE_TEXT)
+    def test_argv_equals_shlex_split_of_render_command(self, literal, value):
+        """The token path against the pair it replaced, text arriving
+        both as template source and through a substituted parameter."""
+        # splitlines() drops a trailing line break before render sees it;
+        # everything else in the literal must survive to the comparison.
+        template = CheetahLite(f"tool {literal}\n $value end")
+        ns = {"value": value}
+        expected = _shlex_reference(template.render_command(ns))
+        try:
+            command_line, argv = template.render_argv(ns)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert command_line == template.render_command(ns)
+            assert argv == expected

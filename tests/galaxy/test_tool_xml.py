@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.galaxy.errors import ToolParseError
+from repro.galaxy.errors import TemplateError, ToolParseError
 from repro.galaxy.tool_xml import parse_macros_xml, parse_tool_xml
 from repro.tools.wrappers import racon_macros_xml, racon_tool_xml
 
@@ -134,6 +134,19 @@ class TestMacros:
         xml = '<tool id="x"><macros><import>m</import></macros><expand macro="nope"/></tool>'
         with pytest.raises(ToolParseError):
             parse_tool_xml(xml, macros={"m": "<macros><xml name='other'/></macros>"})
+
+    def test_unparseable_command_block_is_a_tool_parse_error(self):
+        with pytest.raises(ToolParseError, match=r"^command template: expected one of"):
+            parse_tool_xml('<tool id="x"><command>#if $a\nrun</command></tool>')
+
+    def test_expressions_are_not_compiled_at_parse(self):
+        """The run path stays lazy: a bad expression surfaces at the first
+        render that reaches it (or in lint / verify, which check)."""
+        tool = parse_tool_xml(
+            '<tool id="x"><command>#if $a ==\nrun\n#end if</command></tool>'
+        )
+        with pytest.raises(TemplateError, match=r"^failed to evaluate '\$a =='"):
+            tool.command_template.check()
 
     def test_parse_macros_xml(self):
         library = parse_macros_xml(racon_macros_xml("1"))

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,74 @@ class TestCountsOutOfRange:
     def test_faults_with_zero_jobs_is_the_empty_run(self, capsys):
         assert main(["faults", "--jobs", "0"]) == 0
         assert "survived:            0/0" in capsys.readouterr().out
+
+
+class TestMalformedInputFiles:
+    """A wrapper whose command block does not compile is a finding with
+    the file path (exit 1); a plan whose embedded workload no run can
+    honour is one ``faults: …`` line (exit 2).  Neither is a traceback,
+    and neither is a clean report followed by a job that raises."""
+
+    FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
+    UNTERMINATED = (
+        "command template: expected one of ('end if',), hit end of template"
+    )
+    BAD_EXPRESSION = "failed to evaluate '$__galaxy_gpu_enabled__ ==': invalid syntax"
+
+    @pytest.mark.parametrize("verb, fixture, finding", [
+        ("lint", "unterminated_if.xml", "error: GYAN100: " + UNTERMINATED),
+        ("verify", "unterminated_if.xml",
+         "error: VER200: tool wrapper does not load: " + UNTERMINATED),
+        ("lint", "bad/bad_expression.xml", "error: GYAN100: " + BAD_EXPRESSION),
+        ("verify", "bad/bad_expression.xml",
+         "error: VER200: tool wrapper does not load: " + BAD_EXPRESSION),
+    ])
+    def test_uncompilable_command_is_a_finding(self, capsys, verb, fixture, finding):
+        path = str(self.FIXTURES / fixture)
+        assert main([verb, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Traceback" not in captured.out
+        report = captured.out.splitlines()
+        assert report[0].startswith(f"{path}: {finding}")
+        assert report[1].endswith("1 finding(s) (1 error)")
+
+    @pytest.mark.parametrize("workload, line", [
+        ({"jobs": -1}, "faults: workload jobs must be 0 or more, got -1"),
+        ({"jobs": 3, "tools": []},
+         "faults: workload tools must be a non-empty list of tool ids, got []"),
+        ({"tools": ["racon", 7]},
+         "faults: workload tools must be a non-empty list of tool ids, "
+         "got ['racon', 7]"),
+        ({"tools": "racon"},
+         "faults: workload tools must be a non-empty list of tool ids, "
+         "got 'racon'"),
+        ({"max_resubmit_hops": -2},
+         "faults: workload max_resubmit_hops must be 0 or more, got -2"),
+    ])
+    def test_plan_with_an_impossible_workload_is_a_usage_error(
+        self, capsys, tmp_path, workload, line
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"name": "p", "seed": 1, "events": [], "workload": workload}
+        ))
+        assert main(["faults", "--plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    def test_plan_expect_stays_free_text(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "name": "p", "seed": 1, "events": [],
+            "workload": {"jobs": 0, "tools": ["racon"], "max_resubmit_hops": 0,
+                         "expect": "whatever the author wrote"},
+        }))
+        assert main(["faults", "--plan", str(plan)]) == 0
+        out = capsys.readouterr().out
+        assert "expect: whatever the author wrote" in out
+        assert "survived:            0/0" in out
 
 
 class TestMonitorDump:
