@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
-from repro.galaxy.errors import JobConfError, TemplateError, ToolParseError
+from repro.galaxy.errors import JobConfError, ToolParseError
 from repro.galaxy.job_conf import (
     DynamicRuleRegistry,
     JobConfig,
@@ -218,9 +218,7 @@ def analyze_tool_text(
     """Lint one tool wrapper; returns (parsed tool, findings)."""
     try:
         tool = parse_tool_xml(text, macros=macros)
-        if tool.command_template is not None:
-            tool.command_template.check()
-    except (ToolParseError, TemplateError) as exc:
+    except ToolParseError as exc:
         message = str(exc)
         rule = R.GYAN101 if "minor ID" in message else R.GYAN100
         return None, [rule.finding(message, path)]

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
 from repro.analysis.linter import classify_xml
-from repro.galaxy.errors import JobConfError, TemplateError, ToolParseError
+from repro.galaxy.errors import JobConfError, ToolParseError
 from repro.galaxy.job_conf import (
     Destination,
     JobConfig,
@@ -373,9 +373,7 @@ def load_deployments(
                 macros = dict(next(iter(macros_by_dir.values())))
             try:
                 tool = parse_tool_xml(texts[path], macros=macros)
-                if tool.command_template is not None:
-                    tool.command_template.check()
-            except (ToolParseError, TemplateError) as exc:
+            except ToolParseError as exc:
                 findings.append(
                     R.VER200.finding(
                         f"tool wrapper does not load: {exc}", str(path)

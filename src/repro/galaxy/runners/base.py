@@ -197,7 +197,12 @@ class BaseJobRunner:
         if job.tool.command_template is None:
             raise GalaxyError(f"tool {job.tool.tool_id!r} has no command block")
         param_dict = build_param_dict(job, environment=env)
-        job.command_line, argv = job.tool.command_template.render_argv(param_dict)
+        template = job.tool.command_template
+        try:
+            job.command_line, argv = template.render_argv(param_dict)
+        except ValueError:  # unbalanced quote: the failed job still shows its line
+            job.command_line = template.render_command(param_dict)
+            raise
         if not argv:
             raise GalaxyError(f"tool {job.tool.tool_id!r} rendered an empty command")
         return argv

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 import shlex
-from types import CodeType
 from typing import Any, Iterator, Mapping
 
 from repro.galaxy.errors import TemplateError
@@ -101,8 +100,9 @@ def _strip_dollars(expression: str) -> str:
 class CheetahLite:
     """Compile-once, render-many template engine.
 
-    Construction parses blocks and splits text lines into segments; an
-    expression compiles the first time a render reaches it (:class:`_Expr`).
+    Construction parses blocks, splits text lines into segments and
+    compiles every expression (:class:`_Expr`), so a template that is not
+    well-formed raises :class:`TemplateError` here and not on its first job.
 
     Parameters
     ----------
@@ -144,20 +144,10 @@ class CheetahLite:
         the runs between blanks are exactly what POSIX ``shlex`` yields
         and its per-character loop is skipped.
         """
-        tokens = self.render(namespace).split()
-        command_line = " ".join(tokens)
+        command_line = self.render_command(namespace)
         if "'" in command_line or '"' in command_line or "\\" in command_line:
             return command_line, shlex.split(command_line)
-        return command_line, tokens
-
-    def check(self) -> None:
-        """Compile every expression without evaluating any (for lint and verify).
-
-        Raises :class:`TemplateError` naming the first that is not Python;
-        the run path would find it on the first render that reaches it.
-        """
-        for expression in _expressions(self._program):
-            expression.code()
+        return command_line, command_line.split()
 
 
 # --------------------------------------------------------------------- #
@@ -167,36 +157,25 @@ _DIRECTIVE = re.compile(r"^\s*#(if|elif|else|end\s+if|for|end\s+for|set)\b(.*)$"
 
 
 class _Expr:
-    """One Cheetah expression and the slot for its code object.
+    """One Cheetah expression, compiled to a code object at parse."""
 
-    The slot is filled by the first evaluation, not at parse: a
-    deployment parses every installed wrapper, while a job reaches only
-    the arms its conditions select.
-    """
-
-    __slots__ = ("source", "_code")
+    __slots__ = ("source", "code")
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self._code: CodeType | None = None
-
-    def code(self) -> CodeType:
-        """The code object; compiled on the first call."""
-        if self._code is None:
-            # As the built-in does for a source string: leading blanks go
-            # (``${ threads }``) and syntax errors name "<string>".
-            python_expr = _strip_dollars(self.source).lstrip(" \t")
-            try:
-                self._code = compile(python_expr, "<string>", "eval")
-            except Exception as exc:
-                raise TemplateError(f"failed to evaluate {self.source!r}: {exc}") from exc
-        return self._code
+        # As the built-in does for a source string: leading blanks go
+        # (``${ threads }``) and syntax errors name "<string>".
+        python_expr = _strip_dollars(source).lstrip(" \t")
+        try:
+            self.code = compile(python_expr, "<string>", "eval")
+        except Exception as exc:
+            raise TemplateError(f"failed to evaluate {source!r}: {exc}") from exc
 
     def evaluate(self, ns: TemplateNamespace) -> Any:
         """Evaluate in the restricted namespace."""
         try:
             return eval(  # noqa: S307 - restricted globals, template-author input
-                self._code or self.code(), {"__builtins__": {}}, _EvalScope(ns)
+                self.code, {"__builtins__": {}}, _EvalScope(ns)
             )
         except TemplateError:
             raise
@@ -246,15 +225,15 @@ def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tup
             return program
         if keyword == "if":
             arms: list[tuple[_Expr | None, list[tuple]]] = []
-            condition = rest.rstrip(":").strip()
+            condition = _Expr(rest.rstrip(":").strip())
             while True:
                 body = _parse_block(lines, terminators=("elif", "else", "end if"))
                 if not body or body[-1][0] != "__terminator__":
                     raise TemplateError("unterminated #if block")
                 terminator = body.pop()
-                arms.append((_Expr(condition), body))
+                arms.append((condition, body))
                 if terminator[1] == "elif":
-                    condition = terminator[2].rstrip(":").strip()
+                    condition = _Expr(terminator[2].rstrip(":").strip())
                     continue
                 if terminator[1] == "else":
                     body = _parse_block(lines, terminators=("end if",))
@@ -283,15 +262,6 @@ def _parse_block(lines: Iterator[str], terminators: tuple[str, ...]) -> list[tup
     if terminators:
         raise TemplateError(f"expected one of {terminators}, hit end of template")
     return program
-
-
-def _expressions(node: Any) -> Iterator[_Expr]:
-    """Every :class:`_Expr` of an op tree (ops nest in lists and tuples only)."""
-    if type(node) is _Expr:
-        yield node
-    elif isinstance(node, (list, tuple)):
-        for child in node:
-            yield from _expressions(child)
 
 
 # --------------------------------------------------------------------- #

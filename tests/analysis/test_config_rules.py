@@ -201,8 +201,8 @@ class TestToolRules:
         assert rule_id in _ids(findings)
 
     def test_uncompilable_command_names_the_expression(self, ctx):
-        """Lint compiles every expression; the run path would have found
-        this one on the first job whose render took the #else arm."""
+        """Loading a wrapper compiles every expression; the source-string
+        engine found this one on the first job that took the #else arm."""
         xml = _tool_xml().replace(
             "t1 input.fa", "#if $gpu\nt1 -g\n#else\nt1 -t ${threads +}\n#end if"
         )
@@ -210,7 +210,9 @@ class TestToolRules:
         assert tool is None
         (finding,) = findings
         assert finding.rule_id == "GYAN100" and finding.path == "t.xml"
-        assert finding.message.startswith("failed to evaluate 'threads +': ")
+        assert finding.message.startswith(
+            "command template: failed to evaluate 'threads +': "
+        )
 
     def test_device_count_override(self):
         wide = ConfigContext(device_count=8)

@@ -69,13 +69,14 @@ class TestDeploymentIR:
 
     @pytest.mark.parametrize("command, reason", [
         ("#if $gpu\nt1 input.fa", "command template: expected one of ('elif', "),
-        ("#if $gpu ==\nt1 input.fa\n#end if", "failed to evaluate '$gpu ==': "),
+        ("#if $gpu ==\nt1 input.fa\n#end if",
+         "command template: failed to evaluate '$gpu ==': "),
     ])
     def test_wrapper_whose_command_does_not_compile_is_ver200(
         self, tmp_path, command, reason
     ):
-        """Verify-clean must mean the first job renders: the loader
-        compiles every expression, which the run path leaves lazy."""
+        """Verify-clean must mean the first job renders: loading a
+        wrapper compiles every expression of its command block."""
         clean = FIXTURES / "clean"
         (tmp_path / "job_conf.xml").write_text((clean / "job_conf.xml").read_text())
         (tmp_path / "t1.xml").write_text(

@@ -71,6 +71,19 @@ class TestLifecycle:
         with pytest.raises(GalaxyError):
             deployment.run_tool("nocmd")
 
+    def test_untokenisable_command_stays_on_the_failed_job(self, deployment):
+        """An unbalanced quote fails the launch in the tokeniser; the line
+        that could not be split is still what the API and CLI report."""
+        from repro.galaxy.tool_xml import parse_tool_xml
+
+        deployment.app.install_tool(parse_tool_xml(
+            '<tool id="quote"><command>racon --name "$label\n reads.fa</command></tool>'
+        ))
+        job = deployment.app.submit("quote", {"label": "run 1"})
+        with pytest.raises(ValueError, match="No closing quotation"):
+            deployment.app.run_job(job)
+        assert job.command_line == 'racon --name "run 1 reads.fa'
+
 
 class TestGpuProcessHandling:
     def test_gpu_process_attached_while_running_released_after(self, deployment):

@@ -163,39 +163,34 @@ class TestCompileOnce:
         monkeypatch.setattr(builtins, "compile", spy)
         return seen
 
-    def test_reached_expressions_compile_once_unreached_never(self, compiled):
+    def test_every_expression_compiles_once_at_construction(self, compiled):
         template = CheetahLite(self.RACON)
-        assert compiled == []  # construction compiles nothing
+        every = ['__galaxy_gpu_enabled__ == "true"', "threads", "threads * 2"]
+        assert compiled == every  # source order, both arms
         ns = {"__galaxy_gpu_enabled__": "true", "threads": 4, "batches": 1}
         for _ in range(1000):
             assert template.render_command(ns) == (
                 "racon_gpu -t 4 --cudapoa-batches 1 reads.fa"
             )
-        assert compiled == ['__galaxy_gpu_enabled__ == "true"', "threads"]
-
-        # The other arm compiles when a render first takes it, once.
         ns["__galaxy_gpu_enabled__"] = "false"
         for _ in range(10):
-            assert template.render_command(ns) == "racon -t 8 reads.fa"
-        assert compiled[2:] == ["threads * 2"]
+            assert template.render_argv(ns)[0] == "racon -t 8 reads.fa"
+        assert compiled == every  # a render compiles nothing
 
-    def test_check_compiles_every_slot_and_evaluates_nothing(self, compiled):
+    def test_construction_evaluates_nothing(self):
         template = CheetahLite(self.RACON + "\n${1 / 0} $undefined")
-        template.check()
-        assert compiled == [
-            '__galaxy_gpu_enabled__ == "true"', "threads", "threads * 2", "1 / 0",
-        ]
-        template.check()  # slots are filled: nothing compiles twice
-        assert len(compiled) == 4
+        with pytest.raises(TemplateError, match="division by zero"):
+            template.render({"__galaxy_gpu_enabled__": "false", "threads": 1})
 
     def test_inner_blanks_in_braces(self):
         assert CheetahLite("-t ${ threads }").render({"threads": 4}) == "-t 4"
         assert CheetahLite("-t ${\tthreads * 2 }").render({"threads": 4}) == "-t 8"
 
-    def test_bad_expression_raises_at_render_with_the_same_text(self):
-        template = CheetahLite("#if $gpu ==\nx\n#end if")  # parses: blocks are fine
+    def test_bad_expression_raises_at_construction_with_the_same_text(self):
+        """Real Cheetah compiles the whole template at load; the text is
+        the one the source-string engine raised on the first render."""
         with pytest.raises(TemplateError) as excinfo:
-            template.render({"gpu": "true"})
+            CheetahLite("#if $gpu ==\nx\n#end if")
         message = str(excinfo.value)
         assert message == _eval_str_failure("$gpu ==", "gpu ==")
         assert message.startswith("failed to evaluate '$gpu ==': invalid syntax")
@@ -216,16 +211,14 @@ class TestCompileOnce:
             ("#if $a\nok\n#else\n${threads +}\n#end if", "threads +", "threads +"),
         ],
     )
-    def test_check_names_the_expression(self, source, expression, python_expr):
-        template = CheetahLite(source)
+    def test_construction_names_the_expression(self, source, expression, python_expr):
         with pytest.raises(TemplateError) as excinfo:
-            template.check()
+            CheetahLite(source)
         assert str(excinfo.value) == _eval_str_failure(expression, python_expr)
 
-    def test_check_passes_every_shipped_shape(self):
-        CheetahLite(self.RACON).check()
-        CheetahLite("#for $f in $files\n--input $f\n#end for").check()
-        CheetahLite("plain text, no expressions").check()
+    def test_first_bad_expression_in_source_order_is_reported(self):
+        with pytest.raises(TemplateError, match=r"^failed to evaluate '\$a ==': "):
+            CheetahLite("#if $a ==\n${b +}\n#end if")
 
 
 class TestDollarEscape:

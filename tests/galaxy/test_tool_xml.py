@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.galaxy.errors import TemplateError, ToolParseError
+from repro.galaxy.errors import ToolParseError
 from repro.galaxy.tool_xml import parse_macros_xml, parse_tool_xml
 from repro.tools.wrappers import racon_macros_xml, racon_tool_xml
 
@@ -139,14 +139,15 @@ class TestMacros:
         with pytest.raises(ToolParseError, match=r"^command template: expected one of"):
             parse_tool_xml('<tool id="x"><command>#if $a\nrun</command></tool>')
 
-    def test_expressions_are_not_compiled_at_parse(self):
-        """The run path stays lazy: a bad expression surfaces at the first
-        render that reaches it (or in lint / verify, which check)."""
-        tool = parse_tool_xml(
-            '<tool id="x"><command>#if $a ==\nrun\n#end if</command></tool>'
-        )
-        with pytest.raises(TemplateError, match=r"^failed to evaluate '\$a =='"):
-            tool.command_template.check()
+    def test_uncompilable_expression_is_a_tool_parse_error(self):
+        """Expressions compile at tool load, unreached arms included, so a
+        wrapper that installs cannot fail to compile on a later job."""
+        with pytest.raises(
+            ToolParseError, match=r"^command template: failed to evaluate 'b \+': "
+        ):
+            parse_tool_xml(
+                '<tool id="x"><command>#if $a\nrun\n#else\n${b +}\n#end if</command></tool>'
+            )
 
     def test_parse_macros_xml(self):
         library = parse_macros_xml(racon_macros_xml("1"))

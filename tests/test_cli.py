@@ -168,7 +168,9 @@ class TestMalformedInputFiles:
     UNTERMINATED = (
         "command template: expected one of ('end if',), hit end of template"
     )
-    BAD_EXPRESSION = "failed to evaluate '$__galaxy_gpu_enabled__ ==': invalid syntax"
+    BAD_EXPRESSION = (
+        "command template: failed to evaluate '$__galaxy_gpu_enabled__ ==': invalid syntax"
+    )
 
     @pytest.mark.parametrize("verb, fixture, finding", [
         ("lint", "unterminated_if.xml", "error: GYAN100: " + UNTERMINATED),
