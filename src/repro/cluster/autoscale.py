@@ -106,16 +106,27 @@ class AutoscalerConfig:
                 f"initial_nodes {initial} outside "
                 f"[{self.min_nodes}, {self.max_nodes}]"
             )
-        if self.eval_interval_s <= 0:
-            raise ValueError("eval_interval_s must be positive")
-        if self.provision_lag_s < 0:
-            raise ValueError("provision_lag_s cannot be negative")
+        # Instants on the event heap must be finite: a NaN one compares
+        # false against everything and its events are never drained.
+        if not 0.0 < self.eval_interval_s < math.inf:
+            raise ValueError(
+                "eval_interval_s must be positive and finite, "
+                f"got {self.eval_interval_s}"
+            )
+        if not 0.0 <= self.provision_lag_s < math.inf:
+            raise ValueError(
+                "provision_lag_s must be non-negative and finite, "
+                f"got {self.provision_lag_s}"
+            )
         if self.scale_up_step < 1 or self.scale_down_step < 1:
             raise ValueError("scale steps must be >= 1 node")
         if self.hysteresis_windows < 1:
             raise ValueError("hysteresis_windows must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s cannot be negative")
+        if not 0.0 <= self.cooldown_s < math.inf:
+            raise ValueError(
+                "cooldown_s must be non-negative and finite, "
+                f"got {self.cooldown_s}"
+            )
         if not 0.0 <= self.scale_down_utilization < 1.0:
             raise ValueError("scale_down_utilization must be in [0, 1)")
         if self.scale_up_queue_per_node < 0:

@@ -123,6 +123,16 @@ class NodeFailure:
     node: int
     recovery_seconds: float
 
+    def __post_init__(self) -> None:
+        # Both become event-heap instants; see AutoscalerConfig.
+        if not math.isfinite(self.time):
+            raise ValueError(f"failure time must be finite, got {self.time}")
+        if not 0.0 <= self.recovery_seconds < math.inf:
+            raise ValueError(
+                "recovery_seconds must be non-negative and finite, "
+                f"got {self.recovery_seconds}"
+            )
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -315,7 +325,8 @@ class FleetSimulator:
         self._epoch = [1 if i < start_nodes else 0 for i in range(n)]
         self._free = [cap if i < start_nodes else 0 for i in range(n)]
         self._depth = [0] * n
-        self._queues: list[deque[tuple[int, int, int]]] = [
+        #: Per node: FIFO of queued (lo, hi, tool, deadline) groups.
+        self._queues: list[deque[tuple[int, int, int, float]]] = [
             deque() for _ in range(n)
         ]
         self._quarantined = [False] * n
@@ -644,6 +655,9 @@ class FleetSimulator:
             self._place_low_benefit(lo, hi, tool_index, now)
             return
         cursor = self._fill_gpu(lo, hi, tool_index, now)
+        if cursor == hi:
+            return
+        _tool, _submit, deadline = self.store.arrival(cursor)
         limit = self.config.queue_limit
         while cursor < hi:
             node = self._peek_queue_node()
@@ -653,7 +667,9 @@ class FleetSimulator:
             self.store.queue_range(
                 cursor, cursor + take, node, pool=pool_of(node, self._base)
             )
-            self._queues[node].append((cursor, cursor + take, tool_index))
+            self._queues[node].append(
+                (cursor, cursor + take, tool_index, deadline)
+            )
             self._depth[node] += take
             self._queued_now += take
             self._c_queued.inc(take)
@@ -695,16 +711,16 @@ class FleetSimulator:
         self.store.complete_range(lo, hi, now)
         self._completed_n += count
         self._c_completed.inc(count)
-        self._h_latency.observe_many(now - self.store.submit[lo], count)
+        _tool, submit, _deadline = self.store.arrival(lo)
+        self._h_latency.observe_many(now - submit, count)
 
     @hot_path
     def _drain_queue(self, node: int, now: float) -> None:
         """Start queued groups on freed slots, shedding expired ones."""
         queue = self._queues[node]
-        store = self.store
         while queue and self._free[node] > 0:
-            glo, ghi, gtool = queue[0]
-            if now > store.deadline[glo]:
+            glo, ghi, gtool, deadline = queue[0]
+            if now > deadline:
                 queue.popleft()
                 self._depth[node] -= ghi - glo
                 self._queued_now -= ghi - glo
@@ -714,7 +730,7 @@ class FleetSimulator:
             if take == ghi - glo:
                 queue.popleft()
             else:
-                queue[0] = (glo + take, ghi, gtool)
+                queue[0] = (glo + take, ghi, gtool, deadline)
             self._depth[node] -= take
             self._queued_now -= take
             # A queue-drain start is a one-piece span on this node.
@@ -792,7 +808,7 @@ class FleetSimulator:
         self._queues[node].clear()
         self._queued_now -= self._depth[node]
         self._depth[node] = 0
-        for lo, hi, tool_index in queued:
+        for lo, hi, tool_index, _deadline in queued:
             self._resubmit(lo, hi, tool_index, now)
         if was_draining:
             # A draining node that dies never comes back: its work has
@@ -866,7 +882,7 @@ class FleetSimulator:
             self._queues[node].clear()
             self._queued_now -= self._depth[node]
             self._depth[node] = 0
-            for lo, hi, tool_index in queued:
+            for lo, hi, tool_index, _deadline in queued:
                 self._resubmit(lo, hi, tool_index, now)
             if not self._live[node]:
                 self._decommission(node, now)

@@ -4,20 +4,30 @@ At fleet scale (1000 nodes × 8 GPUs × 1M jobs) per-job Python objects
 are the bottleneck: a million ``GalaxyJob``-sized instances cost ~GBs of
 allocator churn and force every state transition through attribute
 access.  :class:`JobStore` is the struct-of-arrays answer — one stdlib
-``array`` per field, ``'d'`` (float64) for instants and the narrowest
-signed integer that holds the field for discrete columns (48 bytes a
-job) — so the fleet path appends, transitions, and digests job state
-with C-speed bulk slice operations instead of per-job Python work.
+``array`` per field that changes over a job's life, ``'d'`` (float64)
+for instants and the narrowest signed integer that holds the field for
+discrete columns (30 bytes a job) — so the fleet path appends,
+transitions, and digests job state with C-speed bulk slice operations
+instead of per-job Python work.
 
 Jobs are identified by row index (dense, append-only).  The fleet
 simulator works in contiguous *[lo, hi)* row groups (an arrival batch
 lands as one contiguous range and every split keeps sub-ranges
 contiguous), so all transitions here are range operations.
 
+Arrival attributes are per batch, not per row: ``tool``, ``submit`` and
+``deadline`` are constants of an arrival batch that never change
+afterwards, so they live once per :meth:`JobStore.append_batch` in an
+append-only batch table beside the batch's first row.  Rows are
+contiguous, so a row's batch is one ``bisect``
+(:meth:`JobStore.arrival`); readers that want them per row
+(:meth:`JobStore.digest`, :func:`gpu_wait_percentile`) expand the table
+a bounded chunk of rows at a time.
+
 Capacity is separate from length: :meth:`JobStore.reserve` allocates
 every column once, pre-filled with a fresh job's values, so
-:meth:`JobStore.append_batch` writes only ``tool``/``submit``/
-``deadline`` (an unsized store grows through the same ``reserve`` by
+:meth:`JobStore.append_batch` writes one batch-table entry and no row
+at all (an unsized store grows through the same ``reserve`` by
 doubling) and every reader sees the logical prefix only.
 :meth:`JobStore.start_span` is the placement-side counterpart: columns
 the node pieces of a placed span share are written once over the span.
@@ -26,8 +36,9 @@ The per-job-object reference model
 (:mod:`repro.cluster.fleet_reference`) materialises its jobs into this
 same layout via :meth:`JobStore.append_batch` + single-row transitions,
 which is what lets the property tests assert *bit-identical* state:
-:meth:`digest` hashes the canonical 64-bit view of every column, so a
-column's storage width is an allocation detail no digest can see.
+:meth:`digest` hashes the canonical 64-bit per-row view of every field,
+so a column's storage width — and whether a field is stored per row or
+per batch — is an allocation detail no digest can see.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Sequence
@@ -51,8 +63,9 @@ NO_REASON = -1
 #: Sentinel for "no node pool" (CPU arm / never placed).
 NO_POOL = -1
 
-#: Largest fleet shape the column widths hold: ``hops`` is a signed
-#: byte, ``tool`` a signed short, ``dest`` a signed 32-bit node index.
+#: Largest fleet shape the storage widths hold: ``hops`` is a signed
+#: byte, ``tool`` a signed short (batch table), ``dest`` a signed 32-bit
+#: node index.
 MAX_HOPS = 2**7 - 1
 MAX_TOOLS = 2**15
 MAX_NODES = 2**31 - 1
@@ -108,22 +121,21 @@ def _fill(column: array, lo: int, hi: int, value: float) -> None:
     column[lo:hi] = array(column.typecode, (value,)) * (hi - lo)
 
 
-#: Rows widened per :meth:`JobStore.digest` step (a 512 KiB temporary).
+#: Rows a result-time reader (:meth:`JobStore.digest`,
+#: :meth:`JobStore.count_by_state`, :func:`gpu_wait_percentile`) widens
+#: or expands per step: a 512 KiB temporary whatever the store's size.
 _DIGEST_CHUNK = 1 << 16
 
 
 class JobStore:
     """Struct-of-arrays job state with range-bulk transitions.
 
-    Columns (parallel, one entry per job):
+    Columns (parallel, one entry per job — 30 bytes a row):
 
     ========== ===== =================================================
     column     type  meaning
     ========== ===== =================================================
     state      'b'   :class:`FleetJobState`
-    tool       'h'   tool-class index into the workload's tool table
-    submit     'd'   submission instant (virtual seconds)
-    deadline   'd'   queue-TTL instant (submit + deadline_s)
     dest       'i'   destination node index (:data:`NO_NODE` = none/CPU)
     hops       'b'   resubmit chain length (PR-7 hop cap)
     shed       'b'   :data:`SHED_REASON_CODE` (:data:`NO_REASON` = none)
@@ -134,20 +146,28 @@ class JobStore:
     epoch      'i'   commission epoch of the destination node (0 = n/a)
     ========== ===== =================================================
 
+    Batch table (parallel, one entry per :meth:`append_batch`, append
+    only — what a job arrives with never changes):
+
+    ========== ===== =================================================
+    lo         'q'   first row of the batch (it ends where the next
+                     begins, the last at ``len(store)``)
+    tool       'h'   tool-class index into the workload's tool table
+    submit     'd'   submission instant (virtual seconds)
+    deadline   'd'   queue-TTL instant (submit + deadline_s)
+    ========== ===== =================================================
+
     The integer widths bound the fleet shape (:data:`MAX_HOPS`,
     :data:`MAX_TOOLS`, :data:`MAX_NODES`); :class:`FleetConfig` and
-    :class:`FleetSimulator` reject larger shapes at construction, so no
-    column write can overflow mid-run.
+    :class:`FleetSimulator` reject larger shapes at construction and
+    :meth:`append_batch` a tool index the table cannot hold, so no
+    write can overflow mid-run.
     Rows past ``len(store)`` are reserved capacity; no reader sees them.
     """
 
-    #: (column, typecode, value of a freshly submitted job) in digest
-    #: order; ``tool``/``submit``/``deadline`` are set per batch.
+    #: (column, typecode, value of a freshly submitted job).
     _SPECS = (
         ("state", "b", int(FleetJobState.PENDING)),
-        ("tool", "h", 0),
-        ("submit", "d", 0.0),
-        ("deadline", "d", 0.0),
         ("dest", "i", NO_NODE),
         ("hops", "b", 0),
         ("shed", "b", NO_REASON),
@@ -158,14 +178,30 @@ class JobStore:
         ("epoch", "i", 0),
     )
 
-    #: Column names in digest order (also the ``rows()`` field order).
+    #: Names of the per-row columns.
     COLUMNS = tuple(name for name, _code, _fresh in _SPECS)
 
-    __slots__ = (*COLUMNS, "_n")
+    #: Every field of a job in digest order (also :class:`JobRow`'s):
+    #: the per-row columns with the arrival attributes where the digest
+    #: has always had them.
+    DIGEST_ORDER = (
+        "state", "tool", "submit", "deadline", "dest", "hops", "shed",
+        "start", "finish", "gpu", "pool", "epoch",
+    )
+
+    __slots__ = (
+        *COLUMNS,
+        "_batch_lo", "_batch_tool", "_batch_submit", "_batch_deadline",
+        "_n",
+    )
 
     def __init__(self) -> None:
         for name, code, _fresh in self._SPECS:
             setattr(self, name, array(code))
+        self._batch_lo = array("q")
+        self._batch_tool = array("h")
+        self._batch_submit = array("d")
+        self._batch_deadline = array("d")
         self._n = 0
 
     def __len__(self) -> int:
@@ -191,17 +227,26 @@ class JobStore:
     def append_batch(
         self, count: int, tool: int, submit: float, deadline: float
     ) -> tuple[int, int]:
-        """Append ``count`` PENDING jobs of one class; returns [lo, hi)."""
+        """Append ``count`` PENDING jobs of one class; returns [lo, hi).
+
+        One batch-table entry and no row write: reserved rows already
+        hold a fresh job's values.
+        """
         if count <= 0:
             raise ValueError(f"batch count must be positive, got {count}")
+        if not 0 <= tool < MAX_TOOLS:
+            raise ValueError(
+                f"tool index must be in [0, {MAX_TOOLS}), got {tool}"
+            )
         lo = self._n
         hi = lo + count
         capacity = len(self.state)
         if hi > capacity:
             self.reserve(max(hi, 2 * capacity))
-        _fill(self.tool, lo, hi, tool)
-        _fill(self.submit, lo, hi, submit)
-        _fill(self.deadline, lo, hi, deadline)
+        self._batch_lo.append(lo)
+        self._batch_tool.append(tool)
+        self._batch_submit.append(submit)
+        self._batch_deadline.append(deadline)
         self._n = hi
         return lo, hi
 
@@ -296,17 +341,56 @@ class JobStore:
         column = getattr(self, name)
         return np.frombuffer(column, dtype=column.typecode)[: self._n]
 
-    def row(self, index: int) -> JobRow:
-        """Materialise one job row (tests/debugging, not the hot path)."""
+    def _batch_of(self, index: int) -> int:
+        """The batch-table entry row ``index`` arrived in."""
+        return bisect_right(self._batch_lo, index) - 1
+
+    def arrival(self, index: int) -> tuple[int, float, float]:
+        """``(tool, submit, deadline)`` job ``index`` arrived with.
+
+        Every row of a [lo, hi) range the fleet handles shares them: a
+        range never spans two arrival batches.
+        """
         if not 0 <= index < self._n:
             raise IndexError(f"job row {index} out of range")
+        batch = self._batch_of(index)
+        return (
+            self._batch_tool[batch],
+            self._batch_submit[batch],
+            self._batch_deadline[batch],
+        )
+
+    def _chunks(self) -> Iterator[tuple[int, int]]:
+        """The logical prefix as [at, stop) steps of ``_DIGEST_CHUNK`` rows."""
+        for at in range(0, self._n, _DIGEST_CHUNK):
+            yield at, min(at + _DIGEST_CHUNK, self._n)
+
+    def _expand(self, values: array, at: int, stop: int) -> np.ndarray:
+        """One batch-table column as canonical per-row values of [at, stop).
+
+        Each batch overlapping the range repeats its value once per row
+        it has inside it; the first and last may be cut by the range.
+        """
+        first = self._batch_of(at)
+        last = self._batch_of(stop - 1) + 1
+        edges = np.empty(last - first + 1, dtype=np.int64)
+        edges[:-1] = np.frombuffer(self._batch_lo, dtype=np.int64)[first:last]
+        edges[0] = at
+        edges[-1] = stop
+        canonical = np.float64 if values.typecode == "d" else np.int64
+        per_batch = np.frombuffer(values, dtype=values.typecode)[first:last]
+        return np.repeat(per_batch.astype(canonical), np.diff(edges))
+
+    def row(self, index: int) -> JobRow:
+        """Materialise one job row (tests/debugging, not the hot path)."""
+        tool, submit, deadline = self.arrival(index)
         shed_code = self.shed[index]
         return JobRow(
             index=index,
             state=FleetJobState(self.state[index]),
-            tool=self.tool[index],
-            submit=self.submit[index],
-            deadline=self.deadline[index],
+            tool=tool,
+            submit=submit,
+            deadline=deadline,
             destination=self.dest[index],
             hops=self.hops[index],
             shed=SHED_REASON_BY_CODE.get(shed_code),
@@ -324,9 +408,10 @@ class JobStore:
 
     def count_by_state(self) -> dict[str, int]:
         """Job counts per :class:`FleetJobState` name (only nonzero)."""
-        counts = np.bincount(
-            self._prefix("state"), minlength=len(FleetJobState)
-        )
+        column = self._prefix("state")
+        counts = np.zeros(len(FleetJobState), dtype=np.int64)
+        for at, stop in self._chunks():  # bincount widens what it counts
+            counts += np.bincount(column[at:stop], minlength=len(counts))
         return {
             state.name: int(counts[state])
             for state in FleetJobState
@@ -334,21 +419,33 @@ class JobStore:
         }
 
     def digest(self) -> str:
-        """SHA-256 over the canonical column bytes — the bit-identity probe.
+        """SHA-256 over the canonical per-row bytes — the bit-identity probe.
 
-        Canonical means int64 for every discrete column and float64 for
-        every instant, whatever width the column is stored at: narrow
-        columns are widened a bounded chunk at a time.  Two stores whose
-        jobs went through equivalent transitions hash identically
-        regardless of which implementation (columnar bulk ops or the
-        per-job-object reference) produced them and of how much
+        Canonical means one int64 per job for every discrete field and
+        one float64 for every instant, field after field in
+        :data:`DIGEST_ORDER`, whatever width a column is stored at and
+        whether the field is stored per row or per batch: narrow
+        columns are widened and batch attributes expanded a bounded
+        chunk at a time.  Two stores whose jobs went through equivalent
+        transitions hash identically regardless of which implementation
+        (columnar bulk ops or the per-job-object reference) produced
+        them, of how the jobs were split into batches and of how much
         capacity either reserved.
         """
+        per_batch = {
+            "tool": self._batch_tool,
+            "submit": self._batch_submit,
+            "deadline": self._batch_deadline,
+        }
         hasher = hashlib.sha256()
-        for name in self.COLUMNS:
+        for name in self.DIGEST_ORDER:
+            if name in per_batch:
+                for at, stop in self._chunks():
+                    hasher.update(self._expand(per_batch[name], at, stop))
+                continue
             column = self._prefix(name)
-            for at in range(0, self._n, _DIGEST_CHUNK):
-                chunk = column[at:at + _DIGEST_CHUNK]
+            for at, stop in self._chunks():
+                chunk = column[at:stop]
                 hasher.update(
                     chunk if chunk.itemsize == 8 else chunk.astype(np.int64)
                 )
@@ -369,15 +466,22 @@ def gpu_wait_percentile(
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    submit = store._prefix("submit")
-    wanted = (
-        (store._prefix("gpu") != 0)
-        & (store._prefix("state") == int(FleetJobState.COMPLETED))
-        & (submit >= window_lo)
-        & (submit < window_hi)
-    )
-    waits = store._prefix("start")[wanted] - submit[wanted]
+    gpu = store._prefix("gpu")
+    state = store._prefix("state")
+    start = store._prefix("start")
+    found = []
+    for at, stop in store._chunks():
+        submit = store._expand(store._batch_submit, at, stop)
+        wanted = (
+            (gpu[at:stop] != 0)
+            & (state[at:stop] == int(FleetJobState.COMPLETED))
+            & (submit >= window_lo)
+            & (submit < window_hi)
+        )
+        found.append(start[at:stop][wanted] - submit[wanted])
+    waits = np.concatenate(found) if found else np.empty(0)
     if not waits.size:
         return 0.0
     rank = max(0, min(waits.size - 1, int(math.ceil(quantile * waits.size)) - 1))
-    return float(np.partition(waits, rank)[rank])
+    waits.partition(rank)
+    return float(waits[rank])

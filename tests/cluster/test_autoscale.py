@@ -149,7 +149,7 @@ class TestSpanKeepsPerNodePoolAndEpoch:
             hi = lo + batch.count
             placed = {
                 (store.pool[i], store.epoch[i]) for i in range(lo, hi)
-                if store.gpu[i] and store.start[i] == store.submit[i]
+                if store.gpu[i] and store.start[i] == store.row(i).submit
             }
             if (POOL_BASE, 1) in placed and any(
                 pool == POOL_ELASTIC and epoch > 1 for pool, epoch in placed
@@ -327,6 +327,21 @@ class TestAutoscaleController:
             AutoscalerConfig(hysteresis_windows=0)
         with pytest.raises(ValueError):
             AutoscalerConfig(min_nodes=2, max_nodes=8, initial_nodes=1)
+
+    @pytest.mark.parametrize("knob, bad", [
+        ("eval_interval_s", float("nan")),
+        ("eval_interval_s", float("inf")),
+        ("provision_lag_s", float("nan")),
+        ("provision_lag_s", float("inf")),
+        ("cooldown_s", float("nan")),
+        ("cooldown_s", float("inf")),
+        ("cooldown_s", -1.0),
+    ])
+    def test_non_finite_instants_rejected(self, knob, bad):
+        """Each of these becomes an event-heap instant; a NaN one used
+        to end the run in a 'ledger out of balance' RuntimeError."""
+        with pytest.raises(ValueError, match=knob):
+            AutoscalerConfig(min_nodes=2, max_nodes=4, **{knob: bad})
 
     def test_hysteresis_defers_action(self):
         auto = AutoscalerConfig(

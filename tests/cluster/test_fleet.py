@@ -196,6 +196,22 @@ class TestFleetSemantics:
                                       recovery_seconds=1.0),),
             )
 
+    @pytest.mark.parametrize("outage", [
+        {"time": float("nan")},
+        {"time": float("inf")},
+        {"time": float("-inf")},
+        {"recovery_seconds": float("nan")},
+        {"recovery_seconds": float("inf")},
+        {"recovery_seconds": -1.0},
+    ])
+    def test_non_finite_outage_rejected(self, outage):
+        """An outage's instants go on the event heap: NaN there is never
+        drained and the day ends with an unbalanced ledger."""
+        fields = {"time": 10.0, "node": 0, "recovery_seconds": 5.0, **outage}
+        with pytest.raises(ValueError, match=next(iter(outage))):
+            NodeFailure(**fields)
+        NodeFailure(time=-1.0, node=0, recovery_seconds=0.0)  # both defined
+
     @pytest.mark.parametrize("knobs", [
         {"queue_limit": -1},
         {"max_hops": -1},

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 
 import repro.cluster.jobstore as jobstore
 from repro.cluster.jobstore import (
+    MAX_TOOLS,
     NO_INSTANT,
     NO_NODE,
     NO_REASON,
@@ -50,6 +52,56 @@ class TestAppend:
         store = JobStore()
         with pytest.raises(ValueError):
             store.append_batch(0, tool=0, submit=0.0, deadline=1.0)
+
+    @pytest.mark.parametrize("tool", [-1, MAX_TOOLS, 2**40])
+    def test_out_of_range_tool_rejected(self, tool):
+        """Nothing but ``append_batch`` bounds a tool index: a bad one
+        must not wrap into the batch table or leave half an entry."""
+        store = JobStore()
+        store.append_batch(2, tool=MAX_TOOLS - 1, submit=0.0, deadline=1.0)
+        before = store.digest()
+        with pytest.raises(ValueError, match="tool index"):
+            store.append_batch(1, tool=tool, submit=0.0, deadline=1.0)
+        assert len(store) == 2 and store.digest() == before
+        assert store.append_batch(1, tool=0, submit=2.0, deadline=3.0) == (2, 3)
+        assert [row.tool for row in store.rows()] == [MAX_TOOLS - 1] * 2 + [0]
+
+
+class TestArrivalAttributesLivePerBatch:
+    def test_row_resolves_its_batch_at_every_edge(self):
+        store = JobStore()
+        batches = [(4, 7, 1.5, 61.5), (1, 0, 2.5, 62.5), (3, 2, 2.5, 99.0)]
+        for count, tool, submit, deadline in batches:
+            store.append_batch(count, tool, submit, deadline)
+        # first / middle / last row of a batch, and of a one-row batch
+        expected = {0: 0, 2: 0, 3: 0, 4: 1, 5: 2, 6: 2, 7: 2}
+        for index, batch in expected.items():
+            _count, tool, submit, deadline = batches[batch]
+            row = store.row(index)
+            assert (row.index, row.tool, row.submit, row.deadline) == \
+                (index, tool, submit, deadline)
+            assert store.arrival(index) == (tool, submit, deadline)
+
+    def test_arrival_outside_the_store_is_an_index_error(self):
+        store = JobStore()
+        store.reserve(8)
+        for index in (0, -1):
+            with pytest.raises(IndexError):
+                store.arrival(index)
+        store.append_batch(2, tool=1, submit=0.0, deadline=1.0)
+        for index in (2, -1):
+            with pytest.raises(IndexError):
+                store.arrival(index)
+
+    def test_transitions_never_touch_arrival_attributes(self):
+        store = _scripted(JobStore())
+        arrived = [(6, 1, 0.0, 60.0), (4, 0, 5.0, 65.0), (2, 2, 9.0, 69.0)]
+        rows = iter(store.rows())
+        for count, tool, submit, deadline in arrived:
+            for _ in range(count):
+                row = next(rows)
+                assert (row.tool, row.submit, row.deadline) == \
+                    (tool, submit, deadline)
 
 
 class TestTransitions:
@@ -243,12 +295,21 @@ class TestCanonicalDigest:
     """Columns are stored narrow; the digest is of their 64-bit view, so
     no recorded digest depends on a storage width."""
 
-    def test_a_row_is_48_bytes(self):
+    def test_a_row_is_30_bytes(self):
         store = JobStore()
+        store.reserve(100)
         assert sum(getattr(store, name).itemsize
-                   for name in JobStore.COLUMNS) == 48
+                   for name in JobStore.COLUMNS) == 30
         assert all(getattr(store, name).itemsize == 8
-                   for name in ("submit", "deadline", "start", "finish"))
+                   for name in ("start", "finish"))
+        # Arrival attributes have no per-row storage at all, and an
+        # append writes one batch entry however many rows it adds.
+        assert set(JobStore.DIGEST_ORDER) - set(JobStore.COLUMNS) == \
+            {"tool", "submit", "deadline"}
+        assert not any(hasattr(store, name)
+                       for name in ("tool", "submit", "deadline"))
+        store.append_batch(90, tool=1, submit=0.0, deadline=1.0)
+        assert len(store._batch_lo) == len(store._batch_submit) == 1
 
     @pytest.mark.parametrize("reserved", [0, 1000])
     def test_digest_is_sha256_of_the_64_bit_columns(self, reserved):
@@ -269,21 +330,47 @@ class TestCanonicalDigest:
         assert store.digest() == canonical_digest(store)
 
     def test_the_real_chunk_seam_is_hashed(self):
-        store = JobStore()
-        store.reserve(jobstore._DIGEST_CHUNK + 1)
-        digests = set()
-        for count in (jobstore._DIGEST_CHUNK - 1, 1, 1):
-            lo, hi = store.append_batch(count, tool=3, submit=1.0, deadline=2.0)
-            store.queue_range(hi - 1, hi, node=hi, pool=1)
-            digests.add(store.digest())
-        assert len(store) == jobstore._DIGEST_CHUNK + 1
-        assert len(digests) == 3  # the row past the seam is hashed too
-        whole = hashlib.sha256()
-        for name in JobStore.COLUMNS:
-            column = getattr(store, name)
-            code = "d" if column.typecode == "d" else "q"
-            whole.update(array(code, column).tobytes())
-        assert store.digest() == whole.hexdigest()
+        """Batch attributes are expanded chunk by chunk: the seam may cut
+        a batch, sit on a batch edge, or trail one by a row."""
+        chunk = jobstore._DIGEST_CHUNK
+        layouts = {
+            "seam mid-batch": (chunk - 9, 20, 5),
+            "seam one row past a batch edge": (chunk - 9, 8, 5),
+            "seam on a batch edge": (chunk - 9, 9, 5),
+            "seam one row before a batch edge": (chunk - 9, 10, 5),
+            "one-row batches around the seam": (chunk - 1, 1, 1),
+        }
+        for label, counts in layouts.items():
+            store = JobStore()
+            store.reserve(sum(counts))
+            digests = set()
+            for number, count in enumerate(counts):
+                lo, hi = store.append_batch(
+                    count, tool=3 + number, submit=1.0 + number,
+                    deadline=2.5 * (number + 1),
+                )
+                store.queue_range(hi - 1, hi, node=hi, pool=1)
+                digests.add(store.digest())
+            assert len(store) > chunk and len(digests) == 3, label
+            # The per-row canonical expansion, from what the test
+            # appended and not from the store's own batch table.
+            per_row = {
+                "tool": array("q"), "submit": array("d"),
+                "deadline": array("d"),
+            }
+            for number, count in enumerate(counts):
+                per_row["tool"] += array("q", [3 + number]) * count
+                per_row["submit"] += array("d", [1.0 + number]) * count
+                per_row["deadline"] += array("d", [2.5 * (number + 1)]) * count
+            whole = hashlib.sha256()
+            for name in JobStore.DIGEST_ORDER:
+                if name in per_row:
+                    whole.update(per_row[name].tobytes())
+                    continue
+                column = getattr(store, name)
+                code = "d" if column.typecode == "d" else "q"
+                whole.update(array(code, column).tobytes())
+            assert store.digest() == whole.hexdigest(), label
 
 
 class TestStartSpan:
@@ -320,12 +407,13 @@ def naive_gpu_wait_percentile(store, quantile, window_lo=0.0,
                               window_hi=float("inf")):
     """The pre-vectorisation implementation, kept as the reference."""
     completed = int(FleetJobState.COMPLETED)
+    submit = [store.row(i).submit for i in range(len(store))]
     waits = sorted(
-        store.start[i] - store.submit[i]
+        store.start[i] - submit[i]
         for i in range(len(store))
         if store.gpu[i]
         and store.state[i] == completed
-        and window_lo <= store.submit[i] < window_hi
+        and window_lo <= submit[i] < window_hi
     )
     if not waits:
         return 0.0
@@ -365,6 +453,26 @@ class TestGpuWaitPercentile:
         assert len(counted) > 1
         assert storm_store.count_by_state() == dict(counted)
 
+    def test_chunk_seams_move_no_result(self, storm_store, monkeypatch):
+        """The readers walk the store in chunks; a chunk size that cuts
+        the storm's batches anywhere must not change what they return."""
+        windows = [
+            (0.0, float("inf")),
+            (AB_STORM_START, AB_STORM_START + AB_STORM_DURATION),
+        ]
+        def results():
+            return (
+                [gpu_wait_percentile(storm_store, quantile, *window)
+                 for window in windows for quantile in (0.01, 0.5, 0.95, 1.0)],
+                storm_store.count_by_state(),
+                storm_store.digest(),
+            )
+
+        whole = results()
+        for chunk in (1, 7, 257, len(storm_store) - 1):
+            monkeypatch.setattr(jobstore, "_DIGEST_CHUNK", chunk)
+            assert results() == whole, chunk
+
     def test_storm_fixture_has_real_waits(self, storm_store):
         lo, hi = AB_STORM_START, AB_STORM_START + AB_STORM_DURATION
         assert naive_gpu_wait_percentile(storm_store, 0.95, lo, hi) > 0.0
@@ -378,3 +486,31 @@ class TestGpuWaitPercentile:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 gpu_wait_percentile(storm_store, bad)
+
+
+@pytest.mark.perf_guard
+def test_result_time_readers_allocate_no_whole_column():
+    """Memory guard: on a 1 M-row store the three result-time readers
+    work a chunk at a time.  Their temporaries peak well under 4 MiB;
+    any per-row temporary over the whole store (the int64 copy
+    ``np.bincount`` used to make of ``state`` was 8 MiB) trips it."""
+    rows, per_batch = 1_000_000, 125
+    store = JobStore()
+    store.reserve(rows)
+    for number in range(rows // per_batch):
+        now = float(number)
+        lo, hi = store.append_batch(per_batch, number % 5, now, now + 3600.0)
+        store.start_span(lo, now + number % 3, [(hi, number % 1000, 0, 1)])
+        store.complete_range(lo, hi, now + 60.0)
+    window = (4000.0, 4400.0)  # 50 000 of the jobs, like a storm hour
+    tracemalloc.start()
+    try:
+        counts = store.count_by_state()
+        digest = store.digest()
+        p95 = gpu_wait_percentile(store, 0.95, *window)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == {"COMPLETED": rows}
+    assert len(digest) == 64 and p95 == 2.0
+    assert peak < 4 * 2**20, f"readers peaked at {peak / 2**20:.1f} MiB"

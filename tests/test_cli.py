@@ -289,6 +289,22 @@ class TestFleet:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message)
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--eval-interval",
+         "fleet: eval_interval_s must be positive and finite, got nan\n"),
+        ("--provision-lag",
+         "fleet: provision_lag_s must be non-negative and finite, got nan\n"),
+        ("--cooldown",
+         "fleet: cooldown_s must be non-negative and finite, got nan\n"),
+    ])
+    def test_non_finite_autoscaler_instant_is_a_usage_error(
+        self, flag, message, capsys
+    ):
+        assert main(["fleet", "--nodes", "4", "--jobs", "2000", "--autoscale",
+                     "--min-nodes", "2", flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
     def test_zero_jobs_is_a_defined_empty_day(self, capsys):
         assert main(["fleet", "--nodes", "4", "--jobs", "0",
                      "--format", "json"]) == 0
