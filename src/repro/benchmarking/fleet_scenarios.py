@@ -102,7 +102,6 @@ def _throughput_scenario(nodes: int, jobs: int) -> BenchScenario:
             "repro.cluster.fleet.FleetSimulator._place_range",
             "repro.cluster.fleet.FleetSimulator._fill_gpu",
             "repro.cluster.fleet.FleetSimulator._on_span_done",
-            "repro.cluster.jobstore.JobStore.reserve",
             "repro.cluster.jobstore.JobStore.append_batch",
             "repro.cluster.jobstore.JobStore.start_span",
         ),

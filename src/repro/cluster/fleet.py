@@ -7,11 +7,10 @@ per job.  At 1M jobs the fleet tier flips every per-job cost to a
 per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
-  holds all job fields in right-sized ``array`` columns (48 bytes a
-  job); every lifecycle transition is a contiguous range slice-assign.
-  The store is sized once per day and a placed span writes each shared
-  column once at start and once at completion, so it costs per arrival
-  batch, not per growth or per node.
+  holds one entry per row range that was transitioned together (38
+  bytes a node piece) in right-sized ``array`` columns, nothing per
+  job: a placed span appends its runs with one ``extend`` per column
+  and completes with one write per column.
 * **Batched mapping** — arrivals come from the diurnal generator as
   same-instant :class:`~repro.workloads.diurnal.ArrivalBatch` groups;
   Pseudocode-2 eligibility (GPU-wanted × fleet-has-capacity) is decided
@@ -74,7 +73,6 @@ import heapq
 import itertools
 import math
 from collections import deque
-from collections.abc import Sized
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -776,7 +774,7 @@ class FleetSimulator:
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
         count = hi - lo
-        if self.store.hops[lo] + 1 > self.config.max_hops:
+        if self.store.row(lo).hops + 1 > self.config.max_hops:
             self.store.fail_range(lo, hi, now)
             self._failed_n += count
             self._c_failed.inc(count)
@@ -987,18 +985,13 @@ class FleetSimulator:
     @hot_path
     def run(self, batches: Iterable) -> FleetResult:
         """Drive the fleet through time-sorted arrival batches."""
-        store = self.store
         config = self.config
-        if isinstance(batches, Sized):  # a generator grows by doubling
-            store.reserve(len(store) + sum(
-                batch.count for batch in batches if batch.count > 0
-            ))
         for batch in batches:
             if batch.count <= 0:
                 continue
             self._drain_until(batch.time)
             self._now = max(self._now, batch.time)
-            lo, hi = store.append_batch(
+            lo, hi = self.store.append_batch(
                 batch.count, batch.tool, batch.time,
                 batch.time + config.deadline_seconds,
             )

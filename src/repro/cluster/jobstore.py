@@ -3,42 +3,29 @@
 At fleet scale (1000 nodes × 8 GPUs × 1M jobs) per-job Python objects
 are the bottleneck: a million ``GalaxyJob``-sized instances cost ~GBs of
 allocator churn and force every state transition through attribute
-access.  :class:`JobStore` is the struct-of-arrays answer — one stdlib
-``array`` per field that changes over a job's life, ``'d'`` (float64)
-for instants and the narrowest signed integer that holds the field for
-discrete columns (30 bytes a job) — so the fleet path appends,
-transitions, and digests job state with C-speed bulk slice operations
-instead of per-job Python work.
+access.  :class:`JobStore` is the struct-of-arrays answer, and it stores
+*runs*, not rows.  Jobs are identified by row index (dense, append-only)
+and the fleet never transitions less than a contiguous *[lo, hi)* row
+range, so every field of a job is a constant of the range it was last
+transitioned with: one stdlib ``array`` per field holds one entry per
+such run, keyed by a sorted column of first rows, and the store's size
+follows placements (38 bytes a node piece), not jobs.
 
-Jobs are identified by row index (dense, append-only).  The fleet
-simulator works in contiguous *[lo, hi)* row groups (an arrival batch
-lands as one contiguous range and every split keeps sub-ranges
-contiguous), so all transitions here are range operations.
-
-Arrival attributes are per batch, not per row: ``tool``, ``submit`` and
-``deadline`` are constants of an arrival batch that never change
-afterwards, so they live once per :meth:`JobStore.append_batch` in an
-append-only batch table beside the batch's first row.  Rows are
-contiguous, so a row's batch is one ``bisect``
-(:meth:`JobStore.arrival`); readers that want them per row
-(:meth:`JobStore.digest`, :func:`gpu_wait_percentile`) expand the table
-a bounded chunk of rows at a time.
-
-Capacity is separate from length: :meth:`JobStore.reserve` allocates
-every column once, pre-filled with a fresh job's values, so
-:meth:`JobStore.append_batch` writes one batch-table entry and no row
-at all (an unsized store grows through the same ``reserve`` by
-doubling) and every reader sees the logical prefix only.
-:meth:`JobStore.start_span` is the placement-side counterpart: columns
-the node pieces of a placed span share are written once over the span.
+A row has no run until its first transition.  That one appends (rows at
+the table's end: arrival → start / queue / shed / CPU arm); a later one
+finds its two boundaries with one ``bisect`` each and splits a run only
+where the range cuts one (partial queue drain, re-placement after a
+node failure).  What a job arrives with — ``tool``, ``submit``,
+``deadline`` — never changes, so it lives once per
+:meth:`JobStore.append_batch` in a batch table of the same shape.
 
 The per-job-object reference model
-(:mod:`repro.cluster.fleet_reference`) materialises its jobs into this
-same layout via :meth:`JobStore.append_batch` + single-row transitions,
-which is what lets the property tests assert *bit-identical* state:
-:meth:`digest` hashes the canonical 64-bit per-row view of every field,
-so a column's storage width — and whether a field is stored per row or
-per batch — is an allocation detail no digest can see.
+(:mod:`repro.cluster.fleet_reference`) builds the same store from
+single-row transitions, which is what lets the property tests assert
+*bit-identical* state: :meth:`JobStore.digest` hashes the canonical
+64-bit per-row view of every field, expanded from both tables a bounded
+chunk of rows at a time, so a column's width, which table holds a field
+and where the runs were cut are allocation details no digest can see.
 """
 
 from __future__ import annotations
@@ -49,6 +36,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import lt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -116,25 +104,34 @@ class JobRow:
     epoch: int
 
 
+_PENDING, _QUEUED, _RUNNING, _COMPLETED, _SHED, _FAILED = map(int, FleetJobState)
+
+
 def _fill(column: array, lo: int, hi: int, value: float) -> None:
     """``column[lo:hi] = value`` at the column's own width (C-level repeat)."""
-    column[lo:hi] = array(column.typecode, (value,)) * (hi - lo)
+    if hi - lo == 1:  # the common case: the range is one run
+        column[lo] = value
+    else:
+        column[lo:hi] = array(column.typecode, (value,)) * (hi - lo)
 
 
 #: Rows a result-time reader (:meth:`JobStore.digest`,
-#: :meth:`JobStore.count_by_state`, :func:`gpu_wait_percentile`) widens
-#: or expands per step: a 512 KiB temporary whatever the store's size.
+#: :func:`gpu_wait_percentile`) expands per step: a 512 KiB temporary
+#: whatever the store's size.
 _DIGEST_CHUNK = 1 << 16
 
 
 class JobStore:
     """Struct-of-arrays job state with range-bulk transitions.
 
-    Columns (parallel, one entry per job — 30 bytes a row):
+    Run table (parallel, one entry per row range that was transitioned
+    together — 38 bytes a run):
 
     ========== ===== =================================================
     column     type  meaning
     ========== ===== =================================================
+    lo         'q'   first row of the run, sorted (it ends where the
+                     next begins, the last where transitioned rows do)
     state      'b'   :class:`FleetJobState`
     dest       'i'   destination node index (:data:`NO_NODE` = none/CPU)
     hops       'b'   resubmit chain length (PR-7 hop cap)
@@ -162,12 +159,13 @@ class JobStore:
     :class:`FleetSimulator` reject larger shapes at construction and
     :meth:`append_batch` a tool index the table cannot hold, so no
     write can overflow mid-run.
-    Rows past ``len(store)`` are reserved capacity; no reader sees them.
+    Rows from ``_end`` up were never transitioned and have no run: they
+    read as a fresh job, and a reader gives them one run first.
     """
 
     #: (column, typecode, value of a freshly submitted job).
     _SPECS = (
-        ("state", "b", int(FleetJobState.PENDING)),
+        ("state", "b", _PENDING),
         ("dest", "i", NO_NODE),
         ("hops", "b", 0),
         ("shed", "b", NO_REASON),
@@ -178,11 +176,11 @@ class JobStore:
         ("epoch", "i", 0),
     )
 
-    #: Names of the per-row columns.
+    #: Names of the per-run columns.
     COLUMNS = tuple(name for name, _code, _fresh in _SPECS)
 
     #: Every field of a job in digest order (also :class:`JobRow`'s):
-    #: the per-row columns with the arrival attributes where the digest
+    #: the per-run columns with the arrival attributes where the digest
     #: has always had them.
     DIGEST_ORDER = (
         "state", "tool", "submit", "deadline", "dest", "hops", "shed",
@@ -190,14 +188,15 @@ class JobStore:
     )
 
     __slots__ = (
-        *COLUMNS,
-        "_batch_lo", "_batch_tool", "_batch_submit", "_batch_deadline",
-        "_n",
+        *COLUMNS, "_run_lo", "_end",
+        "_batch_lo", "_batch_tool", "_batch_submit", "_batch_deadline", "_n",
     )
 
     def __init__(self) -> None:
         for name, code, _fresh in self._SPECS:
             setattr(self, name, array(code))
+        self._run_lo = array("q")
+        self._end = 0
         self._batch_lo = array("q")
         self._batch_tool = array("h")
         self._batch_submit = array("d")
@@ -207,30 +206,24 @@ class JobStore:
     def __len__(self) -> int:
         return self._n
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the run and batch tables hold, whatever ``len(store)``."""
+        return sum(
+            column.itemsize * len(column)
+            for column in map(self.__getattribute__, JobStore.__slots__)
+            if isinstance(column, array)
+        )
+
     # -- appends -------------------------------------------------------- #
-    @hot_path
-    def reserve(self, capacity: int) -> None:
-        """Allocate room for ``capacity`` jobs in total (never shrinks).
-
-        Columns are rebuilt at exactly that size with a fresh-job tail,
-        so column objects change: re-read ``store.<column>`` afterwards.
-        """
-        have = len(self.state)
-        if capacity <= have:
-            return
-        for name, code, fresh in self._SPECS:
-            tail = array(code, (fresh,)) * (capacity - have)
-            # An empty store takes the tail as the column: no second copy.
-            setattr(self, name, getattr(self, name) + tail if have else tail)
-
     @hot_path
     def append_batch(
         self, count: int, tool: int, submit: float, deadline: float
     ) -> tuple[int, int]:
         """Append ``count`` PENDING jobs of one class; returns [lo, hi).
 
-        One batch-table entry and no row write: reserved rows already
-        hold a fresh job's values.
+        One batch-table entry and no run: a row has none until its
+        first transition.
         """
         if count <= 0:
             raise ValueError(f"batch count must be positive, got {count}")
@@ -239,16 +232,58 @@ class JobStore:
                 f"tool index must be in [0, {MAX_TOOLS}), got {tool}"
             )
         lo = self._n
-        hi = lo + count
-        capacity = len(self.state)
-        if hi > capacity:
-            self.reserve(max(hi, 2 * capacity))
         self._batch_lo.append(lo)
         self._batch_tool.append(tool)
         self._batch_submit.append(submit)
         self._batch_deadline.append(deadline)
-        self._n = hi
-        return lo, hi
+        self._n = lo + count
+        return lo, self._n
+
+    # -- the run table --------------------------------------------------- #
+    def _outside(self, lo: int, hi: object) -> IndexError:
+        return IndexError(
+            f"job rows [{lo}, {hi}) are not a range of the store's "
+            f"[0, {self._n})"
+        )
+
+    def _cover(self, upto: int) -> None:
+        """Give the never-transitioned rows below ``upto`` one fresh run."""
+        if upto > self._end:
+            self._run_lo.append(self._end)
+            for name, _code, fresh in self._SPECS:
+                getattr(self, name).append(fresh)
+            self._end = upto
+
+    def _cut(self, run: int, row: int) -> None:
+        """Split run ``run - 1`` so that run ``run`` starts at ``row``."""
+        self._run_lo.insert(run, row)
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            column.insert(run, column[run - 1])
+
+    def _runs(self, lo: int, hi: int) -> tuple[int, int]:
+        """The run indices [first, last) holding exactly rows [lo, hi).
+
+        Rows never transitioned get one fresh run up to ``hi`` (at the
+        table's end, so an append); then each boundary is one ``bisect``
+        and a run is split only where the range cuts one.
+        """
+        if not 0 <= lo < hi <= self._n:
+            raise self._outside(lo, hi)
+        if hi > self._end:
+            self._cover(hi)
+        los = self._run_lo
+        first = bisect_right(los, lo) - 1
+        if los[first] != lo:
+            first += 1
+            self._cut(first, lo)
+        if hi == self._end:
+            return first, len(los)
+        last = bisect_right(los, hi, first) - 1
+        if los[last] != hi:
+            last += 1
+            self._cut(last, hi)
+        return first, last
 
     # -- range transitions ---------------------------------------------- #
     def start_range(
@@ -275,76 +310,85 @@ class JobStore:
         """Start consecutive node pieces of one placed span, at span cost.
 
         ``pieces`` are ``(hi, node, pool, epoch)`` in row order, each
-        starting where the previous ended (``lo`` for the first).  The
-        shared columns are written once over the span; per piece only
-        ``dest`` is, plus ``pool``/``epoch`` where a node's differ from
-        the first piece's (an elastic or re-commissioned node).
+        starting where the previous ended (``lo`` for the first).  A
+        fresh span at the table's end — every arrival's — appends its
+        runs with one ``extend`` per column however many pieces it has;
+        rows that already have runs (queue drain, re-placement) are
+        rewritten piece by piece.
         """
-        _hi, _node, span_pool, span_epoch = pieces[0]
-        hi = pieces[-1][0]
-        _fill(self.state, lo, hi, int(FleetJobState.RUNNING))
-        _fill(self.start, lo, hi, now)
-        _fill(self.gpu, lo, hi, 1 if gpu else 0)
-        _fill(self.pool, lo, hi, span_pool)
-        _fill(self.epoch, lo, hi, span_epoch)
-        dest = self.dest
-        for hi, node, pool, epoch in pieces:
-            _fill(dest, lo, hi, node)
-            if pool != span_pool:
-                _fill(self.pool, lo, hi, pool)
-            if epoch != span_epoch:
-                _fill(self.epoch, lo, hi, epoch)
-            lo = hi
+        stops, nodes, pools, epochs = zip(*pieces)
+        los = (lo, *stops[:-1])
+        if not (0 <= lo and stops[-1] <= self._n and all(map(lt, los, stops))):
+            raise self._outside(lo, " / ".join(map(str, stops)))
+        on_gpu = 1 if gpu else 0
+        if lo < self._end:
+            for lo, (hi, node, pool, epoch) in zip(los, pieces):
+                first, last = self._runs(lo, hi)
+                _fill(self.state, first, last, _RUNNING)
+                _fill(self.dest, first, last, node)
+                _fill(self.start, first, last, now)
+                _fill(self.gpu, first, last, on_gpu)
+                _fill(self.pool, first, last, pool)
+                _fill(self.epoch, first, last, epoch)
+            return
+        self._cover(lo)
+        count = len(pieces)
+        self._run_lo.extend(los)
+        self.state.extend([_RUNNING] * count)
+        self.dest.extend(nodes)
+        self.hops.extend([0] * count)
+        self.shed.extend([NO_REASON] * count)
+        self.start.extend([now] * count)
+        self.finish.extend([NO_INSTANT] * count)
+        self.gpu.extend([on_gpu] * count)
+        self.pool.extend(pools)
+        self.epoch.extend(epochs)
+        self._end = stops[-1]
 
     def queue_range(
         self, lo: int, hi: int, node: int, pool: int = NO_POOL
     ) -> None:
         """PENDING → QUEUED at ``node`` (bounded per-node queue)."""
-        _fill(self.state, lo, hi, int(FleetJobState.QUEUED))
-        _fill(self.dest, lo, hi, node)
-        _fill(self.pool, lo, hi, pool)
+        first, last = self._runs(lo, hi)
+        _fill(self.state, first, last, _QUEUED)
+        _fill(self.dest, first, last, node)
+        _fill(self.pool, first, last, pool)
 
     def complete_range(self, lo: int, hi: int, now: float) -> None:
         """RUNNING → COMPLETED at ``now``."""
-        _fill(self.state, lo, hi, int(FleetJobState.COMPLETED))
-        _fill(self.finish, lo, hi, now)
+        first, last = self._runs(lo, hi)
+        _fill(self.state, first, last, _COMPLETED)
+        _fill(self.finish, first, last, now)
 
     def shed_range(
         self, lo: int, hi: int, reason: ShedReason, now: float
     ) -> None:
         """Any live state → SHED with ``reason`` at ``now``."""
-        _fill(self.state, lo, hi, int(FleetJobState.SHED))
-        _fill(self.shed, lo, hi, SHED_REASON_CODE[reason])
-        _fill(self.finish, lo, hi, now)
+        first, last = self._runs(lo, hi)
+        _fill(self.state, first, last, _SHED)
+        _fill(self.shed, first, last, SHED_REASON_CODE[reason])
+        _fill(self.finish, first, last, now)
 
     def fail_range(self, lo: int, hi: int, now: float) -> None:
         """Resubmit budget exhausted → FAILED at ``now``."""
-        _fill(self.state, lo, hi, int(FleetJobState.FAILED))
-        _fill(self.finish, lo, hi, now)
+        first, last = self._runs(lo, hi)
+        _fill(self.state, first, last, _FAILED)
+        _fill(self.finish, first, last, now)
 
     def resubmit_range(self, lo: int, hi: int) -> None:
         """Interrupted RUNNING/QUEUED → PENDING with one more hop."""
-        _fill(self.state, lo, hi, int(FleetJobState.PENDING))
-        _fill(self.dest, lo, hi, NO_NODE)
-        _fill(self.start, lo, hi, NO_INSTANT)
-        _fill(self.gpu, lo, hi, 0)
-        _fill(self.pool, lo, hi, NO_POOL)
-        _fill(self.epoch, lo, hi, 0)
-        # Resubmits are rare (node failures only); the per-element
-        # rewrite stays off the per-batch hot path.
+        first, last = self._runs(lo, hi)
+        _fill(self.state, first, last, _PENDING)
+        _fill(self.dest, first, last, NO_NODE)
+        _fill(self.start, first, last, NO_INSTANT)
+        _fill(self.gpu, first, last, 0)
+        _fill(self.pool, first, last, NO_POOL)
+        _fill(self.epoch, first, last, 0)
         hops = self.hops
-        hops[lo:hi] = array(hops.typecode, [h + 1 for h in hops[lo:hi]])
+        for run in range(first, last):
+            hops[run] += 1
 
     # -- reads ----------------------------------------------------------- #
-    def _prefix(self, name: str) -> np.ndarray:
-        """Zero-copy numpy view of one column's logical prefix."""
-        column = getattr(self, name)
-        return np.frombuffer(column, dtype=column.typecode)[: self._n]
-
-    def _batch_of(self, index: int) -> int:
-        """The batch-table entry row ``index`` arrived in."""
-        return bisect_right(self._batch_lo, index) - 1
-
     def arrival(self, index: int) -> tuple[int, float, float]:
         """``(tool, submit, deadline)`` job ``index`` arrived with.
 
@@ -353,52 +397,33 @@ class JobStore:
         """
         if not 0 <= index < self._n:
             raise IndexError(f"job row {index} out of range")
-        batch = self._batch_of(index)
+        batch = bisect_right(self._batch_lo, index) - 1
         return (
             self._batch_tool[batch],
             self._batch_submit[batch],
             self._batch_deadline[batch],
         )
 
-    def _chunks(self) -> Iterator[tuple[int, int]]:
-        """The logical prefix as [at, stop) steps of ``_DIGEST_CHUNK`` rows."""
-        for at in range(0, self._n, _DIGEST_CHUNK):
-            yield at, min(at + _DIGEST_CHUNK, self._n)
-
-    def _expand(self, values: array, at: int, stop: int) -> np.ndarray:
-        """One batch-table column as canonical per-row values of [at, stop).
-
-        Each batch overlapping the range repeats its value once per row
-        it has inside it; the first and last may be cut by the range.
-        """
-        first = self._batch_of(at)
-        last = self._batch_of(stop - 1) + 1
-        edges = np.empty(last - first + 1, dtype=np.int64)
-        edges[:-1] = np.frombuffer(self._batch_lo, dtype=np.int64)[first:last]
-        edges[0] = at
-        edges[-1] = stop
-        canonical = np.float64 if values.typecode == "d" else np.int64
-        per_batch = np.frombuffer(values, dtype=values.typecode)[first:last]
-        return np.repeat(per_batch.astype(canonical), np.diff(edges))
-
     def row(self, index: int) -> JobRow:
-        """Materialise one job row (tests/debugging, not the hot path)."""
+        """Materialise one job row (off the hot path: one ``bisect`` into
+        each table and a dataclass per call)."""
         tool, submit, deadline = self.arrival(index)
-        shed_code = self.shed[index]
+        self._cover(self._n)
+        run = bisect_right(self._run_lo, index) - 1
         return JobRow(
             index=index,
-            state=FleetJobState(self.state[index]),
+            state=FleetJobState(self.state[run]),
             tool=tool,
             submit=submit,
             deadline=deadline,
-            destination=self.dest[index],
-            hops=self.hops[index],
-            shed=SHED_REASON_BY_CODE.get(shed_code),
-            start=self.start[index],
-            finish=self.finish[index],
-            gpu=bool(self.gpu[index]),
-            pool=self.pool[index],
-            epoch=self.epoch[index],
+            destination=self.dest[run],
+            hops=self.hops[run],
+            shed=SHED_REASON_BY_CODE.get(self.shed[run]),
+            start=self.start[run],
+            finish=self.finish[run],
+            gpu=bool(self.gpu[run]),
+            pool=self.pool[run],
+            epoch=self.epoch[run],
         )
 
     def rows(self) -> Iterator[JobRow]:
@@ -406,12 +431,40 @@ class JobStore:
         for index in range(len(self)):
             yield self.row(index)
 
+    def _chunks(self) -> Iterator[tuple[int, int]]:
+        """All rows as [at, stop) steps of ``_DIGEST_CHUNK`` rows."""
+        for at in range(0, self._n, _DIGEST_CHUNK):
+            yield at, min(at + _DIGEST_CHUNK, self._n)
+
+    def _per_row(self, name: str, at: int, stop: int) -> np.ndarray:
+        """Field ``name`` as canonical per-row values of rows [at, stop):
+        each run (arrival batch, for what a job arrives with) repeats
+        its value once per row it has in the range."""
+        if name in self.COLUMNS:
+            los, values = self._run_lo, getattr(self, name)
+        else:
+            los, values = self._batch_lo, getattr(self, "_batch_" + name)
+        first = bisect_right(los, at) - 1
+        last = bisect_right(los, stop - 1)
+        edges = np.empty(last - first + 1, dtype=np.int64)
+        edges[:-1] = np.frombuffer(los, dtype=np.int64)[first:last]
+        edges[0] = at
+        edges[-1] = stop
+        canonical = np.float64 if values.typecode == "d" else np.int64
+        per_entry = np.frombuffer(values, dtype=values.typecode)[first:last]
+        return np.repeat(per_entry.astype(canonical), np.diff(edges))
+
     def count_by_state(self) -> dict[str, int]:
         """Job counts per :class:`FleetJobState` name (only nonzero)."""
-        column = self._prefix("state")
-        counts = np.zeros(len(FleetJobState), dtype=np.int64)
-        for at, stop in self._chunks():  # bincount widens what it counts
-            counts += np.bincount(column[at:stop], minlength=len(counts))
+        self._cover(self._n)
+        # each run weighs its rows; float64 counts exactly below 2**53
+        counts = np.bincount(
+            np.frombuffer(self.state, dtype=np.int8),
+            weights=np.diff(
+                np.frombuffer(self._run_lo, dtype=np.int64), append=self._n
+            ),
+            minlength=len(FleetJobState),
+        )
         return {
             state.name: int(counts[state])
             for state in FleetJobState
@@ -423,32 +476,17 @@ class JobStore:
 
         Canonical means one int64 per job for every discrete field and
         one float64 for every instant, field after field in
-        :data:`DIGEST_ORDER`, whatever width a column is stored at and
-        whether the field is stored per row or per batch: narrow
-        columns are widened and batch attributes expanded a bounded
-        chunk at a time.  Two stores whose jobs went through equivalent
-        transitions hash identically regardless of which implementation
-        (columnar bulk ops or the per-job-object reference) produced
-        them, of how the jobs were split into batches and of how much
-        capacity either reserved.
+        :data:`DIGEST_ORDER`.  Two stores whose jobs went through
+        equivalent transitions hash identically regardless of which
+        implementation (columnar bulk ops or the per-job-object
+        reference) produced them, of how the jobs were split into
+        batches and of where either cut its runs.
         """
-        per_batch = {
-            "tool": self._batch_tool,
-            "submit": self._batch_submit,
-            "deadline": self._batch_deadline,
-        }
+        self._cover(self._n)
         hasher = hashlib.sha256()
         for name in self.DIGEST_ORDER:
-            if name in per_batch:
-                for at, stop in self._chunks():
-                    hasher.update(self._expand(per_batch[name], at, stop))
-                continue
-            column = self._prefix(name)
             for at, stop in self._chunks():
-                chunk = column[at:stop]
-                hasher.update(
-                    chunk if chunk.itemsize == 8 else chunk.astype(np.int64)
-                )
+                hasher.update(self._per_row(name, at, stop))
         return hasher.hexdigest()
 
 
@@ -466,19 +504,17 @@ def gpu_wait_percentile(
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    gpu = store._prefix("gpu")
-    state = store._prefix("state")
-    start = store._prefix("start")
+    store._cover(len(store))
     found = []
     for at, stop in store._chunks():
-        submit = store._expand(store._batch_submit, at, stop)
+        submit = store._per_row("submit", at, stop)
         wanted = (
-            (gpu[at:stop] != 0)
-            & (state[at:stop] == int(FleetJobState.COMPLETED))
+            (store._per_row("gpu", at, stop) != 0)
+            & (store._per_row("state", at, stop) == _COMPLETED)
             & (submit >= window_lo)
             & (submit < window_hi)
         )
-        found.append(start[at:stop][wanted] - submit[wanted])
+        found.append(store._per_row("start", at, stop)[wanted] - submit[wanted])
     waits = np.concatenate(found) if found else np.empty(0)
     if not waits.size:
         return 0.0

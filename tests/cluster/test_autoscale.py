@@ -143,13 +143,14 @@ class TestSpanKeepsPerNodePoolAndEpoch:
         reference = ObjectFleetReference(config, profile.tools)
         assert_bit_identical(result, reference, reference.run(batches))
         store = simulator.store
+        rows = list(store.rows())
         crossing = 0
         lo = 0
         for batch in batches:
             hi = lo + batch.count
             placed = {
-                (store.pool[i], store.epoch[i]) for i in range(lo, hi)
-                if store.gpu[i] and store.start[i] == store.row(i).submit
+                (row.pool, row.epoch) for row in rows[lo:hi]
+                if row.gpu and row.start == row.submit
             }
             if (POOL_BASE, 1) in placed and any(
                 pool == POOL_ELASTIC and epoch > 1 for pool, epoch in placed
@@ -157,7 +158,7 @@ class TestSpanKeepsPerNodePoolAndEpoch:
                 crossing += 1
             lo = hi
         assert crossing > 0  # the fixture really exercises the case
-        for row in store.rows():
+        for row in rows:
             if row.gpu:
                 assert row.pool == pool_of(row.destination, AUTO.min_nodes)
                 assert row.epoch >= 1

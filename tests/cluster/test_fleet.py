@@ -278,8 +278,8 @@ class TestFleetSemantics:
 
 
 class TestStoreSizing:
-    """`run` reserves the day when it can count it; either way the
-    result is the same bytes."""
+    """Nothing in the store is sized per job, so `run` never counts the
+    day ahead: a list and a generator are the same input."""
 
     def test_generator_input_equals_list_input(self):
         profile = stress_profile(seed=1)
@@ -290,9 +290,7 @@ class TestStoreSizing:
         streamed = from_gen.run(batch for batch in batches)
         assert streamed.to_json() == listed.to_json()
         assert list(from_gen.store.rows()) == list(from_list.store.rows())
-        # The list was sized exactly; the generator grew by doubling.
-        assert len(from_list.store.state) == len(from_list.store)
-        assert len(from_gen.store.state) >= len(from_gen.store)
+        assert from_gen.store.nbytes == from_list.store.nbytes
 
     def test_empty_and_nonpositive_batches_reserve_nothing(self):
         from repro.workloads.diurnal import ArrivalBatch
@@ -301,7 +299,7 @@ class TestStoreSizing:
         simulator = FleetSimulator(FleetConfig(nodes=2, gpus_per_node=1), tools)
         result = simulator.run([ArrivalBatch(0.0, 0, 0), ArrivalBatch(1.0, 0, -3)])
         assert result.jobs_submitted == 0
-        assert len(simulator.store.state) == 0
+        assert len(simulator.store) == simulator.store.nbytes == 0
 
 
 class TestMappedSeriesBindLazily:
@@ -517,7 +515,7 @@ class TestSpanCompletion:
         )
         cpu_groups = sum(
             1 for lo, _hi, _now in simulator.store.completes
-            if not simulator.store.gpu[lo]
+            if not simulator.store.row(lo).gpu
         )
         gpu_writes = len(simulator.store.completes) - cpu_groups
         assert 0 < gpu_writes <= len(spans) + result.resubmitted

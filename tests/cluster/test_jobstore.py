@@ -2,21 +2,32 @@
 
 import hashlib
 import math
+import struct
 import tracemalloc
-from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 import repro.cluster.jobstore as jobstore
 from repro.cluster.jobstore import (
     MAX_TOOLS,
     NO_INSTANT,
     NO_NODE,
+    NO_POOL,
     NO_REASON,
     SHED_REASON_BY_CODE,
     SHED_REASON_CODE,
     FleetJobState,
+    JobRow,
     JobStore,
     gpu_wait_percentile,
 )
@@ -84,7 +95,6 @@ class TestArrivalAttributesLivePerBatch:
 
     def test_arrival_outside_the_store_is_an_index_error(self):
         store = JobStore()
-        store.reserve(8)
         for index in (0, -1):
             with pytest.raises(IndexError):
                 store.arrival(index)
@@ -216,108 +226,358 @@ def _scripted(store: JobStore) -> JobStore:
     return store
 
 
-class TestCapacityIsNotLength:
-    """Reserved capacity is an allocation detail no reader can observe."""
+class TestNeverTransitionedRows:
+    """A row has no run until its first transition; every reader still
+    sees a fresh PENDING job there, and an empty store is defined."""
 
-    def test_reserved_store_equals_grown_store(self):
-        grown = _scripted(JobStore())
-        reserved = JobStore()
-        reserved.reserve(1000)
-        _scripted(reserved)
-        assert len(reserved.state) == 1000  # the capacity is really there
-        assert len(reserved) == len(grown) == 12
-        assert reserved.digest() == grown.digest()
-        assert reserved.count_by_state() == grown.count_by_state()
-        assert list(reserved.rows()) == list(grown.rows())
-
-    def test_reserved_tail_is_invisible(self):
+    def test_empty_store_and_fresh_tail_are_defined(self):
         store = JobStore()
-        store.reserve(64)
-        assert len(store) == 0
+        assert len(store) == store.nbytes == 0
         assert list(store.rows()) == []
         assert store.count_by_state() == {}
-        assert store.digest() == JobStore().digest()
+        assert store.digest() == hashlib.sha256().hexdigest()
         assert gpu_wait_percentile(store, 0.95) == 0.0
         store.append_batch(2, tool=0, submit=0.0, deadline=60.0)
         assert store.count_by_state() == {"PENDING": 2}
+        assert gpu_wait_percentile(store, 0.95) == 0.0
+        assert store.digest() == canonical_digest(list(store.rows()))
         with pytest.raises(IndexError):
-            store.row(2)  # allocated, but not a job
+            store.row(2)
         with pytest.raises(IndexError):
             store.row(-1)
+        # Reading the tail does not pin it: it transitions like any row.
+        store.append_batch(3, tool=1, submit=1.0, deadline=61.0)
+        store.start_range(1, 4, node=7, now=2.0, gpu=True)
+        assert [row.state.name for row in store.rows()] == \
+            ["PENDING"] + ["RUNNING"] * 3 + ["PENDING"]
+        assert store.row(4).destination == NO_NODE
 
-    def test_reserve_never_shrinks_and_keeps_rows(self):
-        store = _scripted(JobStore())
-        before = store.digest()
-        store.reserve(4)
-        assert len(store.state) >= 12
-        store.reserve(500)
-        assert len(store) == 12 and store.digest() == before
-        lo, hi = store.append_batch(3, tool=0, submit=20.0, deadline=80.0)
-        assert (lo, hi) == (12, 15)
-        assert store.row(14).state is FleetJobState.PENDING
-        assert store.row(14).destination == NO_NODE
 
-    def test_unsized_store_grows_geometrically(self):
+TRANSITIONS = {
+    "start_range": lambda store, lo, hi:
+        store.start_range(lo, hi, node=1, now=1.0, gpu=True),
+    "start_span": lambda store, lo, hi:
+        store.start_span(lo, 1.0, [(hi, 1, 0, 1)]),
+    "queue_range": lambda store, lo, hi: store.queue_range(lo, hi, node=1),
+    "complete_range": lambda store, lo, hi: store.complete_range(lo, hi, 1.0),
+    "shed_range": lambda store, lo, hi:
+        store.shed_range(lo, hi, ShedReason.QUEUE_FULL, 1.0),
+    "fail_range": lambda store, lo, hi: store.fail_range(lo, hi, 1.0),
+    "resubmit_range": lambda store, lo, hi: store.resubmit_range(lo, hi),
+}
+
+
+class TestTransitionsStayInsideTheStore:
+    def test_a_range_outside_the_store_is_an_index_error(self):
+        """``complete_range(5, 20, t)`` on ten rows used to grow two
+        columns to twenty entries: the next batch arrived COMPLETED and
+        ``rows()`` died on the columns that had not grown."""
+        outside = [(5, 20), (10, 11), (0, 11), (-1, 3), (3, 3), (4, 2)]
+        for name, transition in TRANSITIONS.items():
+            for transitioned in (0, 4, 10):  # no run yet, some, all
+                store = JobStore()
+                store.append_batch(10, tool=0, submit=0.0, deadline=60.0)
+                if transitioned:
+                    store.queue_range(0, transitioned, node=3)
+                before = list(store.rows())
+                for lo, hi in outside:
+                    with pytest.raises(IndexError, match="not a range of"):
+                        transition(store, lo, hi)
+                assert list(store.rows()) == before, name
+                store.append_batch(2, tool=0, submit=1.0, deadline=61.0)
+                assert [row.state for row in store.rows()][10:] == \
+                    [FleetJobState.PENDING] * 2, name
+                transition(store, 0, 12)  # the whole store is a range
+
+    @pytest.mark.parametrize("transitioned", [0, 6])
+    def test_span_pieces_out_of_row_order_are_an_index_error(
+        self, transitioned
+    ):
         store = JobStore()
-        capacities = set()
-        for _ in range(200):
-            store.append_batch(1, tool=0, submit=0.0, deadline=1.0)
-            capacities.add(len(store.state))
-        assert len(store) == 200
-        assert len(capacities) <= 9  # doublings, not one growth per append
+        store.append_batch(10, tool=0, submit=0.0, deadline=60.0)
+        if transitioned:
+            store.queue_range(0, transitioned, node=3)
+        before = list(store.rows())
+        for pieces in ([(6, 1, 0, 1), (4, 2, 0, 1), (10, 3, 0, 1)],
+                       [(4, 1, 0, 1), (4, 2, 0, 1)],
+                       [(2, 1, 0, 1)]):
+            with pytest.raises(IndexError):
+                store.start_span(2, 1.0, pieces)
+        assert list(store.rows()) == before
 
 
-def canonical_digest(store: JobStore) -> str:
-    """SHA-256 over int64/float64 columns rebuilt from ``rows()`` alone."""
-    rows = list(store.rows())
+def canonical_digest(rows) -> str:
+    """SHA-256 over int64/float64 columns ``struct.pack``ed from a list
+    of :class:`JobRow` alone — no store, no numpy, no ``array``."""
     columns = [
-        array("q", [int(row.state) for row in rows]),
-        array("q", [row.tool for row in rows]),
-        array("d", [row.submit for row in rows]),
-        array("d", [row.deadline for row in rows]),
-        array("q", [row.destination for row in rows]),
-        array("q", [row.hops for row in rows]),
-        array("q", [NO_REASON if row.shed is None
-                    else SHED_REASON_CODE[row.shed] for row in rows]),
-        array("d", [row.start for row in rows]),
-        array("d", [row.finish for row in rows]),
-        array("q", [int(row.gpu) for row in rows]),
-        array("q", [row.pool for row in rows]),
-        array("q", [row.epoch for row in rows]),
+        ("q", [int(row.state) for row in rows]),
+        ("q", [row.tool for row in rows]),
+        ("d", [row.submit for row in rows]),
+        ("d", [row.deadline for row in rows]),
+        ("q", [row.destination for row in rows]),
+        ("q", [row.hops for row in rows]),
+        ("q", [NO_REASON if row.shed is None
+               else SHED_REASON_CODE[row.shed] for row in rows]),
+        ("d", [row.start for row in rows]),
+        ("d", [row.finish for row in rows]),
+        ("q", [int(row.gpu) for row in rows]),
+        ("q", [row.pool for row in rows]),
+        ("q", [row.epoch for row in rows]),
     ]
     hasher = hashlib.sha256()
-    for column in columns:
-        hasher.update(column.tobytes())
+    for code, column in columns:
+        hasher.update(struct.pack(f"={len(column)}{code}", *column))
     return hasher.hexdigest()
+
+
+def naive_waits(rows, window_lo=0.0, window_hi=float("inf")):
+    """Sorted waits of the completed GPU jobs submitted in a window."""
+    return sorted(
+        row.start - row.submit
+        for row in rows
+        if row.gpu
+        and row.state is FleetJobState.COMPLETED
+        and window_lo <= row.submit < window_hi
+    )
+
+
+def naive_percentile(waits, quantile):
+    if not waits:
+        return 0.0
+    rank = max(0, min(len(waits) - 1, int(math.ceil(quantile * len(waits))) - 1))
+    return waits[rank]
+
+
+def naive_gpu_wait_percentile(rows, quantile, *window):
+    """The pre-vectorisation implementation over plain rows, kept as
+    the reference."""
+    return naive_percentile(naive_waits(rows, *window), quantile)
+
+
+class RowModel:
+    """The per-row store the run table replaced, as plain as it gets:
+    one :class:`JobRow` per job in a list, every transition a rewrite
+    of the rows in its range."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append_batch(self, count, tool, submit, deadline):
+        lo = len(self.rows)
+        self.rows += [
+            JobRow(index=index, state=FleetJobState.PENDING, tool=tool,
+                   submit=submit, deadline=deadline, destination=NO_NODE,
+                   hops=0, shed=None, start=NO_INSTANT, finish=NO_INSTANT,
+                   gpu=False, pool=NO_POOL, epoch=0)
+            for index in range(lo, lo + count)
+        ]
+        return lo, lo + count
+
+    def _write(self, lo, hi, **fields):
+        self.rows[lo:hi] = [replace(row, **fields) for row in self.rows[lo:hi]]
+
+    def start_span(self, lo, now, pieces, gpu=True):
+        for hi, node, pool, epoch in pieces:
+            self._write(lo, hi, state=FleetJobState.RUNNING, destination=node,
+                        start=now, gpu=gpu, pool=pool, epoch=epoch)
+            lo = hi
+
+    def queue_range(self, lo, hi, node, pool=NO_POOL):
+        self._write(lo, hi, state=FleetJobState.QUEUED, destination=node,
+                    pool=pool)
+
+    def complete_range(self, lo, hi, now):
+        self._write(lo, hi, state=FleetJobState.COMPLETED, finish=now)
+
+    def shed_range(self, lo, hi, reason, now):
+        self._write(lo, hi, state=FleetJobState.SHED, shed=reason, finish=now)
+
+    def fail_range(self, lo, hi, now):
+        self._write(lo, hi, state=FleetJobState.FAILED, finish=now)
+
+    def resubmit_range(self, lo, hi):
+        self.rows[lo:hi] = [
+            replace(row, state=FleetJobState.PENDING, destination=NO_NODE,
+                    start=NO_INSTANT, gpu=False, pool=NO_POOL, epoch=0,
+                    hops=row.hops + 1)
+            for row in self.rows[lo:hi]
+        ]
+
+
+QUANTILES = (0.01, 0.5, 0.95, 0.999, 1.0)
+
+
+def assert_store_equals_rows(store, rows, windows, materialised=None):
+    """Everything a :class:`JobStore` can be asked, against plain rows.
+
+    ``materialised`` bounds how many trailing rows are compared as
+    :class:`JobRow` objects; the digest compares every field of every
+    row either way."""
+    assert len(store) == len(rows)
+    compared = rows[-materialised:] if materialised else rows
+    assert [store.row(row.index) for row in compared] == compared
+    assert store.count_by_state() == dict(
+        Counter(row.state.name for row in rows)
+    )
+    for window in windows:
+        waits = naive_waits(rows, *window)
+        for quantile in QUANTILES:
+            ours = gpu_wait_percentile(store, quantile, *window)
+            assert type(ours) is float
+            assert ours == naive_percentile(waits, quantile)
+    assert store.digest() == canonical_digest(rows)
+
+
+instants = st.integers(0, 400).map(lambda quarter: quarter / 4)
+nodes = st.integers(0, 9)
+pools = st.sampled_from((NO_POOL, 0, 1))
+epochs = st.integers(0, 3)
+
+
+class RunTableMachine(RuleBasedStateMachine):
+    """ROADMAP 5b: the run table and :class:`RowModel` take the same
+    random transitions — whole batches, sub-ranges that cut runs, ranges
+    over several runs, single rows (the oracle's traffic), fresh rows
+    at the table's end and rows mid-table — and must never differ."""
+
+    WINDOWS = ((0.0, float("inf")), (25.0, 75.0), (50.0, 50.5))
+    REAL_CHUNK = jobstore._DIGEST_CHUNK
+
+    def __init__(self):
+        super().__init__()
+        self.store = JobStore()
+        self.model = RowModel()
+
+    def both(self, method, *args):
+        results = [getattr(target, method)(*args)
+                   for target in (self.store, self.model)]
+        assert results[0] == results[1]
+
+    @initialize(chunk=st.sampled_from((5, 32, 256) * 2 + (REAL_CHUNK,)))
+    def chunked(self, chunk):
+        """Readers chunk every few rows — or at the real size, with one
+        batch that ends just short of the seam so the drawn ranges
+        (always near the table's end) work across it."""
+        jobstore._DIGEST_CHUNK = chunk
+        if chunk == self.REAL_CHUNK:
+            self.both("append_batch", chunk - 9, 0, 50.0, 110.0)
+
+    @invariant()
+    def store_equals_model(self):
+        if jobstore._DIGEST_CHUNK != self.REAL_CHUNK:
+            assert_store_equals_rows(self.store, self.model.rows, self.WINDOWS)
+
+    def teardown(self):
+        try:  # 65 536 rows are compared once, not after every step
+            if jobstore._DIGEST_CHUNK == self.REAL_CHUNK:
+                assert_store_equals_rows(
+                    self.store, self.model.rows, self.WINDOWS,
+                    materialised=2_000,
+                )
+        finally:
+            jobstore._DIGEST_CHUNK = self.REAL_CHUNK
+
+    def draw_range(self, data):
+        rows = len(self.model.rows)
+        lo = data.draw(st.integers(max(0, rows - 60), rows - 1), label="lo")
+        length = data.draw(st.one_of(st.just(1), st.integers(1, 40)))
+        return lo, min(rows, lo + length)
+
+    def draw_pieces(self, data, lo, hi):
+        stops = sorted(data.draw(
+            st.sets(st.integers(lo + 1, hi), max_size=4), label="cuts"
+        ) | {hi})
+        return [(stop, data.draw(nodes), data.draw(pools), data.draw(epochs))
+                for stop in stops]
+
+    @rule(count=st.integers(1, 30), tool=st.integers(0, 5), submit=instants,
+          ttl=instants)
+    def append_batch(self, count, tool, submit, ttl):
+        self.both("append_batch", count, tool, submit, submit + ttl)
+
+    has_rows = precondition(lambda self: self.model.rows)
+
+    @has_rows
+    @rule(data=st.data(), now=instants, gpu=st.booleans())
+    def start_span(self, data, now, gpu):
+        lo, hi = self.draw_range(data)
+        self.both("start_span", lo, now, self.draw_pieces(data, lo, hi), gpu)
+
+    @precondition(lambda self: self.store._end < len(self.store))
+    @rule(data=st.data(), now=instants, served=st.integers(0, 40))
+    def start_fresh_span(self, data, now, served):
+        """The fleet's own traffic: a multi-piece span over rows nothing
+        has touched, pieces differing in pool and epoch, then one
+        completion over however many of its runs."""
+        lo, hi = self.store._end, len(self.store)
+        hi = data.draw(st.integers(lo + 1, min(hi, lo + 40)), label="hi")
+        self.both("start_span", lo, now, self.draw_pieces(data, lo, hi))
+        if served:
+            self.both("complete_range", lo, min(hi, lo + served), now + 30.0)
+
+    @has_rows
+    @rule(data=st.data(), node=nodes, pool=pools)
+    def queue_range(self, data, node, pool):
+        self.both("queue_range", *self.draw_range(data), node, pool)
+
+    @has_rows
+    @rule(data=st.data(), now=instants)
+    def complete_range(self, data, now):
+        self.both("complete_range", *self.draw_range(data), now)
+
+    @has_rows
+    @rule(data=st.data(), reason=st.sampled_from(ShedReason), now=instants)
+    def shed_range(self, data, reason, now):
+        self.both("shed_range", *self.draw_range(data), reason, now)
+
+    @has_rows
+    @rule(data=st.data(), now=instants)
+    def fail_range(self, data, now):
+        self.both("fail_range", *self.draw_range(data), now)
+
+    @has_rows
+    @rule(data=st.data())
+    def resubmit_range(self, data):
+        self.both("resubmit_range", *self.draw_range(data))
+
+
+
+TestRunTableEqualsPerRowModel = RunTableMachine.TestCase
+TestRunTableEqualsPerRowModel.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
 
 
 class TestCanonicalDigest:
     """Columns are stored narrow; the digest is of their 64-bit view, so
     no recorded digest depends on a storage width."""
 
-    def test_a_row_is_30_bytes(self):
+    def test_a_run_is_38_bytes(self):
         store = JobStore()
-        store.reserve(100)
-        assert sum(getattr(store, name).itemsize
-                   for name in JobStore.COLUMNS) == 30
-        assert all(getattr(store, name).itemsize == 8
-                   for name in ("start", "finish"))
-        # Arrival attributes have no per-row storage at all, and an
-        # append writes one batch entry however many rows it adds.
+        store.append_batch(90, tool=1, submit=0.0, deadline=1.0)
+        store.append_batch(10_000, tool=2, submit=1.0, deadline=2.0)
+        # An append writes one batch entry however many rows it adds,
+        # and arrival attributes have no per-run storage at all.
+        assert store.nbytes == 2 * (8 + 2 + 8 + 8)
         assert set(JobStore.DIGEST_ORDER) - set(JobStore.COLUMNS) == \
             {"tool", "submit", "deadline"}
         assert not any(hasattr(store, name)
                        for name in ("tool", "submit", "deadline"))
-        store.append_batch(90, tool=1, submit=0.0, deadline=1.0)
-        assert len(store._batch_lo) == len(store._batch_submit) == 1
+        store.start_span(0, 0.0, [(40, 1, 0, 1), (90, 2, 0, 1)])
+        store.complete_range(0, 90, now=5.0)  # both runs, no new one
+        assert store.nbytes == 2 * 26 + 2 * 38
+        assert all(getattr(store, name).itemsize == 8
+                   for name in ("start", "finish"))
 
-    @pytest.mark.parametrize("reserved", [0, 1000])
-    def test_digest_is_sha256_of_the_64_bit_columns(self, reserved):
-        store = JobStore()
-        store.reserve(reserved)
-        _scripted(store)
-        assert {row.state for row in store.rows()} == set(FleetJobState)
-        assert store.digest() == canonical_digest(store)
+    @pytest.mark.parametrize("untouched", [0, 1000])
+    def test_digest_is_sha256_of_the_64_bit_columns(self, untouched):
+        """Whether or not the store ends in rows that have no run."""
+        store = _scripted(JobStore())
+        if untouched:
+            store.append_batch(untouched, tool=4, submit=9.5, deadline=70.0)
+        rows = list(store.rows())
+        assert {row.state for row in rows} == set(FleetJobState)
+        assert store.digest() == canonical_digest(rows)
 
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 8, 9])
     def test_chunked_widening_has_no_seams(self, monkeypatch, length):
@@ -327,11 +587,11 @@ class TestCanonicalDigest:
             store.append_batch(1, tool=i, submit=float(i), deadline=i + 60.0)
             store.start_range(i, i + 1, node=100 + i, now=float(i), gpu=True,
                               pool=i % 2, epoch=i + 1)
-        assert store.digest() == canonical_digest(store)
+        assert store.digest() == canonical_digest(list(store.rows()))
 
     def test_the_real_chunk_seam_is_hashed(self):
-        """Batch attributes are expanded chunk by chunk: the seam may cut
-        a batch, sit on a batch edge, or trail one by a row."""
+        """Both tables are expanded chunk by chunk: the seam may cut a
+        batch or a run, sit on an edge, or trail one by a row."""
         chunk = jobstore._DIGEST_CHUNK
         layouts = {
             "seam mid-batch": (chunk - 9, 20, 5),
@@ -341,36 +601,18 @@ class TestCanonicalDigest:
             "one-row batches around the seam": (chunk - 1, 1, 1),
         }
         for label, counts in layouts.items():
-            store = JobStore()
-            store.reserve(sum(counts))
+            store, model = JobStore(), RowModel()
             digests = set()
             for number, count in enumerate(counts):
-                lo, hi = store.append_batch(
-                    count, tool=3 + number, submit=1.0 + number,
-                    deadline=2.5 * (number + 1),
-                )
-                store.queue_range(hi - 1, hi, node=hi, pool=1)
+                for target in (store, model):
+                    lo, hi = target.append_batch(
+                        count, 3 + number, 1.0 + number, 2.5 * (number + 1),
+                    )
+                    # the batch's last row leaves its run, the rest have none
+                    target.queue_range(hi - 1, hi, hi, 1)
                 digests.add(store.digest())
             assert len(store) > chunk and len(digests) == 3, label
-            # The per-row canonical expansion, from what the test
-            # appended and not from the store's own batch table.
-            per_row = {
-                "tool": array("q"), "submit": array("d"),
-                "deadline": array("d"),
-            }
-            for number, count in enumerate(counts):
-                per_row["tool"] += array("q", [3 + number]) * count
-                per_row["submit"] += array("d", [1.0 + number]) * count
-                per_row["deadline"] += array("d", [2.5 * (number + 1)]) * count
-            whole = hashlib.sha256()
-            for name in JobStore.DIGEST_ORDER:
-                if name in per_row:
-                    whole.update(per_row[name].tobytes())
-                    continue
-                column = getattr(store, name)
-                code = "d" if column.typecode == "d" else "q"
-                whole.update(array(code, column).tobytes())
-            assert store.digest() == whole.hexdigest(), label
+            assert store.digest() == canonical_digest(model.rows), label
 
 
 class TestStartSpan:
@@ -403,24 +645,6 @@ class TestStartSpan:
             [FleetJobState.RUNNING] * 2 + [FleetJobState.PENDING] * 2
 
 
-def naive_gpu_wait_percentile(store, quantile, window_lo=0.0,
-                              window_hi=float("inf")):
-    """The pre-vectorisation implementation, kept as the reference."""
-    completed = int(FleetJobState.COMPLETED)
-    submit = [store.row(i).submit for i in range(len(store))]
-    waits = sorted(
-        store.start[i] - submit[i]
-        for i in range(len(store))
-        if store.gpu[i]
-        and store.state[i] == completed
-        and window_lo <= submit[i] < window_hi
-    )
-    if not waits:
-        return 0.0
-    rank = max(0, min(len(waits) - 1, int(math.ceil(quantile * len(waits))) - 1))
-    return waits[rank]
-
-
 class TestGpuWaitPercentile:
     @pytest.fixture(scope="class")
     def storm_store(self):
@@ -433,23 +657,28 @@ class TestGpuWaitPercentile:
         simulator.run(diurnal_batches(profile))
         return simulator.store
 
+    @pytest.fixture(scope="class")
+    def storm_rows(self, storm_store):
+        return list(storm_store.rows())
+
     @pytest.mark.parametrize("quantile", [0.01, 0.5, 0.95, 0.999, 1.0])
     @pytest.mark.parametrize("window", [
         (0.0, float("inf")),
         (AB_STORM_START, AB_STORM_START + AB_STORM_DURATION),
         (AB_STORM_START + 600.0, AB_STORM_START + 660.0),
     ])
-    def test_bit_equal_to_naive_reference(self, storm_store, quantile, window):
+    def test_bit_equal_to_naive_reference(
+        self, storm_store, storm_rows, quantile, window
+    ):
         ours = gpu_wait_percentile(storm_store, quantile, *window)
-        theirs = naive_gpu_wait_percentile(storm_store, quantile, *window)
+        theirs = naive_gpu_wait_percentile(storm_rows, quantile, *window)
         assert type(ours) is float
         assert ours == theirs
 
-    def test_count_by_state_equals_a_per_row_count(self, storm_store):
-        counted = Counter(
-            FleetJobState(state).name
-            for state in storm_store.state[:len(storm_store)]
-        )
+    def test_count_by_state_equals_a_per_row_count(
+        self, storm_store, storm_rows
+    ):
+        counted = Counter(row.state.name for row in storm_rows)
         assert len(counted) > 1
         assert storm_store.count_by_state() == dict(counted)
 
@@ -469,13 +698,13 @@ class TestGpuWaitPercentile:
             )
 
         whole = results()
-        for chunk in (1, 7, 257, len(storm_store) - 1):
+        for chunk in (7, 257, len(storm_store) - 1):
             monkeypatch.setattr(jobstore, "_DIGEST_CHUNK", chunk)
             assert results() == whole, chunk
 
-    def test_storm_fixture_has_real_waits(self, storm_store):
+    def test_storm_fixture_has_real_waits(self, storm_rows):
         lo, hi = AB_STORM_START, AB_STORM_START + AB_STORM_DURATION
-        assert naive_gpu_wait_percentile(storm_store, 0.95, lo, hi) > 0.0
+        assert naive_gpu_wait_percentile(storm_rows, 0.95, lo, hi) > 0.0
 
     def test_empty_window_is_zero(self, storm_store):
         assert gpu_wait_percentile(storm_store, 0.95, 1e9, 2e9) == 0.0
@@ -490,27 +719,31 @@ class TestGpuWaitPercentile:
 
 @pytest.mark.perf_guard
 def test_result_time_readers_allocate_no_whole_column():
-    """Memory guard: on a 1 M-row store the three result-time readers
-    work a chunk at a time.  Their temporaries peak well under 4 MiB;
-    any per-row temporary over the whole store (the int64 copy
-    ``np.bincount`` used to make of ``state`` was 8 MiB) trips it."""
-    rows, per_batch = 1_000_000, 125
-    store = JobStore()
-    store.reserve(rows)
-    for number in range(rows // per_batch):
-        now = float(number)
-        lo, hi = store.append_batch(per_batch, number % 5, now, now + 3600.0)
-        store.start_span(lo, now + number % 3, [(hi, number % 1000, 0, 1)])
-        store.complete_range(lo, hi, now + 60.0)
-    window = (4000.0, 4400.0)  # 50 000 of the jobs, like a storm hour
+    """Memory guard, as a number the store reports and not as RSS: the
+    seed-42 1000x8 static day (1.1 M jobs) is ~67 k runs and 7 200
+    batches, 2.6 MiB; a per-job column alone is 1-8 MiB.  The three
+    result-time readers work a chunk of rows at a time, so their
+    temporaries peak under 4 MiB whatever the day's size."""
+    from repro.cluster.fleet import FleetConfig, FleetSimulator
+    from repro.workloads.diurnal import (
+        AB_STORM_DURATION, AB_STORM_START, DiurnalProfile, diurnal_batches,
+    )
+
+    profile = DiurnalProfile(seed=42).scaled_to(1_100_000)
+    simulator = FleetSimulator(FleetConfig(nodes=1000, gpus_per_node=8),
+                               profile.tools)
+    result = simulator.run(diurnal_batches(profile))
+    store = simulator.store
+    assert len(store) == result.jobs_submitted > 1_000_000
+    assert store.nbytes < 6 * 2**20, f"store is {store.nbytes / 2**20:.1f} MiB"
     tracemalloc.start()
     try:
         counts = store.count_by_state()
         digest = store.digest()
-        p95 = gpu_wait_percentile(store, 0.95, *window)
+        gpu_wait_percentile(store, 0.95, AB_STORM_START,
+                            AB_STORM_START + AB_STORM_DURATION)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert counts == {"COMPLETED": rows}
-    assert len(digest) == 64 and p95 == 2.0
+    assert counts == result.states and digest == result.store_digest
     assert peak < 4 * 2**20, f"readers peaked at {peak / 2**20:.1f} MiB"
