@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from repro.benchmarking.harness import BenchScenario, RunOutcome
 from repro.cluster.autoscale import PLACEMENT_POLICIES
+from repro.cluster.placement import NODE_INDEXES
 
 SUITE_NAME = "fleet_core"
 
@@ -102,6 +103,8 @@ def _throughput_scenario(nodes: int, jobs: int) -> BenchScenario:
             "repro.cluster.fleet.FleetSimulator._place_range",
             "repro.cluster.fleet.FleetSimulator._fill_gpu",
             "repro.cluster.fleet.FleetSimulator._on_span_done",
+            "repro.cluster.fleet.FleetSimulator._at",
+            "repro.cluster.placement.SpreadIndex.peek",
             "repro.cluster.jobstore.JobStore.append_batch",
             "repro.cluster.jobstore.JobStore.start_span",
         ),
@@ -192,6 +195,7 @@ def _policy_scenario(policy: str, jobs: int) -> BenchScenario:
         entry_points=(
             "repro.cluster.fleet.FleetSimulator._place_range",
             "repro.cluster.fleet.FleetSimulator._drain_queue",
+            f"repro.cluster.placement.{NODE_INDEXES[policy].__name__}.peek",
         ),
     )
 

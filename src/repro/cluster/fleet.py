@@ -1,10 +1,10 @@
 """The fleet-scale simulation tier: 1000 nodes, millions of jobs.
 
-This is ROADMAP item 1 made concrete.  The object-path cluster
-(:mod:`repro.cluster.multinode`) routes real :class:`GalaxyJob` objects
-through full GYAN deployments — faithful, but ~milliseconds of Python
-per job.  At 1M jobs the fleet tier flips every per-job cost to a
-per-*group* cost:
+The object-path cluster (:mod:`repro.cluster.multinode`) routes real
+:class:`GalaxyJob` objects through full GYAN deployments — faithful,
+but ~milliseconds of Python per job.  The fleet tier runs the paper's
+mapping (Pseudocode 2: first available GPU, else fall back) with every
+per-job cost flipped to a per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
   holds one entry per row range that was transitioned together (38
@@ -13,58 +13,57 @@ per-*group* cost:
   and completes with one write per column.
 * **Batched mapping** — arrivals come from the diurnal generator as
   same-instant :class:`~repro.workloads.diurnal.ArrivalBatch` groups;
-  Pseudocode-2 eligibility (GPU-wanted × fleet-has-capacity) is decided
-  once per batch and applied to the whole range — the object tier's
+  eligibility (GPU-wanted × fleet-has-capacity) is decided once per
+  batch and applied to the whole range — the object tier's
   :meth:`~repro.core.mapper.GpuComputationMapper.prepare_environment`
   decides it once per job.
-* **Sharded node state with indexed selection** — per-node shards hold
-  free GPU slots and the bounded queue; selection pops the policy's
-  best node from a lazy heap in O(log n) instead of scanning 1000
-  nodes per job.  A placed span — however many nodes it covers — is
-  ONE ``_EV_GPU_DONE`` entry in the global event heap; its handler
-  completes each contiguous still-live run of node pieces with one
-  store write.  Interruption stays per node: a failure or scale-in
-  drain tombstones only that node's share of every span it hosts.
 * **Aggregate observability** — counters increment per group and
   latencies land via
   :meth:`~repro.observability.metrics.HistogramChild.observe_many`;
   there are no per-job spans on this path (at 1M jobs the spans *are*
   the workload).
 
-Placement policies (:data:`~repro.cluster.autoscale.PLACEMENT_POLICIES`):
+Three mechanisms carry everything else, one of each:
 
-* ``spread`` — the lowest-indexed node with a free slot (the paper's
-  first-available rule, PR-9 behaviour).
-* ``pack`` — the node with the *fewest* free slots (ties to the lowest
-  index), bin-packing work so idle nodes stay fully drainable for
-  scale-in; queueing likewise prefers the fullest queue with room.
-* ``benefit-aware`` — the paper's GPU-benefit classes decide who may
-  claim scarce slots: low-benefit degradable classes only use capacity
-  above a configured reserve and degrade to the CPU arm instead of
-  queueing, leaving reserved slots (and the queues) to high-benefit
-  tools like basecallers.
+* **Placement is which index you build.**  ``FleetConfig.placement``
+  names a node index in :mod:`repro.cluster.placement` (``spread``: the
+  paper's first-available node; ``pack``: the fullest one).  The
+  simulator builds it over free GPU slots and over queue *room*, asks
+  ``peek()`` for the policy's best node and calls ``touch(node)`` after
+  changing its count; nothing here branches on the policy's name.
+  ``benefit-aware`` is spread plus one gate
+  (:meth:`FleetSimulator._place_low_benefit`).
+* **One node lifecycle.**  A node is off, usable, quarantined or
+  draining, and :meth:`FleetSimulator._set_state` is the only place
+  that changes it — and with it the usable-node and free-slot totals
+  the autoscaler and the reserve gate read.
+* **Events carry their handler.**  The heap holds ``(time, seq,
+  handler, args)``.  A placed span — however many nodes it covers — is
+  ONE entry; its handler completes each contiguous still-live run of
+  node pieces with one store write.  Interruption stays per node: a
+  failure or scale-in drain tombstones only that node's share of every
+  span it hosts.
 
 Elasticity (:class:`~repro.cluster.autoscale.AutoscalerConfig`): node
 indices below ``min_nodes`` are the always-on base pool; the elastic
 pool grows against windowed queue-depth/shed signals (nodes arrive
 warm only after the provisioning lag) and shrinks by *draining* — a
-victim stops accepting work, its queue resubmits through the PR-7
-failure hop path, and it decommissions (and stops costing
-node-seconds) when its last running group finishes.
+victim stops accepting work, its queue resubmits through the failure
+hop path, and it decommissions (and stops costing node-seconds) when
+its last running group finishes.
 
-Resilience semantics from PR 7 are preserved on the columnar path and
-checked for parity against :mod:`repro.cluster.fleet_reference`:
-bounded queues shed ``QUEUE_FULL``, queue TTLs shed
-``DEADLINE_EXPIRED``, degradable tool classes fall to the CPU arm
-before shedding, node failures quarantine the node and resubmit its
-jobs with a hop cap, and recovery re-admits the node.
+Resilience semantics are checked for parity against
+:mod:`repro.cluster.fleet_reference`: bounded queues shed
+``QUEUE_FULL``, queue TTLs shed ``DEADLINE_EXPIRED``, degradable tool
+classes fall to the CPU arm before shedding, node failures quarantine
+the node and resubmit its jobs with a hop cap, and recovery re-admits
+the node when its *latest* outage ends.
 
 Determinism: given the same config and arrival batches the run is
 bit-identical — the property the ``fleet_core`` double-run byte-diff in
-CI pins.  That now includes the autoscaler: evaluations and
-provisioning ride the same (time, seq) event heap as completions, and
-node-second accounting charges at identical instants in both
-implementations.
+CI pins.  That includes the autoscaler: evaluations and provisioning
+ride the same event heap as completions, and node-second accounting
+charges at identical instants in both implementations.
 """
 
 from __future__ import annotations
@@ -73,12 +72,11 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from repro.cluster.autoscale import (
     PLACEMENT_BENEFIT,
-    PLACEMENT_PACK,
     PLACEMENT_POLICIES,
     PLACEMENT_SPREAD,
     AutoscaleController,
@@ -94,6 +92,7 @@ from repro.cluster.jobstore import (
     NO_NODE,
     JobStore,
 )
+from repro.cluster.placement import NODE_INDEXES
 from repro.hotpath import hot_path
 from repro.observability.export import render_document
 from repro.observability.metrics import CounterChild, MetricsRegistry
@@ -104,13 +103,10 @@ from repro.workloads.diurnal import (
     diurnal_batches,
 )
 
-#: Event kinds in the global head heap (time, seq, kind, ...).
-_EV_GPU_DONE = 0
-_EV_CPU_DONE = 1
-_EV_FAIL = 2
-_EV_RECOVER = 3
-_EV_EVAL = 4
-_EV_PROVISION = 5
+#: Node lifecycle states: exactly one per node, changed only by
+#: :meth:`FleetSimulator._set_state`.  A draining node that fails goes
+#: straight to off, so no node is ever both draining and quarantined.
+_OFF, _USABLE, _QUARANTINED, _DRAINING = range(4)
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,11 @@ class FleetConfig:
                 f"fleet needs between 1 and {MAX_NODES} nodes, "
                 f"got {self.nodes}"
             )
-        if self.slots_per_node < 1:
-            raise ValueError("fleet nodes need at least one GPU slot")
+        if self.gpus_per_node < 1 or self.slots_per_gpu < 1:
+            raise ValueError(
+                "fleet nodes need at least one GPU and one slot per GPU, "
+                f"got {self.gpus_per_node} x {self.slots_per_gpu}"
+            )
         if self.queue_limit < 0:
             raise ValueError(
                 f"queue_limit must be non-negative, got {self.queue_limit}"
@@ -190,8 +189,11 @@ class FleetConfig:
                 f"unknown placement policy {self.placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
             )
-        if self.benefit_threshold <= 0:
-            raise ValueError("benefit_threshold must be positive")
+        if not self.benefit_threshold > 0:  # also refuses NaN
+            raise ValueError(
+                "benefit_threshold must be positive (inf allowed), "
+                f"got {self.benefit_threshold}"
+            )
         if not 0.0 <= self.gpu_reserve_fraction < 1.0:
             raise ValueError("gpu_reserve_fraction must be in [0, 1)")
         if self.autoscale is not None and self.autoscale.max_nodes > self.nodes:
@@ -241,45 +243,24 @@ class FleetResult:
     provisioned_nodes: int = 0
     decommissioned_nodes: int = 0
     #: (instant, commissioned, pending) samples, one per evaluation.
-    pool_timeline: tuple[tuple[float, int, int], ...] = field(
-        default_factory=tuple
-    )
+    pool_timeline: tuple[tuple[float, int, int], ...] = ()
 
     def to_dict(self) -> dict:
         """The ``gyan.fleet/v1`` payload (also embedded per policy in
         ``repro fleet --ab``'s ``gyan.fleet-ab/v1``)."""
-        return {
-            "schema": "gyan.fleet/v1",
-            "nodes": self.nodes,
-            "gpus_per_node": self.gpus_per_node,
-            "jobs_submitted": self.jobs_submitted,
-            "mapping_decisions": self.mapping_decisions,
-            "mapped_gpu": self.mapped_gpu,
-            "mapped_cpu": self.mapped_cpu,
-            "degraded": self.degraded,
-            "queued": self.queued,
-            "completed": self.completed,
-            "resubmitted": self.resubmitted,
-            "failed": self.failed,
-            "quarantines": self.quarantines,
-            "shed": dict(sorted(self.shed.items())),
-            "states": dict(sorted(self.states.items())),
-            "end_time": round(self.end_time, 6),
-            "store_digest": self.store_digest,
-            "placement": self.placement,
-            "pool_base_nodes": self.pool_base_nodes,
-            "pool_max_nodes": self.pool_max_nodes,
-            "peak_nodes": self.peak_nodes,
-            "node_seconds": round(self.node_seconds, 6),
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "provisioned_nodes": self.provisioned_nodes,
-            "decommissioned_nodes": self.decommissioned_nodes,
-            "pool_timeline": [
-                [round(t, 6), active, pending]
-                for t, active, pending in self.pool_timeline
-            ],
-        }
+        payload = {"schema": "gyan.fleet/v1"}
+        # Field order is payload order; the three fleet goldens pin it.
+        for spec in fields(self):
+            payload[spec.name] = getattr(self, spec.name)
+        payload["shed"] = dict(sorted(self.shed.items()))
+        payload["states"] = dict(sorted(self.states.items()))
+        payload["end_time"] = round(self.end_time, 6)
+        payload["node_seconds"] = round(self.node_seconds, 6)
+        payload["pool_timeline"] = [
+            [round(t, 6), active, pending]
+            for t, active, pending in self.pool_timeline
+        ]
+        return payload
 
     def to_json(self) -> str:
         return render_document(self.to_dict())
@@ -312,30 +293,35 @@ class FleetSimulator:
         cap = config.slots_per_node
         auto = config.autoscale
         self._cap = cap
-        self._pack = config.placement == PLACEMENT_PACK
         self._benefit = config.placement == PLACEMENT_BENEFIT
         #: Pool boundary: node < _base is the always-on base pool.
         self._base = auto.min_nodes if auto is not None else n
         start_nodes = auto.start_nodes if auto is not None else n
         # -- per-node shards -------------------------------------------- #
-        self._active = [i < start_nodes for i in range(n)]
-        self._draining = [False] * n
+        self._state = [_USABLE if i < start_nodes else _OFF for i in range(n)]
+        #: ``_state[i] == _USABLE``, as the flag list the indexes share.
+        self._usable = [state == _USABLE for state in self._state]
+        #: When a quarantined node's latest outage ends.
+        self._quarantine_end = [0.0] * n
         self._epoch = [1 if i < start_nodes else 0 for i in range(n)]
+        #: Free GPU slots; meaningful only while the node is usable.
         self._free = [cap if i < start_nodes else 0 for i in range(n)]
-        self._depth = [0] * n
+        #: Queue room: ``queue_limit`` minus the jobs queued on the node.
+        self._room = [config.queue_limit] * n
         #: Per node: FIFO of queued (lo, hi, tool, deadline) groups.
         self._queues: list[deque[tuple[int, int, int, float]]] = [
             deque() for _ in range(n)
         ]
-        self._quarantined = [False] * n
-        #: active, not draining, not quarantined (moves with _usable_count).
-        self._usable = [i < start_nodes for i in range(n)]
-        #: Per node: span seq → (lo, hi, tool) of its in-flight piece (a
+        #: Per node: span id → (lo, hi, tool) of its in-flight piece (a
         #: node holds at most one piece of a span).  Popping an entry
         #: tombstones that piece of the span's completion event.
         self._live: list[dict[int, tuple[int, int, int]]] = [
             {} for _ in range(n)
         ]
+        # -- the placement seam: the policy's index, once per resource -- #
+        index_class = NODE_INDEXES[config.placement]
+        self._slots = index_class(self._free, self._usable)
+        self._rooms = index_class(self._room, self._usable)
         # -- aggregate fleet state (the autoscaler's signal inputs) ----- #
         self._active_count = start_nodes
         self._draining_count = 0
@@ -362,41 +348,15 @@ class FleetSimulator:
         self._controller = (
             AutoscaleController(auto) if auto is not None else None
         )
-        # -- indexed node selection (lazy heaps) ------------------------ #
-        # spread/benefit key entries by node index with membership flags;
-        # pack keys them by (free, node) / (room, node) and invalidates
-        # by value mismatch, so every count change pushes a fresh entry.
-        if self._pack:
-            self._slot_heap: list = [(cap, i) for i in range(start_nodes)]
-            self._queue_heap: list = (
-                [(config.queue_limit, i) for i in range(start_nodes)]
-                if config.queue_limit > 0 else []
-            )
-            self._in_slot_heap = [False] * n
-            self._in_queue_heap = [False] * n
-        else:
-            self._slot_heap = list(range(start_nodes))
-            self._in_slot_heap = [i < start_nodes for i in range(n)]
-            self._queue_heap = list(range(start_nodes))
-            self._in_queue_heap = [i < start_nodes for i in range(n)]
-        # -- global event heap: (time, seq, kind, node, lo, hi, extra) --- #
-        # (time, seq) is unique, so ``extra`` — recovery seconds, a tool
-        # index or a GPU span's piece list — is never compared.
+        # -- global event heap: (time, seq, handler, args) --------------- #
         self._events: list[tuple] = []
         self._seq = itertools.count()
         self._now = 0.0
         for failure in config.failures:
-            heapq.heappush(
-                self._events,
-                (failure.time, next(self._seq), _EV_FAIL, failure.node,
-                 0, 0, failure.recovery_seconds),
-            )
+            self._at(failure.time, self._on_fail, failure.node,
+                     failure.recovery_seconds)
         if auto is not None:
-            heapq.heappush(
-                self._events,
-                (auto.eval_interval_s, next(self._seq), _EV_EVAL,
-                 0, 0, 0, 0.0),
-            )
+            self._at(auto.eval_interval_s, self._on_eval)
         # -- aggregate observability ------------------------------------ #
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_submitted = self.metrics.counter(
@@ -470,79 +430,33 @@ class FleetSimulator:
             self._set_pool_gauges()
 
     # ------------------------------------------------------------------ #
-    # indexed node selection
+    # the event heap and the node lifecycle
     # ------------------------------------------------------------------ #
-    def _peek_free_node(self) -> int | None:
-        """The policy's best node with a free GPU slot, O(log n).
+    @hot_path
+    def _at(self, when: float, handler, *args) -> None:
+        """Schedule ``handler(when, *args)``.  ``(when, seq)`` is the whole
+        ordering key: same-instant events run in the order pushed."""
+        heapq.heappush(self._events, (when, next(self._seq), handler, args))
 
-        spread/benefit-aware: lowest index; pack: fewest free slots
-        (ties to the lowest index).  Stale entries — quarantined,
-        drained, decommissioned, exhausted, or (pack) out-of-date
-        counts — pop-discard lazily.
-        """
-        heap = self._slot_heap
-        if self._pack:
-            while heap:
-                free, node = heap[0]
-                if not self._usable[node] or self._free[node] != free:
-                    heapq.heappop(heap)
-                    continue
-                return node
-            return None
-        while heap:
-            node = heap[0]
-            if not self._usable[node] or self._free[node] <= 0:
-                heapq.heappop(heap)
-                self._in_slot_heap[node] = False
-                continue
-            return node
-        return None
-
-    def _peek_queue_node(self) -> int | None:
-        """The policy's best node with queue room, O(log n)."""
-        heap = self._queue_heap
-        limit = self.config.queue_limit
-        if self._pack:
-            while heap:
-                room, node = heap[0]
-                if (
-                    not self._usable[node]
-                    or limit - self._depth[node] != room
-                ):
-                    heapq.heappop(heap)
-                    continue
-                return node
-            return None
-        while heap:
-            node = heap[0]
-            if not self._usable[node] or self._depth[node] >= limit:
-                heapq.heappop(heap)
-                self._in_queue_heap[node] = False
-                continue
-            return node
-        return None
-
-    def _touch_node(self, node: int) -> None:
-        """Refresh the selection heaps after this node's counts changed."""
-        if not self._usable[node]:
-            return
-        if self._pack:
-            free = self._free[node]
-            if free > 0:
-                heapq.heappush(self._slot_heap, (free, node))
-            room = self.config.queue_limit - self._depth[node]
-            if room > 0:
-                heapq.heappush(self._queue_heap, (room, node))
-            return
-        if self._free[node] > 0 and not self._in_slot_heap[node]:
-            heapq.heappush(self._slot_heap, node)
-            self._in_slot_heap[node] = True
-        if (
-            self._depth[node] < self.config.queue_limit
-            and not self._in_queue_heap[node]
-        ):
-            heapq.heappush(self._queue_heap, node)
-            self._in_queue_heap[node] = True
+    def _set_state(self, node: int, state: int) -> None:
+        """Move ``node`` to lifecycle ``state``, and with it every total
+        derived from node states.  A node leaves service with whatever
+        it had free and enters it empty, at full capacity, indexed."""
+        old = self._state[node]
+        self._state[node] = state
+        self._active_count += (old == _OFF) - (state == _OFF)
+        self._draining_count += (state == _DRAINING) - (old == _DRAINING)
+        if old == _USABLE:
+            self._usable[node] = False
+            self._usable_count -= 1
+            self._free_total -= self._free[node]
+        elif state == _USABLE:
+            self._usable[node] = True
+            self._usable_count += 1
+            self._free[node] = self._cap
+            self._free_total += self._cap
+            self._slots.touch(node)
+            self._rooms.touch(node)
 
     # ------------------------------------------------------------------ #
     # group starts
@@ -569,11 +483,8 @@ class FleetSimulator:
         store write per shared column, one completion event, one count."""
         count = pieces[-1][0] - lo
         self.store.start_span(lo, now, pieces)
-        heapq.heappush(
-            self._events,
-            (now + self.tools[tool_index].gpu_seconds, seq, _EV_GPU_DONE,
-             NO_NODE, lo, 0, pieces),
-        )
+        self._at(now + self.tools[tool_index].gpu_seconds,
+                 self._on_span_done, seq, lo, pieces)
         self._free_total -= count
         self._busy += count
         self._count_mapped("gpu", count)
@@ -593,15 +504,17 @@ class FleetSimulator:
         pieces = []
         cursor = lo
         while cursor < hi:
-            node = self._peek_free_node()
+            node = self._slots.peek()
             if node is None:
                 break
             stop = cursor + min(hi - cursor, self._free[node])
             pieces.append(self._claim(seq, node, cursor, stop, tool_index))
-            if self._pack:
-                self._touch_node(node)
             cursor = stop
         if pieces:
+            # Every node but the last was filled to exhaustion, which an
+            # index finds out for itself.
+            if node is not None and self._free[node]:
+                self._slots.touch(node)
             self._launch(seq, lo, tool_index, now, pieces)
         return cursor
 
@@ -610,11 +523,8 @@ class FleetSimulator:
     ) -> None:
         count = hi - lo
         self.store.start_range(lo, hi, NO_NODE, now, gpu=False)
-        heapq.heappush(
-            self._events,
-            (now + self.tools[tool_index].cpu_seconds, next(self._seq),
-             _EV_CPU_DONE, NO_NODE, lo, hi, tool_index),
-        )
+        self._at(now + self.tools[tool_index].cpu_seconds,
+                 self._on_range_done, lo, hi)
         self._count_mapped("cpu", count)
         if degraded:
             self._c_degraded.inc(count)
@@ -656,23 +566,22 @@ class FleetSimulator:
         if cursor == hi:
             return
         _tool, _submit, deadline = self.store.arrival(cursor)
-        limit = self.config.queue_limit
         while cursor < hi:
-            node = self._peek_queue_node()
+            node = self._rooms.peek()
             if node is None:
                 break
-            take = min(hi - cursor, limit - self._depth[node])
+            take = min(hi - cursor, self._room[node])
             self.store.queue_range(
                 cursor, cursor + take, node, pool=pool_of(node, self._base)
             )
             self._queues[node].append(
                 (cursor, cursor + take, tool_index, deadline)
             )
-            self._depth[node] += take
+            self._room[node] -= take
             self._queued_now += take
             self._c_queued.inc(take)
-            if self._pack:
-                self._touch_node(node)
+            if self._room[node]:
+                self._rooms.touch(node)
             cursor += take
         if cursor < hi:
             if self.config.degrade_to_cpu and tool.degradable:
@@ -704,7 +613,8 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     # event handlers
     # ------------------------------------------------------------------ #
-    def _complete_range(self, lo: int, hi: int, now: float) -> None:
+    def _on_range_done(self, now: float, lo: int, hi: int) -> None:
+        """A CPU group's completion event, and each live run of a span's."""
         count = hi - lo
         self.store.complete_range(lo, hi, now)
         self._completed_n += count
@@ -714,13 +624,15 @@ class FleetSimulator:
 
     @hot_path
     def _drain_queue(self, node: int, now: float) -> None:
-        """Start queued groups on freed slots, shedding expired ones."""
+        """Start queued groups on freed slots, shedding expired ones.
+        The caller re-indexes the node's slots; this, its queue room."""
         queue = self._queues[node]
+        room = self._room[node]
         while queue and self._free[node] > 0:
             glo, ghi, gtool, deadline = queue[0]
             if now > deadline:
                 queue.popleft()
-                self._depth[node] -= ghi - glo
+                self._room[node] += ghi - glo
                 self._queued_now -= ghi - glo
                 self._shed_group(glo, ghi, ShedReason.DEADLINE_EXPIRED, now)
                 continue
@@ -729,7 +641,7 @@ class FleetSimulator:
                 queue.popleft()
             else:
                 queue[0] = (glo + take, ghi, gtool, deadline)
-            self._depth[node] -= take
+            self._room[node] += take
             self._queued_now -= take
             # A queue-drain start is a one-piece span on this node.
             seq = next(self._seq)
@@ -737,7 +649,8 @@ class FleetSimulator:
                 seq, glo, gtool, now,
                 [self._claim(seq, node, glo, glo + take, gtool)],
             )
-        self._touch_node(node)
+        if self._room[node] != room:
+            self._rooms.touch(node)
 
     @hot_path
     def _on_span_done(
@@ -756,20 +669,22 @@ class FleetSimulator:
         for stop, node, _pool, _epoch in pieces:
             if live[node].pop(seq, None) is None:
                 if run_lo < lo:
-                    self._complete_range(run_lo, lo, now)
+                    self._on_range_done(now, run_lo, lo)
                 run_lo = stop
             else:
                 freed.append((node, stop - lo))
             lo = stop
         if run_lo < lo:
-            self._complete_range(run_lo, lo, now)
+            self._on_range_done(now, run_lo, lo)
         for node, count in freed:
-            self._free[node] += count
             self._busy -= count
             if self._usable[node]:
+                self._free[node] += count
                 self._free_total += count
-                self._drain_queue(node, now)  # ends by re-indexing the node
-            elif self._draining[node] and not live[node]:
+                if self._queues[node]:
+                    self._drain_queue(node, now)
+                self._slots.touch(node)
+            elif self._state[node] == _DRAINING and not live[node]:
                 self._decommission(node, now)
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
@@ -783,105 +698,85 @@ class FleetSimulator:
         self._c_resubmitted.inc(count)
         self._place_range(lo, hi, tool_index, now)
 
+    def _evict_queue(self, node: int, now: float) -> None:
+        """Flush a node that left service: its queued groups resubmit in
+        FIFO order — one more hop each, failing past the hop budget."""
+        queued = list(self._queues[node])
+        self._queues[node].clear()
+        self._queued_now -= self.config.queue_limit - self._room[node]
+        self._room[node] = self.config.queue_limit
+        for lo, hi, tool_index, _deadline in queued:
+            self._resubmit(lo, hi, tool_index, now)
+
     def _on_fail(self, now: float, node: int, recovery_seconds: float) -> None:
-        if not self._active[node]:
+        state = self._state[node]
+        if state == _OFF:
             return  # outage aimed at a node that isn't commissioned
-        was_draining = self._draining[node]
-        self._quarantined[node] = True
         self._c_quarantines.inc()
-        if self._usable[node]:
-            self._usable[node] = False
-            self._usable_count -= 1
-            self._free_total -= self._free[node]
+        if state != _DRAINING:
+            self._set_state(node, _QUARANTINED)
         # Interrupt running groups in ascending row order (== ascending
-        # job-id order, the reference model's iteration order).
+        # job-id order, the reference model's iteration order), then the
+        # queued ones.
         groups = sorted(self._live[node].values())
         self._live[node].clear()
-        self._free[node] = 0
         self._busy -= sum(ghi - glo for glo, ghi, _tool in groups)
         for lo, hi, tool_index in groups:
             self._resubmit(lo, hi, tool_index, now)
-        # Queued groups resubmit in FIFO order after the running ones.
-        queued = list(self._queues[node])
-        self._queues[node].clear()
-        self._queued_now -= self._depth[node]
-        self._depth[node] = 0
-        for lo, hi, tool_index, _deadline in queued:
-            self._resubmit(lo, hi, tool_index, now)
-        if was_draining:
+        self._evict_queue(node, now)
+        if state == _DRAINING:
             # A draining node that dies never comes back: its work has
             # already been resubmitted, so it decommissions right here.
             self._decommission(node, now)
             return
-        heapq.heappush(
-            self._events,
-            (now + recovery_seconds, next(self._seq), _EV_RECOVER, node,
-             0, 0, 0),
-        )
+        # Overlapping outages: the quarantine lasts until the latest end,
+        # and a recovery that arrives before it is the stale one.
+        end = now + recovery_seconds
+        self._quarantine_end[node] = max(end, self._quarantine_end[node])
+        self._at(end, self._on_recover, node)
 
-    def _on_recover(self, node: int) -> None:
-        if not self._quarantined[node]:
-            return  # stale recovery (overlapping outage windows)
-        self._quarantined[node] = False
-        self._free[node] = self._cap
-        self._usable[node] = True
-        self._usable_count += 1
-        self._free_total += self._cap
-        self._touch_node(node)
+    def _on_recover(self, now: float, node: int) -> None:
+        if (
+            self._state[node] == _QUARANTINED
+            and now >= self._quarantine_end[node]
+        ):
+            self._set_state(node, _USABLE)
 
     # ------------------------------------------------------------------ #
     # elasticity
     # ------------------------------------------------------------------ #
     def _decommission(self, node: int, now: float) -> None:
         """Retire a drained node: it stops costing from this instant."""
-        self._active[node] = False
-        self._draining[node] = False
-        self._quarantined[node] = False
-        self._draining_count -= 1
-        self._free[node] = 0
-        self._active_count -= 1
+        self._set_state(node, _OFF)
         self._decommissioned_nodes += 1
         self._meter.set_active(now, self._active_count)
-        if self.config.autoscale is not None:
-            self._c_pool_events.labels(event="decommissioned").inc()
+        self._c_pool_events.labels(event="decommissioned").inc()
 
     def _apply_scale_up(self, delta: int, now: float) -> None:
         self._pending_nodes += delta
         self._scale_ups += 1
-        heapq.heappush(
-            self._events,
-            (now + self.config.autoscale.provision_lag_s, next(self._seq),
-             _EV_PROVISION, 0, delta, 0, 0.0),
-        )
+        self._at(now + self.config.autoscale.provision_lag_s,
+                 self._on_provision, delta)
         self._c_scale_events.labels(direction="up").inc()
 
     def _apply_scale_down(
         self, count: int, candidates: list[int], now: float
     ) -> None:
-        """Drain the most drainable elastic nodes (least load, then
-        highest index so the pool retracts from the top)."""
-        cap = self._cap
+        """Drain the most drainable elastic nodes (least load — running
+        plus queued, i.e. most free slots plus queue room — then highest
+        index so the pool retracts from the top)."""
         victims = sorted(
             candidates,
-            key=lambda v: (cap - self._free[v] + self._depth[v], -v),
+            key=lambda v: (-self._free[v] - self._room[v], -v),
         )[:count]
         self._scale_downs += 1
         self._c_scale_events.labels(direction="down").inc()
+        # Every victim leaves service before any queue is flushed, so no
+        # evicted job lands on another victim.
         for node in victims:
-            self._draining[node] = True
-            self._draining_count += 1
-            self._usable[node] = False
-            self._usable_count -= 1
-            self._free_total -= self._free[node]
+            self._set_state(node, _DRAINING)
         for node in victims:
-            # Scale-in reuses the failure resubmit path for queued work:
-            # one more hop, FIFO, fail past the hop budget.
-            queued = list(self._queues[node])
-            self._queues[node].clear()
-            self._queued_now -= self._depth[node]
-            self._depth[node] = 0
-            for lo, hi, tool_index, _deadline in queued:
-                self._resubmit(lo, hi, tool_index, now)
+            self._evict_queue(node, now)
             if not self._live[node]:
                 self._decommission(node, now)
 
@@ -896,23 +791,17 @@ class FleetSimulator:
         for node in range(self._base, self.config.nodes):
             if created == count:
                 break
-            if self._active[node]:
+            if self._state[node] != _OFF:
                 continue
-            self._active[node] = True
             self._epoch[node] += 1
-            self._free[node] = self._cap
-            self._active_count += 1
-            self._usable[node] = True
-            self._usable_count += 1
-            self._free_total += self._cap
-            self._touch_node(node)
+            self._set_state(node, _USABLE)
             created += 1
         self._pending_nodes -= count
         self._provisioned_nodes += created
         self._meter.set_active(now, self._active_count)
         if self._active_count > self._peak_nodes:
             self._peak_nodes = self._active_count
-        if self.config.autoscale is not None and created:
+        if created:
             self._c_pool_events.labels(event="provisioned").inc(created)
 
     def _on_eval(self, now: float) -> None:
@@ -948,11 +837,7 @@ class FleetSimulator:
             - self._shed_n - self._failed_n
         )
         if not self._input_done or inflight > 0 or self._pending_nodes > 0:
-            heapq.heappush(
-                self._events,
-                (now + auto.eval_interval_s, next(self._seq), _EV_EVAL,
-                 0, 0, 0, 0.0),
-            )
+            self._at(now + auto.eval_interval_s, self._on_eval)
 
     def _set_pool_gauges(self) -> None:
         base_active = min(self._base, self._active_count)
@@ -966,26 +851,14 @@ class FleetSimulator:
     def _drain_until(self, when: float) -> None:
         events = self._events
         while events and events[0][0] <= when:
-            time, seq, kind, node, lo, hi, extra = heapq.heappop(events)
+            time, _seq, handler, args = heapq.heappop(events)
             self._now = time
-            if kind == _EV_GPU_DONE:
-                self._on_span_done(time, seq, lo, extra)
-            elif kind == _EV_CPU_DONE:
-                self._complete_range(lo, hi, time)
-            elif kind == _EV_FAIL:
-                self._on_fail(time, node, float(extra))
-            elif kind == _EV_RECOVER:
-                self._on_recover(node)
-            elif kind == _EV_EVAL:
-                self._on_eval(time)
-            else:
-                self._on_provision(time, lo)
+            handler(time, *args)
 
     # ------------------------------------------------------------------ #
     @hot_path
     def run(self, batches: Iterable) -> FleetResult:
         """Drive the fleet through time-sorted arrival batches."""
-        config = self.config
         for batch in batches:
             if batch.count <= 0:
                 continue
@@ -993,7 +866,7 @@ class FleetSimulator:
             self._now = max(self._now, batch.time)
             lo, hi = self.store.append_batch(
                 batch.count, batch.tool, batch.time,
-                batch.time + config.deadline_seconds,
+                batch.time + self.config.deadline_seconds,
             )
             self._submitted_n += batch.count
             self._c_submitted.inc(batch.count)
@@ -1005,9 +878,6 @@ class FleetSimulator:
 
     def _result(self) -> FleetResult:
         value = self.metrics.value
-        submitted = int(value("gyan_fleet_jobs_submitted_total"))
-        completed = int(value("gyan_fleet_jobs_completed_total"))
-        failed = int(value("gyan_fleet_jobs_failed_total"))
         shed = {
             reason.value: int(
                 value("gyan_fleet_jobs_shed_total", reason=reason.value)
@@ -1015,14 +885,16 @@ class FleetSimulator:
             for reason in ShedReason
             if value("gyan_fleet_jobs_shed_total", reason=reason.value)
         }
-        shed_total = sum(shed.values())
         # Overload ledger identity (the storm drill's invariant, fleet
         # scale): every submitted job ends exactly one way.
-        if submitted != completed + shed_total + failed:
+        if self._submitted_n != (
+            self._completed_n + self._shed_n + self._failed_n
+        ):
             raise RuntimeError(
                 "fleet ledger out of balance: "
-                f"{submitted} submitted != {completed} completed + "
-                f"{shed_total} shed + {failed} failed"
+                f"{self._submitted_n} submitted != "
+                f"{self._completed_n} completed + "
+                f"{self._shed_n} shed + {self._failed_n} failed"
             )
         mapped_gpu = int(value("gyan_fleet_mapping_decisions_total", arm="gpu"))
         mapped_cpu = int(value("gyan_fleet_mapping_decisions_total", arm="cpu"))
@@ -1033,15 +905,15 @@ class FleetSimulator:
         return FleetResult(
             nodes=self.config.nodes,
             gpus_per_node=self.config.gpus_per_node,
-            jobs_submitted=submitted,
+            jobs_submitted=self._submitted_n,
             mapping_decisions=mapped_gpu + mapped_cpu,
             mapped_gpu=mapped_gpu,
             mapped_cpu=mapped_cpu,
             degraded=int(value("gyan_fleet_jobs_degraded_total")),
             queued=int(value("gyan_fleet_jobs_queued_total")),
-            completed=completed,
+            completed=self._completed_n,
             resubmitted=int(value("gyan_fleet_jobs_resubmitted_total")),
-            failed=failed,
+            failed=self._failed_n,
             quarantines=int(value("gyan_fleet_node_quarantines_total")),
             shed=shed,
             states=self.store.count_by_state(),

@@ -2,8 +2,11 @@
 
 This is the straight-line implementation of the exact same fleet
 policy as :class:`repro.cluster.fleet.FleetSimulator` — one Python
-object and one event per job, linear node scans instead of heaps, one
-store transition per job instead of per range.  It exists purely as a
+object and one event per job, brute-force node scans instead of node
+indexes, flag lists instead of one lifecycle state, tagged events
+instead of handler-carrying ones, one store transition per job instead
+of per range; all it imports from there is :class:`FleetConfig`.  It
+exists purely as a
 correctness oracle: the property tests drive both implementations with
 the same seeded arrival batches and assert the resulting
 :class:`~repro.cluster.jobstore.JobStore` columns are *bit-identical*
@@ -27,7 +30,8 @@ Policy (mirrored exactly by the columnar path):
   when a slot would otherwise start them.
 * Node failure: quarantine; interrupted running jobs (ascending id)
   then queued jobs (FIFO) resubmit with one more hop, failing outright
-  past ``max_hops``.  Recovery restores the node's full capacity.
+  past ``max_hops``.  Recovery restores the node's full capacity, and
+  with overlapping outages only the one that ends last recovers it.
 * Elasticity: the shared :class:`AutoscaleController` decides deltas
   from signals this model recomputes by brute-force scans (queue sum,
   running count, usable-node sweep); scale-in drains victims through
@@ -56,18 +60,15 @@ from repro.cluster.autoscale import (
     pool_of,
     reserve_slots,
 )
-from repro.cluster.fleet import (
-    _EV_CPU_DONE,
-    _EV_EVAL,
-    _EV_FAIL,
-    _EV_GPU_DONE,
-    _EV_PROVISION,
-    _EV_RECOVER,
-    FleetConfig,
-)
+from repro.cluster.fleet import FleetConfig
 from repro.cluster.jobstore import NO_NODE, JobStore
 from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import FleetToolClass
+
+#: Event tags of this model's own (time, seq, kind, node, job, extra)
+#: heap; the columnar simulator's events carry their handler instead.
+(_EV_GPU_DONE, _EV_CPU_DONE, _EV_FAIL, _EV_RECOVER, _EV_EVAL,
+ _EV_PROVISION) = range(6)
 
 
 class _RefJob:
@@ -105,6 +106,8 @@ class ObjectFleetReference:
             config.slots_per_node if i < start_nodes else 0 for i in range(n)
         ]
         self._quarantined = [False] * n
+        #: When each node's latest outage ends (overlapping outages).
+        self._quarantine_end = [0.0] * n
         self._queues: list[deque[_RefJob]] = [deque() for _ in range(n)]
         #: event seq → job for every in-flight GPU job.  Keyed by seq,
         #: not job id: a failure-interrupted job restarts under a new
@@ -147,36 +150,22 @@ class ObjectFleetReference:
             and not self._quarantined[node]
         )
 
+    def _scan(self, count) -> int | None:
+        """Brute force: of the usable nodes with a positive ``count(node)``,
+        the lowest index — under ``pack`` the smallest count first."""
+        return min(
+            (node for node in range(self.config.nodes)
+             if self._usable(node) and count(node) > 0),
+            key=lambda node: (count(node) if self._pack else 0, node),
+            default=None,
+        )
+
     def _scan_free_node(self) -> int | None:
-        if self._pack:
-            best: int | None = None
-            best_free = 0
-            for node in range(self.config.nodes):
-                free = self._free[node]
-                if free > 0 and self._usable(node):
-                    if best is None or free < best_free:
-                        best, best_free = node, free
-            return best
-        for node in range(self.config.nodes):
-            if self._usable(node) and self._free[node] > 0:
-                return node
-        return None
+        return self._scan(lambda node: self._free[node])
 
     def _scan_queue_node(self) -> int | None:
         limit = self.config.queue_limit
-        if self._pack:
-            best: int | None = None
-            best_room = 0
-            for node in range(self.config.nodes):
-                room = limit - len(self._queues[node])
-                if room > 0 and self._usable(node):
-                    if best is None or room < best_room:
-                        best, best_room = node, room
-            return best
-        for node in range(self.config.nodes):
-            if self._usable(node) and len(self._queues[node]) < limit:
-                return node
-        return None
+        return self._scan(lambda node: limit - len(self._queues[node]))
 
     def _scan_usable_count(self) -> int:
         return sum(1 for node in range(self.config.nodes)
@@ -322,15 +311,15 @@ class ObjectFleetReference:
         if was_draining:
             self._decommission(node, now)
             return
+        end = now + recovery_seconds
+        self._quarantine_end[node] = max(end, self._quarantine_end[node])
         heapq.heappush(
-            self._events,
-            (now + recovery_seconds, next(self._seq), _EV_RECOVER, node, 0,
-             0.0),
+            self._events, (end, next(self._seq), _EV_RECOVER, node, 0, 0.0)
         )
 
-    def _on_recover(self, node: int) -> None:
-        if not self._quarantined[node]:
-            return  # stale recovery (overlapping outage windows)
+    def _on_recover(self, now: float, node: int) -> None:
+        if not self._quarantined[node] or now < self._quarantine_end[node]:
+            return  # stale: already recovered, or a later outage still runs
         self._quarantined[node] = False
         self._free[node] = self.config.slots_per_node
 
@@ -427,7 +416,7 @@ class ObjectFleetReference:
             elif kind == _EV_FAIL:
                 self._on_fail(time, node, extra)
             elif kind == _EV_RECOVER:
-                self._on_recover(node)
+                self._on_recover(time, node)
             elif kind == _EV_EVAL:
                 self._on_eval(time)
             else:

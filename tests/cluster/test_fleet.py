@@ -150,6 +150,33 @@ class TestFleetSemantics:
         assert result.quarantines == len(STRESS_CONFIG.failures)
         assert result.resubmitted > 0
 
+    @pytest.mark.parametrize("outages, latest_end", [
+        ((NodeFailure(100, 0, 50), NodeFailure(120, 0, 500)), 620.0),
+        ((NodeFailure(100, 0, 500), NodeFailure(120, 0, 50)), 600.0),
+    ])
+    def test_overlapping_outages_end_at_the_latest_recovery(
+        self, outages, latest_end
+    ):
+        """Both models used to re-admit the node at the FIRST recovery,
+        so parity was blind to it.  During the overlap the one-node
+        fleet has nowhere to run or queue a GPU job — racon degrades to
+        the CPU arm; it starts on node 0 again exactly at the latest end."""
+        config = FleetConfig(nodes=1, gpus_per_node=1, failures=outages)
+        tools = (FleetToolClass("racon_gpu", True, 240.0, 2400.0, 1.0,
+                                degradable=True),)
+        batches = [ArrivalBatch(200.0, 0, 1), ArrivalBatch(latest_end, 0, 1)]
+        simulator = FleetSimulator(config, tools)
+        result = simulator.run(batches)
+        rows = [(row.destination, row.gpu, row.start, row.finish)
+                for row in simulator.store.rows()]
+        assert rows == [
+            (-1, False, 200.0, 2600.0),
+            (0, True, latest_end, latest_end + 240.0),
+        ]
+        assert (result.quarantines, result.degraded) == (2, 1)
+        store = ObjectFleetReference(config, tools).run(batches)
+        assert list(store.rows()) == list(simulator.store.rows())
+
     def test_degradable_class_degrades_before_shedding(self):
         """racon-style degradable jobs overflow to the CPU arm."""
         config = FleetConfig(
@@ -185,6 +212,7 @@ class TestFleetSemantics:
         )
 
     def test_config_validation(self):
+        FleetConfig(nodes=2, benefit_threshold=float("inf"))  # "nobody is"
         with pytest.raises(ValueError):
             FleetConfig(nodes=0)
         with pytest.raises(ValueError):
@@ -219,6 +247,13 @@ class TestFleetSemantics:
         {"deadline_seconds": -5.0},
         {"deadline_seconds": float("inf")},
         {"deadline_seconds": float("nan")},
+        # A product of two negatives is a positive slot count.
+        {"gpus_per_node": -8, "slots_per_gpu": -1},
+        {"slots_per_gpu": 0},
+        # NaN fails every comparison: it used to pass `<= 0` and turn
+        # benefit-aware into spread.
+        {"benefit_threshold": float("nan")},
+        {"benefit_threshold": 0.0},
     ])
     def test_degenerate_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):
@@ -355,7 +390,7 @@ class CountingStore(JobStore):
 def run_counted(config, tools, batches):
     """Run both models; assert digest + full ledger parity; return the
     columnar simulator, its result and its (finish, lo, hi) span events
-    — one per ``_EV_GPU_DONE`` heap entry, since every entry is popped."""
+    — one per ``_on_span_done`` heap entry, since every entry is popped."""
     simulator = FleetSimulator(config, tools)
     simulator.store = CountingStore()
     spans = []
