@@ -9,9 +9,9 @@ runtime.  ``.py`` files go through the AST passes.  Cross-file checks
 job_conf in its own directory, falling back to the only job_conf in the
 run.
 
-Python files additionally run the PERF6xx performance family (hotness
-seeded from ``@hot_path`` annotations; ``python -m repro perf`` adds
-profile-guided seeding and the full report).
+Python files additionally run the PERF6xx performance family over the
+same ``@hot_path``-seeded hot set as ``python -m repro perf``, which
+adds the full report.
 
 Suppressions:
 
@@ -169,8 +169,6 @@ def lint_paths(paths: list[str], options: LintOptions | None = None) -> LintRepo
 
     # PERF6xx needs the whole python file set at once (hotness
     # propagates across modules), so it runs before the per-file loop.
-    # Inside `repro lint` the hot model is annotation-seeded only; the
-    # profile-guided variant is `repro perf`.
     py_sources = [
         (str(path), texts[path])
         for path in files

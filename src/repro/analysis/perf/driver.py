@@ -5,9 +5,7 @@ The run has four stages:
 1. collect every ``.py`` file reachable from the given paths;
 2. build the static call graph over all of them at once (hotness must
    propagate across module boundaries);
-3. seed the hot model from ``@hot_path`` annotations and, when a
-   ``gyan.bench/v1`` profile is supplied, from the scenario→entry-point
-   manifest (profile-guided seeding);
+3. seed the hot model from ``@hot_path`` annotations;
 4. run the PERF6xx AST checks per file and attribute every hit to its
    enclosing function: hits in hot functions fire at **error** severity
    and carry the seed→function call chain; everywhere else they
@@ -30,7 +28,7 @@ from repro.analysis.findings import (
     finding_sort_key,
 )
 from repro.analysis.perf.callgraph import CallGraph, build_call_graph
-from repro.analysis.perf.hotmodel import HotModel, build_hot_model, profile_seeds
+from repro.analysis.perf.hotmodel import HotModel, build_hot_model
 from repro.analysis.perf.perf_rules import perf_hits
 from repro.analysis.suppressions import SuppressionSet
 
@@ -63,10 +61,6 @@ class PerfFinding(Finding):
 class PerfOptions:
     """Knobs the CLI exposes."""
 
-    #: gyan.bench/v1 reports; seeds from every listed profile are merged
-    #: (the CLI seeds from both ``BENCH_sim_core.json`` and
-    #: ``BENCH_fleet_core.json`` when present).
-    profiles: tuple[str, ...] = ()
     baseline: str | None = None
     write_baseline_path: str | None = None
 
@@ -80,7 +74,6 @@ class PerfReport(FindingsReport):
     graph_edges: int = 0
     hot_functions: int = 0
     seeds: list[str] = field(default_factory=list)
-    unresolved_seeds: list[str] = field(default_factory=list)
 
     def summary_lines(self) -> list[str]:
         summary = (
@@ -91,12 +84,6 @@ class PerfReport(FindingsReport):
         )
         if self.baselined:
             summary += f", {self.baselined} baselined"
-        if self.unresolved_seeds:
-            return [
-                "warning: unresolved profile entry points: "
-                + ", ".join(self.unresolved_seeds),
-                summary,
-            ]
         return [summary]
 
     def payload(self) -> dict[str, Any]:
@@ -107,11 +94,7 @@ class PerfReport(FindingsReport):
                 "functions": self.graph_functions,
                 "edges": self.graph_edges,
             },
-            "hot": {
-                "functions": self.hot_functions,
-                "seeds": self.seeds,
-                "unresolved_seeds": self.unresolved_seeds,
-            },
+            "hot": {"functions": self.hot_functions, "seeds": self.seeds},
             "baselined": self.baselined,
             "findings": [f.as_dict() for f in self.findings],
         }
@@ -119,17 +102,15 @@ class PerfReport(FindingsReport):
 
 def analyze_sources(
     sources: list[tuple[str, str]],
-    profile: list[tuple[str, str]] | None = None,
 ) -> tuple[list[Finding], CallGraph, HotModel]:
     """PERF6xx findings for ``(path, text)`` pairs, plus the models.
 
-    This is the shared engine: ``repro perf`` calls it with a bench
-    profile; ``repro lint`` calls it with ``profile=None`` so hotness
-    comes from ``@hot_path`` annotations alone.  Findings come back
-    *unsuppressed* — callers own suppression and sorting.
+    This is the engine ``repro perf`` and ``repro lint`` share, so both
+    judge the same hot set.  Findings come back *unsuppressed* —
+    callers own suppression and sorting.
     """
     graph, _errors = build_call_graph(sources)
-    model = build_hot_model(graph, profile)
+    model = build_hot_model(graph)
 
     findings: list[Finding] = []
     for path, _text in sources:
@@ -174,25 +155,12 @@ def run_perf(paths: list[str], options: PerfOptions | None = None) -> PerfReport
             report.errors.append(f"cannot read {path}: {exc}")
             return report
 
-    profile: list[tuple[str, str]] | None = None
-    if options.profiles:
-        profile = []
-        for profile_path in options.profiles:
-            try:
-                profile.extend(profile_seeds(profile_path))
-            except (OSError, ValueError) as exc:
-                report.errors.append(
-                    f"cannot load profile {profile_path}: {exc}"
-                )
-                return report
-
-    findings, graph, model = analyze_sources(sources, profile)
+    findings, graph, model = analyze_sources(sources)
     report.files_checked = len(sources)
     report.graph_functions = len(graph.nodes)
     report.graph_edges = graph.edge_count()
     report.hot_functions = len(model.hot)
     report.seeds = model.seeds
-    report.unresolved_seeds = model.unresolved_seeds
 
     # Suppressions (``# gyan: disable=…``), audited for the PERF/SUP
     # families only — this run evaluated nothing else.

@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.gpusim.clock import TimerHandle, VirtualClock
 from repro.gpusim.errors import ClockError
 from repro.gpusim.footprint import FootprintRecorder
+from repro.hotpath import hot_path
 from repro.observability.export import render_document
 
 #: Schema identifier stamped into serialised schedules.
@@ -157,6 +158,7 @@ class PermutingClock(VirtualClock):
         #: Every unkeyed multi-member tie observed, in firing order.
         self.ties: list[TieRecord] = []
 
+    @hot_path
     def advance_to(self, when: float) -> float:
         if when < self._now:
             raise ClockError(f"cannot move clock backwards: {when} < {self._now}")

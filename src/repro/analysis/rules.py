@@ -88,8 +88,8 @@ FAMILY_DOCS: dict[str, str] = {
                 "(python -m repro verify)",
     "determinism": "DET4xx static + DET5xx schedule-permutation checks "
                    "(python -m repro race)",
-    "performance": "PERF6xx — profile-guided hot-path checks "
-                   "(python -m repro perf); error on hot paths, "
+    "performance": "PERF6xx — hot-path checks (python -m repro perf); "
+                   "error on @hot_path code and its callees, "
                    "info elsewhere",
 }
 
@@ -422,7 +422,7 @@ DET501 = _rule(
     "`python -m repro race --schedule`.",
 )
 # --------------------------------------------------------------------- #
-# performance (PERF6xx) — profile-guided hot-path rules, fired by
+# performance (PERF6xx) — hot-path rules, fired by
 # ``python -m repro perf`` and the lint source pass.  Default severity
 # is ERROR; the driver downgrades findings outside the hot set to INFO.
 # --------------------------------------------------------------------- #

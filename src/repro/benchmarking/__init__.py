@@ -1,7 +1,7 @@
 """repro.benchmarking — wall-clock perf harness for the simulation core.
 
-The ROADMAP's perf trajectory is tracked through ``BENCH_*.json`` files
-with a deterministic schema, regenerated by ``python -m repro bench``.
+``python -m repro bench`` writes ``BENCH_*.json`` reports with a
+deterministic schema (on request; none is committed).
 This package defines the harness (:mod:`repro.benchmarking.harness`) and
 the named sim-core scenarios (:mod:`repro.benchmarking.scenarios`) that
 exercise the hot paths optimised in the fast-path work: the streaming

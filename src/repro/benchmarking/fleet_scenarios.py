@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from repro.benchmarking.harness import BenchScenario, RunOutcome
 from repro.cluster.autoscale import PLACEMENT_POLICIES
-from repro.cluster.placement import NODE_INDEXES
 
 SUITE_NAME = "fleet_core"
 
@@ -98,16 +97,6 @@ def _throughput_scenario(nodes: int, jobs: int) -> BenchScenario:
         run=run,
         workload={"nodes": nodes, "gpus_per_node": FLEET_GPUS_PER_NODE,
                   "target_jobs": jobs, "seed": 42},
-        entry_points=(
-            "repro.cluster.fleet.FleetSimulator.run",
-            "repro.cluster.fleet.FleetSimulator._place_range",
-            "repro.cluster.fleet.FleetSimulator._fill_gpu",
-            "repro.cluster.fleet.FleetSimulator._on_span_done",
-            "repro.cluster.fleet.FleetSimulator._at",
-            "repro.cluster.placement.SpreadIndex.peek",
-            "repro.cluster.jobstore.JobStore.append_batch",
-            "repro.cluster.jobstore.JobStore.start_span",
-        ),
     )
 
 
@@ -158,10 +147,6 @@ def _surge_scenario(nodes: int, jobs: int) -> BenchScenario:
         workload={"nodes": nodes, "gpus_per_node": FLEET_GPUS_PER_NODE,
                   "target_jobs": jobs, "storm_multiplier": 20,
                   "failures": 2, "seed": 7},
-        entry_points=(
-            "repro.cluster.fleet.FleetSimulator.run",
-            "repro.cluster.fleet.FleetSimulator._drain_queue",
-        ),
     )
 
 
@@ -192,11 +177,6 @@ def _policy_scenario(policy: str, jobs: int) -> BenchScenario:
         run=run,
         workload={"policy": policy, "target_jobs": jobs,
                   "fixture": "ab_storm_profile"},
-        entry_points=(
-            "repro.cluster.fleet.FleetSimulator._place_range",
-            "repro.cluster.fleet.FleetSimulator._drain_queue",
-            f"repro.cluster.placement.{NODE_INDEXES[policy].__name__}.peek",
-        ),
     )
 
 
@@ -238,10 +218,6 @@ def _autoscale_scenario(nodes: int, min_nodes: int, jobs: int) -> BenchScenario:
         workload={"nodes": nodes, "min_nodes": min_nodes,
                   "gpus_per_node": FLEET_GPUS_PER_NODE,
                   "target_jobs": jobs, "seed": 42},
-        entry_points=(
-            "repro.cluster.fleet.FleetSimulator._on_eval",
-            "repro.cluster.fleet.FleetSimulator._place_range",
-        ),
     )
 
 
@@ -266,16 +242,7 @@ def _generate_scenario(jobs: int) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"target_jobs": jobs, "seed": 42},
-        entry_points=("repro.workloads.diurnal.diurnal_batches",),
     )
-
-
-def fleet_entry_points() -> dict[str, tuple[str, ...]]:
-    """Scenario name → timed entry-point qnames, for gyan-perf seeding."""
-    return {
-        scenario.name: scenario.entry_points
-        for scenario in fleet_core_suite(quick=True)
-    }
 
 
 def fleet_core_suite(quick: bool = False) -> list[BenchScenario]:

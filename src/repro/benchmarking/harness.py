@@ -65,11 +65,6 @@ class BenchScenario:
     #: Free-form, schema-stable facts about the workload size (job
     #: counts, sample counts) for the report's readers.
     workload: dict[str, int | float | str] = field(default_factory=dict)
-    #: Dotted qnames of the functions the timed ``run`` drives — the
-    #: profile-guided seeds gyan-perf marks hot when this scenario
-    #: appears in a ``gyan.bench`` report.  Kept on the scenario itself
-    #: so the manifest cannot drift from what is actually timed.
-    entry_points: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

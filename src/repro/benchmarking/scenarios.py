@@ -122,12 +122,6 @@ def _long_job_scenario(horizon_seconds: int) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"simulated_hours": horizon_seconds // 3600, "devices": 2},
-        entry_points=(
-            "repro.core.monitor.GPUUsageMonitor.start",
-            "repro.gpusim.clock.VirtualClock.advance",
-            "repro.core.monitor.GPUUsageMonitor.stop",
-            "repro.core.monitor.GPUUsageMonitor.statistics_report",
-        ),
     )
 
 
@@ -151,7 +145,6 @@ def _csv_scenario(horizon_seconds: int) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"simulated_hours": horizon_seconds // 3600, "devices": 2},
-        entry_points=("repro.core.monitor.GPUUsageMonitor.to_csv",),
     )
 
 
@@ -191,9 +184,6 @@ def _burst_scenario(jobs: int, traced: bool = False) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"jobs": jobs, "traced": traced},
-        entry_points=(
-            "repro.core.mapper.GpuComputationMapper.prepare_environment",
-        ),
     )
 
 
@@ -216,7 +206,6 @@ def _chaos_scenario() -> BenchScenario:
         setup=setup,
         run=run,
         workload={"scenario": "k80-die-midrun", "seed": 0},
-        entry_points=("repro.workloads.chaos.run_chaos",),
     )
 
 
@@ -246,10 +235,6 @@ def _race_overhead_scenario() -> BenchScenario:
         run=run,
         workload={"scenario": "k80-die-midrun", "seed": 0,
                   "instrumented": True},
-        entry_points=(
-            "repro.workloads.chaos.run_chaos",
-            "repro.analysis.race.clock_shim.PermutingClock.advance_to",
-        ),
     )
 
 
@@ -270,7 +255,6 @@ def _storm_scenario(jobs: int) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"jobs": jobs, "scenario": "burst-storm", "seed": 0},
-        entry_points=("repro.workloads.storm.run_storm",),
     )
 
 
@@ -304,33 +288,7 @@ def _timeline_scenario(records: int, queries: int) -> BenchScenario:
         setup=setup,
         run=run,
         workload={"records": records, "queries": queries},
-        entry_points=(
-            "repro.gpusim.clock.Timeline.record",
-            "repro.gpusim.clock.Timeline.between",
-            "repro.gpusim.clock.Timeline.labelled",
-        ),
     )
-
-
-def scenario_entry_points() -> dict[str, tuple[str, ...]]:
-    """Scenario name → timed entry-point qnames, for gyan-perf.
-
-    This is the profile-guided seeding manifest: when a scenario name
-    appears in a ``gyan.bench`` report, gyan-perf marks these functions
-    (and everything they reach) hot.  Reading it off the scenario
-    objects keeps it in lock-step with what ``run`` actually drives.
-    Covers every suite — a ``BENCH_fleet_core.json`` profile seeds the
-    fleet entry points the same way ``BENCH_sim_core.json`` seeds the
-    sim-core ones.
-    """
-    from repro.benchmarking.fleet_scenarios import fleet_entry_points
-
-    manifest = {
-        scenario.name: scenario.entry_points
-        for scenario in sim_core_suite(quick=True)
-    }
-    manifest.update(fleet_entry_points())
-    return manifest
 
 
 def sim_core_suite(quick: bool = False) -> list[BenchScenario]:

@@ -17,7 +17,7 @@ Commands
     only) or traced (``--emit``/``--format json``/``--plan``).  Exit 0
     done, 1 when arrivals outrun the node's 48 CPU slots (one
     ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``
-    or a ``--jobs``/``--interarrival`` that is not positive.
+    or a ``--jobs``/``--interarrival`` that is not positive and finite.
 ``experiment``
     Regenerate one of the paper's headline results (fig3, fig5, e11,
     stalls) as a quick table.
@@ -47,12 +47,11 @@ Commands
     byte-diffs the artifacts (DET5xx, with replayable minimal
     tie-flip schedules via ``--schedule``).
 ``perf``
-    gyan-perf: the profile-guided static performance analyzer — builds
-    a call graph over the sources, seeds hotness from ``@hot_path``
-    annotations and the ``BENCH_sim_core.json`` scenario→entry-point
-    profile, and fires PERF6xx rules at error severity on hot paths
-    (info elsewhere), each hot finding carrying its seed→function
-    call chain.  Supports ``--baseline``/``--write-baseline`` for
+    gyan-perf: the static performance analyzer — builds a call graph
+    over the sources, seeds hotness from ``@hot_path`` annotations, and
+    fires PERF6xx rules at error severity on hot paths (info
+    elsewhere), each hot finding carrying its seed→function call
+    chain.  Supports ``--baseline``/``--write-baseline`` for
     ratcheted adoption.
 """
 
@@ -162,6 +161,10 @@ def cmd_topo(args: argparse.Namespace) -> int:
     from repro.gpusim.host import make_k80_host
     from repro.gpusim.smi import render_topology
 
+    if args.boards < 1:
+        print(f"topo: --boards must be 1 or more, got {args.boards}",
+              file=sys.stderr)
+        return 2
     print(render_topology(make_k80_host(boards=args.boards)), end="")
     return 0
 
@@ -271,7 +274,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace: {exc}: arrivals outrun the node; raise --interarrival "
               f"(now {args.interarrival:g} s) or lower --jobs", file=sys.stderr)
         return 1
-    except ValueError as exc:  # generate_trace: --jobs / --interarrival <= 0
+    except ValueError as exc:  # generate_trace: bad --jobs / --interarrival
         print(f"trace: {exc}", file=sys.stderr)
         return 2
 
@@ -388,7 +391,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
+    from repro.analysis.findings import EXIT_CLEAN
     from repro.analysis.linter import list_rules_text
     from repro.analysis.perf.driver import PerfOptions, run_perf
 
@@ -397,24 +400,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return EXIT_CLEAN
 
     paths = args.paths or ["src/repro"]
-    profiles: list[str] = []
-    if not args.no_profile:
-        if args.profiles:
-            for profile in args.profiles:
-                if not Path(profile).is_file():
-                    print(f"perf: no such profile: {profile}", file=sys.stderr)
-                    return EXIT_USAGE
-                profiles.append(profile)
-        else:
-            # Default: seed from every committed bench artifact present.
-            profiles = [
-                name
-                for name in ("BENCH_sim_core.json", "BENCH_fleet_core.json")
-                if Path(name).is_file()
-            ]
-
     options = PerfOptions(
-        profiles=tuple(profiles),
         baseline=args.baseline,
         write_baseline_path=args.write_baseline,
     )
@@ -584,6 +570,10 @@ def cmd_race(args: argparse.Namespace) -> int:
         if args.static_only and args.dynamic_only:
             print("race: --static-only and --dynamic-only are mutually "
                   "exclusive", file=sys.stderr)
+            return EXIT_USAGE
+        if args.permutations < 1:
+            print(f"race: --permutations must be 1 or more, got "
+                  f"{args.permutations}", file=sys.stderr)
             return EXIT_USAGE
         options = RaceOptions(
             paths=args.paths,
@@ -846,14 +836,6 @@ def _perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("paths", nargs="*",
                       help="files or directories of .py sources "
                            "(default: src/repro)")
-    perf.add_argument("--profile", action="append", dest="profiles",
-                      default=None, metavar="FILE",
-                      help="gyan.bench/v1 report seeding the hot-path "
-                           "model; repeatable (default: every committed "
-                           "BENCH_*.json — sim_core and fleet_core — "
-                           "when present)")
-    perf.add_argument("--no-profile", action="store_true",
-                      help="seed hotness from @hot_path annotations only")
     perf.add_argument("--format", choices=("text", "json"), default="text",
                       help="json emits the byte-deterministic gyan.perf/v1 "
                            "report")
@@ -1059,8 +1041,9 @@ _COMMANDS = {
               _trace_arguments, cmd_trace),
     "lint": ("statically analyze GYAN configs and repro sources",
              _lint_arguments, cmd_lint),
-    "perf": ("profile-guided static performance analysis (PERF6xx): "
-             "error on hot paths, info elsewhere", _perf_arguments, cmd_perf),
+    "perf": ("static performance analysis (PERF6xx): error on @hot_path "
+             "code and its callees, info elsewhere", _perf_arguments,
+             cmd_perf),
     "faults": ("run a chaos scenario and report job survival",
                _faults_arguments, cmd_faults),
     "storm": ("drive a burst-arrival storm and report the overload ledger",

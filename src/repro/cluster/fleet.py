@@ -804,6 +804,7 @@ class FleetSimulator:
         if created:
             self._c_pool_events.labels(event="provisioned").inc(created)
 
+    @hot_path
     def _on_eval(self, now: float) -> None:
         auto = self.config.autoscale
         shed_delta = self._shed_n - self._shed_at_eval

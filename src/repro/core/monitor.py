@@ -302,6 +302,7 @@ class GPUUsageMonitor:
     # ------------------------------------------------------------------ #
     # UsageMonitor protocol
     # ------------------------------------------------------------------ #
+    @hot_path
     def start(self, job: GalaxyJob) -> None:
         """Begin sampling for ``job`` (called at tool-execution start)."""
         now = self.host.clock.now
@@ -318,6 +319,7 @@ class GPUUsageMonitor:
             self.host.clock.add_span_listener(self._on_span)
             self._listening = True
 
+    @hot_path
     def stop(self, job: GalaxyJob) -> None:
         """Stop sampling and run the post-processing step."""
         session = self.sessions.get(job.job_id)
@@ -509,6 +511,7 @@ class GPUUsageMonitor:
             for v in values
         )
 
+    @hot_path
     def statistics_report(self, job_id: int) -> str:
         """The aggregated min/avg/max text report with utilisation traces."""
         session = self.session_for(job_id)

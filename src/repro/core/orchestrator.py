@@ -27,11 +27,7 @@ from repro.core.destination_rules import register_gyan_rules
 from repro.core.health import DeviceHealthTracker, HealthEvent
 from repro.core.mapper import GpuComputationMapper
 from repro.core.monitor import GPUUsageMonitor
-from repro.core.retry import (
-    BackoffPolicy,
-    DEFAULT_LAUNCH_RETRY,
-    DEFAULT_NVML_RETRY,
-)
+from repro.core.retry import DEFAULT_LAUNCH_RETRY, DEFAULT_NVML_RETRY
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.job_conf import JobConfig, parse_job_conf_xml
@@ -300,21 +296,17 @@ def build_deployment(
     nvidia_docker_installed: bool = True,
     job_conf_xml: str | None = None,
     resilient: bool = False,
-    health_tracker: DeviceHealthTracker | None = None,
-    nvml_retry: BackoffPolicy | None = None,
-    launch_retry: BackoffPolicy | None = None,
     max_resubmit_hops: int | None = None,
-    cache_snapshots: bool = True,
     tracer: Tracer | None = None,
-    metrics_registry: MetricsRegistry | None = None,
     overload: bool = False,
-    default_deadline_s: float | None = None,
 ) -> GyanDeployment:
     """Build the paper's deployment on the given (or default testbed) node.
 
     Fixed rather than options: the Singularity runtime is 3.1 (the
     release whose ``--nv`` bind-mode rejection GYAN works around) and the
-    overload layer's brownout ladder runs on its default thresholds.
+    overload layer's brownout ladder runs on its default thresholds; the
+    resilient layer's health tracker and retry policies are the
+    defaults, and jobs get a deadline only from their destination.
 
     Parameters
     ----------
@@ -335,22 +327,14 @@ def build_deployment(
         mapper, launch-retry requeues in every runner, and the
         resubmit-enabled job configuration.  Off by default so the stock
         (fragile) behaviour stays reproducible for chaos comparisons.
-    health_tracker / nvml_retry / launch_retry / max_resubmit_hops:
-        Override the resilient defaults; each implies ``resilient`` for
-        its own layer when passed explicitly.
-    cache_snapshots:
-        Forwarded to :class:`GpuComputationMapper`: reuse usage probes
-        across same-instant submissions.  Disable for chaos runs that
-        need every probe to hit the NVML surface.
+    max_resubmit_hops:
+        Bound on a job's resubmit chain; defaults to
+        :attr:`GalaxyApp.DEFAULT_MAX_RESUBMIT_HOPS`.
     tracer:
         A :class:`~repro.observability.tracing.Tracer` (built against
         this node's clock) threaded through app, mapper and runners.
         ``None`` (the default) leaves every layer on the zero-overhead
         :data:`~repro.observability.tracing.NULL_TRACER`.
-    metrics_registry:
-        Share a :class:`~repro.observability.metrics.MetricsRegistry`
-        across deployments (e.g. aggregating a fleet); by default each
-        deployment gets its own.
     overload:
         Wire the overload-protection layer on top of ``resilient``
         (which it implies): an :class:`OverloadController` enforcing
@@ -361,23 +345,19 @@ def build_deployment(
         circuit breakers in front of the NVML probe and every runner's
         launch path.  Defaults the job configuration to
         :data:`GYAN_OVERLOAD_JOB_CONF_XML`.
-    default_deadline_s:
-        Deadline applied to jobs whose destination declares none (only
-        read when ``overload`` is set).
     """
     node = node or ComputeNode.paper_testbed()
     if overload:
         resilient = True
         if job_conf_xml is None:
             job_conf_xml = GYAN_OVERLOAD_JOB_CONF_XML
-    if resilient:
-        health_tracker = health_tracker or DeviceHealthTracker()
-        nvml_retry = nvml_retry or DEFAULT_NVML_RETRY
-        launch_retry = launch_retry or DEFAULT_LAUNCH_RETRY
-        if job_conf_xml is None:
-            job_conf_xml = GYAN_RESILIENT_JOB_CONF_XML
+    health_tracker = DeviceHealthTracker() if resilient else None
+    nvml_retry = DEFAULT_NVML_RETRY if resilient else None
+    launch_retry = DEFAULT_LAUNCH_RETRY if resilient else None
     if job_conf_xml is None:
-        job_conf_xml = GYAN_JOB_CONF_XML
+        job_conf_xml = (
+            GYAN_RESILIENT_JOB_CONF_XML if resilient else GYAN_JOB_CONF_XML
+        )
     job_config = parse_job_conf_xml(job_conf_xml)
     register_gyan_rules(job_config.rules)
 
@@ -387,7 +367,6 @@ def build_deployment(
         node=node,
         job_config=job_config,
         max_resubmit_hops=max_resubmit_hops,
-        metrics_registry=metrics_registry,
         tracer=tracer,
     )
     app.health_tracker = health_tracker
@@ -404,7 +383,6 @@ def build_deployment(
             metrics=app.metrics_registry,
             tracer=tracer,
             brownout=brownout_controller,
-            default_deadline_s=default_deadline_s,
         )
         app.overload = overload_controller
 
@@ -445,7 +423,6 @@ def build_deployment(
         strategy=strategy_by_name(allocation_strategy),
         health=health_tracker,
         retry=nvml_retry,
-        cache_snapshots=cache_snapshots,
         metrics=app.metrics_registry,
         tracer=tracer,
         breaker=nvml_breaker,

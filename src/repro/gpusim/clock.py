@@ -100,6 +100,7 @@ class Timeline:
         self._label_index_dirty = False
         self._counter = itertools.count()
 
+    @hot_path
     def record(self, time: float, label: str, payload: Any = None) -> TimelineEvent:
         """Append an event at ``time`` and return it."""
         if _footprint._RECORDER is not None:
@@ -149,6 +150,7 @@ class Timeline:
         self._merge_pending()
         return iter(self._events)
 
+    @hot_path
     def between(self, start: float, end: float) -> list[TimelineEvent]:
         """Events with ``start <= time < end``, chronologically."""
         if _footprint._RECORDER is not None:
@@ -158,6 +160,7 @@ class Timeline:
         hi = bisect.bisect_left(self._times, end)
         return self._events[lo:hi]
 
+    @hot_path
     def labelled(self, label: str) -> list[TimelineEvent]:
         """All events carrying exactly ``label``."""
         if _footprint._RECORDER is not None:
@@ -252,6 +255,7 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._now
 
+    @hot_path
     def advance(self, delta: float) -> float:
         """Move time forward by ``delta`` seconds and return the new time."""
         if delta < 0:

@@ -3,12 +3,12 @@
 A *hot path* is code whose per-call cost is multiplied by the scale the
 ROADMAP targets — mapper dispatch under a burst, the clock-advance inner
 loop, span listeners firing per quiescent interval, exporters rendering
-a row per sample.  gyan-perf (``python -m repro perf``) seeds its
-hot-path model from two sources: these annotations and the
-``BENCH_sim_core.json`` scenario→entry-point profile, then propagates
-hotness transitively through the static call graph.  PERF6xx rules fire
-at ``error`` severity on hot-marked code and downgrade to ``info``
-everywhere else.
+a row per sample.  These annotations are the only seed of gyan-perf's
+hot-path model (``python -m repro perf`` and the PERF6xx pass of
+``repro lint``), which propagates hotness transitively through the
+static call graph: decorate a function and it, and everything it
+calls, is hot.  PERF6xx rules fire at ``error`` severity on hot code
+and downgrade to ``info`` everywhere else.
 
 The decorator is a runtime no-op beyond tagging the function object —
 it never wraps, so decorated hot paths pay zero call overhead.  The

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.gpusim.faults import InjectionPlan, build_scenario
+from repro.hotpath import hot_path
 from repro.observability.export import render_document
 from repro.observability.tracing import Tracer
 
@@ -147,6 +148,7 @@ def resolve_plan(
                           device_count=device_count)
 
 
+@hot_path
 def run_chaos(
     plan: InjectionPlan,
     jobs: int | None = None,

@@ -18,6 +18,7 @@ overload-smoke job double-runs it and diffs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.galaxy.job import JobState
 from repro.gpusim.faults import build_scenario
+from repro.hotpath import hot_path
 from repro.observability.export import render_document
 from repro.resilience.shedding import RejectedBusy, ShedReason
 from repro.workloads.traces import (
@@ -60,8 +62,11 @@ def generate_storm_trace(
         raise ValueError("n_jobs must be positive")
     if base_interarrival_s <= 0:
         raise ValueError("base_interarrival_s must be positive")
-    if burst_factor < 1.0:
-        raise ValueError("burst_factor must be >= 1 (a burst is faster)")
+    if not 1.0 <= burst_factor < math.inf:
+        raise ValueError(
+            "burst_factor must be finite and >= 1 (a burst is faster), "
+            f"got {burst_factor}"
+        )
     if calm_jobs < 1 or burst_jobs < 1:
         raise ValueError("calm_jobs and burst_jobs must be positive")
     tool_mix = tool_mix or DEFAULT_TOOL_MIX
@@ -163,6 +168,7 @@ class StormResult:
         return render_document(self.to_dict())
 
 
+@hot_path
 def run_storm(
     jobs: int = 48,
     seed: int = 0,

@@ -11,6 +11,7 @@ ablations compare.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,10 @@ def generate_trace(
         raise ValueError("n_jobs must be positive")
     if mean_interarrival_s <= 0:
         raise ValueError("mean_interarrival_s must be positive")
+    if not math.isfinite(mean_interarrival_s):
+        raise ValueError(
+            f"mean_interarrival_s must be finite, got {mean_interarrival_s}"
+        )
     tool_mix = tool_mix or DEFAULT_TOOL_MIX
     durations = durations or DEFAULT_DURATIONS
     total = sum(tool_mix.values())

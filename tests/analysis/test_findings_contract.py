@@ -61,7 +61,7 @@ TOOLS = [
         str(FIXTURES / "race_bad"),
         str(FIXTURES / "race_bad" / "det404_float_accumulation.py"),
     ),
-    Tool("perf", ["--no-profile"], CLEAN_PY, str(FIXTURES / "perf_bad"), None),
+    Tool("perf", [], CLEAN_PY, str(FIXTURES / "perf_bad"), None),
 ]
 
 
@@ -139,10 +139,8 @@ MALFORMED = {
     "schedule-flip-int":
         ("race", "--schedule",
          {"schema": "gyan.race/v1", "scenario": "tie-demo", "flips": [1]}),
-    "profile-list": ("perf", "--profile", []),
     "baseline-null": ("lint", "--baseline", None),
     "schedule-null": ("race", "--schedule", None),
-    "profile-null": ("perf", "--profile", None),
 }
 
 

@@ -193,17 +193,6 @@ class TestHotModel:
         model = build_hot_model(graph)
         assert model.is_hot("m.a") and model.is_hot("m.b")
 
-    def test_profile_seed_and_unresolved(self):
-        graph = _graph(("m.py", "def entry():\n    pass\n"))
-        model = build_hot_model(
-            graph,
-            profile=[("bench:s", "m.entry"), ("bench:s", "m.missing")],
-        )
-        assert model.is_hot("m.entry")
-        assert model.chain_for("m.entry") == "bench:s → m.entry"
-        assert model.unresolved_seeds == ["bench:s:m.missing"]
-        assert model.seeds == ["bench:s"]
-
     def test_shortest_chain_wins_deterministically(self):
         graph = _graph((
             "m.py",

@@ -23,6 +23,37 @@ PERF_BAD = FIXTURES / "perf_bad"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+#: The functions the ``repro bench`` scenarios time.  Each must be a seed
+#: in its own right (``@hot_path`` on its definition), not merely hot
+#: because some other seed happens to reach it.
+TIMED_ENTRY_POINTS = [
+    "repro.analysis.race.clock_shim.PermutingClock.advance_to",
+    "repro.cluster.fleet.FleetSimulator._at",
+    "repro.cluster.fleet.FleetSimulator._drain_queue",
+    "repro.cluster.fleet.FleetSimulator._fill_gpu",
+    "repro.cluster.fleet.FleetSimulator._on_eval",
+    "repro.cluster.fleet.FleetSimulator._on_span_done",
+    "repro.cluster.fleet.FleetSimulator._place_range",
+    "repro.cluster.fleet.FleetSimulator.run",
+    "repro.cluster.jobstore.JobStore.append_batch",
+    "repro.cluster.jobstore.JobStore.start_span",
+    "repro.cluster.placement.PackIndex.peek",
+    "repro.cluster.placement.SpreadIndex.peek",
+    "repro.core.mapper.GpuComputationMapper.prepare_environment",
+    "repro.core.monitor.GPUUsageMonitor.start",
+    "repro.core.monitor.GPUUsageMonitor.statistics_report",
+    "repro.core.monitor.GPUUsageMonitor.stop",
+    "repro.core.monitor.GPUUsageMonitor.to_csv",
+    "repro.gpusim.clock.Timeline.between",
+    "repro.gpusim.clock.Timeline.labelled",
+    "repro.gpusim.clock.Timeline.record",
+    "repro.gpusim.clock.VirtualClock.advance",
+    "repro.workloads.chaos.run_chaos",
+    "repro.workloads.diurnal.diurnal_batches",
+    "repro.workloads.storm.run_storm",
+]
+
+
 def _run(paths, **kwargs):
     return run_perf([str(p) for p in paths], PerfOptions(**kwargs))
 
@@ -43,23 +74,22 @@ class TestRunPerf:
             assert "[hot via " in finding.format_text()
 
     def test_shipped_sources_clean_at_error(self):
-        report = _run(
-            [REPO_ROOT / "src"],
-            profiles=(
-                str(REPO_ROOT / "BENCH_sim_core.json"),
-                str(REPO_ROOT / "BENCH_fleet_core.json"),
-            ),
-        )
+        report = _run([REPO_ROOT / "src"])
         assert report.errors == []
-        assert report.unresolved_seeds == []
         hot_errors = [f for f in report.findings if f.severity >= Severity.ERROR]
         assert hot_errors == []
         assert report.exit_code(Severity.ERROR) == EXIT_CLEAN
-        # The profile seeded bench scenarios on top of the annotations.
-        assert any(s.startswith("bench:") for s in report.seeds)
-        assert any(s.startswith("anno:") for s in report.seeds)
+        assert all(s.startswith("anno:") for s in report.seeds)
         assert report.hot_functions > 0
         assert report.graph_functions > report.hot_functions
+
+    def test_timed_entry_points_are_annotation_seeds(self):
+        report = _run([REPO_ROOT / "src" / "repro"])
+        missing = [
+            entry for entry in TIMED_ENTRY_POINTS
+            if f"anno:{entry}" not in report.seeds
+        ]
+        assert missing == []
 
     def test_json_is_byte_identical_across_runs(self):
         first = _run([PERF_BAD])
@@ -80,25 +110,6 @@ class TestRunPerf:
         report = _run(["no/such/dir"])
         assert report.errors
         assert report.exit_code(Severity.ERROR) == EXIT_USAGE
-
-    def test_unresolved_profile_seeds_surface(self):
-        # The repo profile names scenarios whose entry points are not in
-        # the fixture-only graph: they must surface, not silently cool.
-        report = _run(
-            [PERF_BAD], profiles=(str(REPO_ROOT / "BENCH_sim_core.json"),)
-        )
-        assert report.unresolved_seeds
-        assert "unresolved profile entry points" in report.render_text()
-
-    def test_profile_naming_an_unknown_scenario_surfaces(self, tmp_path):
-        # A committed BENCH_*.json that outlived a scenario must not
-        # silently cool the paths that scenario used to seed.
-        stale = tmp_path / "BENCH_stale.json"
-        stale.write_text(json.dumps({"scenarios": [{"name": "long-gone"}]}))
-        report = _run([PERF_BAD], profiles=(str(stale),))
-        assert report.unresolved_seeds == [
-            "bench:long-gone:<unknown scenario>"
-        ]
 
 
 class TestGoldenJson:
@@ -238,16 +249,27 @@ class TestBaseline:
 
 class TestPerfCli:
     def test_perf_bad_exits_findings(self, capsys):
-        code = main(["perf", "--no-profile", str(PERF_BAD)])
+        code = main(["perf", str(PERF_BAD)])
         assert code == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "PERF601" in out and "[hot via anno:" in out
 
     def test_json_flag_emits_schema(self, capsys):
-        code = main(["perf", "--no-profile", "--format", "json", str(PERF_BAD)])
+        code = main(["perf", "--format", "json", str(PERF_BAD)])
         assert code == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == PERF_SCHEMA
+
+    def test_report_does_not_depend_on_the_working_directory(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        argv = ["perf", "--format", "json", str(REPO_ROOT / "src" / "repro")]
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(argv) == EXIT_CLEAN
+        from_root = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CLEAN
+        assert capsys.readouterr().out == from_root
 
     def test_list_rules_shows_performance_family(self, capsys):
         code = main(["perf", "--list-rules"])
@@ -262,10 +284,14 @@ class TestPerfCli:
         assert code == EXIT_CLEAN
         assert "PERF601" in capsys.readouterr().out
 
-    def test_missing_profile_is_usage_error(self, capsys):
-        code = main(["perf", "--profile", "no/such/profile.json", str(PERF_BAD)])
-        capsys.readouterr()
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize("flag", [
+        ["--profile", "BENCH_sim_core.json"], ["--no-profile"],
+    ], ids=["profile", "no-profile"])
+    def test_profile_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", *flag, str(PERF_BAD)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLintIntegration:

@@ -127,10 +127,9 @@ class TestAnalysisGoldens:
         ("analyzers/lint.txt", ["lint", "analysis/fixtures/bad"]),
         ("analyzers/verify.txt", ["verify", "analysis/fixtures/deployments"]),
         ("analyzers/perf.txt",
-         ["perf", "--no-profile", "analysis/fixtures/perf_bad"]),
+         ["perf", "analysis/fixtures/perf_bad"]),
         ("analyzers/perf.json",
-         ["perf", "--no-profile", "--format", "json",
-          "analysis/fixtures/perf_bad"]),
+         ["perf", "--format", "json", "analysis/fixtures/perf_bad"]),
         ("analyzers/race.txt",
          ["race", "--static-only", "analysis/fixtures/race_bad"]),
         ("analyzers/race.json",

@@ -146,6 +146,23 @@ class TestCountsOutOfRange:
          "bench: --repeats must be positive, got -1"),
         (["faults", "--jobs", "-1"],
          "faults: --jobs must be 0 or more, got -1"),
+        (["topo", "--boards", "0"], "topo: --boards must be 1 or more, got 0"),
+        (["topo", "--boards", "-1"],
+         "topo: --boards must be 1 or more, got -1"),
+        (["trace", "--interarrival", "nan"],
+         "trace: mean_interarrival_s must be finite, got nan"),
+        (["trace", "--interarrival", "inf", "--format", "json"],
+         "trace: mean_interarrival_s must be finite, got inf"),
+        (["storm", "--burst-factor", "nan"],
+         "storm: burst_factor must be finite and >= 1 (a burst is faster), "
+         "got nan"),
+        (["storm", "--burst-factor", "inf", "--format", "json"],
+         "storm: burst_factor must be finite and >= 1 (a burst is faster), "
+         "got inf"),
+        (["race", "--permutations", "0"],
+         "race: --permutations must be 1 or more, got 0"),
+        (["race", "--dynamic-only", "--permutations", "-1"],
+         "race: --permutations must be 1 or more, got -1"),
     ])
     def test_is_a_usage_error(self, capsys, argv, line):
         assert main(argv) == 2
@@ -331,8 +348,8 @@ class TestOneSubParserPerCall:
                   "--emit", "out", "--format", "json"],
         "lint": ["lint", "a.xml", "b.py", "--fail-on", "warning", "--devices",
                  "4", "--baseline", "base.json"],
-        "perf": ["perf", "src", "--profile", "a.json", "--profile", "b.json",
-                 "--no-profile", "--format", "json"],
+        "perf": ["perf", "src", "--fail-on", "info", "--baseline", "b.json",
+                 "--format", "json"],
         "faults": ["faults", "--scenario", "nvml-flaky", "--jobs", "3",
                    "--no-resilience"],
         "storm": ["storm", "--jobs", "9", "--burst-factor", "2.5", "--no-faults"],

@@ -52,7 +52,7 @@ def test_lint_smoke(capsys):
 
 
 def test_perf_smoke(capsys):
-    assert main(["perf", "--no-profile", str(REPO_ROOT / "src")]) == 0
+    assert main(["perf", str(REPO_ROOT / "src")]) == 0
     assert "finding(s)" in capsys.readouterr().out
     assert main(["perf", "--list-rules"]) == 0
     assert "PERF601" in capsys.readouterr().out

@@ -52,6 +52,8 @@ ROWS = [
       "email")),
     ("lint", _main("lint", "examples/configs"), None,
      ("numpy", "repro.tools", "repro.cluster.fleet")),
+    ("perf", _main("perf", "src/repro/hotpath.py"), None,
+     ("numpy", "repro.benchmarking", "repro.cluster")),
     ("racon", _main("racon"), None, _OBJECT_VERB_STRANGERS),
     ("info", _main("info"), None, _OBJECT_VERB_STRANGERS),
 ]
