@@ -9,9 +9,11 @@ This package catches those mistakes *before* anything runs:
 ``findings`` / ``rules``
     The :class:`~repro.analysis.findings.Finding` model with ordered
     severities, the report spine every analyzer returns (exit codes,
-    file walk, ``--baseline`` step, text/JSON rendering), and the rule
-    catalogue (``GYAN1xx`` config, ``SRC2xx`` source, ``SIM3xx``
-    sanitizer).
+    ``--baseline`` step, text/JSON rendering), and the rule catalogue
+    (``GYAN1xx`` config, ``SRC2xx`` source, ``SIM3xx`` sanitizer).
+``sources``
+    The one front end of the four analyzers: every input found, read,
+    classified and parsed once.
 ``config_rules``
     Static analysis of tool wrapper XML and ``job_conf.xml`` against a
     simulated host description.
@@ -23,7 +25,7 @@ This package catches those mistakes *before* anything runs:
     utilization bounds, clock monotonicity), enabled via
     ``GYAN_SIMSAN=1`` and on for the whole test suite.
 ``linter``
-    File classification, suppressions and the per-file dispatch — what
+    The per-file dispatch and the cross-file check — what
     ``python -m repro lint`` calls.
 ``verifier``
     gyan-verify — whole-deployment verification (``VER2xx`` dataflow,

@@ -64,7 +64,17 @@ def analyze_job_conf_text(
     try:
         config = parse_job_conf_xml(text)
     except JobConfError as exc:
-        return None, [R.GYAN100.finding(str(exc), path)]
+        return None, analyze_job_conf(exc, path, ctx)
+    return config, analyze_job_conf(config, path, ctx)
+
+
+def analyze_job_conf(
+    config: JobConfig | JobConfError, path: str | None, ctx: ConfigContext
+) -> list[Finding]:
+    """The job_conf rules over what the runtime parser made of the
+    document: its ``JobConfig``, or the error it raised (GYAN100)."""
+    if isinstance(config, JobConfError):
+        return [R.GYAN100.finding(str(config), path)]
 
     findings: list[Finding] = []
 
@@ -125,7 +135,7 @@ def analyze_job_conf_text(
 
     findings.extend(_resubmit_cycles(config, path))
     findings.extend(_memory_oversubscription(config, path, ctx))
-    return config, findings
+    return findings
 
 
 def _resubmit_cycles(config: JobConfig, path: str | None) -> list[Finding]:
@@ -219,9 +229,19 @@ def analyze_tool_text(
     try:
         tool = parse_tool_xml(text, macros=macros)
     except ToolParseError as exc:
-        message = str(exc)
+        return None, analyze_tool(exc, path, ctx)
+    return tool, analyze_tool(tool, path, ctx)
+
+
+def analyze_tool(
+    tool: ToolDefinition | ToolParseError, path: str | None, ctx: ConfigContext
+) -> list[Finding]:
+    """The wrapper rules over what the runtime parser made of the
+    document: its ``ToolDefinition``, or the error it raised."""
+    if isinstance(tool, ToolParseError):
+        message = str(tool)
         rule = R.GYAN101 if "minor ID" in message else R.GYAN100
-        return None, [rule.finding(message, path)]
+        return [rule.finding(message, path)]
 
     findings: list[Finding] = []
     devices = (
@@ -239,7 +259,7 @@ def analyze_tool_text(
                     suggestion="pass --devices N if the target host differs",
                 )
             )
-    return tool, findings
+    return findings
 
 
 def analyze_tool_against_job_conf(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, ClassVar
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
@@ -114,36 +113,6 @@ def finding_sort_key(f: Finding) -> tuple:
     severity as tie-breakers so equal-location findings are byte-stable
     across runs and Python versions."""
     return (f.path or "", f.line or 0, f.rule_id, f.message, int(f.severity))
-
-
-def discover_files(
-    paths: list[str], suffixes: tuple[str, ...] = (".xml", ".py")
-) -> tuple[list[Path], list[str]]:
-    """Expand files/directories into analyzable files, reporting bad paths.
-
-    Directories are walked for ``suffixes``; a file named explicitly is
-    kept whatever its suffix.
-    """
-    files: list[Path] = []
-    errors: list[str] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            for suffix in suffixes:
-                files.extend(sorted(path.rglob(f"*{suffix}")))
-        elif path.is_file():
-            files.append(path)
-        else:
-            errors.append(f"no such file or directory: {raw}")
-    # De-duplicate while keeping order (a file may be reachable twice).
-    seen: set[Path] = set()
-    unique: list[Path] = []
-    for path in files:
-        resolved = path.resolve()
-        if resolved not in seen:
-            seen.add(resolved)
-            unique.append(path)
-    return unique, errors
 
 
 @dataclass

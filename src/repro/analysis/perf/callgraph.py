@@ -174,22 +174,23 @@ def _is_hot_decorator(node: ast.expr) -> bool:
     return False
 
 
-def build_call_graph(sources: list[tuple[str, str]]) -> tuple[CallGraph, list[str]]:
-    """Build the graph from ``[(path, text), ...]``.
+def build_call_graph(
+    sources: list[tuple[str, ast.Module | Exception]]
+) -> tuple[CallGraph, list[str]]:
+    """Build the graph from ``[(path, tree), ...]``.
 
-    Returns ``(graph, errors)``; files that fail to parse are reported
-    and skipped (SRC200 owns the lint finding for them).
+    Returns ``(graph, errors)``; a file whose tree is the exception
+    ``ast.parse`` raised is reported and skipped (SRC200 owns the lint
+    finding for it).
     """
     graph = CallGraph()
     modules: list[ModuleInfo] = []
     errors: list[str] = []
 
     # ---------------- pass 1: declarations ------------------------- #
-    for path, text in sources:
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            errors.append(f"{path}: does not parse: {exc.msg}")
+    for path, tree in sources:
+        if isinstance(tree, Exception):
+            errors.append(f"{path}: does not parse: {getattr(tree, 'msg', tree)}")
             continue
         module = module_name_for(path)
         info = ModuleInfo(module=module, path=path, tree=tree)
@@ -373,16 +374,18 @@ def _functions_with_defs(graph: CallGraph, info: ModuleInfo):
 
 
 def _own_nodes(scope: ast.AST):
-    """Nodes of this function, excluding nested function/class bodies."""
-
-    def walk(node: ast.AST):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            yield child
-            yield from walk(child)
-
-    yield from walk(scope)
+    """Nodes of this function, excluding nested function/class bodies
+    (lambdas stay: what they call, the function calls), in source order
+    off an explicit stack."""
+    stack = [ast.iter_child_nodes(scope)]
+    while stack:
+        for child in stack[-1]:
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child
+                stack.append(ast.iter_child_nodes(child))
+                break
+        else:
+            stack.pop()
 
 
 def _resolve_scope_calls(

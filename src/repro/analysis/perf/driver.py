@@ -2,7 +2,9 @@
 
 The run has four stages:
 
-1. collect every ``.py`` file reachable from the given paths;
+1. load every ``.py`` file reachable from the given paths
+   (:func:`repro.analysis.sources.load_sources`, the analyzers' one
+   front end);
 2. build the static call graph over all of them at once (hotness must
    propagate across module boundaries);
 3. seed the hot model from ``@hot_path`` annotations;
@@ -17,6 +19,7 @@ findings, sorted keys, no timestamps.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,13 +27,12 @@ from repro.analysis.findings import (
     Finding,
     FindingsReport,
     Severity,
-    discover_files,
     finding_sort_key,
 )
 from repro.analysis.perf.callgraph import CallGraph, build_call_graph
 from repro.analysis.perf.hotmodel import HotModel, build_hot_model
 from repro.analysis.perf.perf_rules import perf_hits
-from repro.analysis.suppressions import SuppressionSet
+from repro.analysis.sources import load_sources, python_findings
 
 PERF_SCHEMA = "gyan.perf/v1"
 
@@ -101,19 +103,19 @@ class PerfReport(FindingsReport):
 
 
 def analyze_sources(
-    sources: list[tuple[str, str]],
+    sources: list[tuple[str, ast.Module | Exception]],
 ) -> tuple[list[Finding], CallGraph, HotModel]:
-    """PERF6xx findings for ``(path, text)`` pairs, plus the models.
+    """PERF6xx findings for ``(path, tree)`` pairs, plus the models.
 
-    This is the engine ``repro perf`` and ``repro lint`` share, so both
-    judge the same hot set.  Findings come back *unsuppressed* —
-    callers own suppression and sorting.
+    This is the engine ``repro perf`` and ``repro lint`` share (through
+    :func:`repro.analysis.sources.python_findings`), so both judge the
+    same hot set.  Findings come back *unsuppressed* and unsorted.
     """
     graph, _errors = build_call_graph(sources)
     model = build_hot_model(graph)
 
     findings: list[Finding] = []
-    for path, _text in sources:
+    for path, _tree in sources:
         info = graph.module_for_path(path)
         if info is None:
             continue  # unparseable; the source family reports SRC syntax
@@ -142,38 +144,17 @@ def run_perf(paths: list[str], options: PerfOptions | None = None) -> PerfReport
     options = options or PerfOptions()
     report = PerfReport()
 
-    files, errors = discover_files(paths, suffixes=(".py",))
-    report.errors.extend(errors)
-    if report.errors:
-        return report
-
-    sources: list[tuple[str, str]] = []
-    for path in files:
-        try:
-            sources.append((str(path), path.read_text()))
-        except OSError as exc:
-            report.errors.append(f"cannot read {path}: {exc}")
-            return report
-
-    findings, graph, model = analyze_sources(sources)
+    sources, report.errors = load_sources(paths, (".py",))
+    # ``# gyan: disable=…`` pragmas are audited for the PERF family
+    # only — this run evaluated nothing else.
+    report.findings, graph, model = python_findings(sources, {"PERF"})
+    assert graph is not None and model is not None  # PERF was evaluated
     report.files_checked = len(sources)
     report.graph_functions = len(graph.nodes)
     report.graph_edges = graph.edge_count()
     report.hot_functions = len(model.hot)
     report.seeds = model.seeds
 
-    # Suppressions (``# gyan: disable=…``), audited for the PERF/SUP
-    # families only — this run evaluated nothing else.
-    by_path: dict[str, list[Finding]] = {}
-    for finding in findings:
-        by_path.setdefault(finding.path or "", []).append(finding)
-    for path_str, text in sources:
-        suppressions = SuppressionSet.parse(text)
-        report.findings.extend(
-            suppressions.apply(
-                by_path.get(path_str, []), path_str, active_prefixes={"PERF"}
-            )
-        )
     report.findings.sort(key=finding_sort_key)
     report.ratchet(options.baseline, options.write_baseline_path)
     return report

@@ -19,6 +19,7 @@ from typing import Iterator
 
 from repro.analysis import rules as R
 from repro.analysis.rules import LintRule
+from repro.analysis.source_rules import scope_nodes, scopes
 
 #: Loop iterables treated as per-row/per-sample sequences for PERF601:
 #: either ``range(len(...))``-style index loops or identifiers whose
@@ -55,7 +56,7 @@ class PerfHit:
 def perf_hits(tree: ast.Module) -> list[PerfHit]:
     """All PERF6xx hits in one parsed module, in source order."""
     hits: list[PerfHit] = []
-    for scope in _scopes(tree):
+    for scope in scopes(tree):
         hits.extend(_perf601_per_row_rendering(scope))
         hits.extend(_perf602_linear_scan(scope))
         hits.extend(_perf603_probe_in_loop(scope))
@@ -67,34 +68,11 @@ def perf_hits(tree: ast.Module) -> list[PerfHit]:
 
 
 # ------------------------------------------------------------------ #
-# scaffolding (the family-standard scope walk)
+# scaffolding (on source_rules' family-standard scope walk)
 # ------------------------------------------------------------------ #
-def _scopes(tree: ast.Module) -> list[ast.AST]:
-    return [tree] + [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of this scope, excluding nested function/class bodies."""
-
-    def walk(node: ast.AST) -> Iterator[ast.AST]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                continue
-            yield child
-            yield from walk(child)
-
-    yield from walk(scope)
-
-
 def _loop_bodies(scope: ast.AST) -> Iterator[tuple[ast.AST, ast.AST]]:
     """(loop, body-node) pairs for every for/while loop in this scope."""
-    for node in _own_nodes(scope):
+    for node in scope_nodes(scope):
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             for sub in ast.walk(node):
                 if sub is not node:
@@ -208,7 +186,7 @@ def _perf601_per_row_rendering(scope: ast.AST) -> list[PerfHit]:
                 "repeat values) and reuse the formatted tail",
             )
     # (c') the comprehension spelling of the same smell.
-    for node in _own_nodes(scope):
+    for node in scope_nodes(scope):
         if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
             if (
                 _fstring_fields(node.elt) >= 3
@@ -254,7 +232,7 @@ def _comparison_attrs(test: ast.expr, target_names: set[str]) -> set[str]:
 
 def _perf602_linear_scan(scope: ast.AST) -> list[PerfHit]:
     hits: list[PerfHit] = []
-    for node in _own_nodes(scope):
+    for node in scope_nodes(scope):
         if not isinstance(node, (ast.ListComp, ast.GeneratorExp)):
             continue
         for gen in node.generators:
@@ -325,7 +303,7 @@ def _perf603_probe_in_loop(scope: ast.AST) -> list[PerfHit]:
 def _perf604_timer_chain(scope: ast.AST) -> list[PerfHit]:
     hits: list[PerfHit] = []
     scope_name = getattr(scope, "name", None)
-    for node in _own_nodes(scope):
+    for node in scope_nodes(scope):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -390,7 +368,7 @@ def _perf604_timer_chain(scope: ast.AST) -> list[PerfHit]:
 def _perf605_alloc_in_advance_loop(scope: ast.AST) -> list[PerfHit]:
     hits: list[PerfHit] = []
     seen_lines: set[int] = set()
-    for node in _own_nodes(scope):
+    for node in scope_nodes(scope):
         if not isinstance(node, ast.While):
             continue
         for sub in ast.walk(node):

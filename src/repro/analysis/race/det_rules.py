@@ -32,11 +32,10 @@ Suppressions work exactly like the other source rules:
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
-from repro.analysis.source_rules import is_virtual_clock_scope
+from repro.analysis.source_rules import is_virtual_clock_scope, scope_nodes, scopes
 
 #: Attribute calls treated as order-sensitive output sinks.
 SINK_ATTRS = frozenset({"write", "record", "emit", "observe", "writelines"})
@@ -54,11 +53,9 @@ RANDOM_DRAWS = frozenset({
 UUID_ENTROPY = frozenset({"uuid1", "uuid4"})
 
 
-def analyze_det_text(text: str, path: str) -> list[Finding]:
-    """Run every DET4xx rule on one Python file."""
-    try:
-        tree = ast.parse(text, filename=path)
-    except SyntaxError:
+def analyze_det_tree(tree: ast.Module | Exception, path: str) -> list[Finding]:
+    """Run every DET4xx rule on one Python file's tree."""
+    if isinstance(tree, Exception):
         return []  # SRC200 owns the parse error.
     aliases, from_names = _import_aliases(tree)
     if is_virtual_clock_scope(path):
@@ -70,7 +67,7 @@ def analyze_det_text(text: str, path: str) -> list[Finding]:
         }
     findings: list[Finding] = []
     findings.extend(_det402_entropy(tree, path, aliases, from_names))
-    for scope in _scopes(tree):
+    for scope in scopes(tree):
         findings.extend(_det401_unordered_flow(scope, path))
         findings.extend(_det403_timer_ties(scope, path))
         findings.extend(_det404_float_accumulation(scope, path))
@@ -79,31 +76,8 @@ def analyze_det_text(text: str, path: str) -> list[Finding]:
 
 
 # --------------------------------------------------------------------- #
-# shared scaffolding
+# shared scaffolding (the scope walk is source_rules')
 # --------------------------------------------------------------------- #
-def _scopes(tree: ast.Module) -> list[ast.AST]:
-    return [tree] + [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of this scope, excluding nested function/class bodies."""
-
-    def walk(node: ast.AST) -> Iterator[ast.AST]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                continue
-            yield child
-            yield from walk(child)
-
-    yield from walk(scope)
-
-
 def _import_aliases(
     tree: ast.Module,
 ) -> tuple[dict[str, set[str]], dict[str, str]]:
@@ -199,7 +173,7 @@ def _sink_call(node: ast.Call) -> str | None:
 # --------------------------------------------------------------------- #
 def _det401_unordered_flow(scope: ast.AST, path: str) -> list[Finding]:
     findings: list[Finding] = []
-    for node in _scope_nodes(scope):
+    for node in scope_nodes(scope):
         if not isinstance(node, (ast.For, ast.AsyncFor)):
             continue
         iterable = node.iter
@@ -300,7 +274,7 @@ def _det403_timer_ties(scope: ast.AST, path: str) -> list[Finding]:
     findings: list[Finding] = []
     #: time-expression text -> first unkeyed registration per call site.
     by_time_expr: dict[str, list[ast.Call]] = {}
-    for node in _scope_nodes(scope):
+    for node in scope_nodes(scope):
         if isinstance(node, ast.Call) and _timer_call(node) and not _has_key_kw(node):
             if node.args:
                 by_time_expr.setdefault(ast.dump(node.args[0]), []).append(node)
@@ -323,7 +297,7 @@ def _det403_timer_ties(scope: ast.AST, path: str) -> list[Finding]:
             )
     # A single unkeyed registration inside a loop over an unordered
     # iterable: registration order itself is unordered.
-    for node in _scope_nodes(scope):
+    for node in scope_nodes(scope):
         if not isinstance(node, (ast.For, ast.AsyncFor)):
             continue
         if not (_is_set_expr(node.iter) or _dict_method_iter(node.iter)):
@@ -353,7 +327,7 @@ def _det403_timer_ties(scope: ast.AST, path: str) -> list[Finding]:
 # --------------------------------------------------------------------- #
 def _det404_float_accumulation(scope: ast.AST, path: str) -> list[Finding]:
     findings: list[Finding] = []
-    for node in _scope_nodes(scope):
+    for node in scope_nodes(scope):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.findings import FindingsReport, discover_files, finding_sort_key
+from repro.analysis.findings import FindingsReport, finding_sort_key
 from repro.analysis.race import checker
 from repro.analysis.race.clock_shim import Schedule
-from repro.analysis.race.det_rules import analyze_det_text
-from repro.analysis.suppressions import SuppressionSet
+from repro.analysis.sources import load_sources, python_findings
 from repro.observability.export import render_document
 
 #: Schema identifier stamped into the JSON report.
@@ -87,28 +86,6 @@ class RaceReport(FindingsReport):
         return render_document(self.payload())
 
 
-def _static_pass(options: RaceOptions, report: RaceReport) -> None:
-    files, errors = discover_files(options.paths)
-    report.errors.extend(errors)
-    for path in files:
-        if path.suffix != ".py":
-            continue
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            report.errors.append(f"cannot read {path}: {exc}")
-            continue
-        findings = analyze_det_text(text, str(path))
-        # Only DET pragmas are audited for staleness: a PERF6xx
-        # suppression in the same file belongs to a family this pass
-        # never evaluates.
-        suppressions = SuppressionSet.parse(text)
-        report.findings.extend(
-            suppressions.apply(findings, str(path), active_prefixes={"DET"})
-        )
-        report.files_checked += 1
-
-
 def _dynamic_pass(options: RaceOptions, report: RaceReport) -> None:
     names = options.scenarios
     if names is None:
@@ -135,7 +112,11 @@ def run_race(options: RaceOptions | None = None) -> RaceReport:
     options = options or RaceOptions()
     report = RaceReport()
     if options.run_static and options.paths:
-        _static_pass(options, report)
+        sources, report.errors = load_sources(options.paths, (".py",))
+        # Only DET pragmas are audited for staleness: a PERF6xx
+        # suppression belongs to a family this pass never evaluates.
+        report.findings, _graph, _model = python_findings(sources, {"DET"})
+        report.files_checked = len(sources)
     if options.run_dynamic:
         _dynamic_pass(options, report)
     report.findings.sort(key=finding_sort_key)

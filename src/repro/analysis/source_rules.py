@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
@@ -42,14 +43,15 @@ def is_virtual_clock_scope(path: str) -> bool:
     return "/gpusim/" in normalized or "/core/" in normalized
 
 
-def analyze_source_text(text: str, path: str) -> list[Finding]:
-    """Run every source rule applicable to one Python file."""
-    try:
-        tree = ast.parse(text, filename=path)
-    except SyntaxError as exc:
+def analyze_source_tree(tree: ast.Module | Exception, path: str) -> list[Finding]:
+    """Run every source rule applicable to one Python file, given its
+    tree — or, for SRC200, the exception ``ast.parse`` raised."""
+    if isinstance(tree, Exception):
         return [
             R.SRC200.finding(
-                f"Python file does not parse: {exc.msg}", path, line=exc.lineno
+                f"Python file does not parse: {getattr(tree, 'msg', tree)}",
+                path,
+                line=getattr(tree, "lineno", None),
             )
         ]
     findings: list[Finding] = []
@@ -134,34 +136,41 @@ class _NvmlEvent:
 
 def _nvml_lifecycle_findings(tree: ast.Module, path: str) -> list[Finding]:
     findings: list[Finding] = []
-    scopes: list[ast.AST] = [tree] + [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    for scope in scopes:
+    for scope in scopes(tree):
         findings.extend(_check_nvml_scope(scope, path))
     return findings
 
 
-def _scope_nodes(scope: ast.AST):
-    """Nodes belonging to this scope, excluding nested scopes' bodies."""
+def scopes(tree: ast.Module) -> list[ast.AST]:
+    """The scopes every AST family orders events within: the module top
+    level and each function body."""
+    return [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
 
-    def walk(node: ast.AST):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
+
+def scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes belonging to this scope, excluding nested scopes' bodies, in
+    source order — off an explicit stack: an expression may nest deeper
+    than the interpreter lets a generator recurse."""
+    stack = [ast.iter_child_nodes(scope)]
+    while stack:
+        for child in stack[-1]:
+            if not isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
             ):
-                continue
-            yield child
-            yield from walk(child)
-
-    yield from walk(scope)
+                yield child
+                stack.append(ast.iter_child_nodes(child))
+                break
+        else:
+            stack.pop()
 
 
 def _check_nvml_scope(scope: ast.AST, path: str) -> list[Finding]:
     events: list[_NvmlEvent] = []
-    for node in _scope_nodes(scope):
+    for node in scope_nodes(scope):
         if isinstance(node, ast.Assign):
             value = node.value
             if (

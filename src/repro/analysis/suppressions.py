@@ -1,9 +1,11 @@
-"""Inline suppression comments shared by every AST rule family.
+"""Inline suppression comments: the one engine behind every rule family.
 
 Two syntaxes coexist:
 
 * ``# gyan-lint: disable=SRC201`` / ``disable-file=SRC201`` — the
-  original line/file-scoped form, kept working verbatim.
+  original line/file-scoped form, kept working verbatim.  In XML it is
+  a comment, ``<!-- gyan-lint: disable=GYAN103 -->``, and always
+  file-wide: ElementTree gives config findings no line to match.
 * ``# gyan: disable=PERF601`` — the richer form.  On an ordinary line
   it suppresses matching findings *on that line*; on a ``def`` line (or
   one of its decorator lines) it suppresses matching findings anywhere
@@ -40,14 +42,19 @@ _GYAN_RE = re.compile(
 )
 
 
+#: The span of a file-wide suppression.
+_WHOLE_FILE = (1, 1 << 30)
+
+
 @dataclass
 class _Pragma:
-    """One ``# gyan: disable=`` comment and what it has matched so far."""
+    """One suppression comment and what it has matched so far."""
 
     line: int  #: line the comment sits on
     ids: tuple[str, ...]
     scope: str  #: ``line`` | ``def`` | ``file``
     span: tuple[int, int]  #: inclusive line range the pragma covers
+    audited: bool  #: the ``# gyan:`` form; ``gyan-lint:`` is never "unused"
     used: set[str] = field(default_factory=set)
 
 
@@ -75,11 +82,10 @@ def _comment_lines(text: str) -> dict[int, str]:
     return comments
 
 
-def _def_spans(text: str) -> list[tuple[int, int, int]]:
-    """(first-decorator-line, def-line, end-line) for every function."""
-    try:
-        tree = ast.parse(text)
-    except SyntaxError:
+def _def_spans(tree: object) -> list[tuple[int, int, int]]:
+    """(first-decorator-line, def-line, end-line) for every function of
+    a parsed module; none for a file that has no tree."""
+    if not isinstance(tree, ast.Module):
         return []
     spans = []
     for node in ast.walk(tree):
@@ -92,50 +98,57 @@ def _def_spans(text: str) -> list[tuple[int, int, int]]:
 
 
 class SuppressionSet:
-    """Parsed suppressions for one Python file."""
+    """Parsed suppressions for one file."""
 
     def __init__(self) -> None:
-        self._legacy_file: set[str] = set()
-        self._legacy_line: dict[int, set[str]] = {}
         self._pragmas: list[_Pragma] = []
 
-    @classmethod
-    def parse(cls, text: str) -> "SuppressionSet":
-        out = cls()
-        def_spans = _def_spans(text)
-        for lineno, line in sorted(_comment_lines(text).items()):
-            legacy = _LEGACY_RE.search(line)
-            if legacy:
-                ids = set(_split_ids(legacy.group("ids")))
-                if legacy.group("scope"):
-                    out._legacy_file |= ids
-                else:
-                    out._legacy_line.setdefault(lineno, set()).update(ids)
-            match = _GYAN_RE.search(line)
-            if not match:
-                continue
-            ids_t = _split_ids(match.group("ids"))
-            if not ids_t:
-                continue
-            if match.group("scope"):
-                out._pragmas.append(
-                    _Pragma(lineno, ids_t, "file", (1, 1 << 30))
-                )
-                continue
+    def _add(
+        self,
+        lineno: int,
+        match: re.Match[str],
+        def_spans: list[tuple[int, int, int]] | None = None,
+    ) -> None:
+        """Record one comment; ``def_spans`` comes with the audited
+        ``# gyan:`` form only."""
+        ids = _split_ids(match.group("ids"))
+        if not ids:
+            return
+        span, scope = (lineno, lineno), "line"
+        if match.group("scope"):
+            span, scope = _WHOLE_FILE, "file"
+        else:
             # A pragma on a def line (or one of its decorators) covers
             # the whole function body; otherwise just its own line.
-            span = (lineno, lineno)
-            scope = "line"
-            for first, _def_line, end in def_spans:
-                if first <= lineno <= end and (
-                    lineno <= _def_line or lineno == first
-                ):
-                    # Sitting in the decorator/def header region.
-                    if first <= lineno <= _def_line:
-                        span = (first, end)
-                        scope = "def"
-                        break
-            out._pragmas.append(_Pragma(lineno, ids_t, scope, span))
+            for first, def_line, end in def_spans or ():
+                if first <= lineno <= def_line:
+                    span, scope = (first, end), "def"
+                    break
+        self._pragmas.append(
+            _Pragma(lineno, ids, scope, span, audited=def_spans is not None)
+        )
+
+    @classmethod
+    def parse_xml(cls, text: str) -> "SuppressionSet":
+        """The suppressions of one XML config: every ID is file-wide."""
+        out = cls()
+        for match in _LEGACY_RE.finditer(text):
+            ids = _split_ids(match.group("ids"))
+            out._pragmas.append(_Pragma(1, ids, "file", _WHOLE_FILE, False))
+        return out
+
+    @classmethod
+    def parse(cls, text: str, tree: object) -> "SuppressionSet":
+        """The suppressions of one Python file; ``tree`` is its parsed
+        module (or why it has none), which gives ``# gyan:`` pragmas
+        their def scope."""
+        out = cls()
+        def_spans = _def_spans(tree)
+        for lineno, line in sorted(_comment_lines(text).items()):
+            if legacy := _LEGACY_RE.search(line):
+                out._add(lineno, legacy)
+            if match := _GYAN_RE.search(line):
+                out._add(lineno, match, def_spans)
         return out
 
     # -------------------------------------------------------------- #
@@ -143,25 +156,22 @@ class SuppressionSet:
         """Drop suppressed findings, recording which pragmas fired."""
         kept: list[Finding] = []
         for finding in findings:
-            if finding.rule_id in self._legacy_file:
-                continue
             line = finding.line
-            if line is not None and finding.rule_id in self._legacy_line.get(
-                line, set()
-            ):
-                continue
-            suppressed = False
-            for pragma in self._pragmas:
-                if finding.rule_id not in pragma.ids:
-                    continue
-                if pragma.scope == "file" or (
-                    line is not None
+            hit = [
+                pragma for pragma in self._pragmas
+                if finding.rule_id in pragma.ids and (
+                    pragma.scope == "file"
+                    or line is not None
                     and pragma.span[0] <= line <= pragma.span[1]
-                ):
-                    pragma.used.add(finding.rule_id)
-                    suppressed = True
-            if not suppressed:
+                )
+            ]
+            if not hit:
                 kept.append(finding)
+            elif all(pragma.audited for pragma in hit):
+                # A ``gyan-lint:`` comment on the same finding takes it
+                # first and leaves the ``# gyan:`` pragmas unused.
+                for pragma in hit:
+                    pragma.used.add(finding.rule_id)
         return kept
 
     def unused_findings(
@@ -176,7 +186,7 @@ class SuppressionSet:
         out: list[Finding] = []
         for pragma in self._pragmas:
             for rule_id in pragma.ids:
-                if rule_id in pragma.used:
+                if rule_id in pragma.used or not pragma.audited:
                     continue
                 if active_prefixes is not None and not any(
                     rule_id.startswith(p) for p in active_prefixes

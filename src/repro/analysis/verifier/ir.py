@@ -7,30 +7,27 @@ into a graph of tools, destinations and routes, each carrying a
 provenance :class:`Span` so findings point back at the line that caused
 them.
 
-Grouping follows gyan-lint's convention: every job_conf roots one
-deployment; tools, macros and plans in the same directory attach to it,
-and when the whole run contains exactly one job_conf, stray files attach
-to that one.
+The grouping rule lives here, in :func:`deployments_of`, and gyan-lint's
+cross-file check consumes the same function: every job_conf that loads
+roots one deployment; every tool, macros file and plan of its directory
+belongs to *each* deployment rooted there, and when the whole run
+contains exactly one job_conf, stray files belong to that one.  The
+files themselves come from the analyzers' one loader
+(:mod:`repro.analysis.sources`), already parsed by the runtime parsers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
-from repro.analysis.linter import classify_xml
-from repro.galaxy.errors import JobConfError, ToolParseError
-from repro.galaxy.job_conf import (
-    Destination,
-    JobConfig,
-    parse_bool_param,
-    parse_job_conf_xml,
-)
+from repro.analysis.sources import Source, load_sources
+from repro.galaxy.errors import GalaxyError
+from repro.galaxy.job_conf import Destination, JobConfig, parse_bool_param
 from repro.cluster.autoscale import AUTOSCALE_SCHEMA, AutoscalePlan
-from repro.galaxy.tool_xml import ToolDefinition, parse_tool_xml
+from repro.galaxy.tool_xml import ToolDefinition
 from repro.gpusim.faults import InjectionPlan
 
 #: What the stock GYAN dynamic rules can resolve to, for static route
@@ -236,36 +233,29 @@ class DeploymentIR:
 # --------------------------------------------------------------------- #
 # loading
 # --------------------------------------------------------------------- #
-def _discover(paths: list[str]) -> tuple[list[Path], list[str]]:
-    files: list[Path] = []
-    errors: list[str] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.xml")))
-            files.extend(sorted(path.rglob("*.json")))
-        elif path.is_file():
-            files.append(path)
-        else:
-            errors.append(f"no such file or directory: {raw}")
-    seen: set[Path] = set()
-    unique: list[Path] = []
-    for path in files:
-        resolved = path.resolve()
-        if resolved not in seen:
-            seen.add(resolved)
-            unique.append(path)
-    return unique, errors
+def deployments_of(sources: list[Source]) -> list[tuple[Source, list[Source]]]:
+    """The grouping rule ``lint`` and ``verify`` share: ``(job_conf,
+    members)`` for every job_conf of the run that loads.
 
-
-def _looks_like_plan(data: object) -> bool:
-    return isinstance(data, dict) and "events" in data
-
-
-def _looks_like_autoscale(data: object) -> bool:
-    return (
-        isinstance(data, dict) and data.get("schema") == AUTOSCALE_SCHEMA
-    )
+    A file belongs to every deployment rooted in its own directory; when
+    the run holds exactly one deployment, every other file belongs to it
+    wherever it lives.
+    """
+    roots = [
+        s for s in sources
+        if s.kind == "job_conf" and isinstance(s.parsed, JobConfig)
+    ]
+    return [
+        (
+            root,
+            [
+                s for s in sources
+                if s.kind != "job_conf"
+                and (len(roots) == 1 or s.path.parent == root.path.parent)
+            ],
+        )
+        for root in roots
+    ]
 
 
 def _build_edges(ir: DeploymentIR) -> None:
@@ -303,6 +293,46 @@ def _build_edges(ir: DeploymentIR) -> None:
             )
 
 
+def _ir_node(
+    source: Source,
+) -> ToolNode | ChaosPlanNode | AutoscalePlanNode | Finding | None:
+    """What one input is to a deployment: its IR node, the VER200
+    finding when it is a deployment file that does not load, or ``None``
+    (a job_conf that loads, macros, arbitrary JSON next to the configs)."""
+    path = str(source.path)
+    if source.kind == "invalid":
+        return R.VER200.finding("XML is not well-formed", path)
+    if source.kind in ("tool", "job_conf"):
+        loaded = source.parsed
+        if isinstance(loaded, GalaxyError):
+            what = "tool wrapper" if source.kind == "tool" else "job_conf"
+            return R.VER200.finding(f"{what} does not load: {loaded}", path)
+        if source.kind == "job_conf":
+            return None
+        line = find_line(source.text, f'id="{loaded.tool_id}"')
+        return ToolNode(loaded.tool_id, loaded, Span(path, line))
+    if source.kind != "json":
+        return None
+    try:
+        data = json.loads(source.text)
+    except (json.JSONDecodeError, RecursionError):
+        return None  # arbitrary JSON next to configs is not ours
+    if not isinstance(data, dict):
+        return None
+    scale = data.get("schema") == AUTOSCALE_SCHEMA
+    if not scale and "events" not in data:
+        return None
+    try:
+        if scale:
+            fleet = AutoscalePlan.from_dict(data)
+            return AutoscalePlanNode(fleet.name, fleet, Span(path, 1))
+        plan = InjectionPlan.from_dict(data)
+        return ChaosPlanNode(plan.name, plan, Span(path, 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        what = "autoscale plan" if scale else "chaos plan"
+        return R.VER200.finding(f"{what} does not load: {exc}", path)
+
+
 def load_deployments(
     paths: list[str],
 ) -> tuple[list[DeploymentIR], list[Finding], list[str]]:
@@ -310,139 +340,36 @@ def load_deployments(
 
     Returns ``(deployments, load_findings, usage_errors)``: VER200
     findings cover files that exist but do not parse; usage errors cover
-    paths that do not exist at all.
+    paths that do not exist or cannot be read.
     """
-    files, errors = _discover(paths)
-    findings: list[Finding] = []
+    sources, errors = load_sources(paths, (".xml", ".json"))
+    loaded = {s.path: _ir_node(s) for s in sources}
+    findings = [node for node in loaded.values() if isinstance(node, Finding)]
 
-    texts: dict[Path, str] = {}
-    kinds: dict[Path, str] = {}
-    for path in files:
-        try:
-            texts[path] = path.read_text()
-        except OSError as exc:
-            errors.append(f"cannot read {path}: {exc}")
-            continue
-        kinds[path] = (
-            (classify_xml(texts[path]) or "invalid") if path.suffix == ".xml" else "json"
-        )
-
-    # Deployments root at job_confs.
-    deployments: dict[Path, DeploymentIR] = {}
-    for path, kind in kinds.items():
-        if kind != "job_conf":
-            continue
-        try:
-            config = parse_job_conf_xml(texts[path])
-        except JobConfError as exc:
-            findings.append(
-                R.VER200.finding(f"job_conf does not load: {exc}", str(path))
-            )
-            continue
+    out: list[DeploymentIR] = []
+    for root, members in deployments_of(sources):
+        path, config = str(root.path), root.parsed
         ir = DeploymentIR(
-            job_conf_path=str(path), job_conf_text=texts[path], config=config
+            job_conf_path=path, job_conf_text=root.text, config=config
         )
         for dest_id, dest in config.destinations.items():
             ir.destinations[dest_id] = DestinationNode(
                 destination_id=dest_id,
                 destination=dest,
-                span=Span(str(path), find_line(texts[path], f'id="{dest_id}"')),
+                span=Span(path, find_line(root.text, f'id="{dest_id}"')),
             )
-        deployments[path] = ir
-
-    def owner_for(path: Path) -> DeploymentIR | None:
-        same_dir = [
-            ir for p, ir in deployments.items() if p.parent == path.parent
-        ]
-        if len(same_dir) >= 1:
-            return same_dir[0]
-        if len(deployments) == 1:
-            return next(iter(deployments.values()))
-        return None
-
-    macros_by_dir: dict[Path, dict[str, str]] = {}
-    for path, kind in kinds.items():
-        if kind == "macros":
-            macros_by_dir.setdefault(path.parent, {})[path.name] = texts[path]
-
-    for path, kind in kinds.items():
-        owner = owner_for(path)
-        if kind == "tool":
-            macros = dict(macros_by_dir.get(path.parent, {}))
-            if not macros and len(macros_by_dir) == 1:
-                macros = dict(next(iter(macros_by_dir.values())))
-            try:
-                tool = parse_tool_xml(texts[path], macros=macros)
-            except ToolParseError as exc:
-                findings.append(
-                    R.VER200.finding(
-                        f"tool wrapper does not load: {exc}", str(path)
-                    )
-                )
-                continue
-            if owner is not None:
-                owner.tools.append(
-                    ToolNode(
-                        tool_id=tool.tool_id,
-                        tool=tool,
-                        span=Span(
-                            str(path),
-                            find_line(texts[path], f'id="{tool.tool_id}"'),
-                        ),
-                    )
-                )
-        elif kind == "json":
-            try:
-                data = json.loads(texts[path])
-            except json.JSONDecodeError:
-                continue  # arbitrary JSON next to configs is not ours
-            if _looks_like_autoscale(data):
-                try:
-                    scale_plan = AutoscalePlan.from_dict(data)
-                except (KeyError, TypeError, ValueError) as exc:
-                    findings.append(
-                        R.VER200.finding(
-                            f"autoscale plan does not load: {exc}",
-                            str(path),
-                        )
-                    )
-                    continue
-                if owner is not None:
-                    owner.autoscalers.append(
-                        AutoscalePlanNode(
-                            name=scale_plan.name,
-                            plan=scale_plan,
-                            span=Span(str(path), 1),
-                        )
-                    )
-                continue
-            if not _looks_like_plan(data):
-                continue
-            try:
-                plan = InjectionPlan.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                findings.append(
-                    R.VER200.finding(
-                        f"chaos plan does not load: {exc}", str(path)
-                    )
-                )
-                continue
-            if owner is not None:
-                owner.plans.append(
-                    ChaosPlanNode(
-                        name=plan.name, plan=plan, span=Span(str(path), 1)
-                    )
-                )
-        elif kind == "invalid":
-            findings.append(
-                R.VER200.finding("XML is not well-formed", str(path))
-            )
-
-    out = list(deployments.values())
-    for ir in out:
+        for member in members:
+            node = loaded[member.path]
+            if isinstance(node, ToolNode):
+                ir.tools.append(node)
+            elif isinstance(node, ChaosPlanNode):
+                ir.plans.append(node)
+            elif isinstance(node, AutoscalePlanNode):
+                ir.autoscalers.append(node)
         ir.tools.sort(key=lambda t: t.tool_id)
         ir.plans.sort(key=lambda p: p.span.path)
         ir.autoscalers.sort(key=lambda a: a.span.path)
         _build_edges(ir)
+        out.append(ir)
     out.sort(key=lambda ir: ir.job_conf_path)
     return out, findings, errors

@@ -358,6 +358,15 @@ def _emit_findings(tool: str, report, args: argparse.Namespace) -> int:
     return report.exit_code(Severity.from_name(args.fail_on))
 
 
+def _listed_rules(args: argparse.Namespace) -> bool:
+    """``--list-rules`` (lint, perf): print the catalogue instead of running."""
+    if args.list_rules:
+        from repro.analysis.linter import list_rules_text
+
+        print(list_rules_text(), end="")
+    return args.list_rules
+
+
 def _devices_ok(tool: str, args: argparse.Namespace) -> bool:
     """``--devices`` describes a host: zero or more GPUs."""
     if args.devices >= 0:
@@ -369,10 +378,9 @@ def _devices_ok(tool: str, args: argparse.Namespace) -> bool:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.findings import EXIT_CLEAN, EXIT_USAGE
-    from repro.analysis.linter import LintOptions, lint_paths, list_rules_text
+    from repro.analysis.linter import LintOptions, lint_paths
 
-    if args.list_rules:
-        print(list_rules_text(), end="")
+    if _listed_rules(args):
         return EXIT_CLEAN
 
     if not args.paths:
@@ -392,11 +400,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     from repro.analysis.findings import EXIT_CLEAN
-    from repro.analysis.linter import list_rules_text
     from repro.analysis.perf.driver import PerfOptions, run_perf
 
-    if args.list_rules:
-        print(list_rules_text(), end="")
+    if _listed_rules(args):
         return EXIT_CLEAN
 
     paths = args.paths or ["src/repro"]
@@ -812,45 +818,50 @@ def _trace_arguments(trace: argparse.ArgumentParser) -> None:
                             "implies tracing")
 
 
+#: The flags the analyzer verbs share, declared once: ``--format`` and
+#: ``--fail-on`` on all four, the rest on ``lint`` and ``perf``.  A verb
+#: names the ones it takes, in its own ``--help`` order.
+_ANALYZER_FLAGS: dict[str, dict] = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--fail-on": dict(choices=("error", "warning", "info"), default="error",
+                      help="lowest severity that makes the exit code "
+                           "nonzero"),
+    "--list-rules": dict(action="store_true",
+                         help="print the rule catalogue and exit"),
+    "--baseline": dict(default=None, metavar="FILE",
+                       help="subtract a gyan.baseline/v1 capture: only new "
+                            "findings affect the exit code (the ratchet)"),
+    "--write-baseline": dict(default=None, metavar="FILE",
+                             help="capture this run's findings as a byte-"
+                                  "deterministic baseline file"),
+}
+
+
+def _analyzer_flags(
+    parser: argparse.ArgumentParser, *flags: str, **extra: str
+) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_ANALYZER_FLAGS[flag], **extra)
+
+
 def _lint_arguments(lint: argparse.ArgumentParser) -> None:
     lint.add_argument("paths", nargs="*",
                       help="files or directories (.xml configs, .py sources)")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--fail-on", choices=("error", "warning", "info"),
-                      default="error",
-                      help="lowest severity that makes the exit code nonzero")
+    _analyzer_flags(lint, "--format", "--fail-on")
     lint.add_argument("--devices", type=int, default=2,
                       help="GPU device count of the target host (default: "
                            "the paper's 2-die K80 testbed)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="subtract a gyan.baseline/v1 capture: only new "
-                           "findings affect the exit code (the ratchet)")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="capture this run's findings as a byte-"
-                           "deterministic baseline file")
+    _analyzer_flags(lint, "--list-rules", "--baseline", "--write-baseline")
 
 
 def _perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("paths", nargs="*",
                       help="files or directories of .py sources "
                            "(default: src/repro)")
-    perf.add_argument("--format", choices=("text", "json"), default="text",
-                      help="json emits the byte-deterministic gyan.perf/v1 "
-                           "report")
-    perf.add_argument("--fail-on", choices=("error", "warning", "info"),
-                      default="error",
-                      help="lowest severity that makes the exit code "
-                           "nonzero")
-    perf.add_argument("--baseline", default=None, metavar="FILE",
-                      help="subtract a gyan.baseline/v1 capture: only new "
-                           "findings affect the exit code (the ratchet)")
-    perf.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="capture this run's findings as a byte-"
-                           "deterministic baseline file")
-    perf.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
+    _analyzer_flags(perf, "--format", help="json emits the byte-"
+                    "deterministic gyan.perf/v1 report")
+    _analyzer_flags(perf, "--fail-on", "--baseline", "--write-baseline",
+                    "--list-rules")
 
 
 def _faults_arguments(faults: argparse.ArgumentParser) -> None:
@@ -891,11 +902,7 @@ def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("paths", nargs="*",
                         help="files or directories (job_conf.xml, tool "
                              "wrappers, chaos-plan JSON)")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--fail-on", choices=("error", "warning", "info"),
-                        default="error",
-                        help="lowest severity that makes the exit code "
-                             "nonzero")
+    _analyzer_flags(verify, "--format", "--fail-on")
     verify.add_argument("--devices", type=int, default=2,
                         help="GPU device count of the target host (default: "
                              "the paper's 2-die K80 testbed)")
@@ -1016,11 +1023,7 @@ def _race_arguments(race: argparse.ArgumentParser) -> None:
                       help="run only the DET4xx AST pass")
     race.add_argument("--dynamic-only", action="store_true",
                       help="run only the happens-before scenario pass")
-    race.add_argument("--format", choices=("text", "json"), default="text")
-    race.add_argument("--fail-on", choices=("error", "warning", "info"),
-                      default="error",
-                      help="lowest severity that makes the exit code "
-                           "nonzero")
+    _analyzer_flags(race, "--format", "--fail-on")
     race.add_argument("--list-scenarios", action="store_true",
                       help="list dynamic scenario names and exit")
 

@@ -191,14 +191,18 @@ class JobConfig:
         return destination
 
 
-def parse_job_conf_xml(text: str, rules: DynamicRuleRegistry | None = None) -> JobConfig:
+def parse_job_conf_xml(
+    text: str | ET.Element, rules: DynamicRuleRegistry | None = None
+) -> JobConfig:
     """Parse a ``job_conf.xml`` document (paper Code 2).
 
-    The ``<plugins>`` section is accepted but only recorded as runner
-    names; plugin loading is a no-op in the simulator.
+    ``text`` is the document, or its root element when the caller has
+    already parsed the XML.  The ``<plugins>`` section is accepted but
+    only recorded as runner names; plugin loading is a no-op in the
+    simulator.
     """
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(text) if isinstance(text, str) else text
     except ET.ParseError as exc:
         raise JobConfError(f"job_conf.xml is not well-formed: {exc}") from exc
     if root.tag != "job_conf":

@@ -293,20 +293,21 @@ def _apply_tokens_tree(element: ET.Element, library: MacroLibrary) -> None:
 # tool wrapper
 # --------------------------------------------------------------------- #
 def parse_tool_xml(
-    text: str, macros: dict[str, str] | None = None
+    text: str | ET.Element, macros: dict[str, str] | None = None
 ) -> ToolDefinition:
     """Parse a tool wrapper document (paper Code 3).
 
     Parameters
     ----------
     text:
-        The wrapper XML.
+        The wrapper XML, or its root element when the caller has already
+        parsed it (the element is consumed: macros expand in place).
     macros:
         Mapping of importable macro file names to their XML text; consulted
         for each ``<macros><import>NAME</import></macros>`` entry.
     """
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(text) if isinstance(text, str) else text
     except ET.ParseError as exc:
         raise ToolParseError(f"tool wrapper is not well-formed: {exc}") from exc
     if root.tag != "tool":

@@ -11,10 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.race.det_rules import analyze_det_text
+from repro.analysis.race.det_rules import analyze_det_tree
+from repro.analysis.sources import parse_python
+from repro.analysis.suppressions import SuppressionSet
 
 FIXTURES = Path(__file__).parent / "fixtures" / "race_bad"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def analyze_det_text(text: str, path: str):
+    """The DET rules over one source text, parsed where the loader parses."""
+    return analyze_det_tree(parse_python(text, path), path)
+
+
+def _suppressed(findings, text: str):
+    return SuppressionSet.parse(text, parse_python(text, "x.py")).filter(findings)
 
 
 def _findings_for(fixture: str):
@@ -134,26 +145,20 @@ class TestDet404:
 
 class TestSuppressionAndCleanliness:
     def test_line_suppression_works(self):
-        from repro.analysis.linter import apply_suppressions
-
         text = (
             "import random\n"
             "x = random.random()  # gyan-lint: disable=DET402\n"
         )
         findings = analyze_det_text(text, "x.py")
         assert [f.rule_id for f in findings] == ["DET402"]
-        assert apply_suppressions(findings, text) == []
+        assert _suppressed(findings, text) == []
 
     @pytest.mark.parametrize("package", ["gpusim", "core", "observability",
                                          "analysis", "workloads"])
     def test_shipped_sources_are_clean(self, package):
-        from repro.analysis.linter import apply_suppressions
-
         for path in sorted((SRC / package).rglob("*.py")):
             text = path.read_text()
-            findings = apply_suppressions(
-                analyze_det_text(text, str(path)), text
-            )
+            findings = _suppressed(analyze_det_text(text, str(path)), text)
             assert findings == [], f"{path} has DET findings: {findings}"
 
     def test_findings_sorted_by_line_then_rule(self):

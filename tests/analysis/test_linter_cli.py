@@ -116,6 +116,137 @@ class TestSuppressions:
         assert _run([target]).findings == []
 
 
+    def test_xml_suppression_covers_the_cross_file_finding(self, tmp_path):
+        """GYAN103 is raised against the tool by another file's content;
+        the tool's own XML comment still suppresses it."""
+        two = FIXTURES / "two_confs"
+        for name in ("job_conf_second.xml", "boxed.xml"):
+            (tmp_path / name).write_text((two / name).read_text())
+        assert [f.rule_id for f in _run([tmp_path]).findings] == ["GYAN103"]
+        boxed = tmp_path / "boxed.xml"
+        boxed.write_text(boxed.read_text().replace(
+            "<requirements>",
+            "<requirements> <!-- gyan-lint: disable=GYAN102, GYAN103 -->",
+        ))
+        assert _run([tmp_path]).findings == []
+
+    def test_python_pragma_scopes_and_the_audit(self, tmp_path):
+        """``# gyan: disable=`` — line, def and file scope — through the
+        same engine, and SUP001 only for families the run evaluated."""
+        from repro.analysis.perf.driver import run_perf
+        from repro.analysis.race.driver import RaceOptions, run_race
+
+        target = tmp_path / "core" / "mod.py"
+        target.parent.mkdir()
+        target.write_text(
+            "# gyan: disable-file=SRC201\n"
+            "import random, time\n"
+            "def f():  # gyan: disable=DET402\n"
+            "    time.sleep(1)\n"
+            "    return random.random()\n"
+            "x = random.random()  # gyan: disable=DET402, PERF601\n"
+            "y = random.random()\n"
+        )
+
+        def ids(report):
+            return [(f.rule_id, f.line) for f in report.findings]
+
+        # lint evaluates every family: the one stale ID is PERF601.
+        assert ids(_run([target])) == [("SUP001", 6), ("DET402", 7)]
+        # race evaluates DET only: PERF601 and SRC201 are out of scope.
+        race = run_race(RaceOptions(paths=[str(target)], run_dynamic=False))
+        assert ids(race) == [("DET402", 7)]
+        # perf evaluates PERF only: it found nothing for PERF601 to hide.
+        assert ids(run_perf([str(target)])) == [("SUP001", 6)]
+
+
+class TestOneFrontEnd:
+    """Every input is parsed once, and lint and verify group alike."""
+
+    def test_each_python_file_is_parsed_once(self, tmp_path, monkeypatch):
+        import ast
+
+        from repro.analysis.perf.driver import run_perf
+        from repro.analysis.race.driver import RaceOptions, run_race
+
+        for name in ("a.py", "b.py", "c.py"):
+            (tmp_path / name).write_text(
+                "def f(xs):\n    return [x for x in xs]  # gyan: disable=PERF601\n"
+            )
+        parsed: list[str] = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(Path(filename).name)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        for run in (
+            lambda: _run([tmp_path]),
+            lambda: run_perf([str(tmp_path)]),
+            lambda: run_race(RaceOptions(paths=[str(tmp_path)], run_dynamic=False)),
+        ):
+            parsed.clear()
+            assert run().files_checked == 3
+            assert sorted(parsed) == ["a.py", "b.py", "c.py"]
+
+    @pytest.mark.parametrize("directory, pairs", [
+        (FIXTURES / "two_confs", 4),
+        (REPO_ROOT / "examples" / "configs", 6),
+    ])
+    def test_lint_cross_checks_the_pairs_the_ir_holds(
+        self, directory, pairs, monkeypatch
+    ):
+        from repro.analysis import linter
+        from repro.analysis.verifier.ir import load_deployments
+
+        def key(config):
+            return sorted(
+                (d.destination_id, sorted(d.params.items()))
+                for d in config.destinations.values()
+            )
+
+        checked = []
+        real_check = linter.analyze_tool_against_job_conf
+
+        def recording_check(tool, path, config):
+            checked.append((tool.tool_id, key(config)))
+            return real_check(tool, path, config)
+
+        monkeypatch.setattr(linter, "analyze_tool_against_job_conf", recording_check)
+        _run([directory])
+        deployments, _findings, _errors = load_deployments([str(directory)])
+        held = [
+            (node.tool_id, key(ir.config))
+            for ir in deployments for node in ir.tools
+        ]
+        assert len(held) == pairs
+        assert sorted(checked) == sorted(held)
+
+    def test_two_job_confs_in_one_directory(self):
+        """Both tools belong to both deployments; only the second
+        job_conf makes them wrong."""
+        from repro.analysis.verifier.driver import verify_paths
+
+        two = FIXTURES / "two_confs"
+        lint = _run([two])
+        assert [(f.rule_id, Path(f.path).name) for f in lint.findings] == [
+            ("GYAN103", "boxed.xml")
+        ]
+        verify = verify_paths([str(two)])
+        assert verify.deployments_checked == 2
+        assert [(f.rule_id, Path(f.path).name) for f in verify.findings] == [
+            ("VER201", "charon.xml")
+        ]
+        # Each job_conf alone, with the same tools, finds the same.
+        for name, expected in (("job_conf_first.xml", []),
+                               ("job_conf_second.xml", ["VER201"])):
+            alone = verify_paths(
+                [str(two / name), str(two / "boxed.xml"), str(two / "charon.xml")]
+            )
+            assert [f.rule_id for f in alone.findings] == expected
+
+
 class TestJsonOutput:
     def test_json_is_parseable_and_structured(self):
         report = _run([FIXTURES / "bad"])

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
-from repro.analysis.perf.callgraph import build_call_graph, module_name_for
+from repro.analysis.perf import callgraph
+from repro.analysis.perf.callgraph import module_name_for
 from repro.analysis.perf.hotmodel import build_hot_model
+from repro.analysis.sources import parse_python
+
+
+def build_call_graph(sources: list[tuple[str, str]]):
+    """The graph of ``(path, text)`` pairs, parsed where the loader parses."""
+    return callgraph.build_call_graph(
+        [(path, parse_python(text, path)) for path, text in sources]
+    )
 
 
 def _graph(*sources: tuple[str, str]):

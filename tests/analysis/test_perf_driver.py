@@ -9,12 +9,9 @@ import pytest
 
 from repro.analysis.baseline import load_baseline, render_baseline, write_baseline
 from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, Severity
-from repro.analysis.perf.driver import (
-    PERF_SCHEMA,
-    PerfOptions,
-    analyze_sources,
-    run_perf,
-)
+from repro.analysis.perf import driver
+from repro.analysis.perf.driver import PERF_SCHEMA, PerfOptions, run_perf
+from repro.analysis.sources import parse_python
 from repro.analysis.suppressions import SuppressionSet
 from repro.cli import main
 
@@ -52,6 +49,14 @@ TIMED_ENTRY_POINTS = [
     "repro.workloads.diurnal.diurnal_batches",
     "repro.workloads.storm.run_storm",
 ]
+
+
+def analyze_sources(sources: list[tuple[str, str]]):
+    """The PERF engine over ``(path, text)`` pairs, parsed where the
+    loader parses."""
+    return driver.analyze_sources(
+        [(path, parse_python(text, path)) for path, text in sources]
+    )
 
 
 def _run(paths, **kwargs):
@@ -189,7 +194,7 @@ class TestInlineSuppressions:
         from repro.analysis.findings import Finding
 
         text = "import time\ntime.sleep(1)  # gyan: disable=SRC201\n"
-        suppressions = SuppressionSet.parse(text)
+        suppressions = SuppressionSet.parse(text, parse_python(text, "mod.py"))
         findings = [
             Finding("SRC201", Severity.ERROR, "sleep", "mod.py", 2),
             Finding("SRC201", Severity.ERROR, "sleep", "mod.py", 1),

@@ -6,10 +6,16 @@ import textwrap
 
 import pytest
 
-from repro.analysis.source_rules import analyze_source_text, is_virtual_clock_scope
+from repro.analysis.source_rules import analyze_source_tree, is_virtual_clock_scope
+from repro.analysis.sources import parse_python
 
 GPUSIM_PATH = "src/repro/gpusim/example.py"
 TOOLS_PATH = "src/repro/tools/example.py"
+
+
+def analyze_source_text(text: str, path: str):
+    """The source rules over one text, parsed where the loader parses."""
+    return analyze_source_tree(parse_python(text, path), path)
 
 
 def _analyze(source: str, path: str = GPUSIM_PATH):

@@ -42,11 +42,13 @@ class TestDeploymentIR:
         first = deployments[0]
         assert "local_gpu" in first.destinations
         assert first.destinations["local_gpu"].span.line is not None
-        # Same-directory tools and chaos plans attach to the deployment.
-        assert {t.tool_id for t in first.tools} == {"racon", "bonito"}
-        assert len(first.plans) == 2
-        # The shipped autoscale plan attaches alongside the chaos plans.
-        assert [a.name for a in first.autoscalers] == ["fleet-diurnal-day"]
+        # Same-directory tools and chaos plans attach to every
+        # deployment rooted there, not to the first in path order alone.
+        for ir in deployments:
+            assert [t.tool_id for t in ir.tools] == ["bonito", "racon"]
+            assert len(ir.plans) == 2
+            # The shipped autoscale plan attaches alongside the chaos plans.
+            assert [a.name for a in ir.autoscalers] == ["fleet-diurnal-day"]
 
     def test_initial_destinations_expand_dynamic_rules(self):
         deployments, _, _ = load_deployments(
@@ -98,6 +100,15 @@ class TestDeploymentIR:
         (tmp_path / "readme.json").write_text("{}")
         report = _verify(tmp_path)
         assert report.exit_code(Severity.ERROR) == EXIT_USAGE
+
+    def test_json_nested_too_deep_to_load_is_not_ours(self, tmp_path):
+        """``json.loads`` raises RecursionError, not JSONDecodeError."""
+        (tmp_path / "job_conf.xml").write_text(
+            (FIXTURES / "clean" / "job_conf.xml").read_text()
+        )
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        report = _verify(tmp_path)
+        assert report.findings == [] and report.errors == []
 
 
 class TestStaticPasses:

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -243,6 +244,155 @@ class TestMalformedInputFiles:
         out = capsys.readouterr().out
         assert "expect: whatever the author wrote" in out
         assert "survived:            0/0" in out
+
+
+class TestHostileAnalyzerInputs:
+    """``lint``, ``verify``, ``perf`` and ``race --static-only`` share one
+    loader, so a hostile input ends the same way under each: a file that
+    cannot be decoded is one ``<verb>: cannot read …`` line and exit 2, a
+    ``.py`` file that does not parse is SRC200 under ``lint`` and is
+    counted and skipped elsewhere, and a directory named like an input is
+    not one.  No cell prints a traceback."""
+
+    FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
+    LATIN1 = "# caf\xe9\n".encode("latin-1")
+    #: verb -> (argv, suffixes it reads, (status, line) when the path
+    #: holds nothing it reads)
+    VERBS = {
+        "lint": (["lint"], (".py", ".xml"),
+                 (0, "0 file(s) checked, 0 finding(s)")),
+        "verify": (["verify", "--no-model-check"], (".xml", ".json"),
+                   (2, "verify: no job_conf found under the given paths; "
+                       "nothing to verify")),
+        "perf": (["perf"], (".py",), (0, "0 file(s), 0 function(s), ")),
+        "race": (["race", "--static-only"], (".py",),
+                 (0, "0 file(s) checked, 0 scenario(s) permuted ")),
+    }
+    #: file name -> (content, the text after ``SRC200: Python file does
+    #: not parse: ``, with the ``:line`` lint anchors it to)
+    UNPARSEABLE = {
+        "nul.py": ("x = 1\0\n", "",
+                   "source code string cannot contain null bytes"),
+        "unbalanced.py": ("def f(:\n", ":1", "invalid syntax"),
+        "parens.py": ("(" * 300 + ")" * 300 + "\n", ":1",
+                      "too many nested parentheses"),
+        # RecursionError, whose wording is CPython's to change.
+        "sum.py": ("x = " + "+".join(["1"] * 3000) + "\n", "", ""),
+    }
+    HOT_AND_RANDOM = (
+        "import random\n"
+        "from repro.hotpath import hot_path\n"
+        "@hot_path\n"
+        "def render(samples):\n"
+        "    out = ''\n"
+        "    for s in samples:\n"
+        "        out += f'{s}!'\n"
+        "    return out + str(random.random())\n"
+    )
+
+    def _run(self, capsys, verb, path):
+        status = main([*self.VERBS[verb][0], str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        return status, captured.out.splitlines(), captured.err.splitlines()
+
+    @pytest.mark.parametrize("suffix", [".py", ".xml", ".json"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, verb, suffix):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(self.LATIN1)
+        status, out, err = self._run(capsys, verb, path)
+        _argv, reads, (idle_status, idle_line) = self.VERBS[verb]
+        if suffix in reads:
+            assert status == 2
+            (line,) = err
+            assert line.startswith(f"{verb}: cannot read {path}: 'utf-8' codec")
+        else:
+            assert status == idle_status
+            assert (err + out)[0].startswith(idle_line)
+
+    @pytest.mark.parametrize("name", list(UNPARSEABLE))
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_python_file_that_does_not_parse(self, capsys, tmp_path, verb, name):
+        text, line, message = self.UNPARSEABLE[name]
+        try:
+            ast.parse(text)
+        except (SyntaxError, ValueError, RecursionError):
+            pass
+        else:  # how deep a tree may be is the interpreter's to say
+            pytest.skip("this interpreter parses it")
+        path = tmp_path / name
+        path.write_text(text)
+        status, out, err = self._run(capsys, verb, path)
+        if verb == "lint":
+            assert (status, err) == (1, [])
+            assert out[0].startswith(
+                f"{path}{line}: error: SRC200: Python file does not parse: "
+                f"{message}"
+            )
+            assert out[0].endswith(message)
+            assert out[1] == "1 file(s) checked, 1 finding(s) (1 error)"
+        elif verb == "verify":
+            idle_status, idle_line = self.VERBS[verb][2]
+            assert (status, err) == (idle_status, [idle_line])
+        else:
+            # Counted, skipped: SRC200 is lint's to report.
+            assert (status, err) == (0, [])
+            assert out[0].startswith("1 file(s)") and "0 finding(s)" in out[0]
+
+    @pytest.mark.parametrize("verb", ["lint", "perf", "race"])
+    def test_tree_deeper_than_the_recursion_limit_is_walked(
+        self, capsys, tmp_path, verb
+    ):
+        """1500 terms parse (3000 do not) into a tree 1500 levels deep:
+        the rule families walk it off a stack, not by recursion."""
+        path = tmp_path / "deep.py"
+        path.write_text("x = " + "+".join(["1"] * 1500) + "\n")
+        try:
+            ast.parse(path.read_text())
+        except RecursionError:
+            pytest.skip("this interpreter's parser stops short of 1500 terms")
+        status, out, err = self._run(capsys, verb, path)
+        assert (status, err) == (0, [])
+        assert out[0].startswith("1 file(s)") and "0 finding(s)" in out[0]
+
+    @pytest.mark.parametrize("verb, summary", [
+        ("lint", "2 file(s) checked, 0 finding(s)"),
+        ("verify", "1 deployment(s) checked, 0 finding(s)"),
+        ("perf", "1 file(s), 0 function(s), 0 hot via 0 seed(s); 0 finding(s)"),
+        ("race", "1 file(s) checked, 0 scenario(s) permuted (0 tie(s), 0 "
+                 "pruned commutative, 0 replay(s)), 0 finding(s)"),
+    ])
+    def test_directory_named_like_an_input_is_not_one(
+        self, capsys, tmp_path, verb, summary
+    ):
+        for name in ("x.py", "x.xml", "x.json"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "good.py").write_text("x = 1\n")
+        clean = self.FIXTURES / "deployments" / "clean" / "job_conf.xml"
+        (tmp_path / "job_conf.xml").write_text(clean.read_text())
+        assert self._run(capsys, verb, tmp_path) == (0, [summary], [])
+
+    @pytest.mark.parametrize("verb, finding", [
+        ("lint", "error: PERF601: "), ("verify", "error: VER201: "),
+        ("perf", "error: PERF601: "), ("race", "error: DET402: "),
+    ])
+    def test_unreadable_file_does_not_hide_the_next_one(
+        self, capsys, tmp_path, verb, finding
+    ):
+        for suffix in (".py", ".xml", ".json"):
+            (tmp_path / f"a_latin1{suffix}").write_bytes(self.LATIN1)
+        (tmp_path / "b_hot.py").write_text(self.HOT_AND_RANDOM)
+        for name in ("job_conf_second.xml", "charon.xml"):
+            source = self.FIXTURES / "two_confs" / name
+            (tmp_path / name).write_text(source.read_text())
+        status, out, err = self._run(capsys, verb, tmp_path)
+        assert status == 2
+        assert err == [
+            line for line in err if line.startswith(f"{verb}: cannot read ")
+        ]
+        assert len(err) == len(self.VERBS[verb][1])
+        assert any(finding in line for line in out)
 
 
 class TestMonitorDump:
