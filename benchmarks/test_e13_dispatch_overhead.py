@@ -8,11 +8,16 @@ Two measurements:
 * virtual time — the tool-visible clock must not advance during GYAN's
   destination mapping and environment preparation (exactly zero);
 * wall time — the real cost of one GYAN mapping decision (rule + usage
-  query + allocation), which is what pytest-benchmark times here; it is
-  microseconds-scale, negligible against any tool runtime.
+  query + allocation), timed here as the best of a few repeats of a
+  fixed number of decisions (pytest-benchmark also tables it when
+  benchmarking is enabled); it is microseconds-scale, negligible
+  against any tool runtime.
 """
 
+import time
 
+REPEATS = 5
+CALLS = 200
 
 
 def test_e13_dispatch_overhead(benchmark, report, fresh_deployment):
@@ -23,17 +28,23 @@ def test_e13_dispatch_overhead(benchmark, report, fresh_deployment):
         deployment.app.map_destination(job)
         return deployment.mapper.prepare_environment(job)
 
+    def seconds_per_call():
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            map_once()
+        return (time.perf_counter() - start) / CALLS
+
     before = deployment.clock.now
     env = benchmark(map_once)
+    per_call = min(seconds_per_call() for _ in range(REPEATS))
     after = deployment.clock.now
 
     report.add("GYAN dispatch-path overhead")
     report.add(f"virtual clock advanced during mapping: {after - before:.9f} s")
-    mean_us = benchmark.stats["mean"] * 1e6
-    report.add(f"wall time per mapping decision: {mean_us:.1f} us")
+    report.add(f"wall time per mapping decision: {per_call * 1e6:.1f} us")
     report.add("tool-visible overhead: none (mapping happens pre-spawn)")
 
     assert after == before  # zero virtual (tool-visible) time
     assert env["GALAXY_GPU_ENABLED"] == "true"
-    assert benchmark.stats["mean"] < 0.01  # well under 10 ms wall per decision
+    assert per_call < 0.01  # well under 10 ms wall per decision
     report.finish()

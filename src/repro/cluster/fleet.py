@@ -1,10 +1,12 @@
 """The fleet-scale simulation tier: 1000 nodes, millions of jobs.
 
-The object-path cluster (:mod:`repro.cluster.multinode`) routes real
-:class:`GalaxyJob` objects through full GYAN deployments — faithful,
-but ~milliseconds of Python per job.  The fleet tier runs the paper's
-mapping (Pseudocode 2: first available GPU, else fall back) with every
-per-job cost flipped to a per-*group* cost:
+The object tier (one :class:`~repro.cluster.node.ComputeNode` under
+:func:`~repro.core.orchestrator.build_deployment`) runs real
+:class:`GalaxyJob` objects through a full GYAN deployment — faithful,
+but ~milliseconds of Python per job, on one node.  The fleet tier is the
+multi-node model: it runs the paper's mapping (Pseudocode 2: first
+available GPU, else fall back) across many nodes with every per-job
+cost flipped to a per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
   holds one entry per row range that was transitioned together (38

@@ -123,12 +123,9 @@ class ComputeNode:
         )
 
     @classmethod
-    def cpu_only(
-        cls, hostname: str = "cpu-node-0", cpu_slots: int = 48, clock: VirtualClock | None = None
-    ) -> "ComputeNode":
+    def cpu_only(cls, cpu_slots: int = 48) -> "ComputeNode":
         """A GPU-less node — the fallback destination GYAN switches to."""
         return cls(
-            hostname=hostname,
+            hostname="cpu-node-0",
             resources=NodeResources(cpu_slots=cpu_slots, memory_gib=128, gpu_count=0),
-            clock=clock,
         )

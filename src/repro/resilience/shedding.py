@@ -36,11 +36,10 @@ class ShedReason(str, enum.Enum):
 class RejectedBusy(Exception):
     """A bounded queue refused new work (the REJECTED_BUSY signal).
 
-    Raised by :meth:`ClusterScheduler.submit` and
-    :meth:`OverloadController.admit` when a depth limit is hit.  Callers
-    are expected to *handle* it — resubmit along a degrade route, hold
-    the job under backpressure, or shed it with a typed reason — never
-    to let it crash a deployment.
+    Raised by :meth:`OverloadController.admit` when a depth limit is
+    hit.  Callers are expected to *handle* it — resubmit along a
+    degrade route, hold the job under backpressure, or shed it with a
+    typed reason — never to let it crash a deployment.
     """
 
     def __init__(

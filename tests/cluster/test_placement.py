@@ -1,5 +1,6 @@
 """The placement seam: node indexes against their brute-force
-definitions, and the one node lifecycle behind them."""
+definitions, the one node lifecycle behind them, and ablation A5's
+placements pinned row for row."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,15 @@ from repro.cluster.fleet import (
     FleetSimulator,
     NodeFailure,
 )
+from repro.cluster.fleet_reference import ObjectFleetReference
 from repro.cluster.placement import NODE_INDEXES, PackIndex, SpreadIndex
-from repro.workloads.diurnal import ab_storm_profile, diurnal_batches
+from repro.workloads.diurnal import (
+    DEFAULT_FLEET_TOOLS,
+    ArrivalBatch,
+    FleetToolClass,
+    ab_storm_profile,
+    diurnal_batches,
+)
 
 NODES = 6
 
@@ -93,6 +101,64 @@ def test_stale_entry_survives_a_round_trip(index_class):
 
 def test_every_policy_names_an_index():
     assert set(NODE_INDEXES) == set(PLACEMENT_POLICIES)
+
+
+# Ablation A5's traces (benchmarks/test_ablation_cluster.py) on 2 nodes
+# x 2 GPUs with no queue room.  Rows are (destination, gpu, start); -1
+# is the CPU arm.
+RACON, BONITO, SHORT, LONG = range(4)
+A5_TOOLS = (
+    DEFAULT_FLEET_TOOLS[0],  # degradable, GPU benefit 10 (low)
+    DEFAULT_FLEET_TOOLS[1],  # GPU benefit 24 (high)
+    FleetToolClass("short_gpu", True, 100.0, 2_000.0, 0.0),
+    FleetToolClass("long_gpu", True, 300.0, 6_000.0, 0.0),
+)
+SPILL = [(0, True, 0), (0, True, 1), (1, True, 2), (1, True, 3),
+         (-1, False, 4), (-1, False, 5)]
+EARLY = [(0, True, 0), (0, True, 0), (1, True, 0)]
+A5_TRACES = {
+    # Node 0's GPUs fill before node 1's, then the CPU arm: every policy.
+    "burst": (0.10, [ArrivalBatch(float(t), RACON, 1) for t in range(6)], {
+        "spread": SPILL, "pack": SPILL, "benefit-aware": SPILL,
+    }),
+    # Node 0 has emptied by t=150: spread takes it, pack the fuller node.
+    "spread-vs-pack": (0.10, [
+        ArrivalBatch(0.0, SHORT, 2),
+        ArrivalBatch(0.0, LONG, 1),
+        ArrivalBatch(150.0, LONG, 1),
+    ], {
+        "spread": EARLY + [(0, True, 150)],
+        "pack": EARLY + [(1, True, 150)],
+        "benefit-aware": EARLY + [(0, True, 150)],
+    }),
+    # Only the reserved slot is free: benefit-aware degrades low benefit.
+    "benefit-reserve": (0.25, [
+        ArrivalBatch(0.0, BONITO, 3),
+        ArrivalBatch(1.0, RACON, 1),
+    ], {
+        "spread": EARLY + [(1, True, 1)],
+        "pack": EARLY + [(1, True, 1)],
+        "benefit-aware": EARLY + [(-1, False, 1)],
+    }),
+}
+
+
+@pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+@pytest.mark.parametrize("trace", sorted(A5_TRACES))
+def test_ablation_a5_rows(trace, policy):
+    """Where and when each job of an A5 trace starts, per policy; the
+    per-job oracle agrees row for row."""
+    reserve, batches, expected = A5_TRACES[trace]
+    config = FleetConfig(
+        nodes=2, gpus_per_node=2, queue_limit=0, placement=policy,
+        gpu_reserve_fraction=reserve,
+    )
+    simulator = FleetSimulator(config, A5_TOOLS)
+    simulator.run(batches)
+    rows = [(r.destination, r.gpu, r.start) for r in simulator.store.rows()]
+    assert rows == expected[policy]
+    oracle = ObjectFleetReference(config, A5_TOOLS).run(batches)
+    assert [(r.destination, r.gpu, r.start) for r in oracle.rows()] == rows
 
 
 def recount(simulator):
