@@ -7,12 +7,13 @@ monitor's per-second samples into per-job, per-device energy figures
 using the device power model (idle ~26 W to the 149 W board limit,
 linear in SM utilisation).
 
-The integral runs over NumPy views of the monitor's columns, but its
-last step is a *sequential* ``np.cumsum(...)[-1]``, not ``np.sum``:
-``sum``/``add.reduce`` add pairwise, which moves the last bit of a long
-total (the idle die's, over the 165 554 samples of a default-dataset
-Bonito run), and ``energy_joules`` in every job's ``plugin_metrics`` is
-pinned to the left-to-right sum of the trapezoid terms.
+The integral runs over per-tick NumPy arrays expanded from the
+monitor's run tables, but its last step is a *sequential*
+``.cumsum()[-1]``, not ``np.sum``: ``sum``/``add.reduce`` add
+pairwise, which moves the last bit of a long total (the idle die's,
+over the 165 554 samples of a default-dataset Bonito run), and
+``energy_joules`` in every job's ``plugin_metrics`` is pinned to the
+left-to-right sum of the trapezoid terms.
 """
 
 from __future__ import annotations
@@ -72,21 +73,24 @@ class EnergyMeter:
     def job_energy(self, job_id: int) -> EnergyReport:
         """Energy of one monitored job.
 
-        Reads the monitor's columnar per-device series in place (zero-copy
-        views that die with this call, so the session can keep growing).
+        Expands the session's tick instants and each device's run table
+        to per-tick arrays for this call only, so the session can keep
+        growing.
         """
         session = self.monitor.session_for(job_id)
         devices = self.monitor.host.devices
         per_device = {device.minor_number: 0.0 for device in devices}
         duration = 0.0
-        if len(session.times) >= 2:
-            duration = session.times[-1] - session.times[0]
-            dt = np.diff(np.frombuffer(session.times))
+        times = session.times
+        if len(times) >= 2:
+            duration = times[-1] - times[0]
+            instants = np.frombuffer(times)
+            dt = instants[1:] - instants[:-1]
             for device in devices:
                 series = session.device_series(device.minor_number)
                 if series is not None:
-                    power = power_watts(device, np.frombuffer(series.gpu_util))
-                    joules = np.cumsum(0.5 * (power[:-1] + power[1:]) * dt)
+                    power = power_watts(device, series.utilization())
+                    joules = (0.5 * (power[:-1] + power[1:]) * dt).cumsum()
                     per_device[device.minor_number] = float(joules[-1])
         return EnergyReport(
             job_id=job_id,

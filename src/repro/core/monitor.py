@@ -7,29 +7,38 @@ when a job is either killed or stops.  Whenever it stops, a
 post-processing function is executed, and it generates .csv files and
 other log and statistic files."
 
-The reproduction samples on the *virtual* clock.  A naive port would
-schedule one callback per simulated second and append one
-:class:`UsageSample` dataclass per device per tick — at the paper's
-scales (>210 h Bonito CPU runs) that is ~756k heap operations and
-~1.5M short-lived objects per job.  Instead the monitor registers a
-single *span listener* on the clock: between two callback firings the
-simulated device state cannot change, so every quiescent span is
-sampled in bulk into per-device columnar ``array`` buffers, with
-per-device min/max/sum accumulators streamed along the way.  The
-observable sample sequence (timestamps and values) is identical to the
-per-second-callback scheme; see ``docs/performance.md``.
+The reproduction samples on the *virtual* clock, and its Python work and
+memory follow device state changes, not simulated seconds.  The monitor
+registers a single *span listener* on the clock: between two callback
+firings the simulated device state cannot change, so every periodic tick
+inside a quiescent span observes the same values.  A session stores
 
-The legacy object API is preserved: ``session.samples`` is a lazy
-sequence view that materialises :class:`UsageSample` objects on access,
-so existing consumers (tests, the energy meter protocol, metrics
-plugins) keep working while the monitor itself never builds them.
+* its tick instants as the start instant, one walk ``(first due,
+  count)`` and an optional stop instant — every periodic tick continues
+  the single ``t += interval`` float walk from ``start + interval``;
+* per device, a run table (:class:`DeviceSeries`): one ``(util, mem,
+  fb, pcie)`` entry and a length per run of identical samples, with
+  min/max/sum accumulators streamed along the way.
+
+:func:`walk_ticks` counts a span's ticks in exact float arithmetic, so
+a quiescent span costs the same however many ticks it holds, and the
+count, last tick and next due instant are bit-identical to the naive
+loop.  Readers expand on demand: ``np.add.accumulate`` adds strictly
+left to right, so it replays the walk, and ``np.repeat`` expands runs.
+``session.samples`` is a lazy sequence of :class:`UsageSample` objects;
+see ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.galaxy.job import GalaxyJob
 from repro.gpusim.host import GPUHost
@@ -39,6 +48,48 @@ from repro.hotpath import hot_path
 #: amortise the join/write per chunk, small enough to keep the streaming
 #: path's working set bounded (~1 MiB of text at typical row widths).
 _CSV_CHUNK_ROWS = 8192
+
+_TWO53 = 1 << 53
+
+
+def walk_ticks(
+    due: float, interval: float, end: float, closed: bool
+) -> tuple[int, float, float]:
+    """Count the walk ``due, due + interval, …`` up to ``end``.
+
+    Returns ``(count, last, next_due)`` exactly as the loop ``while due
+    <= end: last = due; due += interval`` leaves them (``<`` when the
+    span is open at ``end``); ``last`` is NaN when nothing is due.
+
+    When ``due`` and ``interval`` are both multiples of ``u = ulp(due)``,
+    every walk value below ``2**53 * u`` (the top of ``due``'s binade) is
+    a representable multiple of ``u``, so each addition there is exact
+    and the walk is the progression ``due + k * interval``: its length
+    is integer arithmetic and its last value one exact multiply-add.
+    Steps that round — a binade crossing, or every step of an interval
+    such as 0.1 that is no multiple of the ulp — are taken one at a
+    time, as the loop takes them.
+    """
+    count = 0
+    last = math.nan
+    while due < end or (closed and due == end):
+        steps = 1
+        unit = math.ulp(due)
+        if due > 0.0 and math.fmod(interval, unit) == 0.0:
+            first = int(due / unit)
+            stride = interval / unit
+            if stride < _TWO53 - first:
+                stride = int(stride)
+                steps = (_TWO53 - 1 - first) // stride + 1
+                scaled = end / unit
+                if scaled != math.inf:
+                    bound = math.floor(scaled) if closed else math.ceil(scaled) - 1
+                    steps = min(steps, (bound - first) // stride + 1)
+                due += (steps - 1) * interval
+        count += steps
+        last = due
+        due += interval
+    return count, last, due
 
 
 @dataclass(frozen=True)
@@ -71,21 +122,22 @@ class UsageStatistics:
 
 
 class DeviceSeries:
-    """Columnar per-device telemetry: parallel arrays plus streaming stats.
+    """One device's telemetry in one session: a run table plus stats.
 
-    One instance per device per session.  Appends go through
-    :meth:`push` (one observation) or :meth:`push_run` (a run of ``n``
-    identical observations, the quiescent-span fast path, which extends
-    the arrays at C speed and updates the accumulators in O(1)).
+    Run ``r`` is ``run_lens[r]`` consecutive identical observations
+    ``(run_util[r], run_mem[r], run_fb[r], run_pcie[r])``; a quiescent
+    span extends the last run or opens one, in O(1) however many ticks
+    it holds.  ``sum(run_lens) == len(self)`` always.
     """
 
     __slots__ = (
         "device_index",
-        "gpu_util",
-        "mem_util",
-        "fb_used",
-        "pcie_gen",
+        "run_util",
+        "run_mem",
+        "run_fb",
+        "run_pcie",
         "run_lens",
+        "count",
         "util_min",
         "util_max",
         "util_sum",
@@ -99,16 +151,12 @@ class DeviceSeries:
 
     def __init__(self, device_index: int) -> None:
         self.device_index = device_index
-        self.gpu_util = array("d")
-        self.mem_util = array("d")
-        self.fb_used = array("q")
-        self.pcie_gen = array("q")
-        #: Lengths of maximal runs of identical (util, mem, fb, pcie)
-        #: observations, in append order.  Quiescent spans make these
-        #: runs long, and renderers exploit that: the CSV exporter
-        #: formats each run's value columns once instead of once per
-        #: row.  ``sum(run_lens) == len(self)`` always.
+        self.run_util = array("d")
+        self.run_mem = array("d")
+        self.run_fb = array("q")
+        self.run_pcie = array("q")
         self.run_lens = array("q")
+        self.count = 0
         self.util_min = float("inf")
         self.util_max = float("-inf")
         self.util_sum = 0.0
@@ -120,44 +168,26 @@ class DeviceSeries:
         self.fb_sum = 0
 
     def __len__(self) -> int:
-        return len(self.gpu_util)
+        return self.count
 
-    def push(self, util: float, mem: float, fb: int, pcie: int) -> None:
-        """Record one observation."""
-        self._extend_runs(util, mem, fb, pcie, 1)
-        self.gpu_util.append(util)
-        self.mem_util.append(mem)
-        self.fb_used.append(fb)
-        self.pcie_gen.append(pcie)
-        self._accumulate(util, mem, fb, 1)
-
-    def push_run(self, util: float, mem: float, fb: int, pcie: int, n: int) -> None:
-        """Record ``n`` identical observations (quiescent-span bulk path)."""
-        self._extend_runs(util, mem, fb, pcie, n)
-        self.gpu_util.extend(array("d", (util,)) * n)
-        self.mem_util.extend(array("d", (mem,)) * n)
-        self.fb_used.extend(array("q", (fb,)) * n)
-        self.pcie_gen.extend(array("q", (pcie,)) * n)
-        self._accumulate(util, mem, fb, n)
-
-    def _extend_runs(self, util: float, mem: float, fb: int, pcie: int, n: int) -> None:
-        """Grow the last run by ``n`` when the values repeat, else open one.
-
-        Must run *before* the columns are extended — it compares against
-        the current last observation.
-        """
+    def push(self, util: float, mem: float, fb: int, pcie: int, n: int) -> None:
+        """Record ``n`` identical observations."""
         if (
             self.run_lens
-            and self.gpu_util[-1] == util
-            and self.mem_util[-1] == mem
-            and self.fb_used[-1] == fb
-            and self.pcie_gen[-1] == pcie
+            and self.run_util[-1] == util
+            and self.run_mem[-1] == mem
+            and self.run_fb[-1] == fb
+            and self.run_pcie[-1] == pcie
         ):
             self.run_lens[-1] += n
         else:
+            self.run_util.append(util)
+            self.run_mem.append(mem)
+            self.run_fb.append(fb)
+            self.run_pcie.append(pcie)
             self.run_lens.append(n)
-
-    def _accumulate(self, util: float, mem: float, fb: int, n: int) -> None:
+        first = self.count == 0
+        self.count += n
         if util < self.util_min:
             self.util_min = util
         if util > self.util_max:
@@ -168,15 +198,23 @@ class DeviceSeries:
         if mem > self.mem_max:
             self.mem_max = mem
         self.mem_sum += mem * n
-        if len(self.gpu_util) == n or fb < self.fb_min:
+        if first or fb < self.fb_min:
             self.fb_min = fb
-        if len(self.gpu_util) == n or fb > self.fb_max:
+        if first or fb > self.fb_max:
             self.fb_max = fb
         self.fb_sum += fb * n
 
+    def utilization(self) -> np.ndarray:
+        """Per-tick SM utilisation, expanded from the run table.
+
+        The buffer views die with this call, so the series can keep
+        growing after a reading.
+        """
+        return np.frombuffer(self.run_util).repeat(np.frombuffer(self.run_lens, dtype=np.int64))
+
     def statistics(self) -> UsageStatistics | None:
         """The streamed min/max/avg, or ``None`` when nothing was sampled."""
-        count = len(self.gpu_util)
+        count = self.count
         if count == 0:
             return None
         return UsageStatistics(
@@ -197,29 +235,23 @@ class DeviceSeries:
 class SampleView(Sequence[UsageSample]):
     """Read-only sequence view materialising :class:`UsageSample` lazily.
 
-    Sample ``i`` corresponds to tick ``i // ndev`` of device column
-    ``i % ndev`` — the exact append order of the legacy per-tick loop
-    (every device is sampled at every tick, devices in host order).
+    Sample ``i`` is tick ``i // ndev`` of device column ``i % ndev`` —
+    every device is sampled at every tick, devices in host order.  The
+    tick instants are expanded and each column's cumulative run lengths
+    built once per view (again only when the session has grown), and a
+    sample's run is found by ``bisect``.
     """
 
-    __slots__ = ("_session",)
+    __slots__ = ("_session", "_built_for", "_times", "_run_ends")
 
     def __init__(self, session: MonitoredJob) -> None:
         self._session = session
+        self._built_for = -1
+        self._times = array("d")
+        self._run_ends: list[list[int]] = []
 
     def __len__(self) -> int:
-        return len(self._session.times) * len(self._session.series)
-
-    def _make(self, tick: int, column: int) -> UsageSample:
-        series = self._session.series[column]
-        return UsageSample(
-            time=self._session.times[tick],
-            device_index=series.device_index,
-            gpu_utilization=series.gpu_util[tick],
-            memory_utilization=series.mem_util[tick],
-            fb_used_mib=series.fb_used[tick],
-            pcie_generation=series.pcie_gen[tick],
-        )
+        return self._session.sample_count
 
     def __getitem__(self, index):
         total = len(self)
@@ -229,48 +261,99 @@ class SampleView(Sequence[UsageSample]):
             index += total
         if not 0 <= index < total:
             raise IndexError("sample index out of range")
-        ndev = len(self._session.series)
-        return self._make(index // ndev, index % ndev)
-
-    def __iter__(self) -> Iterator[UsageSample]:
         session = self._session
-        for tick in range(len(session.times)):
-            for column in range(len(session.series)):
-                yield self._make(tick, column)
+        if self._built_for != total:
+            self._times = session.times
+            self._run_ends = [list(accumulate(s.run_lens)) for s in session.series]
+            self._built_for = total
+        tick, column = divmod(index, len(session.series))
+        series = session.series[column]
+        run = bisect_right(self._run_ends[column], tick)
+        return UsageSample(
+            time=self._times[tick],
+            device_index=series.device_index,
+            gpu_utilization=series.run_util[run],
+            memory_utilization=series.run_mem[run],
+            fb_used_mib=series.run_fb[run],
+            pcie_generation=series.run_pcie[run],
+        )
 
 
 class MonitoredJob:
-    """Per-job sampling session, stored columnar.
+    """Per-job sampling session.
 
-    ``times`` holds one entry per tick; ``series[j]`` holds the parallel
-    value columns of the j-th host device.  ``samples`` preserves the
-    legacy flat-list-of-:class:`UsageSample` API as a lazy view.
+    Tick instants are the start instant, the walk ``first_due, first_due
+    + interval, …`` of ``walk_len`` periodic ticks, and ``stopped_at``
+    when :meth:`GPUUsageMonitor.stop` took a final sample; ``times``
+    expands them.  ``series[j]`` holds the j-th host device's run table,
+    and ``samples`` the flat list of :class:`UsageSample` as a lazy view.
     """
 
-    __slots__ = ("job_id", "started_at", "times", "series", "next_due", "stopped", "statistics")
+    __slots__ = (
+        "job_id",
+        "started_at",
+        "interval",
+        "first_due",
+        "walk_len",
+        "next_due",
+        "last_time",
+        "stopped_at",
+        "series",
+        "stopped",
+        "statistics",
+    )
 
-    def __init__(self, job_id: int, started_at: float, device_indices: Sequence[int]) -> None:
+    def __init__(
+        self,
+        job_id: int,
+        started_at: float,
+        device_indices: Sequence[int],
+        interval: float,
+    ) -> None:
         self.job_id = job_id
         self.started_at = started_at
-        self.times = array("d")
+        self.interval = interval
+        self.first_due = started_at + interval
+        self.walk_len = 0
+        #: Next periodic tick due and the most recent tick's instant
+        #: (kept by the monitor).
+        self.next_due = self.first_due
+        self.last_time = started_at
+        self.stopped_at: float | None = None
         self.series = [DeviceSeries(index) for index in device_indices]
-        #: Next periodic sample instant (maintained by the monitor).
-        self.next_due = started_at
         self.stopped = False
         self.statistics: list[UsageStatistics] = []
+
+    @property
+    def tick_count(self) -> int:
+        """Ticks taken so far: start, periodic ticks, stop."""
+        return 1 + self.walk_len + (self.stopped_at is not None)
+
+    @property
+    def sample_count(self) -> int:
+        """Samples taken so far, one per device per tick (O(1))."""
+        return self.tick_count * len(self.series)
+
+    @property
+    def times(self) -> array:
+        """Every tick instant, expanded by replaying the walk."""
+        times = array("d", (self.interval,)) * self.tick_count
+        times[0] = self.started_at
+        if self.stopped_at is not None:
+            times[-1] = self.stopped_at
+        if self.walk_len:
+            times[1] = self.first_due
+            walk = np.frombuffer(times)[1 : 1 + self.walk_len]
+            np.add.accumulate(walk, out=walk)
+        return times
 
     @property
     def samples(self) -> SampleView:
         """Chronological samples (devices interleaved per tick)."""
         return SampleView(self)
 
-    @property
-    def last_time(self) -> float | None:
-        """Timestamp of the most recent tick, or None before any sample."""
-        return self.times[-1] if self.times else None
-
     def device_series(self, device_index: int) -> DeviceSeries | None:
-        """The value columns of one device (None for unknown devices)."""
+        """The run table of one device (None for unknown devices)."""
         for series in self.series:
             if series.device_index == device_index:
                 return series
@@ -282,7 +365,7 @@ class GPUUsageMonitor:
 
     Implements the runner's :class:`~repro.galaxy.runners.base.UsageMonitor`
     protocol.  Several jobs may be monitored concurrently (multi-GPU
-    cases); each keeps its own columnar sample store.
+    cases); each keeps its own session.
 
     One span listener per monitor fans out to every live session —
     there is no per-session timer chain, and a stopped session can never
@@ -291,8 +374,8 @@ class GPUUsageMonitor:
     """
 
     def __init__(self, host: GPUHost, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError("sampling interval must be positive and finite")
         self.host = host
         self.interval = interval
         self.sessions: dict[int, MonitoredJob] = {}
@@ -305,16 +388,15 @@ class GPUUsageMonitor:
     @hot_path
     def start(self, job: GalaxyJob) -> None:
         """Begin sampling for ``job`` (called at tool-execution start)."""
-        now = self.host.clock.now
         session = MonitoredJob(
             job_id=job.job_id,
-            started_at=now,
+            started_at=self.host.clock.now,
             device_indices=[d.minor_number for d in self.host.devices],
+            interval=self.interval,
         )
         self.sessions[job.job_id] = session
         self._live[job.job_id] = session
-        self._sample(session, now)
-        session.next_due = now + self.interval
+        self._sample(session, 1)
         if not self._listening:
             self.host.clock.add_span_listener(self._on_span)
             self._listening = True
@@ -328,9 +410,9 @@ class GPUUsageMonitor:
         # Take a final sample at the stop instant (unless a periodic tick
         # already sampled this exact instant), then post-process.
         now = self.host.clock.now
-        last = session.last_time
-        if last is None or last < now:
-            self._sample(session, now)
+        if session.last_time < now:
+            session.stopped_at = session.last_time = now
+            self._sample(session, 1)
         session.stopped = True
         del self._live[job.job_id]
         if not self._live and self._listening:
@@ -343,54 +425,34 @@ class GPUUsageMonitor:
     # ------------------------------------------------------------------ #
     @hot_path
     def _on_span(self, start: float, end: float, closed: bool) -> None:
-        """Bulk-sample every live session over a quiescent clock span.
+        """Sample every live session over a quiescent clock span.
 
         The simulated device state is constant over ``(start, end)`` (the
         clock fires this between callbacks), so all periodic ticks due in
-        the span observe identical values.  ``closed`` spans include
-        their ``end`` instant; open spans precede a callback at ``end``
-        and must leave that instant to a later span, after the callback
-        has mutated state.
+        the span observe identical values: one run per device.
+        ``closed`` spans include their ``end`` instant; open spans precede
+        a callback at ``end`` and must leave that instant to a later
+        span, after the callback has mutated state.
         """
         for session in self._live.values():
             due = session.next_due
             if due > end or (due == end and not closed):
                 continue
-            # Count the periodic ticks inside the span by repeated
-            # addition (matching the self-rearming timer's float walk),
-            # then append them in bulk.
-            ticks = array("d")
-            if closed:
-                while due <= end:
-                    ticks.append(due)
-                    due += self.interval
-            else:
-                while due < end:
-                    ticks.append(due)
-                    due += self.interval
-            session.next_due = due
-            n = len(ticks)
-            if n == 0:
-                continue
-            session.times.extend(ticks)
-            for series, device in zip(session.series, self.host.devices, strict=True):
-                series.push_run(
-                    device.sm_utilization,
-                    device.mem_utilization,
-                    device.fb_used_mib,
-                    device.pcie_generation_current,
-                    n,
-                )
+            count, session.last_time, session.next_due = walk_ticks(
+                due, self.interval, end, closed
+            )
+            session.walk_len += count
+            self._sample(session, count)
 
-    def _sample(self, session: MonitoredJob, now: float) -> None:
-        """Record one observation of every device at ``now``."""
-        session.times.append(now)
+    def _sample(self, session: MonitoredJob, n: int) -> None:
+        """Record ``n`` ticks' observations of every device, as it is now."""
         for series, device in zip(session.series, self.host.devices, strict=True):
             series.push(
                 device.sm_utilization,
                 device.mem_utilization,
                 device.fb_used_mib,
                 device.pcie_generation_current,
+                n,
             )
 
     # ------------------------------------------------------------------ #
@@ -412,12 +474,10 @@ class GPUUsageMonitor:
     def to_csv(self, job_id: int) -> str:
         """The chronological .csv the paper's script writes per job.
 
-        Rendered run-aware: the value columns repeat for every tick of a
-        quiescent span, so each run's column suffix is formatted *once*
-        (see :attr:`DeviceSeries.run_lens`) and the timestamp once per
-        tick, shared across devices.  Per row, only two list appends
-        remain.  Output is byte-identical to the naive per-row
-        formatting.
+        Rendered run-aware: each run's column suffix is formatted *once*
+        (see :class:`DeviceSeries`) and each timestamp once per tick,
+        shared across devices.  Per row, only two list appends remain.
+        Output is byte-identical to the naive per-row formatting.
         """
         return "".join(self._csv_chunks(self.session_for(job_id)))
 
@@ -439,25 +499,19 @@ class GPUUsageMonitor:
         yield (
             "time,device,gpu_utilization,memory_utilization,fb_used_mib,pcie_generation\n"
         )
-        times = session.times
-        count = len(times)
-        if count == 0:
-            return
         # One timestamp string per tick (shared by every device's row)…
-        time_strs = [f"{t:.3f}" for t in times]
+        time_strs = [f"{t:.3f}" for t in session.times]
+        count = len(time_strs)
         # …and one column-suffix string per *run*, expanded by reference.
         suffix_columns: list[list[str]] = []
         for series in session.series:
             suffixes: list[str] = []
-            start = 0
-            for run in series.run_lens:
-                suffix = (
-                    f",{series.device_index},{series.gpu_util[start]:.1f},"
-                    f"{series.mem_util[start]:.1f},{series.fb_used[start]},"
-                    f"{series.pcie_gen[start]}\n"
-                )
+            for util, mem, fb, pcie, run in zip(
+                series.run_util, series.run_mem, series.run_fb,
+                series.run_pcie, series.run_lens,
+            ):
+                suffix = f",{series.device_index},{util:.1f},{mem:.1f},{fb},{pcie}\n"
                 suffixes.extend([suffix] * run)
-                start += run
             suffix_columns.append(suffixes)
         for base in range(0, count, _CSV_CHUNK_ROWS):
             parts: list[str] = []
@@ -492,20 +546,18 @@ class GPUUsageMonitor:
     def _sparkline(values: Sequence[float], width: int = 32) -> str:
         """Downsample values to an ASCII sparkline (0-100 scale).
 
-        Buckets are ``[i*len//width, (i+1)*len//width)`` in exact integer
-        arithmetic: they tile the input with no skips or double counts at
-        any non-integer stride (the old ``int(i * stride)`` float
-        bucketing could drift at large lengths).
+        Bucket ``i`` is ``[i*len//width, (i+1)*len//width)`` in exact
+        integer arithmetic: the buckets tile the input with no skips or
+        double counts at any non-integer stride, and each is non-empty
+        when ``len > width``, so one ``maximum.reduceat`` takes them all.
         """
         count = len(values)
         if count == 0:
             return ""
         blocks = " .:-=+*#%@"
         if count > width:
-            values = [
-                max(values[(i * count) // width : ((i + 1) * count) // width])
-                for i in range(width)
-            ]
+            starts = [(i * count) // width for i in range(width)]
+            values = np.maximum.reduceat(np.asarray(values, dtype=float), starts).tolist()
         return "".join(
             blocks[min(len(blocks) - 1, int(v / 100.0 * (len(blocks) - 1)))]
             for v in values
@@ -515,14 +567,13 @@ class GPUUsageMonitor:
     def statistics_report(self, job_id: int) -> str:
         """The aggregated min/avg/max text report with utilisation traces."""
         session = self.session_for(job_id)
-        sample_count = len(session.times) * len(session.series)
         lines = [
-            f"job {job_id}: {sample_count} samples "
+            f"job {job_id}: {session.sample_count} samples "
             f"from t={session.started_at:.1f}s"
         ]
         for stat in session.statistics:
             series = session.device_series(stat.device_index)
-            trace = self._sparkline(series.gpu_util if series is not None else [])
+            trace = self._sparkline(series.utilization() if series is not None else [])
             lines.append(
                 f"  GPU {stat.device_index}: util "
                 f"min/avg/max = {stat.gpu_util_min:.0f}/{stat.gpu_util_avg:.0f}/"

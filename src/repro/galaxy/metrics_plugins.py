@@ -67,7 +67,7 @@ class GpuMetricsPlugin:
             return {}
         session = self.monitor.session_for(job.job_id)
         data: dict[str, Any] = {
-            "samples": len(session.samples),
+            "samples": session.sample_count,
             "gpu_ids": list(job.metrics.gpu_ids),
         }
         for stat in session.statistics:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.energy import EnergyMeter, power_watts
-from repro.core.monitor import GPUUsageMonitor, MonitoredJob
+from repro.core.monitor import GPUUsageMonitor
+from repro.galaxy.job import GalaxyJob
+from repro.galaxy.tool_xml import parse_tool_xml
+from repro.gpusim.device import GPUDevice
+from repro.gpusim.host import GPUHost
 
 
 class TestPowerModel:
@@ -55,24 +59,22 @@ class TestEnergyMeter:
             meter.job_energy(424242)
 
 
-def loop_energy(monitor, job_id):
+
+
+def loop_energy(devices, samples):
     """The per-sample trapezoid, one Python float at a time, summed left to
     right: the naive reference ``job_energy`` must equal bit for bit."""
-    session = monitor.session_for(job_id)
-    times = session.times
     per_device = {}
-    for device in monitor.host.devices:
-        series = session.device_series(device.minor_number)
+    for device in devices:
+        column = [s for s in samples if s.device_index == device.minor_number]
         joules = 0.0
-        if series is not None:
-            utils = series.gpu_util
-            for i in range(1, len(utils)):
-                dt = times[i] - times[i - 1]
-                p0 = power_watts(device, utils[i - 1])
-                p1 = power_watts(device, utils[i])
-                joules += 0.5 * (p0 + p1) * dt
+        for before, after in zip(column, column[1:]):
+            dt = after.time - before.time
+            p0 = power_watts(device, before.gpu_utilization)
+            p1 = power_watts(device, after.gpu_utilization)
+            joules += 0.5 * (p0 + p1) * dt
         per_device[device.minor_number] = joules
-    duration = times[-1] - times[0] if len(times) >= 2 else 0.0
+    duration = samples[-1].time - samples[0].time
     return duration, per_device
 
 
@@ -80,21 +82,39 @@ def hexed(per_device):
     return {index: joules.hex() for index, joules in per_device.items()}
 
 
+def make_job():
+    return GalaxyJob(tool=parse_tool_xml('<tool id="t"><command>x</command></tool>'))
+
+
 class TestBitEqualToTheLoop:
-    def session(self, host, ticks, device_indices=(0, 1)):
-        """A hand-built session: ``ticks`` is ``[(time, util), ...]``."""
+    def session(self, host, ticks):
+        """A session sampled at ``ticks`` (``[(time, util), ...]``): it
+        starts at the first instant and stops at the last, the ones between
+        lie on the one-second walk, and from each instant on every device
+        reads ``util`` plus its own index."""
+
+        def set_util(util):
+            for device in host.devices:
+                device.sm_utilization = util + device.minor_number
+
         monitor = GPUUsageMonitor(host)
-        session = MonitoredJob(7, ticks[0][0], list(device_indices))
-        for time, util in ticks:
-            session.times.append(time)
-            for series in session.series:
-                series.push(util + series.device_index, 0.0, 0, 3)
-        monitor.sessions[7] = session
-        return monitor
+        job = make_job()
+        (first, util), *rest = ticks
+        host.clock.advance_to(first)
+        set_util(util)
+        monitor.start(job)
+        for time, util in rest:
+            host.clock.call_at(time, lambda now, util=util: set_util(util))
+        host.clock.advance_to(ticks[-1][0])
+        monitor.stop(job)
+        assert monitor.session_for(job.job_id).times.tolist() == [t for t, _ in ticks]
+        return monitor, job.job_id
 
     def check(self, monitor, job_id):
         report = EnergyMeter(monitor).job_energy(job_id)
-        duration, per_device = loop_energy(monitor, job_id)
+        duration, per_device = loop_energy(
+            monitor.host.devices, list(monitor.session_for(job_id).samples)
+        )
         assert hexed(report.per_device_joules) == hexed(per_device)
         assert list(report.per_device_joules) == list(per_device)
         assert report.duration_seconds.hex() == float(duration).hex()
@@ -111,30 +131,39 @@ class TestBitEqualToTheLoop:
         assert report.per_device_joules[1] > report.per_device_joules[0] > 0
 
     def test_two_tick_session(self, host):
-        report = self.check(self.session(host, [(1.5, 40.0), (2.25, 90.0)]), 7)
+        report = self.check(*self.session(host, [(1.5, 40.0), (2.25, 90.0)]))
         assert report.duration_seconds == 0.75
         assert report.per_device_joules[0] > 26.0 * 0.75
 
     def test_one_tick_session_is_zero(self, host):
-        report = self.check(self.session(host, [(3.0, 80.0)]), 7)
+        report = self.check(*self.session(host, [(3.0, 80.0)]))
         assert report.duration_seconds == 0.0
         assert report.per_device_joules == {0: 0.0, 1: 0.0}
         assert report.mean_watts == 0.0
 
-    def test_device_without_a_series(self, host):
-        monitor = self.session(
-            host, [(0.0, 10.0), (1.0, 55.5), (2.0, 55.5), (2.5, 0.0)],
-            device_indices=(1,),
+    def test_device_without_a_series(self):
+        """A die added to the host after a session stopped has no series
+        in it and reads zero joules."""
+        host = GPUHost(device_count=1)
+        monitor, job_id = self.session(
+            host, [(0.0, 10.0), (1.0, 55.5), (2.0, 55.5), (2.5, 0.0)]
         )
-        report = self.check(monitor, 7)
-        assert report.per_device_joules[0] == 0.0
-        assert report.per_device_joules[1] > 0.0
+        host.devices.append(GPUDevice(minor_number=1, arch=host.devices[0].arch))
+        report = self.check(monitor, job_id)
+        assert report.per_device_joules[0] > 0.0
+        assert report.per_device_joules[1] == 0.0
 
-    def test_session_can_grow_after_a_reading(self, deployment):
-        """The buffer views are gone when ``job_energy`` returns: an array
-        that still exported one would refuse to grow."""
-        job = deployment.run_tool("racon", {"workload": "unit"})
-        EnergyMeter(deployment.monitor).job_energy(job.job_id)
-        session = deployment.monitor.session_for(job.job_id)
-        session.times.append(session.times[-1] + 1.0)
-        session.series[0].gpu_util.append(0.0)
+    def test_session_can_grow_after_a_reading(self, host):
+        """The buffer views are gone when ``job_energy`` returns: a run
+        table that still exported one would refuse to grow."""
+        monitor = GPUUsageMonitor(host)
+        job = make_job()
+        monitor.start(job)
+        host.device(0).sm_utilization = 30.0
+        host.clock.advance(3.0)
+        EnergyMeter(monitor).job_energy(job.job_id)
+        host.device(0).sm_utilization = 70.0
+        host.clock.advance(2.5)
+        monitor.stop(job)
+        assert len(monitor.session_for(job.job_id).series[0].run_lens) == 3
+        self.check(monitor, job.job_id)

@@ -1,11 +1,26 @@
 """GPU hardware usage monitor (paper §V-C)."""
 
-import pytest
+import math
+from array import array
 
-from repro.core.monitor import GPUUsageMonitor
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.energy import EnergyMeter
+from repro.core.monitor import (
+    DeviceSeries,
+    GPUUsageMonitor,
+    MonitoredJob,
+    UsageSample,
+    UsageStatistics,
+    walk_ticks,
+)
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.tool_xml import parse_tool_xml
+from repro.gpusim.host import make_k80_host
 from repro.gpusim.kernels import KernelLaunch, KernelTimingModel
+from tests.core.test_energy import loop_energy
 
 
 def make_job():
@@ -93,8 +108,11 @@ class TestSampling:
         assert min(s.time for s in b_samples) == 2.0
 
     def test_invalid_interval(self, host):
-        with pytest.raises(ValueError):
-            GPUUsageMonitor(host, interval=0.0)
+        """NaN and infinity pass an ``interval <= 0`` test; a NaN or
+        infinite interval would record a 10 s job as ``[0.0, 10.0]``."""
+        for interval in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                GPUUsageMonitor(host, interval=interval)
 
 
 class TestPostProcessing:
@@ -236,13 +254,13 @@ class TestSparkline:
         assert line == "@" * width
 
 
-def _naive_csv(session):
+def _naive_csv(samples):
     """The reference per-row renderer the run-aware writer must match."""
     out = [
         "time,device,gpu_utilization,memory_utilization,fb_used_mib,"
         "pcie_generation\n"
     ]
-    for s in session.samples:
+    for s in samples:
         out.append(
             f"{s.time:.3f},{s.device_index},{s.gpu_utilization:.1f},"
             f"{s.memory_utilization:.1f},{s.fb_used_mib},{s.pcie_generation}\n"
@@ -250,35 +268,36 @@ def _naive_csv(session):
     return "".join(out)
 
 
+def varied_session(host, seconds=40, period=10):
+    """A session whose device values change every ``period`` seconds."""
+    monitor = GPUUsageMonitor(host, interval=1.0)
+    job = make_job()
+    monitor.start(job)
+
+    def flip(now):
+        phase = int(now) // period
+        host.devices[0].sm_utilization = float((phase * 17) % 101)
+        host.devices[1].sm_utilization = float((phase * 31) % 101)
+
+    for t in range(period, seconds, period):
+        host.clock.call_at(float(t), flip)
+    host.clock.advance(float(seconds))
+    monitor.stop(job)
+    return monitor, job
+
+
 class TestCsvStreaming:
     """The buffered run-aware CSV writer (see docs/performance.md)."""
 
-    def _varied_session(self, host, seconds=40):
-        """A session whose device values change mid-run (several runs)."""
-        monitor = GPUUsageMonitor(host, interval=1.0)
-        job = make_job()
-        monitor.start(job)
-
-        def flip(now):
-            phase = int(now) // 10
-            host.devices[0].sm_utilization = float((phase * 17) % 101)
-            host.devices[1].sm_utilization = float((phase * 31) % 101)
-
-        for t in range(10, seconds, 10):
-            host.clock.call_at(float(t), flip)
-        host.clock.advance(float(seconds))
-        monitor.stop(job)
-        return monitor, job
-
     def test_byte_identical_to_naive_rendering(self, host):
-        monitor, job = self._varied_session(host)
+        monitor, job = varied_session(host)
         session = monitor.session_for(job.job_id)
-        assert monitor.to_csv(job.job_id) == _naive_csv(session)
+        assert monitor.to_csv(job.job_id) == _naive_csv(session.samples)
 
     def test_write_csv_streams_the_same_bytes(self, host):
         import io
 
-        monitor, job = self._varied_session(host)
+        monitor, job = varied_session(host)
         sink = io.StringIO()
         written = monitor.write_csv(job.job_id, sink)
         document = monitor.to_csv(job.job_id)
@@ -286,7 +305,7 @@ class TestCsvStreaming:
         assert written == len(document)
 
     def test_run_lengths_tile_every_series(self, host):
-        monitor, job = self._varied_session(host)
+        monitor, job = varied_session(host)
         session = monitor.session_for(job.job_id)
         for series in session.series:
             assert sum(series.run_lens) == len(series)
@@ -295,7 +314,7 @@ class TestCsvStreaming:
             assert len(series.run_lens) > 1
 
     def test_dump_writes_streamed_csv(self, host, tmp_path):
-        monitor, job = self._varied_session(host)
+        monitor, job = varied_session(host)
         paths = monitor.dump(job.job_id, tmp_path)
         csv_path = next(p for p in paths if p.endswith(".csv"))
         with open(csv_path, encoding="utf-8") as fh:
@@ -319,8 +338,274 @@ class TestCsvStreaming:
         original = monitor_mod._CSV_CHUNK_ROWS
         monitor_mod._CSV_CHUNK_ROWS = 8
         try:
-            monitor, job = self._varied_session(host, seconds=37)
+            monitor, job = varied_session(host, seconds=37)
             session = monitor.session_for(job.job_id)
-            assert monitor.to_csv(job.job_id) == _naive_csv(session)
+            assert monitor.to_csv(job.job_id) == _naive_csv(session.samples)
         finally:
             monitor_mod._CSV_CHUNK_ROWS = original
+
+
+def naive_walk(due, interval, end, closed):
+    """The tick loop ``walk_ticks`` must equal: one addition per tick."""
+    count, last = 0, math.nan
+    while due < end or (closed and due == end):
+        count, last, due = count + 1, due, due + interval
+    return count, last, due
+
+
+INTERVALS = [1.0, 0.5, 0.25, 0.1, 0.3, 1 / 3, 1e-3, 5.0]
+
+session_starts = st.one_of(
+    st.just(0.0),
+    st.integers(0, 1 << 24).map(lambda k: k / 256),  # dyadic
+    st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),  # mostly not
+    st.integers(-3, 40).map(lambda e: math.nextafter(2.0**e, 0.0)),
+    st.integers(-3, 40).map(lambda e: 2.0**e - 0.5),
+    st.floats(1e6, 1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestWalkTicks:
+    """``walk_ticks`` against the loop, bit for bit."""
+
+    @given(
+        start=session_starts,
+        interval=st.sampled_from(INTERVALS),
+        steps=st.integers(0, 1500),
+        nudge=st.sampled_from(["on", "below", "above", "between"]),
+        closed=st.booleans(),
+    )
+    @example(start=math.nextafter(1024.0, 0.0), interval=1.0, steps=40,
+             nudge="on", closed=True)
+    @example(start=0.0, interval=0.1, steps=1000, nudge="on", closed=False)
+    @example(start=1e6 + 0.1, interval=1 / 3, steps=900, nudge="between",
+             closed=True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, start, interval, steps, nudge, closed):
+        due = start + interval
+        walk_value = due
+        for _ in range(steps):
+            walk_value += interval
+        end = {
+            "on": walk_value,
+            "below": math.nextafter(walk_value, -math.inf),
+            "above": math.nextafter(walk_value, math.inf),
+            "between": walk_value + interval / 2,
+        }[nudge]
+        count, last, next_due = walk_ticks(due, interval, end, closed)
+        want_count, want_last, want_next = naive_walk(due, interval, end, closed)
+        assert type(count) is int and type(last) is float
+        assert (count, last.hex(), next_due.hex()) == (
+            want_count, want_last.hex(), want_next.hex()
+        )
+
+    def test_a_day_is_a_handful_of_progressions(self):
+        """One-second ticks from t=1 to t=86 400 land on integers: every
+        addition is exact, one progression per binade (17 in all)."""
+        assert walk_ticks(1.0, 1.0, 86_400.0, True) == (86_400, 86_400.0, 86_401.0)
+        assert walk_ticks(1.0, 1.0, 86_400.0, False) == (86_399, 86_399.0, 86_400.0)
+
+    def test_nothing_due(self):
+        count, last, next_due = walk_ticks(5.0, 1.0, 4.5, True)
+        assert (count, next_due) == (0, 5.0) and math.isnan(last)
+
+
+class NaiveMonitor:
+    """The per-tick reference: every tick's instant and every device's
+    reading stored as taken, periodic ticks walked one ``due += interval``
+    at a time, and statistics summed per sampling call (``value * n``) as
+    the monitor streams them."""
+
+    def __init__(self, host, interval):
+        self.host = host
+        self.interval = interval
+        self.times = []
+        self.rows = []  # per tick: one (util, mem, fb, pcie) per device
+        self.calls = []  # (readings, n) per sampling call
+        self.next_due = None
+
+    def start(self):
+        now = self.host.clock.now
+        self._take([now])
+        self.next_due = now + self.interval
+        self.host.clock.add_span_listener(self.on_span)
+
+    def on_span(self, start, end, closed):
+        ticks = []
+        due = self.next_due
+        while due < end or (closed and due == end):
+            ticks.append(due)
+            due += self.interval
+        self.next_due = due
+        if ticks:
+            self._take(ticks)
+
+    def stop(self):
+        now = self.host.clock.now
+        if self.times[-1] < now:
+            self._take([now])
+        self.host.clock.remove_span_listener(self.on_span)
+
+    def _take(self, ticks):
+        readings = [
+            (d.sm_utilization, d.mem_utilization, d.fb_used_mib,
+             d.pcie_generation_current)
+            for d in self.host.devices
+        ]
+        self.times.extend(ticks)
+        self.rows.extend([readings] * len(ticks))
+        self.calls.append((readings, len(ticks)))
+
+    def samples(self):
+        return [
+            UsageSample(time, device.minor_number, *readings[column])
+            for time, readings in zip(self.times, self.rows)
+            for column, device in enumerate(self.host.devices)
+        ]
+
+    def statistics(self):
+        stats = []
+        count = len(self.times)
+        for column, device in enumerate(self.host.devices):
+            sums = [0.0, 0.0, 0]
+            for readings, n in self.calls:
+                for field in range(3):
+                    sums[field] += readings[column][field] * n
+            values = [row[column] for row in self.rows]
+            stats.append(UsageStatistics(
+                device_index=device.minor_number,
+                samples=count,
+                gpu_util_min=min(v[0] for v in values),
+                gpu_util_max=max(v[0] for v in values),
+                gpu_util_avg=sums[0] / count,
+                mem_util_min=min(v[1] for v in values),
+                mem_util_max=max(v[1] for v in values),
+                mem_util_avg=sums[1] / count,
+                fb_used_min=min(v[2] for v in values),
+                fb_used_max=max(v[2] for v in values),
+                fb_used_avg=sums[2] / count,
+            ))
+        return stats
+
+    def report(self, job_id):
+        width, blocks = 32, " .:-=+*#%@"
+        lines = [
+            f"job {job_id}: {len(self.times) * len(self.host.devices)} samples "
+            f"from t={self.times[0]:.1f}s"
+        ]
+        for column, stat in enumerate(self.statistics()):
+            values = [row[column][0] for row in self.rows]
+            count = len(values)
+            if count > width:
+                values = [
+                    max(values[(i * count) // width : ((i + 1) * count) // width])
+                    for i in range(width)
+                ]
+            trace = "".join(
+                blocks[min(len(blocks) - 1, int(v / 100.0 * (len(blocks) - 1)))]
+                for v in values
+            )
+            lines.append(
+                f"  GPU {stat.device_index}: util "
+                f"min/avg/max = {stat.gpu_util_min:.0f}/{stat.gpu_util_avg:.0f}/"
+                f"{stat.gpu_util_max:.0f} %, fb "
+                f"min/avg/max = {stat.fb_used_min}/{stat.fb_used_avg:.0f}/"
+                f"{stat.fb_used_max} MiB  [{trace}]"
+            )
+        return "\n".join(lines)
+
+
+READINGS = [(0.0, 0.0, 1), (12.5, 3.0, 3), (40.0, 3.0, 3), (99.9, 61.2, 3)]
+
+schedules = st.lists(
+    st.tuples(
+        st.sampled_from(["advance", "flip", "flip"]),
+        st.integers(0, 120),
+        st.sampled_from([0.0, 0.5, 0.999]),
+        st.integers(0, len(READINGS) - 1),
+        st.integers(0, len(READINGS) - 1),
+    ),
+    max_size=14,
+)
+
+
+class TestAgainstTheNaiveMonitor:
+    """Random ``advance`` / ``call_at`` flip schedules through both
+    monitors on one clock: everything a reader sees is byte-identical."""
+
+    @given(
+        start=st.sampled_from(
+            [0.0, 0.75, 3.3, 2.0**20 - 0.5, math.nextafter(64.0, 0.0), 1e6 + 0.1]
+        ),
+        interval=st.sampled_from(INTERVALS),
+        schedule=schedules,
+        tail=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_byte_identical(self, start, interval, schedule, tail):
+        host = make_k80_host()
+        clock = host.clock
+
+        def flip(now, first, second):
+            for device, index in zip(host.devices, (first, second)):
+                util, mem, pcie = READINGS[index]
+                device.sm_utilization = util
+                device.mem_utilization = mem
+                device.pcie_generation_current = pcie
+
+        clock.advance_to(start)
+        monitor = GPUUsageMonitor(host, interval=interval)
+        naive = NaiveMonitor(host, interval)
+        job = make_job()
+        monitor.start(job)
+        naive.start()
+        for kind, ticks, fraction, first, second in schedule:
+            delta = (ticks + fraction) * interval
+            if kind == "advance":
+                clock.advance(delta)
+            else:
+                clock.call_at(
+                    clock.now + delta,
+                    lambda now, a=first, b=second: flip(now, a, b),
+                )
+        clock.advance(tail * interval)
+        monitor.stop(job)
+        naive.stop()
+        clock.advance(3 * interval)  # no tick may land after stop
+
+        session = monitor.session_for(job.job_id)
+        assert session.times.tobytes() == array("d", naive.times).tobytes()
+        samples = naive.samples()
+        assert len(session.samples) == len(samples)
+        assert [repr(s) for s in session.samples] == [repr(s) for s in samples]
+        assert monitor.to_csv(job.job_id) == _naive_csv(samples)
+        assert monitor.statistics_report(job.job_id) == naive.report(job.job_id)
+        assert repr(session.statistics) == repr(naive.statistics())
+        report = EnergyMeter(monitor).job_energy(job.job_id)
+        duration, joules = loop_energy(host.devices, samples)
+        assert report.duration_seconds.hex() == float(duration).hex()
+        assert {k: v.hex() for k, v in report.per_device_joules.items()} == {
+            k: v.hex() for k, v in joules.items()
+        }
+
+
+class TestStorage:
+    @pytest.mark.perf_guard
+    def test_a_day_holds_runs_not_ticks(self, host):
+        """A 24 h, 2-device session with 23 hourly utilisation flips: the
+        run tables hold at most 25 runs per device, and the tick instants
+        are a few scalars however many ticks they stand for."""
+        monitor, job = varied_session(host, seconds=86_400, period=3_600)
+        session = monitor.session_for(job.job_id)
+        assert session.tick_count == 86_401
+        for series in session.series:
+            assert len(series) == 86_401
+            columns = [getattr(series, name) for name in DeviceSeries.__slots__]
+            columns = [c for c in columns if isinstance(c, array)]
+            assert len(columns) == 5 and all(len(c) <= 25 for c in columns)
+        time_store = [
+            getattr(session, name)
+            for name in MonitoredJob.__slots__
+            if name not in ("series", "statistics")
+        ]
+        assert all(type(v) in (int, float, bool, type(None)) for v in time_store)
