@@ -11,7 +11,9 @@ The builder resolves, per calling scope:
 * ``self.method(...)`` to the enclosing class (and its resolvable
   bases);
 * ``ClassName.method(...)`` and ``obj.method(...)`` where ``obj`` is a
-  local variable assigned from a constructor call, an annotated
+  local variable assigned from a constructor call or from a call to a
+  same-module function annotated to return a class
+  (``timing = _timing_for(ctx)``), an annotated
   parameter, or a ``self.attr`` whose class was recorded from an
   ``__init__`` assignment / class-level annotation (the
   *class-attribute heuristic*);
@@ -78,6 +80,8 @@ class ModuleInfo:
     classes: dict[str, str] = field(default_factory=dict)
     #: module-level function simple name -> qname.
     functions: dict[str, str] = field(default_factory=dict)
+    #: function simple name -> its return annotation, where it has one.
+    returns: dict[str, ast.expr] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -241,6 +245,8 @@ def _declare_module(graph: CallGraph, info: ModuleInfo) -> None:
             graph.method_owners.setdefault(node.name, set()).add(cls)
         else:
             info.functions.setdefault(node.name, qname)
+            if node.returns is not None:
+                info.returns.setdefault(node.name, node.returns)
         for child in node.body:
             walk(child, f"{qname}.<locals>", None)
 
@@ -394,8 +400,9 @@ def _resolve_scope_calls(
     fnode = graph.nodes[qname]
     cls = fnode.cls
 
-    # Local variable types: params with class annotations + constructor
-    # assignments in this scope.
+    # Local variable types: params with class annotations, constructor
+    # assignments, and assignments from a call to a function of this
+    # module whose return annotation names a class.
     local_types: dict[str, str] = {}
     args = getattr(scope, "args", None)
     if args is not None:
@@ -406,10 +413,14 @@ def _resolve_scope_calls(
                     local_types[arg.arg] = resolved
     for node in _own_nodes(scope):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                resolved = _class_of_expr(info, node.value)
-                if resolved is not None and isinstance(node.value, ast.Call):
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Name) and isinstance(value, ast.Call):
+                resolved = _class_of_expr(info, value)
+                if resolved is None and isinstance(value.func, ast.Name):
+                    returns = info.returns.get(value.func.id)
+                    if returns is not None:
+                        resolved = _class_of_expr(info, returns)
+                if resolved is not None:
                     local_types[target.id] = resolved
 
     def resolve_ref(expr: ast.expr) -> str | None:

@@ -64,12 +64,16 @@ from pathlib import Path
 from typing import Sequence
 
 
-def _fresh(allocation: str = "pid"):
+def _fresh(tools: Sequence[str] | None = None, allocation: str = "pid"):
+    """A new deployment with the named paper tools installed (all of them
+    when ``tools`` is None): a command parses the wrappers of the tools
+    it runs and no others."""
     from repro.core.orchestrator import build_deployment
-    from repro.tools.executors import register_paper_tools
+    from repro.tools.executors import PAPER_TOOLS
 
     deployment = build_deployment(allocation_strategy=allocation)
-    register_paper_tools(deployment.app)
+    for tool in PAPER_TOOLS if tools is None else tools:
+        PAPER_TOOLS[tool](deployment.app)
     return deployment
 
 
@@ -99,7 +103,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_smi(args: argparse.Namespace) -> int:
     from repro.gpusim.smi import render_table
 
-    deployment = _fresh()
+    deployment = _fresh(("racon",) if args.demo else ())
     if args.demo:
         job = deployment.app.submit("racon", {"workload": "unit"})
         destination = deployment.app.map_destination(job)
@@ -131,7 +135,7 @@ def _print_job(job) -> None:
 
 
 def cmd_racon(args: argparse.Namespace) -> int:
-    deployment = _fresh(args.allocation)
+    deployment = _fresh(("racon",), args.allocation)
     params = {
         "threads": args.threads,
         "batches": args.batches,
@@ -148,7 +152,7 @@ def cmd_racon(args: argparse.Namespace) -> int:
 
 
 def cmd_bonito(args: argparse.Namespace) -> int:
-    deployment = _fresh(args.allocation)
+    deployment = _fresh(("bonito",), args.allocation)
     params = {"workload": args.workload}
     if args.dataset:
         params["dataset"] = args.dataset
@@ -181,25 +185,25 @@ def cmd_cases(args: argparse.Namespace) -> int:
     wanted = args.case
     if wanted in (0, 1):
         print("# Case 1: Racon->GPU0, Bonito->GPU1")
-        deployment = _fresh()
+        deployment = _fresh(("racon", "bonito"))
         overlapped(deployment, "racon")
         overlapped(deployment, "bonito")
         print(render_table(deployment.gpu_host))
     if wanted in (0, 2):
         print("# Case 2: second Bonito diverted off busy GPU 1")
-        deployment = _fresh()
+        deployment = _fresh(("bonito",))
         overlapped(deployment, "bonito")
         overlapped(deployment, "bonito")
         print(render_table(deployment.gpu_host))
     if wanted in (0, 3):
         print("# Case 3: four Racons, PID strategy")
-        deployment = _fresh()
+        deployment = _fresh(("racon",))
         for _ in range(4):
             overlapped(deployment, "racon")
         print(render_table(deployment.gpu_host))
     if wanted in (0, 4):
         print("# Case 4: memory strategy picks min-memory GPU")
-        deployment = _fresh("memory")
+        deployment = _fresh(("racon", "bonito"), "memory")
         overlapped(deployment, "racon")
         bonito1 = overlapped(deployment, "bonito")
         deployment.gpu_host.device(1).alloc(
@@ -252,7 +256,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(f"  {key:<20}{value:.4f} s")
         print(f"speedup: {model.speedup():.2f}x")
     elif name == "stalls":
-        deployment = _fresh()
+        deployment = _fresh(("racon",))
         from repro.gpusim.profiler import CudaProfiler
 
         deployment.app.profiler = CudaProfiler()
@@ -289,7 +293,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         # The original untraced replay: stats only, zero tracing overhead.
         from repro.workloads.traces import TraceReplayer, generate_trace
 
-        deployment = _fresh(args.allocation)
+        deployment = _fresh(allocation=args.allocation)
         trace = generate_trace(
             n_jobs=args.jobs, mean_interarrival_s=args.interarrival,
             seed=args.seed,

@@ -135,7 +135,6 @@ class KernelTimingModel:
         #: 17 GB streaming does) run far below the pinned ceiling — the
         #: paper measures ~40 s of transfer+sync overhead for 2x17 GB.
         self.pcie_efficiency = pcie_efficiency
-        self.executions: list[KernelExecution] = []
 
     # ------------------------------------------------------------------ #
     # roofline
@@ -170,21 +169,22 @@ class KernelTimingModel:
     # ------------------------------------------------------------------ #
     # simulated CUDA API
     # ------------------------------------------------------------------ #
-    def _require_device(self, operation: str) -> None:
+    def _require_device(self, operation: str, detail: str = "") -> None:
         """Every CUDA call on a lost device fails.
 
         When an XID event kills the device mid-run, ``mark_failed`` has
         already detached the process and reclaimed its memory — so this
         check must come *before* any allocator access (including
         ``cudaFree``), otherwise the tool would double-free memory the
-        driver reclaimed.
+        driver reclaimed.  The error names ``operation + detail``, joined
+        only when it is raised.
         """
         if not self.device.healthy:
-            raise DeviceLostError(self.device.minor_number, operation)
+            raise DeviceLostError(self.device.minor_number, operation + detail)
 
     def launch(self, kernel: KernelLaunch) -> KernelExecution:
         """Execute ``kernel``: advance the clock, update device telemetry."""
-        self._require_device(f"kernel launch {kernel.name}")
+        self._require_device("kernel launch ", kernel.name)
         compute_time, memory_time, occ = self.kernel_times(kernel)
         duration = max(compute_time, memory_time) + KERNEL_LAUNCH_OVERHEAD_S
         start = self.host.clock.now
@@ -195,15 +195,6 @@ class KernelTimingModel:
         )
         self.host.clock.advance(duration)
         self.device.busy_seconds += duration
-        execution = KernelExecution(
-            kernel=kernel,
-            duration=duration,
-            compute_time=compute_time,
-            memory_time=memory_time,
-            occupancy=occ,
-            start_time=start,
-        )
-        self.executions.append(execution)
         if self.profiler is not None:
             self.profiler.record_kernel(
                 name=kernel.name,
@@ -213,13 +204,20 @@ class KernelTimingModel:
                 compute_time=compute_time,
                 memory_time=memory_time,
             )
-        return execution
+        return KernelExecution(
+            kernel=kernel,
+            duration=duration,
+            compute_time=compute_time,
+            memory_time=memory_time,
+            occupancy=occ,
+            start_time=start,
+        )
 
     def memcpy(self, kind: MemcpyKind, nbytes: float) -> float:
         """Transfer ``nbytes`` over PCIe; returns the duration."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        self._require_device(f"cudaMemcpy{kind.value}")
+        self._require_device("cudaMemcpy", kind.value)
         bandwidth = self.device.arch.pcie_effective_gbps * self.pcie_efficiency * 1e9
         duration = PCIE_LATENCY_S + nbytes / bandwidth
         start = self.host.clock.now

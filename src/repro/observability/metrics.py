@@ -25,6 +25,7 @@ Design rules:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -54,11 +55,15 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
+#: The Prometheus exposition format's metric-name grammar.  ASCII only:
+#: ``str.isalnum`` would also pass ``é``, ``²`` or a full-width ``ｊ``,
+#: which a Prometheus server rejects.
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+
+
 def _validate_name(name: str) -> None:
-    if not name or not all(c.isalnum() or c in "_:" for c in name):
+    if _METRIC_NAME.fullmatch(name) is None:
         raise MetricsError(f"invalid metric name {name!r}")
-    if name[0].isdigit():
-        raise MetricsError(f"metric name cannot start with a digit: {name!r}")
 
 
 def _label_key(

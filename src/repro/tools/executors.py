@@ -24,6 +24,16 @@ Three workload modes, chosen by the job parameter ``workload``:
     Real data: the actual algorithms run on the miniature payload
     (``payload`` parameter), producing genuine polished sequences or
     basecalls; device time is whatever the kernels cost.
+
+The timed modes shape device activity with :func:`kernel_for_duration`,
+which designs a kernel for a time budget; a streamed run designs its
+kernels once and launches the same objects for every chunk.
+
+Each tool has its own installer (:func:`install_racon`,
+:func:`install_bonito`, :func:`install_seqstats`, keyed by tool id in
+:data:`PAPER_TOOLS`): the wrapper parse plus the executors it names.
+:func:`register_paper_tools` runs all three; a paper CLI command runs
+only the installers of the tools it uses.
 """
 
 from __future__ import annotations
@@ -126,23 +136,25 @@ def _timing_for(ctx: ToolExecutionContext, pcie_efficiency: float = 1.0) -> Kern
     )
 
 
-def emit_kernel_with_duration(
+def kernel_for_duration(
     timing: KernelTimingModel,
     name: str,
     seconds: float,
     mem_to_comp: float = 3.5,
     grid_blocks: int = 60,
     threads_per_block: int = 256,
-) -> None:
-    """Launch a kernel engineered to run for ~``seconds`` on the device.
+) -> KernelLaunch | None:
+    """A kernel engineered to run for ~``seconds`` on the device, or
+    ``None`` when the budget is not positive.
 
     ``mem_to_comp`` sets the memory-time / compute-time ratio, which is
     what the stall-attribution model reads: >1 yields memory-dependency-
     dominated stalls (Racon's POA kernels), <1 execution-dominated ones
-    (Bonito's GEMMs).
+    (Bonito's GEMMs).  A streamed job designs its kernel once and
+    launches the same object for every chunk.
     """
     if seconds <= 0:
-        return
+        return None
     probe = KernelLaunch(
         name=name,
         grid_blocks=grid_blocks,
@@ -162,15 +174,13 @@ def emit_kernel_with_duration(
         compute_time = seconds
         memory_time = seconds * mem_to_comp
     total_bytes = memory_time * achievable_bw
-    timing.launch(
-        KernelLaunch(
-            name=name,
-            grid_blocks=grid_blocks,
-            threads_per_block=threads_per_block,
-            flops=compute_time * achievable_flops,
-            bytes_read=total_bytes * 0.75,
-            bytes_written=total_bytes * 0.25,
-        )
+    return KernelLaunch(
+        name=name,
+        grid_blocks=grid_blocks,
+        threads_per_block=threads_per_block,
+        flops=compute_time * achievable_flops,
+        bytes_read=total_bytes * 0.75,
+        bytes_written=total_bytes * 0.25,
     )
 
 
@@ -267,13 +277,15 @@ def racon_gpu_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecut
     timing = _timing_for(ctx)
     prep = model._prep_time(threads, containerized)
     timing.api_call("racon_host_prep", prep, category="cpu")
-    emit_kernel_with_duration(
+    kernel = kernel_for_duration(
         timing,
         "generatePOAKernel",
         duration - prep,
         mem_to_comp=3.5,
         grid_blocks=max(15, batches * 15),
     )
+    if kernel is not None:
+        timing.launch(kernel)
     timing.synchronize()
     return ToolExecutionResult(
         stdout=f"racon gpu unit finished in {duration:.2f}s",
@@ -311,6 +323,24 @@ def _racon_gpu_dataset(
     kernel_budget = predicted.breakdown["gpu_kernels"]
     n_chunks = max(1, math.ceil(dataset.size_bytes / TRANSFER_CHUNK_BYTES))
     chunk_bytes = dataset.size_bytes / n_chunks
+    # Every chunk runs the same two kernels: design them once.
+    designs = (
+        kernel_for_duration(
+            timing,
+            "generatePOAKernel",
+            kernel_budget * 0.98 / n_chunks,
+            mem_to_comp=3.5,
+            grid_blocks=max(15, batches * 15),
+        ),
+        kernel_for_duration(
+            timing,
+            "generateConsensusKernel",
+            kernel_budget * 0.02 / n_chunks,
+            mem_to_comp=3.0,
+            grid_blocks=max(15, batches * 15),
+        ),
+    )
+    kernels = [kernel for kernel in designs if kernel is not None]
     kernel_seconds = 0.0
     transfer_seconds = 0.0
     for _ in range(n_chunks):
@@ -318,20 +348,8 @@ def _racon_gpu_dataset(
         timing.memcpy(MemcpyKind.HOST_TO_DEVICE, chunk_bytes)
         transfer_seconds += ctx.clock.now - t0
         t0 = ctx.clock.now
-        emit_kernel_with_duration(
-            timing,
-            "generatePOAKernel",
-            kernel_budget * 0.98 / n_chunks,
-            mem_to_comp=3.5,
-            grid_blocks=max(15, batches * 15),
-        )
-        emit_kernel_with_duration(
-            timing,
-            "generateConsensusKernel",
-            kernel_budget * 0.02 / n_chunks,
-            mem_to_comp=3.0,
-            grid_blocks=max(15, batches * 15),
-        )
+        for kernel in kernels:
+            timing.launch(kernel)
         kernel_seconds += ctx.clock.now - t0
         timing.synchronize()
         t0 = ctx.clock.now
@@ -395,9 +413,11 @@ def bonito_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecution
         # occupancy matter, not the multi-hour dataset time.
         if use_gpu:
             timing = _timing_for(ctx)
-            emit_kernel_with_duration(
+            kernel = kernel_for_duration(
                 timing, "sgemm_128x64_nn", 20.0, mem_to_comp=0.25, grid_blocks=120
             )
+            if kernel is not None:
+                timing.launch(kernel)
             timing.synchronize()
             timing.api_call("ctc_decode_cpu", 2.0, category="cpu")
         else:
@@ -431,14 +451,16 @@ def bonito_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecution
     # launches, compute-bound.
     gemm_budget = total * GPU_PHASE_FRACTIONS["gemm_kernels"]
     n_launches = 32
-    for _ in range(n_launches):
-        emit_kernel_with_duration(
-            timing,
-            "sgemm_128x64_nn",
-            gemm_budget / n_launches,
-            mem_to_comp=0.25,
-            grid_blocks=120,
-        )
+    gemm = kernel_for_duration(
+        timing,
+        "sgemm_128x64_nn",
+        gemm_budget / n_launches,
+        mem_to_comp=0.25,
+        grid_blocks=120,
+    )
+    if gemm is not None:
+        for _ in range(n_launches):
+            timing.launch(gemm)
     # Launch and synchronisation overhead of the framework's many small
     # kernels, aggregated.
     timing.api_call(
@@ -472,6 +494,50 @@ def seqstats_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecuti
 # --------------------------------------------------------------------- #
 # registration
 # --------------------------------------------------------------------- #
+# Each installer imports ``parse_tool_xml`` when it runs, so whatever
+# stands at that name in repro.galaxy.tool_xml then (a tracer, a test's
+# counter) sees the parse.
+def install_racon(app: GalaxyApp, gpu_ids: str = "0") -> None:
+    """Install the Racon wrapper (with its macros file) and executors."""
+    from repro.galaxy.tool_xml import parse_tool_xml
+    from repro.tools.wrappers import racon_macros_xml, racon_tool_xml
+
+    app.install_tool(
+        parse_tool_xml(
+            racon_tool_xml(), macros={"macros.xml": racon_macros_xml(gpu_ids)}
+        )
+    )
+    app.register_executor("racon", racon_cpu_executor)
+    app.register_executor("racon_gpu", racon_gpu_executor)
+
+
+def install_bonito(app: GalaxyApp, gpu_ids: str = "1") -> None:
+    """Install the Bonito wrapper and executor."""
+    from repro.galaxy.tool_xml import parse_tool_xml
+    from repro.tools.wrappers import bonito_tool_xml
+
+    app.install_tool(parse_tool_xml(bonito_tool_xml(gpu_ids)))
+    app.register_executor("bonito", bonito_executor)
+
+
+def install_seqstats(app: GalaxyApp) -> None:
+    """Install the CPU-only control tool."""
+    from repro.galaxy.tool_xml import parse_tool_xml
+    from repro.tools.wrappers import CPU_ONLY_TOOL_XML
+
+    app.install_tool(parse_tool_xml(CPU_ONLY_TOOL_XML))
+    app.register_executor("seqstats", seqstats_executor)
+
+
+#: Tool id -> installer, in :func:`register_paper_tools` order.  A paper
+#: CLI command installs the tools it runs and parses no other wrapper.
+PAPER_TOOLS = {
+    "racon": install_racon,
+    "bonito": install_bonito,
+    "seqstats": install_seqstats,
+}
+
+
 def register_paper_tools(
     app: GalaxyApp, racon_gpu_ids: str = "0", bonito_gpu_ids: str = "1"
 ) -> None:
@@ -481,23 +547,6 @@ def register_paper_tools(
     ``version`` tags — the per-tool GPU preferences the multi-GPU cases
     of §VI-C use (Racon wants device 0, Bonito device 1).
     """
-    from repro.galaxy.tool_xml import parse_tool_xml
-    from repro.tools.wrappers import (
-        CPU_ONLY_TOOL_XML,
-        bonito_tool_xml,
-        racon_macros_xml,
-        racon_tool_xml,
-    )
-
-    app.install_tool(
-        parse_tool_xml(
-            racon_tool_xml(),
-            macros={"macros.xml": racon_macros_xml(racon_gpu_ids)},
-        )
-    )
-    app.install_tool(parse_tool_xml(bonito_tool_xml(bonito_gpu_ids)))
-    app.install_tool(parse_tool_xml(CPU_ONLY_TOOL_XML))
-    app.register_executor("racon", racon_cpu_executor)
-    app.register_executor("racon_gpu", racon_gpu_executor)
-    app.register_executor("bonito", bonito_executor)
-    app.register_executor("seqstats", seqstats_executor)
+    install_racon(app, racon_gpu_ids)
+    install_bonito(app, bonito_gpu_ids)
+    install_seqstats(app)

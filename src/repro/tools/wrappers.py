@@ -101,8 +101,9 @@ seqstats -t $threads input.fa
 """
 
 
-def racon_tool_xml(gpu_ids: str = "0") -> str:
-    """The Racon wrapper with the requested GPU minor ID(s) filled in."""
+def racon_tool_xml() -> str:
+    """The Racon wrapper; its GPU minor ID(s) live in the macros file
+    (:func:`racon_macros_xml`)."""
     return RACON_TOOL_XML
 
 

@@ -115,6 +115,34 @@ class TestEdges:
         ))
         assert "m.Clock.advance" in graph.nodes["m.drive"].calls
 
+    def test_local_from_a_factory_annotated_to_return_a_class(self):
+        """``x = factory()`` types ``x`` by the factory's return annotation,
+        even when the method name is too common for the unique fallback."""
+        graph = _graph((
+            "m.py",
+            "class Timing:\n"
+            "    def launch(self):\n"
+            "        pass\n"
+            "class Runner:\n"
+            "    def launch(self):\n"
+            "        pass\n"
+            "def timing_for(ctx) -> Timing:\n"
+            "    return Timing()\n"
+            "def untyped(ctx):\n"
+            "    return Timing()\n"
+            "def run(ctx):\n"
+            "    timing = timing_for(ctx)\n"
+            "    timing.launch()\n"
+            "def run_untyped(ctx):\n"
+            "    timing = untyped(ctx)\n"
+            "    timing.launch()\n",
+        ))
+        assert "m.Timing.launch" in graph.nodes["m.run"].calls
+        assert "m.Runner.launch" not in graph.nodes["m.run"].calls
+        assert not {"m.Timing.launch", "m.Runner.launch"} & graph.nodes[
+            "m.run_untyped"
+        ].calls
+
     def test_callback_registration_site(self):
         """A bare function reference passed as an argument gets an edge."""
         graph = _graph((

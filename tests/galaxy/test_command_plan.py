@@ -22,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parents[2] / "examples" / "configs"
 #: wrapper name -> (tool XML, macros)
 WRAPPERS = {
     "wrappers.racon": (
-        wrappers.racon_tool_xml("0"),
+        wrappers.racon_tool_xml(),
         {"macros.xml": wrappers.racon_macros_xml("0")},
     ),
     "wrappers.bonito": (wrappers.bonito_tool_xml("1"), None),

@@ -126,6 +126,14 @@ class TestMacros:
         assert tool.container_for("docker").identifier.startswith("gulsumgudukbay/")
         assert tool.version == "1.4.20"  # @TOOL_VERSION@ token expanded
 
+    def test_racon_gpu_ids_come_from_the_macros_file(self):
+        """The Racon wrapper itself carries no ids: the macros file does."""
+        assert "@GPU_IDS@" not in racon_tool_xml()
+        tool = parse_tool_xml(
+            racon_tool_xml(), macros={"macros.xml": racon_macros_xml("1")}
+        )
+        assert tool.requested_gpu_ids == ["1"]
+
     def test_missing_macro_import_rejected(self):
         with pytest.raises(ToolParseError):
             parse_tool_xml(racon_tool_xml(), macros={})

@@ -2,7 +2,8 @@
 
 Each test renders one externally-consumed artifact — the ``nvidia-smi``
 emulator's XML/table output, the JSON of ``lint``/``verify``/``bench``,
-the four analyzers' CLI output and the four ``trace`` artifacts — and
+the four analyzers' CLI output, the paper commands' stdout and the four
+``trace`` artifacts — and
 compares it byte-for-byte against a checked-in snapshot under
 ``tests/golden/goldens/``.  Schema drift
 (a renamed key, a reordered field, a changed number format) fails CI
@@ -141,6 +142,35 @@ class TestAnalysisGoldens:
 
         monkeypatch.chdir(HERE.parent)
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_matches_golden(golden, captured.out)
+
+
+# --------------------------------------------------------------------- #
+# the paper's commands: one job per CLI call, stdout exactly as printed
+# --------------------------------------------------------------------- #
+class TestPaperCliGoldens:
+    # ``experiment stalls`` reads every launch the Racon dataset job
+    # records in the CudaProfiler, so it pins the kernels' count, order
+    # and timing, not only the job's totals.
+    @pytest.mark.parametrize("golden, argv", [
+        ("paper_cli/racon_dataset.txt", ["racon", "--workload", "dataset"]),
+        ("paper_cli/racon_dataset_container.txt",
+         ["racon", "--workload", "dataset", "--container"]),
+        ("paper_cli/racon_dataset_banded.txt",
+         ["racon", "--workload", "dataset", "--batches", "4", "--banded"]),
+        ("paper_cli/racon_unit.txt", ["racon"]),
+        ("paper_cli/bonito.txt", ["bonito"]),
+        ("paper_cli/bonito_klebsiella.txt",
+         ["bonito", "--dataset", "Klebsiella_pneumoniae_KSB2"]),
+        ("paper_cli/cases.txt", ["cases"]),
+        ("paper_cli/experiment_stalls.txt", ["experiment", "stalls"]),
+    ])
+    def test_paper_cli_stdout(self, golden, argv, capsys):
+        from repro.cli import main
+
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert_matches_golden(golden, captured.out)

@@ -122,7 +122,8 @@ class TestRegistry:
 
     def test_invalid_names_rejected(self):
         reg = MetricsRegistry()
-        for bad in ("", "has space", "has-dash", "1starts_with_digit"):
+        for bad in ("", "has space", "has-dash", "1starts_with_digit",
+                    "jobs_é_total", "x²", "ｊobs", "trailing_newline\n"):
             with pytest.raises(MetricsError):
                 reg.counter(bad)
 

@@ -612,6 +612,56 @@ class TestOneSubParserPerCall:
         assert err.endswith(f"repro: error: {message}\n")
 
 
+@pytest.mark.perf_guard
+class TestToolsInstalledPerCommand:
+    """A paper command parses the wrappers of the tools it runs and no
+    other: counted where the installers look ``parse_tool_xml`` up.
+    Installing the whole toolbox in every deployment parses three
+    wrappers per deployment, twelve for ``cases``."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        import repro.galaxy.tool_xml as tool_xml
+
+        tool_ids = []
+        parse = tool_xml.parse_tool_xml
+
+        def counted(*args, **kwargs):
+            tool = parse(*args, **kwargs)
+            tool_ids.append(tool.tool_id)
+            return tool
+
+        monkeypatch.setattr(tool_xml, "parse_tool_xml", counted)
+        return tool_ids
+
+    ROWS = [
+        (["racon"], ["racon"]),
+        (["racon", "--workload", "dataset", "--container"], ["racon"]),
+        (["bonito"], ["bonito"]),
+        # Cases 1 and 4 run both tools, case 2 Bonito, case 3 Racon.
+        (["cases"], ["racon", "bonito", "bonito", "racon", "racon", "bonito"]),
+        (["cases", "--case", "2"], ["bonito"]),
+        (["smi"], []),
+        (["smi", "--demo"], ["racon"]),
+        (["experiment", "stalls"], ["racon"]),
+        (["info"], ["racon", "bonito", "seqstats"]),
+    ]
+
+    @pytest.mark.parametrize("argv, tool_ids", ROWS,
+                             ids=[" ".join(argv) for argv, _ in ROWS])
+    def test_parses_per_call(self, argv, tool_ids, parsed, capsys):
+        assert main(argv) == 0
+        assert parsed == tool_ids
+
+    def test_info_lists_every_tool(self, capsys):
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        listed = out.split("installed tools:\n")[1].split("destinations:")[0]
+        assert [line.split()[0] for line in listed.splitlines()] == [
+            "bonito", "racon", "seqstats"
+        ]
+
+
 class TestSanitizerGate:
     """``main`` installs simsan when GYAN_SIMSAN asks, and otherwise does
     not import the analysis package on behalf of a non-analyzer verb."""

@@ -136,6 +136,11 @@ class TestBonitoExecutor:
         hotspots = deployment.app.profiler.hotspots()
         assert hotspots[0].name == "sgemm_128x64_nn"
 
+    def test_unit_slice_launches_one_gemm(self, deployment):
+        deployment.app.profiler = CudaProfiler()
+        deployment.run_tool("bonito", {"workload": "unit"})
+        assert deployment.app.profiler.call_count("sgemm_128x64_nn") == 1
+
     def test_payload_mode_real_basecalling(self, deployment, pore_model, squiggle_reads):
         job = deployment.run_tool(
             "bonito",
@@ -147,3 +152,41 @@ class TestBonitoExecutor:
         assert job.state is JobState.OK
         assert job.result.mean_identity > 0.75
         assert len(job.result.records) == len(squiggle_reads)
+
+
+@pytest.fixture
+def built_kernels(monkeypatch):
+    """Every ``KernelLaunch`` constructed while the test runs."""
+    from repro.gpusim.kernels import KernelLaunch
+
+    built = []
+    post_init = KernelLaunch.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KernelLaunch, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.perf_guard
+class TestStreamedKernelsDesignedOnce:
+    """A streamed job designs each kernel once and launches that object
+    for every chunk: counted, not timed.  Rebuilding them per chunk
+    constructs 272 launches for a Racon dataset job and 64 for Bonito's
+    (a probe and the kernel per launch)."""
+
+    def test_racon_dataset(self, deployment, built_kernels):
+        deployment.app.profiler = CudaProfiler()
+        deployment.run_tool("racon", {"workload": "dataset"})
+        profiler = deployment.app.profiler
+        assert len(built_kernels) <= 4
+        assert profiler.call_count("generatePOAKernel") == 68
+        assert profiler.call_count("generateConsensusKernel") == 68
+
+    def test_bonito_dataset(self, deployment, built_kernels):
+        deployment.app.profiler = CudaProfiler()
+        deployment.run_tool("bonito", {"workload": "dataset"})
+        assert len(built_kernels) <= 2
+        assert deployment.app.profiler.call_count("sgemm_128x64_nn") == 32
