@@ -35,11 +35,6 @@ Commands
     the simulated testbed (VER3xx), and small-scope exhaustive model
     checking of the mapper/health/resubmit machinery (VER4xx), with
     replayable counterexample chaos plans.
-``bench``
-    Time the simulation-core hot paths (long-job monitor, burst
-    dispatch, chaos run, timeline queries) on the wall clock and emit
-    ``BENCH_sim_core.json`` — the ROADMAP's perf-trajectory artifact
-    (exit 2 on an unknown ``--scenario`` or non-positive ``--repeats``).
 ``race``
     gyan-race: the determinism checker — static DET4xx AST rules over
     Python sources plus a dynamic happens-before pass that permutes
@@ -477,6 +472,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_storm(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.max_shed_fraction <= 1.0:
+        print(f"storm: --max-shed-fraction must be a fraction in [0, 1], "
+              f"got {args.max_shed_fraction:g}", file=sys.stderr)
+        return 2
     from repro.workloads.storm import run_storm
 
     try:
@@ -595,41 +594,6 @@ def cmd_race(args: argparse.Namespace) -> int:
         )
         report = run_race(options)
     return _emit_findings("race", report, args)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchmarking.harness import run_suite
-    from repro.benchmarking.scenarios import suite_scenarios
-
-    scenarios = suite_scenarios(args.suite, quick=args.quick)
-    if args.list:
-        for scenario in scenarios:
-            print(f"{scenario.name:<24}{scenario.description}")
-        return 0
-    if args.scenarios:
-        known = {scenario.name for scenario in scenarios}
-        unknown = [name for name in args.scenarios if name not in known]
-        if unknown:
-            print(f"bench: unknown scenario(s): {', '.join(unknown)} "
-                  f"(known: {', '.join(sorted(known))})", file=sys.stderr)
-            return 2
-        scenarios = [s for s in scenarios if s.name in set(args.scenarios)]
-    repeats = args.repeats if args.repeats is not None else (2 if args.quick else 5)
-    if repeats <= 0:
-        print(f"bench: --repeats must be positive, got {repeats}",
-              file=sys.stderr)
-        return 2
-
-    report = run_suite(scenarios, suite=args.suite, repeats=repeats,
-                       quick=args.quick)
-    print(report.render_text(), end="")
-    output = args.output
-    if output is None:
-        output = f"BENCH_{args.suite}.json"
-    if output:
-        report.write(output)
-        print(f"wrote {output}")
-    return 0
 
 
 def _fleet_autoscale_config(args: argparse.Namespace):
@@ -921,28 +885,6 @@ def _verify_arguments(verify: argparse.ArgumentParser) -> None:
                              "replayable chaos-plan JSON into DIR")
 
 
-def _bench_arguments(bench: argparse.ArgumentParser) -> None:
-    bench.add_argument("--suite", choices=("sim_core", "fleet_core"),
-                       default="sim_core",
-                       help="scenario suite: sim_core (simulation hot "
-                            "paths) or fleet_core (1000-node fleet tier)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes: shorter job, smaller burst, "
-                            "2 repeats (same schema)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="repeats per scenario (default 5, or 2 with "
-                            "--quick)")
-    bench.add_argument("--output", default=None,
-                       help="JSON artifact path (default: "
-                            "BENCH_<suite>.json; empty string to skip "
-                            "writing)")
-    bench.add_argument("--scenario", action="append", dest="scenarios",
-                       metavar="NAME",
-                       help="run only the named scenario (repeatable)")
-    bench.add_argument("--list", action="store_true",
-                       help="list scenario names and exit")
-
-
 def _fleet_arguments(fleet: argparse.ArgumentParser) -> None:
     from repro.cluster.autoscale import PLACEMENT_POLICIES, PLACEMENT_SPREAD
     from repro.cluster.fleet import (
@@ -1057,8 +999,6 @@ _COMMANDS = {
               _storm_arguments, cmd_storm),
     "verify": ("whole-deployment verification: dataflow, capacity, and "
                "small-scope model checking", _verify_arguments, cmd_verify),
-    "bench": ("time simulation-core hot paths and emit BENCH_sim_core.json",
-              _bench_arguments, cmd_bench),
     "fleet": ("run the fleet-scale simulator (placement + autoscaling)",
               _fleet_arguments, cmd_fleet),
     "race": ("determinism checker: DET4xx static rules + happens-before "

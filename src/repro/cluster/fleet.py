@@ -952,24 +952,10 @@ def run_fleet(
 #: demand so the midday storm moderately exceeds capacity with the
 #: low-benefit class as the marginal load — the regime where placement
 #: policies actually diverge.  The CLI's ``repro fleet --ab``, the
-#: ``fleet_core`` policy scenarios, the differential policy tests and
-#: CI's A/B matrix all run exactly this shape so their numbers agree.
+#: differential policy tests and CI's A/B matrix all run exactly this
+#: shape so their numbers agree.
 AB_FLEET_NODES = 40
 AB_FLEET_GPUS_PER_NODE = 8
 AB_FLEET_QUEUE_LIMIT = 16
 AB_FLEET_JOBS = 40_000
 AB_FLEET_SEED = 7
-
-
-def ab_fleet_config(
-    placement: str = PLACEMENT_SPREAD,
-    autoscale: AutoscalerConfig | None = None,
-) -> FleetConfig:
-    """The canonical A/B :class:`FleetConfig` for one placement policy."""
-    return FleetConfig(
-        nodes=AB_FLEET_NODES,
-        gpus_per_node=AB_FLEET_GPUS_PER_NODE,
-        queue_limit=AB_FLEET_QUEUE_LIMIT,
-        placement=placement,
-        autoscale=autoscale,
-    )

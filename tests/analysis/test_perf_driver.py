@@ -20,9 +20,9 @@ PERF_BAD = FIXTURES / "perf_bad"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-#: The functions the ``repro bench`` scenarios time.  Each must be a seed
-#: in its own right (``@hot_path`` on its definition), not merely hot
-#: because some other seed happens to reach it.
+#: Entry points of the simulator's hot loops, each declared with
+#: ``@hot_path``.  Each must be a seed in its own right (the decorator on
+#: its definition), not merely hot because some other seed reaches it.
 TIMED_ENTRY_POINTS = [
     "repro.analysis.race.clock_shim.PermutingClock.advance_to",
     "repro.cluster.fleet.FleetSimulator._at",
@@ -290,7 +290,7 @@ class TestPerfCli:
         assert "PERF601" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [
-        ["--profile", "BENCH_sim_core.json"], ["--no-profile"],
+        ["--profile", "profile.json"], ["--no-profile"],
     ], ids=["profile", "no-profile"])
     def test_profile_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,7 @@ These are regression pins on *relative* behaviour, not absolutes:
   fleet at equal-or-lower shed — the paper-style elasticity claim.
 
 The storm A/B runs are the heavyweight members of the suite, so they
-carry the ``perf_guard`` marker alongside the wall-clock-sensitive
-bench tests.
+carry the ``perf_guard`` marker.
 """
 
 import pytest
@@ -23,11 +22,13 @@ from repro.cluster.autoscale import (
     AutoscalerConfig,
 )
 from repro.cluster.fleet import (
+    AB_FLEET_GPUS_PER_NODE,
     AB_FLEET_JOBS,
+    AB_FLEET_NODES,
+    AB_FLEET_QUEUE_LIMIT,
     AB_FLEET_SEED,
     FleetConfig,
     FleetSimulator,
-    ab_fleet_config,
     run_fleet,
 )
 from repro.cluster.jobstore import gpu_wait_percentile
@@ -80,9 +81,13 @@ class TestStormAB:
         batches = diurnal_batches(profile)
         runs = {}
         for policy in PLACEMENT_POLICIES:
-            simulator = FleetSimulator(
-                ab_fleet_config(placement=policy), profile.tools
+            config = FleetConfig(
+                nodes=AB_FLEET_NODES,
+                gpus_per_node=AB_FLEET_GPUS_PER_NODE,
+                queue_limit=AB_FLEET_QUEUE_LIMIT,
+                placement=policy,
             )
+            simulator = FleetSimulator(config, profile.tools)
             result = simulator.run(batches)
             runs[policy] = (
                 result,

@@ -1,7 +1,7 @@
 """Golden-file tests: freeze every serialised surface the repo ships.
 
 Each test renders one externally-consumed artifact — the ``nvidia-smi``
-emulator's XML/table output, the JSON of ``lint``/``verify``/``bench``,
+emulator's XML/table output, the JSON of ``lint``/``verify``,
 the four analyzers' CLI output, the paper commands' stdout and the four
 ``trace`` artifacts — and
 compares it byte-for-byte against a checked-in snapshot under
@@ -19,7 +19,6 @@ then review the golden diff like any other code change.
 from __future__ import annotations
 
 import difflib
-import json
 import os
 from pathlib import Path
 
@@ -174,32 +173,6 @@ class TestPaperCliGoldens:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert_matches_golden(golden, captured.out)
-
-
-# --------------------------------------------------------------------- #
-# bench JSON (schema only: wall-clock numbers are masked)
-# --------------------------------------------------------------------- #
-def _normalised_bench_json() -> str:
-    from repro.benchmarking.harness import run_suite
-    from repro.benchmarking.scenarios import SUITE_NAME, sim_core_suite
-
-    report = run_suite(sim_core_suite(quick=True), suite=SUITE_NAME,
-                       repeats=1, quick=True)
-    data = json.loads(report.render_json())
-    for scenario in data["scenarios"]:
-        # Wall-clock figures vary run to run; the schema around them —
-        # key names, scenario names, workload facts, simulated time —
-        # must not.
-        scenario["wall_seconds"] = {
-            key: "<wall>" for key in sorted(scenario["wall_seconds"])
-        }
-        scenario["sim_seconds_per_wall_second"] = "<wall>"
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-class TestBenchGolden:
-    def test_report_schema(self):
-        assert_matches_golden("bench_schema.json", _normalised_bench_json())
 
 
 # --------------------------------------------------------------------- #

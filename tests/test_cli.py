@@ -129,7 +129,7 @@ class TestTraceCommand:
 
 
 class TestCountsOutOfRange:
-    """A job count, rate or repeat count the verb cannot run is one
+    """A job count, rate or fraction the verb cannot run is one
     ``<verb>: …`` line on stderr and exit 2, not a traceback or a run
     reporting ``0/-1``."""
 
@@ -141,10 +141,10 @@ class TestCountsOutOfRange:
          "trace: mean_interarrival_s must be positive"),
         (["trace", "--interarrival", "-1", "--format", "json"],
          "trace: mean_interarrival_s must be positive"),
-        (["bench", "--repeats", "0"],
-         "bench: --repeats must be positive, got 0"),
-        (["bench", "--quick", "--repeats", "-1"],
-         "bench: --repeats must be positive, got -1"),
+        (["storm", "--max-shed-fraction", "nan"],
+         "storm: --max-shed-fraction must be a fraction in [0, 1], got nan"),
+        (["storm", "--max-shed-fraction", "-1", "--format", "json"],
+         "storm: --max-shed-fraction must be a fraction in [0, 1], got -1"),
         (["faults", "--jobs", "-1"],
          "faults: --jobs must be 0 or more, got -1"),
         (["topo", "--boards", "0"], "topo: --boards must be 1 or more, got 0"),
@@ -164,6 +164,8 @@ class TestCountsOutOfRange:
          "race: --permutations must be 1 or more, got 0"),
         (["race", "--dynamic-only", "--permutations", "-1"],
          "race: --permutations must be 1 or more, got -1"),
+        (["storm", "--max-shed-fraction", "1.5"],
+         "storm: --max-shed-fraction must be a fraction in [0, 1], got 1.5"),
     ])
     def test_is_a_usage_error(self, capsys, argv, line):
         assert main(argv) == 2
@@ -505,8 +507,6 @@ class TestOneSubParserPerCall:
         "storm": ["storm", "--jobs", "9", "--burst-factor", "2.5", "--no-faults"],
         "verify": ["verify", "examples", "--scope", "1,2,3", "--no-model-check",
                    "--emit-plans", "plans"],
-        "bench": ["bench", "--suite", "fleet_core", "--quick", "--scenario", "a",
-                  "--output", ""],
         "fleet": ["fleet", "--nodes", "12", "--policy", "pack", "--ab",
                   "--autoscale", "--max-nodes", "20", "--cooldown", "60"],
         "race": ["race", "src", "--scenario", "trace", "--schedule", "s.json",
@@ -598,7 +598,7 @@ class TestOneSubParserPerCall:
         (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from "
                      "'info', 'smi', 'topo', 'racon', 'bonito', 'cases', "
                      "'experiment', 'trace', 'lint', 'perf', 'faults', 'storm', "
-                     "'verify', 'bench', 'fleet', 'race')"),
+                     "'verify', 'fleet', 'race')"),
         ([], "the following arguments are required: command"),
     ])
     def test_unknown_and_missing_command_exit_2(self, argv, message,

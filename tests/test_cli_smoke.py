@@ -18,8 +18,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = REPO_ROOT / "examples" / "configs"
 
 ALL_COMMANDS = ("info", "smi", "topo", "racon", "bonito", "cases",
-                "experiment", "trace", "lint", "faults", "verify", "bench",
-                "race", "storm", "perf", "fleet")
+                "experiment", "trace", "lint", "faults", "verify", "race",
+                "storm", "perf", "fleet")
 
 
 def test_parser_registers_every_command():

@@ -36,7 +36,7 @@ def _main(*argv: str) -> str:
 
 _OBJECT_VERB_STRANGERS = (
     "repro.cluster.fleet", "repro.cluster.fleet_reference", "repro.analysis",
-    "repro.benchmarking", "urllib.request",
+    "urllib.request",
 )
 
 #: (id, statement, the exact ``repro*`` modules it may load or None for
@@ -53,7 +53,7 @@ ROWS = [
     ("lint", _main("lint", "examples/configs"), None,
      ("numpy", "repro.tools", "repro.cluster.fleet")),
     ("perf", _main("perf", "src/repro/hotpath.py"), None,
-     ("numpy", "repro.benchmarking", "repro.cluster")),
+     ("numpy", "repro.cluster")),
     ("racon", _main("racon"), None, _OBJECT_VERB_STRANGERS),
     ("info", _main("info"), None, _OBJECT_VERB_STRANGERS),
 ]
