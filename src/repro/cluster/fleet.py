@@ -30,9 +30,10 @@ Three mechanisms carry everything else, one of each:
 * **Placement is which index you build.**  ``FleetConfig.placement``
   names a node index in :mod:`repro.cluster.placement` (``spread``: the
   paper's first-available node; ``pack``: the fullest one).  The
-  simulator builds it over free GPU slots and over queue *room*, asks
-  ``peek()`` for the policy's best node and calls ``touch(node)`` after
-  changing its count; nothing here branches on the policy's name.
+  simulator builds it over free GPU slots and over queue *room*, claims
+  a whole placement — however many nodes it spans — with one
+  ``take(demand)`` and calls ``touch(node)`` after returning slots or
+  room; nothing here branches on the policy's name.
   ``benefit-aware`` is spread plus one gate
   (:meth:`FleetSimulator._place_low_benefit`).
 * **One node lifecycle.**  A node is off, usable, quarantined or
@@ -41,10 +42,11 @@ Three mechanisms carry everything else, one of each:
   the autoscaler and the reserve gate read.
 * **Events carry their handler.**  The heap holds ``(time, seq,
   handler, args)``.  A placed span — however many nodes it covers — is
-  ONE entry; its handler completes each contiguous still-live run of
-  node pieces with one store write.  Interruption stays per node: a
-  failure or scale-in drain tombstones only that node's share of every
-  span it hosts.
+  ONE entry carrying its tool and pieces; its handler completes each
+  contiguous still-live run of node pieces with one store write.  A
+  failure scans the in-flight span entries once and tombstones that
+  node's share of every span it hosts; a span no failure touched
+  completes as one run.
 
 Elasticity (:class:`~repro.cluster.autoscale.AutoscalerConfig`): node
 indices below ``min_nodes`` are the always-on base pool; the elastic
@@ -102,6 +104,7 @@ from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import (
     DiurnalProfile,
     FleetToolClass,
+    check_arrival,
     diurnal_batches,
 )
 
@@ -314,12 +317,10 @@ class FleetSimulator:
         self._queues: list[deque[tuple[int, int, int, float]]] = [
             deque() for _ in range(n)
         ]
-        #: Per node: span id → (lo, hi, tool) of its in-flight piece (a
-        #: node holds at most one piece of a span).  Popping an entry
-        #: tombstones that piece of the span's completion event.
-        self._live: list[dict[int, tuple[int, int, int]]] = [
-            {} for _ in range(n)
-        ]
+        #: Span id → nodes whose piece of that in-flight span a failure
+        #: interrupted (tombstones; empty on a failure-free day).  A node
+        #: holds at most one piece of a span.
+        self._cut: dict[int, list[int]] = {}
         # -- the placement seam: the policy's index, once per resource -- #
         index_class = NODE_INDEXES[config.placement]
         self._slots = index_class(self._free, self._usable)
@@ -470,23 +471,16 @@ class FleetSimulator:
             child = self._mapped_children[arm] = self._c_mapped.labels(arm=arm)
         child.inc(count)
 
-    def _claim(
-        self, seq: int, node: int, lo: int, hi: int, tool_index: int
-    ) -> tuple[int, int, int, int]:
-        """One node's share of span ``seq``: slots, interrupt index, piece."""
-        self._free[node] -= hi - lo
-        self._live[node][seq] = (lo, hi, tool_index)
-        return hi, node, pool_of(node, self._base), self._epoch[node]
-
     def _launch(
-        self, seq: int, lo: int, tool_index: int, now: float, pieces: list
+        self, lo: int, tool_index: int, now: float, pieces: list
     ) -> None:
-        """Start the claimed ``pieces`` of span ``seq`` at span cost: one
-        store write per shared column, one completion event, one count."""
+        """Start the claimed ``pieces`` — ``(hi, node, pool, epoch)`` in
+        row order — at span cost: one store write per shared column, one
+        completion event carrying the tool, one count."""
         count = pieces[-1][0] - lo
         self.store.start_span(lo, now, pieces)
         self._at(now + self.tools[tool_index].gpu_seconds,
-                 self._on_span_done, seq, lo, pieces)
+                 self._on_span_done, next(self._seq), lo, tool_index, pieces)
         self._free_total -= count
         self._busy += count
         self._count_mapped("gpu", count)
@@ -497,27 +491,20 @@ class FleetSimulator:
     ) -> int:
         """Start rows from ``lo`` on free slots; returns the first unplaced.
 
-        Peels pieces off the front, filling the policy's best node to
-        capacity before moving on.  Per piece only the node's own
-        bookkeeping happens; the rest is settled once for the placed
-        span (:meth:`_launch`).
+        One ``take`` claims the slots, filling the policy's best node to
+        capacity before moving on; the rest is settled once for the
+        placed span (:meth:`_launch`).
         """
-        seq = next(self._seq)
+        taken = self._slots.take(hi - lo)
+        if not taken:
+            return lo
+        base, epoch = self._base, self._epoch
         pieces = []
         cursor = lo
-        while cursor < hi:
-            node = self._slots.peek()
-            if node is None:
-                break
-            stop = cursor + min(hi - cursor, self._free[node])
-            pieces.append(self._claim(seq, node, cursor, stop, tool_index))
-            cursor = stop
-        if pieces:
-            # Every node but the last was filled to exhaustion, which an
-            # index finds out for itself.
-            if node is not None and self._free[node]:
-                self._slots.touch(node)
-            self._launch(seq, lo, tool_index, now, pieces)
+        for node, count in taken:
+            cursor += count
+            pieces.append((cursor, node, pool_of(node, base), epoch[node]))
+        self._launch(lo, tool_index, now, pieces)
         return cursor
 
     def _start_cpu(
@@ -549,8 +536,8 @@ class FleetSimulator:
 
         The eligibility decision (Pseudocode 2: does the tool want a GPU
         and does the fleet have one?) happens once for the whole range;
-        placement peels contiguous sub-ranges off the front, filling the
-        policy's best node to capacity before moving on — identical,
+        placement claims contiguous sub-ranges from the front, filling
+        the policy's best node to capacity before moving on — identical,
         job for job, to the per-job-object reference model.
         """
         tool = self.tools[tool_index]
@@ -568,23 +555,15 @@ class FleetSimulator:
         if cursor == hi:
             return
         _tool, _submit, deadline = self.store.arrival(cursor)
-        while cursor < hi:
-            node = self._rooms.peek()
-            if node is None:
-                break
-            take = min(hi - cursor, self._room[node])
+        for node, count in self._rooms.take(hi - cursor):
+            stop = cursor + count
             self.store.queue_range(
-                cursor, cursor + take, node, pool=pool_of(node, self._base)
+                cursor, stop, node, pool=pool_of(node, self._base)
             )
-            self._queues[node].append(
-                (cursor, cursor + take, tool_index, deadline)
-            )
-            self._room[node] -= take
-            self._queued_now += take
-            self._c_queued.inc(take)
-            if self._room[node]:
-                self._rooms.touch(node)
-            cursor += take
+            self._queues[node].append((cursor, stop, tool_index, deadline))
+            self._queued_now += count
+            self._c_queued.inc(count)
+            cursor = stop
         if cursor < hi:
             if self.config.degrade_to_cpu and tool.degradable:
                 self._start_cpu(cursor, hi, tool_index, now, degraded=True)
@@ -645,49 +624,60 @@ class FleetSimulator:
                 queue[0] = (glo + take, ghi, gtool, deadline)
             self._room[node] += take
             self._queued_now -= take
+            self._free[node] -= take
             # A queue-drain start is a one-piece span on this node.
-            seq = next(self._seq)
-            self._launch(
-                seq, glo, gtool, now,
-                [self._claim(seq, node, glo, glo + take, gtool)],
-            )
+            self._launch(glo, gtool, now, [
+                (glo + take, node, pool_of(node, self._base),
+                 self._epoch[node]),
+            ])
         if self._room[node] != room:
             self._rooms.touch(node)
 
     @hot_path
     def _on_span_done(
-        self, now: float, seq: int, lo: int, pieces: list
+        self, now: float, seq: int, lo: int, tool_index: int, pieces: list
     ) -> None:
         """Complete span ``seq``: one store write per still-live run of
         pieces, then each live node's bookkeeping in piece order.
 
-        A piece whose node failed or was drained since the start is a
-        tombstone (its ``_live`` entry is gone, its rows were
-        resubmitted) and splits the span into separate runs.
+        A span no failure touched (every span of a failure-free day) is
+        one run.  A piece whose node failed since the start is a
+        tombstone (listed in ``_cut``, its rows were resubmitted) and
+        splits the span into separate runs.
         """
-        live = self._live
-        freed = []
-        run_lo = lo
+        cut = self._cut.pop(seq, ())
+        if not cut:
+            self._on_range_done(now, lo, pieces[-1][0])
+        else:
+            run_lo = start = lo
+            for stop, node, _pool, _epoch in pieces:
+                if node in cut:
+                    if run_lo < start:
+                        self._on_range_done(now, run_lo, start)
+                    run_lo = stop
+                start = stop
+            if run_lo < start:
+                self._on_range_done(now, run_lo, start)
+        free, usable, cap = self._free, self._usable, self._cap
+        queues, touch = self._queues, self._slots.touch
+        released = returned = 0
         for stop, node, _pool, _epoch in pieces:
-            if live[node].pop(seq, None) is None:
-                if run_lo < lo:
-                    self._on_range_done(now, run_lo, lo)
-                run_lo = stop
-            else:
-                freed.append((node, stop - lo))
+            count = stop - lo
             lo = stop
-        if run_lo < lo:
-            self._on_range_done(now, run_lo, lo)
-        for node, count in freed:
-            self._busy -= count
-            if self._usable[node]:
-                self._free[node] += count
-                self._free_total += count
-                if self._queues[node]:
+            if node in cut:
+                continue
+            released += count
+            free[node] += count
+            if usable[node]:
+                returned += count
+                if queues[node]:
                     self._drain_queue(node, now)
-                self._slots.touch(node)
-            elif self._state[node] == _DRAINING and not live[node]:
+                touch(node)
+            elif free[node] == cap:
+                # Not usable yet not cut: draining, and now empty.
                 self._decommission(node, now)
+        self._busy -= released
+        self._free_total += returned
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
         count = hi - lo
@@ -720,8 +710,7 @@ class FleetSimulator:
         # Interrupt running groups in ascending row order (== ascending
         # job-id order, the reference model's iteration order), then the
         # queued ones.
-        groups = sorted(self._live[node].values())
-        self._live[node].clear()
+        groups = sorted(self._interrupt(node))
         self._busy -= sum(ghi - glo for glo, ghi, _tool in groups)
         for lo, hi, tool_index in groups:
             self._resubmit(lo, hi, tool_index, now)
@@ -736,6 +725,27 @@ class FleetSimulator:
         end = now + recovery_seconds
         self._quarantine_end[node] = max(end, self._quarantine_end[node])
         self._at(end, self._on_recover, node)
+
+    def _interrupt(self, node: int) -> list[tuple[int, int, int]]:
+        """Tombstone ``node``'s piece of every in-flight span; returns
+        each piece as ``(lo, hi, tool)``.  One scan of the heap per
+        failure, O(in-flight events)."""
+        span_done = self._on_span_done
+        cut = self._cut
+        groups = []
+        for _time, _seq, handler, args in self._events:
+            if handler != span_done:
+                continue
+            seq, lo, tool_index, pieces = args
+            for stop, piece_node, _pool, _epoch in pieces:
+                if piece_node == node:
+                    nodes = cut.setdefault(seq, [])
+                    if node not in nodes:
+                        nodes.append(node)
+                        groups.append((lo, stop, tool_index))
+                    break
+                lo = stop
+        return groups
 
     def _on_recover(self, now: float, node: int) -> None:
         if (
@@ -779,7 +789,7 @@ class FleetSimulator:
             self._set_state(node, _DRAINING)
         for node in victims:
             self._evict_queue(node, now)
-            if not self._live[node]:
+            if self._free[node] == self._cap:
                 self._decommission(node, now)
 
     def _on_provision(self, now: float, count: int) -> None:
@@ -862,7 +872,10 @@ class FleetSimulator:
     @hot_path
     def run(self, batches: Iterable) -> FleetResult:
         """Drive the fleet through time-sorted arrival batches."""
+        previous = -math.inf
         for batch in batches:
+            check_arrival(batch, previous, len(self.tools))
+            previous = batch.time
             if batch.count <= 0:
                 continue
             self._drain_until(batch.time)

@@ -63,7 +63,7 @@ from repro.cluster.autoscale import (
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.jobstore import NO_NODE, JobStore
 from repro.resilience.shedding import ShedReason
-from repro.workloads.diurnal import FleetToolClass
+from repro.workloads.diurnal import FleetToolClass, check_arrival
 
 #: Event tags of this model's own (time, seq, kind, node, job, extra)
 #: heap; the columnar simulator's events carry their handler instead.
@@ -425,7 +425,10 @@ class ObjectFleetReference:
     def run(self, batches: Iterable) -> JobStore:
         """Drive the reference through the same time-sorted batches."""
         deadline_seconds = self.config.deadline_seconds
+        previous = -math.inf
         for batch in batches:
+            check_arrival(batch, previous, len(self.tools))
+            previous = batch.time
             if batch.count <= 0:
                 continue
             self._drain_until(batch.time)

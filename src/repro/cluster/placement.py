@@ -1,21 +1,28 @@
 """Node indexes: the fleet tier's placement seam.
 
-A placement policy is *which index you build*.  Each class answers
-"which usable node with a positive count does the policy rank first?"
-over a per-node ``counts`` list and the fleet's shared ``usable`` flags:
+A placement policy is *which index you build*.  Each class ranks the
+usable nodes with a positive count in a per-node ``counts`` list (the
+fleet's shared ``usable`` flags say which are usable) and claims from
+the front of that order:
 
-* ``peek()`` — that node, or ``None``.  O(log n) amortised: stale heap
-  entries pop lazily.
-* ``touch(node)`` — ``counts[node]`` or ``usable[node]`` changed.
-  Required after every change that leaves the node usable with a
-  positive count; exhausting or retiring a node needs none.
+* ``take(demand)`` — claim up to ``demand`` units from the policy's
+  best node, then the next best, until ``demand`` is met or no node is
+  left; returns the ``(node, count)`` pieces in claim order and leaves
+  ``counts`` decremented.  O(pieces · log n): stale heap entries pop
+  lazily.
+* ``touch(node)`` — ``counts[node]`` or ``usable[node]`` changed
+  outside ``take``.  Required after every such change that leaves the
+  node usable with a positive count; exhausting or retiring a node
+  needs none.
 
 :class:`~repro.cluster.fleet.FleetSimulator` builds one over free GPU
 slots and one over queue room, so a new policy is a third class here,
-not a branch there.  The per-job oracle states the same definitions as
+not a branch there, and a placement is one ``take`` however many nodes
+it spans.  The per-job oracle states the same definitions as
 brute-force ``min`` scans, and ``tests/cluster/test_placement.py``
-checks every ``peek`` against them.  Two classes, not one with a
-``packed`` flag: a policy test inside ``peek`` measured +15 % on ``run``.
+checks every ``take`` against repeatedly claiming that ``min``.  Two
+classes, not one with a ``packed`` flag: a policy test inside the
+selection loop measured +15 % on ``run``.
 """
 
 from __future__ import annotations
@@ -45,15 +52,24 @@ class SpreadIndex:
         self._heap = [node for node, held in enumerate(self._member) if held]
 
     @hot_path
-    def peek(self) -> int | None:
-        heap = self._heap
-        while heap:
+    def take(self, demand: int) -> list[tuple[int, int]]:
+        counts, usable, heap = self._counts, self._usable, self._heap
+        pieces = []
+        while demand > 0 and heap:
             node = heap[0]
-            if self._usable[node] and self._counts[node] > 0:
-                return node
+            count = counts[node]
+            if usable[node] and count > 0:
+                if count > demand:
+                    # Partly used: it stays at the front of the order.
+                    counts[node] = count - demand
+                    pieces.append((node, demand))
+                    break
+                counts[node] = 0
+                pieces.append((node, count))
+                demand -= count
             heapq.heappop(heap)
             self._member[node] = False
-        return None
+        return pieces
 
     def touch(self, node: int) -> None:
         if (
@@ -82,14 +98,23 @@ class PackIndex:
         heapq.heapify(self._heap)
 
     @hot_path
-    def peek(self) -> int | None:
-        heap = self._heap
-        while heap:
+    def take(self, demand: int) -> list[tuple[int, int]]:
+        counts, usable, heap = self._counts, self._usable, self._heap
+        pieces = []
+        while demand > 0 and heap:
             count, node = heap[0]
-            if self._usable[node] and self._counts[node] == count:
-                return node
+            if usable[node] and counts[node] == count:
+                if count > demand:
+                    # Partly used: re-pushed under its smaller count.
+                    counts[node] = count - demand
+                    heapq.heapreplace(heap, (count - demand, node))
+                    pieces.append((node, demand))
+                    break
+                counts[node] = 0
+                pieces.append((node, count))
+                demand -= count
             heapq.heappop(heap)
-        return None
+        return pieces
 
     def touch(self, node: int) -> None:
         count = self._counts[node]

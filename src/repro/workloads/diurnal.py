@@ -56,6 +56,16 @@ class FleetToolClass:
     weight: float
     degradable: bool = False
 
+    def __post_init__(self) -> None:
+        # Service times become event-heap instants; zero is legal.
+        for name in ("gpu_seconds", "cpu_seconds", "weight"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also refuses NaN
+                raise ValueError(
+                    f"{self.name}: {name} must be non-negative and finite, "
+                    f"got {value}"
+                )
+
     @property
     def gpu_benefit(self) -> float:
         """The paper's GPU-benefit ratio: CPU time over GPU time.
@@ -97,6 +107,22 @@ class ArrivalBatch:
     time: float
     tool: int  #: index into the profile's tool table
     count: int
+
+
+def check_arrival(batch: ArrivalBatch, previous: float, tools: int) -> None:
+    """Refuse a batch a fleet model cannot place: its time must be finite
+    and not before ``previous`` (the last batch's), its tool an index
+    into a table of ``tools`` classes."""
+    if not (math.isfinite(batch.time) and batch.time >= previous):
+        raise ValueError(
+            f"arrival batch time {batch.time} is not finite or precedes "
+            f"the previous batch's {previous}"
+        )
+    if not 0 <= batch.tool < tools:
+        raise ValueError(
+            f"arrival batch names tool {batch.tool}; the tool table has "
+            f"{tools} classes"
+        )
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ TIMED_ENTRY_POINTS = [
     "repro.cluster.fleet.FleetSimulator.run",
     "repro.cluster.jobstore.JobStore.append_batch",
     "repro.cluster.jobstore.JobStore.start_span",
-    "repro.cluster.placement.PackIndex.peek",
-    "repro.cluster.placement.SpreadIndex.peek",
+    "repro.cluster.placement.PackIndex.take",
+    "repro.cluster.placement.SpreadIndex.take",
     "repro.core.mapper.GpuComputationMapper.prepare_environment",
     "repro.core.monitor.GPUUsageMonitor.start",
     "repro.core.monitor.GPUUsageMonitor.statistics_report",

@@ -259,6 +259,38 @@ class TestFleetSemantics:
         with pytest.raises(ValueError):
             FleetConfig(nodes=2, **knobs)
 
+    @pytest.mark.parametrize("model", [FleetSimulator, ObjectFleetReference])
+    @pytest.mark.parametrize("batches, kept, match", [
+        # Rows of the second batch used to start at t=50 and finish at
+        # 150, after the first batch's t=500 arrival.
+        ([ArrivalBatch(500.0, 0, 2), ArrivalBatch(50.0, 0, 2)], 2, "time"),
+        # NaN: an unbalanced ledger (simulator), never-finishing rows
+        # (oracle).
+        ([ArrivalBatch(float("nan"), 0, 2)], 0, "time"),
+        ([ArrivalBatch(float("inf"), 0, 2)], 0, "time"),
+        ([ArrivalBatch(float("-inf"), 0, 2)], 0, "time"),
+        ([ArrivalBatch(0.0, 0, 2), ArrivalBatch(1.0, 1, 2)], 2, "tool"),
+        ([ArrivalBatch(0.0, -1, 2)], 0, "tool"),
+    ])
+    def test_unplaceable_batch_refused(self, model, batches, kept, match):
+        """A batch out of time order, at a non-finite instant or naming
+        an unknown tool is a ValueError before it reaches the store."""
+        tool = FleetToolClass("gpu", True, 100.0, 1000.0, 1.0)
+        simulator = model(FleetConfig(nodes=2, gpus_per_node=2), (tool,))
+        with pytest.raises(ValueError, match=match):
+            simulator.run(batches)
+        assert len(simulator.store) == kept
+
+    @pytest.mark.parametrize("field", ["gpu_seconds", "cpu_seconds", "weight"])
+    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
+    def test_degenerate_tool_class_rejected(self, field, value):
+        """Service times become event instants: a negative one finished
+        jobs before they started, a NaN one unbalanced the ledger."""
+        fields = {"gpu_seconds": 1.0, "cpu_seconds": 2.0, "weight": 1.0}
+        with pytest.raises(ValueError, match=field):
+            FleetToolClass("t", True, **{**fields, field: value})
+        FleetToolClass("t", True, **{**fields, field: 0.0})  # zero is legal
+
     def test_zero_queue_and_zero_hops_are_defined(self):
         config = FleetConfig(nodes=2, queue_limit=0, max_hops=0)
         result = run_fleet(config, DiurnalProfile(seed=1).scaled_to(200))
@@ -396,9 +428,9 @@ def run_counted(config, tools, batches):
     spans = []
     handler = simulator._on_span_done
 
-    def counted(now, seq, lo, pieces):
+    def counted(now, seq, lo, tool_index, pieces):
         spans.append((now, lo, pieces[-1][0]))
-        handler(now, seq, lo, pieces)
+        handler(now, seq, lo, tool_index, pieces)
 
     simulator._on_span_done = counted
     result = simulator.run(batches)
@@ -475,6 +507,40 @@ class TestSpanCompletion:
             [0.0] * 2 + [100.0] * 2 + [0.0] * 2
         )
         assert result.resubmitted == 2
+
+    def test_failure_cuts_two_spans_and_a_queue_drain_span(self):
+        """Under pack, node 0 fails at t=90 holding one piece each of
+        spans A (rows 3-5) and B (rows 9-12), both spread over nodes 0
+        and 1, and row 8, which left node 0's queue at t=50 as a
+        one-piece span.  One lookup cuts all three; A and B complete
+        their node-1 runs only."""
+        gpu_50 = FleetToolClass("gpu_50", True, 50.0, 500.0, 1.0)
+        config = FleetConfig(
+            nodes=2, gpus_per_node=4, queue_limit=4, placement="pack",
+            failures=(NodeFailure(90.0, node=0, recovery_seconds=1000.0),),
+        )
+        simulator, result, spans = run_counted(
+            config, (gpu_50, self.GPU_300), [
+                ArrivalBatch(0.0, 0, 3),   # rows 0-2: node 0
+                ArrivalBatch(0.0, 1, 3),   # A: node 0 x1, node 1 x2
+                ArrivalBatch(0.0, 0, 3),   # node 1 x2; row 8 queues on 0
+                ArrivalBatch(60.0, 1, 4),  # B: node 0 x2, node 1 x2
+            ],
+        )
+        rows = list(simulator.store.rows())
+        assert [row.hops for row in rows] == [0] * 3 + [1, 0, 0] + [0] * 2 + [
+            1, 1, 1, 0, 0]
+        assert [row.destination for row in rows] == [0] * 3 + [1] * 10
+        assert spans == [
+            (50.0, 0, 3), (50.0, 6, 8), (100.0, 8, 9), (300.0, 3, 6),
+            (350.0, 8, 9), (360.0, 9, 13), (600.0, 3, 4), (650.0, 9, 10),
+            (660.0, 10, 11),
+        ]
+        assert simulator.store.completes == [
+            (0, 3, 50.0), (6, 8, 50.0), (4, 6, 300.0), (8, 9, 350.0),
+            (11, 13, 360.0), (3, 4, 600.0), (9, 10, 650.0), (10, 11, 660.0),
+        ]
+        assert (result.resubmitted, result.completed) == (4, 13)
 
     def test_scale_in_drain_empties_nodes_mid_span(self):
         auto = AutoscalerConfig(

@@ -20,6 +20,7 @@ from repro.cluster.placement import NODE_INDEXES, PackIndex, SpreadIndex
 from repro.workloads.diurnal import (
     DEFAULT_FLEET_TOOLS,
     ArrivalBatch,
+    DiurnalProfile,
     FleetToolClass,
     ab_storm_profile,
     diurnal_batches,
@@ -40,6 +41,20 @@ def brute_force(index_class, counts, usable):
     )
 
 
+def brute_force_take(index_class, counts, usable, demand):
+    """Claim from the brute-force ``min`` node until ``demand`` is met."""
+    pieces = []
+    while demand > 0:
+        node = brute_force(index_class, counts, usable)
+        if node is None:
+            break
+        count = min(counts[node], demand)
+        counts[node] -= count
+        demand -= count
+        pieces.append((node, count))
+    return pieces
+
+
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("count"), st.integers(0, NODES - 1),
@@ -49,6 +64,8 @@ steps = st.lists(
         # A redundant report, which must be harmless.
         st.tuples(st.just("touch"), st.integers(0, NODES - 1),
                   st.just(0)),
+        # Demands past the fleet's total exhaust every node.
+        st.tuples(st.just("take"), st.just(0), st.integers(0, 30)),
     ),
     max_size=60,
 )
@@ -61,17 +78,28 @@ steps = st.lists(
     start_usable=st.lists(st.booleans(), min_size=NODES, max_size=NODES),
     steps=steps,
 )
-def test_peek_equals_the_brute_force_definition(
+def test_take_equals_the_brute_force_definition(
     index_class, start_counts, start_usable, steps
 ):
-    """Random count changes, usable flips and touches: every ``peek``
-    is the brute-force ``min``.  Draws include all-exhausted fleets
-    (→ ``None``), all-zero counts (``queue_limit=0``) and a node that
-    leaves and re-enters while its stale entry is still in the heap."""
+    """Random count changes, usable flips, touches and claims: every
+    ``take(d)`` equals repeatedly claiming the brute-force ``min`` node
+    until ``d`` is met, pieces and remaining counts alike.  Draws include
+    all-exhausted fleets (→ no pieces), all-zero counts
+    (``queue_limit=0``) and a node that leaves and re-enters while its
+    stale entry is still in the heap; a final claim drains the rest."""
     counts, usable = list(start_counts), list(start_usable)
     index = index_class(counts, usable)
-    assert index.peek() == brute_force(index_class, counts, usable)
+
+    def check_take(demand):
+        expected = list(counts)
+        pieces = brute_force_take(index_class, expected, usable, demand)
+        assert index.take(demand) == pieces
+        assert counts == expected
+
     for kind, node, value in steps:
+        if kind == "take":
+            check_take(value)
+            continue
         if kind == "count":
             counts[node] = value
         elif kind == "usable":
@@ -80,7 +108,8 @@ def test_peek_equals_the_brute_force_definition(
         # leaves the node usable with a positive count.
         if kind == "touch" or (usable[node] and counts[node] > 0):
             index.touch(node)
-        assert index.peek() == brute_force(index_class, counts, usable)
+    check_take(sum(counts) + 1)
+    assert index.take(1) == []
 
 
 @pytest.mark.parametrize("index_class", [SpreadIndex, PackIndex])
@@ -89,14 +118,15 @@ def test_stale_entry_survives_a_round_trip(index_class):
     node 0 returns with a different count: no duplicate, no ghost."""
     counts, usable = [2, 3], [True, True]
     index = index_class(counts, usable)
-    assert index.peek() == 0
     usable[0] = False  # retiring needs no touch
-    assert index.peek() == 1
+    assert index.take(1) == [(1, 1)]
     usable[0], counts[0] = True, 4
     index.touch(0)
-    assert index.peek() == (1 if index_class is PackIndex else 0)
-    counts[0] = counts[1] = 0  # exhausting needs no touch
-    assert index.peek() is None
+    assert index.take(9) == (
+        [(1, 2), (0, 4)] if index_class is PackIndex else [(0, 4), (1, 2)]
+    )
+    assert counts == [0, 0]
+    assert index.take(1) == []
 
 
 def test_every_policy_names_an_index():
@@ -161,9 +191,27 @@ def test_ablation_a5_rows(trace, policy):
     assert [(r.destination, r.gpu, r.start) for r in oracle.rows()] == rows
 
 
+def live_pieces(simulator):
+    """``(node, count)`` of every piece of an in-flight span event that
+    no failure cut."""
+    span_done = simulator._on_span_done
+    for _time, _seq, handler, args in simulator._events:
+        if handler != span_done:
+            continue
+        seq, lo, _tool, pieces = args
+        cut = simulator._cut.get(seq, ())
+        for stop, node, _pool, _epoch in pieces:
+            if node not in cut:
+                yield node, stop - lo
+            lo = stop
+
+
 def recount(simulator):
     state, n = simulator._state, simulator.config.nodes
     limit = simulator.config.queue_limit
+    held = [0] * n
+    for node, count in live_pieces(simulator):
+        held[node] += count
     assert all(s in (_OFF, _USABLE, _QUARANTINED, _DRAINING) for s in state)
     assert simulator._usable == [s == _USABLE for s in state]
     usable = [node for node in range(n) if state[node] == _USABLE]
@@ -172,17 +220,16 @@ def recount(simulator):
     assert simulator._draining_count == state.count(_DRAINING)
     assert simulator._free_total == sum(simulator._free[v] for v in usable)
     assert simulator._queued_now == sum(limit - r for r in simulator._room)
-    assert simulator._busy == sum(
-        hi - lo for pieces in simulator._live
-        for lo, hi, _tool in pieces.values()
-    )
+    assert simulator._busy == sum(held)
     for node in range(n):
         queued = sum(hi - lo for lo, hi, _t, _d in simulator._queues[node])
         assert simulator._room[node] == limit - queued
         if state[node] != _USABLE:
             assert not simulator._queues[node]
         if state[node] in (_OFF, _QUARANTINED):
-            assert not simulator._live[node]
+            assert not held[node]
+        else:  # exact on draining nodes too: their idleness test
+            assert simulator._free[node] == simulator._cap - held[node]
 
 
 @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
@@ -219,3 +266,60 @@ def test_one_lifecycle_state_and_totals_equal_a_recount(policy):
     recount(simulator)
     assert seen == {_OFF, _USABLE, _QUARANTINED, _DRAINING}
     assert result.resubmitted > 0 and result.scale_downs > 0
+
+
+class CountingIndex:
+    """Forwards to a node index, counting every method call and the
+    most pieces one ``take`` returned."""
+
+    def __init__(self, index):
+        self.index = index
+        self.calls = self.widest = 0
+
+    def take(self, demand):
+        self.calls += 1
+        pieces = self.index.take(demand)
+        self.widest = max(self.widest, len(pieces))
+        return pieces
+
+    def __getattr__(self, name):
+        method = getattr(self.index, name)
+
+        def counted(*args):
+            self.calls += 1
+            return method(*args)
+
+        return counted
+
+
+@pytest.mark.perf_guard
+def test_one_index_call_per_placement_whatever_its_pieces():
+    """On a seeded 1000x8 day of ~50 k jobs, filling slots and queueing
+    the remainder each ask their index once: a span over eleven nodes
+    costs one ``take``, not one lookup per node piece."""
+    profile = DiurnalProfile(seed=42).scaled_to(50_000)
+    simulator = FleetSimulator(
+        FleetConfig(nodes=1000, gpus_per_node=8), profile.tools
+    )
+    slots = simulator._slots = CountingIndex(simulator._slots)
+    rooms = simulator._rooms = CountingIndex(simulator._rooms)
+    fill, place = simulator._fill_gpu, simulator._place_range
+    per_fill, per_place = [], []
+
+    def counted_fill(lo, hi, tool_index, now):
+        before = slots.calls
+        cursor = fill(lo, hi, tool_index, now)
+        per_fill.append(slots.calls - before)
+        return cursor
+
+    def counted_place(lo, hi, tool_index, now):
+        before = rooms.calls
+        place(lo, hi, tool_index, now)
+        per_place.append(rooms.calls - before)
+
+    simulator._fill_gpu = counted_fill
+    simulator._place_range = counted_place
+    result = simulator.run(diurnal_batches(profile))
+    assert 45_000 < result.jobs_submitted < 55_000
+    assert slots.widest > 1  # spans over several nodes were placed
+    assert max(per_fill) == 1 and max(per_place) <= 1
