@@ -67,9 +67,6 @@ class RuleRegistry:
     def family(self, family: str) -> list[LintRule]:
         return [r for r in self.all_rules() if r.family == family]
 
-    def known_ids(self) -> set[str]:
-        return set(self._rules)
-
 
 #: The default registry every analyzer registers into at import time.
 REGISTRY = RuleRegistry()

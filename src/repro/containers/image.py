@@ -141,7 +141,3 @@ class ImageRegistry:
     def evict(self, reference: str) -> bool:
         """Drop an image from the local cache (``docker rmi``)."""
         return self._cache.pop(reference, None) is not None
-
-    def cached_references(self) -> list[str]:
-        """References currently cached on the node."""
-        return sorted(self._cache)

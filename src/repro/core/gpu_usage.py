@@ -49,7 +49,7 @@ class GpuUsageSnapshot:
         return min(self.all_gpus, key=lambda gid: (self.fb_used_mib.get(gid, 0), gid))
 
 
-def get_gpu_usage(host: GPUHost, retry=None) -> tuple[list[str], list[str]]:
+def get_gpu_usage(host: GPUHost) -> tuple[list[str], list[str]]:
     """Pseudocode 1: (available GPU minor IDs, all GPU minor IDs).
 
     Parses the ``nvidia-smi -q -x`` XML exactly as the paper does — per
@@ -57,25 +57,17 @@ def get_gpu_usage(host: GPUHost, retry=None) -> tuple[list[str], list[str]]:
     ``<pid>`` of each ``<process_info>`` under ``<processes>``; a GPU is
     available when its PID list is empty.
     """
-    snapshot = get_gpu_usage_snapshot(host, retry=retry)
+    snapshot = get_gpu_usage_snapshot(host)
     return snapshot.available_gpus, snapshot.all_gpus
 
 
 @hot_path
-def get_gpu_usage_snapshot(host: GPUHost, retry=None) -> GpuUsageSnapshot:
+def get_gpu_usage_snapshot(host: GPUHost) -> GpuUsageSnapshot:
     """Pseudocode 1 plus the memory figures §IV-C2's strategy also reads.
 
-    ``retry`` is an optional :class:`~repro.core.retry.BackoffPolicy`:
-    transient ``nvidia-smi`` failures (the binary is an NVML client and
-    inherits the driver's flakes) are retried with exponential backoff on
-    the host's virtual clock before the ``RuntimeError`` propagates.
+    A failed ``nvidia-smi`` raises ``RuntimeError``; the mapper retries
+    it (:meth:`~repro.core.mapper.GpuComputationMapper._query`).
     """
-    if retry is not None:
-        from repro.core.retry import retry_call
-
-        return retry_call(
-            host.clock, retry, lambda: get_gpu_usage_snapshot(host, retry=None)
-        )
     out, err = run_query(host, "-q -x")
     if err:
         raise RuntimeError(f"nvidia-smi failed: {err.strip()}")

@@ -30,34 +30,23 @@ class HealthEvent:
     note: str = ""
 
 
+#: Errors within :data:`ERROR_WINDOW_S` that quarantine a device.  A
+#: device loss quarantines immediately regardless of the count.
+ERROR_THRESHOLD = 3
+#: Sliding window (virtual seconds) over which errors are counted.
+ERROR_WINDOW_S = 60.0
+#: Quarantine duration.  Each *new* error while quarantined renews the
+#: sentence from that error's time.
+COOLDOWN_S = 120.0
+
+
 @dataclass
 class DeviceHealthTracker:
-    """Error-threshold quarantine with cool-down re-admission.
+    """Error-threshold quarantine with cool-down re-admission."""
 
-    Parameters
-    ----------
-    error_threshold:
-        Errors within ``window_s`` that trigger quarantine.  A device
-        loss quarantines immediately regardless of the count.
-    window_s:
-        Sliding window over which errors are counted.
-    cooldown_s:
-        Quarantine duration.  Each *new* error while quarantined renews
-        the sentence from that error's time.
-    """
-
-    error_threshold: int = 3
-    window_s: float = 60.0
-    cooldown_s: float = 120.0
     events: list[HealthEvent] = field(default_factory=list)
     _error_times: dict[str, list[float]] = field(default_factory=dict)
     _quarantined_until: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.error_threshold < 1:
-            raise ValueError("error_threshold must be at least 1")
-        if self.window_s <= 0 or self.cooldown_s <= 0:
-            raise ValueError("window_s and cooldown_s must be positive")
 
     # ------------------------------------------------------------------ #
     # recording
@@ -76,10 +65,10 @@ class DeviceHealthTracker:
         times = self._error_times.setdefault(device_id, [])
         times.append(now)
         self._error_times[device_id] = [
-            t for t in times if t > now - self.window_s
+            t for t in times if t > now - ERROR_WINDOW_S
         ]
         already = self.is_quarantined(device_id, now)
-        if already or len(self._error_times[device_id]) >= self.error_threshold:
+        if already or len(self._error_times[device_id]) >= ERROR_THRESHOLD:
             self._quarantine(device_id, now, note or "error threshold reached")
             return not already
         return False
@@ -93,7 +82,7 @@ class DeviceHealthTracker:
         self._quarantine(device_id, now, note or "device lost (XID)")
 
     def _quarantine(self, device_id: str, now: float, note: str) -> None:
-        until = now + self.cooldown_s
+        until = now + COOLDOWN_S
         if self._quarantined_until.get(device_id, -1.0) < until:
             self._quarantined_until[device_id] = until
             self.events.append(HealthEvent(now, device_id, "quarantine", note))
@@ -139,7 +128,7 @@ class DeviceHealthTracker:
         quarantined = tuple(self.quarantined_ids(now))
         error_counts = tuple(
             sorted(
-                (gid, len([t for t in times if t > now - self.window_s]))
+                (gid, len([t for t in times if t > now - ERROR_WINDOW_S]))
                 for gid, times in self._error_times.items()
             )
         )

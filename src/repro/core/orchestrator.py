@@ -292,7 +292,6 @@ class GyanDeployment:
 def build_deployment(
     node: ComputeNode | None = None,
     allocation_strategy: str = "pid",
-    with_monitor: bool = True,
     nvidia_docker_installed: bool = True,
     job_conf_xml: str | None = None,
     resilient: bool = False,
@@ -303,10 +302,10 @@ def build_deployment(
     """Build the paper's deployment on the given (or default testbed) node.
 
     Fixed rather than options: the Singularity runtime is 3.1 (the
-    release whose ``--nv`` bind-mode rejection GYAN works around) and the
-    overload layer's brownout ladder runs on its default thresholds; the
-    resilient layer's health tracker and retry policies are the
-    defaults, and jobs get a deadline only from their destination.
+    release whose ``--nv`` bind-mode rejection GYAN works around), a GPU
+    node always carries the §V-C hardware usage monitor, and the
+    resilient layer's retry policies, health tracker, breakers and
+    brownout ladder run on their modules' constants.
 
     Parameters
     ----------
@@ -314,8 +313,6 @@ def build_deployment(
         Compute node; defaults to the paper testbed (48 CPUs, 2 K80 dies).
     allocation_strategy:
         ``"pid"`` (paper §IV-C1) or ``"memory"`` (§IV-C2).
-    with_monitor:
-        Attach the §V-C hardware usage monitor to every runner.
     nvidia_docker_installed:
         Model a host with/without the NVIDIA container runtime.
     job_conf_xml:
@@ -429,9 +426,7 @@ def build_deployment(
         brownout=brownout_controller,
     )
     monitor = (
-        GPUUsageMonitor(node.gpu_host)
-        if with_monitor and node.gpu_host is not None
-        else None
+        GPUUsageMonitor(node.gpu_host) if node.gpu_host is not None else None
     )
 
     registry = ImageRegistry()

@@ -15,7 +15,6 @@ reproducible.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -24,6 +23,9 @@ from repro.gpusim.errors import NVMLError
 
 T = TypeVar("T")
 
+#: Each retry waits twice as long as the one before it.
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class BackoffPolicy:
@@ -31,84 +33,27 @@ class BackoffPolicy:
 
     ``max_attempts`` counts *calls*, not retries: the default of 4 means
     one initial attempt plus up to three retries.  The delay before
-    retry *n* (1-based) is ``base_delay_s * multiplier**(n-1)``, capped
-    at ``max_delay_s``.
-
-    Two overload-era knobs, both off by default:
-
-    ``jitter``
-        Fraction in ``[0, 1)`` by which each delay is perturbed.  The
-        perturbation is *seeded* — delay *n* is multiplied by a factor
-        drawn from ``random.Random(f"{seed}:{n}")`` in
-        ``[1 - jitter, 1 + jitter]`` — so two runs with the same policy
-        produce byte-identical schedules while distinct seeds de-herd
-        concurrent retriers (the thundering-herd fix, without wall-clock
-        entropy).
-    ``total_budget_s``
-        Hard cap on the *sum* of delays.  A retry whose wait would push
-        the cumulative delay past the budget is forfeited — retry storms
-        can never outlive a job deadline.
+    retry *n* (1-based) is ``base_delay_s * BACKOFF_MULTIPLIER**(n-1)``.
     """
 
     max_attempts: int = 4
     base_delay_s: float = 0.25
-    multiplier: float = 2.0
-    max_delay_s: float = 8.0
-    jitter: float = 0.0
-    seed: int = 0
-    total_budget_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.base_delay_s < 0:
             raise ValueError("base_delay_s must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1 (backoff never shrinks)")
-        if self.max_delay_s < self.base_delay_s:
-            raise ValueError("max_delay_s must be >= base_delay_s")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.total_budget_s is not None and self.total_budget_s <= 0:
-            raise ValueError("total_budget_s must be positive when set")
 
     def delay_for(self, retry_index: int) -> float:
-        """Seconds to wait before retry ``retry_index`` (1-based).
-
-        Deterministic: the same (policy, retry_index) always yields the
-        same delay, jitter included, and the result never exceeds
-        ``max_delay_s * (1 + jitter)``.
-        """
+        """Seconds to wait before retry ``retry_index`` (1-based)."""
         if retry_index < 1:
             raise ValueError("retry_index is 1-based")
-        delay = min(
-            self.base_delay_s * self.multiplier ** (retry_index - 1),
-            self.max_delay_s,
-        )
-        if self.jitter:
-            rng = random.Random(f"{self.seed}:{retry_index}")
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        return self.base_delay_s * BACKOFF_MULTIPLIER ** (retry_index - 1)
 
     def schedule(self) -> list[float]:
-        """The full delay schedule (one entry per affordable retry).
-
-        When ``total_budget_s`` is set the schedule is truncated at the
-        first retry whose delay would push the cumulative wait past the
-        budget — ``sum(schedule()) <= total_budget_s`` always holds.
-        """
-        delays: list[float] = []
-        spent = 0.0
-        for i in range(1, self.max_attempts):
-            delay = self.delay_for(i)
-            if (
-                self.total_budget_s is not None
-                and spent + delay > self.total_budget_s
-            ):
-                break
-            delays.append(delay)
-            spent += delay
-        return delays
+        """The full delay schedule (one entry per retry)."""
+        return [self.delay_for(i) for i in range(1, self.max_attempts)]
 
 
 #: A conservative default for NVML/nvidia-smi queries: 4 attempts over
@@ -147,33 +92,15 @@ def retry_call(
     Non-retryable exceptions propagate immediately; retryable ones are
     swallowed until the attempt budget is spent, then the last one
     propagates.  ``on_retry(retry_index, exc)`` fires before each wait —
-    the mapper uses it to feed the health tracker.
-
-    When the policy carries a ``total_budget_s``, a retry whose delay
-    would overrun the remaining budget is forfeited and the last
-    exception propagates instead — the caller's deadline wins over the
-    attempt count.
+    the container runners use it to count a requeue.
     """
-    last_exc: BaseException | None = None
-    waited = 0.0
-    for attempt in range(1, policy.max_attempts + 1):
+    for attempt in range(1, policy.max_attempts):
         try:
             return fn()
-        except BaseException as exc:
+        except Exception as exc:
             if not retryable(exc):
                 raise
-            last_exc = exc
-            if attempt == policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt)
-            if (
-                policy.total_budget_s is not None
-                and waited + delay > policy.total_budget_s
-            ):
-                break
             if on_retry is not None:
                 on_retry(attempt, exc)
-            clock.advance(delay)
-            waited += delay
-    assert last_exc is not None
-    raise last_exc
+            clock.advance(policy.delay_for(attempt))
+    return fn()

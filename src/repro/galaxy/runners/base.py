@@ -11,9 +11,10 @@ body and tears down.  ``queue_job`` is the everyday launch-then-finish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol, TypeVar
 
 from repro.containers.errors import ContainerLaunchError
+from repro.core.retry import retry_call
 from repro.galaxy.app import (
     GalaxyApp,
     ToolExecutionContext,
@@ -25,6 +26,8 @@ from repro.galaxy.job import GalaxyJob, JobState
 from repro.galaxy.job_conf import Destination, parse_bool_param
 from repro.galaxy.params import GPU_ENABLED_ENV_VAR, build_param_dict
 from repro.gpusim.errors import NVMLError
+
+T = TypeVar("T")
 
 
 def is_transient_launch_error(exc: BaseException) -> bool:
@@ -161,6 +164,23 @@ class BaseJobRunner:
                 job_id=None if job is None else job.job_id,
                 runner=self.runner_name,
             )
+
+    def _run_container(self, job: GalaxyJob, run: Callable[[], T]) -> T:
+        """Call a container runtime's ``run`` under :attr:`launch_retry`.
+
+        Each :class:`ContainerLaunchError` (a daemon hiccup) is a requeue
+        and a backoff until the budget is spent; then, like a permanent
+        failure (missing image or NVIDIA runtime), it fails the job.
+        """
+        if self.launch_retry is None:
+            return run()
+        return retry_call(
+            self.app.node.clock,
+            self.launch_retry,
+            run,
+            retryable=lambda exc: isinstance(exc, ContainerLaunchError),
+            on_retry=lambda _attempt, _exc: self._record_requeue(job),
+        )
 
     # ------------------------------------------------------------------ #
     # environment and command assembly

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.containers.docker import DockerRuntime
-from repro.containers.errors import ContainerLaunchError
 from repro.containers.volumes import VolumeMount
 from repro.galaxy.app import GalaxyApp, ToolExecutionResult
 from repro.galaxy.errors import GalaxyError
@@ -93,28 +92,17 @@ class DockerJobRunner(BaseJobRunner):
             def payload(container_env: dict[str, str]) -> ToolExecutionResult:
                 return launched.executor(launched.argv, launched.context)
 
-            # Transient daemon failures are retried under the runner's
-            # backoff policy; permanent ones (missing image, missing
-            # NVIDIA runtime) propagate to finish() and fail the job.
-            attempt = 1
-            while True:
-                try:
-                    result = runner.docker.run(
-                        image_reference=container.identifier,
-                        tool_command=launched.argv,
-                        payload=payload,
-                        volumes=runner.default_volumes(job),
-                        env=launched.context.environment,
-                        gpus=gpus,
-                    )
-                    break
-                except ContainerLaunchError:
-                    policy = runner.launch_retry
-                    if policy is None or attempt >= policy.max_attempts:
-                        raise
-                    runner._record_requeue(job)
-                    runner.app.node.clock.advance(policy.delay_for(attempt))
-                    attempt += 1
+            result = runner._run_container(
+                job,
+                lambda: runner.docker.run(
+                    image_reference=container.identifier,
+                    tool_command=launched.argv,
+                    payload=payload,
+                    volumes=runner.default_volumes(job),
+                    env=launched.context.environment,
+                    gpus=gpus,
+                ),
+            )
             launched.extra_overhead = result.pull_duration + result.launch_overhead
             execution: ToolExecutionResult = result.payload_result
             execution.breakdown.setdefault("container_launch", result.launch_overhead)

@@ -94,14 +94,17 @@ class SingularityJobRunner(BaseJobRunner):
             def payload(container_env: dict[str, str]) -> ToolExecutionResult:
                 return launched.executor(launched.argv, launched.context)
 
-            result = runner.singularity.run(
-                image_reference=container.identifier,
-                tool_command=launched.argv,
-                payload=payload,
-                volumes=runner.default_volumes(job),
-                env=launched.context.environment,
-                nv=nv,
-                include_bind_modes=include_modes,
+            result = runner._run_container(
+                job,
+                lambda: runner.singularity.run(
+                    image_reference=container.identifier,
+                    tool_command=launched.argv,
+                    payload=payload,
+                    volumes=runner.default_volumes(job),
+                    env=launched.context.environment,
+                    nv=nv,
+                    include_bind_modes=include_modes,
+                ),
             )
             launched.extra_overhead = result.launch_overhead
             execution: ToolExecutionResult = result.payload_result

@@ -74,11 +74,6 @@ class GPUArchitecture:
     pcie_effective_gbps: float = 12.0
 
     @property
-    def cores_per_sm(self) -> int:
-        """CUDA cores per streaming multiprocessor."""
-        return self.cuda_cores // self.sm_count
-
-    @property
     def peak_gflops(self) -> float:
         """Single-precision FMA peak in GFLOP/s at boost clock."""
         return 2.0 * self.cuda_cores * self.boost_clock_mhz / 1000.0

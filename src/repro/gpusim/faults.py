@@ -211,9 +211,11 @@ class InjectionPlan:
             data["workload"] = self.workload.to_dict()
         return data
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Serialise, stably ordered, for ``examples/configs`` files."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
+        from repro.observability.export import render_document
+
+        return render_document(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> InjectionPlan:

@@ -118,15 +118,3 @@ class FootprintRecorder:
 def recorder() -> FootprintRecorder | None:
     """The installed recorder, or ``None`` — the instrumentation guard."""
     return _RECORDER
-
-
-def note_read(key: str) -> None:
-    """Report a read of instrumented state (no-op when not recording)."""
-    if _RECORDER is not None:
-        _RECORDER.read(key)
-
-
-def note_write(key: str) -> None:
-    """Report a write of instrumented state (no-op when not recording)."""
-    if _RECORDER is not None:
-        _RECORDER.write(key)

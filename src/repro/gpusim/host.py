@@ -241,10 +241,6 @@ class GPUHost:
         except KeyError:
             raise ProcessError(f"unknown pid {pid}") from None
 
-    def live_processes(self) -> list[HostProcess]:
-        """All processes that have not been terminated."""
-        return [p for p in self._processes.values() if p.alive]
-
     # ------------------------------------------------------------------ #
     # aggregate telemetry
     # ------------------------------------------------------------------ #

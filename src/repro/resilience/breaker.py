@@ -1,10 +1,10 @@
 """Virtual-clock circuit breakers for NVML probes and runner launches.
 
 A breaker sits in front of a flaky dependency and stops hammering it
-once it has clearly failed: after ``failure_threshold`` consecutive
+once it has clearly failed: after :data:`FAILURE_THRESHOLD` consecutive
 failures the breaker *opens* and every call fails fast with
 :class:`BreakerOpenError` (no retry storm, no burned backoff budget).
-After ``reset_timeout_s`` virtual seconds it moves to *half-open* and
+After :data:`RESET_TIMEOUT_S` virtual seconds it moves to *half-open* and
 lets a single trial call through; success closes it again, failure
 re-opens it for another timeout.
 
@@ -21,6 +21,11 @@ from __future__ import annotations
 
 import enum
 from typing import Callable
+
+#: Consecutive failures that trip a breaker open.
+FAILURE_THRESHOLD = 3
+#: Virtual seconds a breaker stays open before allowing a half-open trial.
+RESET_TIMEOUT_S = 30.0
 
 
 class BreakerState(str, enum.Enum):
@@ -51,10 +56,6 @@ class CircuitBreaker:
     clock:
         Anything with a ``now`` attribute (the deployment's
         ``VirtualClock``).  Time only ever moves through it.
-    failure_threshold:
-        Consecutive failures that trip the breaker open.
-    reset_timeout_s:
-        Virtual seconds to stay open before allowing a half-open trial.
     on_transition:
         Optional ``fn(now, old_state, new_state)`` hook; the
         orchestrator uses it to bump metrics, emit tracer instants, and
@@ -66,19 +67,11 @@ class CircuitBreaker:
         self,
         clock,
         name: str,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 30.0,
         on_transition: Callable[[float, BreakerState, BreakerState], None]
         | None = None,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout_s <= 0:
-            raise ValueError("reset_timeout_s must be positive")
         self.clock = clock
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
         self.on_transition = on_transition
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
@@ -93,7 +86,7 @@ class CircuitBreaker:
         """Current state, advancing OPEN → HALF_OPEN lazily off the clock."""
         if (
             self._state is BreakerState.OPEN
-            and self.clock.now >= self._opened_at + self.reset_timeout_s
+            and self.clock.now >= self._opened_at + RESET_TIMEOUT_S
         ):
             self._transition(BreakerState.HALF_OPEN)
         return self._state
@@ -101,7 +94,7 @@ class CircuitBreaker:
     @property
     def retry_at(self) -> float:
         """Earliest virtual time a half-open trial will be allowed."""
-        return self._opened_at + self.reset_timeout_s
+        return self._opened_at + RESET_TIMEOUT_S
 
     def allows(self) -> bool:
         """Would a call be let through right now?"""
@@ -125,7 +118,7 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if (
             state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
+            and self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._open()
             return True

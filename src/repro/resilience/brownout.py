@@ -11,7 +11,7 @@ reclaimed first is the capacity that was doing the least good:
 rung behaviour
 ==== =====================================================
 0    normal operation — mapper decides freely
-1    low-benefit tools (speedup ≤ ``low_benefit_max``) lose
+1    low-benefit tools (speedup ≤ :data:`LOW_BENEFIT_MAX`) lose
      GPU mapping and run on CPU
 2    every non-pinned tool loses GPU mapping
 3    new low-benefit jobs are shed outright (typed
@@ -21,8 +21,8 @@ rung behaviour
 Escalation is hysteretic and fully deterministic on the virtual clock:
 the saturation signal (bounded-queue depth ÷ limit, fed by the
 :class:`~repro.resilience.overload.OverloadController`) must stay at or
-above ``saturation_threshold`` for ``sustain_s`` virtual seconds to
-climb one rung, and below it for ``recover_s`` to step back down —
+above :data:`SATURATION_THRESHOLD` for :data:`SUSTAIN_S` virtual seconds
+to climb one rung, and below it for :data:`RECOVER_S` to step back down —
 a single burst spike cannot flap the ladder.
 """
 
@@ -42,33 +42,21 @@ TOOL_GPU_BENEFIT: dict[str, float] = {
 #: Highest brownout rung.
 MAX_BROWNOUT_LEVEL = 3
 
-
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Knobs of the brownout ladder (all times in virtual seconds)."""
-
-    saturation_threshold: float = 0.8
-    sustain_s: float = 4.0
-    recover_s: float = 8.0
-    low_benefit_max: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.saturation_threshold <= 1.0:
-            raise ValueError("saturation_threshold must be in (0, 1]")
-        if self.sustain_s <= 0 or self.recover_s <= 0:
-            raise ValueError("sustain_s and recover_s must be positive")
-        if self.low_benefit_max < 1.0:
-            raise ValueError("low_benefit_max must be >= 1.0")
+#: Saturation (bounded-queue depth ÷ limit) at or above which the
+#: ladder counts a destination as saturated.
+SATURATION_THRESHOLD = 0.8
+#: Virtual seconds of sustained saturation that climb one rung.
+SUSTAIN_S = 4.0
+#: Virtual seconds of calm that step one rung back down.
+RECOVER_S = 8.0
+#: Tools whose GPU benefit is at most this are "low benefit".
+LOW_BENEFIT_MAX = 5.0
 
 
 @dataclass
 class BrownoutController:
     """Hysteretic load-shedding ladder driven by an external saturation signal."""
 
-    config: BrownoutConfig = field(default_factory=BrownoutConfig)
-    benefits: dict[str, float] = field(
-        default_factory=lambda: dict(TOOL_GPU_BENEFIT)
-    )
     level: int = 0
     #: (time, old_level, new_level) history for tests and observability.
     transitions: list[tuple[float, int, int]] = field(default_factory=list)
@@ -84,12 +72,12 @@ class BrownoutController:
         (saturation, now) samples, which the overload controller emits
         at admission/release points on the virtual clock.
         """
-        if saturation >= self.config.saturation_threshold:
+        if saturation >= SATURATION_THRESHOLD:
             self._calm_since = None
             if self._saturated_since is None:
                 self._saturated_since = now
             elif (
-                now - self._saturated_since >= self.config.sustain_s
+                now - self._saturated_since >= SUSTAIN_S
                 and self.level < MAX_BROWNOUT_LEVEL
             ):
                 self._set_level(self.level + 1, now)
@@ -99,7 +87,7 @@ class BrownoutController:
             if self._calm_since is None:
                 self._calm_since = now
             elif (
-                now - self._calm_since >= self.config.recover_s
+                now - self._calm_since >= RECOVER_S
                 and self.level > 0
             ):
                 self._set_level(self.level - 1, now)
@@ -109,10 +97,10 @@ class BrownoutController:
     # -- policy queries -----------------------------------------------
 
     def benefit(self, tool_id: str) -> float:
-        return self.benefits.get(tool_id, 1.0)
+        return TOOL_GPU_BENEFIT.get(tool_id, 1.0)
 
     def is_low_benefit(self, tool_id: str) -> bool:
-        return self.benefit(tool_id) <= self.config.low_benefit_max
+        return self.benefit(tool_id) <= LOW_BENEFIT_MAX
 
     def allows_gpu(self, tool_id: str) -> bool:
         """May this tool still be mapped to a GPU at the current rung?"""

@@ -8,8 +8,8 @@ job path consults:
   :class:`~repro.resilience.shedding.RejectedBusy` at the limit and
   :meth:`release` is idempotent per job, so a crashed launch can never
   leak a slot;
-* **deadline stamping and expiry checks** (``deadline_s`` param, or the
-  controller-wide default) on the virtual clock;
+* **deadline stamping and expiry checks** (``deadline_s`` param) on the
+  virtual clock;
 * **runtime budgets** (``runtime_budget_s`` param) that the runner's
   finish path uses to kill overlong jobs into the resubmit chain;
 * the **brownout ladder** — every admit/release feeds the saturation
@@ -77,57 +77,51 @@ class OverloadController:
     def __init__(
         self,
         clock,
-        metrics=None,
+        metrics,
+        brownout: BrownoutController,
         tracer=None,
-        brownout: BrownoutController | None = None,
-        default_deadline_s: float | None = None,
     ) -> None:
         self.clock = clock
         self.tracer = tracer
         self.brownout = brownout
-        self.default_deadline_s = default_deadline_s
         self._inflight: dict[str, int] = {}
         self._limit_cache: dict[str, int | None] = {}
         self._admitted: dict[int, str] = {}  # job_id -> destination_id
         self.peak_inflight: dict[str, int] = {}
         #: (job_id, tool_id, reason-value) in shed order.
         self.shed_records: list[tuple[int, str, str]] = []
-        self._c_shed = self._c_rejected = self._c_redirects = None
-        self._c_runtime_kills = self._c_breaker = None
-        self._g_inflight = self._g_brownout = None
-        if metrics is not None:
-            self._c_shed = metrics.counter(
-                "gyan_overload_shed_total",
-                "Jobs refused or dropped by the overload layer, by typed reason.",
-                labels=("reason",),
-            )
-            self._c_rejected = metrics.counter(
-                "gyan_overload_rejected_busy_total",
-                "Admission attempts bounced off a full destination queue.",
-                labels=("destination",),
-            )
-            self._c_redirects = metrics.counter(
-                "gyan_overload_redirects_total",
-                "Jobs re-routed along a degrade arm after REJECTED_BUSY.",
-            )
-            self._c_runtime_kills = metrics.counter(
-                "gyan_overload_runtime_kills_total",
-                "Running jobs killed past their destination runtime budget.",
-            )
-            self._c_breaker = metrics.counter(
-                "gyan_overload_breaker_transitions_total",
-                "Circuit-breaker state transitions.",
-                labels=("breaker", "to_state"),
-            )
-            self._g_inflight = metrics.gauge(
-                "gyan_overload_inflight",
-                "Jobs currently admitted to (and not released from) a destination.",
-                labels=("destination",),
-            )
-            self._g_brownout = metrics.gauge(
-                "gyan_overload_brownout_level",
-                "Current rung of the brownout degradation ladder.",
-            )
+        self._c_shed = metrics.counter(
+            "gyan_overload_shed_total",
+            "Jobs refused or dropped by the overload layer, by typed reason.",
+            labels=("reason",),
+        )
+        self._c_rejected = metrics.counter(
+            "gyan_overload_rejected_busy_total",
+            "Admission attempts bounced off a full destination queue.",
+            labels=("destination",),
+        )
+        self._c_redirects = metrics.counter(
+            "gyan_overload_redirects_total",
+            "Jobs re-routed along a degrade arm after REJECTED_BUSY.",
+        )
+        self._c_runtime_kills = metrics.counter(
+            "gyan_overload_runtime_kills_total",
+            "Running jobs killed past their destination runtime budget.",
+        )
+        self._c_breaker = metrics.counter(
+            "gyan_overload_breaker_transitions_total",
+            "Circuit-breaker state transitions.",
+            labels=("breaker", "to_state"),
+        )
+        self._g_inflight = metrics.gauge(
+            "gyan_overload_inflight",
+            "Jobs currently admitted to (and not released from) a destination.",
+            labels=("destination",),
+        )
+        self._g_brownout = metrics.gauge(
+            "gyan_overload_brownout_level",
+            "Current rung of the brownout degradation ladder.",
+        )
 
     # -- admission ------------------------------------------------------
 
@@ -142,10 +136,6 @@ class OverloadController:
                 worst = max(worst, self._inflight.get(dest_id, 0) / limit)
         return worst
 
-    def has_room(self, destination) -> bool:
-        limit = self._cached_limit(destination)
-        return limit is None or self.depth(destination.destination_id) < limit
-
     def admit(self, job, destination) -> None:
         """Admit one job to a destination or raise :class:`RejectedBusy`.
 
@@ -159,8 +149,7 @@ class OverloadController:
         limit = self._cached_limit(destination)
         depth = self.depth(dest_id)
         if limit is not None and depth >= limit:
-            if self._c_rejected is not None:
-                self._c_rejected.labels(destination=dest_id).inc()
+            self._c_rejected.labels(destination=dest_id).inc()
             self._observe_brownout()
             raise RejectedBusy(
                 dest_id, ShedReason.QUEUE_FULL, depth=depth, limit=limit
@@ -173,8 +162,7 @@ class OverloadController:
         self.peak_inflight[dest_id] = max(
             self.peak_inflight.get(dest_id, 0), depth + 1
         )
-        if self._g_inflight is not None:
-            self._g_inflight.labels(destination=dest_id).set(depth + 1)
+        self._g_inflight.labels(destination=dest_id).set(depth + 1)
         self._observe_brownout()
 
     def release(self, job) -> None:
@@ -184,8 +172,7 @@ class OverloadController:
             return
         remaining = max(0, self._inflight.get(dest_id, 0) - 1)
         self._inflight[dest_id] = remaining
-        if self._g_inflight is not None:
-            self._g_inflight.labels(destination=dest_id).set(remaining)
+        self._g_inflight.labels(destination=dest_id).set(remaining)
         self._observe_brownout()
 
     def admitted_destination(self, job) -> str | None:
@@ -203,8 +190,6 @@ class OverloadController:
         """Absolute deadline for a job submitted at ``submitted_at``."""
         window = destination_deadline_s(destination)
         if window is None:
-            window = self.default_deadline_s
-        if window is None:
             return None
         return submitted_at + window
 
@@ -218,12 +203,10 @@ class OverloadController:
         return destination_runtime_budget_s(destination)
 
     def record_runtime_kill(self) -> None:
-        if self._c_runtime_kills is not None:
-            self._c_runtime_kills.inc()
+        self._c_runtime_kills.inc()
 
     def record_redirect(self) -> None:
-        if self._c_redirects is not None:
-            self._c_redirects.inc()
+        self._c_redirects.inc()
 
     # -- shedding -------------------------------------------------------
 
@@ -239,8 +222,7 @@ class OverloadController:
             message += f" ({note})"
         job.stderr += message if not job.stderr else "\n" + message
         self.shed_records.append((job.job_id, job.tool.tool_id, reason.value))
-        if self._c_shed is not None:
-            self._c_shed.labels(reason=reason.value).inc()
+        self._c_shed.labels(reason=reason.value).inc()
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant(
                 "shed", "job", job_id=job.job_id, reason=reason.value
@@ -260,22 +242,15 @@ class OverloadController:
     # -- brownout + breakers -------------------------------------------
 
     def should_shed(self, tool_id: str) -> bool:
-        return self.brownout is not None and self.brownout.should_shed(tool_id)
-
-    def allows_gpu(self, tool_id: str) -> bool:
-        return self.brownout is None or self.brownout.allows_gpu(tool_id)
+        return self.brownout.should_shed(tool_id)
 
     def _observe_brownout(self) -> None:
-        if self.brownout is None:
-            return
         level = self.brownout.observe(self.saturation(), self.clock.now)
-        if self._g_brownout is not None:
-            self._g_brownout.set(level)
+        self._g_brownout.set(level)
 
     def record_breaker_transition(self, name: str, now: float, new_state) -> None:
         """Metrics/trace hook the orchestrator wires into each breaker."""
-        if self._c_breaker is not None:
-            self._c_breaker.labels(breaker=name, to_state=str(new_state)).inc()
+        self._c_breaker.labels(breaker=name, to_state=str(new_state)).inc()
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant(
                 "breaker", "runner", breaker=name, state=str(new_state)

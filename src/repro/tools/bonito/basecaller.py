@@ -291,73 +291,3 @@ class Basecaller:
             if read.true_sequence:
                 result.identities.append(identity(record.sequence, read.true_sequence))
         return result
-
-    def basecall_batched(self, reads: list[SignalRead]) -> BasecallResult:
-        """Basecall many reads with ONE template-matching GEMM.
-
-        This is how the real Bonito keeps its GPU busy: chunks from many
-        reads stack into large matrix multiplies (the Fig. 6 GEMM
-        hotspot), amortising launch overhead.  Per-read segmentation and
-        Viterbi decoding are unchanged, so the outputs are identical to
-        :meth:`basecall` — only the device call pattern differs (one
-        large ``sgemm`` instead of one per read).
-        """
-        result = BasecallResult()
-        smoothed_per_read: list[np.ndarray] = []
-        events_per_read: list[list[tuple[int, int]]] = []
-        means_chunks: list[np.ndarray] = []
-        conv_flops_total = 0
-        for read in reads:
-            smoothed_matrix, conv_flops = self.smoother.forward(read.signal)
-            conv_flops_total += conv_flops
-            smoothed = smoothed_matrix[:, 0] if smoothed_matrix.size else np.empty(0)
-            smoothed_per_read.append(smoothed)
-            events = self.segment(smoothed)
-            events_per_read.append(events)
-            if events:
-                means_chunks.append(
-                    np.array(
-                        [
-                            smoothed[
-                                min(s + STEP_LAG, e - 1) : max(e - STEP_LAG, s + 1)
-                            ].mean()
-                            if e - s > 2 * STEP_LAG
-                            else smoothed[s:e].mean()
-                            for s, e in events
-                        ],
-                        dtype=np.float32,
-                    )
-                )
-            else:
-                means_chunks.append(np.empty(0, dtype=np.float32))
-            result.total_samples += len(read)
-            result.total_events += len(events)
-
-        all_means = (
-            np.concatenate(means_chunks) if means_chunks else np.empty(0, np.float32)
-        )
-        if all_means.size:
-            scores, gemm_flops = self.scorer.score(all_means)
-            self._charge_gemm(
-                "sgemm_template_match",
-                gemm_flops,
-                in_bytes=all_means.nbytes * 3,
-                out_bytes=scores.nbytes,
-            )
-        else:
-            scores, gemm_flops = np.empty((0, self.pore.n_kmers)), 0
-        result.total_flops = conv_flops_total + gemm_flops
-
-        offset = 0
-        for read, means in zip(reads, means_chunks, strict=True):
-            count = means.shape[0]
-            read_scores = scores[offset : offset + count]
-            offset += count
-            kmer_ids = self._viterbi(read_scores) if count else np.empty(0, np.int64)
-            record = SeqRecord(name=read.read_id, sequence=self._emit(kmer_ids))
-            result.records.append(record)
-            if read.true_sequence:
-                result.identities.append(
-                    identity(record.sequence, read.true_sequence)
-                )
-        return result

@@ -146,14 +146,6 @@ class ReplayResult:
         """GPU jobs spread over more than one device."""
         return sum(1 for j in self.gpu_jobs if j.spread > 1)
 
-    def mean_colocation(self) -> float:
-        """Average of max concurrent processes across devices."""
-        if not self.max_concurrent_per_gpu:
-            return 0.0
-        return sum(self.max_concurrent_per_gpu.values()) / len(
-            self.max_concurrent_per_gpu
-        )
-
     def mean_completion_time(self) -> float:
         """Mean arrival-to-finish latency of the GPU jobs."""
         gpu_jobs = self.gpu_jobs

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.gpu_usage import GpuUsageSnapshot
 from repro.core.health import DeviceHealthTracker
 
@@ -18,13 +16,13 @@ def _kinds(tracker, device_id=None):
 
 class TestThresholdQuarantine:
     def test_below_threshold_stays_healthy(self):
-        tracker = DeviceHealthTracker(error_threshold=3)
+        tracker = DeviceHealthTracker()
         assert tracker.record_error("0", now=1.0) is False
         assert tracker.record_error("0", now=2.0) is False
         assert not tracker.is_quarantined("0", now=3.0)
 
     def test_threshold_quarantines(self):
-        tracker = DeviceHealthTracker(error_threshold=3)
+        tracker = DeviceHealthTracker()
         tracker.record_error("0", now=1.0)
         tracker.record_error("0", now=2.0)
         assert tracker.record_error("0", now=3.0) is True
@@ -32,14 +30,15 @@ class TestThresholdQuarantine:
         assert "quarantine" in _kinds(tracker, "0")
 
     def test_errors_count_per_device(self):
-        tracker = DeviceHealthTracker(error_threshold=2)
+        tracker = DeviceHealthTracker()
         tracker.record_error("0", now=1.0)
+        tracker.record_error("0", now=1.2)
         tracker.record_error("1", now=1.5)
         assert not tracker.is_quarantined("0", now=2.0)
         assert not tracker.is_quarantined("1", now=2.0)
 
     def test_window_expiry_forgets_old_errors(self):
-        tracker = DeviceHealthTracker(error_threshold=3, window_s=60.0)
+        tracker = DeviceHealthTracker()  # three errors within 60 s
         tracker.record_error("0", now=0.0)
         tracker.record_error("0", now=1.0)
         # The first two errors age out before the next pair arrives.
@@ -48,15 +47,16 @@ class TestThresholdQuarantine:
         assert not tracker.is_quarantined("0", now=101.0)
 
     def test_int_device_ids_are_normalised(self):
-        tracker = DeviceHealthTracker(error_threshold=1)
-        tracker.record_error(0, now=1.0)
+        tracker = DeviceHealthTracker()
+        for now in (1.0, 1.0, 1.0):
+            tracker.record_error(0, now=now)
         assert tracker.is_quarantined("0", now=1.0)
         assert tracker.is_quarantined(0, now=1.0)
 
 
 class TestDeviceLost:
     def test_quarantines_immediately(self):
-        tracker = DeviceHealthTracker(error_threshold=3)
+        tracker = DeviceHealthTracker()
         tracker.record_device_lost("1", now=5.0, note="XID 79")
         assert tracker.is_quarantined("1", now=5.0)
         assert _kinds(tracker, "1") == ["device_lost", "quarantine"]
@@ -64,14 +64,14 @@ class TestDeviceLost:
 
 class TestCooldown:
     def test_readmit_after_cooldown(self):
-        tracker = DeviceHealthTracker(cooldown_s=120.0)
+        tracker = DeviceHealthTracker()  # 120 s cool-down
         tracker.record_device_lost("0", now=10.0)
         assert tracker.is_quarantined("0", now=129.9)
         assert not tracker.is_quarantined("0", now=130.0)
         assert "readmit" in _kinds(tracker, "0")
 
     def test_errors_while_quarantined_renew_cooldown(self):
-        tracker = DeviceHealthTracker(error_threshold=3, cooldown_s=120.0)
+        tracker = DeviceHealthTracker()
         tracker.record_device_lost("0", now=0.0)
         # A single error at t=100 renews the sentence to t=220.
         assert tracker.record_error("0", now=100.0) is False  # already in
@@ -80,22 +80,11 @@ class TestCooldown:
         assert not tracker.is_quarantined("0", now=220.0)
 
     def test_readmit_is_lazy_and_recorded_once(self):
-        tracker = DeviceHealthTracker(cooldown_s=10.0)
+        tracker = DeviceHealthTracker()
         tracker.record_device_lost("0", now=0.0)
-        assert not tracker.is_quarantined("0", now=50.0)
-        assert not tracker.is_quarantined("0", now=51.0)
+        assert not tracker.is_quarantined("0", now=150.0)
+        assert not tracker.is_quarantined("0", now=151.0)
         assert _kinds(tracker, "0").count("readmit") == 1
-
-
-class TestValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"error_threshold": 0},
-        {"window_s": 0.0},
-        {"cooldown_s": -1.0},
-    ])
-    def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DeviceHealthTracker(**kwargs)
 
 
 class TestSnapshotFiltering:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.core.allocation import MemoryAllocationStrategy, PidAllocationStrategy
 from repro.galaxy.errors import JobConfError
@@ -17,7 +18,7 @@ class TestBuildDeployment:
         assert set(deployment.app.runners) == {"local", "docker", "singularity"}
 
     def test_monitor_optional(self):
-        assert build_deployment(with_monitor=False).monitor is None
+        assert build_deployment(node=ComputeNode.cpu_only()).monitor is None
 
     def test_monitor_attached_to_runners(self, deployment):
         assert deployment.local_runner.usage_monitor is deployment.monitor

@@ -1,6 +1,9 @@
 """Failure injection across the stack: every error path exercised."""
 
+import pytest
+
 from repro.core.orchestrator import build_deployment
+from repro.core.retry import DEFAULT_LAUNCH_RETRY
 from repro.galaxy.job import JobState
 from repro.tools.executors import register_paper_tools
 
@@ -40,6 +43,46 @@ class TestContainerFailures:
         deployment.route_tool_to("racon", "docker_dynamic")
         deployment.run_tool("racon", {"workload": "unit"})
         assert all(d.is_idle for d in deployment.gpu_host.devices)
+
+
+def _container_run(runtime: str, failures: int):
+    """racon pinned to ``<runtime>_gpu`` on a resilient deployment whose
+    container daemon drops the next ``failures`` launches."""
+    deployment = build_deployment(resilient=True)
+    register_paper_tools(deployment.app)
+    deployment.route_tool_to("racon", f"{runtime}_gpu")
+    if failures:
+        deployment.gpu_host.faults.inject_container_failure(
+            "Error response from daemon: connection reset", count=failures
+        )
+    job = deployment.run_tool("racon", {"workload": "unit"})
+    runner = getattr(deployment, f"{runtime}_runner")
+    return job, runner.requeues, deployment.clock.now
+
+
+@pytest.mark.parametrize("runtime", ["docker", "singularity"])
+class TestContainerLaunchRetry:
+    """Both container runners requeue a daemon hiccup on the GPU arm."""
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_fewer_failures_than_attempts_stay_on_the_gpu(self, runtime, failures):
+        assert failures < DEFAULT_LAUNCH_RETRY.max_attempts
+        _, _, clean_end = _container_run(runtime, 0)
+        job, requeues, end = _container_run(runtime, failures)
+        assert job.state is JobState.OK
+        assert job.metrics.destination_id == f"{runtime}_gpu"
+        assert job.metrics.resubmit_chain == []
+        assert requeues == failures
+        backoff = sum(DEFAULT_LAUNCH_RETRY.schedule()[:failures])
+        assert end - clean_end == pytest.approx(backoff)
+
+    def test_spent_budget_resubmits_to_the_cpu_fallback(self, runtime):
+        failures = DEFAULT_LAUNCH_RETRY.max_attempts
+        job, requeues, _ = _container_run(runtime, failures)
+        assert job.state is JobState.OK
+        assert job.metrics.destination_id == f"{runtime}_cpu_fallback"
+        assert len(job.metrics.resubmit_chain) == 2
+        assert requeues == failures - 1
 
 
 class TestDeviceFailures:

@@ -5,7 +5,6 @@ import pytest
 from repro.resilience.brownout import (
     MAX_BROWNOUT_LEVEL,
     TOOL_GPU_BENEFIT,
-    BrownoutConfig,
     BrownoutController,
 )
 
@@ -51,7 +50,7 @@ class TestLadder:
 
     def test_recovery_is_slower_than_escalation(self, brownout):
         saturate(brownout, 0.0, 4.0)
-        # 4 calm seconds are not enough to step down (recover_s=8).
+        # 4 calm seconds are not enough to step down (RECOVER_S=8).
         assert saturate(brownout, 10.0, 4.0, saturation=0.0) == 1
 
     def test_transitions_recorded(self, brownout):
@@ -88,15 +87,3 @@ class TestPolicy:
         saturate(brownout, 0.0, 20.0)
         assert brownout.should_shed("mystery_tool")
 
-
-class TestConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"saturation_threshold": 0.0},
-        {"saturation_threshold": 1.5},
-        {"sustain_s": 0.0},
-        {"recover_s": -1.0},
-        {"low_benefit_max": 0.5},
-    ])
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            BrownoutConfig(**kwargs)

@@ -7,6 +7,7 @@ from repro.galaxy.tool_xml import parse_tool_xml
 from repro.galaxy.job import GalaxyJob, JobState
 from repro.gpusim.clock import VirtualClock
 from repro.observability.metrics import MetricsRegistry
+from repro.resilience.brownout import BrownoutController
 from repro.resilience.overload import (
     OverloadController,
     destination_deadline_s,
@@ -39,7 +40,7 @@ def clock():
 
 @pytest.fixture
 def controller(clock):
-    return OverloadController(clock)
+    return OverloadController(clock, MetricsRegistry(), BrownoutController())
 
 
 class TestParamParsing:
@@ -116,11 +117,9 @@ class TestAdmission:
 
 
 class TestDeadlines:
-    def test_destination_deadline_wins_over_default(self, clock):
-        controller = OverloadController(clock, default_deadline_s=10.0)
+    def test_destination_deadline_counts_from_submission(self, controller):
         dest = make_destination(deadline_s=120)
         assert controller.deadline_for(dest, 5.0) == pytest.approx(125.0)
-        assert controller.deadline_for(make_destination(), 5.0) == pytest.approx(15.0)
 
     def test_no_deadline_anywhere(self, controller):
         assert controller.deadline_for(make_destination(), 5.0) is None
@@ -172,7 +171,7 @@ class TestShedding:
 class TestMetrics:
     def test_counters_and_gauges_flow(self, clock):
         registry = MetricsRegistry()
-        controller = OverloadController(clock, metrics=registry)
+        controller = OverloadController(clock, registry, BrownoutController())
         dest = make_destination(max_queue_depth=1)
         controller.admit(make_job(1), dest)
         with pytest.raises(RejectedBusy):

@@ -100,30 +100,3 @@ class TestGpuPath:
         assert "cudnn_conv1d_fwd" in names
         assert host.clock.now > 0
 
-
-class TestBatchedBasecalling:
-    def test_batched_output_identical_to_per_read(self, pore_model, squiggle_reads):
-        caller = Basecaller(pore_model)
-        per_read = caller.basecall(list(squiggle_reads))
-        batched = caller.basecall_batched(list(squiggle_reads))
-        assert [r.sequence for r in batched.records] == [
-            r.sequence for r in per_read.records
-        ]
-        assert batched.total_events == per_read.total_events
-        assert batched.mean_identity == pytest.approx(per_read.mean_identity)
-
-    def test_batched_issues_single_gemm(self, pore_model, squiggle_reads, host):
-        profiler = CudaProfiler()
-        timing = KernelTimingModel(host, host.device(0), profiler=profiler)
-        Basecaller(pore_model, timing=timing).basecall_batched(list(squiggle_reads))
-        gemms = [r for r in profiler.records if r.name == "sgemm_template_match"]
-        assert len(gemms) == 1  # vs one per read in the per-read path
-
-    def test_batched_handles_empty_and_tiny_reads(self, pore_model):
-        reads = [
-            SignalRead(read_id="empty", signal=np.empty(0, dtype=np.float32)),
-            SignalRead(read_id="tiny", signal=np.full(3, 80.0, dtype=np.float32)),
-        ]
-        result = Basecaller(pore_model).basecall_batched(reads)
-        assert result.records[0].sequence == ""
-        assert len(result.records[1].sequence) == 1
