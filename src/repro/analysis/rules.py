@@ -343,12 +343,13 @@ VER502 = _rule(
     "they are the wide end of the funnel where shedding is by design.",
 )
 VER503 = _rule(
-    "VER503", "deadline shorter than the launch retry budget",
+    "VER503", "deadline shorter than the NVML retry budget",
     Severity.ERROR, "verifier",
     "A destination's deadline_s is not longer than the total backoff the "
-    "launch retry policy can spend: a job whose first launch attempt "
-    "hits a transient fault is guaranteed to expire mid-retry, so the "
-    "retry budget is wasted work that always ends in a deadline shed.",
+    "dynamic rule's NVML probe can spend before launch: a job whose "
+    "probe keeps hitting transient faults is guaranteed to expire "
+    "before it reaches the runner, so the retry budget is wasted work "
+    "that always ends in a deadline shed.",
 )
 VER504 = _rule(
     "VER504", "autoscaler max pool can never clear the declared peak",

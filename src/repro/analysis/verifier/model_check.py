@@ -2,7 +2,8 @@
 
 The verifier's last pass does not re-model anything: it *runs* the real
 deployment — mapper, :class:`~repro.core.health.DeviceHealthTracker`,
-launch retries, resubmit chains — under every bounded fault schedule and
+container-launch retries, resubmit chains — under every bounded fault
+schedule and
 checks the outcomes against three liveness properties:
 
 * VER401 **resubmit livelock** — a failed job's resubmit chain revisits
@@ -47,7 +48,8 @@ MAX_FAULTS = 4
 CHECK_TOOLS = ("racon", "bonito")
 
 #: Container failures queued by one "outage" action: enough to exhaust
-#: the launch-retry budget (3 attempts) on every hop of a maximal chain.
+#: ``_run_container``'s retry budget (3 attempts) on every hop of a
+#: maximal chain.
 _OUTAGE_COUNT = 12
 
 

@@ -20,11 +20,12 @@ Three checks, all static over the :class:`DeploymentIR`:
   degrading to a CPU arm.  CPU-pinned destinations
   (``gpu_enabled_override`` false) are exempt — they are the wide end
   of the degradation funnel, where shedding is the designed outcome.
-* VER503 — a ``deadline_s`` that is not longer than the launch retry
-  policy's total backoff (:data:`DEFAULT_LAUNCH_RETRY`): any job whose
-  first launch attempt hits a transient fault is guaranteed to expire
-  before its retries can finish, so the declared deadline silently
-  cancels the retry budget.
+* VER503 — a ``deadline_s`` that is not longer than the total backoff
+  of the dynamic rule's NVML probe (:data:`DEFAULT_NVML_RETRY`), the one
+  retry between submission and the runner's deadline check: any job
+  whose mapping probe hits transient faults until the budget is spent
+  has expired before it reaches the runner, so the declared deadline
+  silently cancels the retry budget.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from repro.analysis import rules as R
 from repro.analysis.config_rules import ConfigContext
 from repro.analysis.findings import Finding
 from repro.analysis.verifier.ir import DeploymentIR, DestinationNode
-from repro.core.retry import DEFAULT_LAUNCH_RETRY
+from repro.core.retry import DEFAULT_NVML_RETRY
 
 
-def launch_retry_budget_s() -> float:
-    """Total virtual seconds the default launch retry policy can wait."""
-    return sum(DEFAULT_LAUNCH_RETRY.schedule())
+def nvml_retry_budget_s() -> float:
+    """Total virtual seconds the map-time NVML retry policy can wait."""
+    return sum(DEFAULT_NVML_RETRY.schedule())
 
 
 def _concrete(ir: DeploymentIR) -> list[DestinationNode]:
@@ -97,9 +98,9 @@ def analyze_overload(ir: DeploymentIR, ctx: ConfigContext) -> list[Finding]:
                 )
             )
 
-    # VER503: deadlines shorter than the launch retry budget guarantee a
-    # deadline shed for any job that ever needed a retry.
-    budget = launch_retry_budget_s()
+    # VER503: deadlines shorter than the map-time NVML retry budget
+    # guarantee a deadline shed for any job whose probe used it all.
+    budget = nvml_retry_budget_s()
     for node in concrete:
         deadline = node.destination.deadline_s
         if deadline is None or deadline > budget:
@@ -108,9 +109,10 @@ def analyze_overload(ir: DeploymentIR, ctx: ConfigContext) -> list[Finding]:
             R.VER503.finding(
                 f"destination {node.destination_id!r} declares "
                 f"deadline_s={deadline:g}, not longer than the "
-                f"{budget:g}s the launch retry policy can spend backing "
-                "off: a job whose first launch hits a transient fault "
-                "always expires mid-retry",
+                f"{budget:g}s the dynamic rule's NVML retry policy can "
+                "spend backing off before launch: a job whose mapping "
+                "probe keeps hitting transient faults expires before it "
+                "reaches the runner",
                 node.span.path,
                 node.span.line,
                 suggestion=f"raise deadline_s above {budget:g} or shrink "

@@ -15,7 +15,7 @@ thousand nodes) use the columnar simulation tier in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.node import ComputeNode
 from repro.containers.docker import DockerRuntime
@@ -140,7 +140,8 @@ GYAN_RESILIENT_JOB_CONF_XML = """\
 #: edges instead of growing queues without bound.  The CPU fallbacks are
 #: the wide end of the funnel — an order of magnitude more headroom —
 #: and are the only place jobs shed with ``queue_full``.  Deadlines stay
-#: comfortably above the launch-retry budget (gyan-verify VER503).
+#: comfortably above the dynamic rule's NVML retry budget, the only
+#: backoff between submission and launch (gyan-verify VER503).
 GYAN_OVERLOAD_JOB_CONF_XML = """\
 <job_conf>
     <plugins>
@@ -239,9 +240,6 @@ class GyanDeployment:
     brownout: BrownoutController | None = None
     #: Circuit breaker in front of the mapper's NVML probes.
     nvml_breaker: CircuitBreaker | None = None
-    #: Circuit breakers in front of each runner's launch path, by runner
-    #: name (empty without ``overload``).
-    launch_breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
 
     @property
     def metrics_registry(self) -> MetricsRegistry:
@@ -321,9 +319,10 @@ def build_deployment(
     resilient:
         Wire the degradation layer: a :class:`DeviceHealthTracker` that
         quarantines flaky devices, bounded NVML-query retries in the
-        mapper, launch-retry requeues in every runner, and the
-        resubmit-enabled job configuration.  Off by default so the stock
-        (fragile) behaviour stays reproducible for chaos comparisons.
+        mapper, container-launch retries in the Docker and Singularity
+        runners, and the resubmit-enabled job configuration.  Off by
+        default so the stock (fragile) behaviour stays reproducible for
+        chaos comparisons.
     max_resubmit_hops:
         Bound on a job's resubmit chain; defaults to
         :attr:`GalaxyApp.DEFAULT_MAX_RESUBMIT_HOPS`.
@@ -338,10 +337,9 @@ def build_deployment(
         per-destination ``max_queue_depth`` bounds (REJECTED_BUSY
         degrades along resubmit arms), virtual-clock deadlines and
         runtime budgets, a :class:`BrownoutController` that sheds GPU
-        mapping for low-benefit tools under sustained saturation, and
-        circuit breakers in front of the NVML probe and every runner's
-        launch path.  Defaults the job configuration to
-        :data:`GYAN_OVERLOAD_JOB_CONF_XML`.
+        mapping for low-benefit tools under sustained saturation, and a
+        circuit breaker in front of the NVML probe.  Defaults the job
+        configuration to :data:`GYAN_OVERLOAD_JOB_CONF_XML`.
     """
     node = node or ComputeNode.paper_testbed()
     if overload:
@@ -372,7 +370,6 @@ def build_deployment(
     overload_controller: OverloadController | None = None
     brownout_controller: BrownoutController | None = None
     nvml_breaker: CircuitBreaker | None = None
-    launch_breakers: dict[str, CircuitBreaker] = {}
     if overload:
         brownout_controller = BrownoutController()
         overload_controller = OverloadController(
@@ -383,37 +380,23 @@ def build_deployment(
         )
         app.overload = overload_controller
 
-        def _breaker_hook(name: str):
-            # Breaker trips land in three places: the overload metrics
-            # (counter + tracer instant), and — when a tracker is wired —
-            # the device-health event log, so an open breaker reads like
-            # a quarantined pseudo-device in post-mortems.
-            def hook(
-                now: float, old: BreakerState, new: BreakerState
-            ) -> None:
-                assert overload_controller is not None
-                overload_controller.record_breaker_transition(name, now, new)
-                if health_tracker is not None:
-                    health_tracker.events.append(
-                        HealthEvent(
-                            now,
-                            f"breaker:{name}",
-                            f"breaker_{new.value}",
-                            f"circuit breaker {name} -> {new.value}",
-                        )
-                    )
-
-            return hook
-
-        nvml_breaker = CircuitBreaker(
-            node.clock, "nvml", on_transition=_breaker_hook("nvml")
-        )
-        for runner_name in ("local", "docker", "singularity"):
-            launch_breakers[runner_name] = CircuitBreaker(
-                node.clock,
-                f"launch:{runner_name}",
-                on_transition=_breaker_hook(f"launch:{runner_name}"),
+        def on_breaker(now: float, old: BreakerState, new: BreakerState) -> None:
+            # A trip lands in the overload metrics (counter + tracer
+            # instant) and the device-health event log, so an open
+            # breaker reads like a quarantined pseudo-device in
+            # post-mortems.
+            assert overload_controller is not None and health_tracker is not None
+            overload_controller.record_breaker_transition("nvml", now, new)
+            health_tracker.events.append(
+                HealthEvent(
+                    now,
+                    "breaker:nvml",
+                    f"breaker_{new.value}",
+                    f"circuit breaker nvml -> {new.value}",
+                )
             )
+
+        nvml_breaker = CircuitBreaker(node.clock, "nvml", on_transition=on_breaker)
 
     mapper = GpuComputationMapper(
         host=node.gpu_host,
@@ -447,7 +430,6 @@ def build_deployment(
         gpu_mapper=mapper,
         usage_monitor=monitor,
         launch_retry=launch_retry,
-        launch_breaker=launch_breakers.get("local"),
     )
     docker_runner = DockerJobRunner(
         app,
@@ -456,7 +438,6 @@ def build_deployment(
         gpu_flag_provider=docker_gpu_flag_provider,
         usage_monitor=monitor,
         launch_retry=launch_retry,
-        launch_breaker=launch_breakers.get("docker"),
     )
     singularity_runner = SingularityJobRunner(
         app,
@@ -465,7 +446,6 @@ def build_deployment(
         nv_flag_provider=singularity_nv_provider,
         usage_monitor=monitor,
         launch_retry=launch_retry,
-        launch_breaker=launch_breakers.get("singularity"),
     )
     app.register_runner("local", local_runner)
     app.register_runner("docker", docker_runner)
@@ -504,5 +484,4 @@ def build_deployment(
         overload=overload_controller,
         brownout=brownout_controller,
         nvml_breaker=nvml_breaker,
-        launch_breakers=launch_breakers,
     )

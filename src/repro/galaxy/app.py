@@ -16,7 +16,7 @@ simulated hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.cluster.node import ComputeNode
 from repro.galaxy.errors import ExecutorNotFoundError, JobConfError, ToolNotFoundError
@@ -27,6 +27,8 @@ from repro.galaxy.tool_xml import ToolDefinition
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER
 from repro.resilience.shedding import RejectedBusy, ShedReason
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -286,26 +288,32 @@ class GalaxyApp:
                     gid, now, note=f"job {job.job_id} failed on GPU {gid}"
                 )
 
-    def _queue_with_degrade(self, job: GalaxyJob, destination: Destination):
-        """Queue a job, degrading along resubmit arms on REJECTED_BUSY.
+    def place_with_degrade(
+        self,
+        job: GalaxyJob,
+        destination: Destination,
+        place: Callable[[Any, Destination], T],
+    ) -> tuple[Destination, T] | None:
+        """Place a job on a destination, degrading along its resubmit arms.
 
-        A bounded destination at its ``max_queue_depth`` bounces the
-        admission check with :class:`RejectedBusy` *before* the job
-        leaves NEW — so instead of crashing the submit path, the job is
-        redirected down the destination's ``resubmit_destination`` chain
-        (the same arms that catch runtime failures double as degrade
-        routes under load).  When every arm is full the job is shed with
-        a typed ``queue_full`` reason.
+        ``place(runner, target)`` is the caller's admission step —
+        ``queue_job`` for :meth:`run_job`, ``launch`` for the storm
+        driver.  A bounded destination at its ``max_queue_depth``
+        bounces it with :class:`RejectedBusy` *before* the job leaves
+        NEW, so the job is redirected down the destination's
+        ``resubmit_destination`` chain (the same arms that catch runtime
+        failures double as degrade routes under load), at most
+        :attr:`max_resubmit_hops` times.
 
-        Returns the destination that accepted the job, or None when the
-        job was shed.
+        Returns the accepting destination and ``place``'s result, or
+        None when every arm is full; shedding or waiting is then the
+        caller's decision.
         """
         target = destination
         seen = {target.destination_id}
         while True:
             try:
-                self.runner_for(target).queue_job(job, target)
-                return target
+                return target, place(self.runner_for(target), target)
             except RejectedBusy:
                 next_id = target.resubmit_destination
                 if (
@@ -313,25 +321,33 @@ class GalaxyApp:
                     or next_id in seen
                     or len(seen) > self.max_resubmit_hops
                 ):
-                    if self.overload is None:  # pragma: no cover - defensive
-                        raise
-                    self.overload.shed(
-                        job,
-                        ShedReason.QUEUE_FULL,
-                        note=f"all arms full from {destination.destination_id}",
-                    )
                     return None
                 target = self.job_config.destination(next_id)
-                seen.add(target.destination_id)
-                if self.overload is not None:
-                    self.overload.record_redirect()
+                seen.add(next_id)
+                self.overload.record_redirect()
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "overload.redirect",
                         "job",
                         job_id=job.job_id,
-                        destination=target.destination_id,
+                        destination=next_id,
                     )
+
+    def _queue_with_degrade(
+        self, job: GalaxyJob, destination: Destination
+    ) -> Destination | None:
+        """Queue a job along its degrade arms; None if shed ``queue_full``."""
+        placed = self.place_with_degrade(
+            job, destination, lambda runner, target: runner.queue_job(job, target)
+        )
+        if placed is None:
+            self.overload.shed(
+                job,
+                ShedReason.QUEUE_FULL,
+                note=f"all arms full from {destination.destination_id}",
+            )
+            return None
+        return placed[0]
 
     def run_job(self, job: GalaxyJob) -> GalaxyJob:
         """Steps 2-4: map, execute, collect.  Synchronous.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Protocol, TypeVar
 
 from repro.containers.errors import ContainerLaunchError
-from repro.core.retry import retry_call
+from repro.core.retry import is_transient_nvml_error, retry_call
 from repro.galaxy.app import (
     GalaxyApp,
     ToolExecutionContext,
@@ -25,25 +25,8 @@ from repro.galaxy.errors import GalaxyError
 from repro.galaxy.job import GalaxyJob, JobState
 from repro.galaxy.job_conf import Destination, parse_bool_param
 from repro.galaxy.params import GPU_ENABLED_ENV_VAR, build_param_dict
-from repro.gpusim.errors import NVMLError
 
 T = TypeVar("T")
-
-
-def is_transient_launch_error(exc: BaseException) -> bool:
-    """Launch failures a backed-off requeue can reasonably outlive.
-
-    Transient NVML codes, ``nvidia-smi`` query failures and container
-    daemon hiccups qualify; tool bugs, OOMs and configuration errors do
-    not.
-    """
-    if isinstance(exc, ContainerLaunchError):
-        return True
-    if isinstance(exc, NVMLError):
-        return exc.transient
-    if isinstance(exc, RuntimeError):
-        return "nvidia-smi failed" in str(exc)
-    return False
 
 
 class GpuMapper(Protocol):
@@ -93,20 +76,9 @@ class BaseJobRunner:
     usage_monitor:
         Optional §V-C monitor started/stopped around each tool.
     launch_retry:
-        Optional :class:`~repro.core.retry.BackoffPolicy` (duck-typed:
-        anything with ``max_attempts`` / ``delay_for``).  When set, a
-        transient launch failure requeues the job (the QUEUED -> QUEUED
-        edge) after a virtual-clock backoff instead of failing it; the
-        budget exhausted, the job fails with the last error.  Without a
-        policy the first transient error fails the job immediately —
-        the pre-resilience behaviour.
-    launch_breaker:
-        Optional :class:`~repro.resilience.breaker.CircuitBreaker`
-        around the launch path.  Transient launch failures feed it;
-        while open, :meth:`queue_job` fails jobs fast with a typed
-        "breaker open" error (which the app's resubmit chain routes to
-        a degrade arm) instead of burning the whole retry budget
-        against a dependency that is clearly down.
+        Optional :class:`~repro.core.retry.BackoffPolicy` for container
+        daemon hiccups (see :meth:`_run_container`).  Without one the
+        first hiccup fails the job — the pre-resilience behaviour.
     """
 
     runner_name = "base"
@@ -117,13 +89,11 @@ class BaseJobRunner:
         gpu_mapper: GpuMapper | None = None,
         usage_monitor: UsageMonitor | None = None,
         launch_retry: Any = None,
-        launch_breaker: Any = None,
     ) -> None:
         self.app = app
         self.gpu_mapper = gpu_mapper
         self.usage_monitor = usage_monitor
         self.launch_retry = launch_retry
-        self.launch_breaker = launch_breaker
         registry = app.metrics_registry
         self._c_requeues = registry.counter(
             "gyan_runner_requeues_total",
@@ -146,7 +116,7 @@ class BaseJobRunner:
 
     @property
     def requeues(self) -> int:
-        """Transient launch failures absorbed by requeues (diagnostics).
+        """Container daemon hiccups absorbed by retries (diagnostics).
 
         Registry-backed view over ``gyan_runner_requeues_total``; bump it
         via :meth:`_record_requeue`, never by assignment.
@@ -439,21 +409,14 @@ class BaseJobRunner:
             self.app.node.release_cpus(launched.cpu_token)
             launched.cpu_token = None
 
-    def _fail_terminal(
-        self, job: GalaxyJob, message: str, queue_span, attempt: int
-    ) -> GalaxyJob:
-        """Fail a job out of the queue loop with terminal bookkeeping."""
+    def _fail_terminal(self, job: GalaxyJob, message: str, queue_span) -> GalaxyJob:
+        """Fail a queued job whose launch failed, with terminal bookkeeping."""
         tracer = self.app.tracer
-        now = self.app.node.clock.now
-        if job.state is JobState.NEW:
-            # A breaker can fast-fail before the first launch attempt
-            # ever ran; ERROR is only reachable through QUEUED.
-            job.transition(JobState.QUEUED, now)
-        job.fail(message, now)
+        job.fail(message, self.app.node.clock.now)
         overload = getattr(self.app, "overload", None)
         if overload is not None:
             overload.release(job)
-        tracer.end(queue_span, attempts=attempt, error=message)
+        tracer.end(queue_span, error=message)
         state = job.state.value
         self._c_finished.labels(runner=self.runner_name, state=state).inc()
         tracer.end_job(job.job_id, state=state, error=message)
@@ -462,16 +425,13 @@ class BaseJobRunner:
     def queue_job(self, job: GalaxyJob, destination: Destination) -> GalaxyJob:
         """The synchronous everyday path: launch then finish.
 
-        Transient launch failures (see :func:`is_transient_launch_error`)
-        are requeued under :attr:`launch_retry`; each requeue is a legal
-        QUEUED -> QUEUED transition and a virtual-clock backoff.  A job
-        that exhausts the budget — or hits a transient error with no
-        policy configured — fails cleanly instead of crashing the app.
-
-        Overload integration: a job whose deadline expired while waiting
-        (or backing off) is shed with a typed reason; an open launch
-        breaker fails the job fast with a typed error so the resubmit
-        chain can degrade it instead of hammering a dead dependency.
+        A job whose deadline expired before it reached the runner (the
+        dynamic rule's NVML backoff can outlast a short ``deadline_s``)
+        is shed with a typed reason.  A transient NVML or ``nvidia-smi``
+        failure at launch — which only a stock mapper lets through; a
+        resilient one degrades the job to its CPU arm instead — fails
+        the job cleanly rather than crashing the app.  Anything else
+        (REJECTED_BUSY included) propagates to the caller.
         """
         tracer = self.app.tracer
         overload = getattr(self.app, "overload", None)
@@ -486,50 +446,25 @@ class BaseJobRunner:
             if tracer.enabled
             else None
         )
-        attempt = 1
-        while True:
-            if overload is not None and overload.expired(job):
-                from repro.resilience.shedding import ShedReason
+        if overload is not None and overload.expired(job):
+            from repro.resilience.shedding import ShedReason
 
-                overload.shed(
-                    job,
-                    ShedReason.DEADLINE_EXPIRED,
-                    note=f"destination {destination.destination_id}",
-                )
-                tracer.end(
-                    queue_span, attempts=attempt, shed="deadline_expired"
-                )
-                self._c_finished.labels(
-                    runner=self.runner_name, state=job.state.value
-                ).inc()
-                return job
-            breaker = self.launch_breaker
-            if breaker is not None and not breaker.allows():
-                return self._fail_terminal(
-                    job,
-                    f"launch skipped: circuit breaker {breaker.name!r} open "
-                    f"(retry at t={breaker.retry_at:g})",
-                    queue_span,
-                    attempt,
-                )
-            try:
-                launched = self.launch(job, destination)
-            except Exception as exc:
-                if not is_transient_launch_error(exc) or job.is_terminal:
-                    tracer.end(queue_span, attempts=attempt, error=repr(exc))
-                    raise
-                if breaker is not None:
-                    breaker.record_failure()
-                policy = self.launch_retry
-                if policy is None or attempt >= policy.max_attempts:
-                    return self._fail_terminal(
-                        job, f"launch failed: {exc}", queue_span, attempt
-                    )
-                self._record_requeue(job)
-                self.app.node.clock.advance(policy.delay_for(attempt))
-                attempt += 1
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            tracer.end(queue_span, attempts=attempt)
-            return self.finish(launched)
+            overload.shed(
+                job,
+                ShedReason.DEADLINE_EXPIRED,
+                note=f"destination {destination.destination_id}",
+            )
+            tracer.end(queue_span, shed="deadline_expired")
+            self._c_finished.labels(
+                runner=self.runner_name, state=job.state.value
+            ).inc()
+            return job
+        try:
+            launched = self.launch(job, destination)
+        except Exception as exc:
+            if not is_transient_nvml_error(exc) or job.is_terminal:
+                tracer.end(queue_span, error=repr(exc))
+                raise
+            return self._fail_terminal(job, f"launch failed: {exc}", queue_span)
+        tracer.end(queue_span)
+        return self.finish(launched)

@@ -39,14 +39,12 @@ class DockerJobRunner(BaseJobRunner):
         gpu_flag_provider: GpuFlagProvider | None = None,
         usage_monitor: UsageMonitor | None = None,
         launch_retry=None,
-        launch_breaker=None,
     ) -> None:
         super().__init__(
             app,
             gpu_mapper=gpu_mapper,
             usage_monitor=usage_monitor,
             launch_retry=launch_retry,
-            launch_breaker=launch_breaker,
         )
         self.docker = docker
         self.gpu_flag_provider = gpu_flag_provider

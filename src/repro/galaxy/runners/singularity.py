@@ -37,14 +37,12 @@ class SingularityJobRunner(BaseJobRunner):
         strip_bind_modes_with_nv: bool = True,
         usage_monitor: UsageMonitor | None = None,
         launch_retry=None,
-        launch_breaker=None,
     ) -> None:
         super().__init__(
             app,
             gpu_mapper=gpu_mapper,
             usage_monitor=usage_monitor,
             launch_retry=launch_retry,
-            launch_breaker=launch_breaker,
         )
         self.singularity = singularity
         self.nv_flag_provider = nv_flag_provider

@@ -139,9 +139,8 @@ class OverloadController:
     def admit(self, job, destination) -> None:
         """Admit one job to a destination or raise :class:`RejectedBusy`.
 
-        Safe to call once per launch attempt; a job already admitted to
-        the same destination (launch retry after a transient failure)
-        is a no-op rather than double-counted.
+        Idempotent: a job already admitted to the same destination is a
+        no-op rather than double-counted.
         """
         dest_id = destination.destination_id
         if self._admitted.get(job.job_id) == dest_id:

@@ -8,8 +8,9 @@ survival.  The result serialises stably (:meth:`ChaosRunResult.to_json`)
 so two runs of the same seeded plan can be compared byte for byte.
 
 In a *resilient* deployment every layer of the degradation stack is
-armed — NVML retries, launch requeues, device quarantine, multi-hop
-resubmission — and the expectation is that every job still reaches OK.
+armed — NVML retries that degrade to the CPU arm, container-launch
+retries, device quarantine, multi-hop resubmission — and the
+expectation is that every job still reaches OK.
 In a *stock* deployment the same plan loses jobs: a mid-run device death
 fails the job with nothing to resubmit it, and an NVML flake crashes job
 mapping outright.  The delta between the two runs is the resilience

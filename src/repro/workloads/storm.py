@@ -28,7 +28,7 @@ from repro.galaxy.job import JobState
 from repro.gpusim.faults import build_scenario
 from repro.hotpath import hot_path
 from repro.observability.export import render_document
-from repro.resilience.shedding import RejectedBusy, ShedReason
+from repro.resilience.shedding import ShedReason
 from repro.workloads.traces import (
     ArrivalTrace,
     DEFAULT_DURATIONS,
@@ -103,11 +103,11 @@ def generate_storm_trace(
 class StormResult:
     """Everything one storm run observed, stably serialisable.
 
-    The central ledger identity: ``jobs_requested = admitted + shed +
-    never_submitted``; among the admitted, ``completed_ok +
-    lost_admitted``.  A hardened run may shed freely (that is load
-    management) but must keep ``lost_admitted`` at zero — once the
-    system said yes, it finishes the job.
+    The central ledger identity, hardened or stock: ``jobs_requested =
+    admitted + shed_total + never_submitted``; among the admitted,
+    ``completed_ok + lost_admitted``.  A hardened run may shed freely
+    (that is load management) but must keep ``lost_admitted`` at zero —
+    once the system said yes, it finishes the job.
     """
 
     hardened: bool
@@ -122,13 +122,16 @@ class StormResult:
     lost_admitted: int = 0
     #: Typed shed counts, by :class:`ShedReason` value.
     shed: dict[str, int] = field(default_factory=dict)
-    #: Jobs never submitted because the app crashed first (stock mode).
+    #: Jobs that never reached a runner because the app crashed first
+    #: (stock mode): the job whose mapping crashed and every later one.
     never_submitted: int = 0
     crashed: str | None = None
     #: Peak simultaneous inflight per destination, in sorted id order.
     peak_inflight: dict[str, int] = field(default_factory=dict)
+    #: Degrade redirects (``gyan_overload_redirects_total``).
     redirects: int = 0
     brownout_peak_level: int = 0
+    #: Times the NVML probe's circuit breaker opened.
     breaker_trips: int = 0
     backpressure_waits: int = 0
     end_time: float = 0.0
@@ -186,11 +189,12 @@ def run_storm(
     destination queues — the condition the overload layer exists for.
 
     Hardened mode builds ``build_deployment(overload=True)`` and reacts
-    to REJECTED_BUSY by walking degrade arms, then holding the job under
-    *backpressure* (draining running work) until either a slot opens or
-    the job's deadline expires and it is shed.  Stock mode has no
-    admission control: queues grow unboundedly and clustered faults
-    crash mapping or lose launches outright.
+    to REJECTED_BUSY by walking the app's degrade arms
+    (:meth:`~repro.galaxy.app.GalaxyApp.place_with_degrade`), then
+    holding the job under *backpressure* (draining running work) until
+    either a slot opens or the job's deadline expires and it is shed.
+    Stock mode has no admission control: queues grow unboundedly and
+    clustered faults crash mapping or lose launches outright.
     """
     from repro.galaxy.app import ToolExecutionResult
     from repro.tools.executors import register_paper_tools
@@ -237,61 +241,26 @@ def run_storm(
             running.remove(item)
 
     def launch_with_degrade(job, destination):
-        """Launch, degrading on REJECTED_BUSY, then backpressure-wait."""
-        from repro.galaxy.runners.base import is_transient_launch_error
-
-        target, seen = destination, {destination.destination_id}
-        attempt = 1
+        """Launch along the degrade arms, then backpressure-wait."""
         while True:
-            runner = app.runner_for(target)
-            breaker = runner.launch_breaker
-            if breaker is not None and not breaker.allows():
-                overload.shed(job, ShedReason.BREAKER_OPEN,
-                              note=f"breaker {breaker.name}")
-                return None, None
-            try:
-                launched = runner.launch(job, target)
-            except RejectedBusy:
-                next_id = target.resubmit_destination
-                if next_id is not None and next_id not in seen:
-                    target = app.job_config.destination(next_id)
-                    seen.add(target.destination_id)
-                    overload.record_redirect()
-                    result.redirects += 1
-                    continue
-                # Every arm is full: drain one running job and retry
-                # from the preferred destination, unless the deadline
-                # passed (or nothing is draining) — then shed, typed.
-                if overload.expired(job):
-                    overload.shed(job, ShedReason.DEADLINE_EXPIRED,
-                                  note="expired under backpressure")
-                    return None, None
-                if not running:
-                    overload.shed(job, ShedReason.QUEUE_FULL,
-                                  note="all arms full, nothing draining")
-                    return None, None
-                result.backpressure_waits += 1
-                finish_due(min(item[0] for item in running))
-                target, seen = destination, {destination.destination_id}
-                continue
-            except Exception as exc:
-                if not is_transient_launch_error(exc) or job.is_terminal:
-                    raise
-                if breaker is not None:
-                    breaker.record_failure()
-                policy = runner.launch_retry
-                if policy is None or attempt >= policy.max_attempts:
-                    if job.state is JobState.NEW:
-                        job.transition(JobState.QUEUED, virtual_clock.now)
-                    job.fail(f"launch failed: {exc}", virtual_clock.now)
-                    overload.release(job)
-                    return None, None
-                virtual_clock.advance(policy.delay_for(attempt))
-                attempt += 1
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            return launched, target
+            placed = app.place_with_degrade(
+                job, destination, lambda runner, target: runner.launch(job, target)
+            )
+            if placed is not None:
+                return placed
+            # Every arm is full: drain one running job and retry from
+            # the preferred destination, unless the deadline passed (or
+            # nothing is draining) — then shed, typed.
+            if overload.expired(job):
+                overload.shed(job, ShedReason.DEADLINE_EXPIRED,
+                              note="expired under backpressure")
+                return None
+            if not running:
+                overload.shed(job, ShedReason.QUEUE_FULL,
+                              note="all arms full, nothing draining")
+                return None
+            result.backpressure_waits += 1
+            finish_due(min(item[0] for item in running))
 
     try:
         for index, entry in enumerate(trace.entries):
@@ -307,24 +276,25 @@ def run_storm(
                 destination = app.map_destination(job)
             except Exception as exc:  # stock mode: mapping crashes raw
                 result.crashed = f"{type(exc).__name__}: {exc}"
-                result.never_submitted = jobs - index - 1
+                result.never_submitted = jobs - index
                 break
             if overload is not None and job.metrics.deadline is None:
                 job.metrics.deadline = overload.deadline_for(
                     destination, job.metrics.submit_time
                 )
             if overload is not None:
-                handle, destination = launch_with_degrade(job, destination)
-                if handle is None:
+                placed = launch_with_degrade(job, destination)
+                if placed is None:
                     continue
+                destination, handle = placed
             else:
                 try:
                     handle = app.runner_for(destination).launch(
                         job, destination
                     )
                 except Exception as exc:
-                    # Stock mode: a transient daemon hiccup at launch is
-                    # a lost job — nothing requeues it.
+                    # Stock mode: an NVML flake at launch (the stock
+                    # mapper does not retry) is a lost job.
                     if not job.is_terminal:
                         if job.state is JobState.NEW:
                             job.transition(
@@ -361,15 +331,18 @@ def run_storm(
     if overload is not None:
         result.shed = overload.shed_by_reason()
         result.peak_inflight = dict(sorted(overload.peak_inflight.items()))
+        result.redirects = int(
+            app.metrics_registry.value("gyan_overload_redirects_total")
+        )
     else:
         result.peak_inflight = dict(sorted(stock_peak.items()))
     if deployment.brownout is not None:
         result.brownout_peak_level = deployment.brownout.peak_level
-    breakers = [deployment.nvml_breaker, *deployment.launch_breakers.values()]
-    result.breaker_trips = sum(
-        sum(1 for _, _, to in b.transitions if to.value == "open")
-        for b in breakers
-        if b is not None
-    )
+    if deployment.nvml_breaker is not None:
+        result.breaker_trips = sum(
+            1
+            for _, _, to in deployment.nvml_breaker.transitions
+            if to.value == "open"
+        )
     result.end_time = virtual_clock.now
     return result

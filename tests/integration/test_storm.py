@@ -108,6 +108,15 @@ class TestStockStorm:
         hardened = run_storm(jobs=48, seed=0, hardened=True)
         assert hardened.completed_ok > result.completed_ok
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ledger_identity_holds(self, seed):
+        # The job whose mapping crashed never reached a runner: it is
+        # counted in never_submitted, not dropped from the ledger.
+        result = run_storm(jobs=48, seed=seed, hardened=False)
+        assert result.crashed is not None
+        assert (result.admitted + result.shed_total + result.never_submitted
+                == result.jobs_requested)
+
 
 class TestStormCli:
     def test_hardened_exit_zero(self, capsys):
