@@ -37,11 +37,6 @@ from repro.analysis.verifier.ir import DeploymentIR, DestinationNode
 from repro.core.retry import DEFAULT_NVML_RETRY
 
 
-def nvml_retry_budget_s() -> float:
-    """Total virtual seconds the map-time NVML retry policy can wait."""
-    return sum(DEFAULT_NVML_RETRY.schedule())
-
-
 def _concrete(ir: DeploymentIR) -> list[DestinationNode]:
     """Concrete (non-dynamic) destinations, in declaration-stable order."""
     return [
@@ -100,7 +95,7 @@ def analyze_overload(ir: DeploymentIR, ctx: ConfigContext) -> list[Finding]:
 
     # VER503: deadlines shorter than the map-time NVML retry budget
     # guarantee a deadline shed for any job whose probe used it all.
-    budget = nvml_retry_budget_s()
+    budget = sum(DEFAULT_NVML_RETRY.schedule())
     for node in concrete:
         deadline = node.destination.deadline_s
         if deadline is None or deadline > budget:

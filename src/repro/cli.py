@@ -426,11 +426,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
         print(f"faults: {exc}", file=sys.stderr)
         return 2
 
-    resilient = None if not args.no_resilience else False
+    result = run_chaos(
+        plan, jobs=args.jobs,
+        resilient=False if args.no_resilience else None,
+    )
+
     spec = plan.workload
-    if resilient is None:
-        resilient = spec.resilient if spec is not None else True
-    mode = "resilient" if resilient else "stock (no resilience)"
+    mode = "resilient" if result.resilient else "stock (no resilience)"
     print(f"plan: {plan.name} (seed {plan.seed}, {len(plan.events)} events), "
           f"mode: {mode}")
     if spec is not None:
@@ -442,11 +444,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         target = f" device {event.device}" if event.device is not None else ""
         print(f"  t={event.time:>8.3f}s  {event.kind.value}{target}"
               f"{'  ' + event.note if event.note else ''}")
-
-    result = run_chaos(
-        plan, jobs=args.jobs,
-        resilient=False if args.no_resilience else None,
-    )
 
     print()
     for job in result.jobs:

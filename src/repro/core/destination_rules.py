@@ -10,7 +10,7 @@ cluster has no free GPU.
 
 from __future__ import annotations
 
-from repro.core.retry import retry_call
+from repro.core.retry import DEFAULT_NVML_RETRY, retry_call
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.job_conf import DynamicRuleRegistry
@@ -28,35 +28,31 @@ DOCKER_CPU_DESTINATION = "docker_cpu"
 def _available_gpu_count(app: GalaxyApp) -> int:
     """The rule's ``pynvml`` probe, resilience-aware.
 
-    With ``app.nvml_retry`` set, transient NVML errors retry under the
-    policy (virtual-clock backoff); if the budget is exhausted — or the
-    app has a health tracker, marking it as resilient — the rule degrades
-    to "no GPU available" and the job takes the CPU arm.  Without either,
-    the error propagates: the stock rule crashes the mapping, which is
-    exactly the fragility the chaos comparison demonstrates.
+    On a resilient app (one with a health tracker), transient NVML errors
+    retry under :data:`~repro.core.retry.DEFAULT_NVML_RETRY`
+    (virtual-clock backoff); once the budget is exhausted the rule
+    degrades to "no GPU available" and the job takes the CPU arm.
+    Without a tracker the error propagates: the stock rule crashes the
+    mapping, which is exactly the fragility the chaos comparison
+    demonstrates.
 
     Quarantined devices do not count as available.
     """
     nvml = NvmlLibrary(app.gpu_host)
     nvml.nvmlInit()
-    retry = getattr(app, "nvml_retry", None)
-    tracker = getattr(app, "health_tracker", None)
+    tracker = app.health_tracker
+    if tracker is None:
+        return nvml.nvmlDeviceGetCount()
     try:
-        count = (
-            retry_call(app.node.clock, retry, nvml.nvmlDeviceGetCount)
-            if retry is not None
-            else nvml.nvmlDeviceGetCount()
+        count = retry_call(
+            app.node.clock, DEFAULT_NVML_RETRY, nvml.nvmlDeviceGetCount
         )
     except NVMLError as exc:
-        if exc.transient and (retry is not None or tracker is not None):
+        if exc.transient:
             return 0
         raise
-    if tracker is not None:
-        now = app.node.clock.now
-        count = sum(
-            1 for i in range(count) if not tracker.is_quarantined(str(i), now)
-        )
-    return count
+    now = app.node.clock.now
+    return sum(1 for i in range(count) if not tracker.is_quarantined(str(i), now))
 
 
 def gpu_destination_rule(job: GalaxyJob, app: GalaxyApp) -> str:

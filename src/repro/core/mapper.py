@@ -26,7 +26,7 @@ from repro.core.allocation import (
 )
 from repro.core.gpu_usage import get_gpu_usage_snapshot
 from repro.core.health import DeviceHealthTracker
-from repro.core.retry import BackoffPolicy, is_transient_nvml_error, retry_call
+from repro.core.retry import DEFAULT_NVML_RETRY, is_transient_nvml_error, retry_call
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.params import GPU_ENABLED_ENV_VAR
 from repro.gpusim.host import GPUHost
@@ -64,14 +64,10 @@ class GpuComputationMapper:
         Optional :class:`~repro.core.health.DeviceHealthTracker`.  When
         set, quarantined devices are filtered from every snapshot before
         the strategy sees it, and NVML-attributed failures feed back in.
-    retry:
-        Optional :class:`~repro.core.retry.BackoffPolicy` wrapped around
-        the NVML / ``nvidia-smi`` queries.  When either ``health`` or
-        ``retry`` is set the mapper is *resilient*: an observability
-        failure that survives the retry budget degrades the job to the
-        CPU arm instead of propagating.  Without them, the error
-        propagates — the pre-resilience behaviour, preserved so chaos
-        runs can demonstrate the difference.
+        Its presence makes the mapper *resilient*: NVML / ``nvidia-smi``
+        queries retry under :data:`~repro.core.retry.DEFAULT_NVML_RETRY`
+        and a failure that outlasts it degrades the job to the CPU arm;
+        without it the error propagates (the pre-resilience behaviour).
     cache_snapshots:
         Reuse successful usage probes across jobs submitted at the same
         clock instant with an unchanged host state.  A burst of N
@@ -100,7 +96,6 @@ class GpuComputationMapper:
         strategy: AllocationStrategy | None = None,
         admission=None,
         health: DeviceHealthTracker | None = None,
-        retry: BackoffPolicy | None = None,
         cache_snapshots: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer=None,
@@ -112,7 +107,6 @@ class GpuComputationMapper:
         #: Optional :class:`~repro.core.admission.GpuMemoryAdmissionController`.
         self.admission = admission
         self.health = health
-        self.retry = retry
         #: Optional circuit breaker around the NVML/nvidia-smi surface.
         #: While open, probes fail fast with :class:`BreakerOpenError`
         #: (degrading the job to CPU) instead of burning retry budget
@@ -159,11 +153,7 @@ class GpuComputationMapper:
     @property
     def resilient(self) -> bool:
         """Whether observability failures degrade to CPU instead of raising."""
-        return (
-            self.health is not None
-            or self.retry is not None
-            or self.breaker is not None
-        )
+        return self.health is not None
 
     @staticmethod
     def _degradable(exc: BaseException) -> bool:
@@ -199,10 +189,10 @@ class GpuComputationMapper:
         if breaker is not None and not breaker.allows():
             raise BreakerOpenError(breaker.name, breaker.retry_at)
         try:
-            if self.retry is None or self.host is None:
-                result = fn()
+            if self.resilient:
+                result = retry_call(self.host.clock, DEFAULT_NVML_RETRY, fn)
             else:
-                result = retry_call(self.host.clock, self.retry, fn)
+                result = fn()
         except Exception as exc:
             if breaker is not None and is_transient_nvml_error(exc):
                 breaker.record_failure()

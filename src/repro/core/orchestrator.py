@@ -27,7 +27,6 @@ from repro.core.destination_rules import register_gyan_rules
 from repro.core.health import DeviceHealthTracker, HealthEvent
 from repro.core.mapper import GpuComputationMapper
 from repro.core.monitor import GPUUsageMonitor
-from repro.core.retry import DEFAULT_LAUNCH_RETRY, DEFAULT_NVML_RETRY
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.job_conf import JobConfig, parse_job_conf_xml
@@ -318,11 +317,12 @@ def build_deployment(
         :data:`GYAN_RESILIENT_JOB_CONF_XML` when ``resilient`` is set.
     resilient:
         Wire the degradation layer: a :class:`DeviceHealthTracker` that
-        quarantines flaky devices, bounded NVML-query retries in the
-        mapper, container-launch retries in the Docker and Singularity
-        runners, and the resubmit-enabled job configuration.  Off by
-        default so the stock (fragile) behaviour stays reproducible for
-        chaos comparisons.
+        quarantines flaky devices and the resubmit-enabled job
+        configuration.  The tracker is the one switch: the mapper and
+        the dynamic rules retry NVML queries, and the Docker and
+        Singularity runners retry container launches, exactly when the
+        app has one.  Off by default so the stock (fragile) behaviour
+        stays reproducible for chaos comparisons.
     max_resubmit_hops:
         Bound on a job's resubmit chain; defaults to
         :attr:`GalaxyApp.DEFAULT_MAX_RESUBMIT_HOPS`.
@@ -347,8 +347,6 @@ def build_deployment(
         if job_conf_xml is None:
             job_conf_xml = GYAN_OVERLOAD_JOB_CONF_XML
     health_tracker = DeviceHealthTracker() if resilient else None
-    nvml_retry = DEFAULT_NVML_RETRY if resilient else None
-    launch_retry = DEFAULT_LAUNCH_RETRY if resilient else None
     if job_conf_xml is None:
         job_conf_xml = (
             GYAN_RESILIENT_JOB_CONF_XML if resilient else GYAN_JOB_CONF_XML
@@ -365,7 +363,6 @@ def build_deployment(
         tracer=tracer,
     )
     app.health_tracker = health_tracker
-    app.nvml_retry = nvml_retry
 
     overload_controller: OverloadController | None = None
     brownout_controller: BrownoutController | None = None
@@ -402,7 +399,6 @@ def build_deployment(
         host=node.gpu_host,
         strategy=strategy_by_name(allocation_strategy),
         health=health_tracker,
-        retry=nvml_retry,
         metrics=app.metrics_registry,
         tracer=tracer,
         breaker=nvml_breaker,
@@ -425,19 +421,13 @@ def build_deployment(
         docker_runtime.fault_plane = node.gpu_host.faults
         singularity_runtime.fault_plane = node.gpu_host.faults
 
-    local_runner = LocalRunner(
-        app,
-        gpu_mapper=mapper,
-        usage_monitor=monitor,
-        launch_retry=launch_retry,
-    )
+    local_runner = LocalRunner(app, gpu_mapper=mapper, usage_monitor=monitor)
     docker_runner = DockerJobRunner(
         app,
         docker=docker_runtime,
         gpu_mapper=mapper,
         gpu_flag_provider=docker_gpu_flag_provider,
         usage_monitor=monitor,
-        launch_retry=launch_retry,
     )
     singularity_runner = SingularityJobRunner(
         app,
@@ -445,7 +435,6 @@ def build_deployment(
         gpu_mapper=mapper,
         nv_flag_provider=singularity_nv_provider,
         usage_monitor=monitor,
-        launch_retry=launch_retry,
     )
     app.register_runner("local", local_runner)
     app.register_runner("docker", docker_runner)

@@ -110,7 +110,6 @@ class GalaxyApp:
         node: ComputeNode,
         job_config: JobConfig,
         max_resubmit_hops: int = DEFAULT_MAX_RESUBMIT_HOPS,
-        metrics_registry: MetricsRegistry | None = None,
         tracer=None,
     ) -> None:
         if max_resubmit_hops < 0:
@@ -120,9 +119,7 @@ class GalaxyApp:
         self.max_resubmit_hops = max_resubmit_hops
         #: The deployment-wide typed metrics registry; every layer
         #: (app, mapper, runners, scheduler) reports into it.
-        self.metrics_registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
+        self.metrics_registry = MetricsRegistry()
         self._c_submitted = self.metrics_registry.counter(
             "gyan_jobs_submitted_total",
             "Jobs submitted to the app, by tool",
@@ -135,11 +132,10 @@ class GalaxyApp:
         #: The job lifecycle tracer (NULL_TRACER = disabled, zero cost).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional :class:`~repro.core.health.DeviceHealthTracker` fed
-        #: with device-attributed job failures.
+        #: with device-attributed job failures.  Its presence makes the
+        #: deployment resilient: the destination rules retry and degrade
+        #: NVML flakes, and container runners retry daemon hiccups.
         self.health_tracker: Any = None
-        #: Optional :class:`~repro.core.retry.BackoffPolicy` the dynamic
-        #: destination rules use around their ``pynvml`` probe.
-        self.nvml_retry: Any = None
         #: Optional :class:`~repro.resilience.overload.OverloadController`.
         #: When set, runners run an admission check before queueing
         #: (bounded destinations bounce with REJECTED_BUSY and the app

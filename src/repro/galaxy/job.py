@@ -30,17 +30,10 @@ class JobState(str, enum.Enum):
 
 
 #: Legal state transitions.  DELETED is reachable from any non-terminal
-#: state (user cancellation).  QUEUED -> QUEUED is the *requeue* edge: a
-#: transient launch failure (NVML flake, container daemon hiccup) puts
-#: the job back in the queue for a backed-off retry.
+#: state (user cancellation).
 _TRANSITIONS: dict[JobState, set[JobState]] = {
     JobState.NEW: {JobState.QUEUED, JobState.DELETED},
-    JobState.QUEUED: {
-        JobState.QUEUED,
-        JobState.RUNNING,
-        JobState.ERROR,
-        JobState.DELETED,
-    },
+    JobState.QUEUED: {JobState.RUNNING, JobState.ERROR, JobState.DELETED},
     JobState.RUNNING: {JobState.OK, JobState.ERROR, JobState.DELETED},
     JobState.OK: set(),
     JobState.ERROR: set(),

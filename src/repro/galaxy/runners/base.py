@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Protocol, TypeVar
 
 from repro.containers.errors import ContainerLaunchError
-from repro.core.retry import is_transient_nvml_error, retry_call
+from repro.core.retry import DEFAULT_LAUNCH_RETRY, is_transient_nvml_error, retry_call
 from repro.galaxy.app import (
     GalaxyApp,
     ToolExecutionContext,
@@ -75,10 +75,6 @@ class BaseJobRunner:
         GYAN's mapper, or ``None`` for stock behaviour.
     usage_monitor:
         Optional §V-C monitor started/stopped around each tool.
-    launch_retry:
-        Optional :class:`~repro.core.retry.BackoffPolicy` for container
-        daemon hiccups (see :meth:`_run_container`).  Without one the
-        first hiccup fails the job — the pre-resilience behaviour.
     """
 
     runner_name = "base"
@@ -88,12 +84,10 @@ class BaseJobRunner:
         app: GalaxyApp,
         gpu_mapper: GpuMapper | None = None,
         usage_monitor: UsageMonitor | None = None,
-        launch_retry: Any = None,
     ) -> None:
         self.app = app
         self.gpu_mapper = gpu_mapper
         self.usage_monitor = usage_monitor
-        self.launch_retry = launch_retry
         registry = app.metrics_registry
         self._c_requeues = registry.counter(
             "gyan_runner_requeues_total",
@@ -136,17 +130,18 @@ class BaseJobRunner:
             )
 
     def _run_container(self, job: GalaxyJob, run: Callable[[], T]) -> T:
-        """Call a container runtime's ``run`` under :attr:`launch_retry`.
+        """Call a container runtime's ``run``, retrying on a resilient app.
 
-        Each :class:`ContainerLaunchError` (a daemon hiccup) is a requeue
-        and a backoff until the budget is spent; then, like a permanent
-        failure (missing image or NVIDIA runtime), it fails the job.
+        With a health tracker on the app, each :class:`ContainerLaunchError`
+        (a daemon hiccup) is a requeue and a backoff under
+        :data:`~repro.core.retry.DEFAULT_LAUNCH_RETRY` until the budget is
+        spent, then fails the job; without one the first hiccup does.
         """
-        if self.launch_retry is None:
+        if self.app.health_tracker is None:
             return run()
         return retry_call(
             self.app.node.clock,
-            self.launch_retry,
+            DEFAULT_LAUNCH_RETRY,
             run,
             retryable=lambda exc: isinstance(exc, ContainerLaunchError),
             on_retry=lambda _attempt, _exc: self._record_requeue(job),
@@ -216,7 +211,7 @@ class BaseJobRunner:
         """
         tracer = self.app.tracer
         now = self.app.node.clock.now
-        overload = getattr(self.app, "overload", None)
+        overload = self.app.overload
         if overload is not None:
             overload.admit(job, destination)  # may raise RejectedBusy
         job.transition(JobState.QUEUED, now)
@@ -320,8 +315,8 @@ class BaseJobRunner:
         if result.exit_code == 0 and self._overran_runtime_budget(job):
             # The kill path: the destination's runtime budget is the
             # contract; an overrun becomes a typed ERROR so the app's
-            # resubmit chain retries it (per the launch BackoffPolicy)
-            # on a degrade arm instead of silently keeping the result.
+            # resubmit chain retries it on a degrade arm instead of
+            # silently keeping the result.
             job.fail(
                 "killed: runtime budget exceeded "
                 f"(ran {job.metrics.runtime_seconds:g}s)",
@@ -333,14 +328,14 @@ class BaseJobRunner:
         else:
             job.transition(JobState.ERROR, now)
         self._finalize_observability(launched)
-        collector = getattr(self.app, "metrics_collector", None)
+        collector = self.app.metrics_collector
         if collector is not None:
             collector.collect(job)
         return job
 
     def _overran_runtime_budget(self, job: GalaxyJob) -> bool:
         """Did this job run past its destination's ``runtime_budget_s``?"""
-        overload = getattr(self.app, "overload", None)
+        overload = self.app.overload
         if overload is None or job.metrics.destination_id is None:
             return False
         try:
@@ -361,7 +356,7 @@ class BaseJobRunner:
     ) -> None:
         """Terminal bookkeeping: histograms, finish counter, span closure."""
         job = launched.job
-        overload = getattr(self.app, "overload", None)
+        overload = self.app.overload
         if overload is not None:
             overload.release(job)
         state = job.state.value
@@ -413,7 +408,7 @@ class BaseJobRunner:
         """Fail a queued job whose launch failed, with terminal bookkeeping."""
         tracer = self.app.tracer
         job.fail(message, self.app.node.clock.now)
-        overload = getattr(self.app, "overload", None)
+        overload = self.app.overload
         if overload is not None:
             overload.release(job)
         tracer.end(queue_span, error=message)
@@ -434,7 +429,7 @@ class BaseJobRunner:
         (REJECTED_BUSY included) propagates to the caller.
         """
         tracer = self.app.tracer
-        overload = getattr(self.app, "overload", None)
+        overload = self.app.overload
         queue_span = (
             tracer.begin(
                 "queue",

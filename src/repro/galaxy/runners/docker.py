@@ -38,13 +38,9 @@ class DockerJobRunner(BaseJobRunner):
         gpu_mapper: GpuMapper | None = None,
         gpu_flag_provider: GpuFlagProvider | None = None,
         usage_monitor: UsageMonitor | None = None,
-        launch_retry=None,
     ) -> None:
         super().__init__(
-            app,
-            gpu_mapper=gpu_mapper,
-            usage_monitor=usage_monitor,
-            launch_retry=launch_retry,
+            app, gpu_mapper=gpu_mapper, usage_monitor=usage_monitor
         )
         self.docker = docker
         self.gpu_flag_provider = gpu_flag_provider

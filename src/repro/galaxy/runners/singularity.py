@@ -36,13 +36,9 @@ class SingularityJobRunner(BaseJobRunner):
         nv_flag_provider: NvFlagProvider | None = None,
         strip_bind_modes_with_nv: bool = True,
         usage_monitor: UsageMonitor | None = None,
-        launch_retry=None,
     ) -> None:
         super().__init__(
-            app,
-            gpu_mapper=gpu_mapper,
-            usage_monitor=usage_monitor,
-            launch_retry=launch_retry,
+            app, gpu_mapper=gpu_mapper, usage_monitor=usage_monitor
         )
         self.singularity = singularity
         self.nv_flag_provider = nv_flag_provider

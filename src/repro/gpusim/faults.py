@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 from repro.gpusim.errors import NVMLError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (host owns a plane)
-    from repro.gpusim.clock import TimerHandle
     from repro.gpusim.host import GPUHost
 
 
@@ -300,7 +299,6 @@ class FaultInjector:
         #: Events that have actually fired, in firing order.
         self.fired: list[FaultEvent] = []
         self._armed = False
-        self._handles: list[TimerHandle] = []
 
     def arm(self) -> None:
         """Schedule every plan event on the host clock (idempotent).
@@ -317,24 +315,11 @@ class FaultInjector:
         # accident of registration order — gyan-race (DET403) treats
         # keyed ties as pinned and never permutes them.
         for index, event in enumerate(self.plan.events):
-            self._handles.append(
-                self.host.clock.call_at(
-                    event.time,
-                    lambda _now, e=event: self._fire(e),
-                    key=f"fault:{index:04d}",
-                )
+            self.host.clock.call_at(
+                event.time,
+                lambda _now, e=event: self._fire(e),
+                key=f"fault:{index:04d}",
             )
-
-    def disarm(self) -> int:
-        """Cancel every not-yet-fired plan event; returns how many.
-
-        Used to tear a scenario down mid-run without leaving dead timers
-        on the clock's heap (a re-armed injector schedules fresh events).
-        """
-        cancelled = sum(1 for handle in self._handles if handle.cancel())
-        self._handles.clear()
-        self._armed = False
-        return cancelled
 
     def _fire(self, event: FaultEvent) -> None:
         now = self.host.clock.now

@@ -201,31 +201,6 @@ class CudaProfiler:
             )
         return "\n".join(lines)
 
-    def to_chrome_trace(self) -> str:
-        """Export the trace as Chrome ``chrome://tracing`` JSON.
-
-        Each record becomes a complete ('X') event: the device index
-        maps to the trace's pid (one row group per GPU), the category to
-        the tid, and virtual seconds to microseconds.  Loadable in
-        chrome://tracing or Perfetto for visual inspection of the
-        simulated runs.
-        """
-        import json
-
-        events = [
-            {
-                "name": r.name,
-                "cat": r.category,
-                "ph": "X",
-                "ts": r.start * 1e6,
-                "dur": r.duration * 1e6,
-                "pid": r.device_index,
-                "tid": r.category,
-            }
-            for r in self.records
-        ]
-        return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
-
     def merge(self, others: Iterable["CudaProfiler"]) -> "CudaProfiler":
         """Fold other profilers' records into this one (multi-GPU runs)."""
         for other in others:

@@ -22,10 +22,6 @@ class ShedReason(str, enum.Enum):
     QUEUE_FULL = "queue_full"
     #: The job's virtual-clock deadline passed while it was still queued.
     DEADLINE_EXPIRED = "deadline_expired"
-    #: The job ran past its destination's runtime budget and was killed.
-    RUNTIME_BUDGET_EXCEEDED = "runtime_budget_exceeded"
-    #: A circuit breaker guarding the launch/probe path was open.
-    BREAKER_OPEN = "breaker_open"
     #: The brownout ladder reached its shed rung for this tool class.
     BROWNOUT_SHED = "brownout_shed"
 

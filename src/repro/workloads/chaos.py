@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
-from repro.gpusim.faults import InjectionPlan, build_scenario
+from repro.gpusim.faults import FaultKind, InjectionPlan, build_scenario
 from repro.hotpath import hot_path
 from repro.observability.export import render_document
 from repro.observability.tracing import Tracer
@@ -167,7 +167,11 @@ def run_chaos(
     (:class:`~repro.gpusim.faults.WorkloadSpec` — verifier
     counterexamples do): its fields supply the defaults here, and also
     pin the job_conf and resubmit hop cap of the deployment.  Explicit
-    arguments always win over the embedded spec.
+    arguments always win over the embedded spec.  A plan without one
+    that injects ``container_launch_fail`` events runs its tools through
+    ``docker_dynamic``, so the daemon failures reach a container runner
+    instead of staying pending; every other plan uses the default
+    dynamic destination.
 
     With ``trace=True`` a :class:`~repro.observability.tracing.Tracer`
     is bound to the deployment's clock and threaded through every layer;
@@ -202,6 +206,11 @@ def run_chaos(
         tracer=tracer,
     )
     register_paper_tools(deployment.app)
+    if spec is None and any(
+        event.kind is FaultKind.CONTAINER_LAUNCH_FAIL for event in plan.events
+    ):
+        for tool in tools:
+            deployment.route_tool_to(tool, "docker_dynamic")
     injector = deployment.inject(plan)
 
     result = ChaosRunResult(plan=plan, resilient=resilient,

@@ -208,6 +208,8 @@ class TestShedEncoding:
 
     def test_codes_are_stable_definition_order(self):
         assert SHED_REASON_CODE[ShedReason.QUEUE_FULL] == 0
+        # The only two codes the fleet writes, so in every store_digest.
+        assert SHED_REASON_CODE[ShedReason.DEADLINE_EXPIRED] == 1
         assert len(SHED_REASON_CODE) == len(ShedReason)
 
 

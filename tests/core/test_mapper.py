@@ -168,7 +168,8 @@ class TestSnapshotCache:
         """Under NVML flakes the resilient mapper's degradation behaviour
         (which jobs fall to CPU, how many queries were absorbed) must be
         byte-identical whether or not the cache is on."""
-        from repro.core.retry import BackoffPolicy
+        from repro.core.health import DeviceHealthTracker
+        from repro.core.retry import DEFAULT_NVML_RETRY
         from repro.gpusim.errors import NVMLError
         from repro.gpusim.host import make_k80_host
 
@@ -177,10 +178,14 @@ class TestSnapshotCache:
             host = make_k80_host()
             mapper = GpuComputationMapper(
                 host,
-                retry=BackoffPolicy(max_attempts=1),
+                health=DeviceHealthTracker(),
                 cache_snapshots=cache,
             )
-            host.faults.inject_nvml_error(NVMLError.NVML_ERROR_TIMEOUT)
+            # Enough flakes to spend the whole retry budget of one query.
+            host.faults.inject_nvml_error(
+                NVMLError.NVML_ERROR_TIMEOUT,
+                count=DEFAULT_NVML_RETRY.max_attempts,
+            )
             envs = [
                 mapper.prepare_environment(GalaxyJob(tool=gpu_tool(version="")))
                 for _ in range(4)
@@ -193,4 +198,4 @@ class TestSnapshotCache:
                 )
             )
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == 1  # exactly the injected flake was absorbed
+        assert outcomes[0][1] == 1  # exactly one query degraded

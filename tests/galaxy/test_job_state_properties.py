@@ -1,4 +1,4 @@
-"""Property tests: the requeue edge, the transition table as oracle, and
+"""Property tests: the transition table as oracle, no requeue edge, and
 multi-hop resubmission chains under the runtime hop cap."""
 
 from __future__ import annotations
@@ -37,20 +37,14 @@ class TestTransitionTableIsTheOracle:
 
 
 class TestRequeueEdge:
-    """QUEUED -> QUEUED models a backed-off relaunch after a transient
-    failure; it must be repeatable and each round must leave a record."""
+    """There is no requeue edge: a job enters QUEUED once, from NEW, and
+    a transient launch failure is retried inside the runner instead."""
 
-    @given(st.integers(min_value=0, max_value=25))
-    def test_any_number_of_requeues_is_legal(self, rounds):
+    def test_queued_is_entered_once(self):
         job = make_job()
-        job.transition(JobState.QUEUED, now=0.0)
-        for i in range(rounds):
-            job.transition(JobState.QUEUED, now=float(i + 1))
-        assert job.state is JobState.QUEUED
-        assert len(job.state_history) == rounds + 1
-        # The job can still finish normally after any number of requeues.
-        job.transition(JobState.RUNNING)
-        job.transition(JobState.OK)
+        job.transition(JobState.QUEUED)
+        with pytest.raises(JobStateError):
+            job.transition(JobState.QUEUED)
 
     def test_requeue_requires_queued(self):
         job = make_job()

@@ -19,6 +19,7 @@ from repro.gpusim.faults import (
     FaultEvent,
     FaultKind,
     InjectionPlan,
+    WorkloadSpec,
     build_scenario,
 )
 from repro.workloads.chaos import ChaosJobResult, ChaosRunResult, run_chaos
@@ -113,6 +114,32 @@ class TestStockCounterpart:
     def test_resilience_delta_is_positive(self, result):
         resilient = run_chaos(KILLER_PLAN, jobs=8, resilient=True)
         assert resilient.survived > result.survived
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+class TestContainerFlaky:
+    """The daemon failures of ``container-flaky`` reach a container
+    runner: a resilient run retries them, a stock run loses jobs."""
+
+    def test_resilient_run_retries_every_failure(self, seed):
+        result = run_chaos(build_scenario("container-flaky", seed=seed))
+        assert result.container_failures_served > 0
+        assert result.launch_requeues > 0
+        assert result.all_ok
+
+    def test_stock_run_loses_jobs(self, seed):
+        result = run_chaos(build_scenario("container-flaky", seed=seed),
+                           resilient=False)
+        assert result.launch_requeues == 0
+        assert result.lost > 0
+
+    def test_embedded_workload_keeps_the_dynamic_destination(self, seed):
+        plan = build_scenario("container-flaky", seed=seed)
+        plan = InjectionPlan(name=plan.name, seed=plan.seed,
+                             events=plan.events, workload=WorkloadSpec())
+        result = run_chaos(plan)
+        assert result.container_failures_served == 0
+        assert all(j.destination == "local_gpu" for j in result.jobs)
 
 
 class TestChaosCli:

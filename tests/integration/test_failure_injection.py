@@ -45,10 +45,10 @@ class TestContainerFailures:
         assert all(d.is_idle for d in deployment.gpu_host.devices)
 
 
-def _container_run(runtime: str, failures: int):
-    """racon pinned to ``<runtime>_gpu`` on a resilient deployment whose
-    container daemon drops the next ``failures`` launches."""
-    deployment = build_deployment(resilient=True)
+def _container_run(runtime: str, failures: int, resilient: bool = True):
+    """racon pinned to ``<runtime>_gpu`` on a deployment whose container
+    daemon drops the next ``failures`` launches."""
+    deployment = build_deployment(resilient=resilient)
     register_paper_tools(deployment.app)
     deployment.route_tool_to("racon", f"{runtime}_gpu")
     if failures:
@@ -62,7 +62,8 @@ def _container_run(runtime: str, failures: int):
 
 @pytest.mark.parametrize("runtime", ["docker", "singularity"])
 class TestContainerLaunchRetry:
-    """Both container runners requeue a daemon hiccup on the GPU arm."""
+    """Both container runners requeue a daemon hiccup on the GPU arm of a
+    resilient deployment; a stock one fails the job on it."""
 
     @pytest.mark.parametrize("failures", [1, 2])
     def test_fewer_failures_than_attempts_stay_on_the_gpu(self, runtime, failures):
@@ -83,6 +84,13 @@ class TestContainerLaunchRetry:
         assert job.metrics.destination_id == f"{runtime}_cpu_fallback"
         assert len(job.metrics.resubmit_chain) == 2
         assert requeues == failures - 1
+
+    def test_stock_runner_fails_on_the_first_hiccup(self, runtime):
+        job, requeues, end = _container_run(runtime, 1, resilient=False)
+        assert job.state is JobState.ERROR
+        assert "ContainerLaunchError" in job.stderr
+        assert requeues == 0
+        assert end == 0.0  # no backoff: the clock never moved
 
 
 class TestDeviceFailures:
@@ -178,16 +186,11 @@ class TestHistoryCollection:
 
 class TestChromeTrace:
     def test_trace_export_valid_json(self, deployment):
-        import json
-
         from repro.gpusim.profiler import CudaProfiler
 
         deployment.app.profiler = CudaProfiler()
         deployment.run_tool("racon", {"workload": "dataset"})
-        trace = json.loads(deployment.app.profiler.to_chrome_trace())
-        events = trace["traceEvents"]
-        assert events
-        assert all(e["ph"] == "X" for e in events)
-        names = {e["name"] for e in events}
-        assert "generatePOAKernel" in names
-        assert all(e["dur"] >= 0 for e in events)
+        records = deployment.app.profiler.records
+        assert records
+        assert "generatePOAKernel" in {r.name for r in records}
+        assert all(r.duration >= 0 for r in records)
