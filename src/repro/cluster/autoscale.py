@@ -46,9 +46,12 @@ POOL_BASE = 0
 POOL_ELASTIC = 1
 
 
-def pool_of(node: int, base_nodes: int) -> int:
-    """Pool id of ``node`` given the base-pool size."""
-    return POOL_BASE if node < base_nodes else POOL_ELASTIC
+def pool_of(node, base_nodes: int):
+    """Pool id of ``node`` given the base-pool size.
+
+    Plain arithmetic, so ``node`` may be one int or a NumPy integer
+    array (the job store derives a whole column with it)."""
+    return POOL_BASE + (node >= base_nodes) * (POOL_ELASTIC - POOL_BASE)
 
 
 def reserve_slots(

@@ -9,7 +9,7 @@ available GPU, else fall back) across many nodes with every per-job
 cost flipped to a per-*group* cost:
 
 * **Columnar job state** — :class:`~repro.cluster.jobstore.JobStore`
-  holds one entry per row range that was transitioned together (38
+  holds one entry per row range that was transitioned together (36
   bytes a node piece) in right-sized ``array`` columns, nothing per
   job: a placed span appends its runs with one ``extend`` per column
   and completes with one write per column.
@@ -19,10 +19,11 @@ cost flipped to a per-*group* cost:
   batch and applied to the whole range — the object tier's
   :meth:`~repro.core.mapper.GpuComputationMapper.prepare_environment`
   decides it once per job.
-* **Aggregate observability** — counters increment per group and
-  latencies land via
-  :meth:`~repro.observability.metrics.HistogramChild.observe_many`;
-  there are no per-job spans on this path (at 1M jobs the spans *are*
+* **Aggregate observability** — the run keeps one plain tally per
+  counted quantity and publishes every counter once, at the end;
+  latencies land per completed group via
+  :meth:`~repro.observability.metrics.HistogramChild.observe_many`.
+  There are no per-job spans on this path (at 1M jobs the spans *are*
   the workload).
 
 Three mechanisms carry everything else, one of each:
@@ -32,8 +33,9 @@ Three mechanisms carry everything else, one of each:
   paper's first-available node; ``pack``: the fullest one).  The
   simulator builds it over free GPU slots and over queue *room*, claims
   a whole placement — however many nodes it spans — with one
-  ``take(demand)`` and calls ``touch(node)`` after returning slots or
-  room; nothing here branches on the policy's name.
+  ``take(demand)``, gives a finished span's slots back with one
+  ``release`` and calls ``touch(node)`` after any other return of slots
+  or room; nothing here branches on the policy's name.
   ``benefit-aware`` is spread plus one gate
   (:meth:`FleetSimulator._place_low_benefit`).
 * **One node lifecycle.**  A node is off, usable, quarantined or
@@ -42,11 +44,11 @@ Three mechanisms carry everything else, one of each:
   the autoscaler and the reserve gate read.
 * **Events carry their handler.**  The heap holds ``(time, seq,
   handler, args)``.  A placed span — however many nodes it covers — is
-  ONE entry carrying its tool and pieces; its handler completes each
-  contiguous still-live run of node pieces with one store write.  A
-  failure scans the in-flight span entries once and tombstones that
-  node's share of every span it hosts; a span no failure touched
-  completes as one run.
+  ONE entry carrying its tool and its pieces as parallel ``nodes`` /
+  ``counts`` / ``stops`` lists; its handler completes each contiguous
+  still-live run of node pieces with one store write.  A failure scans
+  the in-flight span entries once and tombstones that node's share of
+  every span it hosts; a span no failure touched completes as one run.
 
 Elasticity (:class:`~repro.cluster.autoscale.AutoscalerConfig`): node
 indices below ``min_nodes`` are the always-on base pool; the elastic
@@ -86,7 +88,6 @@ from repro.cluster.autoscale import (
     AutoscaleController,
     AutoscalerConfig,
     NodeSecondsMeter,
-    pool_of,
     reserve_slots,
 )
 from repro.cluster.jobstore import (
@@ -99,7 +100,7 @@ from repro.cluster.jobstore import (
 from repro.cluster.placement import NODE_INDEXES
 from repro.hotpath import hot_path
 from repro.observability.export import render_document
-from repro.observability.metrics import CounterChild, MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import (
     DiurnalProfile,
@@ -281,10 +282,7 @@ class FleetSimulator:
     """
 
     def __init__(
-        self,
-        config: FleetConfig,
-        tools: tuple[FleetToolClass, ...],
-        metrics: MetricsRegistry | None = None,
+        self, config: FleetConfig, tools: tuple[FleetToolClass, ...]
     ) -> None:
         if len(tools) > MAX_TOOLS:
             raise ValueError(
@@ -293,7 +291,6 @@ class FleetSimulator:
             )
         self.config = config
         self.tools = tools
-        self.store = JobStore()
         n = config.nodes
         cap = config.slots_per_node
         auto = config.autoscale
@@ -301,6 +298,7 @@ class FleetSimulator:
         self._benefit = config.placement == PLACEMENT_BENEFIT
         #: Pool boundary: node < _base is the always-on base pool.
         self._base = auto.min_nodes if auto is not None else n
+        self.store = JobStore(self._base)
         start_nodes = auto.start_nodes if auto is not None else n
         # -- per-node shards -------------------------------------------- #
         self._state = [_USABLE if i < start_nodes else _OFF for i in range(n)]
@@ -333,10 +331,17 @@ class FleetSimulator:
         self._busy = 0
         self._queued_now = 0
         self._pending_nodes = 0
+        # -- the run's tallies: plain ints, published by _result -------- #
         self._submitted_n = 0
+        self._mapped_gpu = 0
+        self._mapped_cpu = 0
+        self._degraded_n = 0
+        self._queued_n = 0
         self._completed_n = 0
-        self._shed_n = 0
+        self._shed: dict[ShedReason, int] = {}
+        self._resubmitted_n = 0
         self._failed_n = 0
+        self._quarantines = 0
         self._shed_at_eval = 0
         self._input_done = False
         self._scale_ups = 0
@@ -360,8 +365,8 @@ class FleetSimulator:
                      failure.recovery_seconds)
         if auto is not None:
             self._at(auto.eval_interval_s, self._on_eval)
-        # -- aggregate observability ------------------------------------ #
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # -- aggregate observability: a registry of this run's own ------ #
+        self.metrics = MetricsRegistry()
         self._c_submitted = self.metrics.counter(
             "gyan_fleet_jobs_submitted_total",
             "Jobs appended to the fleet job store",
@@ -371,7 +376,6 @@ class FleetSimulator:
             "Batched mapping decisions by arm",
             labels=("arm",),
         )
-        self._mapped_children: dict[str, CounterChild] = {}
         self._c_queued = self.metrics.counter(
             "gyan_fleet_jobs_queued_total",
             "Jobs that waited in a bounded per-node queue",
@@ -401,12 +405,12 @@ class FleetSimulator:
             "gyan_fleet_node_quarantines_total",
             "Node failure events that quarantined a node",
         )
-        self._h_latency = self.metrics.histogram(
+        self._latency = self.metrics.histogram(
             "gyan_fleet_job_latency_seconds",
             "Submit→finish latency of completed jobs (group-aggregated)",
             buckets=(60.0, 300.0, 900.0, 3600.0, 14400.0, 86400.0,
                      float("inf")),
-        )
+        ).labels()
         # Elasticity metrics exist only on elastic fleets: the fleet
         # metric surface stays aggregate-only and static runs keep
         # their PR-9 family count.
@@ -430,7 +434,6 @@ class FleetSimulator:
                 "gyan_fleet_node_seconds_total",
                 "Node-seconds of commissioned capacity (cost proxy)",
             )
-            self._set_pool_gauges()
 
     # ------------------------------------------------------------------ #
     # the event heap and the node lifecycle
@@ -464,26 +467,28 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     # group starts
     # ------------------------------------------------------------------ #
-    def _count_mapped(self, arm: str, count: int) -> None:
-        """Bound on first use: an arm that never fires emits no series."""
-        child = self._mapped_children.get(arm)
-        if child is None:
-            child = self._mapped_children[arm] = self._c_mapped.labels(arm=arm)
-        child.inc(count)
-
     def _launch(
-        self, lo: int, tool_index: int, now: float, pieces: list
+        self,
+        tool_index: int,
+        now: float,
+        nodes: list[int],
+        counts: list[int],
+        stops: list[int],
     ) -> None:
-        """Start the claimed ``pieces`` — ``(hi, node, pool, epoch)`` in
-        row order — at span cost: one store write per shared column, one
-        completion event carrying the tool, one count."""
-        count = pieces[-1][0] - lo
-        self.store.start_span(lo, now, pieces)
+        """Start the claimed pieces — ``counts[i]`` rows from
+        ``stops[i]`` on ``nodes[i]`` — at span cost: one store write per
+        shared column, one completion event carrying the tool and the
+        pieces, one count."""
+        count = stops[-1] - stops[0]
+        self.store.start_span(
+            now, stops, nodes, map(self._epoch.__getitem__, nodes)
+        )
         self._at(now + self.tools[tool_index].gpu_seconds,
-                 self._on_span_done, next(self._seq), lo, tool_index, pieces)
+                 self._on_span_done, next(self._seq), tool_index,
+                 nodes, counts, stops)
         self._free_total -= count
         self._busy += count
-        self._count_mapped("gpu", count)
+        self._mapped_gpu += count
 
     @hot_path
     def _fill_gpu(
@@ -495,17 +500,12 @@ class FleetSimulator:
         capacity before moving on; the rest is settled once for the
         placed span (:meth:`_launch`).
         """
-        taken = self._slots.take(hi - lo)
-        if not taken:
+        nodes, counts = self._slots.take(hi - lo)
+        if not nodes:
             return lo
-        base, epoch = self._base, self._epoch
-        pieces = []
-        cursor = lo
-        for node, count in taken:
-            cursor += count
-            pieces.append((cursor, node, pool_of(node, base), epoch[node]))
-        self._launch(lo, tool_index, now, pieces)
-        return cursor
+        stops = list(itertools.accumulate(counts, initial=lo))
+        self._launch(tool_index, now, nodes, counts, stops)
+        return stops[-1]
 
     def _start_cpu(
         self, lo: int, hi: int, tool_index: int, now: float, degraded: bool
@@ -514,16 +514,15 @@ class FleetSimulator:
         self.store.start_range(lo, hi, NO_NODE, now, gpu=False)
         self._at(now + self.tools[tool_index].cpu_seconds,
                  self._on_range_done, lo, hi)
-        self._count_mapped("cpu", count)
+        self._mapped_cpu += count
         if degraded:
-            self._c_degraded.inc(count)
+            self._degraded_n += count
 
     def _shed_group(
         self, lo: int, hi: int, reason: ShedReason, now: float
     ) -> None:
         self.store.shed_range(lo, hi, reason, now)
-        self._shed_n += hi - lo
-        self._c_shed.labels(reason=reason.value).inc(hi - lo)
+        self._shed[reason] = self._shed.get(reason, 0) + hi - lo
 
     # ------------------------------------------------------------------ #
     # batched mapping (vectorised Pseudocode 2 over the columnar batch)
@@ -555,14 +554,12 @@ class FleetSimulator:
         if cursor == hi:
             return
         _tool, _submit, deadline = self.store.arrival(cursor)
-        for node, count in self._rooms.take(hi - cursor):
+        for node, count in zip(*self._rooms.take(hi - cursor)):
             stop = cursor + count
-            self.store.queue_range(
-                cursor, stop, node, pool=pool_of(node, self._base)
-            )
+            self.store.queue_range(cursor, stop, node)
             self._queues[node].append((cursor, stop, tool_index, deadline))
             self._queued_now += count
-            self._c_queued.inc(count)
+            self._queued_n += count
             cursor = stop
         if cursor < hi:
             if self.config.degrade_to_cpu and tool.degradable:
@@ -599,9 +596,8 @@ class FleetSimulator:
         count = hi - lo
         self.store.complete_range(lo, hi, now)
         self._completed_n += count
-        self._c_completed.inc(count)
         _tool, submit, _deadline = self.store.arrival(lo)
-        self._h_latency.observe_many(now - submit, count)
+        self._latency.observe_many(now - submit, count)
 
     @hot_path
     def _drain_queue(self, node: int, now: float) -> None:
@@ -626,19 +622,23 @@ class FleetSimulator:
             self._queued_now -= take
             self._free[node] -= take
             # A queue-drain start is a one-piece span on this node.
-            self._launch(glo, gtool, now, [
-                (glo + take, node, pool_of(node, self._base),
-                 self._epoch[node]),
-            ])
+            self._launch(gtool, now, [node], [take], [glo, glo + take])
         if self._room[node] != room:
             self._rooms.touch(node)
 
     @hot_path
     def _on_span_done(
-        self, now: float, seq: int, lo: int, tool_index: int, pieces: list
+        self,
+        now: float,
+        seq: int,
+        tool_index: int,
+        nodes: list[int],
+        counts: list[int],
+        stops: list[int],
     ) -> None:
         """Complete span ``seq``: one store write per still-live run of
-        pieces, then each live node's bookkeeping in piece order.
+        pieces, one ``release`` of the live pieces' slots, then the
+        queue drains and decommissions those nodes are owed.
 
         A span no failure touched (every span of a failure-free day) is
         one run.  A piece whose node failed since the start is a
@@ -647,10 +647,10 @@ class FleetSimulator:
         """
         cut = self._cut.pop(seq, ())
         if not cut:
-            self._on_range_done(now, lo, pieces[-1][0])
+            self._on_range_done(now, stops[0], stops[-1])
         else:
-            run_lo = start = lo
-            for stop, node, _pool, _epoch in pieces:
+            run_lo = start = stops[0]
+            for node, stop in zip(nodes, stops[1:]):
                 if node in cut:
                     if run_lo < start:
                         self._on_range_done(now, run_lo, start)
@@ -658,36 +658,36 @@ class FleetSimulator:
                 start = stop
             if run_lo < start:
                 self._on_range_done(now, run_lo, start)
+            live = [at for at, node in enumerate(nodes) if node not in cut]
+            nodes = [nodes[at] for at in live]
+            counts = [counts[at] for at in live]
+        self._busy -= sum(counts)
+        self._free_total += self._slots.release(nodes, counts)
+        # With nothing queued anywhere and no node draining, every step
+        # of this walk is a no-op: a live piece's node is usable (its
+        # queue is empty) or draining — no other lifecycle state keeps
+        # an uncut piece.
+        if not (self._queued_now or self._draining_count):
+            return
         free, usable, cap = self._free, self._usable, self._cap
         queues, touch = self._queues, self._slots.touch
-        released = returned = 0
-        for stop, node, _pool, _epoch in pieces:
-            count = stop - lo
-            lo = stop
-            if node in cut:
-                continue
-            released += count
-            free[node] += count
+        for node in nodes:
             if usable[node]:
-                returned += count
                 if queues[node]:
                     self._drain_queue(node, now)
-                touch(node)
+                    touch(node)
             elif free[node] == cap:
                 # Not usable yet not cut: draining, and now empty.
                 self._decommission(node, now)
-        self._busy -= released
-        self._free_total += returned
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
         count = hi - lo
         if self.store.row(lo).hops + 1 > self.config.max_hops:
             self.store.fail_range(lo, hi, now)
             self._failed_n += count
-            self._c_failed.inc(count)
             return
         self.store.resubmit_range(lo, hi)
-        self._c_resubmitted.inc(count)
+        self._resubmitted_n += count
         self._place_range(lo, hi, tool_index, now)
 
     def _evict_queue(self, node: int, now: float) -> None:
@@ -704,7 +704,7 @@ class FleetSimulator:
         state = self._state[node]
         if state == _OFF:
             return  # outage aimed at a node that isn't commissioned
-        self._c_quarantines.inc()
+        self._quarantines += 1
         if state != _DRAINING:
             self._set_state(node, _QUARANTINED)
         # Interrupt running groups in ascending row order (== ascending
@@ -729,22 +729,22 @@ class FleetSimulator:
     def _interrupt(self, node: int) -> list[tuple[int, int, int]]:
         """Tombstone ``node``'s piece of every in-flight span; returns
         each piece as ``(lo, hi, tool)``.  One scan of the heap per
-        failure, O(in-flight events)."""
+        failure, O(in-flight events); a span holds at most one piece per
+        node."""
         span_done = self._on_span_done
         cut = self._cut
         groups = []
         for _time, _seq, handler, args in self._events:
             if handler != span_done:
                 continue
-            seq, lo, tool_index, pieces = args
-            for stop, piece_node, _pool, _epoch in pieces:
-                if piece_node == node:
-                    nodes = cut.setdefault(seq, [])
-                    if node not in nodes:
-                        nodes.append(node)
-                        groups.append((lo, stop, tool_index))
-                    break
-                lo = stop
+            seq, tool_index, nodes, _counts, stops = args
+            if node not in nodes:
+                continue
+            tombstones = cut.setdefault(seq, [])
+            if node not in tombstones:
+                tombstones.append(node)
+                at = nodes.index(node)
+                groups.append((stops[at], stops[at + 1], tool_index))
         return groups
 
     def _on_recover(self, now: float, node: int) -> None:
@@ -762,14 +762,12 @@ class FleetSimulator:
         self._set_state(node, _OFF)
         self._decommissioned_nodes += 1
         self._meter.set_active(now, self._active_count)
-        self._c_pool_events.labels(event="decommissioned").inc()
 
     def _apply_scale_up(self, delta: int, now: float) -> None:
         self._pending_nodes += delta
         self._scale_ups += 1
         self._at(now + self.config.autoscale.provision_lag_s,
                  self._on_provision, delta)
-        self._c_scale_events.labels(direction="up").inc()
 
     def _apply_scale_down(
         self, count: int, candidates: list[int], now: float
@@ -782,7 +780,6 @@ class FleetSimulator:
             key=lambda v: (-self._free[v] - self._room[v], -v),
         )[:count]
         self._scale_downs += 1
-        self._c_scale_events.labels(direction="down").inc()
         # Every victim leaves service before any queue is flushed, so no
         # evicted job lands on another victim.
         for node in victims:
@@ -813,14 +810,13 @@ class FleetSimulator:
         self._meter.set_active(now, self._active_count)
         if self._active_count > self._peak_nodes:
             self._peak_nodes = self._active_count
-        if created:
-            self._c_pool_events.labels(event="provisioned").inc(created)
 
     @hot_path
     def _on_eval(self, now: float) -> None:
         auto = self.config.autoscale
-        shed_delta = self._shed_n - self._shed_at_eval
-        self._shed_at_eval = self._shed_n
+        shed_total = sum(self._shed.values())
+        shed_delta = shed_total - self._shed_at_eval
+        self._shed_at_eval = shed_total
         candidates = [
             i for i in range(self._base, self.config.nodes) if self._usable[i]
         ]
@@ -844,21 +840,12 @@ class FleetSimulator:
         self._pool_timeline.append(
             (now, self._active_count, self._pending_nodes)
         )
-        self._set_pool_gauges()
         inflight = (
             self._submitted_n - self._completed_n
-            - self._shed_n - self._failed_n
+            - shed_total - self._failed_n
         )
         if not self._input_done or inflight > 0 or self._pending_nodes > 0:
             self._at(now + auto.eval_interval_s, self._on_eval)
-
-    def _set_pool_gauges(self) -> None:
-        base_active = min(self._base, self._active_count)
-        self._g_pool.labels(pool="base").set(base_active)
-        self._g_pool.labels(pool="elastic").set(
-            self._active_count - base_active
-        )
-        self._g_pool.labels(pool="pending").set(self._pending_nodes)
 
     # ------------------------------------------------------------------ #
     def _drain_until(self, when: float) -> None:
@@ -885,7 +872,6 @@ class FleetSimulator:
                 batch.time + self.config.deadline_seconds,
             )
             self._submitted_n += batch.count
-            self._c_submitted.inc(batch.count)
             self._place_range(lo, hi, batch.tool, batch.time)
         self._input_done = True
         self._drain_until(math.inf)
@@ -893,44 +879,70 @@ class FleetSimulator:
         return self._result()
 
     def _result(self) -> FleetResult:
-        value = self.metrics.value
         shed = {
-            reason.value: int(
-                value("gyan_fleet_jobs_shed_total", reason=reason.value)
-            )
+            reason.value: self._shed[reason]
             for reason in ShedReason
-            if value("gyan_fleet_jobs_shed_total", reason=reason.value)
+            if reason in self._shed
         }
         # Overload ledger identity (the storm drill's invariant, fleet
         # scale): every submitted job ends exactly one way.
+        shed_total = sum(shed.values())
         if self._submitted_n != (
-            self._completed_n + self._shed_n + self._failed_n
+            self._completed_n + shed_total + self._failed_n
         ):
             raise RuntimeError(
                 "fleet ledger out of balance: "
                 f"{self._submitted_n} submitted != "
                 f"{self._completed_n} completed + "
-                f"{self._shed_n} shed + {self._failed_n} failed"
+                f"{shed_total} shed + {self._failed_n} failed"
             )
-        mapped_gpu = int(value("gyan_fleet_mapping_decisions_total", arm="gpu"))
-        mapped_cpu = int(value("gyan_fleet_mapping_decisions_total", arm="cpu"))
+        # The registry is this run's own: publishing the tallies once
+        # gives exactly the per-event counts.  An arm, reason or event
+        # that never fired emits no series.
+        self._c_submitted.inc(self._submitted_n)
+        for arm, count in (("gpu", self._mapped_gpu), ("cpu", self._mapped_cpu)):
+            if count:
+                self._c_mapped.labels(arm=arm).inc(count)
+        self._c_queued.inc(self._queued_n)
+        self._c_completed.inc(self._completed_n)
+        for reason, count in self._shed.items():
+            self._c_shed.labels(reason=reason.value).inc(count)
+        self._c_degraded.inc(self._degraded_n)
+        self._c_resubmitted.inc(self._resubmitted_n)
+        self._c_failed.inc(self._failed_n)
+        self._c_quarantines.inc(self._quarantines)
         auto = self.config.autoscale
         if auto is not None:
+            for direction, count in (("up", self._scale_ups),
+                                     ("down", self._scale_downs)):
+                if count:
+                    self._c_scale_events.labels(direction=direction).inc(count)
+            for event, count in (
+                ("provisioned", self._provisioned_nodes),
+                ("decommissioned", self._decommissioned_nodes),
+            ):
+                if count:
+                    self._c_pool_events.labels(event=event).inc(count)
             self._c_node_seconds.inc(self._meter.total)
-            self._set_pool_gauges()
+            base_active = min(self._base, self._active_count)
+            self._g_pool.labels(pool="base").set(base_active)
+            self._g_pool.labels(pool="elastic").set(
+                self._active_count - base_active
+            )
+            self._g_pool.labels(pool="pending").set(self._pending_nodes)
         return FleetResult(
             nodes=self.config.nodes,
             gpus_per_node=self.config.gpus_per_node,
             jobs_submitted=self._submitted_n,
-            mapping_decisions=mapped_gpu + mapped_cpu,
-            mapped_gpu=mapped_gpu,
-            mapped_cpu=mapped_cpu,
-            degraded=int(value("gyan_fleet_jobs_degraded_total")),
-            queued=int(value("gyan_fleet_jobs_queued_total")),
+            mapping_decisions=self._mapped_gpu + self._mapped_cpu,
+            mapped_gpu=self._mapped_gpu,
+            mapped_cpu=self._mapped_cpu,
+            degraded=self._degraded_n,
+            queued=self._queued_n,
             completed=self._completed_n,
-            resubmitted=int(value("gyan_fleet_jobs_resubmitted_total")),
+            resubmitted=self._resubmitted_n,
             failed=self._failed_n,
-            quarantines=int(value("gyan_fleet_node_quarantines_total")),
+            quarantines=self._quarantines,
             shed=shed,
             states=self.store.count_by_state(),
             end_time=self._now,
@@ -950,13 +962,9 @@ class FleetSimulator:
         )
 
 
-def run_fleet(
-    config: FleetConfig,
-    profile: DiurnalProfile,
-    metrics: MetricsRegistry | None = None,
-) -> FleetResult:
+def run_fleet(config: FleetConfig, profile: DiurnalProfile) -> FleetResult:
     """Generate the diurnal workload and run it through the fleet."""
-    simulator = FleetSimulator(config, profile.tools, metrics=metrics)
+    simulator = FleetSimulator(config, profile.tools)
     return simulator.run(diurnal_batches(profile))
 
 

@@ -57,7 +57,6 @@ from repro.cluster.autoscale import (
     PLACEMENT_PACK,
     AutoscaleController,
     NodeSecondsMeter,
-    pool_of,
     reserve_slots,
 )
 from repro.cluster.fleet import FleetConfig
@@ -92,12 +91,12 @@ class ObjectFleetReference:
     ) -> None:
         self.config = config
         self.tools = tools
-        self.store = JobStore()
         n = config.nodes
         auto = config.autoscale
         self._pack = config.placement == PLACEMENT_PACK
         self._benefit = config.placement == PLACEMENT_BENEFIT
         self._base = auto.min_nodes if auto is not None else n
+        self.store = JobStore(self._base)
         start_nodes = auto.start_nodes if auto is not None else n
         self._active = [i < start_nodes for i in range(n)]
         self._draining = [False] * n
@@ -179,8 +178,7 @@ class ObjectFleetReference:
     def _start_gpu(self, job: _RefJob, node: int, now: float) -> None:
         job.node = node
         self.store.start_range(
-            job.id, job.id + 1, node, now, gpu=True,
-            pool=pool_of(node, self._base), epoch=self._epoch[node],
+            job.id, job.id + 1, node, now, gpu=True, epoch=self._epoch[node]
         )
         self._free[node] -= 1
         seq = next(self._seq)
@@ -240,9 +238,7 @@ class ObjectFleetReference:
         node = self._scan_queue_node()
         if node is not None:
             job.node = node
-            self.store.queue_range(
-                job.id, job.id + 1, node, pool=pool_of(node, self._base)
-            )
+            self.store.queue_range(job.id, job.id + 1, node)
             self._queues[node].append(job)
             self.counts["queued"] += 1
             return

@@ -9,7 +9,7 @@ and the fleet never transitions less than a contiguous *[lo, hi)* row
 range, so every field of a job is a constant of the range it was last
 transitioned with: one stdlib ``array`` per field holds one entry per
 such run, keyed by a sorted column of first rows, and the store's size
-follows placements (38 bytes a node piece), not jobs.
+follows placements (36 bytes a node piece), not jobs.
 
 A row has no run until its first transition.  That one appends (rows at
 the table's end: arrival → start / queue / shed / CPU arm); a later one
@@ -36,11 +36,13 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.cluster.autoscale import POOL_BASE, pool_of
 from repro.hotpath import hot_path
 from repro.resilience.shedding import ShedReason
 
@@ -115,6 +117,14 @@ def _fill(column: array, lo: int, hi: int, value: float) -> None:
         column[lo:hi] = array(column.typecode, (value,)) * (hi - lo)
 
 
+def _pool(dest, base_nodes: int):
+    """Node pool of a job at ``dest`` — one int or an int64 array alike:
+    :data:`NO_POOL` at :data:`NO_NODE`, else :func:`pool_of`.  ``pool_of``
+    reads ``NO_NODE`` (negative) as base pool, which the second term
+    turns into ``NO_POOL``."""
+    return pool_of(dest, base_nodes) + (dest == NO_NODE) * (NO_POOL - POOL_BASE)
+
+
 #: Rows a result-time reader (:meth:`JobStore.digest`,
 #: :func:`gpu_wait_percentile`) expands per step: a 512 KiB temporary
 #: whatever the store's size.
@@ -125,7 +135,7 @@ class JobStore:
     """Struct-of-arrays job state with range-bulk transitions.
 
     Run table (parallel, one entry per row range that was transitioned
-    together — 38 bytes a run):
+    together — 36 bytes a run):
 
     ========== ===== =================================================
     column     type  meaning
@@ -139,9 +149,15 @@ class JobStore:
     start      'd'   last execution start (:data:`NO_INSTANT` = never)
     finish     'd'   terminal instant (:data:`NO_INSTANT` = not yet)
     gpu        'b'   1 when the last mapping landed on a GPU slot
-    pool       'h'   node pool of the last placement (:data:`NO_POOL`)
     epoch      'i'   commission epoch of the destination node (0 = n/a)
     ========== ===== =================================================
+
+    A job's node ``pool`` is not stored: it is a function of ``dest``
+    (:data:`NO_POOL` without a node, else
+    :func:`~repro.cluster.autoscale.pool_of` against ``base_nodes``,
+    the base-pool size the store was built with; a static fleet passes
+    its node count, so every node is base pool).  :meth:`row` and the
+    digest derive it with the one rule, :func:`_pool`.
 
     Batch table (parallel, one entry per :meth:`append_batch`, append
     only — what a job arrives with never changes):
@@ -172,7 +188,6 @@ class JobStore:
         ("start", "d", NO_INSTANT),
         ("finish", "d", NO_INSTANT),
         ("gpu", "b", 0),
-        ("pool", "h", NO_POOL),
         ("epoch", "i", 0),
     )
 
@@ -180,23 +195,24 @@ class JobStore:
     COLUMNS = tuple(name for name, _code, _fresh in _SPECS)
 
     #: Every field of a job in digest order (also :class:`JobRow`'s):
-    #: the per-run columns with the arrival attributes where the digest
-    #: has always had them.
+    #: the per-run columns with the arrival attributes and the derived
+    #: ``pool`` where the digest has always had them.
     DIGEST_ORDER = (
         "state", "tool", "submit", "deadline", "dest", "hops", "shed",
         "start", "finish", "gpu", "pool", "epoch",
     )
 
     __slots__ = (
-        *COLUMNS, "_run_lo", "_end",
+        *COLUMNS, "_run_lo", "_end", "_base_nodes",
         "_batch_lo", "_batch_tool", "_batch_submit", "_batch_deadline", "_n",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, base_nodes: int) -> None:
         for name, code, _fresh in self._SPECS:
             setattr(self, name, array(code))
         self._run_lo = array("q")
         self._end = 0
+        self._base_nodes = base_nodes
         self._batch_lo = array("q")
         self._batch_tool = array("h")
         self._batch_submit = array("d")
@@ -293,47 +309,50 @@ class JobStore:
         node: int,
         now: float,
         gpu: bool,
-        pool: int = NO_POOL,
         epoch: int = 0,
     ) -> None:
         """PENDING/QUEUED → RUNNING on ``node`` (``NO_NODE`` = CPU arm)."""
-        self.start_span(lo, now, ((hi, node, pool, epoch),), gpu)
+        self.start_span(now, (lo, hi), (node,), (epoch,), gpu)
 
     @hot_path
     def start_span(
         self,
-        lo: int,
         now: float,
-        pieces: Sequence[tuple[int, int, int, int]],
+        stops: Sequence[int],
+        nodes: Sequence[int],
+        epochs: Iterable[int],
         gpu: bool = True,
     ) -> None:
         """Start consecutive node pieces of one placed span, at span cost.
 
-        ``pieces`` are ``(hi, node, pool, epoch)`` in row order, each
-        starting where the previous ended (``lo`` for the first).  A
-        fresh span at the table's end — every arrival's — appends its
-        runs with one ``extend`` per column however many pieces it has;
-        rows that already have runs (queue drain, re-placement) are
-        rewritten piece by piece.
+        Piece ``i`` is rows ``[stops[i], stops[i + 1])`` on ``nodes[i]``
+        under commission epoch ``epochs[i]``, so ``stops`` has one entry
+        more than ``nodes``.  A fresh span at the table's end — every
+        arrival's — appends its runs with one ``extend`` per column
+        however many pieces it has; rows that already have runs (queue
+        drain, re-placement) are rewritten piece by piece.
         """
-        stops, nodes, pools, epochs = zip(*pieces)
-        los = (lo, *stops[:-1])
-        if not (0 <= lo and stops[-1] <= self._n and all(map(lt, los, stops))):
-            raise self._outside(lo, " / ".join(map(str, stops)))
+        lo, end, count = stops[0], stops[-1], len(nodes)
+        if not (
+            0 <= lo < end <= self._n
+            and len(stops) == count + 1
+            and all(map(lt, stops, islice(stops, 1, None)))
+        ):
+            raise self._outside(lo, " / ".join(map(str, stops[1:])))
         on_gpu = 1 if gpu else 0
         if lo < self._end:
-            for lo, (hi, node, pool, epoch) in zip(los, pieces):
+            for lo, hi, node, epoch in zip(
+                stops, islice(stops, 1, None), nodes, epochs
+            ):
                 first, last = self._runs(lo, hi)
                 _fill(self.state, first, last, _RUNNING)
                 _fill(self.dest, first, last, node)
                 _fill(self.start, first, last, now)
                 _fill(self.gpu, first, last, on_gpu)
-                _fill(self.pool, first, last, pool)
                 _fill(self.epoch, first, last, epoch)
             return
         self._cover(lo)
-        count = len(pieces)
-        self._run_lo.extend(los)
+        self._run_lo.extend(islice(stops, count))
         self.state.extend([_RUNNING] * count)
         self.dest.extend(nodes)
         self.hops.extend([0] * count)
@@ -341,18 +360,14 @@ class JobStore:
         self.start.extend([now] * count)
         self.finish.extend([NO_INSTANT] * count)
         self.gpu.extend([on_gpu] * count)
-        self.pool.extend(pools)
         self.epoch.extend(epochs)
-        self._end = stops[-1]
+        self._end = end
 
-    def queue_range(
-        self, lo: int, hi: int, node: int, pool: int = NO_POOL
-    ) -> None:
+    def queue_range(self, lo: int, hi: int, node: int) -> None:
         """PENDING → QUEUED at ``node`` (bounded per-node queue)."""
         first, last = self._runs(lo, hi)
         _fill(self.state, first, last, _QUEUED)
         _fill(self.dest, first, last, node)
-        _fill(self.pool, first, last, pool)
 
     def complete_range(self, lo: int, hi: int, now: float) -> None:
         """RUNNING → COMPLETED at ``now``."""
@@ -382,7 +397,6 @@ class JobStore:
         _fill(self.dest, first, last, NO_NODE)
         _fill(self.start, first, last, NO_INSTANT)
         _fill(self.gpu, first, last, 0)
-        _fill(self.pool, first, last, NO_POOL)
         _fill(self.epoch, first, last, 0)
         hops = self.hops
         for run in range(first, last):
@@ -410,19 +424,20 @@ class JobStore:
         tool, submit, deadline = self.arrival(index)
         self._cover(self._n)
         run = bisect_right(self._run_lo, index) - 1
+        dest = self.dest[run]
         return JobRow(
             index=index,
             state=FleetJobState(self.state[run]),
             tool=tool,
             submit=submit,
             deadline=deadline,
-            destination=self.dest[run],
+            destination=dest,
             hops=self.hops[run],
             shed=SHED_REASON_BY_CODE.get(self.shed[run]),
             start=self.start[run],
             finish=self.finish[run],
             gpu=bool(self.gpu[run]),
-            pool=self.pool[run],
+            pool=_pool(dest, self._base_nodes),
             epoch=self.epoch[run],
         )
 
@@ -439,8 +454,11 @@ class JobStore:
     def _per_row(self, name: str, at: int, stop: int) -> np.ndarray:
         """Field ``name`` as canonical per-row values of rows [at, stop):
         each run (arrival batch, for what a job arrives with) repeats
-        its value once per row it has in the range."""
-        if name in self.COLUMNS:
+        its value once per row it has in the range.  ``pool`` is derived
+        from each run's ``dest`` before the repeat."""
+        if name == "pool":
+            los, values = self._run_lo, self.dest
+        elif name in self.COLUMNS:
             los, values = self._run_lo, getattr(self, name)
         else:
             los, values = self._batch_lo, getattr(self, "_batch_" + name)
@@ -452,7 +470,9 @@ class JobStore:
         edges[-1] = stop
         canonical = np.float64 if values.typecode == "d" else np.int64
         per_entry = np.frombuffer(values, dtype=values.typecode)[first:last]
-        return np.repeat(per_entry.astype(canonical), np.diff(edges))
+        if name == "pool":
+            per_entry = _pool(per_entry.astype(np.int64), self._base_nodes)
+        return np.repeat(per_entry.astype(canonical, copy=False), np.diff(edges))
 
     def count_by_state(self) -> dict[str, int]:
         """Job counts per :class:`FleetJobState` name (only nonzero)."""

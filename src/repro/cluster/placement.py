@@ -7,22 +7,27 @@ the front of that order:
 
 * ``take(demand)`` — claim up to ``demand`` units from the policy's
   best node, then the next best, until ``demand`` is met or no node is
-  left; returns the ``(node, count)`` pieces in claim order and leaves
-  ``counts`` decremented.  O(pieces · log n): stale heap entries pop
-  lazily.
+  left; returns the pieces as two parallel lists ``(nodes, counts)`` in
+  claim order and leaves ``counts`` decremented.  O(pieces · log n):
+  stale heap entries pop lazily.
+* ``release(nodes, counts)`` — give claimed units back, as ``take``
+  returned them (a node at most once): adds each count to its node and
+  re-indexes the usable ones as ``touch`` would; returns the units that
+  went back to usable nodes.
 * ``touch(node)`` — ``counts[node]`` or ``usable[node]`` changed
-  outside ``take``.  Required after every such change that leaves the
-  node usable with a positive count; exhausting or retiring a node
-  needs none.
+  outside ``take`` and ``release``.  Required after every such change
+  that leaves the node usable with a positive count; exhausting or
+  retiring a node needs none.
 
 :class:`~repro.cluster.fleet.FleetSimulator` builds one over free GPU
 slots and one over queue room, so a new policy is a third class here,
-not a branch there, and a placement is one ``take`` however many nodes
-it spans.  The per-job oracle states the same definitions as
-brute-force ``min`` scans, and ``tests/cluster/test_placement.py``
-checks every ``take`` against repeatedly claiming that ``min``.  Two
-classes, not one with a ``packed`` flag: a policy test inside the
-selection loop measured +15 % on ``run``.
+not a branch there, and a placement is one ``take`` — and its
+completion one ``release`` — however many nodes it spans.  The per-job
+oracle states the same definitions as brute-force ``min`` scans, and
+``tests/cluster/test_placement.py`` checks every ``take`` against
+repeatedly claiming that ``min`` and every ``release`` against adding
+the counts back.  Two classes, not one with a ``packed`` flag: a policy
+test inside the selection loop measured +15 % on ``run``.
 """
 
 from __future__ import annotations
@@ -52,24 +57,40 @@ class SpreadIndex:
         self._heap = [node for node, held in enumerate(self._member) if held]
 
     @hot_path
-    def take(self, demand: int) -> list[tuple[int, int]]:
+    def take(self, demand: int) -> tuple[list[int], list[int]]:
         counts, usable, heap = self._counts, self._usable, self._heap
-        pieces = []
+        nodes, taken = [], []
         while demand > 0 and heap:
             node = heap[0]
             count = counts[node]
             if usable[node] and count > 0:
+                nodes.append(node)
                 if count > demand:
                     # Partly used: it stays at the front of the order.
                     counts[node] = count - demand
-                    pieces.append((node, demand))
+                    taken.append(demand)
                     break
                 counts[node] = 0
-                pieces.append((node, count))
+                taken.append(count)
                 demand -= count
             heapq.heappop(heap)
             self._member[node] = False
-        return pieces
+        return nodes, taken
+
+    @hot_path
+    def release(self, nodes: list[int], counts: list[int]) -> int:
+        held, usable, member, heap = (
+            self._counts, self._usable, self._member, self._heap
+        )
+        returned = 0
+        for node, count in zip(nodes, counts):
+            held[node] += count
+            if usable[node]:
+                returned += count
+                if not member[node] and held[node] > 0:
+                    heapq.heappush(heap, node)
+                    member[node] = True
+        return returned
 
     def touch(self, node: int) -> None:
         if (
@@ -98,23 +119,36 @@ class PackIndex:
         heapq.heapify(self._heap)
 
     @hot_path
-    def take(self, demand: int) -> list[tuple[int, int]]:
+    def take(self, demand: int) -> tuple[list[int], list[int]]:
         counts, usable, heap = self._counts, self._usable, self._heap
-        pieces = []
+        nodes, taken = [], []
         while demand > 0 and heap:
             count, node = heap[0]
             if usable[node] and counts[node] == count:
+                nodes.append(node)
                 if count > demand:
                     # Partly used: re-pushed under its smaller count.
                     counts[node] = count - demand
                     heapq.heapreplace(heap, (count - demand, node))
-                    pieces.append((node, demand))
+                    taken.append(demand)
                     break
                 counts[node] = 0
-                pieces.append((node, count))
+                taken.append(count)
                 demand -= count
             heapq.heappop(heap)
-        return pieces
+        return nodes, taken
+
+    @hot_path
+    def release(self, nodes: list[int], counts: list[int]) -> int:
+        held, usable, heap = self._counts, self._usable, self._heap
+        returned = 0
+        for node, count in zip(nodes, counts):
+            now_held = held[node] = held[node] + count
+            if usable[node]:
+                returned += count
+                if now_held > 0:
+                    heapq.heappush(heap, (now_held, node))
+        return returned
 
     def touch(self, node: int) -> None:
         count = self._counts[node]

@@ -200,10 +200,9 @@ class Instrument:
         return self._family.name
 
     def labels(self, **labels: str):
-        """The child series for one concrete label set (created lazily)."""
+        """The child series for one concrete label set (created lazily);
+        a label-less family's one series is ``labels()``."""
         family = self._family
-        if not family.labelnames:
-            raise MetricsError(f"{family.name} declares no labels")
         return family.child(_label_key(family.labelnames, labels))
 
     # -- label-less convenience proxies -------------------------------- #

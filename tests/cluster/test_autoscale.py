@@ -7,6 +7,7 @@ provisioning lag, shrink by draining, quarantine interplay) must be
 reference — digest and node-second accounting both.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.autoscale import (
@@ -172,6 +173,14 @@ class TestPoolSemantics:
         assert pool_of(3, 4) == POOL_BASE
         assert pool_of(4, 4) == POOL_ELASTIC
         assert pool_of(999, 4) == POOL_ELASTIC
+        assert type(pool_of(3, 4)) is int
+
+    def test_pool_of_is_elementwise(self):
+        """The job store derives its ``pool`` column with the same rule."""
+        nodes = np.array([0, 3, 4, 999], dtype=np.int64)
+        assert pool_of(nodes, 4).tolist() == [
+            pool_of(int(node), 4) for node in nodes
+        ]
 
     def test_columns_record_pools(self):
         config = elastic_config()

@@ -309,7 +309,7 @@ class TestFleetSemantics:
         with pytest.raises(ValueError, match="tool table"):
             FleetSimulator(FleetConfig(nodes=1), (tool,) * (MAX_TOOLS + 1))
         # The bounds are the largest values the columns really hold.
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(1, tool=MAX_TOOLS - 1, submit=0.0, deadline=1.0)
         store.start_range(0, 1, MAX_NODES - 1, 0.0, gpu=True, epoch=MAX_NODES)
         for _ in range(MAX_HOPS):
@@ -410,8 +410,8 @@ class TestMappedSeriesBindLazily:
 class CountingStore(JobStore):
     """A :class:`JobStore` that logs every ``complete_range`` call."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, base_nodes):
+        super().__init__(base_nodes)
         self.completes = []
 
     def complete_range(self, lo, hi, now):
@@ -424,13 +424,13 @@ def run_counted(config, tools, batches):
     columnar simulator, its result and its (finish, lo, hi) span events
     — one per ``_on_span_done`` heap entry, since every entry is popped."""
     simulator = FleetSimulator(config, tools)
-    simulator.store = CountingStore()
+    simulator.store = CountingStore(simulator._base)
     spans = []
     handler = simulator._on_span_done
 
-    def counted(now, seq, lo, tool_index, pieces):
-        spans.append((now, lo, pieces[-1][0]))
-        handler(now, seq, lo, tool_index, pieces)
+    def counted(now, seq, tool_index, nodes, counts, stops):
+        spans.append((now, stops[0], stops[-1]))
+        handler(now, seq, tool_index, nodes, counts, stops)
 
     simulator._on_span_done = counted
     result = simulator.run(batches)

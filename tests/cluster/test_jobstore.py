@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 
 import repro.cluster.jobstore as jobstore
 from repro.cluster.jobstore import (
+    MAX_NODES,
     MAX_TOOLS,
     NO_INSTANT,
     NO_NODE,
@@ -37,7 +38,7 @@ from repro.workloads.diurnal import AB_STORM_DURATION, AB_STORM_START
 
 class TestAppend:
     def test_append_batch_returns_contiguous_range(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         lo, hi = store.append_batch(5, tool=2, submit=10.0, deadline=70.0)
         assert (lo, hi) == (0, 5)
         lo2, hi2 = store.append_batch(3, tool=0, submit=20.0, deadline=80.0)
@@ -45,7 +46,7 @@ class TestAppend:
         assert len(store) == 8
 
     def test_appended_rows_are_pending_with_sentinels(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(2, tool=1, submit=5.0, deadline=65.0)
         row = store.row(1)
         assert row.state is FleetJobState.PENDING
@@ -60,7 +61,7 @@ class TestAppend:
         assert row.gpu is False
 
     def test_empty_batch_rejected(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         with pytest.raises(ValueError):
             store.append_batch(0, tool=0, submit=0.0, deadline=1.0)
 
@@ -68,7 +69,7 @@ class TestAppend:
     def test_out_of_range_tool_rejected(self, tool):
         """Nothing but ``append_batch`` bounds a tool index: a bad one
         must not wrap into the batch table or leave half an entry."""
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(2, tool=MAX_TOOLS - 1, submit=0.0, deadline=1.0)
         before = store.digest()
         with pytest.raises(ValueError, match="tool index"):
@@ -80,7 +81,7 @@ class TestAppend:
 
 class TestArrivalAttributesLivePerBatch:
     def test_row_resolves_its_batch_at_every_edge(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         batches = [(4, 7, 1.5, 61.5), (1, 0, 2.5, 62.5), (3, 2, 2.5, 99.0)]
         for count, tool, submit, deadline in batches:
             store.append_batch(count, tool, submit, deadline)
@@ -94,7 +95,7 @@ class TestArrivalAttributesLivePerBatch:
             assert store.arrival(index) == (tool, submit, deadline)
 
     def test_arrival_outside_the_store_is_an_index_error(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         for index in (0, -1):
             with pytest.raises(IndexError):
                 store.arrival(index)
@@ -104,7 +105,7 @@ class TestArrivalAttributesLivePerBatch:
                 store.arrival(index)
 
     def test_transitions_never_touch_arrival_attributes(self):
-        store = _scripted(JobStore())
+        store = _scripted(JobStore(MAX_NODES))
         arrived = [(6, 1, 0.0, 60.0), (4, 0, 5.0, 65.0), (2, 2, 9.0, 69.0)]
         rows = iter(store.rows())
         for count, tool, submit, deadline in arrived:
@@ -116,7 +117,7 @@ class TestArrivalAttributesLivePerBatch:
 
 class TestTransitions:
     def test_gpu_lifecycle(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(4, tool=0, submit=0.0, deadline=60.0)
         store.start_range(0, 4, node=7, now=1.0, gpu=True)
         assert store.row(2).state is FleetJobState.RUNNING
@@ -127,7 +128,7 @@ class TestTransitions:
         assert store.row(0).finish == 11.0
 
     def test_queue_then_partial_start(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(6, tool=1, submit=0.0, deadline=60.0)
         store.queue_range(0, 6, node=3)
         assert all(r.state is FleetJobState.QUEUED for r in store.rows())
@@ -136,7 +137,7 @@ class TestTransitions:
         assert store.row(2).state is FleetJobState.QUEUED
 
     def test_shed_records_reason(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(3, tool=0, submit=0.0, deadline=60.0)
         store.shed_range(0, 3, ShedReason.QUEUE_FULL, now=2.0)
         row = store.row(1)
@@ -145,7 +146,7 @@ class TestTransitions:
         assert row.finish == 2.0
 
     def test_resubmit_increments_hops_and_resets_placement(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(2, tool=0, submit=0.0, deadline=60.0)
         store.start_range(0, 2, node=1, now=1.0, gpu=True)
         store.resubmit_range(0, 2)
@@ -160,7 +161,7 @@ class TestTransitions:
         assert store.row(1).hops == 1
 
     def test_fail_range_is_terminal(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(1, tool=0, submit=0.0, deadline=60.0)
         store.fail_range(0, 1, now=9.0)
         assert store.row(0).state is FleetJobState.FAILED
@@ -169,13 +170,13 @@ class TestTransitions:
 
 class TestDigestAndCounts:
     def test_count_by_state_only_reports_nonzero(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(3, tool=0, submit=0.0, deadline=60.0)
         store.start_range(0, 1, node=0, now=0.0, gpu=True)
         assert store.count_by_state() == {"PENDING": 2, "RUNNING": 1}
 
     def test_digest_is_bitwise(self):
-        a, b = JobStore(), JobStore()
+        a, b = JobStore(MAX_NODES), JobStore(MAX_NODES)
         for store in (a, b):
             store.append_batch(4, tool=1, submit=0.0, deadline=60.0)
             store.start_range(0, 4, node=2, now=1.0, gpu=True)
@@ -186,7 +187,7 @@ class TestDigestAndCounts:
     def test_range_ops_equal_per_row_ops(self):
         """The columnar-vs-reference contract in miniature: one bulk
         range op and N single-row ops must produce identical bytes."""
-        bulk, perjob = JobStore(), JobStore()
+        bulk, perjob = JobStore(MAX_NODES), JobStore(MAX_NODES)
         bulk.append_batch(8, tool=2, submit=3.0, deadline=63.0)
         perjob.append_batch(8, tool=2, submit=3.0, deadline=63.0)
         bulk.start_range(0, 8, node=5, now=4.0, gpu=True)
@@ -217,8 +218,8 @@ def _scripted(store: JobStore) -> JobStore:
     """Drive ``store`` through every transition kind over three batches."""
     store.append_batch(6, tool=1, submit=0.0, deadline=60.0)
     store.append_batch(4, tool=0, submit=5.0, deadline=65.0)
-    store.start_span(0, 1.0, [(3, 2, 0, 1), (5, 7, 1, 4)])
-    store.queue_range(5, 6, node=7, pool=1)
+    store.start_span(1.0, [0, 3, 5], [2, 7], [1, 4])
+    store.queue_range(5, 6, node=7)
     store.start_range(6, 8, NO_NODE, 5.0, gpu=False)
     store.complete_range(0, 3, now=11.0)
     store.resubmit_range(3, 5)
@@ -233,7 +234,7 @@ class TestNeverTransitionedRows:
     sees a fresh PENDING job there, and an empty store is defined."""
 
     def test_empty_store_and_fresh_tail_are_defined(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         assert len(store) == store.nbytes == 0
         assert list(store.rows()) == []
         assert store.count_by_state() == {}
@@ -259,7 +260,7 @@ TRANSITIONS = {
     "start_range": lambda store, lo, hi:
         store.start_range(lo, hi, node=1, now=1.0, gpu=True),
     "start_span": lambda store, lo, hi:
-        store.start_span(lo, 1.0, [(hi, 1, 0, 1)]),
+        store.start_span(1.0, [lo, hi], [1], [1]),
     "queue_range": lambda store, lo, hi: store.queue_range(lo, hi, node=1),
     "complete_range": lambda store, lo, hi: store.complete_range(lo, hi, 1.0),
     "shed_range": lambda store, lo, hi:
@@ -277,7 +278,7 @@ class TestTransitionsStayInsideTheStore:
         outside = [(5, 20), (10, 11), (0, 11), (-1, 3), (3, 3), (4, 2)]
         for name, transition in TRANSITIONS.items():
             for transitioned in (0, 4, 10):  # no run yet, some, all
-                store = JobStore()
+                store = JobStore(MAX_NODES)
                 store.append_batch(10, tool=0, submit=0.0, deadline=60.0)
                 if transitioned:
                     store.queue_range(0, transitioned, node=3)
@@ -295,16 +296,17 @@ class TestTransitionsStayInsideTheStore:
     def test_span_pieces_out_of_row_order_are_an_index_error(
         self, transitioned
     ):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(10, tool=0, submit=0.0, deadline=60.0)
         if transitioned:
             store.queue_range(0, transitioned, node=3)
         before = list(store.rows())
-        for pieces in ([(6, 1, 0, 1), (4, 2, 0, 1), (10, 3, 0, 1)],
-                       [(4, 1, 0, 1), (4, 2, 0, 1)],
-                       [(2, 1, 0, 1)]):
+        for stops, nodes in (([2, 6, 4, 10], [1, 2, 3]),
+                             ([2, 4, 4], [1, 2]),
+                             ([2, 2], [1]),
+                             ([2, 4, 6], [1])):  # a stop without a node
             with pytest.raises(IndexError):
-                store.start_span(2, 1.0, pieces)
+                store.start_span(1.0, stops, nodes, [1] * len(nodes))
         assert list(store.rows()) == before
 
 
@@ -359,10 +361,15 @@ def naive_gpu_wait_percentile(rows, quantile, *window):
 class RowModel:
     """The per-row store the run table replaced, as plain as it gets:
     one :class:`JobRow` per job in a list, every transition a rewrite
-    of the rows in its range."""
+    of the rows in its range.  ``pool`` follows the destination: none
+    without a node, else elastic (1) from ``base_nodes`` up."""
 
-    def __init__(self):
+    def __init__(self, base_nodes=MAX_NODES):
         self.rows = []
+        self.base_nodes = base_nodes
+
+    def pool(self, node):
+        return NO_POOL if node == NO_NODE else int(node >= self.base_nodes)
 
     def append_batch(self, count, tool, submit, deadline):
         lo = len(self.rows)
@@ -376,17 +383,17 @@ class RowModel:
         return lo, lo + count
 
     def _write(self, lo, hi, **fields):
+        if "destination" in fields:
+            fields["pool"] = self.pool(fields["destination"])
         self.rows[lo:hi] = [replace(row, **fields) for row in self.rows[lo:hi]]
 
-    def start_span(self, lo, now, pieces, gpu=True):
-        for hi, node, pool, epoch in pieces:
+    def start_span(self, now, stops, nodes, epochs, gpu=True):
+        for lo, hi, node, epoch in zip(stops, stops[1:], nodes, epochs):
             self._write(lo, hi, state=FleetJobState.RUNNING, destination=node,
-                        start=now, gpu=gpu, pool=pool, epoch=epoch)
-            lo = hi
+                        start=now, gpu=gpu, epoch=epoch)
 
-    def queue_range(self, lo, hi, node, pool=NO_POOL):
-        self._write(lo, hi, state=FleetJobState.QUEUED, destination=node,
-                    pool=pool)
+    def queue_range(self, lo, hi, node):
+        self._write(lo, hi, state=FleetJobState.QUEUED, destination=node)
 
     def complete_range(self, lo, hi, now):
         self._write(lo, hi, state=FleetJobState.COMPLETED, finish=now)
@@ -400,8 +407,8 @@ class RowModel:
     def resubmit_range(self, lo, hi):
         self.rows[lo:hi] = [
             replace(row, state=FleetJobState.PENDING, destination=NO_NODE,
-                    start=NO_INSTANT, gpu=False, pool=NO_POOL, epoch=0,
-                    hops=row.hops + 1)
+                    start=NO_INSTANT, gpu=False, pool=self.pool(NO_NODE),
+                    epoch=0, hops=row.hops + 1)
             for row in self.rows[lo:hi]
         ]
 
@@ -432,7 +439,6 @@ def assert_store_equals_rows(store, rows, windows, materialised=None):
 
 instants = st.integers(0, 400).map(lambda quarter: quarter / 4)
 nodes = st.integers(0, 9)
-pools = st.sampled_from((NO_POOL, 0, 1))
 epochs = st.integers(0, 3)
 
 
@@ -447,7 +453,7 @@ class RunTableMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = JobStore()
+        self.store = JobStore(MAX_NODES)
         self.model = RowModel()
 
     def both(self, method, *args):
@@ -455,11 +461,15 @@ class RunTableMachine(RuleBasedStateMachine):
                    for target in (self.store, self.model)]
         assert results[0] == results[1]
 
-    @initialize(chunk=st.sampled_from((5, 32, 256) * 2 + (REAL_CHUNK,)))
-    def chunked(self, chunk):
+    @initialize(chunk=st.sampled_from((5, 32, 256) * 2 + (REAL_CHUNK,)),
+                base_nodes=st.one_of(st.integers(0, 11), st.just(MAX_NODES)))
+    def chunked(self, chunk, base_nodes):
         """Readers chunk every few rows — or at the real size, with one
         batch that ends just short of the seam so the drawn ranges
-        (always near the table's end) work across it."""
+        (always near the table's end) work across it.  The base pool
+        ends at a drawn node, or spans every node (the default)."""
+        self.store = JobStore(base_nodes)
+        self.model = RowModel(base_nodes)
         jobstore._DIGEST_CHUNK = chunk
         if chunk == self.REAL_CHUNK:
             self.both("append_batch", chunk - 9, 0, 50.0, 110.0)
@@ -486,11 +496,13 @@ class RunTableMachine(RuleBasedStateMachine):
         return lo, min(rows, lo + length)
 
     def draw_pieces(self, data, lo, hi):
-        stops = sorted(data.draw(
+        """``(stops, nodes, epochs)`` of a span over rows [lo, hi)."""
+        stops = [lo, *sorted(data.draw(
             st.sets(st.integers(lo + 1, hi), max_size=4), label="cuts"
-        ) | {hi})
-        return [(stop, data.draw(nodes), data.draw(pools), data.draw(epochs))
-                for stop in stops]
+        ) | {hi})]
+        count = len(stops) - 1
+        return (stops, [data.draw(nodes) for _ in range(count)],
+                [data.draw(epochs) for _ in range(count)])
 
     @rule(count=st.integers(1, 30), tool=st.integers(0, 5), submit=instants,
           ttl=instants)
@@ -503,24 +515,24 @@ class RunTableMachine(RuleBasedStateMachine):
     @rule(data=st.data(), now=instants, gpu=st.booleans())
     def start_span(self, data, now, gpu):
         lo, hi = self.draw_range(data)
-        self.both("start_span", lo, now, self.draw_pieces(data, lo, hi), gpu)
+        self.both("start_span", now, *self.draw_pieces(data, lo, hi), gpu)
 
     @precondition(lambda self: self.store._end < len(self.store))
     @rule(data=st.data(), now=instants, served=st.integers(0, 40))
     def start_fresh_span(self, data, now, served):
         """The fleet's own traffic: a multi-piece span over rows nothing
-        has touched, pieces differing in pool and epoch, then one
+        has touched, pieces differing in node, pool and epoch, then one
         completion over however many of its runs."""
         lo, hi = self.store._end, len(self.store)
         hi = data.draw(st.integers(lo + 1, min(hi, lo + 40)), label="hi")
-        self.both("start_span", lo, now, self.draw_pieces(data, lo, hi))
+        self.both("start_span", now, *self.draw_pieces(data, lo, hi))
         if served:
             self.both("complete_range", lo, min(hi, lo + served), now + 30.0)
 
     @has_rows
-    @rule(data=st.data(), node=nodes, pool=pools)
-    def queue_range(self, data, node, pool):
-        self.both("queue_range", *self.draw_range(data), node, pool)
+    @rule(data=st.data(), node=nodes)
+    def queue_range(self, data, node):
+        self.both("queue_range", *self.draw_range(data), node)
 
     @has_rows
     @rule(data=st.data(), now=instants)
@@ -554,41 +566,43 @@ class TestCanonicalDigest:
     """Columns are stored narrow; the digest is of their 64-bit view, so
     no recorded digest depends on a storage width."""
 
-    def test_a_run_is_38_bytes(self):
-        store = JobStore()
+    def test_a_run_is_36_bytes(self):
+        store = JobStore(MAX_NODES)
         store.append_batch(90, tool=1, submit=0.0, deadline=1.0)
         store.append_batch(10_000, tool=2, submit=1.0, deadline=2.0)
         # An append writes one batch entry however many rows it adds,
         # and arrival attributes have no per-run storage at all.
         assert store.nbytes == 2 * (8 + 2 + 8 + 8)
+        # ``pool`` is derived from ``dest``: stored nowhere.
         assert set(JobStore.DIGEST_ORDER) - set(JobStore.COLUMNS) == \
-            {"tool", "submit", "deadline"}
+            {"tool", "submit", "deadline", "pool"}
         assert not any(hasattr(store, name)
-                       for name in ("tool", "submit", "deadline"))
-        store.start_span(0, 0.0, [(40, 1, 0, 1), (90, 2, 0, 1)])
+                       for name in ("tool", "submit", "deadline", "pool"))
+        store.start_span(0.0, [0, 40, 90], [1, 2], [1, 1])
         store.complete_range(0, 90, now=5.0)  # both runs, no new one
-        assert store.nbytes == 2 * 26 + 2 * 38
+        assert store.nbytes == 2 * 26 + 2 * 36
         assert all(getattr(store, name).itemsize == 8
                    for name in ("start", "finish"))
 
     @pytest.mark.parametrize("untouched", [0, 1000])
     def test_digest_is_sha256_of_the_64_bit_columns(self, untouched):
         """Whether or not the store ends in rows that have no run."""
-        store = _scripted(JobStore())
+        store = _scripted(JobStore(base_nodes=5))
         if untouched:
             store.append_batch(untouched, tool=4, submit=9.5, deadline=70.0)
         rows = list(store.rows())
         assert {row.state for row in rows} == set(FleetJobState)
+        assert {row.pool for row in rows} == {NO_POOL, 0, 1}
         assert store.digest() == canonical_digest(rows)
 
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 8, 9])
     def test_chunked_widening_has_no_seams(self, monkeypatch, length):
         monkeypatch.setattr(jobstore, "_DIGEST_CHUNK", 4)
-        store = JobStore()
+        store = JobStore(base_nodes=102)
         for i in range(length):  # every row differs in a narrow column
             store.append_batch(1, tool=i, submit=float(i), deadline=i + 60.0)
             store.start_range(i, i + 1, node=100 + i, now=float(i), gpu=True,
-                              pool=i % 2, epoch=i + 1)
+                              epoch=i + 1)
         assert store.digest() == canonical_digest(list(store.rows()))
 
     def test_the_real_chunk_seam_is_hashed(self):
@@ -603,7 +617,7 @@ class TestCanonicalDigest:
             "one-row batches around the seam": (chunk - 1, 1, 1),
         }
         for label, counts in layouts.items():
-            store, model = JobStore(), RowModel()
+            store, model = JobStore(MAX_NODES), RowModel()
             digests = set()
             for number, count in enumerate(counts):
                 for target in (store, model):
@@ -611,7 +625,7 @@ class TestCanonicalDigest:
                         count, 3 + number, 1.0 + number, 2.5 * (number + 1),
                     )
                     # the batch's last row leaves its run, the rest have none
-                    target.queue_range(hi - 1, hi, hi, 1)
+                    target.queue_range(hi - 1, hi, hi)
                 digests.add(store.digest())
             assert len(store) > chunk and len(digests) == 3, label
             assert store.digest() == canonical_digest(model.rows), label
@@ -619,29 +633,26 @@ class TestCanonicalDigest:
 
 class TestStartSpan:
     def test_span_equals_one_start_range_per_piece(self):
-        span, ranges = JobStore(), JobStore()
+        span, ranges = JobStore(base_nodes=5), JobStore(base_nodes=5)
         for store in (span, ranges):
             store.append_batch(10, tool=3, submit=2.0, deadline=62.0)
-        pieces = [(4, 0, 0, 1), (6, 9, 1, 3), (9, 1, 0, 2), (10, 2, 0, 1)]
-        span.start_span(0, 2.0, pieces)
-        lo = 0
-        for hi, node, pool, epoch in pieces:
-            ranges.start_range(lo, hi, node, 2.0, gpu=True,
-                               pool=pool, epoch=epoch)
-            lo = hi
+        stops, nodes, epochs = [0, 4, 6, 9, 10], [0, 9, 1, 2], [1, 3, 2, 1]
+        span.start_span(2.0, stops, nodes, epochs)
+        for lo, hi, node, epoch in zip(stops, stops[1:], nodes, epochs):
+            ranges.start_range(lo, hi, node, 2.0, gpu=True, epoch=epoch)
         assert span.digest() == ranges.digest()
         rows = list(span.rows())
         assert [row.destination for row in rows] == [0] * 4 + [9] * 2 + [1] * 3 + [2]
         assert all(row.gpu and row.start == 2.0 for row in rows)
-        # The odd pieces kept their own pool/epoch, not the span's.
+        # Each piece keeps its own epoch and its node's pool.
         assert (span.row(5).pool, span.row(5).epoch) == (1, 3)
         assert (span.row(8).pool, span.row(8).epoch) == (0, 2)
         assert (span.row(9).pool, span.row(9).epoch) == (0, 1)
 
     def test_span_leaves_rows_outside_alone(self):
-        store = JobStore()
+        store = JobStore(MAX_NODES)
         store.append_batch(6, tool=0, submit=0.0, deadline=60.0)
-        store.start_span(2, 1.0, [(4, 5, 0, 1)])
+        store.start_span(1.0, [2, 4], [5], [1])
         states = [row.state for row in store.rows()]
         assert states == [FleetJobState.PENDING] * 2 + \
             [FleetJobState.RUNNING] * 2 + [FleetJobState.PENDING] * 2
@@ -711,7 +722,7 @@ class TestGpuWaitPercentile:
     def test_empty_window_is_zero(self, storm_store):
         assert gpu_wait_percentile(storm_store, 0.95, 1e9, 2e9) == 0.0
         assert gpu_wait_percentile(storm_store, 0.95, 500.0, 500.0) == 0.0
-        assert gpu_wait_percentile(JobStore(), 0.5) == 0.0
+        assert gpu_wait_percentile(JobStore(MAX_NODES), 0.5) == 0.0
 
     def test_quantile_validated(self, storm_store):
         for bad in (0.0, -0.1, 1.5):

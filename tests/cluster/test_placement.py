@@ -42,8 +42,9 @@ def brute_force(index_class, counts, usable):
 
 
 def brute_force_take(index_class, counts, usable, demand):
-    """Claim from the brute-force ``min`` node until ``demand`` is met."""
-    pieces = []
+    """Claim from the brute-force ``min`` node until ``demand`` is met;
+    the pieces as ``(nodes, counts)``, like ``take``."""
+    nodes, taken = [], []
     while demand > 0:
         node = brute_force(index_class, counts, usable)
         if node is None:
@@ -51,8 +52,9 @@ def brute_force_take(index_class, counts, usable, demand):
         count = min(counts[node], demand)
         counts[node] -= count
         demand -= count
-        pieces.append((node, count))
-    return pieces
+        nodes.append(node)
+        taken.append(count)
+    return nodes, taken
 
 
 steps = st.lists(
@@ -66,6 +68,12 @@ steps = st.lists(
                   st.just(0)),
         # Demands past the fleet's total exhaust every node.
         st.tuples(st.just("take"), st.just(0), st.integers(0, 30)),
+        # A finished span's pieces: each node at most once.
+        st.tuples(
+            st.just("release"), st.just(0),
+            st.lists(st.tuples(st.integers(0, NODES - 1), st.integers(1, 4)),
+                     max_size=4, unique_by=lambda piece: piece[0]),
+        ),
     ),
     max_size=60,
 )
@@ -81,12 +89,15 @@ steps = st.lists(
 def test_take_equals_the_brute_force_definition(
     index_class, start_counts, start_usable, steps
 ):
-    """Random count changes, usable flips, touches and claims: every
-    ``take(d)`` equals repeatedly claiming the brute-force ``min`` node
-    until ``d`` is met, pieces and remaining counts alike.  Draws include
-    all-exhausted fleets (→ no pieces), all-zero counts
-    (``queue_limit=0``) and a node that leaves and re-enters while its
-    stale entry is still in the heap; a final claim drains the rest."""
+    """Random count changes, usable flips, touches, claims and releases:
+    every ``take(d)`` equals repeatedly claiming the brute-force ``min``
+    node until ``d`` is met, pieces and remaining counts alike, and every
+    ``release`` adds its counts back, re-indexes the nodes without a
+    ``touch`` and returns exactly the units given back to usable nodes.
+    Draws include all-exhausted fleets (→ no pieces), all-zero counts
+    (``queue_limit=0``), releases onto unusable nodes and a node that
+    leaves and re-enters while its stale entry is still in the heap; a
+    final claim drains the rest."""
     counts, usable = list(start_counts), list(start_usable)
     index = index_class(counts, usable)
 
@@ -100,6 +111,17 @@ def test_take_equals_the_brute_force_definition(
         if kind == "take":
             check_take(value)
             continue
+        if kind == "release":
+            nodes = [released for released, _count in value]
+            given = [count for _node, count in value]
+            expected = list(counts)
+            for released, count in value:
+                expected[released] += count
+            returned = sum(count for released, count in value
+                           if usable[released])
+            assert index.release(nodes, given) == returned
+            assert counts == expected
+            continue
         if kind == "count":
             counts[node] = value
         elif kind == "usable":
@@ -109,7 +131,7 @@ def test_take_equals_the_brute_force_definition(
         if kind == "touch" or (usable[node] and counts[node] > 0):
             index.touch(node)
     check_take(sum(counts) + 1)
-    assert index.take(1) == []
+    assert index.take(1) == ([], [])
 
 
 @pytest.mark.parametrize("index_class", [SpreadIndex, PackIndex])
@@ -119,14 +141,14 @@ def test_stale_entry_survives_a_round_trip(index_class):
     counts, usable = [2, 3], [True, True]
     index = index_class(counts, usable)
     usable[0] = False  # retiring needs no touch
-    assert index.take(1) == [(1, 1)]
+    assert index.take(1) == ([1], [1])
     usable[0], counts[0] = True, 4
     index.touch(0)
     assert index.take(9) == (
-        [(1, 2), (0, 4)] if index_class is PackIndex else [(0, 4), (1, 2)]
+        ([1, 0], [2, 4]) if index_class is PackIndex else ([0, 1], [4, 2])
     )
     assert counts == [0, 0]
-    assert index.take(1) == []
+    assert index.take(1) == ([], [])
 
 
 def test_every_policy_names_an_index():
@@ -198,12 +220,11 @@ def live_pieces(simulator):
     for _time, _seq, handler, args in simulator._events:
         if handler != span_done:
             continue
-        seq, lo, _tool, pieces = args
+        seq, _tool, nodes, counts, _stops = args
         cut = simulator._cut.get(seq, ())
-        for stop, node, _pool, _epoch in pieces:
+        for node, count in zip(nodes, counts):
             if node not in cut:
-                yield node, stop - lo
-            lo = stop
+                yield node, count
 
 
 def recount(simulator):
@@ -278,9 +299,9 @@ class CountingIndex:
 
     def take(self, demand):
         self.calls += 1
-        pieces = self.index.take(demand)
-        self.widest = max(self.widest, len(pieces))
-        return pieces
+        nodes, counts = self.index.take(demand)
+        self.widest = max(self.widest, len(nodes))
+        return nodes, counts
 
     def __getattr__(self, name):
         method = getattr(self.index, name)

@@ -220,6 +220,54 @@ class TestFleetGoldens:
         assert result.scale_ups > 0 and result.scale_downs > 0
         assert_matches_golden("fleet/autoscale.json", result.to_json())
 
+    @pytest.mark.parametrize(
+        "policy", ["spread", "pack", "benefit-aware"]
+    )
+    def test_stressed_elastic_fleet_prometheus(self, policy):
+        """The fleet's whole metric registry after a storm day that
+        sheds both ways, drains queues, loses nodes mid-span and drains
+        the elastic pool back in — histogram ``_sum`` lines included."""
+        from repro.cluster.autoscale import AutoscalerConfig
+        from repro.cluster.fleet import FleetConfig, FleetSimulator, NodeFailure
+        from repro.workloads.diurnal import (
+            BurstStorm,
+            DiurnalProfile,
+            diurnal_batches,
+        )
+
+        profile = DiurnalProfile(
+            users=1500, jobs_per_user_day=3.0, days=0.5, tick_seconds=300.0,
+            seed=11,
+            storms=(BurstStorm(start=20_000.0, duration=4_000.0,
+                               multiplier=10.0),),
+        )
+        auto = AutoscalerConfig(
+            min_nodes=2, max_nodes=6, eval_interval_s=300.0,
+            provision_lag_s=600.0, scale_up_step=2, scale_down_step=2,
+            hysteresis_windows=2, cooldown_s=600.0,
+        )
+        outages = ((21_000.0, 0), (21_300.0, 1), (22_000.0, 3),
+                   (22_200.0, 2), (22_400.0, 4), (26_000.0, 5),
+                   (30_000.0, 4))
+        simulator = FleetSimulator(
+            FleetConfig(
+                nodes=6, gpus_per_node=2, queue_limit=4,
+                deadline_seconds=900.0, max_hops=1, placement=policy,
+                autoscale=auto,
+                failures=tuple(NodeFailure(t, node, 900.0)
+                               for t, node in outages),
+            ),
+            profile.tools,
+        )
+        result = simulator.run(diurnal_batches(profile))
+        assert set(result.shed) == {"queue_full", "deadline_expired"}
+        assert result.queued and result.resubmitted and result.quarantines
+        assert result.scale_downs and result.decommissioned_nodes
+        assert_matches_golden(
+            f"fleet/metrics-{policy}.prom",
+            simulator.metrics.render_prometheus(),
+        )
+
     def test_fleet_ab_cli_json(self, capsys):
         from repro.cli import main
 

@@ -56,6 +56,14 @@ class TestCounters:
         with pytest.raises(MetricsError):
             c.labels(state="ok")
 
+    def test_labelless_family_series_is_labels_without_arguments(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("latency_seconds", buckets=(1.0,))
+        child = h.labels()
+        child.observe_many(0.5, 3)
+        h.observe(2.0)
+        assert child is h.labels() and (child.count, child.total) == (4, 3.5)
+
 
 # --------------------------------------------------------------------- #
 # gauges and histograms
