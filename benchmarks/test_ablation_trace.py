@@ -27,10 +27,9 @@ TRACE = dict(n_jobs=30, mean_interarrival_s=1.0, seed=13)
 def run_policy(strategy: str, gpu_policy: str):
     deployment = build_deployment(allocation_strategy=strategy)
     register_paper_tools(deployment.app)
-    replayer = TraceReplayer(
-        deployment, gpu_policy=gpu_policy, colocation_slowdown=True
+    result = TraceReplayer(deployment, gpu_policy=gpu_policy).replay(
+        generate_trace(**TRACE)
     )
-    result = replayer.replay(generate_trace(**TRACE))
     return {
         "completion": result.mean_completion_time(),
         "wait": result.mean_wait_time(),

@@ -25,7 +25,7 @@ def overlapped_launch(deployment, tool_id, **params):
 
 def fresh():
     deployment = build_deployment()
-    register_paper_tools(deployment.app, racon_gpu_ids="0", bonito_gpu_ids="1")
+    register_paper_tools(deployment.app)
     return deployment
 
 

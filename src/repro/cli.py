@@ -293,10 +293,7 @@ def _run_trace(args: argparse.Namespace) -> int:
             n_jobs=args.jobs, mean_interarrival_s=args.interarrival,
             seed=args.seed,
         )
-        replayer = TraceReplayer(
-            deployment, gpu_policy=args.policy, colocation_slowdown=True
-        )
-        result = replayer.replay(trace)
+        result = TraceReplayer(deployment, gpu_policy=args.policy).replay(trace)
         print(f"trace: {len(trace)} jobs, mix {trace.tool_counts()}")
         print(f"allocation={args.allocation} policy={args.policy}")
         print(f"GPU jobs:             {len(result.gpu_jobs)}")

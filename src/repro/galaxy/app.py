@@ -16,7 +16,7 @@ simulated hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from repro.cluster.node import ComputeNode
 from repro.galaxy.errors import ExecutorNotFoundError, JobConfError, ToolNotFoundError
@@ -27,6 +27,9 @@ from repro.galaxy.tool_xml import ToolDefinition
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER
 from repro.resilience.shedding import RejectedBusy, ShedReason
+
+if TYPE_CHECKING:
+    from repro.resilience.overload import OverloadController
 
 T = TypeVar("T")
 
@@ -141,7 +144,7 @@ class GalaxyApp:
         #: (bounded destinations bounce with REJECTED_BUSY and the app
         #: degrades along resubmit arms), jobs carry virtual-clock
         #: deadlines, and sustained saturation trips the brownout ladder.
-        self.overload: Any = None
+        self.overload: OverloadController | None = None
         self._toolbox = None
         self.tools: dict[str, ToolDefinition] = {}
         self.executors: dict[str, ToolExecutor] = {}
@@ -320,6 +323,8 @@ class GalaxyApp:
                     return None
                 target = self.job_config.destination(next_id)
                 seen.add(next_id)
+                # Only an attached controller raises RejectedBusy.
+                assert self.overload is not None
                 self.overload.record_redirect()
                 if self.tracer.enabled:
                     self.tracer.instant(
@@ -337,6 +342,8 @@ class GalaxyApp:
             job, destination, lambda runner, target: runner.queue_job(job, target)
         )
         if placed is None:
+            # Only an attached controller raises RejectedBusy.
+            assert self.overload is not None
             self.overload.shed(
                 job,
                 ShedReason.QUEUE_FULL,

@@ -125,10 +125,7 @@ def trace_workload(
     trace = generate_trace(
         n_jobs=jobs, mean_interarrival_s=interarrival, seed=seed
     )
-    replayer = TraceReplayer(
-        deployment, gpu_policy=policy, colocation_slowdown=True
-    )
-    result = replayer.replay(trace)
+    result = TraceReplayer(deployment, gpu_policy=policy).replay(trace)
     metadata = {
         "allocation": allocation,
         "interarrival": interarrival,

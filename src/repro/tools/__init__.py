@@ -7,7 +7,7 @@
 * :mod:`repro.tools.bonito` — a working basecaller (the paper's Bonito):
   a k-mer pore model, squiggle simulation, GEMM-based frame scoring
   (the CNN analogue), CTC-style decoding, and CPU/GPU execution paths.
-* :mod:`repro.tools.seqio` — FASTA/FASTQ/PAF/FAST5-like containers.
+* :mod:`repro.tools.seqio` — sequence records, PAF, FAST5-like containers.
 * :mod:`repro.tools.mapping` — a minimizer-seed read-to-backbone mapper
   producing the PAF records Racon consumes.
 * :mod:`repro.tools.executors` — Galaxy tool executors binding both

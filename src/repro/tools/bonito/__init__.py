@@ -10,7 +10,6 @@ implements a working basecaller over simulated squiggles:
 * :mod:`model` — conv/GEMM layers (im2col + matrix multiply), with an
   analytically constructed template-matching network so no training data
   is needed;
-* :mod:`ctc` — CTC-style greedy and beam decoding over logit matrices;
 * :mod:`basecaller` — the end-to-end pipeline (segmentation, GEMM
   scoring, sequence emission), with identical CPU and GPU numerics and
   device-accounted GEMM time on the GPU path;

@@ -9,8 +9,7 @@ Pipeline per read:
    templates (:class:`~repro.tools.bonito.model.TemplateScorer`);
 4. **Emit** — walk the event k-mer calls, collapsing duplicate
    consecutive k-mers and emitting one base per event (the CTC-collapse
-   analogue; :mod:`repro.tools.bonito.ctc` provides the frame-level
-   decoders for the neural-style path).
+   analogue).
 
 The GPU path performs the *same* numerics (bit-identical output) while
 charging the GEMM/transfer/synchronisation mix to the device model — the

@@ -98,31 +98,6 @@ def _dataset_from(ctx: ToolExecutionContext) -> DatasetDescriptor:
         ) from None
 
 
-def _racon_inputs(ctx: ToolExecutionContext, workload: str) -> dict:
-    """Polishing inputs from the job params.
-
-    ``payload`` mode passes objects directly; ``files`` mode names a
-    directory holding the Racon file triple (``reads.fastq``,
-    ``backbone.fasta``, ``mappings.paf``) — what a real Galaxy job
-    working directory contains — and the executor parses them like the
-    binary would.
-    """
-    if workload == "payload":
-        return ctx.job.params["payload"]
-    import pathlib
-
-    from repro.tools.seqio.fasta import parse_fasta
-    from repro.tools.seqio.fastq import parse_fastq
-    from repro.tools.seqio.paf import parse_paf
-
-    directory = pathlib.Path(ctx.job.params["dataset_dir"])
-    return {
-        "backbone": parse_fasta((directory / "backbone.fasta").read_text())[0],
-        "reads": parse_fastq((directory / "reads.fastq").read_text()),
-        "mappings": parse_paf((directory / "mappings.paf").read_text()),
-    }
-
-
 def _timing_for(ctx: ToolExecutionContext, pcie_efficiency: float = 1.0) -> KernelTimingModel:
     """A device timing model bound to the job's first visible GPU."""
     if not ctx.gpu_devices:
@@ -193,8 +168,8 @@ def racon_cpu_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecut
     threads = _flag_value(argv, "-t", int(ctx.job.params.get("threads", 4)))
     workload = ctx.job.params.get("workload", "unit")
 
-    if workload in ("payload", "files"):
-        payload = _racon_inputs(ctx, workload)
+    if workload == "payload":
+        payload = ctx.job.params["payload"]
         polisher = RaconPolisher(
             window_length=int(ctx.job.params.get("window_length", 250))
         )
@@ -243,8 +218,8 @@ def racon_gpu_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecut
     workload = ctx.job.params.get("workload", "unit")
     containerized = ctx.job.metrics.container is not None
 
-    if workload in ("payload", "files"):
-        payload = _racon_inputs(ctx, workload)
+    if workload == "payload":
+        payload = ctx.job.params["payload"]
         timing = _timing_for(ctx)
         batcher = CudaPOABatcher(timing, batches=batches, banded=banded)
         polisher = RaconPolisher(
@@ -497,26 +472,24 @@ def seqstats_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecuti
 # Each installer imports ``parse_tool_xml`` when it runs, so whatever
 # stands at that name in repro.galaxy.tool_xml then (a tracer, a test's
 # counter) sees the parse.
-def install_racon(app: GalaxyApp, gpu_ids: str = "0") -> None:
+def install_racon(app: GalaxyApp) -> None:
     """Install the Racon wrapper (with its macros file) and executors."""
     from repro.galaxy.tool_xml import parse_tool_xml
     from repro.tools.wrappers import racon_macros_xml, racon_tool_xml
 
     app.install_tool(
-        parse_tool_xml(
-            racon_tool_xml(), macros={"macros.xml": racon_macros_xml(gpu_ids)}
-        )
+        parse_tool_xml(racon_tool_xml(), macros={"macros.xml": racon_macros_xml()})
     )
     app.register_executor("racon", racon_cpu_executor)
     app.register_executor("racon_gpu", racon_gpu_executor)
 
 
-def install_bonito(app: GalaxyApp, gpu_ids: str = "1") -> None:
+def install_bonito(app: GalaxyApp) -> None:
     """Install the Bonito wrapper and executor."""
     from repro.galaxy.tool_xml import parse_tool_xml
     from repro.tools.wrappers import bonito_tool_xml
 
-    app.install_tool(parse_tool_xml(bonito_tool_xml(gpu_ids)))
+    app.install_tool(parse_tool_xml(bonito_tool_xml()))
     app.register_executor("bonito", bonito_executor)
 
 
@@ -538,15 +511,13 @@ PAPER_TOOLS = {
 }
 
 
-def register_paper_tools(
-    app: GalaxyApp, racon_gpu_ids: str = "0", bonito_gpu_ids: str = "1"
-) -> None:
+def register_paper_tools(app: GalaxyApp) -> None:
     """Install the paper's tools and executors into a Galaxy app.
 
-    ``racon_gpu_ids`` / ``bonito_gpu_ids`` fill the requirement
-    ``version`` tags — the per-tool GPU preferences the multi-GPU cases
-    of §VI-C use (Racon wants device 0, Bonito device 1).
+    The wrappers' requirement ``version`` tags carry the per-tool GPU
+    preferences the multi-GPU cases of §VI-C use (Racon wants device 0,
+    Bonito device 1).
     """
-    install_racon(app, racon_gpu_ids)
-    install_bonito(app, bonito_gpu_ids)
+    install_racon(app)
+    install_bonito(app)
     install_seqstats(app)

@@ -1,1 +1,1 @@
-"""Sequence I/O: FASTA, FASTQ, PAF, and a FAST5-like signal container."""
+"""Sequence I/O: PAF records, sequence records and a FAST5-like signal container."""

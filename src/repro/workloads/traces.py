@@ -168,6 +168,10 @@ class TraceReplayer:
     forward between arrivals) and hold their GPU processes for their
     trace duration, so later arrivals observe realistic occupancy —
     exactly the contention pattern the allocation strategies differ on.
+    A GPU job sharing a device with k-1 others at launch runs ~k times
+    longer (time-shared SMs) — a first-order model of the "stalling due
+    to context switching" the paper's §IV-C2 motivates the memory
+    strategy with.
 
     Parameters
     ----------
@@ -178,24 +182,13 @@ class TraceReplayer:
         the allocation strategy puts them — the paper's behaviour.
         ``"wait"`` holds a GPU job in a queue until some device is idle
         (the design alternative the A7 ablation compares).
-    colocation_slowdown:
-        When True, a GPU job sharing a device with k-1 others at launch
-        runs ~k times longer (time-shared SMs) — a first-order model of
-        the "stalling due to context switching" the paper's §IV-C2
-        motivates the memory strategy with.
     """
 
-    def __init__(
-        self,
-        deployment,
-        gpu_policy: str = "place",
-        colocation_slowdown: bool = False,
-    ) -> None:
+    def __init__(self, deployment, gpu_policy: str = "place") -> None:
         if gpu_policy not in ("place", "wait"):
             raise ValueError(f"unknown gpu_policy {gpu_policy!r}")
         self.deployment = deployment
         self.gpu_policy = gpu_policy
-        self.colocation_slowdown = colocation_slowdown
 
     def replay(self, trace: ArrivalTrace) -> ReplayResult:
         """Run the trace to completion; returns the replay statistics.
@@ -274,10 +267,7 @@ class TraceReplayer:
                     peaks[gid] = max(peaks[gid], concurrency[gid])
                 if gpu_ids:
                     sharing = max(concurrency[gid] for gid in gpu_ids)
-            duration = entry.duration
-            if self.colocation_slowdown and gpu_ids:
-                duration *= sharing
-            end_time = launch_time + duration
+            end_time = launch_time + entry.duration * sharing
             running.append((end_time, runner, handle))
             result.jobs.append(
                 ReplayedJob(

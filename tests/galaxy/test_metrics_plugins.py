@@ -72,11 +72,3 @@ class TestCollector:
         deployment.app.metrics_collector.register(Silent())
         job = deployment.run_tool("racon", {"workload": "unit"})
         assert "silent" not in job.metrics.plugin_metrics
-
-    def test_metrics_also_via_api(self, deployment):
-        from repro.galaxy.api import GalaxyApi
-
-        api = GalaxyApi(deployment.app)
-        created = api.run_tool({"tool_id": "racon", "inputs": {"workload": "unit"}})
-        job = deployment.app.jobs[created["id"]]
-        assert "core" in job.metrics.plugin_metrics

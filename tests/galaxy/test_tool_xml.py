@@ -126,7 +126,7 @@ class TestMacros:
         assert tool.container_for("docker").identifier.startswith("gulsumgudukbay/")
         assert tool.version == "1.4.20"  # @TOOL_VERSION@ token expanded
 
-    def test_racon_gpu_ids_come_from_the_macros_file(self):
+    def test_racon_macros_file_carries_the_gpu_ids(self):
         """The Racon wrapper itself carries no ids: the macros file does."""
         assert "@GPU_IDS@" not in racon_tool_xml()
         tool = parse_tool_xml(

@@ -17,7 +17,7 @@ from repro.tools.executors import register_paper_tools
 def dep():
     """A deployment whose racon wants GPU 0 and bonito GPU 1 (§VI-C)."""
     deployment = build_deployment(allocation_strategy="pid")
-    register_paper_tools(deployment.app, racon_gpu_ids="0", bonito_gpu_ids="1")
+    register_paper_tools(deployment.app)
     return deployment
 
 

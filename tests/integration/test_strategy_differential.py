@@ -28,7 +28,7 @@ def replay(allocation: str, resilient: bool):
     )
     register_paper_tools(deployment.app)
     trace = generate_trace(**TRACE_KWARGS)
-    result = TraceReplayer(deployment, colocation_slowdown=True).replay(trace)
+    result = TraceReplayer(deployment).replay(trace)
     return trace, result
 
 

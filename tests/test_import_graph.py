@@ -101,6 +101,75 @@ def test_no_package_init_imports_repro():
     assert offenders == []
 
 
+def _module_names() -> dict[str, Path]:
+    """Every module under ``src/repro``, by dotted name."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_by(path: Path, name: str | None, known) -> set[str]:
+    """The known modules ``path`` imports anywhere in its body.
+
+    ``name`` is the file's dotted module name (None for a script), which
+    resolves its relative imports; importing ``a.b.c`` also loads the
+    packages ``a`` and ``a.b``.
+    """
+    package = None
+    if name is not None:
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                if package is None:
+                    continue
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{node.module}" if node.module else base
+            else:
+                module = node.module
+            targets = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            found.update(
+                prefix for i in range(1, len(parts) + 1)
+                if (prefix := ".".join(parts[:i])) in known
+            )
+    return found
+
+
+def test_every_module_has_an_entry_point():
+    """Each module is reached from the CLI, the quick-start names, a
+    paper figure or ablation (``benchmarks/``), a bench workload
+    (``bench/``) or an example — never by its own tests alone."""
+    import repro
+
+    known = _module_names()
+    scripts = [
+        path for tree in ("benchmarks", "bench", "examples")
+        for path in (REPO_ROOT / tree).rglob("*.py")
+    ]
+    reached = {"repro"}
+    todo = ["repro.cli", "repro.__main__", *repro._DEFINED_IN.values()]
+    for path in scripts:
+        todo.extend(_imported_by(path, None, known))
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(_imported_by(known[name], name, known))
+    assert sorted(set(known) - reached) == []
+
+
 class TestQuickStartNames:
     """``repro`` re-exports three names, lazily, and nothing else does."""
 

@@ -1,11 +1,9 @@
-"""FASTA/FASTQ/PAF parsing and records."""
+"""PAF parsing and sequence/signal records."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tools.seqio.fasta import parse_fasta, write_fasta
-from repro.tools.seqio.fastq import mean_quality, parse_fastq, write_fastq
 from repro.tools.seqio.paf import PafRecord, parse_paf, write_paf
 from repro.tools.seqio.records import SeqRecord, SignalRead, reverse_complement
 
@@ -40,65 +38,6 @@ class TestSeqRecord:
     @given(dna)
     def test_reverse_complement_involution(self, seq):
         assert reverse_complement(reverse_complement(seq)) == seq
-
-
-class TestFasta:
-    def test_roundtrip(self):
-        records = [
-            SeqRecord(name="a", sequence="ACGT" * 30, description="first"),
-            SeqRecord(name="b", sequence="GG"),
-        ]
-        parsed = parse_fasta(write_fasta(records))
-        assert [(r.name, r.sequence, r.description) for r in parsed] == [
-            ("a", "ACGT" * 30, "first"),
-            ("b", "GG", ""),
-        ]
-
-    def test_multiline_sequences_joined(self):
-        assert parse_fasta(">x\nACG\nT\n")[0].sequence == "ACGT"
-
-    def test_data_before_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fasta("ACGT\n>x\n")
-
-    def test_line_wrapping(self):
-        text = write_fasta([SeqRecord(name="a", sequence="A" * 100)], line_width=60)
-        lengths = [len(l) for l in text.splitlines()[1:]]
-        assert lengths == [60, 40]
-
-    @given(st.lists(st.tuples(st.text(alphabet="abc", min_size=1, max_size=5), dna), max_size=5))
-    def test_roundtrip_property(self, pairs):
-        records = [SeqRecord(name=f"{n}_{i}", sequence=s) for i, (n, s) in enumerate(pairs)]
-        parsed = parse_fasta(write_fasta(records))
-        assert [(r.name, r.sequence) for r in parsed] == [
-            (r.name, r.sequence) for r in records
-        ]
-
-
-class TestFastq:
-    def test_roundtrip(self):
-        records = [SeqRecord(name="a", sequence="ACGT", quality="IIII")]
-        parsed = parse_fastq(write_fastq(records))
-        assert parsed[0].quality == "IIII"
-
-    def test_missing_quality_filled(self):
-        text = write_fastq([SeqRecord(name="a", sequence="ACG")])
-        assert parse_fastq(text)[0].quality == "III"
-
-    def test_bad_record_count_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fastq("@a\nACGT\n+\n")
-
-    def test_bad_separators_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fastq("a\nACGT\n+\nIIII\n")
-        with pytest.raises(ValueError):
-            parse_fastq("@a\nACGT\nX\nIIII\n")
-
-    def test_mean_quality(self):
-        record = SeqRecord(name="a", sequence="AC", quality="!I")  # Q0, Q40
-        assert mean_quality(record) == pytest.approx(20.0)
-        assert mean_quality(SeqRecord(name="b", sequence="AC")) == 0.0
 
 
 class TestPaf:
