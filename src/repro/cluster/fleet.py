@@ -480,9 +480,8 @@ class FleetSimulator:
         shared column, one completion event carrying the tool and the
         pieces, one count."""
         count = stops[-1] - stops[0]
-        self.store.start_span(
-            now, stops, nodes, map(self._epoch.__getitem__, nodes)
-        )
+        epoch = self._epoch
+        self.store.start_span(now, stops, nodes, [epoch[n] for n in nodes])
         self._at(now + self.tools[tool_index].gpu_seconds,
                  self._on_span_done, next(self._seq), tool_index,
                  nodes, counts, stops)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -107,6 +107,15 @@ class JobRow:
 
 
 _PENDING, _QUEUED, _RUNNING, _COMPLETED, _SHED, _FAILED = map(int, FleetJobState)
+
+#: One-entry columns of what every fresh run of a started span holds:
+#: ``_RUN_STATE * count`` repeats in C, and ``extend`` of an array of
+#: the same typecode is one copy.
+_RUN_STATE = array("b", (_RUNNING,))
+_RUN_HOPS = array("b", (0,))
+_RUN_SHED = array("b", (NO_REASON,))
+_RUN_FINISH = array("d", (NO_INSTANT,))
+_RUN_GPU = (array("b", (0,)), array("b", (1,)))
 
 
 def _fill(column: array, lo: int, hi: int, value: float) -> None:
@@ -312,31 +321,35 @@ class JobStore:
         epoch: int = 0,
     ) -> None:
         """PENDING/QUEUED → RUNNING on ``node`` (``NO_NODE`` = CPU arm)."""
-        self.start_span(now, (lo, hi), (node,), (epoch,), gpu)
+        self.start_span(now, [lo, hi], [node], [epoch], gpu)
 
     @hot_path
     def start_span(
         self,
         now: float,
-        stops: Sequence[int],
-        nodes: Sequence[int],
-        epochs: Iterable[int],
+        stops: list[int],
+        nodes: list[int],
+        epochs: list[int],
         gpu: bool = True,
     ) -> None:
         """Start consecutive node pieces of one placed span, at span cost.
 
         Piece ``i`` is rows ``[stops[i], stops[i + 1])`` on ``nodes[i]``
         under commission epoch ``epochs[i]``, so ``stops`` has one entry
-        more than ``nodes``.  A fresh span at the table's end — every
-        arrival's — appends its runs with one ``extend`` per column
-        however many pieces it has; rows that already have runs (queue
-        drain, re-placement) are rewritten piece by piece.
+        more than ``nodes`` and ``epochs``.  A fresh span at the table's
+        end — every arrival's — appends its runs with one C-level copy
+        per column however many pieces it has: a repeat of a one-entry
+        array for the columns every fresh run shares, ``fromlist`` for
+        the per-piece ones.  Rows that already have runs (queue drain,
+        re-placement) are rewritten piece by piece.
         """
         lo, end, count = stops[0], stops[-1], len(nodes)
         if not (
             0 <= lo < end <= self._n
             and len(stops) == count + 1
-            and all(map(lt, stops, islice(stops, 1, None)))
+            and len(epochs) == count
+            # one piece is in order already: lo < end
+            and (count == 1 or all(map(lt, stops, islice(stops, 1, None))))
         ):
             raise self._outside(lo, " / ".join(map(str, stops[1:])))
         on_gpu = 1 if gpu else 0
@@ -352,15 +365,15 @@ class JobStore:
                 _fill(self.epoch, first, last, epoch)
             return
         self._cover(lo)
-        self._run_lo.extend(islice(stops, count))
-        self.state.extend([_RUNNING] * count)
-        self.dest.extend(nodes)
-        self.hops.extend([0] * count)
-        self.shed.extend([NO_REASON] * count)
-        self.start.extend([now] * count)
-        self.finish.extend([NO_INSTANT] * count)
-        self.gpu.extend([on_gpu] * count)
-        self.epoch.extend(epochs)
+        self._run_lo.fromlist(stops[:-1])
+        self.state.extend(_RUN_STATE * count)
+        self.dest.fromlist(nodes)
+        self.hops.extend(_RUN_HOPS * count)
+        self.shed.extend(_RUN_SHED * count)
+        self.start.extend(array("d", (now,)) * count)
+        self.finish.extend(_RUN_FINISH * count)
+        self.gpu.extend(_RUN_GPU[on_gpu] * count)
+        self.epoch.fromlist(epochs)
         self._end = end
 
     def queue_range(self, lo: int, hi: int, node: int) -> None:

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -308,6 +308,24 @@ class TestTransitionsStayInsideTheStore:
             with pytest.raises(IndexError):
                 store.start_span(1.0, stops, nodes, [1] * len(nodes))
         assert list(store.rows()) == before
+
+    @pytest.mark.parametrize("transitioned", [0, 6], ids=["append", "rewrite"])
+    @pytest.mark.parametrize("epochs", [[1], [1, 4, 2]], ids=["short", "long"])
+    def test_span_epochs_unlike_its_pieces_are_an_index_error(
+        self, transitioned, epochs
+    ):
+        """``epochs`` once went unchecked: a short list left the fresh
+        run table a column short (the digest died on a NumPy broadcast),
+        and on the rewrite path ``zip`` dropped the pieces it lacked."""
+        store = JobStore(MAX_NODES)
+        store.append_batch(10, tool=0, submit=0.0, deadline=60.0)
+        if transitioned:
+            store.queue_range(0, transitioned, node=3)
+        before = list(store.rows())
+        with pytest.raises(IndexError, match="not a range of"):
+            store.start_span(1.0, [2, 5, 8], [2, 7], epochs)
+        assert list(store.rows()) == before
+        assert store.digest() == canonical_digest(before)
 
 
 def canonical_digest(rows) -> str:
@@ -648,6 +666,55 @@ class TestStartSpan:
         assert (span.row(5).pool, span.row(5).epoch) == (1, 3)
         assert (span.row(8).pool, span.row(8).epoch) == (0, 2)
         assert (span.row(9).pool, span.row(9).epoch) == (0, 1)
+
+    @pytest.mark.parametrize("gpu", [True, False])
+    def test_a_64_piece_span_equals_one_start_range_per_piece(self, gpu):
+        span, ranges = JobStore(base_nodes=40), JobStore(base_nodes=40)
+        for store in (span, ranges):
+            store.append_batch(5, tool=1, submit=0.0, deadline=60.0)
+            store.complete_range(0, 5, now=3.0)  # the span lands at the end
+            store.append_batch(300, tool=2, submit=1.0, deadline=61.0)
+        stops = [5 + 4 * piece + piece % 3 for piece in range(64)] + [305]
+        nodes = [(7 * piece) % 80 for piece in range(64)]
+        epochs = [1 + piece % 5 for piece in range(64)]
+        span.start_span(2.5, stops, nodes, epochs, gpu)
+        for lo, hi, node, epoch in zip(stops, stops[1:], nodes, epochs):
+            ranges.start_range(lo, hi, node, 2.5, gpu=gpu, epoch=epoch)
+        assert list(span.rows()) == list(ranges.rows())
+        assert span.digest() == ranges.digest()
+        assert span.nbytes == ranges.nbytes == 65 * 36 + 2 * 26
+        assert {row.gpu for row in span.rows()} == {False, gpu}
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_a_non_integral_start_reads_back_bit_equal(self, pieces):
+        now = 0.1 + 0.2  # 0.30000000000000004, not 0.3
+        store = JobStore(MAX_NODES)
+        store.append_batch(6, tool=0, submit=0.0, deadline=60.0)
+        stops = [0, *range(6 - pieces + 1, 6), 6]
+        store.start_span(now, stops, [1] * pieces, [1] * pieces)
+        assert all(row.start.hex() == now.hex() for row in store.rows())
+
+    @settings(max_examples=60, deadline=None)
+    @given(spans=st.lists(st.tuples(
+        st.integers(0, 3),  # rows left PENDING before the span
+        st.lists(st.integers(1, 5), min_size=1, max_size=20),  # pieces
+        st.booleans(),
+    ), min_size=1, max_size=8))
+    def test_every_run_column_keeps_one_entry_per_run(self, spans):
+        store = JobStore(MAX_NODES)
+        for skipped, counts, gpu in spans:
+            lo, hi = store.append_batch(
+                skipped + sum(counts), tool=0, submit=0.0, deadline=1.0
+            )
+            stops = [lo + skipped]
+            for count in counts:
+                stops.append(stops[-1] + count)
+            store.start_span(1.0, stops, [2] * len(counts),
+                             [1] * len(counts), gpu)
+            runs = len(store._run_lo)
+            assert [len(getattr(store, name)) for name in JobStore.COLUMNS] \
+                == [runs] * len(JobStore.COLUMNS)
+            assert store._end == hi
 
     def test_span_leaves_rows_outside_alone(self):
         store = JobStore(MAX_NODES)
