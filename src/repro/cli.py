@@ -638,7 +638,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         AB_STORM_START,
         DiurnalProfile,
         ab_storm_profile,
-        diurnal_batches,
     )
 
     storm_lo = AB_STORM_START
@@ -649,7 +648,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             profile = ab_storm_profile(args.jobs, seed=args.seed)
         else:
             profile = DiurnalProfile(seed=args.seed).scaled_to(args.jobs)
-        batches = diurnal_batches(profile)
         policies = list(args.ab_policies) if args.ab else [args.policy]
         runs = []
         for policy in policies:
@@ -661,10 +659,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 autoscale=autoscale,
             )
             simulator = FleetSimulator(config, profile.tools)
-            result = simulator.run(batches)
+            result = simulator.run(profile.batches)
             if args.check_parity:
                 errors = _fleet_parity_errors(
-                    result, config, profile.tools, batches
+                    result, config, profile.tools, profile.batches
                 )
                 if errors:
                     for error in errors:

@@ -44,11 +44,14 @@ Three mechanisms carry everything else, one of each:
   the autoscaler and the reserve gate read.
 * **Events carry their handler.**  The heap holds ``(time, seq,
   handler, args)``.  A placed span — however many nodes it covers — is
-  ONE entry carrying its tool and its pieces as parallel ``nodes`` /
-  ``counts`` / ``stops`` lists; its handler completes each contiguous
-  still-live run of node pieces with one store write.  A failure scans
-  the in-flight span entries once and tombstones that node's share of
-  every span it hosts; a span no failure touched completes as one run.
+  ONE entry carrying its tool, its rows' arrival instant and its pieces
+  as parallel ``nodes`` / ``counts`` / ``stops`` lists; its handler
+  completes each contiguous still-live run of node pieces with one
+  store write.  A CPU group's event and a queue entry carry the arrival
+  instant too, so no completion or queue drain looks it up in the
+  store.  A failure scans the in-flight span entries once and
+  tombstones that node's share of every span it hosts; a span no
+  failure touched completes as one run.
 
 Elasticity (:class:`~repro.cluster.autoscale.AutoscalerConfig`): node
 indices below ``min_nodes`` are the always-on base pool; the elastic
@@ -106,7 +109,6 @@ from repro.workloads.diurnal import (
     DiurnalProfile,
     FleetToolClass,
     check_arrival,
-    diurnal_batches,
 )
 
 #: Node lifecycle states: exactly one per node, changed only by
@@ -311,8 +313,8 @@ class FleetSimulator:
         self._free = [cap if i < start_nodes else 0 for i in range(n)]
         #: Queue room: ``queue_limit`` minus the jobs queued on the node.
         self._room = [config.queue_limit] * n
-        #: Per node: FIFO of queued (lo, hi, tool, deadline) groups.
-        self._queues: list[deque[tuple[int, int, int, float]]] = [
+        #: Per node: FIFO of queued (lo, hi, tool, submit, deadline) groups.
+        self._queues: list[deque[tuple[int, int, int, float, float]]] = [
             deque() for _ in range(n)
         ]
         #: Span id → nodes whose piece of that in-flight span a failure
@@ -471,19 +473,21 @@ class FleetSimulator:
         self,
         tool_index: int,
         now: float,
+        submit: float,
         nodes: list[int],
         counts: list[int],
         stops: list[int],
     ) -> None:
         """Start the claimed pieces — ``counts[i]`` rows from
-        ``stops[i]`` on ``nodes[i]`` — at span cost: one store write per
-        shared column, one completion event carrying the tool and the
-        pieces, one count."""
+        ``stops[i]`` on ``nodes[i]``, all submitted at ``submit`` — at
+        span cost: one store write per shared column, one completion
+        event carrying the tool, the arrival instant and the pieces, one
+        count."""
         count = stops[-1] - stops[0]
         epoch = self._epoch
         self.store.start_span(now, stops, nodes, [epoch[n] for n in nodes])
         self._at(now + self.tools[tool_index].gpu_seconds,
-                 self._on_span_done, next(self._seq), tool_index,
+                 self._on_span_done, next(self._seq), tool_index, submit,
                  nodes, counts, stops)
         self._free_total -= count
         self._busy += count
@@ -491,7 +495,7 @@ class FleetSimulator:
 
     @hot_path
     def _fill_gpu(
-        self, lo: int, hi: int, tool_index: int, now: float
+        self, lo: int, hi: int, tool_index: int, now: float, submit: float
     ) -> int:
         """Start rows from ``lo`` on free slots; returns the first unplaced.
 
@@ -503,16 +507,22 @@ class FleetSimulator:
         if not nodes:
             return lo
         stops = list(itertools.accumulate(counts, initial=lo))
-        self._launch(tool_index, now, nodes, counts, stops)
+        self._launch(tool_index, now, submit, nodes, counts, stops)
         return stops[-1]
 
     def _start_cpu(
-        self, lo: int, hi: int, tool_index: int, now: float, degraded: bool
+        self,
+        lo: int,
+        hi: int,
+        tool_index: int,
+        now: float,
+        submit: float,
+        degraded: bool,
     ) -> None:
         count = hi - lo
         self.store.start_range(lo, hi, NO_NODE, now, gpu=False)
         self._at(now + self.tools[tool_index].cpu_seconds,
-                 self._on_range_done, lo, hi)
+                 self._on_range_done, lo, hi, submit)
         self._mapped_cpu += count
         if degraded:
             self._degraded_n += count
@@ -528,46 +538,53 @@ class FleetSimulator:
     # ------------------------------------------------------------------ #
     @hot_path
     def _place_range(
-        self, lo: int, hi: int, tool_index: int, now: float
+        self, lo: int, hi: int, tool_index: int, now: float, submit: float
     ) -> None:
-        """Map one same-instant, same-class row range.
+        """Map one same-instant, same-class row range submitted at
+        ``submit`` (``now`` on arrival, earlier on a resubmit).
 
         The eligibility decision (Pseudocode 2: does the tool want a GPU
         and does the fleet have one?) happens once for the whole range;
         placement claims contiguous sub-ranges from the front, filling
         the policy's best node to capacity before moving on — identical,
-        job for job, to the per-job-object reference model.
+        job for job, to the per-job-object reference model.  Every event
+        and queue entry a piece of the range makes carries ``submit``.
         """
         tool = self.tools[tool_index]
         if not tool.gpu_eligible:
-            self._start_cpu(lo, hi, tool_index, now, degraded=False)
+            self._start_cpu(lo, hi, tool_index, now, submit, degraded=False)
             return
         if (
             self._benefit
             and tool.degradable
             and tool.gpu_benefit < self.config.benefit_threshold
         ):
-            self._place_low_benefit(lo, hi, tool_index, now)
+            self._place_low_benefit(lo, hi, tool_index, now, submit)
             return
-        cursor = self._fill_gpu(lo, hi, tool_index, now)
+        cursor = self._fill_gpu(lo, hi, tool_index, now, submit)
         if cursor == hi:
             return
-        _tool, _submit, deadline = self.store.arrival(cursor)
+        # The expression run stored, so the same double.
+        deadline = submit + self.config.deadline_seconds
         for node, count in zip(*self._rooms.take(hi - cursor)):
             stop = cursor + count
             self.store.queue_range(cursor, stop, node)
-            self._queues[node].append((cursor, stop, tool_index, deadline))
+            self._queues[node].append(
+                (cursor, stop, tool_index, submit, deadline)
+            )
             self._queued_now += count
             self._queued_n += count
             cursor = stop
         if cursor < hi:
             if self.config.degrade_to_cpu and tool.degradable:
-                self._start_cpu(cursor, hi, tool_index, now, degraded=True)
+                self._start_cpu(
+                    cursor, hi, tool_index, now, submit, degraded=True
+                )
             else:
                 self._shed_group(cursor, hi, ShedReason.QUEUE_FULL, now)
 
     def _place_low_benefit(
-        self, lo: int, hi: int, tool_index: int, now: float
+        self, lo: int, hi: int, tool_index: int, now: float, submit: float
     ) -> None:
         """benefit-aware placement for a low-benefit degradable class.
 
@@ -583,19 +600,21 @@ class FleetSimulator:
         )
         avail = self._free_total - reserve
         take_total = min(hi - lo, avail) if avail > 0 else 0
-        cursor = self._fill_gpu(lo, lo + take_total, tool_index, now)
+        cursor = self._fill_gpu(lo, lo + take_total, tool_index, now, submit)
         if cursor < hi:
-            self._start_cpu(cursor, hi, tool_index, now, degraded=True)
+            self._start_cpu(cursor, hi, tool_index, now, submit, degraded=True)
 
     # ------------------------------------------------------------------ #
     # event handlers
     # ------------------------------------------------------------------ #
-    def _on_range_done(self, now: float, lo: int, hi: int) -> None:
-        """A CPU group's completion event, and each live run of a span's."""
+    def _on_range_done(
+        self, now: float, lo: int, hi: int, submit: float
+    ) -> None:
+        """A CPU group's completion event, and each live run of a span's:
+        rows [lo, hi), all submitted at ``submit``."""
         count = hi - lo
         self.store.complete_range(lo, hi, now)
         self._completed_n += count
-        _tool, submit, _deadline = self.store.arrival(lo)
         self._latency.observe_many(now - submit, count)
 
     @hot_path
@@ -605,7 +624,7 @@ class FleetSimulator:
         queue = self._queues[node]
         room = self._room[node]
         while queue and self._free[node] > 0:
-            glo, ghi, gtool, deadline = queue[0]
+            glo, ghi, gtool, submit, deadline = queue[0]
             if now > deadline:
                 queue.popleft()
                 self._room[node] += ghi - glo
@@ -616,12 +635,12 @@ class FleetSimulator:
             if take == ghi - glo:
                 queue.popleft()
             else:
-                queue[0] = (glo + take, ghi, gtool, deadline)
+                queue[0] = (glo + take, ghi, gtool, submit, deadline)
             self._room[node] += take
             self._queued_now -= take
             self._free[node] -= take
             # A queue-drain start is a one-piece span on this node.
-            self._launch(gtool, now, [node], [take], [glo, glo + take])
+            self._launch(gtool, now, submit, [node], [take], [glo, glo + take])
         if self._room[node] != room:
             self._rooms.touch(node)
 
@@ -631,6 +650,7 @@ class FleetSimulator:
         now: float,
         seq: int,
         tool_index: int,
+        submit: float,
         nodes: list[int],
         counts: list[int],
         stops: list[int],
@@ -646,17 +666,17 @@ class FleetSimulator:
         """
         cut = self._cut.pop(seq, ())
         if not cut:
-            self._on_range_done(now, stops[0], stops[-1])
+            self._on_range_done(now, stops[0], stops[-1], submit)
         else:
             run_lo = start = stops[0]
             for node, stop in zip(nodes, stops[1:]):
                 if node in cut:
                     if run_lo < start:
-                        self._on_range_done(now, run_lo, start)
+                        self._on_range_done(now, run_lo, start, submit)
                     run_lo = stop
                 start = stop
             if run_lo < start:
-                self._on_range_done(now, run_lo, start)
+                self._on_range_done(now, run_lo, start, submit)
             live = [at for at, node in enumerate(nodes) if node not in cut]
             nodes = [nodes[at] for at in live]
             counts = [counts[at] for at in live]
@@ -680,14 +700,17 @@ class FleetSimulator:
                 self._decommission(node, now)
 
     def _resubmit(self, lo: int, hi: int, tool_index: int, now: float) -> None:
+        """Re-enter rows [lo, hi) after their node left service — the one
+        place the simulator looks up a range's arrival (``row``)."""
         count = hi - lo
-        if self.store.row(lo).hops + 1 > self.config.max_hops:
+        row = self.store.row(lo)
+        if row.hops + 1 > self.config.max_hops:
             self.store.fail_range(lo, hi, now)
             self._failed_n += count
             return
         self.store.resubmit_range(lo, hi)
         self._resubmitted_n += count
-        self._place_range(lo, hi, tool_index, now)
+        self._place_range(lo, hi, tool_index, now, row.submit)
 
     def _evict_queue(self, node: int, now: float) -> None:
         """Flush a node that left service: its queued groups resubmit in
@@ -696,7 +719,7 @@ class FleetSimulator:
         self._queues[node].clear()
         self._queued_now -= self.config.queue_limit - self._room[node]
         self._room[node] = self.config.queue_limit
-        for lo, hi, tool_index, _deadline in queued:
+        for lo, hi, tool_index, _submit, _deadline in queued:
             self._resubmit(lo, hi, tool_index, now)
 
     def _on_fail(self, now: float, node: int, recovery_seconds: float) -> None:
@@ -736,7 +759,7 @@ class FleetSimulator:
         for _time, _seq, handler, args in self._events:
             if handler != span_done:
                 continue
-            seq, tool_index, nodes, _counts, stops = args
+            seq, tool_index, _submit, nodes, _counts, stops = args
             if node not in nodes:
                 continue
             tombstones = cut.setdefault(seq, [])
@@ -871,7 +894,7 @@ class FleetSimulator:
                 batch.time + self.config.deadline_seconds,
             )
             self._submitted_n += batch.count
-            self._place_range(lo, hi, batch.tool, batch.time)
+            self._place_range(lo, hi, batch.tool, batch.time, batch.time)
         self._input_done = True
         self._drain_until(math.inf)
         self._meter.advance(self._now)
@@ -962,9 +985,10 @@ class FleetSimulator:
 
 
 def run_fleet(config: FleetConfig, profile: DiurnalProfile) -> FleetResult:
-    """Generate the diurnal workload and run it through the fleet."""
+    """Run the profile's diurnal day through the fleet (the day is
+    generated on the profile's first run and shared by later ones)."""
     simulator = FleetSimulator(config, profile.tools)
-    return simulator.run(diurnal_batches(profile))
+    return simulator.run(profile.batches)
 
 
 #: The canonical A/B fleet shape: paired with

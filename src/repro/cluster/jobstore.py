@@ -291,7 +291,9 @@ class JobStore:
 
         Rows never transitioned get one fresh run up to ``hi`` (at the
         table's end, so an append); then each boundary is one ``bisect``
-        and a run is split only where the range cuts one.
+        and a run is split only where the range cuts one.  A range that
+        is exactly one run (a completion, most drains) skips the second
+        ``bisect``: the next run starts at ``hi``.
         """
         if not 0 <= lo < hi <= self._n:
             raise self._outside(lo, hi)
@@ -304,6 +306,9 @@ class JobStore:
             self._cut(first, lo)
         if hi == self._end:
             return first, len(los)
+        last = first + 1
+        if last < len(los) and los[last] == hi:
+            return first, last
         last = bisect_right(los, hi, first) - 1
         if los[last] != hi:
             last += 1
@@ -358,6 +363,13 @@ class JobStore:
                 stops, islice(stops, 1, None), nodes, epochs
             ):
                 first, last = self._runs(lo, hi)
+                if last - first == 1:  # one run: five item writes
+                    self.state[first] = _RUNNING
+                    self.dest[first] = node
+                    self.start[first] = now
+                    self.gpu[first] = on_gpu
+                    self.epoch[first] = epoch
+                    continue
                 _fill(self.state, first, last, _RUNNING)
                 _fill(self.dest, first, last, node)
                 _fill(self.start, first, last, now)
@@ -385,6 +397,10 @@ class JobStore:
     def complete_range(self, lo: int, hi: int, now: float) -> None:
         """RUNNING → COMPLETED at ``now``."""
         first, last = self._runs(lo, hi)
+        if last - first == 1:  # one run: two item writes
+            self.state[first] = _COMPLETED
+            self.finish[first] = now
+            return
         _fill(self.state, first, last, _COMPLETED)
         _fill(self.finish, first, last, now)
 

@@ -17,6 +17,7 @@ on.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -91,6 +92,13 @@ DEFAULT_FLEET_TOOLS: tuple[FleetToolClass, ...] = (
 )
 
 
+def _require(owner: str, name: str, value: float, ok: bool, must: str) -> None:
+    """Refuse a knob the generator cannot turn into a day: ``ok`` is the
+    test ``value`` passed, ``must`` what it says to the caller."""
+    if not ok:
+        raise ValueError(f"{owner}: {name} must be {must}, got {value}")
+
+
 @dataclass(frozen=True)
 class BurstStorm:
     """A rate-multiplier window layered over the day curve."""
@@ -98,6 +106,15 @@ class BurstStorm:
     start: float  #: seconds from the horizon start
     duration: float
     multiplier: float
+
+    def __post_init__(self) -> None:
+        # A NaN window never matches an instant: refused, not ignored.
+        _require("storm", "start", self.start, math.isfinite(self.start),
+                 "finite")
+        for name in ("duration", "multiplier"):
+            value = getattr(self, name)
+            _require("storm", name, value, 0.0 <= value < math.inf,
+                     "non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,35 @@ class DiurnalProfile:
     tools: tuple[FleetToolClass, ...] = DEFAULT_FLEET_TOOLS
     storms: tuple[BurstStorm, ...] = ()
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Every refusal is here, so a profile that exists generates.
+        if not self.tools:
+            raise ValueError("profile needs at least one tool class")
+        curve = self.day_curve
+        if len(curve) != 24:
+            raise ValueError(
+                f"day_curve needs 24 hourly entries, got {len(curve)}"
+            )
+        for hour, value in enumerate(curve):
+            _require("profile", f"day_curve[{hour}]", value,
+                     0.0 <= value < math.inf, "non-negative and finite")
+        if not sum(curve) > 0.0:
+            raise ValueError("profile: day_curve needs a positive mean, "
+                             "got all zeros")
+        _require("profile", "users", self.users, self.users >= 0,
+                 "non-negative")
+        for name in ("jobs_per_user_day", "days", "tick_seconds"):
+            value = getattr(self, name)
+            _require("profile", name, value, 0.0 < value < math.inf,
+                     "positive and finite")
+
+    @functools.cached_property
+    def batches(self) -> tuple[ArrivalBatch, ...]:
+        """This profile's day, generated on first read and kept: every
+        run over this one object shares it.  Equal profiles built apart
+        each generate their own (the cache lives on the instance)."""
+        return tuple(diurnal_batches(self))
 
     @property
     def expected_jobs(self) -> float:
@@ -217,12 +263,6 @@ def diurnal_batches(profile: DiurnalProfile) -> list[ArrivalBatch]:
     mean 1.0, so the expected total (storms excluded) is exactly
     :attr:`DiurnalProfile.expected_jobs`.
     """
-    if not profile.tools:
-        raise ValueError("profile needs at least one tool class")
-    if len(profile.day_curve) != 24:
-        raise ValueError(
-            f"day_curve needs 24 hourly entries, got {len(profile.day_curve)}"
-        )
     rng = random.Random(profile.seed)
     curve_mean = sum(profile.day_curve) / len(profile.day_curve)
     base_rate = profile.expected_jobs / (profile.days * DAY_SECONDS)

@@ -1,5 +1,9 @@
 """Fleet simulator: columnar-vs-reference parity, determinism, semantics."""
 
+import math
+from bisect import bisect_left
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.fleet import (
@@ -8,7 +12,7 @@ from repro.cluster.fleet import (
     NodeFailure,
     run_fleet,
 )
-from repro.cluster.autoscale import AutoscalerConfig
+from repro.cluster.autoscale import PLACEMENT_POLICIES, AutoscalerConfig
 from repro.cluster.fleet_reference import ObjectFleetReference
 from repro.cluster.jobstore import (
     MAX_HOPS,
@@ -118,13 +122,85 @@ class TestColumnarReferenceParity:
         assert result.resubmitted > 0
 
 
+class TestLatencyHistogram:
+    """Each completion observes ``now - submit`` with the arrival instant
+    its event or queue entry carries; the reference model does not
+    model the histogram, so it is checked against the store's rows."""
+
+    @staticmethod
+    def surge_profile(seed):
+        """:func:`stress_profile` with 3.75x the users and a 6x storm
+        from 3 000 s to 7 800 s: under STRESS_CONFIG every seed and
+        policy queues, degrades, resubmits and sheds expired jobs
+        (:func:`stress_profile` alone queues at most two jobs)."""
+        storm = BurstStorm(start=3000.0, duration=4800.0, multiplier=6.0)
+        return replace(stress_profile(seed), users=1500, storms=(storm,))
+
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("surge", [False, True], ids=["stress", "surge"])
+    def test_latency_equals_finish_minus_submit_of_completed_rows(
+        self, surge, seed, policy
+    ):
+        config = replace(STRESS_CONFIG, placement=policy)
+        profile = self.surge_profile(seed) if surge else stress_profile(seed)
+        simulator = FleetSimulator(config, profile.tools)
+        result = simulator.run(profile.batches)
+        assert result.resubmitted
+        if surge:  # drained, degraded and expired groups too
+            assert result.queued and result.degraded
+            assert result.shed["deadline_expired"]
+        latencies = [
+            row.finish - row.submit
+            for row in simulator.store.rows()
+            if row.state is FleetJobState.COMPLETED
+        ]
+        histogram = simulator._latency
+        buckets = [0] * len(histogram.buckets)
+        for value in latencies:
+            buckets[bisect_left(histogram.buckets, value)] += 1
+        assert histogram.count == len(latencies) == result.completed
+        assert histogram.counts == buckets
+        assert histogram.total == pytest.approx(
+            math.fsum(latencies), rel=1e-9
+        )
+
+
+class TestOneDayPerProfile:
+    """``DiurnalProfile.batches`` generates a profile's day once; only
+    runs over the one profile object share it."""
+
+    def test_batches_is_the_generated_day_kept(self, generated_days):
+        profile = stress_profile(seed=2)
+        assert profile.batches is profile.batches
+        assert len(generated_days) == 1
+        assert profile.batches == tuple(diurnal_batches(profile))
+
+    def test_three_policies_over_one_profile_generate_once(
+        self, generated_days
+    ):
+        profile = stress_profile(seed=1)
+        for policy in PLACEMENT_POLICIES:
+            run_fleet(replace(STRESS_CONFIG, placement=policy), profile)
+        assert len(generated_days) == 1
+
+    def test_equal_profiles_built_apart_each_generate(self, generated_days):
+        first, second = stress_profile(seed=1), stress_profile(seed=1)
+        assert first == second
+        assert run_fleet(STRESS_CONFIG, first).to_json() == \
+            run_fleet(STRESS_CONFIG, second).to_json()
+        assert len(generated_days) == 2
+        assert first.batches is not second.batches
+        assert first.batches == second.batches
+
+
 class TestDeterminism:
     def test_two_runs_byte_match(self):
         """The CI double-run contract: identical config + profile gives
         byte-identical deterministic JSON (digest included)."""
-        profile = stress_profile(seed=3)
-        first = run_fleet(STRESS_CONFIG, profile)
-        second = run_fleet(STRESS_CONFIG, profile)
+        first = run_fleet(STRESS_CONFIG, stress_profile(seed=3))
+        # built apart, so the second run generates its own day too
+        second = run_fleet(STRESS_CONFIG, stress_profile(seed=3))
         assert first.to_json() == second.to_json()
         assert first.store_digest == second.store_digest
 
@@ -428,9 +504,9 @@ def run_counted(config, tools, batches):
     spans = []
     handler = simulator._on_span_done
 
-    def counted(now, seq, tool_index, nodes, counts, stops):
+    def counted(now, seq, tool_index, submit, nodes, counts, stops):
         spans.append((now, stops[0], stops[-1]))
-        handler(now, seq, tool_index, nodes, counts, stops)
+        handler(now, seq, tool_index, submit, nodes, counts, stops)
 
     simulator._on_span_done = counted
     result = simulator.run(batches)

@@ -328,6 +328,80 @@ class TestTransitionsStayInsideTheStore:
         assert store.digest() == canonical_digest(before)
 
 
+class TestOneRunRanges:
+    """``_runs`` skips its second ``bisect`` when the next run starts at
+    ``hi``; ``complete_range`` and ``start_span``'s rewrite path write a
+    one-run range item by item.  Neither may change which runs a range
+    gets or what any row reads."""
+
+    #: Four runs [0, 4) [4, 9) [9, 15) [15, 20) under one span, then ten
+    #: rows that were never transitioned: ``_end`` is 20.
+    STOPS = [0, 4, 9, 15, 20]
+
+    def build(self):
+        store, model = JobStore(MAX_NODES), RowModel()
+        for target in (store, model):
+            target.append_batch(20, tool=1, submit=2.5, deadline=62.5)
+            target.start_span(3.0, self.STOPS, [1, 2, 3, 4], [1, 1, 2, 2])
+            target.append_batch(10, tool=0, submit=4.0, deadline=64.0)
+        return store, model
+
+    @pytest.mark.parametrize("lo, hi, runs, run_count", [
+        (4, 9, (1, 2), 4),    # exactly one run
+        (4, 7, (1, 2), 5),    # ends inside a run: still cut
+        (5, 9, (2, 3), 5),    # starts inside one, ends where the next begins
+        (15, 18, (3, 4), 5),  # ends inside the last run
+        (4, 15, (1, 3), 4),   # covers two runs
+        (9, 20, (2, 4), 4),   # ends at ``_end``
+        (15, 20, (3, 4), 4),  # the last run, up to ``_end``
+    ], ids=["one-run", "cut-end", "cut-start", "cut-last", "two-runs",
+            "to-end", "last-run"])
+    def test_runs_against_a_per_row_model(self, lo, hi, runs, run_count):
+        store, model = self.build()
+        assert store._end == 20 and len(store._run_lo) == 4
+        assert store._runs(lo, hi) == runs
+        assert len(store._run_lo) == run_count
+        assert list(store.rows()) == model.rows  # a cut changes no row
+        store.complete_range(lo, hi, 7.25)
+        model.complete_range(lo, hi, 7.25)
+        assert list(store.rows()) == model.rows
+        assert store.digest() == canonical_digest(model.rows)
+
+    @staticmethod
+    def columns(store):
+        return {name: getattr(store, name) for name in JobStore.COLUMNS}
+
+    def test_complete_range_equals_fill_on_one_run(self):
+        now = 0.1 + 0.2  # not integral, not 0.3
+        store, _model = self.build()
+        filled, _model = self.build()
+        store.complete_range(4, 9, now)
+        first, last = filled._runs(4, 9)
+        assert last - first == 1
+        jobstore._fill(filled.state, first, last, int(FleetJobState.COMPLETED))
+        jobstore._fill(filled.finish, first, last, now)
+        assert self.columns(store) == self.columns(filled)
+        assert store.row(6).finish.hex() == now.hex()
+
+    @pytest.mark.parametrize("gpu", [True, False])
+    def test_start_span_rewrite_equals_fill_on_one_run(self, gpu):
+        now = 1 / 3
+        store, _model = self.build()
+        filled, _model = self.build()
+        for target in (store, filled):
+            target.queue_range(20, 25, node=5)
+        store.start_span(now, [20, 25], [6], [3], gpu)
+        first, last = filled._runs(20, 25)
+        assert last - first == 1
+        for name, value in (("state", int(FleetJobState.RUNNING)),
+                            ("dest", 6), ("start", now),
+                            ("gpu", int(gpu)), ("epoch", 3)):
+            jobstore._fill(getattr(filled, name), first, last, value)
+        assert self.columns(store) == self.columns(filled)
+        assert store.row(22).start.hex() == now.hex()
+        assert store.row(22).gpu is gpu
+
+
 def canonical_digest(rows) -> str:
     """SHA-256 over int64/float64 columns ``struct.pack``ed from a list
     of :class:`JobRow` alone — no store, no numpy, no ``array``."""

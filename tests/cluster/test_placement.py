@@ -220,7 +220,7 @@ def live_pieces(simulator):
     for _time, _seq, handler, args in simulator._events:
         if handler != span_done:
             continue
-        seq, _tool, nodes, counts, _stops = args
+        seq, _tool, _submit, nodes, counts, _stops = args
         cut = simulator._cut.get(seq, ())
         for node, count in zip(nodes, counts):
             if node not in cut:
@@ -243,7 +243,9 @@ def recount(simulator):
     assert simulator._queued_now == sum(limit - r for r in simulator._room)
     assert simulator._busy == sum(held)
     for node in range(n):
-        queued = sum(hi - lo for lo, hi, _t, _d in simulator._queues[node])
+        queued = sum(
+            hi - lo for lo, hi, _t, _s, _d in simulator._queues[node]
+        )
         assert simulator._room[node] == limit - queued
         if state[node] != _USABLE:
             assert not simulator._queues[node]
@@ -327,15 +329,15 @@ def test_one_index_call_per_placement_whatever_its_pieces():
     fill, place = simulator._fill_gpu, simulator._place_range
     per_fill, per_place = [], []
 
-    def counted_fill(lo, hi, tool_index, now):
+    def counted_fill(lo, hi, tool_index, now, submit):
         before = slots.calls
-        cursor = fill(lo, hi, tool_index, now)
+        cursor = fill(lo, hi, tool_index, now, submit)
         per_fill.append(slots.calls - before)
         return cursor
 
-    def counted_place(lo, hi, tool_index, now):
+    def counted_place(lo, hi, tool_index, now, submit):
         before = rooms.calls
-        place(lo, hi, tool_index, now)
+        place(lo, hi, tool_index, now, submit)
         per_place.append(rooms.calls - before)
 
     simulator._fill_gpu = counted_fill

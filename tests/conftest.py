@@ -88,3 +88,20 @@ def squiggle_reads(pore_model):
     )
     genome = simulate_genome(1500, seed=9)
     return simulator.simulate_reads(genome, n_reads=8, mean_length=250, seed=4)
+
+
+@pytest.fixture
+def generated_days(monkeypatch):
+    """Every day :func:`~repro.workloads.diurnal.diurnal_batches`
+    generates while the test runs, in order."""
+    import repro.workloads.diurnal as diurnal
+
+    seen = []
+    generate = diurnal.diurnal_batches
+
+    def counted_generate(profile):
+        seen.append(generate(profile))
+        return seen[-1]
+
+    monkeypatch.setattr(diurnal, "diurnal_batches", counted_generate)
+    return seen

@@ -425,25 +425,13 @@ class TestFleet:
     ARGV = ["fleet", "--jobs", "3000", "--nodes", "6", "--gpus-per-node", "2",
             "--queue-limit", "4", "--storm"]
 
-    @pytest.fixture
-    def days(self, monkeypatch):
-        """Every day ``repro fleet`` generates."""
-        import repro.workloads.diurnal as diurnal
-
-        seen = []
-        generate = diurnal.diurnal_batches
-
-        def counted_generate(profile):
-            seen.append(generate(profile))
-            return seen[-1]
-
-        monkeypatch.setattr(diurnal, "diurnal_batches", counted_generate)
-        return seen
-
-    def test_check_parity_generates_the_day_once(self, days, capsys):
+    def test_check_parity_generates_the_day_once(
+        self, generated_days, capsys
+    ):
         assert main([*self.ARGV, "--ab", "--check-parity"]) == 0
         assert "bit-identical" in capsys.readouterr().out
-        assert len(days) == 1  # three policies, two models, one day
+        # three policies, two models, one day
+        assert len(generated_days) == 1
 
     @pytest.mark.parametrize("flags, message", [
         (["--jobs", "-3"], "fleet: jobs must be non-negative, got -3\n"),

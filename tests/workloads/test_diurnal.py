@@ -1,5 +1,7 @@
 """Diurnal generator: determinism, shape, storms, scaling."""
 
+import math
+
 import pytest
 
 from repro.workloads.diurnal import (
@@ -11,6 +13,8 @@ from repro.workloads.diurnal import (
     diurnal_batches,
     storm_multiplier,
 )
+
+NAN, INF = math.nan, math.inf
 
 
 class TestDeterminism:
@@ -100,6 +104,42 @@ class TestValidation:
     def test_short_day_curve_rejected(self):
         with pytest.raises(ValueError):
             diurnal_batches(DiurnalProfile(day_curve=(1.0, 2.0)))
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: DiurnalProfile(tick_seconds=0.0), "tick_seconds"),
+        (lambda: DiurnalProfile(tick_seconds=NAN), "tick_seconds"),
+        (lambda: DiurnalProfile(tick_seconds=-60.0), "tick_seconds"),
+        (lambda: DiurnalProfile(day_curve=(1.0,) * 23 + (NAN,)),
+         r"day_curve\[23\]"),
+        (lambda: DiurnalProfile(day_curve=(0.0,) * 24), "day_curve"),
+        (lambda: DiurnalProfile(days=INF), "days"),
+        (lambda: DiurnalProfile(days=-1.0), "days"),
+        (lambda: DiurnalProfile(users=-1), "users"),
+        (lambda: DiurnalProfile(jobs_per_user_day=0.0).scaled_to(100),
+         "jobs_per_user_day"),
+        (lambda: BurstStorm(start=0.0, duration=60.0, multiplier=NAN),
+         "multiplier"),
+        (lambda: BurstStorm(start=0.0, duration=60.0, multiplier=INF),
+         "multiplier"),
+        (lambda: BurstStorm(start=NAN, duration=60.0, multiplier=2.0),
+         "start"),
+        (lambda: BurstStorm(start=0.0, duration=-1.0, multiplier=2.0),
+         "duration"),
+    ], ids=[
+        "tick-zero", "tick-nan", "tick-negative", "curve-nan",
+        "curve-all-zero", "days-inf", "days-negative", "users-negative",
+        "jobs-per-user-zero", "storm-multiplier-nan", "storm-multiplier-inf",
+        "storm-start-nan", "storm-duration-negative",
+    ])
+    def test_degenerate_knob_is_refused_by_name(self, build, field):
+        """A knob the generator cannot turn into a day is a ValueError
+        naming it when the profile or storm is built — never a
+        ZeroDivisionError, an OverflowError or a silently empty day."""
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_zero_users_is_an_empty_day(self):
+        assert diurnal_batches(DiurnalProfile(users=0)) == []
 
     def test_batch_is_frozen_value_type(self):
         batch = ArrivalBatch(time=0.0, tool=0, count=1)
