@@ -7,33 +7,156 @@ monitor's per-second samples into per-job, per-device energy figures
 using the device power model (idle ~26 W to the 149 W board limit,
 linear in SM utilisation).
 
-The integral runs over per-tick NumPy arrays expanded from the
-monitor's run tables, but its last step is a *sequential*
-``.cumsum()[-1]``, not ``np.sum``: ``sum``/``add.reduce`` add
-pairwise, which moves the last bit of a long total (the idle die's,
-over the 165 554 samples of a default-dataset Bonito run), and
 ``energy_joules`` in every job's ``plugin_metrics`` is pinned to the
-left-to-right sum of the trapezoid terms.
+trapezoid over the samples summed left to right, one float addition per
+tick pair.  The integral walks the session's run tables and its tick
+walk (start, ``first_due``, ``walk_len`` ticks of ``interval``, stop)
+and never expands them per tick.  Inside one utilisation run, on a
+stretch where every walk step adds the same float ``dt``, every term is
+the same float ``c = p * dt`` (``p`` the run's power); and while the
+running total stays in one binade, every ``total += c`` adds the same
+rounded increment unless ``c`` falls exactly half an ulp off the grid.
+:func:`_uniform_adds` counts how far each of those holds, so such a
+stretch costs a few exact float operations however many ticks it spans.
+Everything that can round differently — the first and last pair, a
+run boundary, a walk or total crossing into the next binade, a tie from
+an odd total — is one ordinary addition, as in the loop.  The CLI's
+Bonito job (14 609 one-second ticks in 1 + 2 runs) comes to ~35 counted
+stretches per device.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.monitor import GPUUsageMonitor
+from repro.core.monitor import DeviceSeries, GPUUsageMonitor, MonitoredJob
 from repro.gpusim.device import GPUDevice
 from repro.hotpath import hot_path
 
 
 def power_watts(device: GPUDevice, sm_utilization):
-    """The device power model at a given utilisation (see GPUDevice).
-
-    Elementwise, so a utilisation array gives a power array.
-    """
+    """The device power model at a given utilisation (see GPUDevice)."""
     idle = 26.0
     return idle + (device.arch.power_limit_watts - idle) * sm_utilization / 100.0
+
+
+_TWO53 = float(1 << 53)
+_MIN_NORMAL = sys.float_info.min
+#: Fewer additions than this are cheaper taken one by one than counted.
+_MIN_JUMP = 8
+
+
+def _uniform_adds(value: float, step: float, n: int) -> tuple[int, float]:
+    """How the first of ``n`` additions ``value += step`` go: ``(k, d)``.
+
+    Each of the next ``k`` additions adds exactly ``d``, so the loop
+    leaves ``value + k * d`` (an exact float) after them; ``k == 0``
+    when the next addition must be taken as it is.
+
+    ``value`` is an integer multiple ``a`` of ``u = ulp(value)`` and
+    ``step = w * u + r`` with ``0 <= r < u``.  While the exact sum stays
+    below ``2**53 * u`` (the top of the binade), round-to-nearest puts
+    it on ``a + w`` (``r < u/2``) or ``a + w + 1`` (``r > u/2``) every
+    time.  At a tie (``r == u/2``) it picks the even one of the two,
+    which is the same choice every time once ``a`` is even.  ``a``,
+    ``w`` and the step count are integers below ``2**53``, so the float
+    arithmetic on them here is exact.
+    """
+    if not _MIN_NORMAL <= value < math.inf:
+        return 0, 0.0
+    unit = math.ulp(value)
+    if not 0.0 <= step < _TWO53 * unit:
+        return 0, 0.0
+    rem = math.fmod(step, unit)
+    whole = (step - rem) / unit
+    first = value / unit
+    half = 0.5 * unit
+    if rem < half:
+        units = whole
+    elif rem > half:
+        units = whole + 1.0
+    elif first % 2.0 == 0.0:
+        units = whole + whole % 2.0
+    else:
+        return 0, 0.0
+    if units == 0.0:
+        return n, 0.0
+    # The k-th addition (k from 0) stays in the binade while
+    # a + k * units + w + 1 <= 2**53.
+    k = (_TWO53 - 1.0 - whole - first) // units + 1.0
+    if k < 1.0:
+        return 0, 0.0
+    return min(n, int(k)), units * unit
+
+
+def _add_repeated(total: float, term: float, n: int) -> float:
+    """``total`` after the loop ``for _ in range(n): total += term``.
+
+    A jump ends at a binade's top, so the additions after one are taken
+    plainly until the total has crossed into the next binade.
+    """
+    while n:
+        if n >= _MIN_JUMP:
+            k, increment = _uniform_adds(total, term, n)
+            if k >= _MIN_JUMP:
+                total += k * increment
+                n -= k
+        plain = min(n, _MIN_JUMP)
+        for _ in range(plain):
+            total += term
+        n -= plain
+    return total
+
+
+def _trapezoid(session: MonitoredJob, series: DeviceSeries, device: GPUDevice) -> float:
+    """One device's trapezoid over a session of at least two ticks.
+
+    Tick ``i`` is the start (``i == 0``), a walk tick (``1 <= i <=
+    walk_len``) or the stop; ``left`` counts the ticks after tick ``i``
+    that still belong to its run.
+    """
+    last = session.tick_count - 1
+    walk_len = session.walk_len
+    interval = session.interval
+    runs = zip(series.run_util, series.run_lens)
+    util, left = next(runs)
+    left -= 1
+    watts = power_watts(device, util)
+    time = session.started_at
+    total = 0.0
+    i = 0
+    while i < last:
+        if i and left >= _MIN_JUMP and walk_len - i >= _MIN_JUMP:
+            # A jump ends at a run's end, the walk's end or its binade's
+            # top: the pair after it is always taken as it is.
+            k, stride = _uniform_adds(time, interval, min(walk_len - i, left))
+            if k:
+                total = _add_repeated(total, 0.5 * (watts + watts) * stride, k)
+                time += k * stride
+                left -= k
+                i += k
+                if i == last:
+                    break
+        if i == 0 and walk_len:
+            after_time = session.first_due
+        elif i < walk_len:
+            after_time = time + interval
+        else:
+            after_time = session.stopped_at
+        if left:
+            left -= 1
+            after_watts = watts
+        else:
+            util, left = next(runs)
+            left -= 1
+            after_watts = power_watts(device, util)
+        total += 0.5 * (watts + after_watts) * (after_time - time)
+        time = after_time
+        watts = after_watts
+        i += 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -73,34 +196,21 @@ class EnergyMeter:
     def job_energy(self, job_id: int) -> EnergyReport:
         """Energy of one monitored job.
 
-        Expands the session's tick instants and each device's run table
-        to per-tick arrays for this call only, so the session can keep
-        growing.
+        Reads the session's run tables and tick walk as they stand, so
+        the session can keep growing.
         """
         session = self.monitor.session_for(job_id)
         devices = self.monitor.host.devices
         per_device = {device.minor_number: 0.0 for device in devices}
         duration = 0.0
-        times = session.times
-        if len(times) >= 2:
-            duration = times[-1] - times[0]
-            instants = np.frombuffer(times)
-            dt = instants[1:] - instants[:-1]
+        if session.tick_count >= 2:
+            duration = session.last_time - session.started_at
             for device in devices:
                 series = session.device_series(device.minor_number)
                 if series is not None:
-                    power = power_watts(device, series.utilization())
-                    joules = (0.5 * (power[:-1] + power[1:]) * dt).cumsum()
-                    per_device[device.minor_number] = float(joules[-1])
+                    per_device[device.minor_number] = _trapezoid(session, series, device)
         return EnergyReport(
             job_id=job_id,
             duration_seconds=duration,
             per_device_joules=per_device,
         )
-
-    def compare(self, job_a: int, job_b: int) -> float:
-        """Energy ratio job_a / job_b (e.g. CPU-run vs GPU-run)."""
-        energy_b = self.job_energy(job_b).total_joules
-        if energy_b == 0:
-            raise ZeroDivisionError(f"job {job_b} drew no measurable energy")
-        return self.job_energy(job_a).total_joules / energy_b

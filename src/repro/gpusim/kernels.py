@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.errors import DeviceLostError
@@ -83,6 +84,28 @@ class KernelExecution:
     def memory_bound(self) -> bool:
         """True when the roofline put the kernel on the bandwidth side."""
         return self.memory_time >= self.compute_time
+
+
+class PricedStep(NamedTuple):
+    """One CUDA call, priced once and runnable any number of times.
+
+    Everything :meth:`KernelTimingModel.launch`, ``memcpy`` and
+    ``synchronize`` compute before touching the device: the ``kind``
+    (``"kernel"``, ``"memcpy"`` or ``"sync"``) that decides what the
+    call writes to the device's telemetry, the duration, a kernel's SM
+    and memory utilisation, the profiler record's name, category and
+    details, and the ``operation + detail`` a device-lost error names.
+    """
+
+    kind: str
+    name: str
+    category: str
+    duration: float
+    operation: str
+    detail: str
+    sm_utilization: float
+    mem_utilization: float
+    details: dict[str, Any]
 
 
 #: Fixed per-launch driver overhead (microseconds range on real hardware).
@@ -182,71 +205,130 @@ class KernelTimingModel:
         if not self.device.healthy:
             raise DeviceLostError(self.device.minor_number, operation + detail)
 
+    def price_kernel(self, kernel: KernelLaunch) -> PricedStep:
+        """Price a launch of ``kernel`` once, for :meth:`replay`."""
+        return self._kernel_step(kernel, *self.kernel_times(kernel))
+
+    def _kernel_step(
+        self,
+        kernel: KernelLaunch,
+        compute_time: float,
+        memory_time: float,
+        occupancy: float,
+    ) -> PricedStep:
+        duration = max(compute_time, memory_time) + KERNEL_LAUNCH_OVERHEAD_S
+        return PricedStep(
+            "kernel",
+            kernel.name,
+            "kernel",
+            duration,
+            "kernel launch ",
+            kernel.name,
+            min(100.0, 100.0 * occupancy),
+            min(100.0, 100.0 * (memory_time / duration if duration > 0 else 0.0)),
+            {"compute_time": compute_time, "memory_time": memory_time},
+        )
+
+    def price_memcpy(self, kind: MemcpyKind, nbytes: float) -> PricedStep:
+        """Price a ``nbytes`` PCIe transfer once, for :meth:`replay`."""
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        bandwidth = self.device.arch.pcie_effective_gbps * self.pcie_efficiency * 1e9
+        direction = kind.value
+        return PricedStep(
+            "memcpy",
+            f"cudaMemcpy{direction}",
+            f"memcpy_{direction.lower()}",
+            PCIE_LATENCY_S + nbytes / bandwidth,
+            "cudaMemcpy",
+            direction,
+            0.0,
+            0.0,
+            {"bytes": nbytes},
+        )
+
+    @staticmethod
+    def price_sync(name: str = "cudaStreamSynchronize") -> PricedStep:
+        """Price a synchronisation call once, for :meth:`replay`."""
+        return PricedStep("sync", name, "sync", SYNC_CALL_S, name, "", 0.0, 0.0, {})
+
+    def _step(self, step: PricedStep) -> float:
+        """Run one priced call; returns the instant it started.
+
+        The device check comes first, then the telemetry a monitor
+        sampling mid-call sees, the clock advance (timers and span
+        listeners fire inside it), the busy time and the profiler record.
+        """
+        self._require_device(step.operation, step.detail)
+        device = self.device
+        clock = self.host.clock
+        start = clock.now
+        kind = step.kind
+        if kind == "kernel":
+            device.sm_utilization = step.sm_utilization
+            device.mem_utilization = step.mem_utilization
+        elif kind == "memcpy":
+            device.mem_utilization = max(device.mem_utilization, 15.0)
+        clock.advance(step.duration)
+        if kind == "kernel":
+            device.busy_seconds += step.duration
+        if self.profiler is not None:
+            self.profiler.record_api(
+                name=step.name,
+                category=step.category,
+                start=start,
+                duration=step.duration,
+                device_index=device.minor_number,
+                details=dict(step.details),
+            )
+        return start
+
+    def replay(
+        self, cycle: Sequence[tuple[str | None, Sequence[PricedStep]]], n: int
+    ) -> dict[str, float]:
+        """Run a cycle of priced calls ``n`` times, each call as one
+        :meth:`launch` / :meth:`memcpy` / :meth:`synchronize` would.
+
+        ``cycle`` is a sequence of ``(key, steps)`` groups.  The clock
+        time each pass of a keyed group spans is added to that key's
+        total, group by group in cycle order, so a caller that summed
+        ``clock.now - t0`` around the same groups gets the same floats.
+        Returns the totals (``0.0`` for a key no pass reached).
+        """
+        clock = self.host.clock
+        step = self._step
+        totals = {key: 0.0 for key, _ in cycle if key is not None}
+        for _ in range(n):
+            for key, steps in cycle:
+                t0 = clock.now
+                for priced in steps:
+                    step(priced)
+                if key is not None:
+                    totals[key] += clock.now - t0
+        return totals
+
     def launch(self, kernel: KernelLaunch) -> KernelExecution:
         """Execute ``kernel``: advance the clock, update device telemetry."""
-        self._require_device("kernel launch ", kernel.name)
         compute_time, memory_time, occ = self.kernel_times(kernel)
-        duration = max(compute_time, memory_time) + KERNEL_LAUNCH_OVERHEAD_S
-        start = self.host.clock.now
-        # Telemetry visible to a monitor sampling mid-kernel.
-        self.device.sm_utilization = min(100.0, 100.0 * occ)
-        self.device.mem_utilization = min(
-            100.0, 100.0 * (memory_time / duration if duration > 0 else 0.0)
-        )
-        self.host.clock.advance(duration)
-        self.device.busy_seconds += duration
-        if self.profiler is not None:
-            self.profiler.record_kernel(
-                name=kernel.name,
-                start=start,
-                duration=duration,
-                device_index=self.device.minor_number,
-                compute_time=compute_time,
-                memory_time=memory_time,
-            )
+        step = self._kernel_step(kernel, compute_time, memory_time, occ)
         return KernelExecution(
             kernel=kernel,
-            duration=duration,
+            duration=step.duration,
             compute_time=compute_time,
             memory_time=memory_time,
             occupancy=occ,
-            start_time=start,
+            start_time=self._step(step),
         )
 
     def memcpy(self, kind: MemcpyKind, nbytes: float) -> float:
         """Transfer ``nbytes`` over PCIe; returns the duration."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self._require_device("cudaMemcpy", kind.value)
-        bandwidth = self.device.arch.pcie_effective_gbps * self.pcie_efficiency * 1e9
-        duration = PCIE_LATENCY_S + nbytes / bandwidth
-        start = self.host.clock.now
-        self.device.mem_utilization = max(self.device.mem_utilization, 15.0)
-        self.host.clock.advance(duration)
-        if self.profiler is not None:
-            self.profiler.record_api(
-                name=f"cudaMemcpy{kind.value}",
-                category=f"memcpy_{kind.value.lower()}",
-                start=start,
-                duration=duration,
-                device_index=self.device.minor_number,
-                details={"bytes": nbytes},
-            )
-        return duration
+        step = self.price_memcpy(kind, nbytes)
+        self._step(step)
+        return step.duration
 
     def synchronize(self, name: str = "cudaStreamSynchronize") -> float:
         """A synchronisation API call; returns the duration."""
-        self._require_device(name)
-        start = self.host.clock.now
-        self.host.clock.advance(SYNC_CALL_S)
-        if self.profiler is not None:
-            self.profiler.record_api(
-                name=name,
-                category="sync",
-                start=start,
-                duration=SYNC_CALL_S,
-                device_index=self.device.minor_number,
-            )
+        self._step(self.price_sync(name))
         return SYNC_CALL_S
 
     def malloc(self, nbytes: int, tag: str = "") -> Allocation:

@@ -98,25 +98,6 @@ class CudaProfiler:
         self.records.append(record)
         return record
 
-    def record_kernel(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        device_index: int,
-        compute_time: float,
-        memory_time: float,
-    ) -> ApiCallRecord:
-        """Append a kernel-execution record with its roofline split."""
-        return self.record_api(
-            name=name,
-            category="kernel",
-            start=start,
-            duration=duration,
-            device_index=device_index,
-            details={"compute_time": compute_time, "memory_time": memory_time},
-        )
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

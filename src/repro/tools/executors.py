@@ -315,21 +315,21 @@ def _racon_gpu_dataset(
             grid_blocks=max(15, batches * 15),
         ),
     )
-    kernels = [kernel for kernel in designs if kernel is not None]
-    kernel_seconds = 0.0
-    transfer_seconds = 0.0
-    for _ in range(n_chunks):
-        t0 = ctx.clock.now
-        timing.memcpy(MemcpyKind.HOST_TO_DEVICE, chunk_bytes)
-        transfer_seconds += ctx.clock.now - t0
-        t0 = ctx.clock.now
-        for kernel in kernels:
-            timing.launch(kernel)
-        kernel_seconds += ctx.clock.now - t0
-        timing.synchronize()
-        t0 = ctx.clock.now
-        timing.memcpy(MemcpyKind.DEVICE_TO_HOST, chunk_bytes)
-        transfer_seconds += ctx.clock.now - t0
+    # ... and every chunk repeats the same calls: price them once.
+    launches = tuple(
+        timing.price_kernel(kernel) for kernel in designs if kernel is not None
+    )
+    sums = timing.replay(
+        (
+            ("transfer", (timing.price_memcpy(MemcpyKind.HOST_TO_DEVICE, chunk_bytes),)),
+            ("kernels", launches),
+            (None, (timing.price_sync(),)),
+            ("transfer", (timing.price_memcpy(MemcpyKind.DEVICE_TO_HOST, chunk_bytes),)),
+        ),
+        n_chunks,
+    )
+    kernel_seconds = sums["kernels"]
+    transfer_seconds = sums["transfer"]
     # The residual reads cudapoa could not place on the device.
     timing.api_call("racon_cpu_tail", GPU_CPU_TAIL_S * scale, category="cpu")
     timing.free(workspace)
@@ -434,8 +434,7 @@ def bonito_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecution
         grid_blocks=120,
     )
     if gemm is not None:
-        for _ in range(n_launches):
-            timing.launch(gemm)
+        timing.replay(((None, (timing.price_kernel(gemm),)),), n_launches)
     # Launch and synchronisation overhead of the framework's many small
     # kernels, aggregated.
     timing.api_call(

@@ -29,7 +29,8 @@ from repro.workloads.diurnal import (
     diurnal_batches,
 )
 
-#: A stressed little fleet: queues fill, deadlines expire, nodes die.
+#: A little fleet whose nodes die; under :func:`surge_profile` its queues
+#: also fill and deadlines expire.
 STRESS_CONFIG = FleetConfig(
     nodes=6,
     gpus_per_node=2,
@@ -55,6 +56,15 @@ def stress_profile(seed: int) -> DiurnalProfile:
     )
 
 
+def surge_profile(seed: int) -> DiurnalProfile:
+    """:func:`stress_profile` with 3.75x the users and a 6x storm from
+    3 000 s to 7 800 s: under STRESS_CONFIG every seed and policy queues,
+    degrades, resubmits and sheds expired jobs (:func:`stress_profile`
+    alone queues at most two jobs)."""
+    storm = BurstStorm(start=3000.0, duration=4800.0, multiplier=6.0)
+    return replace(stress_profile(seed), users=1500, storms=(storm,))
+
+
 def run_both(config, profile):
     batches = diurnal_batches(profile)
     result = FleetSimulator(config, profile.tools).run(batches)
@@ -69,7 +79,21 @@ class TestColumnarReferenceParity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_store_digests_match_under_failures(self, seed):
-        result, reference, store = run_both(STRESS_CONFIG, stress_profile(seed))
+        self.check_surge(STRESS_CONFIG, seed)
+
+    @pytest.mark.parametrize(
+        "policy", [p for p in PLACEMENT_POLICIES if p != STRESS_CONFIG.placement]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_store_digests_match_under_every_policy(self, seed, policy):
+        self.check_surge(replace(STRESS_CONFIG, placement=policy), seed)
+
+    @staticmethod
+    def check_surge(config, seed):
+        result, reference, store = run_both(config, surge_profile(seed))
+        # The surge drains queues, degrades, sheds and resubmits.
+        assert result.queued > 0 and result.degraded > 0
+        assert sum(result.shed.values()) > 0 and result.resubmitted > 0
         assert result.store_digest == store.digest()
         assert result.jobs_submitted == reference.counts["submitted"]
         assert result.completed == reference.counts["completed"]
@@ -127,15 +151,6 @@ class TestLatencyHistogram:
     its event or queue entry carries; the reference model does not
     model the histogram, so it is checked against the store's rows."""
 
-    @staticmethod
-    def surge_profile(seed):
-        """:func:`stress_profile` with 3.75x the users and a 6x storm
-        from 3 000 s to 7 800 s: under STRESS_CONFIG every seed and
-        policy queues, degrades, resubmits and sheds expired jobs
-        (:func:`stress_profile` alone queues at most two jobs)."""
-        storm = BurstStorm(start=3000.0, duration=4800.0, multiplier=6.0)
-        return replace(stress_profile(seed), users=1500, storms=(storm,))
-
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("surge", [False, True], ids=["stress", "surge"])
@@ -143,7 +158,7 @@ class TestLatencyHistogram:
         self, surge, seed, policy
     ):
         config = replace(STRESS_CONFIG, placement=policy)
-        profile = self.surge_profile(seed) if surge else stress_profile(seed)
+        profile = surge_profile(seed) if surge else stress_profile(seed)
         simulator = FleetSimulator(config, profile.tools)
         result = simulator.run(profile.batches)
         assert result.resubmitted

@@ -1,13 +1,18 @@
 """Energy accounting over monitor telemetry."""
 
-import pytest
+import math
+import tracemalloc
 
-from repro.core.energy import EnergyMeter, power_watts
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.energy import EnergyMeter, _add_repeated, power_watts
 from repro.core.monitor import GPUUsageMonitor
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.tool_xml import parse_tool_xml
 from repro.gpusim.device import GPUDevice
-from repro.gpusim.host import GPUHost
+from repro.gpusim.host import GPUHost, make_k80_host
 
 
 class TestPowerModel:
@@ -46,13 +51,6 @@ class TestEnergyMeter:
         assert 52.0 <= report.mean_watts <= 298.0
         assert report.total_joules > 0
 
-    def test_compare_jobs(self, deployment):
-        job_a = deployment.run_tool("racon", {"workload": "unit"})
-        job_b = deployment.run_tool("racon", {"workload": "unit"})
-        meter = EnergyMeter(deployment.monitor)
-        ratio = meter.compare(job_a.job_id, job_b.job_id)
-        assert ratio == pytest.approx(1.0, rel=0.2)
-
     def test_unmonitored_job_raises(self, deployment):
         meter = EnergyMeter(deployment.monitor)
         with pytest.raises(KeyError):
@@ -86,6 +84,20 @@ def make_job():
     return GalaxyJob(tool=parse_tool_xml('<tool id="t"><command>x</command></tool>'))
 
 
+def check_energy(monitor, job_id):
+    """``job_energy`` of a session, asserted ``float.hex``-equal to the loop."""
+    report = EnergyMeter(monitor).job_energy(job_id)
+    duration, per_device = loop_energy(
+        monitor.host.devices, list(monitor.session_for(job_id).samples)
+    )
+    assert hexed(report.per_device_joules) == hexed(per_device)
+    assert list(report.per_device_joules) == list(per_device)
+    assert report.duration_seconds.hex() == float(duration).hex()
+    assert all(type(j) is float for j in report.per_device_joules.values())
+    assert type(report.duration_seconds) is float
+    return report
+
+
 class TestBitEqualToTheLoop:
     def session(self, host, ticks):
         """A session sampled at ``ticks`` (``[(time, util), ...]``): it
@@ -111,16 +123,7 @@ class TestBitEqualToTheLoop:
         return monitor, job.job_id
 
     def check(self, monitor, job_id):
-        report = EnergyMeter(monitor).job_energy(job_id)
-        duration, per_device = loop_energy(
-            monitor.host.devices, list(monitor.session_for(job_id).samples)
-        )
-        assert hexed(report.per_device_joules) == hexed(per_device)
-        assert list(report.per_device_joules) == list(per_device)
-        assert report.duration_seconds.hex() == float(duration).hex()
-        assert all(type(j) is float for j in report.per_device_joules.values())
-        assert type(report.duration_seconds) is float
-        return report
+        return check_energy(monitor, job_id)
 
     def test_bonito_dataset_session(self, deployment):
         job = deployment.run_tool("bonito", {"workload": "dataset"})
@@ -167,3 +170,119 @@ class TestBitEqualToTheLoop:
         monitor.stop(job)
         assert len(monitor.session_for(job.job_id).series[0].run_lens) == 3
         self.check(monitor, job.job_id)
+
+
+def _tie_utilization(device, low_bit):
+    """A utilisation whose power is an odd multiple of ``low_bit``: a
+    running total whose ulp is ``2 * low_bit`` then meets a tie on every
+    addition of that power times a power of two."""
+    base = (100.0 - 26.0) * 100.0 / (device.arch.power_limit_watts - 26.0)
+    util = base
+    for _ in range(100_000):
+        if math.fmod(power_watts(device, util), 2 * low_bit) == low_bit:
+            return util
+        util = math.nextafter(util, math.inf)
+    raise AssertionError("no utilisation with that power")
+
+
+INTERVALS = [1.0, 0.25, 0.1, 1 / 3]
+#: K80 power of ~100 W, an odd multiple of 2**-39: totals in
+#: [2**14, 2**15) J meet a tie on every one-second addition of it.
+TIE_UTIL = _tie_utilization(make_k80_host().device(0), 2.0**-39)
+UTILIZATIONS = st.sampled_from([0.0, 50.0, 100.0, 12.5, TIE_UTIL]) | st.floats(0.0, 100.0)
+
+
+class TestRunWalk:
+    """``job_energy`` walks runs and binades, never ticks: it must still
+    equal the per-sample loop bit for bit."""
+
+    @staticmethod
+    def walk(start, interval, ticks, flips, util_at_start):
+        """A session from ``start`` with ``ticks`` periodic ticks (plus a
+        stop ``interval / 2`` after the last) whose device-0 utilisation
+        changes at the instants ``start + offset * ticks * interval``."""
+        host = make_k80_host()
+        monitor = GPUUsageMonitor(host, interval=interval)
+        job = make_job()
+        host.clock.advance_to(start)
+        host.device(0).sm_utilization = util_at_start
+        host.device(1).sm_utilization = 100.0 - util_at_start
+        monitor.start(job)
+        span = ticks * interval
+        for offset, util in flips:
+            host.clock.call_at(
+                start + offset * span,
+                lambda now, util=util: setattr(host.device(0), "sm_utilization", util),
+            )
+        host.clock.advance_to(start + span + interval / 2)
+        monitor.stop(job)
+        return monitor, job.job_id
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        interval=st.sampled_from(INTERVALS),
+        start=st.floats(0.0, 6.0),
+        flips=st.lists(st.tuples(st.floats(0.0, 1.0), UTILIZATIONS), max_size=5),
+        first=UTILIZATIONS,
+    )
+    @example(interval=1 / 3, start=0.0, flips=[], first=TIE_UTIL)
+    @example(interval=1.0, start=0.0, flips=[(0.5, TIE_UTIL), (0.75, TIE_UTIL)], first=50.0)
+    def test_equals_the_loop(self, interval, start, flips, first):
+        # Enough ticks for the walk to cross at least 3 binades.
+        first_due = start + interval
+        ticks = max(40, math.ceil((16 * first_due - start) / interval))
+        monitor, job_id = self.walk(start, interval, ticks, flips, first)
+        session = monitor.session_for(job_id)
+        assert math.frexp(session.last_time)[1] - math.frexp(session.first_due)[1] >= 3
+        report = check_energy(monitor, job_id)
+        # ... and the total crossed at least 3 binades after its first term.
+        assert report.per_device_joules[0] >= 8 * 26.0 * interval
+
+    def test_a_tie_binade_is_walked_in_jumps(self):
+        """A one-second session at :data:`TIE_UTIL` crosses the binade
+        where every addition is a tie: the walk takes it in jumps of the
+        even-total increment and still equals the loop."""
+        monitor, job_id = self.walk(0.0, 1.0, 400, [], TIE_UTIL)
+        joules = check_energy(monitor, job_id).per_device_joules[0]
+        assert joules > 2.0**15
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.floats(0.0, 1e6),
+        mantissa=st.integers(1, 2**53 - 1),
+        exponent=st.integers(-60, 10),
+        n=st.integers(0, 5_000),
+    )
+    def test_add_repeated_is_the_loop(self, total, mantissa, exponent, n):
+        """Terms with few significant bits reach ties and zero increments."""
+        term = math.ldexp(mantissa, exponent)
+        loop = total
+        for _ in range(n):
+            loop += term
+        assert _add_repeated(total, term, n).hex() == loop.hex()
+
+
+@pytest.mark.perf_guard
+def test_energy_of_a_long_session_allocates_nothing_per_tick():
+    """A 1.2 M-tick session with six runs per device: ``job_energy``
+    reads run tables and the walk, so its allocation peak is a few small
+    objects, not per-tick arrays (9.6 MB for one float column)."""
+    host = make_k80_host()
+    monitor = GPUUsageMonitor(host)
+    job = make_job()
+    monitor.start(job)
+    for util in (10.0, 95.5, 33.3, 0.0, 71.25):
+        host.device(0).sm_utilization = util
+        host.device(1).sm_utilization = util / 3
+        host.clock.advance(240_000.0)
+    monitor.stop(job)
+    assert monitor.session_for(job.job_id).tick_count > 1_000_000
+    meter = EnergyMeter(monitor)
+    tracemalloc.start()
+    try:
+        report = meter.job_energy(job.job_id)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert report.per_device_joules[0] > report.per_device_joules[1] > 0

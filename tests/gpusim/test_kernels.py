@@ -1,8 +1,13 @@
 """Kernel timing model: roofline, occupancy, transfers, allocation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.monitor import GPUUsageMonitor
+from repro.galaxy.job import GalaxyJob
+from repro.galaxy.tool_xml import parse_tool_xml
+from repro.gpusim.errors import DeviceLostError
+from repro.gpusim.host import make_k80_host
 from repro.gpusim.kernels import (
     KernelLaunch,
     KernelTimingModel,
@@ -140,3 +145,160 @@ class TestMallocAndApi:
     def test_api_call_rejects_negative(self, timing):
         with pytest.raises(ValueError):
             timing.api_call("x", -1.0)
+
+
+# A call of a replayed cycle: ("kernel", name, blocks, seconds),
+# ("memcpy", kind, bytes) or ("sync", name).
+_CALLS = st.one_of(
+    st.tuples(
+        st.just("kernel"),
+        st.sampled_from(["generatePOAKernel", "sgemm_128x64_nn"]),
+        st.integers(1, 120),
+        st.floats(1e-6, 3.0),
+    ),
+    st.tuples(
+        st.just("memcpy"),
+        st.sampled_from(list(MemcpyKind)),
+        st.floats(0.0, 4e8),
+    ),
+    st.tuples(
+        st.just("sync"),
+        st.sampled_from(["cudaStreamSynchronize", "cudaDeviceSynchronize"]),
+    ),
+)
+_GROUPS = st.lists(
+    st.tuples(st.sampled_from([None, "transfer", "kernels"]), st.lists(_CALLS, max_size=3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _kernel(name, blocks, seconds):
+    return KernelLaunch(
+        name,
+        blocks,
+        256,
+        flops=seconds * 1e11,
+        bytes_read=seconds * 9e10,
+        bytes_written=seconds * 3e10,
+    )
+
+
+def _drive(groups, n, fail_at, replayed):
+    """Run ``groups`` ``n`` times on a fresh monitored host, by
+    :meth:`KernelTimingModel.replay` or one call at a time with the
+    ``clock.now - t0`` sums a caller keeps; returns everything either
+    way can observe."""
+    host = make_k80_host()
+    monitor = GPUUsageMonitor(host, interval=0.25)
+    job = GalaxyJob(tool=parse_tool_xml('<tool id="t"><command>x</command></tool>'))
+    host.clock.advance(0.3)
+    monitor.start(job)
+    timing = KernelTimingModel(
+        host, host.device(0), profiler=CudaProfiler(), pcie_efficiency=0.075
+    )
+    # Timers fire inside the calls' clock advances.
+    host.clock.call_at(0.9, lambda now: setattr(host.device(0), "mem_utilization", 5.0))
+    if fail_at is not None:
+        host.clock.call_at(fail_at, lambda now: host.device(0).mark_failed(now))
+    kernels = {}
+    calls = []
+    for key, specs in groups:
+        group = []
+        for spec in specs:
+            if spec[0] == "kernel":
+                kernel = kernels.setdefault(spec[1:], _kernel(*spec[1:]))
+                group.append((timing.launch, timing.price_kernel, (kernel,)))
+            elif spec[0] == "memcpy":
+                group.append((timing.memcpy, timing.price_memcpy, spec[1:]))
+            else:
+                group.append((timing.synchronize, timing.price_sync, spec[1:]))
+        calls.append((key, group))
+    error = None
+    totals = {key: 0.0 for key, _ in groups if key is not None}
+    try:
+        if replayed:
+            cycle = [
+                (key, [price(*args) for _, price, args in group]) for key, group in calls
+            ]
+            totals = timing.replay(cycle, n)
+        else:
+            for _ in range(n):
+                for key, group in calls:
+                    t0 = host.clock.now
+                    for call, _, args in group:
+                        call(*args)
+                    if key is not None:
+                        totals[key] += host.clock.now - t0
+    except DeviceLostError as exc:
+        error = str(exc)
+        totals = None
+    monitor.stop(job)
+    session = monitor.session_for(job.job_id)
+    return {
+        "error": error,
+        "totals": None if totals is None else {k: v.hex() for k, v in totals.items()},
+        "now": host.clock.now.hex(),
+        "times": session.times.tobytes(),
+        "runs": [
+            [
+                bytes(getattr(series, column))
+                for column in ("run_util", "run_mem", "run_fb", "run_pcie", "run_lens")
+            ]
+            for series in session.series
+        ],
+        "devices": [
+            (d.busy_seconds.hex(), d.state_version, d.sm_utilization, d.mem_utilization)
+            for d in host.devices
+        ],
+        "records": [
+            (
+                r.name, r.category, r.start.hex(), r.duration.hex(), r.device_index,
+                sorted((k, float(v).hex()) for k, v in r.details.items()),
+            )
+            for r in timing.profiler.records
+        ],
+    }
+
+
+class TestReplay:
+    """A replayed cycle is the same calls made one by one: same clock
+    instants, monitor runs, busy time, telemetry versions and profiler
+    records, and the same per-key sums of the clock spans."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=_GROUPS,
+        n=st.integers(0, 6),
+        fail_at=st.none() | st.floats(0.3, 30.0),
+    )
+    def test_replay_equals_the_calls(self, groups, n, fail_at):
+        assert _drive(groups, n, fail_at, replayed=True) == _drive(
+            groups, n, fail_at, replayed=False
+        )
+
+    def test_racon_chunk_cycle(self):
+        """The §VI-A chunk cycle, 68 passes with a mid-run device loss."""
+        groups = [
+            ("transfer", [("memcpy", MemcpyKind.HOST_TO_DEVICE, 2.5e8)]),
+            (
+                "kernels",
+                [("kernel", "generatePOAKernel", 15, 0.19), ("kernel", "b", 15, 0.004)],
+            ),
+            (None, [("sync", "cudaStreamSynchronize")]),
+            ("transfer", [("memcpy", MemcpyKind.DEVICE_TO_HOST, 2.5e8)]),
+        ]
+        for fail_at in (None, 17.0):
+            replayed = _drive(groups, 68, fail_at, replayed=True)
+            assert replayed == _drive(groups, 68, fail_at, replayed=False)
+            assert (replayed["error"] is None) == (fail_at is None)
+        assert len(replayed["records"]) > 5
+
+    def test_replay_checks_the_device_first(self, timing, host):
+        step = timing.price_memcpy(MemcpyKind.HOST_TO_DEVICE, 1e6)
+        host.device(0).mark_failed()
+        before = host.clock.now
+        with pytest.raises(DeviceLostError, match="cudaMemcpyHtoD"):
+            timing.replay([("transfer", [step])], 3)
+        assert host.clock.now == before
+        assert timing.profiler.records == []

@@ -47,6 +47,18 @@ class TestHotspots:
         assert profiler.total_time() == 0.0
 
 
+def record_kernel(profiler, name, duration, compute_time, memory_time):
+    """A kernel record with its roofline split, as a launch writes it."""
+    profiler.record_api(
+        name=name,
+        category="kernel",
+        start=0.0,
+        duration=duration,
+        device_index=0,
+        details={"compute_time": compute_time, "memory_time": memory_time},
+    )
+
+
 class TestStallAnalysis:
     def test_no_kernels_means_all_other(self):
         analysis = CudaProfiler().stall_analysis()
@@ -55,9 +67,7 @@ class TestStallAnalysis:
     def test_memory_bound_mix_lands_near_paper_split(self):
         """mem:comp = 3.5 -> ~70/20/10, the paper's Racon stall figures."""
         profiler = CudaProfiler()
-        profiler.record_kernel(
-            "poa", start=0, duration=4.5, device_index=0, compute_time=1.0, memory_time=3.5
-        )
+        record_kernel(profiler, "poa", 4.5, compute_time=1.0, memory_time=3.5)
         analysis = profiler.stall_analysis()
         assert analysis.memory_dependency_pct == pytest.approx(70.0, abs=0.5)
         assert analysis.execution_dependency_pct == pytest.approx(20.0, abs=0.5)
@@ -65,7 +75,7 @@ class TestStallAnalysis:
 
     def test_percentages_always_sum_to_100(self):
         profiler = CudaProfiler()
-        profiler.record_kernel("k", 0, 1.0, 0, compute_time=0.7, memory_time=0.1)
+        record_kernel(profiler, "k", 1.0, compute_time=0.7, memory_time=0.1)
         analysis = profiler.stall_analysis()
         total = (
             analysis.memory_dependency_pct
@@ -82,8 +92,8 @@ class TestStallAnalysis:
     def test_attribution_bounded(self, times):
         profiler = CudaProfiler()
         for compute, memory in times:
-            profiler.record_kernel(
-                "k", 0, compute + memory, 0, compute_time=compute, memory_time=memory
+            record_kernel(
+                profiler, "k", compute + memory, compute_time=compute, memory_time=memory
             )
         analysis = profiler.stall_analysis()
         assert 0 <= analysis.memory_dependency_pct <= 90.0

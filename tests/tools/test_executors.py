@@ -190,3 +190,23 @@ class TestStreamedKernelsDesignedOnce:
         deployment.run_tool("bonito", {"workload": "dataset"})
         assert len(built_kernels) <= 2
         assert deployment.app.profiler.call_count("sgemm_128x64_nn") == 32
+
+
+@pytest.mark.perf_guard
+def test_racon_dataset_prices_each_kernel_design_once(deployment, monkeypatch):
+    """The 68 chunk cycles replay two priced kernels: the roofline runs
+    once per design, not once per launch (136 calls)."""
+    from repro.gpusim.kernels import KernelTimingModel
+
+    priced = []
+    kernel_times = KernelTimingModel.kernel_times
+
+    def counting(self, kernel):
+        priced.append(kernel.name)
+        return kernel_times(self, kernel)
+
+    monkeypatch.setattr(KernelTimingModel, "kernel_times", counting)
+    deployment.app.profiler = CudaProfiler()
+    deployment.run_tool("racon", {"workload": "dataset"})
+    assert sorted(priced) == ["generateConsensusKernel", "generatePOAKernel"]
+    assert deployment.app.profiler.call_count("generatePOAKernel") == 68
