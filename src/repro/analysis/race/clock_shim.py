@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.gpusim.clock import TimerHandle, VirtualClock
+from repro.gpusim.clock import HORIZON, TimerHandle, VirtualClock
 from repro.gpusim.errors import ClockError
 from repro.gpusim.footprint import FootprintRecorder
 from repro.hotpath import hot_path
@@ -162,6 +162,8 @@ class PermutingClock(VirtualClock):
     def advance_to(self, when: float) -> float:
         if when < self._now:
             raise ClockError(f"cannot move clock backwards: {when} < {self._now}")
+        if not when < HORIZON:  # NaN too
+            raise ClockError(f"cannot move clock to t={when}: instants stop below 2**53 s")
         pending = self._pending
         while pending and pending[0][0] <= when:
             batch_when = pending[0][0]

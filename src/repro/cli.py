@@ -16,8 +16,9 @@ Commands
     Replay a Poisson arrival trace on the paper's node, untraced (stats
     only) or traced (``--emit``/``--format json``/``--plan``).  Exit 0
     done, 1 when arrivals outrun the node's 48 CPU slots (one
-    ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``
-    or a ``--jobs``/``--interarrival`` that is not positive and finite.
+    ``trace: …`` line naming ``--interarrival``), 2 unreadable ``--plan``,
+    a ``--jobs``/``--interarrival`` that is not positive and finite, or
+    arrivals past the clock's 2**53 s horizon.
 ``experiment``
     Regenerate one of the paper's headline results (fig3, fig5, e11,
     stalls) as a quick table.
@@ -266,6 +267,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster.node import NodeCapacityError
+    from repro.gpusim.errors import ClockError
 
     try:
         return _run_trace(args)
@@ -273,7 +275,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace: {exc}: arrivals outrun the node; raise --interarrival "
               f"(now {args.interarrival:g} s) or lower --jobs", file=sys.stderr)
         return 1
-    except ValueError as exc:  # generate_trace: bad --jobs / --interarrival
+    except (ValueError, ClockError) as exc:  # bad --jobs / --interarrival
         print(f"trace: {exc}", file=sys.stderr)
         return 2
 

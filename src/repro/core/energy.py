@@ -10,19 +10,20 @@ linear in SM utilisation).
 ``energy_joules`` in every job's ``plugin_metrics`` is pinned to the
 trapezoid over the samples summed left to right, one float addition per
 tick pair.  The integral walks the session's run tables and its tick
-walk (start, ``first_due``, ``walk_len`` ticks of ``interval``, stop)
-and never expands them per tick.  Inside one utilisation run, on a
-stretch where every walk step adds the same float ``dt``, every term is
-the same float ``c = p * dt`` (``p`` the run's power); and while the
-running total stays in one binade, every ``total += c`` adds the same
-rounded increment unless ``c`` falls exactly half an ulp off the grid.
-:func:`_uniform_adds` counts how far each of those holds, so such a
-stretch costs a few exact float operations however many ticks it spans.
-Everything that can round differently — the first and last pair, a
-run boundary, a walk or total crossing into the next binade, a tie from
-an odd total — is one ordinary addition, as in the loop.  The CLI's
-Bonito job (14 609 one-second ticks in 1 + 2 runs) comes to ~35 counted
-stretches per device.
+walk (start, ``first_due``, ``walk_len`` one-second ticks, stop) and
+never expands them per tick.  Inside one utilisation run, on a stretch
+where every walk step is exact (:func:`~repro.core.monitor.exact_steps`,
+the rule the monitor counts its ticks by), every term is the same float
+``c = p * 1.0`` (``p`` the run's power); and while the running total
+stays in one binade, every ``total += c`` adds the same rounded
+increment unless ``c`` falls exactly half an ulp off the grid.
+:func:`_uniform_adds` counts how far that holds, so such a stretch costs
+a few exact float operations however many ticks it spans.  Everything
+that can round differently — the first and last pair, a run boundary, a
+walk or total crossing into the next binade, a tie from an odd total —
+is one ordinary addition, as in the loop.  The CLI's Bonito job (14 609
+one-second ticks in 1 + 2 runs) comes to ~35 counted stretches per
+device.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from repro.core.monitor import DeviceSeries, GPUUsageMonitor, MonitoredJob
+from repro.core.monitor import INTERVAL, DeviceSeries, GPUUsageMonitor, MonitoredJob, exact_steps
 from repro.gpusim.device import GPUDevice
 from repro.hotpath import hot_path
 
@@ -119,7 +120,6 @@ def _trapezoid(session: MonitoredJob, series: DeviceSeries, device: GPUDevice) -
     """
     last = session.tick_count - 1
     walk_len = session.walk_len
-    interval = session.interval
     runs = zip(series.run_util, series.run_lens)
     util, left = next(runs)
     left -= 1
@@ -128,21 +128,19 @@ def _trapezoid(session: MonitoredJob, series: DeviceSeries, device: GPUDevice) -
     total = 0.0
     i = 0
     while i < last:
-        if i and left >= _MIN_JUMP and walk_len - i >= _MIN_JUMP:
+        if left >= _MIN_JUMP and walk_len - i >= _MIN_JUMP:
             # A jump ends at a run's end, the walk's end or its binade's
             # top: the pair after it is always taken as it is.
-            k, stride = _uniform_adds(time, interval, min(walk_len - i, left))
+            k = min(exact_steps(time), walk_len - i, left)
             if k:
-                total = _add_repeated(total, 0.5 * (watts + watts) * stride, k)
-                time += k * stride
+                total = _add_repeated(total, 0.5 * (watts + watts) * INTERVAL, k)
+                time += k
                 left -= k
                 i += k
                 if i == last:
                     break
-        if i == 0 and walk_len:
-            after_time = session.first_due
-        elif i < walk_len:
-            after_time = time + interval
+        if i < walk_len:
+            after_time = time + INTERVAL
         else:
             after_time = session.stopped_at
         if left:

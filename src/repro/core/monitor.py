@@ -7,24 +7,29 @@ when a job is either killed or stops.  Whenever it stops, a
 post-processing function is executed, and it generates .csv files and
 other log and statistic files."
 
-The reproduction samples on the *virtual* clock, and its Python work and
-memory follow device state changes, not simulated seconds.  The monitor
-registers a single *span listener* on the clock: between two callback
-firings the simulated device state cannot change, so every periodic tick
-inside a quiescent span observes the same values.  A session stores
+The reproduction samples on the *virtual* clock, one tick every
+:data:`INTERVAL` (1 s), and its Python work and memory follow device
+state changes, not simulated seconds.  The monitor registers a single
+*span listener* on the clock: between two callback firings the simulated
+device state cannot change, so every periodic tick inside a quiescent
+span observes the same values.  A session stores
 
 * its tick instants as the start instant, one walk ``(first due,
   count)`` and an optional stop instant — every periodic tick continues
-  the single ``t += interval`` float walk from ``start + interval``;
+  the single ``t += 1.0`` float walk from ``start + 1.0``;
 * per device, a run table (:class:`DeviceSeries`): one ``(util, mem,
   fb, pcie)`` entry and a length per run of identical samples, with
   min/max/sum accumulators streamed along the way.
 
-:func:`walk_ticks` counts a span's ticks in exact float arithmetic, so
-a quiescent span costs the same however many ticks it holds, and the
+Below 2**53 s (the clock's horizon) one second is a whole number of ulps
+of every walk value of at least 1 s, so the walk only rounds where it
+crosses into the next binade; :func:`exact_steps` counts the exact steps
+up to there.  :func:`walk_ticks` uses it to count a span's ticks, so a
+quiescent span costs the same however many ticks it holds, and the
 count, last tick and next due instant are bit-identical to the naive
-loop.  Readers expand on demand: ``np.add.accumulate`` adds strictly
-left to right, so it replays the walk, and ``np.repeat`` expands runs.
+loop; the energy meter walks its trapezoid by the same rule.  Readers
+expand on demand: ``np.add.accumulate`` adds strictly left to right, so
+it replays the walk, and ``np.repeat`` expands runs.
 ``session.samples`` is a lazy sequence of :class:`UsageSample` objects;
 see ``docs/performance.md``.
 """
@@ -41,6 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.galaxy.job import GalaxyJob
+from repro.gpusim.clock import HORIZON
 from repro.gpusim.host import GPUHost
 from repro.hotpath import hot_path
 
@@ -49,46 +55,47 @@ from repro.hotpath import hot_path
 #: path's working set bounded (~1 MiB of text at typical row widths).
 _CSV_CHUNK_ROWS = 8192
 
-_TWO53 = 1 << 53
+#: Seconds between periodic ticks: the paper's script samples "for every
+#: second".  :func:`exact_steps` relies on it being exactly 1 s.
+INTERVAL = 1.0
 
 
-def walk_ticks(
-    due: float, interval: float, end: float, closed: bool
-) -> tuple[int, float, float]:
-    """Count the walk ``due, due + interval, …`` up to ``end``.
+def exact_steps(value: float) -> int:
+    """How many ``value += 1.0`` in a row stay exact inside ``value``'s binade.
+
+    ``value`` in ``[2**(e-1), 2**e)`` is a multiple of its ulp ``2**(e-53)``,
+    and so is one second while the ulp is at most 1 s (``value < 2**53``).
+    Every ``value + k`` below the binade's top ``2**e`` is then a
+    representable multiple of the ulp, so the first ``k`` additions are
+    exact for every ``k < 2**e - value``; ``2**e - value`` is itself exact
+    (Sterbenz).  Zero below 1 s, where no whole second fits below the top.
+    """
+    if not 1.0 <= value < HORIZON:
+        return 0
+    return math.ceil(math.ldexp(1.0, math.frexp(value)[1]) - value) - 1
+
+
+def walk_ticks(due: float, end: float, closed: bool) -> tuple[int, float, float]:
+    """Count the walk ``due, due + 1.0, …`` up to ``end`` (below 2**53 s).
 
     Returns ``(count, last, next_due)`` exactly as the loop ``while due
-    <= end: last = due; due += interval`` leaves them (``<`` when the
-    span is open at ``end``); ``last`` is NaN when nothing is due.
-
-    When ``due`` and ``interval`` are both multiples of ``u = ulp(due)``,
-    every walk value below ``2**53 * u`` (the top of ``due``'s binade) is
-    a representable multiple of ``u``, so each addition there is exact
-    and the walk is the progression ``due + k * interval``: its length
-    is integer arithmetic and its last value one exact multiply-add.
-    Steps that round — a binade crossing, or every step of an interval
-    such as 0.1 that is no multiple of the ulp — are taken one at a
-    time, as the loop takes them.
+    <= end: last = due; due += 1.0`` leaves them (``<`` when the span is
+    open at ``end``); ``last`` is NaN when nothing is due.  Inside a
+    binade the walk is the progression ``due + k`` (:func:`exact_steps`),
+    and ``end - due`` is exact wherever it can bound it: a short span is
+    one exact subtraction and a long one a single step per binade.
     """
     count = 0
     last = math.nan
     while due < end or (closed and due == end):
-        steps = 1
-        unit = math.ulp(due)
-        if due > 0.0 and math.fmod(interval, unit) == 0.0:
-            first = int(due / unit)
-            stride = interval / unit
-            if stride < _TWO53 - first:
-                stride = int(stride)
-                steps = (_TWO53 - 1 - first) // stride + 1
-                scaled = end / unit
-                if scaled != math.inf:
-                    bound = math.floor(scaled) if closed else math.ceil(scaled) - 1
-                    steps = min(steps, (bound - first) // stride + 1)
-                due += (steps - 1) * interval
-        count += steps
+        steps = exact_steps(due)
+        if steps:
+            gap = end - due
+            steps = min(steps, math.floor(gap) if closed else math.ceil(gap) - 1)
+            due += steps
+        count += steps + 1
         last = due
-        due += interval
+        due += INTERVAL
     return count, last, due
 
 
@@ -283,7 +290,7 @@ class MonitoredJob:
     """Per-job sampling session.
 
     Tick instants are the start instant, the walk ``first_due, first_due
-    + interval, …`` of ``walk_len`` periodic ticks, and ``stopped_at``
+    + 1.0, …`` of ``walk_len`` periodic ticks, and ``stopped_at``
     when :meth:`GPUUsageMonitor.stop` took a final sample; ``times``
     expands them.  ``series[j]`` holds the j-th host device's run table,
     and ``samples`` the flat list of :class:`UsageSample` as a lazy view.
@@ -292,7 +299,6 @@ class MonitoredJob:
     __slots__ = (
         "job_id",
         "started_at",
-        "interval",
         "first_due",
         "walk_len",
         "next_due",
@@ -304,16 +310,11 @@ class MonitoredJob:
     )
 
     def __init__(
-        self,
-        job_id: int,
-        started_at: float,
-        device_indices: Sequence[int],
-        interval: float,
+        self, job_id: int, started_at: float, device_indices: Sequence[int]
     ) -> None:
         self.job_id = job_id
         self.started_at = started_at
-        self.interval = interval
-        self.first_due = started_at + interval
+        self.first_due = started_at + INTERVAL
         self.walk_len = 0
         #: Next periodic tick due and the most recent tick's instant
         #: (kept by the monitor).
@@ -337,7 +338,7 @@ class MonitoredJob:
     @property
     def times(self) -> array:
         """Every tick instant, expanded by replaying the walk."""
-        times = array("d", (self.interval,)) * self.tick_count
+        times = array("d", (INTERVAL,)) * self.tick_count
         times[0] = self.started_at
         if self.stopped_at is not None:
             times[-1] = self.stopped_at
@@ -373,11 +374,8 @@ class GPUUsageMonitor:
     in :meth:`stop`).
     """
 
-    def __init__(self, host: GPUHost, interval: float = 1.0) -> None:
-        if not (math.isfinite(interval) and interval > 0):
-            raise ValueError("sampling interval must be positive and finite")
+    def __init__(self, host: GPUHost) -> None:
         self.host = host
-        self.interval = interval
         self.sessions: dict[int, MonitoredJob] = {}
         self._live: dict[int, MonitoredJob] = {}
         self._listening = False
@@ -392,7 +390,6 @@ class GPUUsageMonitor:
             job_id=job.job_id,
             started_at=self.host.clock.now,
             device_indices=[d.minor_number for d in self.host.devices],
-            interval=self.interval,
         )
         self.sessions[job.job_id] = session
         self._live[job.job_id] = session
@@ -438,9 +435,7 @@ class GPUUsageMonitor:
             due = session.next_due
             if due > end or (due == end and not closed):
                 continue
-            count, session.last_time, session.next_due = walk_ticks(
-                due, self.interval, end, closed
-            )
+            count, session.last_time, session.next_due = walk_ticks(due, end, closed)
             session.walk_len += count
             self._sample(session, count)
 

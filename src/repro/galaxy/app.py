@@ -29,6 +29,7 @@ from repro.observability.tracing import NULL_TRACER
 from repro.resilience.shedding import RejectedBusy, ShedReason
 
 if TYPE_CHECKING:
+    from repro.galaxy.toolbox import ToolBox
     from repro.resilience.overload import OverloadController
 
 T = TypeVar("T")
@@ -145,7 +146,7 @@ class GalaxyApp:
         #: degrades along resubmit arms), jobs carry virtual-clock
         #: deadlines, and sustained saturation trips the brownout ladder.
         self.overload: OverloadController | None = None
-        self._toolbox = None
+        self._toolbox: ToolBox | None = None
         self.tools: dict[str, ToolDefinition] = {}
         self.executors: dict[str, ToolExecutor] = {}
         self.runners: dict[str, Any] = {}
@@ -163,7 +164,7 @@ class GalaxyApp:
     # ------------------------------------------------------------------ #
     # installation
     # ------------------------------------------------------------------ #
-    def install_tool(self, tool: ToolDefinition, section: str | None = None) -> None:
+    def install_tool(self, tool: ToolDefinition) -> None:
         """Install a tool (what a Galaxy Admin does).
 
         When a toolbox is attached (:meth:`use_toolbox`), the version is
@@ -171,14 +172,12 @@ class GalaxyApp:
         lineage's latest version for the execution core.
         """
         if self._toolbox is not None:
-            from repro.galaxy.toolbox import ToolBox
-
-            self._toolbox.install(tool, section or ToolBox.DEFAULT_SECTION)
+            self._toolbox.install(tool)
             self.tools[tool.tool_id] = self._toolbox.get(tool.tool_id)
         else:
             self.tools[tool.tool_id] = tool
 
-    def use_toolbox(self, toolbox) -> None:
+    def use_toolbox(self, toolbox: ToolBox) -> None:
         """Attach a versioned :class:`~repro.galaxy.toolbox.ToolBox`.
 
         Already-installed tools are migrated into it.
@@ -188,7 +187,7 @@ class GalaxyApp:
             toolbox.install(tool)
 
     @property
-    def toolbox(self):
+    def toolbox(self) -> ToolBox | None:
         """The attached toolbox, or None."""
         return self._toolbox
 

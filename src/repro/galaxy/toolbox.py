@@ -1,8 +1,8 @@
-"""The toolbox: versioned tool lineages organised in panel sections.
+"""The toolbox: versioned tool lineages with panel search.
 
 Galaxy's toolbox is a real subsystem: a tool id names a *lineage* of
 installed versions (admins install upgrades side by side; workflows pin
-versions), and the web panel groups tools into sections.  The mini-
+versions), and the web panel searches them.  The mini-
 Galaxy needs this for the GYAN story too — the paper's Racon wrapper
 pins ``racon 1.4.20`` while a GPU-capable upgrade would install as a new
 version of the same lineage.
@@ -69,26 +69,18 @@ class ToolLineage:
 
 
 class ToolBox:
-    """Sections of versioned tool lineages, with panel-style search."""
-
-    DEFAULT_SECTION = "Tools"
+    """Versioned tool lineages, with panel-style search."""
 
     def __init__(self) -> None:
         self._lineages: dict[str, ToolLineage] = {}
-        self._sections: dict[str, list[str]] = {}
-        self._section_of: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
-    def install(
-        self, tool: ToolDefinition, section: str = DEFAULT_SECTION
-    ) -> ToolLineage:
-        """Install a tool version into a panel section."""
+    def install(self, tool: ToolDefinition) -> ToolLineage:
+        """Install a tool version into its lineage."""
         lineage = self._lineages.get(tool.tool_id)
         if lineage is None:
             lineage = ToolLineage(tool_id=tool.tool_id)
             self._lineages[tool.tool_id] = lineage
-            self._sections.setdefault(section, []).append(tool.tool_id)
-            self._section_of[tool.tool_id] = section
         lineage.install(tool)
         return lineage
 
@@ -107,17 +99,6 @@ class ToolBox:
             raise ToolNotFoundError(tool_id) from None
 
     # ------------------------------------------------------------------ #
-    def sections(self) -> dict[str, list[str]]:
-        """Panel layout: section name -> tool ids (installation order)."""
-        return {name: list(ids) for name, ids in self._sections.items()}
-
-    def section_of(self, tool_id: str) -> str:
-        """The section a tool id lives in."""
-        try:
-            return self._section_of[tool_id]
-        except KeyError:
-            raise ToolNotFoundError(tool_id) from None
-
     def search(self, query: str) -> list[ToolDefinition]:
         """Panel search: substring match on id and display name."""
         needle = query.lower().strip()

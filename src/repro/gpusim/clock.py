@@ -7,7 +7,8 @@ GYAN's *decisions* depend on device state at submit time, and the
 *measurements* depend on a timing model.  A virtual clock lets both be
 exercised deterministically and instantly.
 
-All durations are in seconds (float).  The clock only moves forward.
+All durations are in seconds (float).  The clock only moves forward,
+and only to finite instants below :data:`HORIZON` (2**53 s).
 
 Performance notes (see ``docs/performance.md``):
 
@@ -213,6 +214,12 @@ class TimerHandle:
         return f"TimerHandle(when={self.when}, {state})"
 
 
+#: Every instant the clock reaches lies below this (2**53 s, ~285 My): up
+#: to it one second is a whole number of ulps, so a 1 s tick walk always
+#: moves; at it ``t + 1.0 == t``.
+HORIZON = float(1 << 53)
+
+
 #: A quiescent-span observer: ``listener(start, end, closed)`` is invoked
 #: for every interval the clock traverses without any callback firing
 #: inside it.  ``closed`` is True when the span includes its ``end``
@@ -228,7 +235,8 @@ class VirtualClock:
     The clock starts at ``epoch`` (default 0.0).  :meth:`advance` moves
     time forward by a delta and :meth:`advance_to` moves to an absolute
     instant; both fire any callbacks scheduled in the traversed interval,
-    in timestamp order.  Moving backwards raises :class:`ClockError`.
+    in timestamp order.  Moving backwards, or to an instant that is not
+    finite and below :data:`HORIZON`, raises :class:`ClockError`.
 
     Scheduled callbacks are how fault injectors and retry backoff act
     *during* a simulated tool execution.  High-frequency observers (the
@@ -278,6 +286,8 @@ class VirtualClock:
         """
         if when < self._now:
             raise ClockError(f"cannot move clock backwards: {when} < {self._now}")
+        if not when < HORIZON:  # NaN too
+            raise ClockError(f"cannot move clock to t={when}: instants stop below 2**53 s")
         pending = self._pending
         while pending and pending[0][0] <= when:
             at, _key, _seq, handle = heapq.heappop(pending)
@@ -349,12 +359,3 @@ class VirtualClock:
     def pending_count(self) -> int:
         """Number of callbacks not yet fired (cancelled timers excluded)."""
         return self._live_timers
-
-    def cancel_all(self) -> int:
-        """Drop all pending callbacks; returns how many were dropped."""
-        n = self._live_timers
-        for _when, _key, _seq, handle in self._pending:
-            handle.cancelled = True
-        self._pending.clear()
-        self._live_timers = 0
-        return n

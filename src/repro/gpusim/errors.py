@@ -101,4 +101,4 @@ class ProcessError(GpuSimError):
 
 
 class ClockError(GpuSimError):
-    """Raised when the virtual clock would move backwards."""
+    """Raised when the virtual clock would move backwards or past its horizon."""

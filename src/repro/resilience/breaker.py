@@ -124,18 +124,6 @@ class CircuitBreaker:
             return True
         return False
 
-    def call(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` through the breaker (fast-fail when open)."""
-        if not self.allows():
-            raise BreakerOpenError(self.name, self.retry_at)
-        try:
-            result = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
     # -- internals -----------------------------------------------------
 
     def _open(self) -> None:

@@ -2,7 +2,8 @@
 
 Racon's command line takes reads, *mappings of reads to the backbone*
 (typically minimap2 PAF output), and the backbone itself.  Our mapper
-(:mod:`repro.tools.mapping`) and read simulator both emit these records.
+(:mod:`repro.tools.mapping`) emits these records in memory and the
+consensus stage reads them; nothing here parses or writes PAF text.
 """
 
 from __future__ import annotations
@@ -46,57 +47,3 @@ class PafRecord:
         if self.alignment_block_length == 0:
             return 0.0
         return self.residue_matches / self.alignment_block_length
-
-    def to_line(self) -> str:
-        """Tab-separated PAF line."""
-        return "\t".join(
-            str(x)
-            for x in (
-                self.query_name,
-                self.query_length,
-                self.query_start,
-                self.query_end,
-                self.strand,
-                self.target_name,
-                self.target_length,
-                self.target_start,
-                self.target_end,
-                self.residue_matches,
-                self.alignment_block_length,
-                self.mapping_quality,
-            )
-        )
-
-
-def parse_paf(text: str) -> list[PafRecord]:
-    """Parse PAF text (mandatory columns; extra SAM-like tags ignored)."""
-    records: list[PafRecord] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) < 12:
-            raise ValueError(f"PAF line {lineno}: expected >=12 fields, got {len(fields)}")
-        records.append(
-            PafRecord(
-                query_name=fields[0],
-                query_length=int(fields[1]),
-                query_start=int(fields[2]),
-                query_end=int(fields[3]),
-                strand=fields[4],
-                target_name=fields[5],
-                target_length=int(fields[6]),
-                target_start=int(fields[7]),
-                target_end=int(fields[8]),
-                residue_matches=int(fields[9]),
-                alignment_block_length=int(fields[10]),
-                mapping_quality=int(fields[11]),
-            )
-        )
-    return records
-
-
-def write_paf(records: list[PafRecord]) -> str:
-    """Serialise records as PAF text."""
-    return "\n".join(record.to_line() for record in records) + "\n"

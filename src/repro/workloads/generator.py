@@ -2,10 +2,8 @@
 
 Reads carry PacBio/Nanopore-style errors (substitutions, insertions,
 deletions) at configurable rates, and each read remembers its true origin
-interval so the simulator can emit ground-truth PAF mappings — standing
-in for the minimap2 overlap step of the real Racon pipeline (our
-:mod:`repro.tools.mapping` minimizer mapper can recompute them
-independently, which the tests cross-check).
+interval and strand (:class:`SimulatedRead`), which the tests hold the
+:mod:`repro.tools.mapping` minimizer mapper's PAF records against.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.tools.seqio.paf import PafRecord
 from repro.tools.seqio.records import DNA_ALPHABET, SeqRecord, reverse_complement
 
 _BASES = np.frombuffer(DNA_ALPHABET.encode(), dtype=np.uint8)
@@ -70,7 +67,7 @@ class SimulatedRead:
 
 @dataclass
 class ReadSet:
-    """A genome, its reads, and ground-truth mappings."""
+    """A genome and its reads, each with its true origin."""
 
     genome: SeqRecord
     reads: list[SimulatedRead] = field(default_factory=list)
@@ -79,29 +76,6 @@ class ReadSet:
     def records(self) -> list[SeqRecord]:
         """Just the read records."""
         return [r.record for r in self.reads]
-
-    def truth_paf(self) -> list[PafRecord]:
-        """Ground-truth PAF mappings (the minimap2 substitute)."""
-        records = []
-        for read in self.reads:
-            length = len(read.record)
-            span = read.genome_end - read.genome_start
-            records.append(
-                PafRecord(
-                    query_name=read.record.name,
-                    query_length=length,
-                    query_start=0,
-                    query_end=length,
-                    strand=read.strand,
-                    target_name=self.genome.name,
-                    target_length=len(self.genome),
-                    target_start=read.genome_start,
-                    target_end=read.genome_end,
-                    residue_matches=min(length, span),
-                    alignment_block_length=max(length, span),
-                )
-            )
-        return records
 
     def mean_coverage(self) -> float:
         """Mean read coverage over the genome."""

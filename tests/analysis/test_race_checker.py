@@ -70,6 +70,15 @@ class TestPermutingClock:
         with pytest.raises(ClockError):
             clock.advance_to(2.0)
 
+    def test_horizon_rejected(self):
+        from repro.gpusim.errors import ClockError
+
+        clock = PermutingClock(schedule=Schedule(scenario="t", flips={}))
+        for when in (2.0**53, float("inf"), float("nan")):
+            with pytest.raises(ClockError, match=r"below 2\*\*53 s"):
+                clock.advance_to(when)
+        assert clock.now == 0.0
+
     def test_footprints_attributed_per_member(self):
         from repro.gpusim.clock import Timeline
 

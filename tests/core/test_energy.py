@@ -185,7 +185,6 @@ def _tie_utilization(device, low_bit):
     raise AssertionError("no utilisation with that power")
 
 
-INTERVALS = [1.0, 0.25, 0.1, 1 / 3]
 #: K80 power of ~100 W, an odd multiple of 2**-39: totals in
 #: [2**14, 2**15) J meet a tie on every one-second addition of it.
 TIE_UTIL = _tie_utilization(make_k80_host().device(0), 2.0**-39)
@@ -197,52 +196,52 @@ class TestRunWalk:
     equal the per-sample loop bit for bit."""
 
     @staticmethod
-    def walk(start, interval, ticks, flips, util_at_start):
+    def walk(start, ticks, flips, util_at_start):
         """A session from ``start`` with ``ticks`` periodic ticks (plus a
-        stop ``interval / 2`` after the last) whose device-0 utilisation
-        changes at the instants ``start + offset * ticks * interval``."""
+        stop half a second after the last) whose device-0 utilisation
+        changes at the instants ``start + offset * ticks``."""
         host = make_k80_host()
-        monitor = GPUUsageMonitor(host, interval=interval)
+        monitor = GPUUsageMonitor(host)
         job = make_job()
         host.clock.advance_to(start)
         host.device(0).sm_utilization = util_at_start
         host.device(1).sm_utilization = 100.0 - util_at_start
         monitor.start(job)
-        span = ticks * interval
         for offset, util in flips:
             host.clock.call_at(
-                start + offset * span,
+                start + offset * ticks,
                 lambda now, util=util: setattr(host.device(0), "sm_utilization", util),
             )
-        host.clock.advance_to(start + span + interval / 2)
+        host.clock.advance_to(start + ticks + 0.5)
         monitor.stop(job)
         return monitor, job.job_id
 
     @settings(max_examples=80, deadline=None)
     @given(
-        interval=st.sampled_from(INTERVALS),
         start=st.floats(0.0, 6.0),
         flips=st.lists(st.tuples(st.floats(0.0, 1.0), UTILIZATIONS), max_size=5),
         first=UTILIZATIONS,
     )
-    @example(interval=1 / 3, start=0.0, flips=[], first=TIE_UTIL)
-    @example(interval=1.0, start=0.0, flips=[(0.5, TIE_UTIL), (0.75, TIE_UTIL)], first=50.0)
-    def test_equals_the_loop(self, interval, start, flips, first):
+    @example(start=0.0, flips=[], first=TIE_UTIL)
+    @example(start=0.1, flips=[], first=TIE_UTIL)
+    @example(start=math.nextafter(3.0, 0.0), flips=[(0.3, TIE_UTIL)], first=12.5)
+    @example(start=0.0, flips=[(0.5, TIE_UTIL), (0.75, TIE_UTIL)], first=50.0)
+    def test_equals_the_loop(self, start, flips, first):
         # Enough ticks for the walk to cross at least 3 binades.
-        first_due = start + interval
-        ticks = max(40, math.ceil((16 * first_due - start) / interval))
-        monitor, job_id = self.walk(start, interval, ticks, flips, first)
+        first_due = start + 1.0
+        ticks = max(40, math.ceil(16 * first_due - start))
+        monitor, job_id = self.walk(start, ticks, flips, first)
         session = monitor.session_for(job_id)
         assert math.frexp(session.last_time)[1] - math.frexp(session.first_due)[1] >= 3
         report = check_energy(monitor, job_id)
         # ... and the total crossed at least 3 binades after its first term.
-        assert report.per_device_joules[0] >= 8 * 26.0 * interval
+        assert report.per_device_joules[0] >= 8 * 26.0
 
     def test_a_tie_binade_is_walked_in_jumps(self):
         """A one-second session at :data:`TIE_UTIL` crosses the binade
         where every addition is a tie: the walk takes it in jumps of the
         even-total increment and still equals the loop."""
-        monitor, job_id = self.walk(0.0, 1.0, 400, [], TIE_UTIL)
+        monitor, job_id = self.walk(0.0, 400, [], TIE_UTIL)
         joules = check_energy(monitor, job_id).per_device_joules[0]
         assert joules > 2.0**15
 

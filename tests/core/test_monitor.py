@@ -18,6 +18,7 @@ from repro.core.monitor import (
 )
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.tool_xml import parse_tool_xml
+from repro.gpusim.errors import ClockError
 from repro.gpusim.host import make_k80_host
 from repro.gpusim.kernels import KernelLaunch, KernelTimingModel
 from tests.core.test_energy import loop_energy
@@ -29,7 +30,7 @@ def make_job():
 
 class TestSampling:
     def test_one_sample_per_second_per_device(self, host):
-        monitor = GPUUsageMonitor(host, interval=1.0)
+        monitor = GPUUsageMonitor(host)
         job = make_job()
         monitor.start(job)
         host.clock.advance(5.0)
@@ -107,12 +108,21 @@ class TestSampling:
         assert min(s.time for s in a_samples) == 0.0
         assert min(s.time for s in b_samples) == 2.0
 
-    def test_invalid_interval(self, host):
-        """NaN and infinity pass an ``interval <= 0`` test; a NaN or
-        infinite interval would record a 10 s job as ``[0.0, 10.0]``."""
-        for interval in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                GPUUsageMonitor(host, interval=interval)
+    @pytest.mark.parametrize("delta", [1e16, math.inf, math.nan])
+    def test_clock_refuses_to_pass_the_horizon(self, host, delta):
+        """From 2**53 s on ``t + 1.0 == t``: a session live there would
+        walk forever.  The clock refuses the move, and the session is
+        as it was."""
+        monitor = GPUUsageMonitor(host)
+        job = make_job()
+        monitor.start(job)
+        host.clock.advance(2.5)
+        with pytest.raises(ClockError, match=r"2\*\*53"):
+            host.clock.advance(delta)
+        assert host.clock.now == 2.5
+        monitor.stop(job)
+        session = monitor.session_for(job.job_id)
+        assert session.times.tolist() == [0.0, 1.0, 2.0, 2.5]
 
 
 class TestPostProcessing:
@@ -157,7 +167,7 @@ class TestStopBoundaries:
     def test_stop_at_exact_tick_boundary_takes_no_duplicate(self, host):
         """Stopping at an integer second must not record that instant
         twice: the per-second tick at t=5 already sampled it."""
-        monitor = GPUUsageMonitor(host, interval=1.0)
+        monitor = GPUUsageMonitor(host)
         job = make_job()
         monitor.start(job)
         host.clock.advance(5.0)
@@ -171,7 +181,7 @@ class TestStopBoundaries:
             assert len(set(stamps)) == len(stamps)
 
     def test_stop_mid_interval_records_final_partial_sample(self, host):
-        monitor = GPUUsageMonitor(host, interval=1.0)
+        monitor = GPUUsageMonitor(host)
         job = make_job()
         monitor.start(job)
         host.clock.advance(2.5)
@@ -186,7 +196,7 @@ class TestStopBoundaries:
     def test_pending_tick_never_appends_after_stop(self, host):
         """A stopped session's next due tick must not land even when the
         clock advances exactly onto it."""
-        monitor = GPUUsageMonitor(host, interval=1.0)
+        monitor = GPUUsageMonitor(host)
         job = make_job()
         monitor.start(job)
         host.clock.advance(2.0)
@@ -197,7 +207,7 @@ class TestStopBoundaries:
         assert len(monitor.session_for(job.job_id).samples) == count
 
     def test_stop_while_another_session_keeps_ticking(self, host):
-        monitor = GPUUsageMonitor(host, interval=1.0)
+        monitor = GPUUsageMonitor(host)
         job_a, job_b = make_job(), make_job()
         monitor.start(job_a)
         monitor.start(job_b)
@@ -270,7 +280,7 @@ def _naive_csv(samples):
 
 def varied_session(host, seconds=40, period=10):
     """A session whose device values change every ``period`` seconds."""
-    monitor = GPUUsageMonitor(host, interval=1.0)
+    monitor = GPUUsageMonitor(host)
     job = make_job()
     monitor.start(job)
 
@@ -345,22 +355,21 @@ class TestCsvStreaming:
             monitor_mod._CSV_CHUNK_ROWS = original
 
 
-def naive_walk(due, interval, end, closed):
+def naive_walk(due, end, closed):
     """The tick loop ``walk_ticks`` must equal: one addition per tick."""
     count, last = 0, math.nan
     while due < end or (closed and due == end):
-        count, last, due = count + 1, due, due + interval
+        count, last, due = count + 1, due, due + 1.0
     return count, last, due
 
-
-INTERVALS = [1.0, 0.5, 0.25, 0.1, 0.3, 1 / 3, 1e-3, 5.0]
 
 session_starts = st.one_of(
     st.just(0.0),
     st.integers(0, 1 << 24).map(lambda k: k / 256),  # dyadic
     st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),  # mostly not
-    st.integers(-3, 40).map(lambda e: math.nextafter(2.0**e, 0.0)),
-    st.integers(-3, 40).map(lambda e: 2.0**e - 0.5),
+    st.integers(-3, 52).map(lambda e: math.nextafter(2.0**e, 0.0)),
+    st.integers(-3, 52).map(lambda e: 2.0**e - 0.5),
+    st.integers(1, 52).map(lambda e: math.nextafter(2.0**e - 1.0, 0.0)),  # due just below
     st.floats(1e6, 1e12, allow_nan=False, allow_infinity=False),
 )
 
@@ -368,57 +377,72 @@ session_starts = st.one_of(
 class TestWalkTicks:
     """``walk_ticks`` against the loop, bit for bit."""
 
-    @given(
-        start=session_starts,
-        interval=st.sampled_from(INTERVALS),
-        steps=st.integers(0, 1500),
-        nudge=st.sampled_from(["on", "below", "above", "between"]),
-        closed=st.booleans(),
-    )
-    @example(start=math.nextafter(1024.0, 0.0), interval=1.0, steps=40,
-             nudge="on", closed=True)
-    @example(start=0.0, interval=0.1, steps=1000, nudge="on", closed=False)
-    @example(start=1e6 + 0.1, interval=1 / 3, steps=900, nudge="between",
-             closed=True)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_loop(self, start, interval, steps, nudge, closed):
-        due = start + interval
+    @staticmethod
+    def check(start, steps, nudge, closed):
+        """Walk from ``start + 1.0`` to ``steps`` ticks on, nudged; returns
+        the first and last walk values the span covers."""
+        due = start + 1.0
         walk_value = due
         for _ in range(steps):
-            walk_value += interval
+            walk_value += 1.0
         end = {
             "on": walk_value,
             "below": math.nextafter(walk_value, -math.inf),
             "above": math.nextafter(walk_value, math.inf),
-            "between": walk_value + interval / 2,
+            "between": walk_value + 0.5,
         }[nudge]
-        count, last, next_due = walk_ticks(due, interval, end, closed)
-        want_count, want_last, want_next = naive_walk(due, interval, end, closed)
+        count, last, next_due = walk_ticks(due, end, closed)
+        want_count, want_last, want_next = naive_walk(due, end, closed)
         assert type(count) is int and type(last) is float
         assert (count, last.hex(), next_due.hex()) == (
             want_count, want_last.hex(), want_next.hex()
         )
+        return due, walk_value
+
+    @given(
+        start=session_starts,
+        steps=st.integers(0, 1500),
+        nudge=st.sampled_from(["on", "below", "above", "between"]),
+        closed=st.booleans(),
+    )
+    @example(start=math.nextafter(1024.0, 0.0), steps=40, nudge="on", closed=True)
+    @example(start=math.nextafter(2.0**52, 0.0), steps=40, nudge="above", closed=False)
+    @example(start=0.0, steps=1000, nudge="on", closed=False)
+    @example(start=1e6 + 0.1, steps=900, nudge="between", closed=True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, start, steps, nudge, closed):
+        self.check(start, steps, nudge, closed)
+
+    @pytest.mark.parametrize(
+        "start", [0.1, 0.75, 3.3, math.nextafter(15.0, 0.0), math.nextafter(16.0, 0.0)]
+    )
+    @pytest.mark.parametrize("nudge", ["on", "below", "above", "between"])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_across_binades(self, start, nudge, closed):
+        """Non-dyadic and just-below-a-power-of-two starts walked over
+        at least three binade crossings, every way the span can end."""
+        due, walk_value = self.check(start, 200, nudge, closed)
+        assert math.frexp(walk_value)[1] - math.frexp(due)[1] >= 3
 
     def test_a_day_is_a_handful_of_progressions(self):
         """One-second ticks from t=1 to t=86 400 land on integers: every
         addition is exact, one progression per binade (17 in all)."""
-        assert walk_ticks(1.0, 1.0, 86_400.0, True) == (86_400, 86_400.0, 86_401.0)
-        assert walk_ticks(1.0, 1.0, 86_400.0, False) == (86_399, 86_399.0, 86_400.0)
+        assert walk_ticks(1.0, 86_400.0, True) == (86_400, 86_400.0, 86_401.0)
+        assert walk_ticks(1.0, 86_400.0, False) == (86_399, 86_399.0, 86_400.0)
 
     def test_nothing_due(self):
-        count, last, next_due = walk_ticks(5.0, 1.0, 4.5, True)
+        count, last, next_due = walk_ticks(5.0, 4.5, True)
         assert (count, next_due) == (0, 5.0) and math.isnan(last)
 
 
 class NaiveMonitor:
     """The per-tick reference: every tick's instant and every device's
-    reading stored as taken, periodic ticks walked one ``due += interval``
-    at a time, and statistics summed per sampling call (``value * n``) as
+    reading stored as taken, periodic ticks walked one ``due += 1.0`` at
+    a time, and statistics summed per sampling call (``value * n``) as
     the monitor streams them."""
 
-    def __init__(self, host, interval):
+    def __init__(self, host):
         self.host = host
-        self.interval = interval
         self.times = []
         self.rows = []  # per tick: one (util, mem, fb, pcie) per device
         self.calls = []  # (readings, n) per sampling call
@@ -427,7 +451,7 @@ class NaiveMonitor:
     def start(self):
         now = self.host.clock.now
         self._take([now])
-        self.next_due = now + self.interval
+        self.next_due = now + 1.0
         self.host.clock.add_span_listener(self.on_span)
 
     def on_span(self, start, end, closed):
@@ -435,7 +459,7 @@ class NaiveMonitor:
         due = self.next_due
         while due < end or (closed and due == end):
             ticks.append(due)
-            due += self.interval
+            due += 1.0
         self.next_due = due
         if ticks:
             self._take(ticks)
@@ -537,12 +561,11 @@ class TestAgainstTheNaiveMonitor:
         start=st.sampled_from(
             [0.0, 0.75, 3.3, 2.0**20 - 0.5, math.nextafter(64.0, 0.0), 1e6 + 0.1]
         ),
-        interval=st.sampled_from(INTERVALS),
         schedule=schedules,
         tail=st.sampled_from([0.0, 0.5, 1.0]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_byte_identical(self, start, interval, schedule, tail):
+    def test_byte_identical(self, start, schedule, tail):
         host = make_k80_host()
         clock = host.clock
 
@@ -554,13 +577,13 @@ class TestAgainstTheNaiveMonitor:
                 device.pcie_generation_current = pcie
 
         clock.advance_to(start)
-        monitor = GPUUsageMonitor(host, interval=interval)
-        naive = NaiveMonitor(host, interval)
+        monitor = GPUUsageMonitor(host)
+        naive = NaiveMonitor(host)
         job = make_job()
         monitor.start(job)
         naive.start()
         for kind, ticks, fraction, first, second in schedule:
-            delta = (ticks + fraction) * interval
+            delta = ticks + fraction
             if kind == "advance":
                 clock.advance(delta)
             else:
@@ -568,10 +591,10 @@ class TestAgainstTheNaiveMonitor:
                     clock.now + delta,
                     lambda now, a=first, b=second: flip(now, a, b),
                 )
-        clock.advance(tail * interval)
+        clock.advance(tail)
         monitor.stop(job)
         naive.stop()
-        clock.advance(3 * interval)  # no tick may land after stop
+        clock.advance(3.0)  # no tick may land after stop
 
         session = monitor.session_for(job.job_id)
         assert session.times.tobytes() == array("d", naive.times).tobytes()

@@ -1,4 +1,4 @@
-"""Versioned toolbox: lineages, sections, search."""
+"""Versioned toolbox: lineages and search."""
 
 import pytest
 
@@ -22,9 +22,9 @@ def make_tool(tool_id: str, version: str, name: str | None = None, gpu: bool = F
 @pytest.fixture
 def toolbox():
     box = ToolBox()
-    box.install(make_tool("racon", "1.4.20", "Racon consensus", gpu=True), "Polishing")
-    box.install(make_tool("racon", "1.5.0", "Racon consensus", gpu=True), "Polishing")
-    box.install(make_tool("bonito", "0.3.2", "Bonito basecaller", gpu=True), "Basecalling")
+    box.install(make_tool("racon", "1.4.20", "Racon consensus", gpu=True))
+    box.install(make_tool("racon", "1.5.0", "Racon consensus", gpu=True))
+    box.install(make_tool("bonito", "0.3.2", "Bonito basecaller", gpu=True))
     box.install(make_tool("seqstats", "1.0", "Sequence statistics"))
     return box
 
@@ -67,17 +67,6 @@ class TestLineages:
 
 
 class TestPanel:
-    def test_sections_layout(self, toolbox):
-        sections = toolbox.sections()
-        assert sections["Polishing"] == ["racon"]
-        assert sections["Basecalling"] == ["bonito"]
-        assert sections["Tools"] == ["seqstats"]
-
-    def test_section_of(self, toolbox):
-        assert toolbox.section_of("racon") == "Polishing"
-        with pytest.raises(ToolNotFoundError):
-            toolbox.section_of("ghost")
-
     def test_search_by_id_and_name(self, toolbox):
         assert [t.tool_id for t in toolbox.search("racon")] == ["racon"]
         assert [t.tool_id for t in toolbox.search("basecaller")] == ["bonito"]
@@ -98,9 +87,7 @@ class TestAppIntegration:
         assert deployment.app.toolbox is box
         assert len(box) == 3  # racon, bonito, seqstats migrated
         # Installing an upgrade flips the app's resolved version.
-        deployment.app.install_tool(
-            make_tool("racon", "9.0", "Racon consensus", gpu=True), "Polishing"
-        )
+        deployment.app.install_tool(make_tool("racon", "9.0", "Racon consensus", gpu=True))
         assert deployment.app.tool("racon").version == "9.0"
         assert box.lineage("racon").sorted_versions()[-1] == "9.0"
 

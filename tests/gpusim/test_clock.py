@@ -1,9 +1,11 @@
 """Virtual clock and timeline behaviour."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpusim.clock import Timeline, VirtualClock
+from repro.gpusim.clock import HORIZON, Timeline, VirtualClock
 from repro.gpusim.errors import ClockError
 
 
@@ -78,12 +80,22 @@ class TestVirtualClock:
         clock.advance(10.0)
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_cancel_all(self):
+    @pytest.mark.parametrize("when", [2.0**53, 1e16, math.inf, math.nan])
+    def test_instants_stop_below_the_horizon(self, when):
+        """From 2**53 s on ``t + 1.0 == t``, and a NaN destination used
+        to leave the clock silently where it was: both are refused, and
+        nothing fires."""
         clock = VirtualClock()
-        clock.call_at(1.0, lambda now: None)
-        clock.call_at(2.0, lambda now: None)
-        assert clock.cancel_all() == 2
-        assert clock.pending_count() == 0
+        clock.advance(5.0)
+        fired = []
+        clock.call_at(6.0, fired.append)
+        with pytest.raises(ClockError, match=r"below 2\*\*53 s"):
+            clock.advance_to(when)
+        with pytest.raises(ClockError):
+            clock.advance(when - 5.0)
+        assert clock.now == 5.0 and fired == []
+        assert clock.advance_to(math.nextafter(HORIZON, 0.0)) == HORIZON - 1.0
+        assert fired == [6.0]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ClockError):

@@ -154,12 +154,12 @@ _CALLS = st.one_of(
         st.just("kernel"),
         st.sampled_from(["generatePOAKernel", "sgemm_128x64_nn"]),
         st.integers(1, 120),
-        st.floats(1e-6, 3.0),
+        st.floats(4e-6, 12.0),
     ),
     st.tuples(
         st.just("memcpy"),
         st.sampled_from(list(MemcpyKind)),
-        st.floats(0.0, 4e8),
+        st.floats(0.0, 1.6e9),
     ),
     st.tuples(
         st.just("sync"),
@@ -190,15 +190,15 @@ def _drive(groups, n, fail_at, replayed):
     ``clock.now - t0`` sums a caller keeps; returns everything either
     way can observe."""
     host = make_k80_host()
-    monitor = GPUUsageMonitor(host, interval=0.25)
+    monitor = GPUUsageMonitor(host)
     job = GalaxyJob(tool=parse_tool_xml('<tool id="t"><command>x</command></tool>'))
-    host.clock.advance(0.3)
+    host.clock.advance(1.2)
     monitor.start(job)
     timing = KernelTimingModel(
         host, host.device(0), profiler=CudaProfiler(), pcie_efficiency=0.075
     )
     # Timers fire inside the calls' clock advances.
-    host.clock.call_at(0.9, lambda now: setattr(host.device(0), "mem_utilization", 5.0))
+    host.clock.call_at(3.6, lambda now: setattr(host.device(0), "mem_utilization", 5.0))
     if fail_at is not None:
         host.clock.call_at(fail_at, lambda now: host.device(0).mark_failed(now))
     kernels = {}
@@ -270,7 +270,7 @@ class TestReplay:
     @given(
         groups=_GROUPS,
         n=st.integers(0, 6),
-        fail_at=st.none() | st.floats(0.3, 30.0),
+        fail_at=st.none() | st.floats(1.2, 120.0),
     )
     def test_replay_equals_the_calls(self, groups, n, fail_at):
         assert _drive(groups, n, fail_at, replayed=True) == _drive(

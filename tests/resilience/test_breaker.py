@@ -80,28 +80,17 @@ class TestStateMachine:
 
 
 class TestCall:
-    def test_call_passes_through_and_closes(self, breaker):
-        assert breaker.call(lambda: 42) == 42
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_call_records_failures_and_reraises(self, breaker):
-        def boom():
-            raise RuntimeError("probe timeout")
-
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(boom)
-        assert breaker.state is BreakerState.OPEN
-
     def test_open_fast_fails_with_retry_time(self, breaker, clock):
+        """An open breaker refuses the call; the error a caller raises
+        then names the breaker and when to retry."""
         clock.advance(5.0)
         for _ in range(3):
             breaker.record_failure()
-        with pytest.raises(BreakerOpenError) as exc_info:
-            breaker.call(lambda: 42)
-        assert exc_info.value.breaker_name == "probe"
-        assert exc_info.value.retry_at == pytest.approx(35.0)
-        assert "t=35" in str(exc_info.value)
+        assert not breaker.allows()
+        error = BreakerOpenError(breaker.name, breaker.retry_at)
+        assert error.breaker_name == "probe"
+        assert error.retry_at == pytest.approx(35.0)
+        assert "t=35" in str(error)
 
 
 class TestObservability:

@@ -166,6 +166,9 @@ class TestCountsOutOfRange:
          "race: --permutations must be 1 or more, got -1"),
         (["storm", "--max-shed-fraction", "1.5"],
          "storm: --max-shed-fraction must be a fraction in [0, 1], got 1.5"),
+        (["trace", "--jobs", "2", "--interarrival", "1e17"],
+         "trace: cannot move clock to t=6.799319039689096e+16: "
+         "instants stop below 2**53 s"),
     ])
     def test_is_a_usage_error(self, capsys, argv, line):
         assert main(argv) == 2

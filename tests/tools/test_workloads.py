@@ -105,13 +105,6 @@ class TestReadSimulation:
         for read in read_set.reads:
             assert 0 <= read.genome_start < read.genome_end <= len(genome)
 
-    def test_truth_paf_valid_and_complete(self):
-        read_set = simulate_read_set(genome_length=1500, coverage=8, seed=6)
-        paf = read_set.truth_paf()
-        assert len(paf) == len(read_set.reads)
-        for record in paf:
-            assert record.target_name == read_set.genome.name
-
     def test_coverage_targeted(self):
         read_set = simulate_read_set(
             genome_length=5000, coverage=20, mean_read_length=500, seed=7
