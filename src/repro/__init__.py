@@ -40,7 +40,3 @@ def __getattr__(name: str):
     if name not in _DEFINED_IN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(_DEFINED_IN[name]), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_DEFINED_IN})

@@ -18,9 +18,8 @@ from repro.galaxy.job_conf import (
     DynamicRuleRegistry,
     JobConfig,
     parse_bool_param,
-    parse_job_conf_xml,
 )
-from repro.galaxy.tool_xml import ToolDefinition, parse_tool_xml
+from repro.galaxy.tool_xml import ToolDefinition
 from repro.gpusim.device import TESLA_GK210
 
 
@@ -53,21 +52,6 @@ class ConfigContext:
 # --------------------------------------------------------------------- #
 # job_conf.xml
 # --------------------------------------------------------------------- #
-def analyze_job_conf_text(
-    text: str, path: str | None, ctx: ConfigContext
-) -> tuple[JobConfig | None, list[Finding]]:
-    """Lint one job_conf document; returns (parsed config, findings).
-
-    The parsed config is ``None`` when the document does not parse at
-    all, in which case the only finding is a GYAN100.
-    """
-    try:
-        config = parse_job_conf_xml(text)
-    except JobConfError as exc:
-        return None, analyze_job_conf(exc, path, ctx)
-    return config, analyze_job_conf(config, path, ctx)
-
-
 def analyze_job_conf(
     config: JobConfig | JobConfError, path: str | None, ctx: ConfigContext
 ) -> list[Finding]:
@@ -219,20 +203,6 @@ def _memory_oversubscription(
 # --------------------------------------------------------------------- #
 # tool wrapper XML
 # --------------------------------------------------------------------- #
-def analyze_tool_text(
-    text: str,
-    path: str | None,
-    ctx: ConfigContext,
-    macros: dict[str, str] | None = None,
-) -> tuple[ToolDefinition | None, list[Finding]]:
-    """Lint one tool wrapper; returns (parsed tool, findings)."""
-    try:
-        tool = parse_tool_xml(text, macros=macros)
-    except ToolParseError as exc:
-        return None, analyze_tool(exc, path, ctx)
-    return tool, analyze_tool(tool, path, ctx)
-
-
 def analyze_tool(
     tool: ToolDefinition | ToolParseError, path: str | None, ctx: ConfigContext
 ) -> list[Finding]:

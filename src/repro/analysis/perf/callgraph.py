@@ -104,8 +104,6 @@ class CallGraph:
     # -------------------------------------------------------------- #
     # queries
     # -------------------------------------------------------------- #
-    def node(self, qname: str) -> FunctionNode | None:
-        return self.nodes.get(qname)
 
     def edge_count(self) -> int:
         return sum(len(node.calls) for node in self.nodes.values())

@@ -39,7 +39,6 @@ from repro.gpusim.clock import HORIZON, TimerHandle, VirtualClock
 from repro.gpusim.errors import ClockError
 from repro.gpusim.footprint import FootprintRecorder
 from repro.hotpath import hot_path
-from repro.observability.export import render_document
 
 #: Schema identifier stamped into serialised schedules.
 SCHEDULE_SCHEMA = "gyan.race/v1"
@@ -66,13 +65,6 @@ class TieRecord:
     when: float
     #: Callback descriptions in baseline (registration) order.
     members: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "when": round(self.when, 9),
-            "members": list(self.members),
-        }
 
 
 @dataclass
@@ -108,9 +100,6 @@ class Schedule:
                 for index, order in sorted(self.flips.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return render_document(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -191,8 +180,7 @@ class PermutingClock(VirtualClock):
             key = batch[i][1]
             group.clear()
             while j < len(batch) and batch[j][1] == key:
-                if not batch[j][3].cancelled:
-                    group.append(batch[j][3])
+                group.append(batch[j][3])
                 j += 1
             if key == "" and len(group) >= 2:
                 tie_index = len(self.ties)
@@ -219,10 +207,6 @@ class PermutingClock(VirtualClock):
             i = j
 
         for handle, label in plan:
-            if handle.cancelled:  # cancelled by an earlier batch member
-                continue
-            handle.fired = True
-            self._live_timers -= 1
             at = max(self._now, batch_when)
             if self._span_listeners:
                 for listener in self._span_listeners:

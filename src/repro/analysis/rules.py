@@ -55,12 +55,6 @@ class RuleRegistry:
         self._rules[rule.rule_id] = rule
         return rule
 
-    def get(self, rule_id: str) -> LintRule:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise KeyError(f"unknown lint rule {rule_id!r}") from None
-
     def all_rules(self) -> list[LintRule]:
         return sorted(self._rules.values(), key=lambda r: r.rule_id)
 

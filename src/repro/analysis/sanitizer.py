@@ -123,11 +123,6 @@ class SimSanitizer:
                 )
         self.check_allocator(device.memory)
 
-    def check_host(self, host: GPUHost) -> None:
-        """Every device invariant, host-wide."""
-        for device in host.devices:
-            self.check_device(device)
-
     def check_clock(self, clock: VirtualClock) -> None:
         """SIM304: the clock never runs backwards between observations."""
         mark = self._clock_marks.get(clock)
@@ -171,7 +166,6 @@ class SimSanitizer:
         orig_alloc = MemoryAllocator.alloc
         orig_free = MemoryAllocator.free
         orig_terminate = GPUHost.terminate_process
-        orig_snapshot = GPUHost.snapshot
         orig_advance_to = VirtualClock.advance_to
         orig_attach = GPUDevice.attach_process
         orig_detach = GPUDevice.detach_process
@@ -179,7 +173,6 @@ class SimSanitizer:
             "MemoryAllocator.alloc": orig_alloc,
             "MemoryAllocator.free": orig_free,
             "GPUHost.terminate_process": orig_terminate,
-            "GPUHost.snapshot": orig_snapshot,
             "VirtualClock.advance_to": orig_advance_to,
             "GPUDevice.attach_process": orig_attach,
             "GPUDevice.detach_process": orig_detach,
@@ -208,11 +201,6 @@ class SimSanitizer:
             san.check_process_exit(host, pid)
             san.check_clock(host.clock)
 
-        def snapshot(host):
-            san.check_host(host)
-            san.check_clock(host.clock)
-            return orig_snapshot(host)
-
         def advance_to(clock, when):
             result = orig_advance_to(clock, when)
             san.check_clock(clock)
@@ -231,7 +219,6 @@ class SimSanitizer:
         MemoryAllocator.alloc = alloc
         MemoryAllocator.free = free
         GPUHost.terminate_process = terminate_process
-        GPUHost.snapshot = snapshot
         VirtualClock.advance_to = advance_to
         GPUDevice.attach_process = attach_process
         GPUDevice.detach_process = detach_process
@@ -243,7 +230,6 @@ class SimSanitizer:
         MemoryAllocator.alloc = self._originals["MemoryAllocator.alloc"]
         MemoryAllocator.free = self._originals["MemoryAllocator.free"]
         GPUHost.terminate_process = self._originals["GPUHost.terminate_process"]
-        GPUHost.snapshot = self._originals["GPUHost.snapshot"]
         VirtualClock.advance_to = self._originals["VirtualClock.advance_to"]
         GPUDevice.attach_process = self._originals["GPUDevice.attach_process"]
         GPUDevice.detach_process = self._originals["GPUDevice.detach_process"]
@@ -260,10 +246,6 @@ _active: SimSanitizer | None = None
 def current() -> SimSanitizer | None:
     """The installed sanitizer, or ``None``."""
     return _active
-
-
-def is_installed() -> bool:
-    return _active is not None and _active.installed
 
 
 def install(sanitizer: SimSanitizer | None = None) -> SimSanitizer:

@@ -70,11 +70,6 @@ class ComputeNode:
         """CPU slots not currently reserved."""
         return self.resources.cpu_slots - self._cpu_in_use
 
-    @property
-    def has_gpus(self) -> bool:
-        """True when the node carries at least one GPU device."""
-        return self.resources.gpu_count > 0
-
     def reserve_cpus(self, count: int) -> int:
         """Reserve ``count`` CPU slots; returns a reservation token.
 

@@ -110,10 +110,6 @@ class ImageRegistry:
         """Make an image pullable (like pushing to Docker Hub)."""
         self._remote[image.reference] = image
 
-    def is_cached(self, reference: str) -> bool:
-        """True when the image is already on the node."""
-        return reference in self._cache
-
     def pull(self, reference: str) -> tuple[ContainerImage, PullRecord]:
         """Pull an image; returns (image, pull record).
 
@@ -137,7 +133,3 @@ class ImageRegistry:
         record = PullRecord(reference=reference, cached=False, duration=duration)
         self.pull_log.append(record)
         return image, record
-
-    def evict(self, reference: str) -> bool:
-        """Drop an image from the local cache (``docker rmi``)."""
-        return self._cache.pop(reference, None) is not None

@@ -30,9 +30,6 @@ class SingularityVersion:
     major: int
     minor: int
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.major}.{self.minor}"
-
     @property
     def rejects_bind_modes_with_nv(self) -> bool:
         """True from 3.1 on — the incompatibility GYAN fixes."""

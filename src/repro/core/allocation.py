@@ -157,60 +157,12 @@ class UtilizationAllocationStrategy(AllocationStrategy):
         )
 
 
-class BoardAwareAllocationStrategy(AllocationStrategy):
-    """Extension strategy: keep multi-device selections on one board.
-
-    A K80 board's two dies talk through the on-board PLX switch; dies on
-    different boards round-trip through the host bridge.  When the PID
-    logic would hand a job several devices, this strategy trims the
-    selection to the board contributing the most devices (ties to the
-    lower board), so a multi-GPU tool's peer traffic stays on-board.
-    Single-device outcomes are identical to the PID strategy's.
-    """
-
-    name = "board"
-
-    def __init__(self, dies_per_board: int = 2) -> None:
-        if dies_per_board <= 0:
-            raise ValueError("dies_per_board must be positive")
-        self.dies_per_board = dies_per_board
-        self._pid = PidAllocationStrategy()
-
-    def _board(self, gpu_id: str) -> int:
-        return int(gpu_id) // self.dies_per_board
-
-    def select(
-        self, requested_ids: list[str], snapshot: GpuUsageSnapshot
-    ) -> AllocationDecision:
-        """PID semantics, multi-device results restricted to one board."""
-        decision = self._pid.select(requested_ids, snapshot)
-        honoured_request = decision.reason == "requested device(s) are available"
-        if len(decision.gpu_ids) <= 1 or honoured_request:
-            # Single-device results and explicit user pins (even if they
-            # span boards) pass through untouched.
-            return AllocationDecision(
-                gpu_ids=decision.gpu_ids, strategy=self.name, reason=decision.reason
-            )
-        by_board: dict[int, list[str]] = {}
-        for gid in decision.gpu_ids:
-            by_board.setdefault(self._board(gid), []).append(gid)
-        board, members = min(
-            by_board.items(), key=lambda item: (-len(item[1]), item[0])
-        )
-        return AllocationDecision(
-            gpu_ids=tuple(members),
-            strategy=self.name,
-            reason=decision.reason + f" (kept board {board} for PLX locality)",
-        )
-
-
 def strategy_by_name(name: str) -> AllocationStrategy:
-    """Factory used by job_conf parameters (``gpu_allocation=pid|memory|utilization|board``)."""
+    """Factory used by job_conf parameters (``gpu_allocation=pid|memory|utilization``)."""
     strategies: dict[str, type[AllocationStrategy]] = {
         PidAllocationStrategy.name: PidAllocationStrategy,
         MemoryAllocationStrategy.name: MemoryAllocationStrategy,
         UtilizationAllocationStrategy.name: UtilizationAllocationStrategy,
-        BoardAwareAllocationStrategy.name: BoardAwareAllocationStrategy,
     }
     try:
         return strategies[name]()

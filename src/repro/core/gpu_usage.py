@@ -35,13 +35,6 @@ class GpuUsageSnapshot:
     #: ``{minor_id: gpu_util %}`` — the utilization strategy's input.
     gpu_utilization: dict[str, int] = field(default_factory=dict)
 
-    def busiest_first(self) -> list[str]:
-        """Minor IDs sorted by descending process count (ties by id)."""
-        return sorted(
-            self.all_gpus,
-            key=lambda gid: (-len(self.proc_gpu_dict.get(gid, [])), gid),
-        )
-
     def min_memory_gpu(self) -> str | None:
         """Minor ID with the least used framebuffer (ties to lower id)."""
         if not self.all_gpus:

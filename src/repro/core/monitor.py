@@ -174,9 +174,6 @@ class DeviceSeries:
         self.fb_max = 0
         self.fb_sum = 0
 
-    def __len__(self) -> int:
-        return self.count
-
     def push(self, util: float, mem: float, fb: int, pcie: int, n: int) -> None:
         """Record ``n`` identical observations."""
         if (

@@ -35,7 +35,6 @@ from repro.galaxy.runners.local import LocalRunner
 from repro.galaxy.runners.singularity import SingularityJobRunner
 from repro.gpusim.clock import VirtualClock
 from repro.gpusim.faults import FaultInjector, InjectionPlan
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.brownout import BrownoutController
@@ -239,11 +238,6 @@ class GyanDeployment:
     brownout: BrownoutController | None = None
     #: Circuit breaker in front of the mapper's NVML probes.
     nvml_breaker: CircuitBreaker | None = None
-
-    @property
-    def metrics_registry(self) -> MetricsRegistry:
-        """The deployment-wide typed metrics registry (always present)."""
-        return self.app.metrics_registry
 
     @property
     def gpu_host(self):

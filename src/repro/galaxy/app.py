@@ -29,7 +29,6 @@ from repro.observability.tracing import NULL_TRACER
 from repro.resilience.shedding import RejectedBusy, ShedReason
 
 if TYPE_CHECKING:
-    from repro.galaxy.toolbox import ToolBox
     from repro.resilience.overload import OverloadController
 
 T = TypeVar("T")
@@ -146,7 +145,6 @@ class GalaxyApp:
         #: degrades along resubmit arms), jobs carry virtual-clock
         #: deadlines, and sustained saturation trips the brownout ladder.
         self.overload: OverloadController | None = None
-        self._toolbox: ToolBox | None = None
         self.tools: dict[str, ToolDefinition] = {}
         self.executors: dict[str, ToolExecutor] = {}
         self.runners: dict[str, Any] = {}
@@ -165,31 +163,8 @@ class GalaxyApp:
     # installation
     # ------------------------------------------------------------------ #
     def install_tool(self, tool: ToolDefinition) -> None:
-        """Install a tool (what a Galaxy Admin does).
-
-        When a toolbox is attached (:meth:`use_toolbox`), the version is
-        added to its lineage as well; :attr:`tools` keeps pointing at the
-        lineage's latest version for the execution core.
-        """
-        if self._toolbox is not None:
-            self._toolbox.install(tool)
-            self.tools[tool.tool_id] = self._toolbox.get(tool.tool_id)
-        else:
-            self.tools[tool.tool_id] = tool
-
-    def use_toolbox(self, toolbox: ToolBox) -> None:
-        """Attach a versioned :class:`~repro.galaxy.toolbox.ToolBox`.
-
-        Already-installed tools are migrated into it.
-        """
-        self._toolbox = toolbox
-        for tool in list(self.tools.values()):
-            toolbox.install(tool)
-
-    @property
-    def toolbox(self) -> ToolBox | None:
-        """The attached toolbox, or None."""
-        return self._toolbox
+        """Install a tool (what a Galaxy Admin does)."""
+        self.tools[tool.tool_id] = tool
 
     def register_executor(self, executable: str, executor: ToolExecutor) -> None:
         """Bind an executable name from command lines to a Python body."""

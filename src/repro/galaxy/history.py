@@ -31,11 +31,6 @@ class Dataset:
     dataset_id: int = field(default_factory=itertools.count(1).__next__)
     created_by_job: int | None = None
 
-    @property
-    def size_gib(self) -> float:
-        """Declared size in GiB."""
-        return self.size_bytes / 1024**3
-
 
 class History:
     """An ordered collection of datasets."""
@@ -48,19 +43,6 @@ class History:
         """Append a dataset and return it."""
         self._datasets.append(dataset)
         return dataset
-
-    def get(self, name: str) -> Dataset:
-        """Latest dataset with the given name.
-
-        Galaxy shows the newest version when names repeat; we match that.
-        """
-        for dataset in reversed(self._datasets):
-            if dataset.name == name:
-                return dataset
-        raise KeyError(f"no dataset named {name!r} in history {self.name!r}")
-
-    def __len__(self) -> int:
-        return len(self._datasets)
 
     def __iter__(self):
         return iter(list(self._datasets))

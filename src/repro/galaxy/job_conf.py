@@ -102,11 +102,6 @@ class Destination:
         """Queue-to-start deadline for jobs routed here (virtual seconds)."""
         return self._positive_float_param("deadline_s")
 
-    @property
-    def runtime_budget_s(self) -> float | None:
-        """Kill threshold for running jobs (virtual seconds)."""
-        return self._positive_float_param("runtime_budget_s")
-
 
 class DynamicRuleRegistry:
     """Named rule functions available to dynamic destinations."""

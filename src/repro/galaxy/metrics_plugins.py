@@ -88,12 +88,6 @@ class MetricsCollector:
     def __init__(self, plugins: list[JobMetricsPlugin] | None = None) -> None:
         self.plugins: list[JobMetricsPlugin] = list(plugins or [])
 
-    def register(self, plugin: JobMetricsPlugin) -> None:
-        """Add a plugin (order preserved; later same-name replaces)."""
-        self.plugins = [
-            p for p in self.plugins if p.plugin_name != plugin.plugin_name
-        ] + [plugin]
-
     def collect(self, job: GalaxyJob) -> dict[str, dict[str, Any]]:
         """Run all plugins; results land on ``job.metrics.plugin_metrics``."""
         collected: dict[str, dict[str, Any]] = {}

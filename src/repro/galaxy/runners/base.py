@@ -414,7 +414,8 @@ class BaseJobRunner:
         tracer.end(queue_span, error=message)
         state = job.state.value
         self._c_finished.labels(runner=self.runner_name, state=state).inc()
-        tracer.end_job(job.job_id, state=state, error=message)
+        if tracer.enabled:
+            tracer.end_job(job.job_id, state=state, error=message)
         return job
 
     def queue_job(self, job: GalaxyJob, destination: Destination) -> GalaxyJob:

@@ -205,13 +205,6 @@ class ToolDefinition:
                 return spec
         return None
 
-    def parameter(self, name: str) -> ToolParameter | None:
-        """Input parameter by name."""
-        for param in self.inputs:
-            if param.name == name:
-                return param
-        return None
-
 
 # --------------------------------------------------------------------- #
 # macros

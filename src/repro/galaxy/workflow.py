@@ -9,17 +9,16 @@ that pull values out of earlier steps' results; invoking it runs every
 step through the app's normal dispatch path (so each step is
 independently GPU-mapped by GYAN) and records the per-step jobs.
 
-A binding is a callable ``(invocation) -> value`` or the declarative
-:class:`FromStep` which extracts an attribute path from a prior step's
-result — enough to express the paper-motivated pipeline
-*basecall → map → polish* without custom glue code.
+A binding is a callable ``(invocation) -> value`` (or a fixed value) —
+enough to express the paper-motivated pipeline
+*basecall → map → polish*.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.errors import GalaxyError
@@ -30,38 +29,13 @@ class WorkflowError(GalaxyError):
     """Raised for malformed workflows or failed step wiring."""
 
 
-@dataclass(frozen=True)
-class FromStep:
-    """Declarative binding: a value produced by an earlier step.
-
-    Parameters
-    ----------
-    step:
-        Index (0-based) or label of the producing step.
-    extract:
-        Optional callable applied to the producing job's ``result``;
-        identity when omitted.
-    """
-
-    step: int | str
-    extract: Callable[[Any], Any] | None = None
-
-    def resolve(self, invocation: "WorkflowInvocation") -> Any:
-        source = invocation.job_for(self.step)
-        if source is None:
-            raise WorkflowError(f"binding references step {self.step!r} "
-                                "which has not run")
-        value = source.result
-        return self.extract(value) if self.extract is not None else value
-
-
 @dataclass
 class WorkflowStep:
     """One tool invocation inside a workflow."""
 
     tool_id: str
     params: dict[str, Any] = field(default_factory=dict)
-    #: param name -> FromStep | callable(invocation) -> value
+    #: param name -> callable(invocation) -> value, or a fixed value
     bindings: dict[str, Any] = field(default_factory=dict)
     label: str = ""
 
@@ -69,9 +43,7 @@ class WorkflowStep:
         """Fixed params merged with resolved bindings."""
         params = dict(self.params)
         for name, binding in self.bindings.items():
-            if isinstance(binding, FromStep):
-                params[name] = binding.resolve(invocation)
-            elif callable(binding):
+            if callable(binding):
                 params[name] = binding(invocation)
             else:
                 params[name] = binding
@@ -105,25 +77,11 @@ class WorkflowDefinition:
         return step
 
     def validate(self, app: GalaxyApp) -> None:
-        """Check every step's tool is installed and bindings are sane."""
+        """Check the workflow has steps and every step's tool is installed."""
         if not self.steps:
             raise WorkflowError(f"workflow {self.name!r} has no steps")
-        labels = [s.label for s in self.steps]
-        for index, step in enumerate(self.steps):
+        for step in self.steps:
             app.tool(step.tool_id)  # raises ToolNotFoundError
-            for binding in step.bindings.values():
-                if isinstance(binding, FromStep):
-                    if isinstance(binding.step, int):
-                        if not 0 <= binding.step < index:
-                            raise WorkflowError(
-                                f"step {step.label!r} binds to step index "
-                                f"{binding.step}, which is not an earlier step"
-                            )
-                    elif binding.step not in labels[:index]:
-                        raise WorkflowError(
-                            f"step {step.label!r} binds to unknown/later "
-                            f"step {binding.step!r}"
-                        )
 
 
 _invocation_ids = itertools.count(1)
@@ -146,11 +104,6 @@ class WorkflowInvocation:
             if definition_step.label == step:
                 return job
         return None
-
-    @property
-    def succeeded(self) -> bool:
-        """True when every step completed OK."""
-        return self.state is JobState.OK
 
     @property
     def total_runtime_seconds(self) -> float:

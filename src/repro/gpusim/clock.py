@@ -12,10 +12,6 @@ and only to finite instants below :data:`HORIZON` (2**53 s).
 
 Performance notes (see ``docs/performance.md``):
 
-* :meth:`VirtualClock.call_at` / :meth:`VirtualClock.call_later` return a
-  :class:`TimerHandle`; cancelled timers are dropped lazily when they
-  surface at the top of the heap, so cancellation is O(1) and never
-  rebuilds the queue.
 * :class:`VirtualClock` exposes *span listeners*: between two consecutive
   callback firings the simulation is quiescent (no simulated state can
   change), so a listener observing ``(start, end]`` spans can aggregate
@@ -24,17 +20,11 @@ Performance notes (see ``docs/performance.md``):
   >210 h Bonito run without 756k heap operations.
 * :class:`Timeline` records in O(1): in-order appends extend the sorted
   prefix directly, out-of-order records land in an unsorted pending
-  buffer.  The shared chronological index (one float key list) and the
-  per-label index are (re)built lazily, at most once per batch of
-  records, and are reused by :meth:`Timeline.between`,
-  :meth:`Timeline.labelled`, iteration, and every exporter sitting on
-  top of them — a 1000-query loop after a 20k-record burst pays for a
-  single merge, not 1000 re-sorts.
+  buffer that the next iteration merges once.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import operator
@@ -60,11 +50,9 @@ class TimelineEvent:
     payload: Any = field(default=None, compare=False)
 
 
-#: Chronological sort key shared by the merge and both indices.  ``seq``
-#: is strictly increasing, so ties at the same timestamp keep insertion
-#: order — the same stable contract ``bisect_right`` gave the old
-#: incremental-insert implementation.  ``attrgetter`` keeps the key
-#: extraction in C during the merge sort.
+#: Chronological sort key of the merge.  ``seq`` is strictly increasing,
+#: so ties at the same timestamp keep insertion order.  ``attrgetter``
+#: keeps the key extraction in C during the merge sort.
 _event_key = operator.attrgetter("time", "seq")
 
 
@@ -78,27 +66,16 @@ class Timeline:
 
     ``record`` is O(1): in-order appends (the overwhelmingly common case)
     extend the sorted prefix directly; out-of-order records accumulate in
-    an unsorted pending buffer.  The first query after a batch of records
-    merges the buffer once (timsort over a mostly-sorted list) and
-    rebuilds the shared float time index; the per-label index is likewise
-    built at most once per merge and then served by reference-copy.  All
-    readers — ``between``, ``labelled``, iteration, exporters — reuse the
-    same indices, so a query loop never re-sorts.
+    an unsorted pending buffer, merged once by the next iteration
+    (timsort over a mostly-sorted list).
     """
 
     def __init__(self) -> None:
         self._events: list[TimelineEvent] = []
-        #: Parallel list of event times, kept in lockstep with
-        #: ``_events`` so ``between()`` can binary-search floats directly.
-        self._times: list[float] = []
         #: Out-of-order records awaiting the next lazy merge.  Once this
         #: is non-empty every new record lands here (cheap append) until
         #: a reader forces :meth:`_merge_pending`.
         self._pending: list[TimelineEvent] = []
-        #: Per-label chronological index backing ``labelled()``.  Kept
-        #: fresh on the in-order fast path; rebuilt lazily after merges.
-        self._by_label: dict[str, list[TimelineEvent]] = {}
-        self._label_index_dirty = False
         self._counter = itertools.count()
 
     @hot_path
@@ -107,111 +84,46 @@ class Timeline:
         if _footprint._RECORDER is not None:
             _footprint._RECORDER.write("timeline")
         event = TimelineEvent(time=time, seq=next(self._counter), label=label, payload=payload)
-        times = self._times
-        if self._pending or (times and time < times[-1]):
+        events = self._events
+        if self._pending or (events and time < events[-1].time):
             # Out of order (or an unmerged batch already exists): defer.
             # The merge is amortised across the whole batch instead of
-            # paying a list.insert + per-label insort per record.
+            # paying a list.insert per record.
             self._pending.append(event)
-            self._label_index_dirty = True
         else:
-            self._events.append(event)
-            times.append(time)
-            if not self._label_index_dirty:
-                self._by_label.setdefault(label, []).append(event)
+            events.append(event)
         return event
 
     def _merge_pending(self) -> None:
-        """Fold the pending buffer into the sorted index (at most once
+        """Fold the pending buffer into the sorted events (at most once
         per batch of out-of-order records)."""
         if not self._pending:
             return
         events = self._events + self._pending
         events.sort(key=_event_key)
         self._events = events
-        self._times = [event.time for event in events]
         self._pending.clear()
-        self._label_index_dirty = True
-
-    def _label_index(self) -> dict[str, list[TimelineEvent]]:
-        """The per-label chronological index, rebuilding if stale."""
-        self._merge_pending()
-        if self._label_index_dirty:
-            index: dict[str, list[TimelineEvent]] = {}
-            for event in self._events:
-                index.setdefault(event.label, []).append(event)
-            self._by_label = index
-            self._label_index_dirty = False
-        return self._by_label
-
-    def __len__(self) -> int:
-        return len(self._events) + len(self._pending)
 
     def __iter__(self) -> Iterator[TimelineEvent]:
         self._merge_pending()
         return iter(self._events)
 
-    @hot_path
-    def between(self, start: float, end: float) -> list[TimelineEvent]:
-        """Events with ``start <= time < end``, chronologically."""
-        if _footprint._RECORDER is not None:
-            _footprint._RECORDER.read("timeline")
-        self._merge_pending()
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        return self._events[lo:hi]
-
-    @hot_path
-    def labelled(self, label: str) -> list[TimelineEvent]:
-        """All events carrying exactly ``label``."""
-        if _footprint._RECORDER is not None:
-            _footprint._RECORDER.read("timeline")
-        return list(self._label_index().get(label, ()))
-
 
 class TimerHandle:
-    """A cancellable scheduled callback.
+    """A scheduled callback, returned by :meth:`VirtualClock.call_at`."""
 
-    Returned by :meth:`VirtualClock.call_at` / :meth:`VirtualClock.call_later`.
-    :meth:`cancel` is O(1): the heap entry stays where it is and is
-    discarded when it reaches the top, so owners of dead timers (a
-    stopped usage monitor, a disarmed fault injector) never leave live
-    callbacks behind.
-    """
-
-    __slots__ = ("when", "callback", "cancelled", "fired", "key", "_clock")
+    __slots__ = ("when", "callback", "key")
 
     def __init__(
         self,
         when: float,
         callback: Callable[[float], None],
-        clock: "VirtualClock",
         key: str = "",
     ) -> None:
         self.when = when
         self.callback = callback
-        self.cancelled = False
-        self.fired = False
         #: Explicit tie-break key; see :meth:`VirtualClock.call_at`.
         self.key = key
-        self._clock = clock
-
-    def cancel(self) -> bool:
-        """Cancel the timer; returns False if it already fired/cancelled."""
-        if self.cancelled or self.fired:
-            return False
-        self.cancelled = True
-        self._clock._live_timers -= 1
-        return True
-
-    @property
-    def active(self) -> bool:
-        """True while the timer may still fire."""
-        return not (self.cancelled or self.fired)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "active"
-        return f"TimerHandle(when={self.when}, {state})"
 
 
 #: Every instant the clock reaches lies below this (2**53 s, ~285 My): up
@@ -255,7 +167,6 @@ class VirtualClock:
         #: gyan-race's DET403 rule and the clock property tests pin.
         self._pending: list[tuple[float, str, int, TimerHandle]] = []
         self._counter = itertools.count()
-        self._live_timers = 0
         self._span_listeners: list[SpanListener] = []
 
     @property
@@ -291,10 +202,6 @@ class VirtualClock:
         pending = self._pending
         while pending and pending[0][0] <= when:
             at, _key, _seq, handle = heapq.heappop(pending)
-            if handle.cancelled:
-                continue
-            handle.fired = True
-            self._live_timers -= 1
             # A callback scheduled in the past fires "now" rather than
             # rewinding the clock.
             at = max(self._now, at)
@@ -324,25 +231,10 @@ class VirtualClock:
         order of a timestamp tie as part of the caller's contract —
         gyan-race treats keyed ties as pinned and only permutes unkeyed
         ones (see ``docs/determinism.md``).
-
-        Returns a :class:`TimerHandle`; cancelling it drops the callback
-        without touching the rest of the queue.
         """
-        handle = TimerHandle(float(when), callback, self, key=key)
+        handle = TimerHandle(float(when), callback, key=key)
         heapq.heappush(self._pending, (handle.when, key, next(self._counter), handle))
-        self._live_timers += 1
         return handle
-
-    def call_later(
-        self,
-        delay: float,
-        callback: Callable[[float], None],
-        key: str = "",
-    ) -> TimerHandle:
-        """Schedule ``callback(now)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ClockError(f"cannot schedule in the past (delay={delay})")
-        return self.call_at(self._now + delay, callback, key=key)
 
     def add_span_listener(self, listener: SpanListener) -> None:
         """Register a quiescent-span observer (idempotent per listener)."""
@@ -355,7 +247,3 @@ class VirtualClock:
             self._span_listeners.remove(listener)
         except ValueError:
             pass
-
-    def pending_count(self) -> int:
-        """Number of callbacks not yet fired (cancelled timers excluded)."""
-        return self._live_timers

@@ -362,13 +362,6 @@ class GPUDevice:
             idle + (self.arch.power_limit_watts - idle) * self.sm_utilization / 100.0, 1
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GPUDevice(minor={self.minor_number}, used={self.fb_used_mib}MiB/"
-            f"{self.fb_total_mib}MiB, util={self.sm_utilization:.0f}%, "
-            f"procs={self.process_pids()})"
-        )
-
 
 @dataclass(frozen=True)
 class GPUBoardSpec:
@@ -377,11 +370,6 @@ class GPUBoardSpec:
     name: str
     dies: int
     die_arch: GPUArchitecture
-
-    @property
-    def total_memory_mib(self) -> int:
-        """Board memory across dies."""
-        return self.dies * self.die_arch.fb_memory_mib
 
 
 #: The paper's accelerator: a K80 board = two GK210 dies, 24 GB total.

@@ -210,12 +210,6 @@ class InjectionPlan:
             data["workload"] = self.workload.to_dict()
         return data
 
-    def to_json(self) -> str:
-        """Serialise, stably ordered, for ``examples/configs`` files."""
-        from repro.observability.export import render_document
-
-        return render_document(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> InjectionPlan:
         """Parse a plan from its JSON form."""
@@ -283,11 +277,6 @@ class FaultPlane:
         self.container_failures_served += 1
         self.version += 1
         return self.pending_container_failures.popleft()
-
-    @property
-    def quiet(self) -> bool:
-        """True when no injected failure is waiting to be served."""
-        return not self.pending_nvml_errors and not self.pending_container_failures
 
 
 class FaultInjector:

@@ -58,10 +58,6 @@ class Footprint:
             or other.writes & (self.reads | self.writes)
         )
 
-    @property
-    def empty(self) -> bool:
-        return not self.reads and not self.writes
-
 
 class FootprintRecorder:
     """Collects per-label footprints while installed.
@@ -113,8 +109,3 @@ class FootprintRecorder:
             yield self
         finally:
             _RECORDER = previous
-
-
-def recorder() -> FootprintRecorder | None:
-    """The installed recorder, or ``None`` — the instrumentation guard."""
-    return _RECORDER

@@ -175,15 +175,6 @@ class GPUHost:
         """Devices with no live compute process (the paper's availability)."""
         return [d for d in self.devices if d.is_idle]
 
-    def min_memory_device(self) -> GPUDevice:
-        """The healthy device with the least framebuffer in use.
-
-        Ties break toward the lower minor number, matching the behaviour
-        observed in the paper's Case 4 (GPU 0 at 60 MiB wins).
-        """
-        candidates = self.healthy_devices() or self.devices
-        return min(candidates, key=lambda d: (d.memory.used, d.minor_number))
-
     # ------------------------------------------------------------------ #
     # process lifecycle
     # ------------------------------------------------------------------ #
@@ -233,34 +224,6 @@ class GPUHost:
         for index in proc.device_indices:
             self.devices[index].detach_process(pid, now=now)
         self.timeline.record(now, "process_end", {"pid": pid, "name": proc.name})
-
-    def process(self, pid: int) -> HostProcess:
-        """Look up a host process by PID."""
-        try:
-            return self._processes[pid]
-        except KeyError:
-            raise ProcessError(f"unknown pid {pid}") from None
-
-    # ------------------------------------------------------------------ #
-    # aggregate telemetry
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """A structured snapshot of the whole host (used by the monitor)."""
-        return {
-            "time": self.clock.now,
-            "devices": [
-                {
-                    "minor_number": d.minor_number,
-                    "fb_used_mib": d.fb_used_mib,
-                    "fb_total_mib": d.fb_total_mib,
-                    "sm_utilization": d.sm_utilization,
-                    "mem_utilization": d.mem_utilization,
-                    "pcie_generation": d.pcie_generation_current,
-                    "pids": d.process_pids(),
-                }
-                for d in self.devices
-            ],
-        }
 
 
 def make_k80_host(

@@ -63,11 +63,6 @@ class KernelLaunch:
         """Total device-memory traffic of the kernel."""
         return self.bytes_read + self.bytes_written
 
-    @property
-    def total_threads(self) -> int:
-        """Total threads across the grid."""
-        return self.grid_blocks * self.threads_per_block
-
 
 @dataclass
 class KernelExecution:
@@ -79,11 +74,6 @@ class KernelExecution:
     memory_time: float
     occupancy: float
     start_time: float
-
-    @property
-    def memory_bound(self) -> bool:
-        """True when the roofline put the kernel on the bandwidth side."""
-        return self.memory_time >= self.compute_time
 
 
 class PricedStep(NamedTuple):

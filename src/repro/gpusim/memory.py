@@ -72,7 +72,6 @@ class MemoryAllocator:
         self._live: dict[int, Allocation] = {}
         self._context_overhead: dict[int, int] = {}
         self._ids = itertools.count(1)
-        self._peak_used = 0
         #: Incrementally maintained sum of live allocations + contexts, so
         #: per-second telemetry reads of :attr:`used` are O(1) instead of
         #: O(live allocations).
@@ -104,11 +103,6 @@ class MemoryAllocator:
         return self.capacity - self.used
 
     @property
-    def peak_used(self) -> int:
-        """High-water mark of :attr:`used` over the allocator's lifetime."""
-        return self._peak_used
-
-    @property
     def used_mib(self) -> int:
         """:attr:`used` in whole MiB, as ``nvidia-smi`` reports it."""
         return self.used // MIB
@@ -129,12 +123,6 @@ class MemoryAllocator:
         if pid is not None:
             allocs = [a for a in allocs if a.owner_pid == pid]
         return allocs
-
-    def owner_pids(self) -> set[int]:
-        """PIDs that currently hold memory (allocations or a context)."""
-        if _footprint._RECORDER is not None:
-            _footprint._RECORDER.read(self._footprint_key)
-        return {a.owner_pid for a in self._live.values()} | set(self._context_overhead)
 
     def used_by(self, pid: int) -> int:
         """Bytes attributable to ``pid`` (allocations + its context)."""
@@ -163,16 +151,6 @@ class MemoryAllocator:
         self._context_overhead[pid] = int(overhead_bytes)
         self._used_bytes += int(overhead_bytes)
         self._version += 1
-        self._peak_used = max(self._peak_used, self.used)
-
-    def release_context(self, pid: int) -> None:
-        """Release ``pid``'s context charge (no-op if absent)."""
-        released = self._context_overhead.pop(pid, None)
-        if released is not None:
-            if _footprint._RECORDER is not None:
-                _footprint._RECORDER.write(self._footprint_key)
-            self._used_bytes -= released
-            self._version += 1
 
     def alloc(self, size: int, owner_pid: int, tag: str = "") -> Allocation:
         """Allocate ``size`` bytes for ``owner_pid``.
@@ -196,7 +174,6 @@ class MemoryAllocator:
         self._live[allocation.alloc_id] = allocation
         self._used_bytes += allocation.size
         self._version += 1
-        self._peak_used = max(self._peak_used, self.used)
         return allocation
 
     def free(self, allocation: Allocation) -> int:

@@ -21,9 +21,6 @@ class ProcessType(str, enum.Enum):
     COMPUTE = "C"
     GRAPHICS = "G"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass
 class GPUProcess:
@@ -50,11 +47,6 @@ class GPUProcess:
     start_time: float = 0.0
     end_time: float | None = field(default=None, compare=False)
 
-    @property
-    def alive(self) -> bool:
-        """True while the process is still attached to the device."""
-        return self.end_time is None
-
 
 class PidAllocator:
     """Monotonically increasing host PID source.
@@ -69,15 +61,7 @@ class PidAllocator:
             raise ValueError("first_pid must be positive")
         self._counter = itertools.count(first_pid)
         self._stride_jitter = stride_jitter
-        self._issued: list[int] = []
 
     def next_pid(self) -> int:
         """Return a fresh, never-before-issued PID."""
-        pid = next(self._counter)
-        self._issued.append(pid)
-        return pid
-
-    @property
-    def issued(self) -> list[int]:
-        """All PIDs issued so far, in order."""
-        return list(self._issued)
+        return next(self._counter)

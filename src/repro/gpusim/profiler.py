@@ -15,7 +15,7 @@ memory-bound vs compute-bound time split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,6 @@ class CudaProfiler:
         spots.sort(key=lambda h: (-h.total_time, h.name))
         return spots[:top] if top is not None else spots
 
-    def hotspot_pct(self, name: str) -> float:
-        """Time share (%) of a single call name; 0.0 if absent."""
-        for spot in self.hotspots():
-            if spot.name == name:
-                return spot.pct
-        return 0.0
-
     # ------------------------------------------------------------------ #
     # stall attribution
     # ------------------------------------------------------------------ #
@@ -173,18 +166,3 @@ class CudaProfiler:
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-    def summary_table(self, top: int | None = None) -> str:
-        """A printable hotspot table, one row per call name."""
-        lines = [f"{'Time(%)':>8}  {'Time(s)':>10}  {'Calls':>7}  Name"]
-        for spot in self.hotspots(top=top):
-            lines.append(
-                f"{spot.pct:>7.2f}%  {spot.total_time:>10.4f}  {spot.calls:>7}  {spot.name}"
-            )
-        return "\n".join(lines)
-
-    def merge(self, others: Iterable["CudaProfiler"]) -> "CudaProfiler":
-        """Fold other profilers' records into this one (multi-GPU runs)."""
-        for other in others:
-            self.records.extend(other.records)
-        self.records.sort(key=lambda r: r.start)
-        return self

@@ -145,11 +145,6 @@ class SmiSoup:
         self._element = ET.fromstring(source) if isinstance(source, str) else source
 
     @property
-    def name(self) -> str:
-        """Tag name of this node."""
-        return self._element.tag
-
-    @property
     def text(self) -> str:
         """Stripped text content of this node ('' when empty)."""
         return (self._element.text or "").strip()

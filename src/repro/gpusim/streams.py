@@ -171,9 +171,3 @@ class StreamEngine:
         for op in self.ops:
             busy[op.engine] += op.duration
         return busy
-
-    def makespan(self) -> float:
-        """End-to-end span of everything scheduled so far."""
-        if not self.ops:
-            return 0.0
-        return max(op.end for op in self.ops) - min(op.start for op in self.ops)

@@ -95,25 +95,15 @@ class CounterChild:
 
 
 class GaugeChild:
-    """One labelled series of a gauge: free set/inc/dec."""
+    """One labelled series of a gauge: set to any value."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
-        self._value = 0.0
+        self.value = 0.0
 
     def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+        self.value = float(value)
 
 
 class HistogramChild:
@@ -195,10 +185,6 @@ class Instrument:
         self._family = family
         self._default = family.child(()) if not family.labelnames else None
 
-    @property
-    def name(self) -> str:
-        return self._family.name
-
     def labels(self, **labels: str):
         """The child series for one concrete label set (created lazily);
         a label-less family's one series is ``labels()``."""
@@ -216,17 +202,11 @@ class Instrument:
     def inc(self, amount: float = 1.0) -> None:
         self._require_default().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._require_default().dec(amount)
-
     def set(self, value: float) -> None:
         self._require_default().set(value)
 
     def observe(self, value: float) -> None:
         self._require_default().observe(value)
-
-    def observe_many(self, value: float, count: int) -> None:
-        self._require_default().observe_many(value, count)
 
     @property
     def value(self) -> float:
@@ -295,9 +275,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # introspection and export
     # ------------------------------------------------------------------ #
-    def families(self) -> list[str]:
-        """Registered family names, sorted."""
-        return sorted(self._families)
 
     def value(self, name: str, **labels: str) -> float:
         """Current value of one counter/gauge series (0 if never touched)."""

@@ -58,17 +58,6 @@ class Span:
         self.attributes: dict[str, Any] = {}
         self.seq = seq
 
-    @property
-    def duration(self) -> float | None:
-        """Span length in virtual seconds (None while open)."""
-        if self.end is None:
-            return None
-        return self.end - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "open" if self.end is None else f"{self.duration:.6f}s"
-        return f"Span({self.name!r}, job={self.job_id}, {state})"
-
 
 class SpanEvent:
     """An instantaneous annotation (resubmit hop, requeue, fault)."""
@@ -180,14 +169,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def for_job(self, job_id: int) -> list[Span]:  # gyan: disable=PERF602
-        """All spans of one job, in recording order.
-
-        A one-shot debugging accessor: exporters that visit every job
-        group the spans into a dict in a single pass instead (see
-        ``render_job_timeline``), so no hot path pays this scan.
-        """
-        return [s for s in self.spans if s.job_id == job_id]
 
     def job_ids(self) -> list[int]:
         """Distinct traced job ids, ascending."""
@@ -222,29 +203,8 @@ class NullTracer:
     spans: tuple = ()
     events: tuple = ()
 
-    def begin(self, name, category, job_id=None, **attributes):
-        return None
-
     def end(self, span, **attributes) -> None:
         return None
-
-    def instant(self, name, category, job_id=None, **attributes):
-        return None
-
-    def begin_job(self, job_id, **attributes):
-        return None
-
-    def end_job(self, job_id, **attributes) -> None:
-        return None
-
-    def for_job(self, job_id) -> list:
-        return []
-
-    def job_ids(self) -> list:
-        return []
-
-    def close_open_spans(self) -> int:
-        return 0
 
 
 #: The shared disabled tracer; safe to use as a default everywhere.

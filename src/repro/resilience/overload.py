@@ -174,9 +174,6 @@ class OverloadController:
         self._g_inflight.labels(destination=dest_id).set(remaining)
         self._observe_brownout()
 
-    def admitted_destination(self, job) -> str | None:
-        return self._admitted.get(job.job_id)
-
     def _cached_limit(self, destination) -> int | None:
         dest_id = destination.destination_id
         if dest_id not in self._limit_cache:
@@ -227,10 +224,6 @@ class OverloadController:
                 "shed", "job", job_id=job.job_id, reason=reason.value
             )
             self.tracer.end_job(job.job_id, state=str(job.state))
-
-    @property
-    def shed_count(self) -> int:
-        return len(self.shed_records)
 
     def shed_by_reason(self) -> dict[str, int]:
         counts: dict[str, int] = {}

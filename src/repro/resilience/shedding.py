@@ -25,9 +25,6 @@ class ShedReason(str, enum.Enum):
     #: The brownout ladder reached its shed rung for this tool class.
     BROWNOUT_SHED = "brownout_shed"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class RejectedBusy(Exception):
     """A bounded queue refused new work (the REJECTED_BUSY signal).

@@ -34,11 +34,6 @@ class Overlap:
     length: int  # approximate overlap length
     shared_minimizers: int
 
-    @property
-    def score(self) -> int:
-        """Greedy selection score: longer + better-supported wins."""
-        return self.shared_minimizers * 1000 + self.length
-
     def extension(self, b_length: int) -> int:
         """New bases appending ``b`` contributes to the contig."""
         return b_length - self.length
@@ -52,9 +47,6 @@ class AssemblyResult:
     layout: list[str] = field(default_factory=list)
     used_reads: int = 0
     overlaps_considered: int = 0
-
-    def __len__(self) -> int:
-        return len(self.contig)
 
 
 class GreedyAssembler:

@@ -112,18 +112,6 @@ def bonito_convert(reads: list[SignalRead]) -> TrainingChunks:
     )
 
 
-def chunks_to_reads(chunks: TrainingChunks) -> list[SignalRead]:
-    """The inverse conversion (round-trip tested)."""
-    return [
-        SignalRead(
-            read_id=chunks.read_ids[i],
-            signal=chunks.signals[i, : chunks.lengths[i]].copy(),
-            true_sequence=chunks.references[i],
-        )
-        for i in range(len(chunks))
-    ]
-
-
 # --------------------------------------------------------------------- #
 # train
 # --------------------------------------------------------------------- #

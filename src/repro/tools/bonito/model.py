@@ -123,15 +123,3 @@ class TemplateScorer:
         scores = features @ self.templates.T  # = -(mean - level)^2 + const
         flops = 2 * features.shape[0] * features.shape[1] * self.templates.shape[0]
         return scores.astype(np.float32), int(flops)
-
-    def logits(self, event_means: np.ndarray, scale: float = 0.5) -> np.ndarray:
-        """Scores scaled into log-probability-like logits for CTC decode."""
-        scores, _ = self.score(event_means)
-        return scale * scores
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)

@@ -90,9 +90,3 @@ class BonitoPerfModel:
             total_seconds=total,
             breakdown=breakdown,
         )
-
-    def speedup(self, dataset: DatasetDescriptor) -> float:
-        """GPU speedup over CPU (constant by construction: the rate model)."""
-        return self.cpu_time(dataset).total_seconds / self.gpu_time(
-            dataset
-        ).total_seconds

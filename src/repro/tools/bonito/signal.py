@@ -70,10 +70,6 @@ class PoreModel:
             index //= 4
         return "".join(reversed(bases))
 
-    def level(self, kmer: str) -> float:
-        """Current level (pA) of a k-mer."""
-        return float(self.levels[self.kmer_index(kmer)])
-
     def sequence_levels(self, sequence: str) -> np.ndarray:
         """Per-base levels: base i takes the level of its centred k-mer.
 

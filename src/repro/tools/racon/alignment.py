@@ -35,25 +35,6 @@ class AlignmentResult:
     query_aligned: str
     target_aligned: str
 
-    @property
-    def matches(self) -> int:
-        """Number of exactly matching columns."""
-        return sum(
-            1
-            for q, t in zip(self.query_aligned, self.target_aligned, strict=True)
-            if q == t and q != "-"
-        )
-
-    @property
-    def columns(self) -> int:
-        """Total alignment columns."""
-        return len(self.query_aligned)
-
-    @property
-    def identity(self) -> float:
-        """Matches over columns (0.0 for empty alignments)."""
-        return self.matches / self.columns if self.columns else 0.0
-
 
 def _encode(sequence: str) -> np.ndarray:
     return np.frombuffer(sequence.encode(), dtype=np.uint8)

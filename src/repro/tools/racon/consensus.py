@@ -49,13 +49,6 @@ class Window:
         """Window span on the backbone."""
         return self.end - self.start
 
-    @property
-    def coverage(self) -> float:
-        """Mean fragment coverage of the window."""
-        if self.length == 0:
-            return 0.0
-        return sum(len(f) for f in self.fragments) / self.length
-
     def workload_cells(self, banded: bool = False, band: int = 64) -> int:
         """Approximate DP cells the window costs (drives the GPU model)."""
         cells = 0
@@ -76,13 +69,6 @@ class PolishResult:
     windows_polished: int
     fragments_used: int
     fragments_dropped: int
-
-    @property
-    def polish_fraction(self) -> float:
-        """Share of windows that had read support."""
-        if self.windows_total == 0:
-            return 0.0
-        return self.windows_polished / self.windows_total
 
 
 class RaconPolisher:
@@ -173,16 +159,13 @@ class RaconPolisher:
             dropped += self._assign_fragments(windows, sequence, quality, mapping)
         return windows, dropped
 
-    @staticmethod
-    def _mean_quality(quality: str) -> float:
-        return sum(ord(c) - 33 for c in quality) / len(quality) if quality else 0.0
-
     def _fragment_weight(self, quality: str | None) -> int:
         """POA fusion weight of a fragment from its quality string."""
         if not self.weight_by_quality or not quality:
             return 1
         # Q10 -> 1, Q20 -> 2, Q40 -> 4 (capped): confident reads out-vote.
-        return max(1, min(4, int(self._mean_quality(quality) // 10)))
+        mean_quality = sum(ord(c) - 33 for c in quality) / len(quality)
+        return max(1, min(4, int(mean_quality // 10)))
 
     def _assign_fragments(
         self,
@@ -219,7 +202,8 @@ class RaconPolisher:
             if (
                 self.quality_threshold is not None
                 and fragment_quality
-                and self._mean_quality(fragment_quality) < self.quality_threshold
+                and sum(ord(c) - 33 for c in fragment_quality) / len(fragment_quality)
+                < self.quality_threshold
             ):
                 dropped += 1
                 continue

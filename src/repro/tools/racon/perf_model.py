@@ -97,12 +97,6 @@ class RaconTiming:
     banded: bool = False
     containerized: bool = False
 
-    @property
-    def polish_seconds(self) -> float:
-        """Time spent in the polishing phase."""
-        keys = ("polish", "gpu_alloc", "gpu_kernels", "cpu_tail")
-        return sum(self.breakdown.get(k, 0.0) for k in keys)
-
 
 class RaconPerfModel:
     """Racon timing predictions at both unit and paper scale."""

@@ -85,20 +85,6 @@ class POAGraph:
         self._out[u][v] = self._out[u].get(v, 0) + weight
         self._in[v].add(u)
 
-    @property
-    def node_count(self) -> int:
-        """Number of nodes currently in the graph."""
-        return len(self._nodes)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of distinct edges."""
-        return sum(len(targets) for targets in self._out.values())
-
-    def base(self, node_id: int) -> str:
-        """Base labelling a node."""
-        return self._nodes[node_id].base
-
     def topological_order(self) -> list[int]:
         """Kahn topological order (the graph is a DAG by construction)."""
         indegree = {nid: len(self._in[nid]) for nid in range(len(self._nodes))}

@@ -35,15 +35,3 @@ class PafRecord:
             raise ValueError(f"bad query interval on {self.query_name}")
         if not 0 <= self.target_start <= self.target_end <= self.target_length:
             raise ValueError(f"bad target interval on {self.query_name}")
-
-    @property
-    def target_span(self) -> int:
-        """Bases of the target the mapping covers."""
-        return self.target_end - self.target_start
-
-    @property
-    def identity_estimate(self) -> float:
-        """Matches over block length (minimap2's gap-compressed analogue)."""
-        if self.alignment_block_length == 0:
-            return 0.0
-        return self.residue_matches / self.alignment_block_length

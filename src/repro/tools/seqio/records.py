@@ -35,31 +35,6 @@ class SeqRecord:
     def __len__(self) -> int:
         return len(self.sequence)
 
-    @property
-    def gc_content(self) -> float:
-        """Fraction of G/C bases (0.0 for the empty sequence)."""
-        if not self.sequence:
-            return 0.0
-        gc = sum(1 for base in self.sequence.upper() if base in "GC")
-        return gc / len(self.sequence)
-
-    def reverse_complement(self) -> "SeqRecord":
-        """A new record holding the reverse complement."""
-        return SeqRecord(
-            name=self.name,
-            sequence=reverse_complement(self.sequence),
-            quality=self.quality[::-1] if self.quality else None,
-            description=self.description,
-        )
-
-    def subsequence(self, start: int, end: int, name: str | None = None) -> "SeqRecord":
-        """A clipped copy covering ``[start, end)``."""
-        return SeqRecord(
-            name=name or f"{self.name}:{start}-{end}",
-            sequence=self.sequence[start:end],
-            quality=self.quality[start:end] if self.quality else None,
-        )
-
 
 @dataclass
 class SignalRead:
@@ -84,8 +59,3 @@ class SignalRead:
 
     def __len__(self) -> int:
         return int(self.signal.shape[0])
-
-    @property
-    def duration_seconds(self) -> float:
-        """Sampling duration of the read."""
-        return len(self) / self.sample_rate_hz

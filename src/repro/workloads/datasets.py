@@ -42,34 +42,6 @@ class DatasetDescriptor:
         if self.technology not in ("pacbio", "nanopore"):
             raise ValueError(f"unknown technology {self.technology!r}")
 
-    @property
-    def size_gib(self) -> float:
-        """Size in GiB."""
-        return self.size_bytes / GIB
-
-    @property
-    def total_bases(self) -> int:
-        """Total sequenced bases."""
-        return self.n_reads * self.mean_read_length
-
-    @property
-    def coverage_depth(self) -> float:
-        """Mean coverage of the reference."""
-        return self.total_bases / max(1, self.reference_length)
-
-    def scaled(self, factor: float, name: str | None = None) -> "DatasetDescriptor":
-        """A proportionally scaled descriptor (used by sweep benches)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return DatasetDescriptor(
-            name=name or f"{self.name}-x{factor:g}",
-            technology=self.technology,
-            size_bytes=max(1, int(self.size_bytes * factor)),
-            n_reads=max(1, int(self.n_reads * factor)),
-            mean_read_length=self.mean_read_length,
-            reference_length=max(1, int(self.reference_length * factor)),
-        )
-
 
 #: Paper §VI-A: "a 17 GB Alzheimers NFL Dataset, which contains the
 #: polished sequencing results for the Alzheimer human brain

@@ -140,10 +140,6 @@ class StormResult:
     def shed_total(self) -> int:
         return sum(self.shed.values())
 
-    @property
-    def all_admitted_ok(self) -> bool:
-        return self.crashed is None and self.lost_admitted == 0
-
     def to_dict(self) -> dict:
         return {
             "schema": STORM_SCHEMA,

@@ -50,13 +50,6 @@ class ArrivalTrace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def makespan_lower_bound(self) -> float:
-        """Last arrival plus its duration — no schedule beats this."""
-        if not self.entries:
-            return 0.0
-        return max(e.arrival_time + e.duration for e in self.entries)
-
     def tool_counts(self) -> dict[str, int]:
         """Submissions per tool."""
         counts: dict[str, int] = {}

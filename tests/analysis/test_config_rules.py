@@ -6,10 +6,31 @@ import pytest
 
 from repro.analysis.config_rules import (
     ConfigContext,
-    analyze_job_conf_text,
+    analyze_job_conf,
+    analyze_tool,
     analyze_tool_against_job_conf,
-    analyze_tool_text,
 )
+from repro.galaxy.errors import JobConfError, ToolParseError
+from repro.galaxy.job_conf import parse_job_conf_xml
+from repro.galaxy.tool_xml import parse_tool_xml
+
+
+def analyze_job_conf_text(text, path, ctx):
+    """(parsed config or None, findings), as ``repro lint`` sees a file."""
+    try:
+        config = parse_job_conf_xml(text)
+    except JobConfError as exc:
+        return None, analyze_job_conf(exc, path, ctx)
+    return config, analyze_job_conf(config, path, ctx)
+
+
+def analyze_tool_text(text, path, ctx):
+    """(parsed tool or None, findings), as ``repro lint`` sees a file."""
+    try:
+        tool = parse_tool_xml(text)
+    except ToolParseError as exc:
+        return None, analyze_tool(exc, path, ctx)
+    return tool, analyze_tool(tool, path, ctx)
 
 GOOD_JOB_CONF = """\
 <job_conf>

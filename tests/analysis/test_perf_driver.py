@@ -41,8 +41,6 @@ TIMED_ENTRY_POINTS = [
     "repro.core.monitor.GPUUsageMonitor.statistics_report",
     "repro.core.monitor.GPUUsageMonitor.stop",
     "repro.core.monitor.GPUUsageMonitor.to_csv",
-    "repro.gpusim.clock.Timeline.between",
-    "repro.gpusim.clock.Timeline.labelled",
     "repro.gpusim.clock.Timeline.record",
     "repro.gpusim.clock.VirtualClock.advance",
     "repro.workloads.chaos.run_chaos",

@@ -92,7 +92,7 @@ class TestPermutingClock:
         writer = recorder.footprint_for(member_label(0, 0))
         idle = recorder.footprint_for(member_label(0, 1))
         assert "timeline" in writer.writes
-        assert idle.empty
+        assert not idle.reads and not idle.writes
         assert not writer.conflicts_with(idle)
 
 
@@ -100,7 +100,7 @@ class TestScheduleSerialisation:
     def test_round_trips_via_json(self, tmp_path):
         schedule = Schedule(scenario="tie-demo", flips={0: (1, 0)})
         path = tmp_path / "sched.json"
-        path.write_text(schedule.to_json())
+        path.write_text(json.dumps(schedule.to_dict()))
         loaded = Schedule.from_file(path)
         assert loaded.scenario == "tie-demo"
         assert loaded.flips == {0: (1, 0)}
@@ -200,7 +200,7 @@ class TestDriver:
     def test_schedule_replay_clean_on_identity(self, tmp_path):
         path = tmp_path / "sched.json"
         path.write_text(
-            Schedule(scenario="tie-demo", flips={}).to_json()
+            json.dumps(Schedule(scenario="tie-demo", flips={}).to_dict())
         )
         replay = run_schedule_replay(path)
         assert replay.findings == []

@@ -22,8 +22,8 @@ def _rule_ids(findings):
 
 def test_simsan_is_installed_for_the_suite():
     """conftest installs simsan process-wide via GYAN_SIMSAN."""
-    assert simsan.is_installed()
     assert simsan.current() is not None
+    assert simsan.current().installed
 
 
 def test_injected_leak_is_reported_at_process_exit(host):
@@ -61,7 +61,7 @@ def test_utilization_out_of_bounds_fails_snapshot(host):
     """SIM303: a corrupted utilization counter dies at observation time."""
     host.devices[0].sm_utilization = 150.0
     with pytest.raises(SanitizerError) as excinfo:
-        host.snapshot()
+        simsan.current().check_device(host.devices[0])
     assert excinfo.value.finding.rule_id == "SIM303"
 
 
@@ -92,7 +92,8 @@ def test_collect_mode_records_instead_of_raising(host):
     san = SimSanitizer(raise_on_violation=False)
     host.devices[0].sm_utilization = -1.0
     host.devices[1].sm_utilization = 400.0
-    san.check_host(host)
+    for device in host.devices:
+        san.check_device(device)
     assert _rule_ids(san.violations) == ["SIM303", "SIM303"]
     host.devices[0].sm_utilization = 0.0
     host.devices[1].sm_utilization = 0.0
@@ -105,7 +106,7 @@ def test_lost_device_with_live_process_fails_snapshot(host):
     # teardown, so the process survives on a dead device.
     host.devices[0].healthy = False
     with pytest.raises(SanitizerError) as excinfo:
-        host.snapshot()
+        simsan.current().check_device(host.devices[0])
     assert excinfo.value.finding.rule_id == "SIM306"
     # Repair so the autouse session sanitizer sees a consistent host.
     host.devices[0].mark_failed()
@@ -117,7 +118,7 @@ def test_mark_failed_leaves_no_sim306(host):
     proc = host.launch_process("doomed_tool", cuda_visible_devices="1")
     casualties = host.devices[1].mark_failed(now=1.0, xid=79)
     assert proc.pid in casualties
-    host.snapshot()  # must not raise
+    simsan.current().check_device(host.devices[1])  # must not raise
     assert _rule_ids(simsan.current().drain()) == []
 
 
@@ -131,7 +132,7 @@ def test_install_is_idempotent_and_uninstall_restores():
     simsan.uninstall()
     try:
         assert MemoryAllocator.alloc is not wrapped
-        assert not simsan.is_installed()
+        assert simsan.current() is None
     finally:
         simsan.install()  # restore the suite-wide sanitizer
 

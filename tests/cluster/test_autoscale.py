@@ -572,4 +572,4 @@ class TestElasticityMetrics:
         )
         simulator.run(diurnal_batches(profile))
         assert not any("pool" in name or "scale" in name
-                       for name in simulator.metrics.families())
+                       for name in simulator.metrics.snapshot())

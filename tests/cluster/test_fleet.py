@@ -418,7 +418,7 @@ class TestFleetSemantics:
                                    profile.tools)
         result = simulator.run(diurnal_batches(profile))
         assert result.jobs_submitted > 100
-        families = simulator.metrics.families()
+        families = list(simulator.metrics.snapshot())
         assert len(families) < 15
         snapshot = simulator.metrics.snapshot()
         latency = snapshot["gyan_fleet_job_latency_seconds"]["series"]

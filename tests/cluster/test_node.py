@@ -29,7 +29,6 @@ class TestComputeNode:
 
     def test_cpu_only_node(self):
         node = ComputeNode.cpu_only()
-        assert not node.has_gpus
         assert node.gpu_host is None
 
     def test_gpu_count_must_match_host(self):

@@ -49,17 +49,6 @@ class TestRegistry:
         image, _ = registry.pull("lab/custom:latest")
         assert image.repository == "lab/custom"
 
-    def test_evict_forces_repull(self):
-        registry = ImageRegistry()
-        registry.pull(RACON_GPU_IMAGE.reference)
-        assert registry.evict(RACON_GPU_IMAGE.reference)
-        assert not registry.is_cached(RACON_GPU_IMAGE.reference)
-        _, record = registry.pull(RACON_GPU_IMAGE.reference)
-        assert not record.cached
-
-    def test_evict_missing_returns_false(self):
-        assert not ImageRegistry().evict("not/cached:latest")
-
     def test_pull_log(self):
         registry = ImageRegistry()
         registry.pull(RACON_GPU_IMAGE.reference)

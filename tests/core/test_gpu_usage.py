@@ -50,12 +50,6 @@ class TestSnapshot:
     def test_min_memory_gpu_ties_low_id(self, host):
         assert get_gpu_usage_snapshot(host).min_memory_gpu() == "0"
 
-    def test_busiest_first(self, host):
-        host.launch_process("a", cuda_visible_devices="1")
-        host.launch_process("b", cuda_visible_devices="1")
-        host.launch_process("c", cuda_visible_devices="0")
-        assert get_gpu_usage_snapshot(host).busiest_first() == ["1", "0"]
-
     def test_multi_device_process_counted_on_each(self, host):
         proc = host.launch_process("wide", cuda_visible_devices="0,1")
         snapshot = get_gpu_usage_snapshot(host)

@@ -318,7 +318,7 @@ class TestCsvStreaming:
         monitor, job = varied_session(host)
         session = monitor.session_for(job.job_id)
         for series in session.series:
-            assert sum(series.run_lens) == len(series)
+            assert sum(series.run_lens) == series.count
             # The flips above guarantee more than one run, so the
             # run-compression actually exercised the boundary logic.
             assert len(series.run_lens) > 1
@@ -622,7 +622,7 @@ class TestStorage:
         session = monitor.session_for(job.job_id)
         assert session.tick_count == 86_401
         for series in session.series:
-            assert len(series) == 86_401
+            assert series.count == 86_401
             columns = [getattr(series, name) for name in DeviceSeries.__slots__]
             columns = [c for c in columns if isinstance(c, array)]
             assert len(columns) == 5 and all(len(c) <= 25 for c in columns)

@@ -25,13 +25,13 @@ def _deployment(**kwargs):
 
 
 def _finished(deployment, state: str) -> float:
-    return deployment.metrics_registry.value(
+    return deployment.app.metrics_registry.value(
         "gyan_jobs_finished_total", runner="local", state=state
     )
 
 
 def _redirects(deployment) -> float:
-    return deployment.metrics_registry.value("gyan_overload_redirects_total")
+    return deployment.app.metrics_registry.value("gyan_overload_redirects_total")
 
 
 def _fill(deployment, destination_id: str) -> None:

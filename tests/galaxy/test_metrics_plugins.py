@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.galaxy.metrics_plugins import (
-    CoreMetricsPlugin,
-    GpuMetricsPlugin,
-    MetricsCollector,
-)
+from repro.galaxy.metrics_plugins import GpuMetricsPlugin
 
 
 class TestCorePlugin:
@@ -49,19 +45,6 @@ class TestGpuPlugin:
 
 
 class TestCollector:
-    def test_register_replaces_same_name(self):
-        collector = MetricsCollector([CoreMetricsPlugin()])
-
-        class FakeCore:
-            plugin_name = "core"
-
-            def collect(self, job):
-                return {"fake": True}
-
-        collector.register(FakeCore())
-        assert len(collector.plugins) == 1
-        assert isinstance(collector.plugins[0], FakeCore)
-
     def test_empty_plugin_results_omitted(self, deployment):
         class Silent:
             plugin_name = "silent"
@@ -69,6 +52,6 @@ class TestCollector:
             def collect(self, job):
                 return {}
 
-        deployment.app.metrics_collector.register(Silent())
+        deployment.app.metrics_collector.plugins.append(Silent())
         job = deployment.run_tool("racon", {"workload": "unit"})
         assert "silent" not in job.metrics.plugin_metrics

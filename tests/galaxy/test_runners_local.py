@@ -102,7 +102,7 @@ class TestGpuProcessHandling:
             deployment.app.submit("racon", {"workload": "unit"}),
             deployment.job_config.destination("local_gpu"),
         )
-        proc = deployment.gpu_host.process(launched.host_process.pid)
+        proc = launched.host_process
         assert proc.name == "/usr/bin/racon_gpu"
         deployment.local_runner.finish(launched)
 

@@ -7,6 +7,10 @@ from repro.galaxy.tool_xml import parse_macros_xml, parse_tool_xml
 from repro.tools.wrappers import racon_macros_xml, racon_tool_xml
 
 
+def _param(tool, name):
+    return next(param for param in tool.inputs if param.name == name)
+
+
 MINIMAL = """\
 <tool id="t1" name="Tool" version="1.0">
   <command>echo hi</command>
@@ -102,11 +106,11 @@ class TestContainersAndParams:
 
     def test_parameter_coercion(self):
         tool = parse_tool_xml(GPU_TOOL)
-        assert tool.parameter("x").coerce("7") == 7
-        assert tool.parameter("x").coerce(None) == 3  # default
-        assert tool.parameter("flag").coerce("true") is True
-        assert tool.parameter("flag").coerce(None) is False
-        assert tool.parameter("rate").coerce("0.9") == pytest.approx(0.9)
+        assert _param(tool, "x").coerce("7") == 7
+        assert _param(tool, "x").coerce(None) == 3  # default
+        assert _param(tool, "flag").coerce("true") is True
+        assert _param(tool, "flag").coerce(None) is False
+        assert _param(tool, "rate").coerce("0.9") == pytest.approx(0.9)
 
     def test_outputs_parsed(self):
         tool = parse_tool_xml(GPU_TOOL)
@@ -180,7 +184,7 @@ class TestBooleanCoercionDelegation:
     ])
     def test_matches_parse_bool_param(self, raw, expected):
         tool = parse_tool_xml(GPU_TOOL)
-        assert tool.parameter("flag").coerce(raw) is expected
+        assert _param(tool, "flag").coerce(raw) is expected
 
     def test_tables_cannot_drift(self):
         from repro.galaxy.job_conf import parse_bool_param
@@ -188,7 +192,7 @@ class TestBooleanCoercionDelegation:
         tool = parse_tool_xml(GPU_TOOL)
         for raw in ("true", "True", "yes", "on", "1", " on ", "false",
                     "off", "", "2", "enabled"):
-            assert tool.parameter("flag").coerce(raw) is parse_bool_param(raw)
+            assert _param(tool, "flag").coerce(raw) is parse_bool_param(raw)
 
 
 GPU_MEMORY_TOOL = """\

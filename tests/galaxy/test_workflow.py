@@ -5,7 +5,6 @@ import pytest
 from repro.galaxy.app import ToolExecutionResult
 from repro.galaxy.job import JobState
 from repro.galaxy.workflow import (
-    FromStep,
     WorkflowDefinition,
     WorkflowError,
     WorkflowRunner,
@@ -63,41 +62,17 @@ class TestDefinition:
         with pytest.raises(ToolNotFoundError):
             wf.validate(workflow_deployment.app)
 
-    def test_validation_forward_binding_rejected(self, workflow_deployment):
-        wf = WorkflowDefinition(name="wf")
-        wf.add_step("producer", {"value": 1}, bindings={"amount": FromStep(1)})
-        wf.add_step("consumer")
-        with pytest.raises(WorkflowError):
-            wf.validate(workflow_deployment.app)
-
-    def test_validation_unknown_label_rejected(self, workflow_deployment):
-        wf = WorkflowDefinition(name="wf")
-        wf.add_step("producer", {"value": 1})
-        wf.add_step("consumer", bindings={"amount": FromStep("nope")})
-        with pytest.raises(WorkflowError):
-            wf.validate(workflow_deployment.app)
-
 
 class TestExecution:
     def test_two_step_chain_with_binding(self, workflow_deployment):
         wf = WorkflowDefinition(name="chain")
         wf.add_step("producer", {"value": 7}, label="make")
-        wf.add_step("consumer", bindings={"amount": FromStep("make")})
+        wf.add_step("consumer", bindings={"amount": lambda inv: inv.job_for("make").result})
         invocation = WorkflowRunner(workflow_deployment.app).invoke(wf)
-        assert invocation.succeeded
+        assert invocation.state is JobState.OK
         assert invocation.jobs[0].result == 70
         assert invocation.jobs[1].command_line == "consume 70"
         assert invocation.jobs[1].result == "consumed 70"
-
-    def test_extract_function_in_binding(self, workflow_deployment):
-        wf = WorkflowDefinition(name="chain")
-        wf.add_step("producer", {"value": 3})
-        wf.add_step(
-            "consumer",
-            bindings={"amount": FromStep(0, extract=lambda v: v + 1)},
-        )
-        invocation = WorkflowRunner(workflow_deployment.app).invoke(wf)
-        assert invocation.jobs[1].command_line == "consume 31"
 
     def test_callable_binding(self, workflow_deployment):
         wf = WorkflowDefinition(name="chain")
@@ -116,9 +91,8 @@ class TestExecution:
         workflow_deployment.app.register_executor("produce", boom)
         wf = WorkflowDefinition(name="chain")
         wf.add_step("producer", {"value": 1})
-        wf.add_step("consumer", bindings={"amount": FromStep(0)})
+        wf.add_step("consumer", bindings={"amount": lambda inv: inv.jobs[0].result})
         invocation = WorkflowRunner(workflow_deployment.app).invoke(wf)
-        assert not invocation.succeeded
         assert invocation.state is JobState.ERROR
         assert len(invocation.jobs) == 1  # second step never submitted
 
@@ -128,7 +102,7 @@ class TestExecution:
         wf.add_step("racon", {"threads": 4, "workload": "unit"})
         wf.add_step("seqstats", {"threads": 1})
         invocation = WorkflowRunner(workflow_deployment.app).invoke(wf)
-        assert invocation.succeeded
+        assert invocation.state is JobState.OK
         assert invocation.jobs[0].metrics.destination_id == "local_gpu"
         assert invocation.jobs[1].metrics.destination_id == "local_cpu"
         assert invocation.total_runtime_seconds > 0

@@ -64,31 +64,6 @@ def test_same_key_falls_back_to_registration_order():
     assert fired == ["first", "second", "third"]
 
 
-def test_call_later_passes_key_through():
-    clock = VirtualClock()
-    fired: list[str] = []
-    clock.call_later(2.0, lambda now: fired.append("z"), key="z")
-    clock.call_later(2.0, lambda now: fired.append("a"), key="a")
-    clock.advance_to(2.0)
-    assert fired == ["a", "z"]
-
-
-def test_cancel_inside_tie_skips_later_member():
-    clock = VirtualClock()
-    fired: list[str] = []
-    handles = {}
-
-    def cancel_b(now: float) -> None:
-        fired.append("a")
-        handles["b"].cancel()
-
-    handles["a"] = clock.call_at(1.0, cancel_b)
-    handles["b"] = clock.call_at(1.0, lambda now: fired.append("b"))
-    clock.advance_to(1.0)
-    assert fired == ["a"]
-    assert clock.pending_count() == 0
-
-
 def test_mixed_instants_never_interleave():
     for seed in range(50):
         rng = random.Random(seed)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.gpusim.errors import DeviceLostError, NVMLError
@@ -50,7 +52,7 @@ class TestInjectionPlan:
     def test_json_roundtrip(self, tmp_path):
         plan = build_scenario("k80-die-midrun", seed=7)
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(json.dumps(plan.to_dict()))
         assert InjectionPlan.from_file(path) == plan
 
     def test_scenarios_deterministic_per_seed(self):
@@ -69,7 +71,8 @@ class TestFaultPlane:
         assert host.faults.take_nvml_error() == NVMLError.NVML_ERROR_TIMEOUT
         assert host.faults.take_nvml_error() is None
         assert host.faults.nvml_errors_served == 2
-        assert host.faults.quiet
+        assert not host.faults.pending_nvml_errors
+        assert not host.faults.pending_container_failures
 
     def test_nvml_shim_serves_injected_error(self, host):
         nvml = NvmlLibrary(host)
@@ -139,7 +142,7 @@ class TestFaultInjector:
         assert host.devices[0].xid_events  # XID 79 logged
 
         host.clock.advance(2.0)  # flake + container failure queued
-        assert not host.faults.quiet
+        assert host.faults.pending_nvml_errors or host.faults.pending_container_failures
 
         host.clock.advance(2.0)  # recovery
         assert host.devices[0].healthy

@@ -127,7 +127,6 @@ class TestPipelineOverlap:
         assert busy["copy_h2d"] > 0
         assert busy["compute"] > 0
         assert busy["copy_d2h"] == 0.0
-        assert engine.makespan() >= max(busy.values())
 
     def test_negative_bytes_rejected(self, engine):
         with pytest.raises(ValueError):

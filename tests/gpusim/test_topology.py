@@ -1,9 +1,7 @@
-"""Board topology: locality matrix and the board-aware strategy."""
+"""Board topology: the locality matrix."""
 
 import pytest
 
-from repro.core.allocation import BoardAwareAllocationStrategy, strategy_by_name
-from repro.core.gpu_usage import get_gpu_usage_snapshot
 from repro.gpusim.errors import InvalidDeviceError
 from repro.gpusim.host import GPUHost, make_k80_host
 from repro.gpusim.smi import render_topology
@@ -42,54 +40,3 @@ class TestTopologyMatrix:
         host.device(1).mark_failed()
         topo = render_topology(host)
         assert "GPU1" not in topo
-
-
-class TestBoardAwareStrategy:
-    @pytest.fixture
-    def four_gpu_host(self):
-        return make_k80_host(boards=2)
-
-    def test_factory(self):
-        assert isinstance(strategy_by_name("board"), BoardAwareAllocationStrategy)
-        with pytest.raises(ValueError):
-            BoardAwareAllocationStrategy(dies_per_board=0)
-
-    def test_single_device_matches_pid(self, four_gpu_host):
-        strategy = BoardAwareAllocationStrategy()
-        four_gpu_host.launch_process("x", cuda_visible_devices="1")
-        snapshot = get_gpu_usage_snapshot(four_gpu_host)
-        decision = strategy.select(["1"], snapshot)
-        # requested busy -> idle devices, trimmed to one board
-        assert set(decision.gpu_ids) <= {"0", "2", "3"}
-
-    def test_multi_device_selection_stays_on_one_board(self, four_gpu_host):
-        strategy = BoardAwareAllocationStrategy()
-        snapshot = get_gpu_usage_snapshot(four_gpu_host)
-        decision = strategy.select([], snapshot)  # no preference, all idle
-        boards = {int(g) // 2 for g in decision.gpu_ids}
-        assert len(boards) == 1
-        assert len(decision.gpu_ids) == 2
-        assert "PLX locality" in decision.reason
-
-    def test_prefers_board_with_more_idle_devices(self, four_gpu_host):
-        strategy = BoardAwareAllocationStrategy()
-        four_gpu_host.launch_process("x", cuda_visible_devices="0")
-        snapshot = get_gpu_usage_snapshot(four_gpu_host)
-        decision = strategy.select([], snapshot)
-        assert set(decision.gpu_ids) == {"2", "3"}
-
-    def test_scatter_under_full_load_kept_on_board(self, four_gpu_host):
-        strategy = BoardAwareAllocationStrategy()
-        for mask in ("0", "1", "2", "3"):
-            four_gpu_host.launch_process("x", cuda_visible_devices=mask)
-        snapshot = get_gpu_usage_snapshot(four_gpu_host)
-        decision = strategy.select(["0"], snapshot)
-        assert set(decision.gpu_ids) == {"0", "1"}  # lowest board wins tie
-
-    def test_explicit_idle_request_honoured_across_boards(self, four_gpu_host):
-        """Requested-and-idle selections are never second-guessed, even
-        when they span boards (the user pinned them)."""
-        strategy = BoardAwareAllocationStrategy()
-        snapshot = get_gpu_usage_snapshot(four_gpu_host)
-        decision = strategy.select(["1", "2"], snapshot)
-        assert decision.gpu_ids == ("1", "2")

@@ -11,6 +11,8 @@ The acceptance contract for the fault-injection layer:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.gpusim.errors import NVMLError
@@ -163,7 +165,7 @@ class TestChaosCli:
         from repro.cli import main
 
         path = tmp_path / "plan.json"
-        path.write_text(KILLER_PLAN.to_json())
+        path.write_text(json.dumps(KILLER_PLAN.to_dict()))
         assert main(["faults", "--plan", str(path), "--jobs", "2"]) == 0
         assert "die-under-running-job" in capsys.readouterr().out
 

@@ -60,7 +60,7 @@ class TestHardenedStorm:
     def test_zero_admitted_losses(self, result):
         assert result.crashed is None
         assert result.lost_admitted == 0
-        assert result.all_admitted_ok
+        assert result.crashed is None and result.lost_admitted == 0
         assert result.completed_ok == result.admitted
 
     def test_the_storm_actually_overloaded(self, result):
@@ -97,7 +97,7 @@ class TestStockStorm:
 
     def test_stock_breaks_under_the_same_storm(self, result):
         assert result.crashed is not None or result.lost_admitted > 0
-        assert not result.all_admitted_ok
+        assert result.crashed is not None or result.lost_admitted > 0
 
     def test_stock_never_sheds(self, result):
         # No admission control: a stock deployment cannot refuse work,

@@ -25,6 +25,11 @@ RESUBMIT_PLAN = InjectionPlan(
 )
 
 
+def _job_spans(tracer, job_id):
+    """A job's spans, in recording order."""
+    return [s for s in tracer.spans if s.job_id == job_id]
+
+
 def traced_deployment(**kwargs):
     node = ComputeNode.paper_testbed()
     tracer = Tracer(node.clock)
@@ -42,12 +47,12 @@ class TestLifecycleSpans:
 
     def test_full_phase_sequence_recorded(self, traced):
         _, tracer, job = traced
-        names = [s.name for s in tracer.for_job(job.job_id)]
+        names = [s.name for s in _job_spans(tracer, job.job_id)]
         assert names == ["job", "map", "queue", "launch", "map.env", "run"]
 
     def test_root_span_carries_tool_and_state(self, traced):
         _, tracer, job = traced
-        root = tracer.for_job(job.job_id)[0]
+        root = _job_spans(tracer, job.job_id)[0]
         assert root.attributes["tool"] == "racon"
         assert root.attributes["state"] == "ok"
         assert root.end is not None
@@ -55,7 +60,7 @@ class TestLifecycleSpans:
     def test_mapper_decision_attributes(self, traced):
         _, tracer, job = traced
         (env_span,) = [
-            s for s in tracer.for_job(job.job_id) if s.name == "map.env"
+            s for s in _job_spans(tracer, job.job_id) if s.name == "map.env"
         ]
         assert env_span.attributes["strategy"] == "pid"
         assert env_span.attributes["outcome"] == "gpu"
@@ -65,23 +70,23 @@ class TestLifecycleSpans:
     def test_map_span_records_destination(self, traced):
         _, tracer, job = traced
         (map_span,) = [
-            s for s in tracer.for_job(job.job_id) if s.name == "map"
+            s for s in _job_spans(tracer, job.job_id) if s.name == "map"
         ]
         assert map_span.attributes["destination"] == "local_gpu"
 
     def test_run_span_bounds_the_tool_body(self, traced):
         _, tracer, job = traced
         (run_span,) = [
-            s for s in tracer.for_job(job.job_id) if s.name == "run"
+            s for s in _job_spans(tracer, job.job_id) if s.name == "run"
         ]
         assert run_span.attributes["state"] == "ok"
-        assert run_span.duration == pytest.approx(
+        assert run_span.end - run_span.start == pytest.approx(
             job.metrics.end_time - job.metrics.start_time
         )
 
     def test_registry_counters_updated(self, traced):
         deployment, _, _ = traced
-        registry = deployment.metrics_registry
+        registry = deployment.app.metrics_registry
         assert registry.value("gyan_jobs_submitted_total", tool="racon") == 1
         assert registry.value(
             "gyan_jobs_finished_total", runner="local", state="ok"
@@ -108,7 +113,7 @@ class TestResubmitTracing:
             e for e in result.tracer.events if e.name == "resubmit"
         )
         retry_id = resubmit.attributes["retry_job"]
-        root = result.tracer.for_job(retry_id)[0]
+        root = _job_spans(result.tracer, retry_id)[0]
         assert root.name == "job"
         assert root.attributes["resubmit_of"] == resubmit.job_id
         assert root.attributes["state"] == "ok"
@@ -136,7 +141,7 @@ class TestZeroOverheadDefaults:
         deployment = build_deployment()
         register_paper_tools(deployment.app)
         deployment.run_tool("racon", {"workload": "unit"})
-        assert deployment.metrics_registry.value(
+        assert deployment.app.metrics_registry.value(
             "gyan_jobs_submitted_total", tool="racon"
         ) == 1
 
@@ -148,7 +153,7 @@ class TestLegacyCounterViews:
         deployment.run_tool("racon", {"workload": "unit"})
         mapper = deployment.mapper
         assert isinstance(mapper.snapshot_probes, int)
-        assert mapper.snapshot_probes == deployment.metrics_registry.value(
+        assert mapper.snapshot_probes == deployment.app.metrics_registry.value(
             "gyan_mapper_snapshot_probes_total"
         )
         assert mapper.degraded_queries == 0

@@ -88,7 +88,7 @@ class TestAdmission:
         controller.admit(job, cpu)
         assert controller.depth("gpu") == 0
         assert controller.depth("cpu") == 1
-        assert controller.admitted_destination(job) == "cpu"
+        assert controller._admitted[job.job_id] == "cpu"
 
     def test_release_is_idempotent(self, controller):
         dest = make_destination(max_queue_depth=1)
@@ -165,7 +165,7 @@ class TestShedding:
         assert list(controller.shed_by_reason()) == [
             "brownout_shed", "queue_full",
         ]
-        assert controller.shed_count == 3
+        assert len(controller.shed_records) == 3
 
 
 class TestMetrics:

@@ -661,7 +661,7 @@ class TestSanitizerGate:
         "import sys; from repro.cli import main; main(['topo']); "
         "from_analysis = [m for m in sys.modules if m.startswith('repro.analysis')]; "
         "import repro.analysis.sanitizer as s; "
-        "print(bool(from_analysis), s.is_installed())"
+        "print(bool(from_analysis), s.current() is not None)"
     )
 
     @pytest.mark.parametrize("value, expected", [

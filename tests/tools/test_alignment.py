@@ -20,7 +20,6 @@ class TestGlobalAlignment:
         result = global_alignment("ACGTACGT", "ACGTACGT")
         assert result.score == 8 * 3
         assert result.cigar == "8="
-        assert result.identity == 1.0
 
     def test_single_mismatch(self):
         result = global_alignment("ACGT", "ACTT")
@@ -58,7 +57,7 @@ class TestGlobalAlignment:
     def test_self_alignment_perfect(self, seq):
         result = global_alignment(seq, seq)
         assert result.score == 3 * len(seq)
-        assert result.identity == 1.0
+        assert result.query_aligned == result.target_aligned == seq
 
 
 class TestBandedAlignment:

@@ -9,11 +9,22 @@ from repro.tools.bonito.commands import (
     bonito_download,
     bonito_evaluate,
     bonito_train,
-    chunks_to_reads,
 )
 from repro.tools.bonito.signal import PoreModel, SquiggleSimulator
 from repro.tools.seqio.records import SignalRead
 from repro.workloads.generator import simulate_genome
+
+
+def chunks_to_reads(chunks):
+    """The inverse of ``bonito_convert``."""
+    return [
+        SignalRead(
+            read_id=chunks.read_ids[i],
+            signal=chunks.signals[i, : chunks.lengths[i]].copy(),
+            true_sequence=chunks.references[i],
+        )
+        for i in range(len(chunks))
+    ]
 
 
 class TestDownload:

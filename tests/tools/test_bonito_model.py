@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tools.bonito.model import Conv1dLayer, TemplateScorer, im2col, softmax
+from repro.tools.bonito.model import Conv1dLayer, TemplateScorer, im2col
 
 
 class TestIm2col:
@@ -75,21 +75,3 @@ class TestTemplateScorer:
         scorer = TemplateScorer(pore_model)
         _, flops = scorer.score(np.zeros(10, dtype=np.float32))
         assert flops == 2 * 10 * 3 * 64
-
-    def test_logits_scaled(self, pore_model):
-        scorer = TemplateScorer(pore_model)
-        means = np.array([80.0], dtype=np.float32)
-        assert np.allclose(
-            scorer.logits(means, scale=0.5), 0.5 * scorer.score(means)[0]
-        )
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        logits = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])
-        probs = softmax(logits)
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
-    def test_stability_with_large_values(self):
-        probs = softmax(np.array([[1000.0, 1000.0]]))
-        assert np.allclose(probs, 0.5)

@@ -25,8 +25,9 @@ class TestFig5Anchors:
         assert 3.0 <= ratio <= 4.5
 
     def test_speedup_exceeds_50x(self, model):
-        assert model.speedup(ACINETOBACTER_PITTII) > 50.0
-        assert model.speedup(KLEBSIELLA_KSB2) > 50.0
+        for dataset in (ACINETOBACTER_PITTII, KLEBSIELLA_KSB2):
+            cpu = model.cpu_time(dataset).total_seconds
+            assert cpu / model.gpu_time(dataset).total_seconds > 50.0
 
     def test_gpu_hours_reasonable(self, model):
         hours = model.gpu_time(ACINETOBACTER_PITTII).total_hours

@@ -45,7 +45,7 @@ class TestPoreModel:
         levels = pore_model.sequence_levels(seq)
         assert len(levels) == 5
         # base 1 ('C') sits in context A-C-G
-        assert levels[1] == pore_model.level("ACG")
+        assert levels[1] == pore_model.levels[pore_model.kmer_index("ACG")]
 
     def test_deterministic_by_seed(self):
         assert (PoreModel(seed=5).levels == PoreModel(seed=5).levels).all()

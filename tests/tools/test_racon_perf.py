@@ -1,5 +1,7 @@
 """Racon performance model against the paper's anchors."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.tools.racon.perf_model import RaconPerfModel
@@ -84,7 +86,11 @@ class TestEndToEndSection6A:
 
     def test_polish_reduced_117_to_15(self, model):
         cpu_polish = model.cpu_end_to_end().breakdown["polish"]
-        gpu_polish = model.gpu_end_to_end().polish_seconds
+        breakdown = model.gpu_end_to_end().breakdown
+        gpu_polish = sum(
+            breakdown.get(k, 0.0)
+            for k in ("polish", "gpu_alloc", "gpu_kernels", "cpu_tail")
+        )
         assert cpu_polish == pytest.approx(117.0, abs=0.5)
         assert gpu_polish == pytest.approx(15.0, abs=0.2)
 
@@ -92,7 +98,12 @@ class TestEndToEndSection6A:
         assert model.speedup() == pytest.approx(2.05, abs=0.05)
 
     def test_scaling_with_dataset_size(self, model):
-        half = ALZHEIMERS_NFL.scaled(0.5)
+        half = replace(
+            ALZHEIMERS_NFL, name="half",
+            size_bytes=ALZHEIMERS_NFL.size_bytes // 2,
+            n_reads=ALZHEIMERS_NFL.n_reads // 2,
+            reference_length=ALZHEIMERS_NFL.reference_length // 2,
+        )
         assert model.cpu_end_to_end(half).total_seconds == pytest.approx(
             205.0, abs=1.0
         )

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.traces import (
-    ArrivalTrace,
     TraceReplayer,
     generate_trace,
 )
@@ -44,13 +43,6 @@ class TestGeneration:
             generate_trace(mean_interarrival_s=0)
         with pytest.raises(ValueError):
             generate_trace(tool_mix={"unknown_tool": 1.0})
-
-    def test_makespan_lower_bound(self):
-        trace = generate_trace(n_jobs=10, seed=6)
-        assert trace.makespan_lower_bound >= max(
-            e.arrival_time for e in trace.entries
-        )
-        assert ArrivalTrace().makespan_lower_bound == 0.0
 
     @given(st.integers(1, 40), st.integers(0, 100))
     @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.workloads.datasets import (
     ACINETOBACTER_PITTII,
     ALZHEIMERS_NFL,
+    GIB,
     KLEBSIELLA_KSB2,
     PAPER_DATASETS,
     DatasetDescriptor,
@@ -23,9 +24,9 @@ from repro.tools.racon.alignment import identity
 
 class TestDescriptors:
     def test_paper_sizes(self):
-        assert ALZHEIMERS_NFL.size_gib == pytest.approx(17.0)
-        assert ACINETOBACTER_PITTII.size_gib == pytest.approx(1.5)
-        assert KLEBSIELLA_KSB2.size_gib == pytest.approx(5.2)
+        assert ALZHEIMERS_NFL.size_bytes / GIB == pytest.approx(17.0)
+        assert ACINETOBACTER_PITTII.size_bytes / GIB == pytest.approx(1.5)
+        assert KLEBSIELLA_KSB2.size_bytes / GIB == pytest.approx(5.2)
 
     def test_registry(self):
         assert set(PAPER_DATASETS) == {
@@ -39,18 +40,6 @@ class TestDescriptors:
         assert ACINETOBACTER_PITTII.technology == "nanopore"
         with pytest.raises(ValueError):
             DatasetDescriptor("x", "sanger", 1, 1, 1, 1)
-
-    def test_scaled(self):
-        half = ALZHEIMERS_NFL.scaled(0.5)
-        assert half.size_bytes == ALZHEIMERS_NFL.size_bytes // 2
-        assert half.technology == "pacbio"
-        with pytest.raises(ValueError):
-            ALZHEIMERS_NFL.scaled(0)
-
-    def test_coverage_depth(self):
-        assert ACINETOBACTER_PITTII.coverage_depth == pytest.approx(
-            20_000 * 8_000 / 4_000_000
-        )
 
 
 class TestGenomeSimulation:
