@@ -13,9 +13,9 @@ VirtualClock`, so traces are exactly reproducible: two identical runs
 serialise byte for byte, which is what lets CI diff trace artifacts.
 
 Zero overhead when disabled: layers hold :data:`NULL_TRACER` by default,
-whose ``enabled`` is False and whose methods are no-ops; hot paths guard
-attribute-dict construction behind ``tracer.enabled``, so the PR4 bench
-numbers hold with tracing off.
+whose ``enabled`` is False.  Every call but ``end`` is guarded behind
+``tracer.enabled`` (attribute dicts are never built when off), so the
+PR4 bench numbers hold with tracing off.
 """
 
 from __future__ import annotations
@@ -193,10 +193,14 @@ class Tracer:
 
 
 class NullTracer:
-    """The disabled tracer: every operation is a no-op.
+    """The disabled tracer: ``enabled`` is False and ``end`` is a no-op.
 
     Layers default to :data:`NULL_TRACER` so tracing costs one attribute
-    read and a falsy check when off.
+    read and a falsy check when off.  Callers check ``tracer.enabled``
+    before any call other than ``end``, which they keep unguarded on
+    every exit path (a skipped ``begin`` leaves them a ``None`` span);
+    the other :class:`Tracer` methods are absent here, so an unguarded
+    call fails in the untraced runs every test suite starts with.
     """
 
     enabled = False
@@ -207,5 +211,6 @@ class NullTracer:
         return None
 
 
-#: The shared disabled tracer; safe to use as a default everywhere.
+#: The shared disabled tracer, the default of every layer (see
+#: :class:`NullTracer` for what callers may ask of it).
 NULL_TRACER = NullTracer()

@@ -159,13 +159,16 @@ class RaconPolisher:
             dropped += self._assign_fragments(windows, sequence, quality, mapping)
         return windows, dropped
 
+    @staticmethod
+    def _mean_quality(quality: str) -> float:
+        return sum(ord(c) - 33 for c in quality) / len(quality) if quality else 0.0
+
     def _fragment_weight(self, quality: str | None) -> int:
         """POA fusion weight of a fragment from its quality string."""
         if not self.weight_by_quality or not quality:
             return 1
         # Q10 -> 1, Q20 -> 2, Q40 -> 4 (capped): confident reads out-vote.
-        mean_quality = sum(ord(c) - 33 for c in quality) / len(quality)
-        return max(1, min(4, int(mean_quality // 10)))
+        return max(1, min(4, int(self._mean_quality(quality) // 10)))
 
     def _assign_fragments(
         self,
@@ -202,8 +205,7 @@ class RaconPolisher:
             if (
                 self.quality_threshold is not None
                 and fragment_quality
-                and sum(ord(c) - 33 for c in fragment_quality) / len(fragment_quality)
-                < self.quality_threshold
+                and self._mean_quality(fragment_quality) < self.quality_threshold
             ):
                 dropped += 1
                 continue

@@ -1,36 +1,24 @@
-"""Table-driven tests: one good and one bad fixture per config rule."""
+"""Table-driven tests: one good and one bad fixture per config rule.
+
+Every case runs through ``lint_paths``, the path ``repro lint`` takes:
+the files are written to a directory, loaded and parsed as the runtime
+loads them, and judged together.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.config_rules import (
-    ConfigContext,
-    analyze_job_conf,
-    analyze_tool,
-    analyze_tool_against_job_conf,
-)
-from repro.galaxy.errors import JobConfError, ToolParseError
-from repro.galaxy.job_conf import parse_job_conf_xml
-from repro.galaxy.tool_xml import parse_tool_xml
+from repro.analysis.linter import LintOptions, lint_paths
 
 
-def analyze_job_conf_text(text, path, ctx):
-    """(parsed config or None, findings), as ``repro lint`` sees a file."""
-    try:
-        config = parse_job_conf_xml(text)
-    except JobConfError as exc:
-        return None, analyze_job_conf(exc, path, ctx)
-    return config, analyze_job_conf(config, path, ctx)
+def lint(folder, files: dict[str, str], device_count: int = 2):
+    """The findings of ``repro lint`` over ``files`` (name -> text)."""
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    options = LintOptions(device_count=device_count)
+    return lint_paths([str(folder)], options).findings
 
-
-def analyze_tool_text(text, path, ctx):
-    """(parsed tool or None, findings), as ``repro lint`` sees a file."""
-    try:
-        tool = parse_tool_xml(text)
-    except ToolParseError as exc:
-        return None, analyze_tool(exc, path, ctx)
-    return tool, analyze_tool(tool, path, ctx)
 
 GOOD_JOB_CONF = """\
 <job_conf>
@@ -68,11 +56,6 @@ def _tool_xml(version: str = "0", container: bool = False) -> str:
 
 def _ids(findings) -> set[str]:
     return {f.rule_id for f in findings}
-
-
-@pytest.fixture
-def ctx():
-    return ConfigContext()
 
 
 class TestJobConfRules:
@@ -133,29 +116,27 @@ class TestJobConfRules:
         ),
     ]
 
-    def test_good_job_conf_is_clean(self, ctx):
-        config, findings = analyze_job_conf_text(GOOD_JOB_CONF, "job_conf.xml", ctx)
-        assert config is not None
-        assert findings == []
+    def test_good_job_conf_is_clean(self, tmp_path):
+        assert lint(tmp_path, {"job_conf.xml": GOOD_JOB_CONF}) == []
 
     @pytest.mark.parametrize(
         "rule_id,xml", JOB_CONF_CASES, ids=[c[0] for c in JOB_CONF_CASES]
     )
-    def test_bad_job_conf_fires_rule(self, ctx, rule_id, xml):
-        _, findings = analyze_job_conf_text(xml, "job_conf.xml", ctx)
+    def test_bad_job_conf_fires_rule(self, tmp_path, rule_id, xml):
+        findings = lint(tmp_path, {"job_conf.xml": xml})
         assert rule_id in _ids(findings)
 
-    def test_cycle_reported_once_per_cycle(self, ctx):
+    def test_cycle_reported_once_per_cycle(self, tmp_path):
         xml = GOOD_JOB_CONF.replace(
             '<destination id="local_cpu" runner="local"/>',
             '<destination id="local_cpu" runner="local">'
             '<param id="resubmit_destination">local_gpu</param>'
             "</destination>",
         )
-        _, findings = analyze_job_conf_text(xml, None, ctx)
+        findings = lint(tmp_path, {"job_conf.xml": xml})
         assert len([f for f in findings if f.rule_id == "GYAN107"]) == 1
 
-    def test_resubmit_to_override_false_is_clean(self, ctx):
+    def test_resubmit_to_override_false_is_clean(self, tmp_path):
         # Pinning the override OFF is exactly what a recovery arm should
         # do; only a truthy pin defeats the CPU arm (GYAN110).
         xml = GOOD_JOB_CONF.replace(
@@ -164,18 +145,18 @@ class TestJobConfRules:
             '<param id="gpu_enabled_override">false</param>'
             "</destination>",
         )
-        _, findings = analyze_job_conf_text(xml, None, ctx)
+        findings = lint(tmp_path, {"job_conf.xml": xml})
         assert "GYAN110" not in _ids(findings)
 
-    def test_self_resubmit_is_a_cycle(self, ctx):
+    def test_self_resubmit_is_a_cycle(self, tmp_path):
         xml = GOOD_JOB_CONF.replace(
             "<param id=\"resubmit_destination\">local_cpu</param>",
             "<param id=\"resubmit_destination\">local_gpu</param>",
         )
-        _, findings = analyze_job_conf_text(xml, None, ctx)
+        findings = lint(tmp_path, {"job_conf.xml": xml})
         assert "GYAN107" in _ids(findings)
 
-    def test_aggregate_oversubscription_without_single_offender(self, ctx):
+    def test_aggregate_oversubscription_without_single_offender(self, tmp_path):
         # Two destinations under the per-die limit but over the host total.
         xml = GOOD_JOB_CONF.replace(
             "<param id=\"gpu_memory_mib\">4096</param>",
@@ -190,7 +171,7 @@ class TestJobConfRules:
             '<param id="docker_enabled">true</param>'
             '<param id="gpu_memory_mib">1000</param>',
         )
-        _, findings = analyze_job_conf_text(xml, None, ctx)
+        findings = lint(tmp_path, {"job_conf.xml": xml})
         aggregate = [f for f in findings if f.rule_id == "GYAN108"]
         assert len(aggregate) == 1
         assert "aggregate" in aggregate[0].message
@@ -207,66 +188,64 @@ class TestToolRules:
         ("GYAN100", _tool_xml().replace("t1 input.fa", "t1 ${threads +} input.fa")),
     ]
 
-    def test_good_tool_is_clean(self, ctx):
-        tool, findings = analyze_tool_text(_tool_xml("0,1"), "t.xml", ctx)
-        assert tool is not None
-        assert findings == []
+    def test_good_tool_is_clean(self, tmp_path):
+        assert lint(tmp_path, {"t.xml": _tool_xml("0,1")}) == []
 
     @pytest.mark.parametrize(
         "rule_id,xml",
         TOOL_CASES,
         ids=[f"{c[0]}-{i}" for i, c in enumerate(TOOL_CASES)],
     )
-    def test_bad_tool_fires_rule(self, ctx, rule_id, xml):
-        _, findings = analyze_tool_text(xml, "t.xml", ctx)
+    def test_bad_tool_fires_rule(self, tmp_path, rule_id, xml):
+        findings = lint(tmp_path, {"t.xml": xml})
         assert rule_id in _ids(findings)
 
-    def test_uncompilable_command_names_the_expression(self, ctx):
+    def test_uncompilable_command_names_the_expression(self, tmp_path):
         """Loading a wrapper compiles every expression; the source-string
         engine found this one on the first job that took the #else arm."""
         xml = _tool_xml().replace(
             "t1 input.fa", "#if $gpu\nt1 -g\n#else\nt1 -t ${threads +}\n#end if"
         )
-        tool, findings = analyze_tool_text(xml, "t.xml", ctx)
-        assert tool is None
-        (finding,) = findings
-        assert finding.rule_id == "GYAN100" and finding.path == "t.xml"
+        (finding,) = lint(tmp_path, {"t.xml": xml})
+        assert finding.rule_id == "GYAN100"
+        assert finding.path == str(tmp_path / "t.xml")
         assert finding.message.startswith(
             "command template: failed to evaluate 'threads +': "
         )
 
-    def test_device_count_override(self):
-        wide = ConfigContext(device_count=8)
-        tool, findings = analyze_tool_text(_tool_xml("5"), "t.xml", wide)
-        assert findings == []
+    def test_device_count_override(self, tmp_path):
+        assert lint(tmp_path, {"t.xml": _tool_xml("5")}, device_count=8) == []
 
 
 class TestContainerDestinationCrossCheck:
-    def _config(self, ctx, mapping: str):
-        xml = GOOD_JOB_CONF.replace(
+    """A tool linted beside a job_conf is checked against its mapping."""
+
+    @staticmethod
+    def _job_conf(mapping: str) -> str:
+        return GOOD_JOB_CONF.replace(
             "</destinations>", f"</destinations><tools>{mapping}</tools>"
         )
-        config, findings = analyze_job_conf_text(xml, None, ctx)
-        assert findings == []
-        return config
 
-    def test_container_tool_on_plain_destination_warns(self, ctx):
-        config = self._config(ctx, '<tool id="t1" destination="local_cpu"/>')
-        tool, _ = analyze_tool_text(_tool_xml(container=True), "t.xml", ctx)
-        findings = analyze_tool_against_job_conf(tool, "t.xml", config)
+    def test_container_tool_on_plain_destination_warns(self, tmp_path):
+        findings = lint(tmp_path, {
+            "job_conf.xml": self._job_conf('<tool id="t1" destination="local_cpu"/>'),
+            "t.xml": _tool_xml(container=True),
+        })
         assert _ids(findings) == {"GYAN103"}
 
-    def test_container_tool_on_docker_destination_is_clean(self, ctx):
-        config = self._config(ctx, '<tool id="t1" destination="docker_gpu"/>')
-        tool, _ = analyze_tool_text(_tool_xml(container=True), "t.xml", ctx)
-        assert analyze_tool_against_job_conf(tool, "t.xml", config) == []
+    def test_container_tool_on_docker_destination_is_clean(self, tmp_path):
+        assert lint(tmp_path, {
+            "job_conf.xml": self._job_conf('<tool id="t1" destination="docker_gpu"/>'),
+            "t.xml": _tool_xml(container=True),
+        }) == []
 
-    def test_dynamic_default_is_skipped(self, ctx):
-        config, _ = analyze_job_conf_text(GOOD_JOB_CONF, None, ctx)
-        tool, _ = analyze_tool_text(_tool_xml(container=True), "t.xml", ctx)
-        assert analyze_tool_against_job_conf(tool, "t.xml", config) == []
+    def test_dynamic_default_is_skipped(self, tmp_path):
+        assert lint(tmp_path, {
+            "job_conf.xml": GOOD_JOB_CONF, "t.xml": _tool_xml(container=True),
+        }) == []
 
-    def test_tool_without_container_is_skipped(self, ctx):
-        config = self._config(ctx, '<tool id="t1" destination="local_cpu"/>')
-        tool, _ = analyze_tool_text(_tool_xml(container=False), "t.xml", ctx)
-        assert analyze_tool_against_job_conf(tool, "t.xml", config) == []
+    def test_tool_without_container_is_skipped(self, tmp_path):
+        assert lint(tmp_path, {
+            "job_conf.xml": self._job_conf('<tool id="t1" destination="local_cpu"/>'),
+            "t.xml": _tool_xml(container=False),
+        }) == []

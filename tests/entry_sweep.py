@@ -3,7 +3,7 @@ under some entry point, or be named in ``tests/entry_allowlist.txt``.
 
 Usage::
 
-    python tests/entry_sweep.py [-j JOBS]
+    python tests/entry_sweep.py
 
 The sweep runs :data:`COMMANDS` (the CLI verbs in their CI shapes, every
 chaos and race scenario, the examples, ``pytest benchmarks/`` and
@@ -32,7 +32,6 @@ is a script, not a test file, so pytest does not collect it;
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import subprocess
@@ -48,6 +47,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 ALLOWLIST = Path(__file__).with_name("entry_allowlist.txt")
+#: Commands run at once: two, or one on a single core.
+WORKERS = min(2, os.cpu_count() or 1)
 
 #: Why a function no entry point runs may stay.
 KINDS = {
@@ -347,7 +348,7 @@ def _shims(bin_dir: Path) -> None:
         shim.chmod(0o755)
 
 
-def run(jobs: int) -> int:
+def run() -> int:
     with tempfile.TemporaryDirectory(prefix="entry-sweep-") as scratch:
         tmp = Path(scratch)
         traces = tmp / "traces"
@@ -383,7 +384,7 @@ def run(jobs: int) -> int:
 
         started = time.perf_counter()
         failed = 0
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             for line, error in pool.map(one, COMMANDS):
                 print(line, flush=True)
                 if error is not None:
@@ -408,12 +409,5 @@ def run(jobs: int) -> int:
     return 1 if lines or failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-j", "--jobs", type=int, default=min(2, os.cpu_count() or 1),
-                        help="commands run at once (default: 2, or 1 on one core)")
-    return run(parser.parse_args(argv).jobs)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -143,6 +143,9 @@ class TestAgedHost:
         xml = render_xml(host)
         attachments = sum(len(proc.device_indices) for proc in live)
         assert xml.count("<process_info>") == attachments == 3
+        # Each device's table holds only its live records: a render walks
+        # none of the dead ones.
+        assert [len(host.device(m)._processes) for m in (0, 1)] == [2, 1]
         assert process_placement(host) == {
             0: [live[0].pid, live[1].pid], 1: [live[1].pid],
         }

@@ -59,11 +59,13 @@ class TestRoofline:
     def test_memory_bound_kernel(self, timing):
         kernel = KernelLaunch("k", 60, 256, flops=1e6, bytes_read=8e9, bytes_written=0)
         execution = timing.launch(kernel)
+        assert execution.memory_time >= execution.compute_time
         assert execution.duration >= execution.memory_time
 
     def test_compute_bound_kernel(self, timing):
         kernel = KernelLaunch("k", 60, 256, flops=1e13, bytes_read=1e3, bytes_written=0)
         execution = timing.launch(kernel)
+        assert execution.compute_time > execution.memory_time
 
     def test_launch_advances_clock_by_duration(self, timing, host):
         before = host.clock.now

@@ -101,10 +101,15 @@ class TestNullTracer:
         assert NULL_TRACER.events == ()
 
     def test_all_operations_are_noops(self):
+        """Its one operation, ``end``, is a no-op; callers guard every
+        other tracer call behind ``enabled``, so the rest are absent."""
         null = NullTracer()
         assert not null.enabled
         assert null.end(None, y=2) is None
         assert null.spans == () and null.events == ()
+        for name in ("begin", "instant", "begin_job", "end_job",
+                     "job_ids", "close_open_spans"):
+            assert hasattr(Tracer, name) and not hasattr(null, name), name
 
     def test_enabled_tracer_advertises_itself(self):
         tracer, _ = make_tracer()

@@ -88,7 +88,8 @@ class TestAdmission:
         controller.admit(job, cpu)
         assert controller.depth("gpu") == 0
         assert controller.depth("cpu") == 1
-        assert controller._admitted[job.job_id] == "cpu"
+        controller.release(job)  # frees the slot it was admitted to
+        assert controller.depth("cpu") == 0
 
     def test_release_is_idempotent(self, controller):
         dest = make_destination(max_queue_depth=1)

@@ -14,8 +14,8 @@ dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
 class TestConstruction:
     def test_seed_chain(self):
         graph = POAGraph("ACGT")
-        assert len(graph._nodes) == 4
-        assert sum(map(len, graph._out.values())) == 3
+        assert graph.topological_order() == [0, 1, 2, 3]
+        assert graph.consensus() == "ACGT"  # the chain's edges spell the seed
         assert graph.sequences_added == 1
 
     def test_empty_seed_rejected(self):
@@ -25,15 +25,15 @@ class TestConstruction:
     def test_topological_order_valid_for_chain(self):
         graph = POAGraph("ACGTT")
         order = graph.topological_order()
-        assert len(order) == 5
-        assert [graph._nodes[n].base for n in order] == list("ACGTT")
+        assert order == [0, 1, 2, 3, 4]  # seed order
+        assert graph.consensus() == "ACGTT"
 
 
 class TestAlignAndFuse:
     def test_identical_sequence_reuses_all_nodes(self):
         graph = POAGraph("ACGTACGT")
         graph.add_sequence("ACGTACGT")
-        assert len(graph._nodes) == 8  # no new nodes
+        assert len(graph.topological_order()) == 8  # no new nodes
         assert graph.sequences_added == 2
 
     def test_interior_mismatch_creates_branch(self):
@@ -42,7 +42,7 @@ class TestAlignAndFuse:
         alignment instead — see test_terminal_mismatch_softclipped.)"""
         graph = POAGraph("ACGTACGT")
         graph.add_sequence("ACTTACGT")
-        assert len(graph._nodes) == 9
+        assert len(graph.topological_order()) == 9
 
     def test_terminal_mismatch_softclipped(self):
         """Local alignment clips low-scoring fragment ends rather than
@@ -50,14 +50,14 @@ class TestAlignAndFuse:
         of the graph."""
         graph = POAGraph("ACGTACGT")
         graph.add_sequence("ACGTACGA")  # mismatch on the last base
-        assert len(graph._nodes) == 8  # clipped, no branch node
+        assert len(graph.topological_order()) == 8  # clipped, no branch node
 
     def test_mismatch_branch_reused_not_duplicated(self):
         graph = POAGraph("ACGTACGT")
         graph.add_sequence("ACTTACGT")
-        nodes_after_first = len(graph._nodes)
+        nodes_after_first = len(graph.topological_order())
         graph.add_sequence("ACTTACGT")
-        assert len(graph._nodes) == nodes_after_first
+        assert len(graph.topological_order()) == nodes_after_first
 
     def test_alignment_pairs_cover_sequence(self):
         graph = POAGraph("ACGTACGT")
@@ -68,7 +68,7 @@ class TestAlignAndFuse:
     def test_empty_sequence_noop(self):
         graph = POAGraph("ACGT")
         graph.add_sequence("")
-        assert len(graph._nodes) == 4
+        assert len(graph.topological_order()) == 4
 
 
 class TestConsensus:
@@ -111,7 +111,7 @@ class TestDagInvariant:
         for sequence in others:
             graph.add_sequence(sequence)
             order = graph.topological_order()  # raises on cycle
-            assert len(order) == len(graph._nodes)
+            assert sorted(order) == list(range(len(order)))  # each node once
 
     @given(seed=dna, noise=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

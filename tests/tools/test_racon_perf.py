@@ -1,11 +1,19 @@
 """Racon performance model against the paper's anchors."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.tools.racon.perf_model import RaconPerfModel
-from repro.workloads.datasets import ALZHEIMERS_NFL
+from repro.workloads.datasets import GIB, DatasetDescriptor
+
+#: The §VI-A NFL dataset at half its size.
+HALF_NFL = DatasetDescriptor(
+    name="half_NFL",
+    technology="pacbio",
+    size_bytes=17 * GIB // 2,
+    n_reads=3_000_000,
+    mean_read_length=2_500,
+    reference_length=45_000_000,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +94,8 @@ class TestEndToEndSection6A:
 
     def test_polish_reduced_117_to_15(self, model):
         cpu_polish = model.cpu_end_to_end().breakdown["polish"]
-        breakdown = model.gpu_end_to_end().breakdown
-        gpu_polish = sum(
-            breakdown.get(k, 0.0)
-            for k in ("polish", "gpu_alloc", "gpu_kernels", "cpu_tail")
-        )
+        gpu = model.gpu_end_to_end().breakdown
+        gpu_polish = gpu["gpu_alloc"] + gpu["gpu_kernels"] + gpu["cpu_tail"]
         assert cpu_polish == pytest.approx(117.0, abs=0.5)
         assert gpu_polish == pytest.approx(15.0, abs=0.2)
 
@@ -98,17 +103,11 @@ class TestEndToEndSection6A:
         assert model.speedup() == pytest.approx(2.05, abs=0.05)
 
     def test_scaling_with_dataset_size(self, model):
-        half = replace(
-            ALZHEIMERS_NFL, name="half",
-            size_bytes=ALZHEIMERS_NFL.size_bytes // 2,
-            n_reads=ALZHEIMERS_NFL.n_reads // 2,
-            reference_length=ALZHEIMERS_NFL.reference_length // 2,
-        )
-        assert model.cpu_end_to_end(half).total_seconds == pytest.approx(
+        assert model.cpu_end_to_end(HALF_NFL).total_seconds == pytest.approx(
             205.0, abs=1.0
         )
         # speedup roughly preserved under scaling (alloc is fixed)
-        assert model.speedup(half) == pytest.approx(2.05, abs=0.15)
+        assert model.speedup(HALF_NFL) == pytest.approx(2.05, abs=0.15)
 
     def test_banded_shrinks_kernels_only(self, model):
         plain = model.gpu_end_to_end(banded=False)
