@@ -13,23 +13,16 @@ from dataclasses import dataclass, field
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
+from repro.core.destination_rules import GYAN_RULES
 from repro.galaxy.errors import JobConfError, ToolParseError
-from repro.galaxy.job_conf import (
-    DynamicRuleRegistry,
-    JobConfig,
-    parse_bool_param,
-)
+from repro.galaxy.job_conf import JobConfig, parse_bool_param
 from repro.galaxy.tool_xml import ToolDefinition
 from repro.gpusim.device import TESLA_GK210
 
 
 def default_rule_functions() -> set[str]:
     """The dynamic rule names a stock GYAN deployment registers."""
-    from repro.core.destination_rules import register_gyan_rules
-
-    registry = DynamicRuleRegistry()
-    register_gyan_rules(registry)
-    return set(registry.names())
+    return set(GYAN_RULES)
 
 
 @dataclass

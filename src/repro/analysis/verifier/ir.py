@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
 from repro.analysis.sources import Source, load_sources
+from repro.core.destination_rules import GYAN_RULES
 from repro.galaxy.errors import GalaxyError
 from repro.galaxy.job_conf import Destination, JobConfig, parse_bool_param
 from repro.cluster.autoscale import AUTOSCALE_SCHEMA, AutoscalePlan
@@ -33,10 +34,7 @@ from repro.gpusim.faults import InjectionPlan
 #: What the stock GYAN dynamic rules can resolve to, for static route
 #: expansion.  Unknown rule functions expand conservatively to every
 #: concrete destination (the rule could return any of them).
-DYNAMIC_RULE_TARGETS: dict[str, tuple[str, ...]] = {
-    "gpu_destination": ("local_gpu", "local_cpu"),
-    "docker_destination": ("docker_gpu", "docker_cpu"),
-}
+DYNAMIC_RULE_TARGETS: dict[str, tuple[str, ...]] = GYAN_RULES
 
 #: Safety cap when following resubmit chains (cycles are reported, not
 #: followed forever).

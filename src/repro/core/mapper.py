@@ -6,13 +6,18 @@ just before a tool process is spawned it
 1. walks the tool's requirements for ``type="compute"`` name ``gpu`` and
    reads the requested minor ID(s) from the ``version`` tag;
 2. sets ``GALAXY_GPU_ENABLED`` to ``"true"`` only when the tool wants a
-   GPU *and* the host actually has GPUs (checked via the NVML shim, as
-   the dynamic destination rule does with ``pynvml``);
+   GPU *and* the host actually has GPUs (checked via the NVML shim);
 3. calls ``get_gpu_usage`` and the configured allocation strategy;
 4. exports ``CUDA_VISIBLE_DEVICES`` with the selected device IDs.
 
 The mapper is deliberately side-effect-free with respect to the job: it
 returns the environment entries; the runner merges and spawns.
+
+It is also the deployment's one NVML availability probe: the dynamic
+destination rule (:mod:`repro.core.destination_rules`) asks
+:meth:`GpuComputationMapper.available_gpu_count` when it maps the same
+job, so retry, circuit breaker, degradation and quarantine apply to
+both steps alike.
 """
 
 from __future__ import annotations
@@ -52,6 +57,17 @@ class MappingRecord:
 class GpuComputationMapper:
     """Computes the GPU environment for each job (Pseudocode 2).
 
+    Successful probes are reused across jobs mapped at the same clock
+    instant with an unchanged host state, so a burst of N simultaneous
+    submissions costs one ``nvidia-smi`` parse instead of N, and the
+    launch-time count re-check after the dynamic rule's is a cache hit.
+    Correctness rests on the host's
+    :attr:`~repro.gpusim.host.GPUHost.state_version`: any allocation,
+    free, process transition, health change or pending injected fault
+    bumps it and invalidates the cache.  Failed probes are never cached,
+    so retry/degradation accounting under NVML flakes is identical to
+    an uncached mapper's.
+
     Parameters
     ----------
     host:
@@ -68,17 +84,6 @@ class GpuComputationMapper:
         queries retry under :data:`~repro.core.retry.DEFAULT_NVML_RETRY`
         and a failure that outlasts it degrades the job to the CPU arm;
         without it the error propagates (the pre-resilience behaviour).
-    cache_snapshots:
-        Reuse successful usage probes across jobs submitted at the same
-        clock instant with an unchanged host state.  A burst of N
-        simultaneous submissions then costs one ``nvidia-smi`` parse
-        instead of N.  Correctness rests on the host's
-        :attr:`~repro.gpusim.host.GPUHost.state_version`: any allocation,
-        free, process transition, health change or pending injected fault
-        bumps it and invalidates the cache.  Failed probes are never
-        cached, so retry/degradation accounting under NVML flakes is
-        identical with the cache on.  Disable for chaos tests that want
-        every probe to actually hit the (possibly flaky) NVML surface.
     metrics:
         The :class:`~repro.observability.metrics.MetricsRegistry` the
         mapper's diagnostics report into (a private registry is created
@@ -96,7 +101,6 @@ class GpuComputationMapper:
         strategy: AllocationStrategy | None = None,
         admission=None,
         health: DeviceHealthTracker | None = None,
-        cache_snapshots: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer=None,
         breaker: CircuitBreaker | None = None,
@@ -115,7 +119,6 @@ class GpuComputationMapper:
         #: Optional brownout ladder; at rung >= 1 low-benefit tools lose
         #: GPU mapping before any job is shed (graceful degradation).
         self.brownout = brownout
-        self.cache_snapshots = cache_snapshots
         self.history: list[MappingRecord] = []
         #: The deployment-wide metrics registry all mapper diagnostics
         #: report into; the legacy int attributes (``degraded_queries``,
@@ -205,10 +208,10 @@ class GpuComputationMapper:
         """Current ``(clock instant, host state version)`` pair.
 
         Two probes made at equal keys are guaranteed to observe the same
-        host, so the second can be served from cache.  ``None`` disables
-        caching (knob off or no host).
+        host, so the second can be served from cache.  ``None`` (no host)
+        disables caching.
         """
-        if not self.cache_snapshots or self.host is None:
+        if self.host is None:
             return None
         return (self.host.clock.now, self.host.state_version)
 
@@ -222,7 +225,7 @@ class GpuComputationMapper:
             if cached_key == key:
                 return cached_count
         try:
-            count = self._query(self._nvml.nvmlDeviceGetCount)
+            count = self._query(lambda: self._nvml.nvmlDeviceGetCount())
         except Exception as exc:
             if self.resilient and self._degradable(exc):
                 self._c_degraded.inc()
@@ -233,6 +236,23 @@ class GpuComputationMapper:
             # clock and consumed pending flakes (both change the key).
             self._count_cache = (self._cache_key(), count)
         return count
+
+    def available_gpu_count(self) -> int:
+        """Devices NVML enumerates minus the quarantined ones.
+
+        The dynamic destination rule's availability question.  The count
+        is :meth:`gpu_count` (same retry, breaker, degrade and cache); a
+        quarantined device is matched by minor number, the tracker's
+        device identity, among the devices the driver still enumerates.
+        """
+        count = self.gpu_count()
+        if count == 0 or self.health is None:
+            return count
+        quarantined = self.health.quarantined_ids(self.host.clock.now)
+        return count - sum(
+            1 for device in self.host.healthy_devices()
+            if str(device.minor_number) in quarantined
+        )
 
     def _probe_snapshot(self):
         """``get_gpu_usage`` with same-instant memoisation.

@@ -312,10 +312,10 @@ def build_deployment(
     resilient:
         Wire the degradation layer: a :class:`DeviceHealthTracker` that
         quarantines flaky devices and the resubmit-enabled job
-        configuration.  The tracker is the one switch: the mapper and
-        the dynamic rules retry NVML queries, and the Docker and
-        Singularity runners retry container launches, exactly when the
-        app has one.  Off by default so the stock (fragile) behaviour
+        configuration.  The tracker is the one switch: the mapper
+        retries NVML queries (the dynamic rules ask the mapper), and the
+        Docker and Singularity runners retry container launches, exactly
+        when the app has one.  Off by default so the stock (fragile) behaviour
         stays reproducible for chaos comparisons.
     max_resubmit_hops:
         Bound on a job's resubmit chain; defaults to
@@ -346,7 +346,6 @@ def build_deployment(
             GYAN_RESILIENT_JOB_CONF_XML if resilient else GYAN_JOB_CONF_XML
         )
     job_config = parse_job_conf_xml(job_conf_xml)
-    register_gyan_rules(job_config.rules)
 
     if max_resubmit_hops is None:
         max_resubmit_hops = GalaxyApp.DEFAULT_MAX_RESUBMIT_HOPS
@@ -398,6 +397,7 @@ def build_deployment(
         breaker=nvml_breaker,
         brownout=brownout_controller,
     )
+    register_gyan_rules(job_config.rules, mapper)
     monitor = (
         GPUUsageMonitor(node.gpu_host) if node.gpu_host is not None else None
     )

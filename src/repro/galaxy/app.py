@@ -136,8 +136,9 @@ class GalaxyApp:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional :class:`~repro.core.health.DeviceHealthTracker` fed
         #: with device-attributed job failures.  Its presence makes the
-        #: deployment resilient: the destination rules retry and degrade
-        #: NVML flakes, and container runners retry daemon hiccups.
+        #: deployment resilient: the GPU mapper (which the destination
+        #: rules ask) retries and degrades NVML flakes, and container
+        #: runners retry daemon hiccups.
         self.health_tracker: Any = None
         #: Optional :class:`~repro.resilience.overload.OverloadController`.
         #: When set, runners run an admission check before queueing
@@ -190,11 +191,6 @@ class GalaxyApp:
             return self.executors[basename]
         raise ExecutorNotFoundError(executable)
 
-    @property
-    def gpu_host(self):
-        """The node's GPU host (None on CPU-only nodes)."""
-        return self.node.gpu_host
-
     # ------------------------------------------------------------------ #
     # the four-step flow (paper Fig. 2)
     # ------------------------------------------------------------------ #
@@ -243,13 +239,13 @@ class GalaxyApp:
             self.health_tracker is None
             or job.state is not JobState.ERROR
             or not job.metrics.gpu_ids
-            or self.gpu_host is None
+            or self.node.gpu_host is None
         ):
             return
         now = self.node.clock.now
         for gid in job.metrics.gpu_ids:
             try:
-                device = self.gpu_host.device(int(gid))
+                device = self.node.gpu_host.device(int(gid))
             except Exception:
                 continue
             if not device.healthy:

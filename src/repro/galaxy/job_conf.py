@@ -121,10 +121,6 @@ class DynamicRuleRegistry:
         except KeyError:
             raise JobConfError(f"dynamic rule {name!r} is not registered") from None
 
-    def names(self) -> list[str]:
-        """Registered rule names, sorted."""
-        return sorted(self._rules)
-
 
 @dataclass
 class JobConfig:

@@ -238,14 +238,14 @@ class BaseJobRunner:
             pid = 0
             if (
                 env.get(GPU_ENABLED_ENV_VAR) == "true"
-                and self.app.gpu_host is not None
+                and self.app.node.gpu_host is not None
             ):
                 mask = env.get("CUDA_VISIBLE_DEVICES")
-                host_process = self.app.gpu_host.launch_process(
+                host_process = self.app.node.gpu_host.launch_process(
                     name=self._gpu_process_name(argv), cuda_visible_devices=mask
                 )
                 pid = host_process.pid
-                gpu_devices = self.app.gpu_host.visible_devices(mask)
+                gpu_devices = self.app.node.gpu_host.visible_devices(mask)
                 job.metrics.gpu_ids = [str(d.minor_number) for d in gpu_devices]
         except Exception as exc:
             tracer.end(launch_span, error=repr(exc))
@@ -399,7 +399,7 @@ class BaseJobRunner:
         if self.usage_monitor is not None:
             self.usage_monitor.stop(launched.job)
         if launched.host_process is not None and launched.host_process.alive:
-            self.app.gpu_host.terminate_process(launched.host_process.pid)
+            self.app.node.gpu_host.terminate_process(launched.host_process.pid)
         if launched.cpu_token is not None:
             self.app.node.release_cpus(launched.cpu_token)
             launched.cpu_token = None

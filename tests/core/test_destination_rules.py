@@ -1,19 +1,26 @@
-"""Dynamic destination rules (paper §IV-A, Challenge II)."""
+"""Dynamic destination rules (paper §IV-A, Challenge II).
+
+The rules ask the deployment's mapper whether a GPU is free, so they are
+driven here as the job configuration registered them.
+"""
 
 import pytest
 
 from repro.cluster.node import ComputeNode
+from repro.core.destination_rules import GYAN_RULES
 from repro.core.orchestrator import build_deployment
-from repro.core.destination_rules import (
-    LOCAL_CPU_DESTINATION,
-    LOCAL_GPU_DESTINATION,
-    _available_gpu_count,
-    gpu_destination_rule,
-)
 from repro.core.retry import DEFAULT_NVML_RETRY
 from repro.galaxy.params import GPU_ENABLED_ENV_VAR
 from repro.gpusim.errors import NVMLError
+from repro.gpusim.nvml import NvmlLibrary
 from repro.tools.executors import register_paper_tools
+
+LOCAL_GPU_DESTINATION, LOCAL_CPU_DESTINATION = GYAN_RULES["gpu_destination"]
+
+
+def gpu_destination_rule(job, app):
+    """The ``gpu_destination`` rule the deployment of ``app`` registered."""
+    return app.job_config.rules.get("gpu_destination")(job, app)
 
 
 class TestGpuDestinationRule:
@@ -35,9 +42,8 @@ class TestGpuDestinationRule:
         assert deployment.app.environment[GPU_ENABLED_ENV_VAR] == "false"
 
     def test_rules_registered_in_deployment(self, deployment):
-        names = deployment.job_config.rules.names()
-        assert "gpu_destination" in names
-        assert "docker_destination" in names
+        for name in GYAN_RULES:
+            assert callable(deployment.job_config.rules.get(name))
 
     def test_full_dispatch_reaches_gpu_destination(self, deployment):
         job = deployment.run_tool("racon", {"workload": "unit"})
@@ -93,8 +99,44 @@ class TestRuleUnderNvmlFlakes:
         register_paper_tools(deployment.app)
         tracker = deployment.health_tracker
         tracker.record_device_lost("0", deployment.clock.now)
-        assert _available_gpu_count(deployment.app) == 1
+        assert deployment.mapper.available_gpu_count() == 1
         tracker.record_device_lost("1", deployment.clock.now)
-        assert _available_gpu_count(deployment.app) == 0
+        assert deployment.mapper.available_gpu_count() == 0
         job = deployment.app.submit("racon", {"workload": "unit"})
         assert gpu_destination_rule(job, deployment.app) == LOCAL_CPU_DESTINATION
+
+
+@pytest.mark.parametrize("lost", [0, 1])
+def test_a_lost_die_leaves_the_other_die_available(lost):
+    """Quarantine is matched by minor number, not enumeration index:
+    with one die off the bus the driver enumerates only the other, and
+    GPU jobs run there."""
+    deployment = build_deployment(resilient=True)
+    register_paper_tools(deployment.app)
+    now = deployment.clock.now
+    deployment.gpu_host.device(lost).mark_failed(now=now, xid=79)
+    deployment.health_tracker.record_device_lost(str(lost), now)
+    assert deployment.mapper.available_gpu_count() == 1
+    job = deployment.run_tool("racon", {"workload": "unit"})
+    assert job.metrics.destination_id == LOCAL_GPU_DESTINATION
+    assert job.metrics.gpu_ids == [str(1 - lost)]
+
+
+def test_one_count_probe_per_gpu_job(monkeypatch):
+    """The rule and the launch-time mapping ask the same cached probe:
+    one ``nvmlDeviceGetCount`` per job on a fault-free deployment."""
+    calls = []
+    count = NvmlLibrary.nvmlDeviceGetCount
+
+    def counted(self):
+        calls.append(self)
+        return count(self)
+
+    monkeypatch.setattr(NvmlLibrary, "nvmlDeviceGetCount", counted)
+    deployment = build_deployment()
+    register_paper_tools(deployment.app)
+    jobs = [deployment.run_tool("racon", {"workload": "unit"}) for _ in range(5)]
+    assert [job.metrics.destination_id for job in jobs] == [
+        LOCAL_GPU_DESTINATION
+    ] * len(jobs)
+    assert len(calls) == len(jobs)

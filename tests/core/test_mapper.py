@@ -21,6 +21,13 @@ def gpu_tool(version="0"):
 CPU_TOOL = parse_tool_xml('<tool id="c"><command>racon</command></tool>')
 
 
+class UncachedMapper(GpuComputationMapper):
+    """The reference the caches are held against: every probe runs."""
+
+    def _cache_key(self):
+        return None
+
+
 class TestPrepareEnvironment:
     def test_gpu_tool_on_gpu_host(self, host):
         mapper = GpuComputationMapper(host)
@@ -99,7 +106,7 @@ class TestSnapshotCache:
         from repro.gpusim.host import make_k80_host
 
         cached = GpuComputationMapper(host)
-        uncached = GpuComputationMapper(make_k80_host(), cache_snapshots=False)
+        uncached = UncachedMapper(make_k80_host())
         for requested in ("0", "1", "", "0", "1"):
             tool = gpu_tool(version=requested)
             assert cached.prepare_environment(
@@ -109,8 +116,8 @@ class TestSnapshotCache:
         assert uncached.snapshot_cache_hits == 0
         assert cached.snapshot_probes == 1
 
-    def test_cache_bypass_knob(self, host):
-        mapper = GpuComputationMapper(host, cache_snapshots=False)
+    def test_uncached_mapper_probes_every_time(self, host):
+        mapper = UncachedMapper(host)
         for _ in range(3):
             mapper.prepare_environment(GalaxyJob(tool=gpu_tool("0")))
         assert mapper.snapshot_probes == 3
@@ -174,13 +181,9 @@ class TestSnapshotCache:
         from repro.gpusim.host import make_k80_host
 
         outcomes = []
-        for cache in (True, False):
+        for mapper_class in (GpuComputationMapper, UncachedMapper):
             host = make_k80_host()
-            mapper = GpuComputationMapper(
-                host,
-                health=DeviceHealthTracker(),
-                cache_snapshots=cache,
-            )
+            mapper = mapper_class(host, health=DeviceHealthTracker())
             # Enough flakes to spend the whole retry budget of one query.
             host.faults.inject_nvml_error(
                 NVMLError.NVML_ERROR_TIMEOUT,

@@ -138,12 +138,6 @@ class TestResolution:
 
 
 class TestRegistry:
-    def test_names_sorted(self):
-        registry = DynamicRuleRegistry()
-        registry.register("b", lambda j, a: "x")
-        registry.register("a", lambda j, a: "x")
-        assert registry.names() == ["a", "b"]
-
     def test_missing_rule_error(self):
         with pytest.raises(JobConfError):
             DynamicRuleRegistry().get("nope")
