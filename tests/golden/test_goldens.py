@@ -2,8 +2,8 @@
 
 Each test renders one externally-consumed artifact — the ``nvidia-smi``
 emulator's XML/table output, the JSON of ``lint``/``verify``,
-the four analyzers' CLI output, the paper commands' stdout and the four
-``trace`` artifacts — and
+the four analyzers' CLI output, the paper commands' stdout, the four
+``trace`` artifacts and the burst storm's JSON — and
 compares it byte-for-byte against a checked-in snapshot under
 ``tests/golden/goldens/``.  Schema drift
 (a renamed key, a reordered field, a changed number format) fails CI
@@ -310,6 +310,22 @@ class TestTraceGoldens:
             "trace/summary.json", workload_artifacts.summary_json()
         )
 
+    # The wait policy's hold-and-drain path, untraced (text) and traced
+    # (json summary).
+    @pytest.mark.parametrize("golden, extra", [
+        ("trace/wait_memory.txt", []),
+        ("trace/wait_memory.json", ["--format", "json"]),
+    ])
+    def test_wait_policy_cli_stdout(self, golden, extra, capsys):
+        from repro.cli import main
+
+        argv = ["trace", "--jobs", "12", "--policy", "wait",
+                "--allocation", "memory"]
+        assert main(argv + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_matches_golden(golden, captured.out)
+
     def test_chaos_summary(self):
         from repro.observability.driver import trace_chaos
         from repro.workloads.chaos import resolve_plan
@@ -318,3 +334,23 @@ class TestTraceGoldens:
         assert_matches_golden(
             "trace/chaos_summary.json", artifacts.summary_json()
         )
+
+
+# --------------------------------------------------------------------- #
+# burst storm JSON (launch/finish overlap on the virtual clock)
+# --------------------------------------------------------------------- #
+class TestStormGoldens:
+    # The stock run crashes at its first injected NVML flake and exits
+    # 1; the golden pins how far it got.
+    @pytest.mark.parametrize("golden, extra, status", [
+        ("storm/hardened.json", [], 0),
+        ("storm/stock.json", ["--no-hardening"], 1),
+    ])
+    def test_storm_cli_json(self, golden, extra, status, capsys):
+        from repro.cli import main
+
+        argv = ["storm", "--jobs", "48", "--seed", "0", "--format", "json"]
+        assert main(argv + extra) == status
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_matches_golden(golden, captured.out)
