@@ -17,18 +17,11 @@ MIB = 1024**2
 FOOTPRINT = {"racon": 400 * MIB, "bonito": 2000 * MIB}
 
 
-def overlapped_launch(deployment, tool_id):
-    job = deployment.app.submit(tool_id, {"workload": "unit"})
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner.launch(job, destination)
-
-
 def run_burst(fresh_deployment, strategy):
     deployment = fresh_deployment(allocation_strategy=strategy)
     launched = []
     for tool_id in BURST:
-        handle = overlapped_launch(deployment, tool_id)
+        handle = deployment.launch_tool(tool_id, {"workload": "unit"})
         pid = handle.host_process.pid
         for index in handle.host_process.device_indices:
             deployment.gpu_host.device(index).alloc(

@@ -10,19 +10,14 @@ GPU, with the third/fourth instances appearing on both devices.
 from repro.gpusim.smi import render_table
 
 
-def overlapped_launch(deployment, tool_id, **params):
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner, runner.launch(job, destination)
+UNIT = {"workload": "unit"}
 
 
 def run_render(fresh_deployment):
     # -- Fig. 10: Case 1 state ------------------------------------------ #
     dep = fresh_deployment()
-    _, racon = overlapped_launch(dep, "racon")
-    _, bonito = overlapped_launch(dep, "bonito")
+    dep.launch_tool("racon", UNIT)
+    bonito = dep.launch_tool("bonito", UNIT)
     # Bonito's resident model + active kernels (Fig. 10: 2734 MiB, 95 %).
     dep.gpu_host.device(1).alloc(2674 * 1024**2, pid=bonito.host_process.pid)
     dep.gpu_host.device(1).sm_utilization = 95.0
@@ -33,7 +28,7 @@ def run_render(fresh_deployment):
     dep3.route_tool_to("racon", "docker_dynamic")
     dep3.registry.pull("gulsumgudukbay/racon_dockerfile:latest")
     for _ in range(4):
-        overlapped_launch(dep3, "racon")
+        dep3.launch_tool("racon", UNIT)
     fig11 = render_table(dep3.gpu_host)
     return fig10, fig11
 

@@ -12,12 +12,7 @@ import pytest
 from repro.gpusim.smi import process_placement
 
 
-def overlapped_launch(deployment, tool_id, **params):
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner, runner.launch(job, destination)
+UNIT = {"workload": "unit"}
 
 
 def run_cases(fresh_deployment):
@@ -25,22 +20,22 @@ def run_cases(fresh_deployment):
 
     # -- Case 1 ---------------------------------------------------------- #
     dep = fresh_deployment()
-    racon_runner, racon = overlapped_launch(dep, "racon")
-    bonito_runner, bonito = overlapped_launch(dep, "bonito")
+    racon = dep.launch_tool("racon", UNIT)
+    bonito = dep.launch_tool("bonito", UNIT)
     results["case1_placement"] = process_placement(dep.gpu_host)
     results["case1_pids"] = (racon.host_process.pid, bonito.host_process.pid)
-    racon_runner.finish(racon)
-    bonito_runner.finish(bonito)
+    racon.runner.finish(racon)
+    bonito.runner.finish(bonito)
     results["case1_racon_runtime"] = racon.job.metrics.runtime_seconds
     # solo reference run for the no-degradation claim
     solo_dep = fresh_deployment()
-    solo = solo_dep.run_tool("racon", {"workload": "unit"})
+    solo = solo_dep.run_tool("racon", UNIT)
     results["solo_racon_runtime"] = solo.metrics.runtime_seconds
 
     # -- Case 2 ---------------------------------------------------------- #
     dep2 = fresh_deployment()
-    _, first = overlapped_launch(dep2, "bonito")
-    _, second = overlapped_launch(dep2, "bonito")
+    first = dep2.launch_tool("bonito", UNIT)
+    second = dep2.launch_tool("bonito", UNIT)
     results["case2_placement"] = process_placement(dep2.gpu_host)
     results["case2_pids"] = (first.host_process.pid, second.host_process.pid)
     return results

@@ -12,12 +12,7 @@ GPU 0 with its 60 MiB — rather than being spread across all devices.
 from repro.gpusim.smi import process_placement
 
 
-def overlapped_launch(deployment, tool_id, **params):
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner, runner.launch(job, destination)
+UNIT = {"workload": "unit"}
 
 
 def run_cases(fresh_deployment):
@@ -27,18 +22,18 @@ def run_cases(fresh_deployment):
     dep = fresh_deployment(allocation_strategy="pid")
     dep.route_tool_to("racon", "docker_dynamic")
     dep.registry.pull("gulsumgudukbay/racon_dockerfile:latest")
-    launched = [overlapped_launch(dep, "racon")[1] for _ in range(4)]
+    launched = [dep.launch_tool("racon", UNIT) for _ in range(4)]
     results["case3_pids"] = [l.host_process.pid for l in launched]
     results["case3_placement"] = process_placement(dep.gpu_host)
     results["case3_commands"] = [r.command_line for r in dep.docker_runtime.run_log]
 
     # -- Case 4: mixed tools under the Memory strategy ------------------ #
     dep4 = fresh_deployment(allocation_strategy="memory")
-    _, racon = overlapped_launch(dep4, "racon")
-    _, bonito1 = overlapped_launch(dep4, "bonito")
+    racon = dep4.launch_tool("racon", UNIT)
+    bonito1 = dep4.launch_tool("bonito", UNIT)
     # Bonito's resident network: Fig. 10 shows 2734 MiB on its GPU.
     dep4.gpu_host.device(1).alloc(2674 * 1024**2, pid=bonito1.host_process.pid)
-    _, bonito2 = overlapped_launch(dep4, "bonito")
+    bonito2 = dep4.launch_tool("bonito", UNIT)
     results["case4_pids"] = (
         racon.host_process.pid,
         bonito1.host_process.pid,

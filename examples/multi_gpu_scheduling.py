@@ -14,13 +14,8 @@ from repro import build_deployment, register_paper_tools
 from repro.gpusim.smi import render_table
 
 
-def overlapped_launch(deployment, tool_id, **params):
-    """Start a tool but keep it running (the multi-GPU cases overlap)."""
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner, runner.launch(job, destination)
+#: The multi-GPU cases overlap jobs: each is started and kept running.
+UNIT = {"workload": "unit"}
 
 
 def fresh():
@@ -34,8 +29,8 @@ def case1() -> None:
     print("Case 1: Racon (requires GPU 0) and Bonito (requires GPU 1)")
     print("=" * 70)
     deployment = fresh()
-    overlapped_launch(deployment, "racon")
-    overlapped_launch(deployment, "bonito")
+    deployment.launch_tool("racon", UNIT)
+    deployment.launch_tool("bonito", UNIT)
     print(render_table(deployment.gpu_host))
 
 
@@ -44,8 +39,8 @@ def case2() -> None:
     print("Case 2: two Bonito instances, both requesting GPU 1")
     print("=" * 70)
     deployment = fresh()
-    overlapped_launch(deployment, "bonito")
-    overlapped_launch(deployment, "bonito")
+    deployment.launch_tool("bonito", UNIT)
+    deployment.launch_tool("bonito", UNIT)
     print("second instance diverted to the idle GPU 0:")
     print(render_table(deployment.gpu_host))
     print("mapper reasoning:", deployment.mapper.last_decision().reason)
@@ -60,7 +55,7 @@ def case3() -> None:
     deployment.route_tool_to("racon", "docker_dynamic")
     deployment.registry.pull("gulsumgudukbay/racon_dockerfile:latest")
     for i in range(4):
-        _, launched = overlapped_launch(deployment, "racon")
+        launched = deployment.launch_tool("racon", UNIT)
         devices = launched.host_process.device_indices
         print(f"  instance {i + 1} (pid {launched.host_process.pid}) "
               f"-> GPU(s) {devices}")
@@ -74,13 +69,13 @@ def case4() -> None:
     print("=" * 70)
     deployment = fresh()
     deployment.set_allocation_strategy("memory")
-    overlapped_launch(deployment, "racon")
-    _, bonito1 = overlapped_launch(deployment, "bonito")
+    deployment.launch_tool("racon", UNIT)
+    bonito1 = deployment.launch_tool("bonito", UNIT)
     # Bonito's resident network (Fig. 10 shows 2734 MiB on its GPU).
     deployment.gpu_host.device(1).alloc(
         2674 * 1024**2, pid=bonito1.host_process.pid
     )
-    _, bonito2 = overlapped_launch(deployment, "bonito")
+    bonito2 = deployment.launch_tool("bonito", UNIT)
     print(f"second Bonito placed on GPU(s) "
           f"{bonito2.host_process.device_indices} "
           f"(the device with minimum used memory)")

@@ -20,7 +20,8 @@ The builder resolves, per calling scope:
 * ``functools.partial(f, ...)`` and callback *registration sites* —
   any known function passed bare as a call argument (``call_at(t, cb)``,
   ``add_span_listener(self._on_span)``) gets an edge, because the
-  callee will invoke it later;
+  callee will invoke it later; the reference resolves exactly as a
+  callee does, and a ``@property`` read is a value, not a callback;
 * a last-resort *unique-method* heuristic: an unresolved
   ``x.method(...)`` links to ``Class.method`` when exactly one class in
   the analyzed set defines ``method``.
@@ -41,12 +42,9 @@ from dataclasses import dataclass, field
 #: Decorator names that mark a function as a hot-path seed.
 HOT_DECORATOR = "hot_path"
 
-#: Callables whose *function-valued arguments* are invoked later
-#: (timer/callback registration); listed for documentation — the builder
-#: actually treats every bare function reference passed as an argument
-#: as a registration, which subsumes these.
-CALLBACK_REGISTRARS = frozenset({
-    "call_at", "call_later", "add_span_listener", "partial",
+#: Decorators that make a method an attribute read rather than a callable.
+PROPERTY_DECORATORS = frozenset({
+    "property", "cached_property", "getter", "setter", "deleter",
 })
 
 
@@ -64,6 +62,8 @@ class FunctionNode:
     #: Enclosing class qname, or None for module-level functions.
     cls: str | None
     hot_annotated: bool = False
+    #: A ``@property`` (or cached property) accessor.
+    is_property: bool = False
     calls: set[str] = field(default_factory=set)  #: resolved callee qnames
 
 
@@ -166,6 +166,12 @@ def module_name_for(path: str) -> str:
     return ".".join(part for part in parts if part) or "module"
 
 
+def _is_property_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in PROPERTY_DECORATORS
+    return isinstance(node, ast.Attribute) and node.attr in PROPERTY_DECORATORS
+
+
 def _is_hot_decorator(node: ast.expr) -> bool:
     if isinstance(node, ast.Name):
         return node.id == HOT_DECORATOR
@@ -236,6 +242,9 @@ def _declare_module(graph: CallGraph, info: ModuleInfo) -> None:
             name=node.name,
             cls=cls,
             hot_annotated=any(_is_hot_decorator(d) for d in node.decorator_list),
+            is_property=any(
+                _is_property_decorator(d) for d in node.decorator_list
+            ),
         )
         graph.nodes[qname] = fnode
         if cls is not None:
@@ -449,6 +458,17 @@ def _resolve_scope_calls(
                 return graph.resolve_method(owner, expr.attr)
         return None
 
+    def resolve_attr(expr: ast.Attribute) -> str | None:
+        """``x.name`` via the receiver, then its chain, then a unique owner."""
+        resolved = resolve_ref(expr) or _resolve_chained(
+            graph, info, cls, expr, local_types
+        )
+        if resolved is None and isinstance(expr.value, (ast.Name, ast.Attribute)):
+            owners = graph.method_owners.get(expr.attr, set())
+            if len(owners) == 1:
+                resolved = graph.resolve_method(next(iter(owners)), expr.attr)
+        return resolved
+
     def add(callee: str | None) -> None:
         if callee is not None and callee != qname:
             fnode.calls.add(callee)
@@ -476,26 +496,15 @@ def _resolve_scope_calls(
                 else:
                     add(target)
         elif isinstance(callee, ast.Attribute):
-            resolved = resolve_ref(callee)
-            if resolved is not None:
-                add(resolved)
-            else:
-                # self-call resolution failed: try receiver chains like
-                # self.attr.method() via the attribute-type table.
-                resolved = _resolve_chained(graph, info, cls, callee, local_types)
-                if resolved is not None:
-                    add(resolved)
-                elif isinstance(callee.value, (ast.Name, ast.Attribute)):
-                    # Unique-method fallback.
-                    owners = graph.method_owners.get(callee.attr, set())
-                    if len(owners) == 1:
-                        add(graph.resolve_method(next(iter(owners)), callee.attr))
+            add(resolve_attr(callee))
         # Callback registration: bare function references in arguments.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, (ast.Name, ast.Attribute)) and not isinstance(
-                arg, ast.Call
-            ):
+            if isinstance(arg, ast.Name):
                 add(resolve_ref(arg))
+            elif isinstance(arg, ast.Attribute):
+                ref = resolve_attr(arg)
+                if ref is not None and not graph.nodes[ref].is_property:
+                    add(ref)
 
 
 def _resolve_chained(

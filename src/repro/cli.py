@@ -101,9 +101,7 @@ def cmd_smi(args: argparse.Namespace) -> int:
 
     deployment = _fresh(("racon",) if args.demo else ())
     if args.demo:
-        job = deployment.app.submit("racon", {"workload": "unit"})
-        destination = deployment.app.map_destination(job)
-        deployment.app.runner_for(destination).launch(job, destination)
+        deployment.launch_tool("racon", {"workload": "unit"})
     print(render_table(deployment.gpu_host), end="")
     return 0
 
@@ -172,40 +170,35 @@ def cmd_topo(args: argparse.Namespace) -> int:
 def cmd_cases(args: argparse.Namespace) -> int:
     from repro.gpusim.smi import render_table
 
-    def overlapped(deployment, tool_id):
-        job = deployment.app.submit(tool_id, {"workload": "unit"})
-        destination = deployment.app.map_destination(job)
-        runner = deployment.app.runner_for(destination)
-        return runner.launch(job, destination)
-
+    unit = {"workload": "unit"}
     wanted = args.case
     if wanted in (0, 1):
         print("# Case 1: Racon->GPU0, Bonito->GPU1")
         deployment = _fresh(("racon", "bonito"))
-        overlapped(deployment, "racon")
-        overlapped(deployment, "bonito")
+        deployment.launch_tool("racon", unit)
+        deployment.launch_tool("bonito", unit)
         print(render_table(deployment.gpu_host))
     if wanted in (0, 2):
         print("# Case 2: second Bonito diverted off busy GPU 1")
         deployment = _fresh(("bonito",))
-        overlapped(deployment, "bonito")
-        overlapped(deployment, "bonito")
+        deployment.launch_tool("bonito", unit)
+        deployment.launch_tool("bonito", unit)
         print(render_table(deployment.gpu_host))
     if wanted in (0, 3):
         print("# Case 3: four Racons, PID strategy")
         deployment = _fresh(("racon",))
         for _ in range(4):
-            overlapped(deployment, "racon")
+            deployment.launch_tool("racon", unit)
         print(render_table(deployment.gpu_host))
     if wanted in (0, 4):
         print("# Case 4: memory strategy picks min-memory GPU")
         deployment = _fresh(("racon", "bonito"), "memory")
-        overlapped(deployment, "racon")
-        bonito1 = overlapped(deployment, "bonito")
+        deployment.launch_tool("racon", unit)
+        bonito1 = deployment.launch_tool("bonito", unit)
         deployment.gpu_host.device(1).alloc(
             2674 * 1024**2, pid=bonito1.host_process.pid
         )
-        overlapped(deployment, "bonito")
+        deployment.launch_tool("bonito", unit)
         print(render_table(deployment.gpu_host))
     return 0
 

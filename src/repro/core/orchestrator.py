@@ -30,6 +30,7 @@ from repro.core.monitor import GPUUsageMonitor
 from repro.galaxy.app import GalaxyApp
 from repro.galaxy.job import GalaxyJob
 from repro.galaxy.job_conf import JobConfig, parse_job_conf_xml
+from repro.galaxy.runners.base import LaunchedTool
 from repro.galaxy.runners.docker import DockerJobRunner
 from repro.galaxy.runners.local import LocalRunner
 from repro.galaxy.runners.singularity import SingularityJobRunner
@@ -254,7 +255,18 @@ class GyanDeployment:
     # ------------------------------------------------------------------ #
     def run_tool(self, tool_id: str, params: dict | None = None) -> GalaxyJob:
         """Submit + run a tool through the full dynamic-mapping path."""
-        return self.app.submit_and_run(tool_id, params)
+        return self.app.run_job(self.app.submit(tool_id, params))
+
+    def launch_tool(self, tool_id: str, params: dict | None = None) -> LaunchedTool:
+        """Submit, map and start a tool, but leave it running.
+
+        The process holds its GPUs (``nvidia-smi`` lists it) until
+        ``launched.runner.finish(launched)`` runs the body — how the
+        paper's multi-GPU cases overlap jobs.
+        """
+        job = self.app.submit(tool_id, params)
+        destination = self.app.map_destination(job)
+        return self.app.runner_for(destination).launch(job, destination)
 
     def route_tool_to(self, tool_id: str, destination_id: str) -> None:
         """Pin a tool to a destination (Galaxy's ``<tools>`` section)."""

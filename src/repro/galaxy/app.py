@@ -322,6 +322,24 @@ class GalaxyApp:
             return None
         return placed[0]
 
+    def map_or_shed(self, job: GalaxyJob) -> Destination | None:
+        """Step 2 under overload control: None if brownout shed the job.
+
+        With an :attr:`overload` controller attached, brownout rung 3
+        sheds low-benefit jobs before mapping, and a mapped job is
+        stamped with its destination's virtual-clock deadline.
+        """
+        overload = self.overload
+        if overload is not None and overload.should_shed(job.tool.tool_id):
+            overload.shed(job, ShedReason.BROWNOUT_SHED, note=job.tool.tool_id)
+            return None
+        destination = self.map_destination(job)
+        if overload is not None and job.metrics.deadline is None:
+            job.metrics.deadline = overload.deadline_for(
+                destination, job.metrics.submit_time
+            )
+        return destination
+
     def run_job(self, job: GalaxyJob) -> GalaxyJob:
         """Steps 2-4: map, execute, collect.  Synchronous.
 
@@ -335,24 +353,13 @@ class GalaxyApp:
         attempt; every job in a chain carries the full chain in
         ``metrics.resubmit_chain``.
 
-        With an :attr:`overload` controller attached the path hardens:
-        brownout rung 3 sheds low-benefit jobs before mapping, jobs are
-        stamped with a virtual-clock deadline, and REJECTED_BUSY from a
-        bounded destination degrades along resubmit arms instead of
-        raising.
+        With an :attr:`overload` controller attached the path hardens
+        (:meth:`map_or_shed`), and REJECTED_BUSY from a bounded
+        destination degrades along resubmit arms instead of raising.
         """
-        if self.overload is not None and self.overload.should_shed(
-            job.tool.tool_id
-        ):
-            self.overload.shed(
-                job, ShedReason.BROWNOUT_SHED, note=job.tool.tool_id
-            )
+        destination = self.map_or_shed(job)
+        if destination is None:
             return job
-        destination = self.map_destination(job)
-        if self.overload is not None and job.metrics.deadline is None:
-            job.metrics.deadline = self.overload.deadline_for(
-                destination, job.metrics.submit_time
-            )
         accepted = self._queue_with_degrade(job, destination)
         if accepted is None:
             return job
@@ -409,9 +416,3 @@ class GalaxyApp:
             for hop in chain:
                 hop.metrics.resubmit_chain = list(ids)
         return current
-
-    def submit_and_run(
-        self, tool_id: str, params: Mapping[str, Any] | None = None
-    ) -> GalaxyJob:
-        """Submit a tool and run it to completion."""
-        return self.run_job(self.submit(tool_id, params))

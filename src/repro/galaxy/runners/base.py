@@ -51,9 +51,13 @@ class UsageMonitor(Protocol):
 
 @dataclass
 class LaunchedTool:
-    """A tool whose process has started but whose body has not run."""
+    """A tool whose process has started but whose body has not run.
+
+    ``runner.finish(launched)`` runs the body and tears down.
+    """
 
     job: GalaxyJob
+    runner: "BaseJobRunner"
     argv: list[str]
     executor: ToolExecutor
     context: ToolExecutionContext
@@ -281,6 +285,7 @@ class BaseJobRunner:
             self.usage_monitor.start(job)
         return LaunchedTool(
             job=job,
+            runner=self,
             argv=argv,
             executor=executor,
             context=context,

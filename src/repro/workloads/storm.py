@@ -22,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.cluster.node import ComputeNode
 from repro.core.orchestrator import build_deployment
 from repro.galaxy.job import JobState
 from repro.gpusim.faults import build_scenario
@@ -33,6 +32,7 @@ from repro.workloads.traces import (
     ArrivalTrace,
     DEFAULT_DURATIONS,
     DEFAULT_TOOL_MIX,
+    InFlightSet,
     TraceEntry,
 )
 
@@ -174,15 +174,15 @@ def run_storm(
     hardened: bool = True,
     scenario: str | None = "burst-storm",
     burst_factor: float = 10.0,
-    clock=None,
 ) -> StormResult:
     """Drive a burst storm through a deployment with launch overlap.
 
     Unlike :func:`~repro.workloads.chaos.run_chaos` (strictly
     synchronous, queue depth never exceeds one), this driver launches
     jobs at their arrival instants and finishes them when their virtual
-    duration elapses, so burst arrivals genuinely stack up inside
-    destination queues — the condition the overload layer exists for.
+    duration elapses (an :class:`~repro.workloads.traces.InFlightSet`),
+    so burst arrivals genuinely stack up inside destination queues —
+    the condition the overload layer exists for.
 
     Hardened mode builds ``build_deployment(overload=True)`` and reacts
     to REJECTED_BUSY by walking the app's degrade arms
@@ -192,11 +192,9 @@ def run_storm(
     Stock mode has no admission control: queues grow unboundedly and
     clustered faults crash mapping or lose launches outright.
     """
-    from repro.galaxy.app import ToolExecutionResult
     from repro.tools.executors import register_paper_tools
 
-    node = ComputeNode.paper_testbed(clock=clock)
-    deployment = build_deployment(node=node, overload=hardened)
+    deployment = build_deployment(overload=hardened)
     app = deployment.app
     register_paper_tools(app)
     if scenario is not None:
@@ -211,30 +209,16 @@ def run_storm(
     )
     overload = app.overload
     virtual_clock = deployment.clock
-
-    saved_executors = dict(app.executors)
-    for name in list(app.executors):
-        app.register_executor(
-            name, lambda argv, ctx: ToolExecutionResult(stdout="storm stub")
-        )
-    # (end_time, seq, runner, handle): seq breaks end-time ties in
-    # launch order, deterministically.
-    running: list[tuple[float, int, object, object]] = []
+    running = InFlightSet(app)
     stock_inflight: dict[str, int] = {}
     stock_peak: dict[str, int] = {}
     admitted_ids: set[int] = set()
-    seq = 0
 
-    def finish_due(now: float) -> None:
-        for item in sorted([x for x in running if x[0] <= now]):
-            end, _, runner, handle = item
-            if virtual_clock.now < end:
-                virtual_clock.advance_to(end)
-            runner.finish(handle)
-            dest_id = handle.job.metrics.destination_id
+    def release(finished: list) -> None:
+        for launched in finished:
+            dest_id = launched.job.metrics.destination_id
             if dest_id is not None and dest_id in stock_inflight:
                 stock_inflight[dest_id] -= 1
-            running.remove(item)
 
     def launch_with_degrade(job, destination):
         """Launch along the degrade arms, then backpressure-wait."""
@@ -244,9 +228,10 @@ def run_storm(
             )
             if placed is not None:
                 return placed
-            # Every arm is full: drain one running job and retry from
-            # the preferred destination, unless the deadline passed (or
-            # nothing is draining) — then shed, typed.
+            # Every arm is full (only a controller bounces): drain the
+            # earliest-ending jobs and retry from the preferred
+            # destination, unless the deadline passed (or nothing is
+            # draining) — then shed, typed.
             if overload.expired(job):
                 overload.shed(job, ShedReason.DEADLINE_EXPIRED,
                               note="expired under backpressure")
@@ -256,66 +241,46 @@ def run_storm(
                               note="all arms full, nothing draining")
                 return None
             result.backpressure_waits += 1
-            finish_due(min(item[0] for item in running))
+            release(running.finish_until(running.earliest))
 
-    try:
+    with running:
         for index, entry in enumerate(trace.entries):
-            finish_due(entry.arrival_time)
+            release(running.finish_until(entry.arrival_time))
             if virtual_clock.now < entry.arrival_time:
                 virtual_clock.advance_to(entry.arrival_time)
             job = app.submit(entry.tool_id, {"workload": "unit"})
-            if overload is not None and overload.should_shed(entry.tool_id):
-                overload.shed(job, ShedReason.BROWNOUT_SHED,
-                              note=entry.tool_id)
-                continue
             try:
-                destination = app.map_destination(job)
+                destination = app.map_or_shed(job)
             except Exception as exc:  # stock mode: mapping crashes raw
                 result.crashed = f"{type(exc).__name__}: {exc}"
                 result.never_submitted = jobs - index
                 break
-            if overload is not None and job.metrics.deadline is None:
-                job.metrics.deadline = overload.deadline_for(
-                    destination, job.metrics.submit_time
-                )
-            if overload is not None:
+            if destination is None:
+                continue
+            try:
                 placed = launch_with_degrade(job, destination)
-                if placed is None:
-                    continue
-                destination, handle = placed
-            else:
-                try:
-                    handle = app.runner_for(destination).launch(
-                        job, destination
-                    )
-                except Exception as exc:
-                    # Stock mode: an NVML flake at launch (the stock
-                    # mapper does not retry) is a lost job.
-                    if not job.is_terminal:
-                        if job.state is JobState.NEW:
-                            job.transition(
-                                JobState.QUEUED, virtual_clock.now
-                            )
-                        job.fail(
-                            f"launch failed: {exc}", virtual_clock.now
-                        )
-                    continue
+            except Exception as exc:
+                if overload is not None:
+                    raise
+                # Stock mode: an NVML flake at launch (the stock mapper
+                # does not retry) is a lost job.
+                if not job.is_terminal:
+                    if job.state is JobState.NEW:
+                        job.transition(JobState.QUEUED, virtual_clock.now)
+                    job.fail(f"launch failed: {exc}", virtual_clock.now)
+                continue
+            if placed is None:
+                continue
+            destination, launched = placed
+            if overload is None:
                 dest_id = destination.destination_id
                 stock_inflight[dest_id] = stock_inflight.get(dest_id, 0) + 1
                 stock_peak[dest_id] = max(
                     stock_peak.get(dest_id, 0), stock_inflight[dest_id]
                 )
             admitted_ids.add(job.job_id)
-            seq += 1
-            running.append(
-                (virtual_clock.now + entry.duration,
-                 seq,
-                 app.runner_for(destination),
-                 handle)
-            )
-        finish_due(float("inf"))
-    finally:
-        app.executors = saved_executors
+            running.hold(virtual_clock.now + entry.duration, launched)
+        running.finish_until(math.inf)
 
     result.admitted = len(admitted_ids)
     result.completed_ok = sum(

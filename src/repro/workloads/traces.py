@@ -11,10 +11,15 @@ ablations compare.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.galaxy.runners.base import LaunchedTool
 
 #: Tool mix of a typical long-read shop: mostly polishing, some
 #: basecalling, occasional CPU utility jobs.
@@ -154,6 +159,62 @@ class ReplayResult:
         return sum(j.wait_time for j in gpu_jobs) / len(gpu_jobs)
 
 
+class InFlightSet:
+    """Launched tools held until their virtual end, for trace replay and
+    the burst storm alike.
+
+    Tools finish in (end, launch order), the clock advancing to each end
+    before its finish.  Inside ``with`` every executor is a stub: the
+    caller's end times dictate execution, so the executors' own virtual
+    time must not interfere (placement happens at launch, before any
+    body runs).
+    """
+
+    def __init__(self, app) -> None:
+        self.app = app
+        self._heap: list[tuple[float, int, LaunchedTool]] = []
+        self._seq = 0
+
+    def __enter__(self) -> "InFlightSet":
+        from repro.galaxy.app import ToolExecutionResult
+
+        def stub(argv, ctx):
+            return ToolExecutionResult(stdout="trace stub")
+
+        self._saved_executors = self.app.executors
+        self.app.executors = dict.fromkeys(self._saved_executors, stub)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.app.executors = self._saved_executors
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def earliest(self) -> float:
+        """The end time of the next tool due."""
+        return self._heap[0][0]
+
+    def hold(self, end: float, launched: LaunchedTool) -> None:
+        """Hold ``launched`` until the clock reaches ``end``."""
+        self._seq += 1
+        heapq.heappush(self._heap, (end, self._seq, launched))
+
+    def finish_until(self, when: float) -> list[LaunchedTool]:
+        """Finish every tool due by ``when`` (``earliest``: every tool tied
+        at the earliest end); returns them in finish order."""
+        clock = self.app.node.clock
+        finished = []
+        while self._heap and self._heap[0][0] <= when:
+            end, _, launched = heapq.heappop(self._heap)
+            if clock.now < end:
+                clock.advance_to(end)
+            launched.runner.finish(launched)
+            finished.append(launched)
+        return finished
+
+
 class TraceReplayer:
     """Replays an arrival trace against one GYAN deployment.
 
@@ -184,94 +245,62 @@ class TraceReplayer:
         self.gpu_policy = gpu_policy
 
     def replay(self, trace: ArrivalTrace) -> ReplayResult:
-        """Run the trace to completion; returns the replay statistics.
-
-        Tool bodies are stubbed for the duration of the replay: the
-        trace dictates execution times, so the executors' own virtual-
-        time accounting must not interfere.  Placement decisions are
-        unaffected (they happen at launch, before any body runs).
-        """
-        saved_executors = dict(self.deployment.app.executors)
-        try:
-            return self._replay(trace)
-        finally:
-            self.deployment.app.executors = saved_executors
-
-    def _replay(self, trace: ArrivalTrace) -> ReplayResult:
-        from repro.galaxy.app import ToolExecutionResult
-
+        """Run the trace to completion; returns the replay statistics."""
         deployment = self.deployment
-        for name in list(deployment.app.executors):
-            deployment.app.register_executor(
-                name, lambda argv, ctx: ToolExecutionResult(stdout="trace stub")
-            )
         clock = deployment.clock
+        gpu_host = deployment.gpu_host
         result = ReplayResult()
-        running: list[tuple[float, object, object]] = []  # (end, runner, handle)
         concurrency: dict[str, int] = {
-            str(d.minor_number): 0 for d in deployment.gpu_host.devices
+            str(d.minor_number): 0 for d in gpu_host.devices
         }
         peaks = dict(concurrency)
 
-        def finish_due(now: float) -> None:
-            due = [item for item in running if item[0] <= now]
-            for item in sorted(due, key=lambda x: x[0]):
-                end, runner, handle = item
-                if clock.now < end:
-                    clock.advance_to(end)
-                runner.finish(handle)
-                if handle.host_process is not None:
-                    for index in handle.host_process.device_indices:
+        def release(finished: list[LaunchedTool]) -> None:
+            for launched in finished:
+                if launched.host_process is not None:
+                    for index in launched.host_process.device_indices:
                         concurrency[str(index)] -= 1
-                running.remove(item)
 
-        def wants_gpu(tool_id: str) -> bool:
-            return deployment.app.tool(tool_id).requires_gpu
-
-        for entry in trace.entries:
-            finish_due(entry.arrival_time)
-            if clock.now < entry.arrival_time:
-                clock.advance_to(entry.arrival_time)
-            launch_time = max(clock.now, entry.arrival_time)
-            if (
-                self.gpu_policy == "wait"
-                and wants_gpu(entry.tool_id)
-                and deployment.gpu_host is not None
-            ):
-                # Hold the job until a device frees up.
-                while not deployment.gpu_host.available_devices() and running:
-                    earliest = min(item[0] for item in running)
-                    finish_due(earliest)
+        with InFlightSet(deployment.app) as running:
+            for entry in trace.entries:
+                release(running.finish_until(entry.arrival_time))
+                if clock.now < entry.arrival_time:
+                    clock.advance_to(entry.arrival_time)
+                if (
+                    self.gpu_policy == "wait"
+                    and deployment.app.tool(entry.tool_id).requires_gpu
+                ):
+                    # Hold the job until a device frees up.
+                    while not gpu_host.available_devices() and running:
+                        release(running.finish_until(running.earliest))
                 launch_time = max(clock.now, entry.arrival_time)
-            job = deployment.app.submit(
-                entry.tool_id, {"workload": "unit", "trace_duration": entry.duration}
-            )
-            destination = deployment.app.map_destination(job)
-            runner = deployment.app.runner_for(destination)
-            handle = runner.launch(job, destination)
-            gpu_ids: tuple[str, ...] = ()
-            sharing = 1
-            if handle.host_process is not None:
-                gpu_ids = tuple(
-                    str(i) for i in handle.host_process.device_indices
+                launched = deployment.launch_tool(
+                    entry.tool_id,
+                    {"workload": "unit", "trace_duration": entry.duration},
                 )
-                for gid in gpu_ids:
-                    concurrency[gid] += 1
-                    peaks[gid] = max(peaks[gid], concurrency[gid])
-                if gpu_ids:
-                    sharing = max(concurrency[gid] for gid in gpu_ids)
-            end_time = launch_time + entry.duration * sharing
-            running.append((end_time, runner, handle))
-            result.jobs.append(
-                ReplayedJob(
-                    entry=entry,
-                    gpu_ids=gpu_ids,
-                    gpu_enabled=bool(gpu_ids),
-                    start_time=launch_time,
-                    end_time=end_time,
-                    wait_time=launch_time - entry.arrival_time,
+                gpu_ids: tuple[str, ...] = ()
+                sharing = 1
+                if launched.host_process is not None:
+                    gpu_ids = tuple(
+                        str(i) for i in launched.host_process.device_indices
+                    )
+                    for gid in gpu_ids:
+                        concurrency[gid] += 1
+                        peaks[gid] = max(peaks[gid], concurrency[gid])
+                    if gpu_ids:
+                        sharing = max(concurrency[gid] for gid in gpu_ids)
+                end_time = launch_time + entry.duration * sharing
+                running.hold(end_time, launched)
+                result.jobs.append(
+                    ReplayedJob(
+                        entry=entry,
+                        gpu_ids=gpu_ids,
+                        gpu_enabled=bool(gpu_ids),
+                        start_time=launch_time,
+                        end_time=end_time,
+                        wait_time=launch_time - entry.arrival_time,
+                    )
                 )
-            )
-        finish_due(float("inf"))
+            running.finish_until(math.inf)
         result.max_concurrent_per_gpu = peaks
         return result

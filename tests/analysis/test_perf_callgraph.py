@@ -154,6 +154,45 @@ class TestEdges:
         ))
         assert "m.on_tick" in graph.nodes["m.arm"].calls
 
+    def test_callback_through_an_attribute_chain(self):
+        """A method reference two attributes deep resolves as a callee
+        would: through the receiver's recorded type, else a unique owner."""
+        graph = _graph((
+            "m.py",
+            "class Lib:\n"
+            "    def count(self):\n"
+            "        return 2\n"
+            "class Mapper:\n"
+            "    def __init__(self):\n"
+            "        self._lib = Lib()\n"
+            "    def _query(self, fn):\n"
+            "        return fn()\n"
+            "    def probe(self):\n"
+            "        return self._query(self._lib.count)\n"
+            "def use(box):\n"
+            "    return run(box.inner.count)\n",
+        ))
+        assert "m.Lib.count" in graph.nodes["m.Mapper.probe"].calls
+        assert "m.Lib.count" in graph.nodes["m.use"].calls
+
+    def test_property_read_as_argument_is_not_a_callback(self):
+        """Passing ``obj.prop`` passes its value; the getter is no callback."""
+        graph = _graph((
+            "m.py",
+            "class App:\n"
+            "    @property\n"
+            "    def host(self):\n"
+            "        return 1\n"
+            "    def on_done(self):\n"
+            "        pass\n"
+            "    def wire(self, clock):\n"
+            "        build(self.host)\n"
+            "        clock.call_at(1.0, self.on_done)\n",
+        ))
+        calls = graph.nodes["m.App.wire"].calls
+        assert "m.App.host" not in calls
+        assert "m.App.on_done" in calls
+
     def test_unique_method_fallback(self):
         """``x.method()`` resolves when exactly one class defines it."""
         graph = _graph((

@@ -98,7 +98,7 @@ class TestResubmitChains:
     @given(max_hops=st.integers(min_value=0, max_value=4))
     def test_cap_bounds_chain_length(self, max_hops):
         dep = _chain_deployment(max_hops, fail_first_n=99)
-        final = dep.app.submit_and_run("t")
+        final = dep.run_tool("t")
         assert final.state is JobState.ERROR
         # Original attempt + exactly max_hops resubmissions, never more.
         assert len(dep.app.jobs) == max_hops + 1
@@ -115,14 +115,14 @@ class TestResubmitChains:
     @given(succeed_on=st.integers(min_value=1, max_value=4))
     def test_chain_stops_at_first_success(self, succeed_on):
         dep = _chain_deployment(max_hops=5, fail_first_n=succeed_on - 1)
-        final = dep.app.submit_and_run("t")
+        final = dep.run_tool("t")
         assert final.state is JobState.OK
         assert len(dep.app.jobs) == succeed_on
         assert final.metrics.destination_id == f"hop{succeed_on - 1}"
 
     def test_hops_linked_via_resubmitted_as(self):
         dep = _chain_deployment(max_hops=3, fail_first_n=99)
-        dep.app.submit_and_run("t")
+        dep.run_tool("t")
         jobs = sorted(dep.app.jobs.values(), key=lambda j: j.job_id)
         for earlier, later in zip(jobs, jobs[1:], strict=False):
             assert earlier.metrics.resubmitted_as == later.job_id

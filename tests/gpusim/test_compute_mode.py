@@ -46,23 +46,15 @@ class TestComputeModes:
         for device in deployment.gpu_host.devices:
             device.compute_mode = ComputeMode.EXCLUSIVE_PROCESS
 
-        def launch(tool_id):
-            job = deployment.app.submit(tool_id, {"workload": "unit"})
-            destination = deployment.app.map_destination(job)
-            runner = deployment.app.runner_for(destination)
-            return job, runner, destination
-
-        job1, runner1, dest1 = launch("racon")
-        handle1 = runner1.launch(job1, dest1)
-        job2, runner2, dest2 = launch("racon")
-        handle2 = runner2.launch(job2, dest2)
+        unit = {"workload": "unit"}
+        first = deployment.launch_tool("racon", unit)
+        second = deployment.launch_tool("racon", unit)
         # Third job: both devices busy -> PID strategy scatters -> the
         # exclusive-mode attach blows up at launch.
-        job3, runner3, dest3 = launch("racon")
         with pytest.raises(ComputeModeError):
-            runner3.launch(job3, dest3)
-        runner1.finish(handle1)
-        runner2.finish(handle2)
+            deployment.launch_tool("racon", unit)
+        first.runner.finish(first)
+        second.runner.finish(second)
 
 
 class TestSmiComputeModeColumn:

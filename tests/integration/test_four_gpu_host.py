@@ -27,12 +27,8 @@ def four_gpu_deployment():
     return deployment
 
 
-def launch(deployment, tool_id, **params):
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner.launch(job, destination)
+def launch(deployment, tool_id):
+    return deployment.launch_tool(tool_id, {"workload": "unit"})
 
 
 class TestFourDieTopology:

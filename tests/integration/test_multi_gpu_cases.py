@@ -21,29 +21,26 @@ def dep():
     return deployment
 
 
-def launch(deployment, tool_id, **params):
-    params.setdefault("workload", "unit")
-    job = deployment.app.submit(tool_id, params)
-    destination = deployment.app.map_destination(job)
-    runner = deployment.app.runner_for(destination)
-    return runner, runner.launch(job, destination)
+def launch(deployment, tool_id):
+    """Start a unit job and keep it running (the cases overlap)."""
+    return deployment.launch_tool(tool_id, {"workload": "unit"})
 
 
 class TestCase1TwoDifferentTools:
     def test_each_tool_lands_on_its_requested_gpu(self, dep):
         """Fig. 8 Case 1 / Fig. 10: Racon -> GPU 0, Bonito -> GPU 1."""
-        racon_runner, racon = launch(dep, "racon")
-        bonito_runner, bonito = launch(dep, "bonito")
+        racon = launch(dep, "racon")
+        bonito = launch(dep, "bonito")
         placement = process_placement(dep.gpu_host)
         assert placement[0] == [racon.host_process.pid]
         assert placement[1] == [bonito.host_process.pid]
-        racon_runner.finish(racon)
-        bonito_runner.finish(bonito)
+        racon.runner.finish(racon)
+        bonito.runner.finish(bonito)
         assert dep.gpu_host.available_devices() == dep.gpu_host.devices
 
     def test_console_output_shape(self, dep):
-        _, racon = launch(dep, "racon")
-        _, bonito = launch(dep, "bonito")
+        racon = launch(dep, "racon")
+        bonito = launch(dep, "bonito")
         table = render_table(dep.gpu_host)
         assert "/usr/bin/racon_gpu" in table
         assert "/usr/bin/bonito" in table
@@ -53,8 +50,8 @@ class TestCase2SameToolTwice:
     def test_second_instance_diverted_to_idle_gpu(self, dep):
         """Fig. 8 Case 2: two Bonitos both requesting GPU 1; the second
         is scheduled to the idle GPU 0."""
-        _, first = launch(dep, "bonito")
-        _, second = launch(dep, "bonito")
+        first = launch(dep, "bonito")
+        second = launch(dep, "bonito")
         placement = process_placement(dep.gpu_host)
         assert placement[1] == [first.host_process.pid]
         assert placement[0] == [second.host_process.pid]
@@ -73,7 +70,7 @@ class TestCase3FourInstancesPidStrategy:
         the rest scatter across both."""
         dep.route_tool_to("racon", "docker_dynamic")  # containerized, as in the paper
         dep.registry.pull("gulsumgudukbay/racon_dockerfile:latest")
-        launched = [launch(dep, "racon")[1] for _ in range(4)]
+        launched = [launch(dep, "racon") for _ in range(4)]
         pids = [l.host_process.pid for l in launched]
         placement = process_placement(dep.gpu_host)
         assert placement[0][0] == pids[0]
@@ -98,12 +95,12 @@ class TestCase4MemoryStrategy:
         """Fig. 9 Case 4: Racon on GPU 0 (small footprint), Bonito on
         GPU 1 (large footprint); a second Bonito goes to GPU 0."""
         dep.set_allocation_strategy("memory")
-        _, racon = launch(dep, "racon")
-        _, bonito1 = launch(dep, "bonito")
+        racon = launch(dep, "racon")
+        bonito1 = launch(dep, "bonito")
         # Bonito's network occupies significant device memory (Fig. 10
         # shows 2734 MiB on GPU 1).
         dep.gpu_host.device(1).alloc(2674 * 1024**2, pid=bonito1.host_process.pid)
-        _, bonito2 = launch(dep, "bonito")
+        bonito2 = launch(dep, "bonito")
         placement = process_placement(dep.gpu_host)
         assert bonito2.host_process.pid in placement[0]
         assert bonito2.host_process.pid not in placement[1]
@@ -114,12 +111,12 @@ class TestCase4MemoryStrategy:
         dep.set_allocation_strategy("memory")
         launch(dep, "racon")
         launch(dep, "bonito")
-        _, third = launch(dep, "bonito")
+        third = launch(dep, "bonito")
         assert len(third.host_process.device_indices) == 1
 
     def test_pid_strategy_would_scatter_instead(self, dep):
         """Contrast: under PID allocation the third job scatters."""
         launch(dep, "racon")
         launch(dep, "bonito")
-        _, third = launch(dep, "bonito")
+        third = launch(dep, "bonito")
         assert len(third.host_process.device_indices) == 2

@@ -1,9 +1,12 @@
 """Arrival-trace generation and replay."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.traces import (
+    InFlightSet,
     TraceReplayer,
     generate_trace,
 )
@@ -100,3 +103,64 @@ class TestReplay:
             results[strategy] = TraceReplayer(deployment).replay(trace)
         assert results["memory"].scattered_jobs == 0
         assert results["pid"].scattered_jobs >= results["memory"].scattered_jobs
+
+
+class TestInFlightSet:
+    """The finish order trace replay and the burst storm both rely on."""
+
+    @staticmethod
+    def _launch(deployment, count):
+        return [
+            deployment.launch_tool("seqstats", {"workload": "unit"})
+            for _ in range(count)
+        ]
+
+    def test_ties_finish_in_launch_order(self, deployment):
+        with InFlightSet(deployment.app) as running:
+            first, second, third, fourth = self._launch(deployment, 4)
+            running.hold(5.0, first)
+            running.hold(3.0, second)
+            running.hold(3.0, third)
+            running.hold(3.0, fourth)
+            finished = running.finish_until(10.0)
+        assert finished == [second, third, fourth, first]
+        assert [launched.job.state.value for launched in finished] == ["ok"] * 4
+
+    def test_clock_reaches_each_end_before_its_finish(
+        self, deployment, monkeypatch
+    ):
+        runner, seen = deployment.local_runner, []
+        finish = runner.finish
+
+        def recording_finish(launched):
+            seen.append((launched, deployment.clock.now))
+            return finish(launched)
+
+        monkeypatch.setattr(runner, "finish", recording_finish)
+        with InFlightSet(deployment.app) as running:
+            early, late, past = self._launch(deployment, 3)
+            running.hold(2.5, early)
+            running.hold(7.0, late)
+            running.finish_until(4.0)
+            now = deployment.clock.now
+            running.hold(2.0, past)  # already overdue: the clock stays put
+            running.finish_until(10.0)
+        assert seen == [(early, 2.5), (past, now), (late, 7.0)]
+
+    def test_draining_the_earliest_end_takes_every_tie(self, deployment):
+        with InFlightSet(deployment.app) as running:
+            first, second, third = self._launch(deployment, 3)
+            running.hold(4.0, first)
+            running.hold(1.5, second)
+            running.hold(1.5, third)
+            assert running.finish_until(running.earliest) == [second, third]
+            assert len(running) == 1 and running.earliest == 4.0
+            running.finish_until(math.inf)
+            assert not running
+
+    def test_executors_are_stubbed_only_inside(self, deployment):
+        saved = deployment.app.executors
+        with InFlightSet(deployment.app):
+            assert set(deployment.app.executors) == set(saved)
+            assert deployment.app.executors is not saved
+        assert deployment.app.executors is saved
