@@ -9,7 +9,8 @@ the resulting objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.analysis import rules as R
 from repro.analysis.findings import Finding
@@ -20,22 +21,16 @@ from repro.galaxy.tool_xml import ToolDefinition
 from repro.gpusim.device import TESLA_GK210
 
 
-def default_rule_functions() -> set[str]:
-    """The dynamic rule names a stock GYAN deployment registers."""
-    return set(GYAN_RULES)
-
-
 @dataclass
 class ConfigContext:
     """The simulated host the configs are checked against.
 
     Defaults model the paper's testbed: one K80 board = two GK210 dies
-    of 11,441 MiB each, with GYAN's stock dynamic rules registered.
+    of 11,441 MiB each; the dynamic rules known are GYAN's stock ones.
     """
 
     device_count: int = 2
-    fb_memory_mib_per_device: int = TESLA_GK210.fb_memory_mib
-    known_rule_functions: set[str] = field(default_factory=default_rule_functions)
+    fb_memory_mib_per_device: ClassVar[int] = TESLA_GK210.fb_memory_mib
 
     @property
     def total_framebuffer_mib(self) -> int:
@@ -75,14 +70,14 @@ def analyze_job_conf(
                         path,
                     )
                 )
-            elif function not in ctx.known_rule_functions:
+            elif function not in GYAN_RULES:
                 findings.append(
                     R.GYAN104.finding(
                         f"dynamic destination {dest.destination_id!r} names "
                         f"unregistered rule function {function!r}",
                         path,
                         suggestion="known rules: "
-                        + ", ".join(sorted(ctx.known_rule_functions)),
+                        + ", ".join(sorted(GYAN_RULES)),
                     )
                 )
         resubmit = dest.resubmit_destination

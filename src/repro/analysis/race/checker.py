@@ -64,12 +64,8 @@ def register_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def scenario_names(include_seeded_bad: bool = True) -> list[str]:
-    return sorted(
-        name
-        for name, s in _SCENARIOS.items()
-        if include_seeded_bad or s.default
-    )
+def scenario_names() -> list[str]:
+    return sorted(_SCENARIOS)
 
 
 def default_scenarios() -> list[str]:

@@ -137,11 +137,10 @@ class PermutingClock(VirtualClock):
 
     def __init__(
         self,
-        epoch: float = 0.0,
         schedule: Schedule | None = None,
         recorder: FootprintRecorder | None = None,
     ) -> None:
-        super().__init__(epoch)
+        super().__init__()
         self.schedule = schedule
         self.recorder = recorder
         #: Every unkeyed multi-member tie observed, in firing order.

@@ -30,12 +30,11 @@ class LintRule:
         path: str | None = None,
         line: int | None = None,
         suggestion: str | None = None,
-        severity: Severity | None = None,
     ) -> Finding:
         """Build a finding attributed to this rule."""
         return Finding(
             rule_id=self.rule_id,
-            severity=severity or self.severity,
+            severity=self.severity,
             message=message,
             path=path,
             line=line,

@@ -54,13 +54,8 @@ class SanitizerError(GpuSimError):
 
 @dataclass
 class SimSanitizer:
-    """Violation log plus the wrapped-method bookkeeping.
+    """Violation log plus the wrapped-method bookkeeping."""
 
-    ``raise_on_violation`` exists for diagnostics sweeps that want the
-    full violation list instead of dying on the first one.
-    """
-
-    raise_on_violation: bool = True
     violations: list[Finding] = field(default_factory=list)
     _originals: dict[str, object] = field(default_factory=dict)
     # Keyed by the clock object itself (weakly): keying by id() would
@@ -77,8 +72,7 @@ class SimSanitizer:
     def _report(self, rule, message: str) -> None:
         finding = rule.finding(message, path=None)
         self.violations.append(finding)
-        if self.raise_on_violation:
-            raise SanitizerError(finding)
+        raise SanitizerError(finding)
 
     # ------------------------------------------------------------------ #
     # invariant checks (also usable directly from tests)
@@ -248,12 +242,12 @@ def current() -> SimSanitizer | None:
     return _active
 
 
-def install(sanitizer: SimSanitizer | None = None) -> SimSanitizer:
+def install() -> SimSanitizer:
     """Install (or return the already-installed) process-wide sanitizer."""
     global _active
     if _active is not None and _active.installed:
         return _active
-    _active = sanitizer or SimSanitizer()
+    _active = SimSanitizer()
     _active.install()
     return _active
 
@@ -266,16 +260,14 @@ def uninstall() -> None:
         _active = None
 
 
-def enabled_from_env(environ: dict | None = None) -> bool:
+def enabled_from_env() -> bool:
     """Whether :data:`SIMSAN_ENV_VAR` asks for the sanitizer."""
-    if environ is None:
-        environ = os.environ
-    value = environ.get(SIMSAN_ENV_VAR, "")
+    value = os.environ.get(SIMSAN_ENV_VAR, "")
     return value not in ("", "0", "false", "no")
 
 
-def install_from_env(environ: dict | None = None) -> SimSanitizer | None:
+def install_from_env() -> SimSanitizer | None:
     """Install when the environment asks for it; returns the sanitizer."""
-    if enabled_from_env(environ):
+    if enabled_from_env():
         return install()
     return None

@@ -129,6 +129,8 @@ def _print_job(job) -> None:
 
 
 def cmd_racon(args: argparse.Namespace) -> int:
+    from repro.cluster.node import NodeCapacityError
+
     deployment = _fresh(("racon",), args.allocation)
     params = {
         "threads": args.threads,
@@ -140,7 +142,12 @@ def cmd_racon(args: argparse.Namespace) -> int:
         params["dataset"] = args.dataset
     if args.container:
         deployment.route_tool_to("racon", "docker_dynamic")
-    job = deployment.run_tool("racon", params)
+    try:
+        job = deployment.run_tool("racon", params)
+    except NodeCapacityError as exc:
+        print(f"racon: {exc}; lower --threads (now {args.threads})",
+              file=sys.stderr)
+        return 2
     _print_job(job)
     return 0 if job.exit_code == 0 else 1
 
@@ -626,7 +633,7 @@ def _fleet_parity_errors(result, config, tools, batches) -> list[str]:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.cluster.fleet import FleetConfig, FleetSimulator
-    from repro.cluster.jobstore import gpu_wait_percentile
+    from repro.cluster.jobstore import check_row_count, gpu_wait_percentile
     from repro.observability.export import render_document
     from repro.workloads.diurnal import (
         AB_STORM_DURATION,
@@ -638,6 +645,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     storm_lo = AB_STORM_START
     storm_hi = AB_STORM_START + AB_STORM_DURATION
     try:
+        check_row_count(args.jobs)
         autoscale = _fleet_autoscale_config(args)
         if args.ab or args.storm:
             profile = ab_storm_profile(args.jobs, seed=args.seed)

@@ -326,10 +326,10 @@ class NodeSecondsMeter:
 
     __slots__ = ("total", "_active", "_since")
 
-    def __init__(self, active: int, since: float = 0.0) -> None:
+    def __init__(self, active: int) -> None:
         self.total = 0.0
         self._active = active
-        self._since = since
+        self._since = 0.0
 
     def advance(self, now: float) -> None:
         if now > self._since:

@@ -116,6 +116,9 @@ from repro.workloads.diurnal import (
 #: straight to off, so no node is ever both draining and quarantined.
 _OFF, _USABLE, _QUARANTINED, _DRAINING = range(4)
 
+#: benefit-aware: tools below this GPU-benefit ratio are low-benefit.
+BENEFIT_THRESHOLD = 12.0
+
 
 @dataclass(frozen=True)
 class NodeFailure:
@@ -142,21 +145,15 @@ class FleetConfig:
 
     nodes: int = 1000
     gpus_per_node: int = 8
-    #: Concurrent jobs per GPU (GYAN's multi-process sharing arm).
-    slots_per_gpu: int = 1
     #: Bounded per-node queue depth (jobs), the PR-7 admission bound.
     queue_limit: int = 16
     #: Queue TTL: jobs still queued past submit + deadline_s shed.
     deadline_seconds: float = 3600.0
     #: Resubmit chain cap after node failures (PR-7 hop budget).
     max_hops: int = 3
-    #: Whether degradable GPU classes fall to the CPU arm on overflow.
-    degrade_to_cpu: bool = True
     failures: tuple[NodeFailure, ...] = ()
     #: Placement policy (see module docstring).
     placement: str = PLACEMENT_SPREAD
-    #: benefit-aware: tools below this GPU-benefit ratio are low-benefit.
-    benefit_threshold: float = 12.0
     #: benefit-aware: fraction of usable slots reserved for high-benefit.
     gpu_reserve_fraction: float = 0.10
     #: Elastic pool configuration (None = static fleet, PR-9 behaviour).
@@ -164,7 +161,8 @@ class FleetConfig:
 
     @property
     def slots_per_node(self) -> int:
-        return self.gpus_per_node * self.slots_per_gpu
+        """One job per GPU."""
+        return self.gpus_per_node
 
     def __post_init__(self) -> None:
         # Upper bounds are the JobStore column widths: a shape that fits
@@ -174,10 +172,9 @@ class FleetConfig:
                 f"fleet needs between 1 and {MAX_NODES} nodes, "
                 f"got {self.nodes}"
             )
-        if self.gpus_per_node < 1 or self.slots_per_gpu < 1:
+        if self.gpus_per_node < 1:
             raise ValueError(
-                "fleet nodes need at least one GPU and one slot per GPU, "
-                f"got {self.gpus_per_node} x {self.slots_per_gpu}"
+                f"fleet nodes need at least one GPU, got {self.gpus_per_node}"
             )
         if self.queue_limit < 0:
             raise ValueError(
@@ -196,11 +193,6 @@ class FleetConfig:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
-            )
-        if not self.benefit_threshold > 0:  # also refuses NaN
-            raise ValueError(
-                "benefit_threshold must be positive (inf allowed), "
-                f"got {self.benefit_threshold}"
             )
         if not 0.0 <= self.gpu_reserve_fraction < 1.0:
             raise ValueError("gpu_reserve_fraction must be in [0, 1)")
@@ -557,7 +549,7 @@ class FleetSimulator:
         if (
             self._benefit
             and tool.degradable
-            and tool.gpu_benefit < self.config.benefit_threshold
+            and tool.gpu_benefit < BENEFIT_THRESHOLD
         ):
             self._place_low_benefit(lo, hi, tool_index, now, submit)
             return
@@ -576,7 +568,7 @@ class FleetSimulator:
             self._queued_n += count
             cursor = stop
         if cursor < hi:
-            if self.config.degrade_to_cpu and tool.degradable:
+            if tool.degradable:
                 self._start_cpu(
                     cursor, hi, tool_index, now, submit, degraded=True
                 )

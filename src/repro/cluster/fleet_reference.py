@@ -59,7 +59,7 @@ from repro.cluster.autoscale import (
     NodeSecondsMeter,
     reserve_slots,
 )
-from repro.cluster.fleet import FleetConfig
+from repro.cluster.fleet import BENEFIT_THRESHOLD, FleetConfig
 from repro.cluster.jobstore import NO_NODE, JobStore
 from repro.resilience.shedding import ShedReason
 from repro.workloads.diurnal import FleetToolClass, check_arrival
@@ -214,7 +214,7 @@ class ObjectFleetReference:
         if (
             self._benefit
             and tool.degradable
-            and tool.gpu_benefit < self.config.benefit_threshold
+            and tool.gpu_benefit < BENEFIT_THRESHOLD
         ):
             # One job at a time: admit onto a GPU iff the fleet-wide
             # free count still exceeds the reserve; otherwise degrade
@@ -242,7 +242,7 @@ class ObjectFleetReference:
             self._queues[node].append(job)
             self.counts["queued"] += 1
             return
-        if self.config.degrade_to_cpu and tool.degradable:
+        if tool.degradable:
             self._start_cpu(job, now, degraded=True)
         else:
             self._shed(job, ShedReason.QUEUE_FULL, now)

@@ -59,6 +59,18 @@ NO_POOL = -1
 MAX_HOPS = 2**7 - 1
 MAX_TOOLS = 2**15
 MAX_NODES = 2**31 - 1
+#: Rows a store can index: the batch table's ``lo`` is a signed 64-bit
+#: row index.
+MAX_ROWS = 2**63 - 1
+
+
+def check_row_count(jobs: int) -> None:
+    """Refuse a day of more jobs than a store can index, before it runs."""
+    if jobs > MAX_ROWS:
+        raise ValueError(
+            f"a fleet day holds at most {MAX_ROWS} jobs (a signed 64-bit "
+            f"row index), got {jobs}"
+        )
 
 #: Stable ShedReason → int column encoding (enum definition order).
 SHED_REASON_CODE: dict[ShedReason, int] = {

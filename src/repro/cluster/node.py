@@ -118,9 +118,9 @@ class ComputeNode:
         )
 
     @classmethod
-    def cpu_only(cls, cpu_slots: int = 48) -> "ComputeNode":
+    def cpu_only(cls) -> "ComputeNode":
         """A GPU-less node — the fallback destination GYAN switches to."""
         return cls(
             hostname="cpu-node-0",
-            resources=NodeResources(cpu_slots=cpu_slots, memory_gib=128, gpu_count=0),
+            resources=NodeResources(cpu_slots=48, memory_gib=128, gpu_count=0),
         )

@@ -84,7 +84,6 @@ class DockerRuntime:
         volumes: list[VolumeMount] | None = None,
         env: Mapping[str, str] | None = None,
         gpus: str | None = None,
-        workdir: str | None = None,
     ) -> list[str]:
         """Assemble the ``docker run`` argv Galaxy would execute.
 
@@ -97,8 +96,6 @@ class DockerRuntime:
             command_part.extend(["-v", mount.docker_spec()])
         for key, value in sorted((env or {}).items()):
             command_part.extend(["-e", f"{key}={value}"])
-        if workdir:
-            command_part.extend(["-w", workdir])
         if gpus is not None:
             command_part.append(f"--gpus {gpus}")
         command_part.append(image_reference)
@@ -114,7 +111,6 @@ class DockerRuntime:
         volumes: list[VolumeMount] | None = None,
         env: Mapping[str, str] | None = None,
         gpus: str | None = None,
-        workdir: str | None = None,
     ) -> DockerRunResult:
         """Pull (if needed), validate, charge overheads, run the payload.
 
@@ -142,7 +138,7 @@ class DockerRuntime:
             overhead += GPU_HOOK_OVERHEAD_S
         self.clock.advance(overhead)
         command = self.build_run_command(
-            image_reference, tool_command, volumes, env, gpus, workdir
+            image_reference, tool_command, volumes, env, gpus
         )
         container_env = dict(env or {})
         result = DockerRunResult(

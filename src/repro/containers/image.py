@@ -85,20 +85,14 @@ class PullRecord:
 
 
 class ImageRegistry:
-    """A remote registry plus the node-local image cache.
+    """A remote registry plus the node-local image cache."""
 
-    Parameters
-    ----------
-    bandwidth_gbps:
-        Effective pull bandwidth in gigabytes/second.  Chameleon Cloud
-    nodes see roughly 0.1-0.3 GB/s from Docker Hub; the default keeps
-        cold pulls in the tens-of-seconds range for the Racon image.
-    """
+    #: Effective pull bandwidth in gigabytes/second.  Chameleon Cloud
+    #: nodes see roughly 0.1-0.3 GB/s from Docker Hub; this keeps cold
+    #: pulls in the tens-of-seconds range for the Racon image.
+    bandwidth_gbps = 0.15
 
-    def __init__(self, bandwidth_gbps: float = 0.15) -> None:
-        if bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth_gbps = bandwidth_gbps
+    def __init__(self) -> None:
         self._remote: dict[str, ContainerImage] = {}
         self._cache: dict[str, ContainerImage] = {}
         self.pull_log: list[PullRecord] = []

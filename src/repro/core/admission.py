@@ -42,25 +42,15 @@ class AdmissionResult:
 
 class GpuMemoryAdmissionController:
     """Filters allocation decisions by per-device free memory.
-
-    Parameters
-    ----------
-    default_footprint_mib:
-        Assumed requirement for tools that declare none.
-    headroom_mib:
-        Extra free memory that must remain after placement (driver
-        fragmentation slack).
     """
 
-    def __init__(
-        self,
-        default_footprint_mib: int = DEFAULT_FOOTPRINT_MIB,
-        headroom_mib: int = 128,
-    ) -> None:
-        if default_footprint_mib <= 0 or headroom_mib < 0:
-            raise ValueError("invalid admission-controller configuration")
-        self.default_footprint_mib = default_footprint_mib
-        self.headroom_mib = headroom_mib
+    #: Assumed requirement for tools that declare none.
+    default_footprint_mib = DEFAULT_FOOTPRINT_MIB
+    #: Extra free memory that must remain after placement (driver
+    #: fragmentation slack).
+    headroom_mib = 128
+
+    def __init__(self) -> None:
         self.log: list[AdmissionResult] = []
 
     def required_mib(self, job: GalaxyJob) -> int:

@@ -99,7 +99,6 @@ class GpuComputationMapper:
         self,
         host: GPUHost | None,
         strategy: AllocationStrategy | None = None,
-        admission=None,
         health: DeviceHealthTracker | None = None,
         metrics: MetricsRegistry | None = None,
         tracer=None,
@@ -108,8 +107,9 @@ class GpuComputationMapper:
     ) -> None:
         self.host = host
         self.strategy = strategy or PidAllocationStrategy()
-        #: Optional :class:`~repro.core.admission.GpuMemoryAdmissionController`.
-        self.admission = admission
+        #: Optional :class:`~repro.core.admission.GpuMemoryAdmissionController`,
+        #: attached after construction (the admission ablation does).
+        self.admission = None
         self.health = health
         #: Optional circuit breaker around the NVML/nvidia-smi surface.
         #: While open, probes fail fast with :class:`BreakerOpenError`

@@ -535,8 +535,8 @@ class GPUUsageMonitor:
         return [str(csv_path), str(stats_path)]
 
     @staticmethod
-    def _sparkline(values: Sequence[float], width: int = 32) -> str:
-        """Downsample values to an ASCII sparkline (0-100 scale).
+    def _sparkline(values: Sequence[float]) -> str:
+        """Downsample values to a 32-column ASCII sparkline (0-100 scale).
 
         Bucket ``i`` is ``[i*len//width, (i+1)*len//width)`` in exact
         integer arithmetic: the buckets tile the input with no skips or
@@ -547,6 +547,7 @@ class GPUUsageMonitor:
         if count == 0:
             return ""
         blocks = " .:-=+*#%@"
+        width = 32
         if count > width:
             starts = [(i * count) // width for i in range(width)]
             values = np.maximum.reduceat(np.asarray(values, dtype=float), starts).tolist()

@@ -19,14 +19,12 @@ from typing import Any
 class Dataset:
     """One history item.
 
-    ``size_bytes`` is the *declared* size (may describe a 17 GB paper
-    dataset); ``payload`` is the actual miniature content a tool executor
-    operates on (sequences, signals, ...).
+    ``payload`` is the actual miniature content a tool executor operates
+    on (sequences, signals, ...).
     """
 
     name: str
     format: str = "data"
-    size_bytes: int = 0
     payload: Any = None
     dataset_id: int = field(default_factory=itertools.count(1).__next__)
     created_by_job: int | None = None

@@ -129,8 +129,9 @@ class GalaxyJob:
         """True once the job reached OK, ERROR, or DELETED."""
         return self.state in TERMINAL_STATES
 
-    def fail(self, message: str, now: float = 0.0, exit_code: int = 1) -> None:
-        """Record a failure and move to ERROR (from QUEUED or RUNNING)."""
+    def fail(self, message: str, now: float = 0.0) -> None:
+        """Record a failure (exit code 1) and move to ERROR (from QUEUED
+        or RUNNING)."""
         self.stderr += message if not self.stderr else "\n" + message
-        self.exit_code = exit_code
+        self.exit_code = 1
         self.transition(JobState.ERROR, now)

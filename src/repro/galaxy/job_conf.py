@@ -24,10 +24,11 @@ DynamicRule = Callable[["object", "object"], str]
 TRUTHY_PARAM_VALUES = frozenset({"true", "1", "yes", "on"})
 
 
-def parse_bool_param(value: str | None, default: bool = False) -> bool:
-    """Normalise a destination boolean param (``docker_enabled`` etc.)."""
+def parse_bool_param(value: str | None) -> bool:
+    """Normalise a destination boolean param (``docker_enabled`` etc.);
+    an absent one is false."""
     if value is None:
-        return default
+        return False
     return value.strip().lower() in TRUTHY_PARAM_VALUES
 
 
@@ -182,9 +183,7 @@ class JobConfig:
         return destination
 
 
-def parse_job_conf_xml(
-    text: str | ET.Element, rules: DynamicRuleRegistry | None = None
-) -> JobConfig:
+def parse_job_conf_xml(text: str | ET.Element) -> JobConfig:
     """Parse a ``job_conf.xml`` document (paper Code 2).
 
     ``text`` is the document, or its root element when the caller has
@@ -199,7 +198,7 @@ def parse_job_conf_xml(
     if root.tag != "job_conf":
         raise JobConfError(f"root must be <job_conf>, got <{root.tag}>")
 
-    config = JobConfig(rules=rules or DynamicRuleRegistry())
+    config = JobConfig(rules=DynamicRuleRegistry())
 
     destinations_node = root.find("destinations")
     if destinations_node is None:

@@ -26,7 +26,6 @@ GPU_ENABLED_PARAM_KEY = "__galaxy_gpu_enabled__"
 def build_param_dict(
     job: GalaxyJob,
     environment: Mapping[str, str] | None = None,
-    extra: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Build the template namespace for a job's command block.
 
@@ -37,8 +36,6 @@ def build_param_dict(
     environment:
         The job's process environment; ``GALAXY_GPU_ENABLED`` is read from
         here ("false" when absent — stock Galaxy behaviour).
-    extra:
-        Additional backend entries (runners add e.g. output paths).
 
     Returns
     -------
@@ -62,7 +59,4 @@ def build_param_dict(
     param_dict["__tool_version__"] = job.tool.version
     param_dict["__job_id__"] = job.job_id
     param_dict[GPU_ENABLED_PARAM_KEY] = environment.get(GPU_ENABLED_ENV_VAR, "false")
-
-    if extra:
-        param_dict.update(extra)
     return param_dict

@@ -144,7 +144,7 @@ SpanListener = Callable[[float, float, bool], None]
 class VirtualClock:
     """A monotone simulated clock with optional scheduled callbacks.
 
-    The clock starts at ``epoch`` (default 0.0).  :meth:`advance` moves
+    The clock starts at 0.0.  :meth:`advance` moves
     time forward by a delta and :meth:`advance_to` moves to an absolute
     instant; both fire any callbacks scheduled in the traversed interval,
     in timestamp order.  Moving backwards, or to an instant that is not
@@ -159,8 +159,8 @@ class VirtualClock:
     construction, so bulk sampling is exact.
     """
 
-    def __init__(self, epoch: float = 0.0) -> None:
-        self._now = float(epoch)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: Heap entries are ``(when, key, seq, handle)``: same-instant
         #: callbacks fire ordered by explicit tie-break key first, then
         #: strictly by registration order — the determinism contract

@@ -23,7 +23,7 @@ import enum
 
 from repro.gpusim.errors import GpuSimError, InvalidDeviceError
 from repro.gpusim.memory import MIB, Allocation, MemoryAllocator
-from repro.gpusim.process import GPUProcess, ProcessType
+from repro.gpusim.process import GPUProcess
 from repro.hotpath import hot_path
 
 
@@ -116,23 +116,20 @@ class GPUDevice:
         ``version`` tag.
     arch:
         Micro-architecture description.
-    bus_id:
-        PCI bus id string rendered by ``nvidia-smi``.
     """
 
     def __init__(
         self,
         minor_number: int,
         arch: GPUArchitecture = TESLA_GK210,
-        bus_id: str | None = None,
-        uuid: str | None = None,
     ) -> None:
         if minor_number < 0:
             raise InvalidDeviceError(minor_number, "non-negative minor numbers")
         self.minor_number = minor_number
         self.arch = arch
-        self.bus_id = bus_id or f"00000000:{5 + minor_number:02X}:00.0"
-        self.uuid = uuid or f"GPU-SIM{minor_number:04d}-0000-0000-0000-000000000000"
+        #: PCI bus id and UUID, as ``nvidia-smi`` renders them.
+        self.bus_id = f"00000000:{5 + minor_number:02X}:00.0"
+        self.uuid = f"GPU-SIM{minor_number:04d}-0000-0000-0000-000000000000"
         self.memory = MemoryAllocator(arch.fb_memory_bytes, device_index=minor_number)
         #: Attached (live) processes only, in attach order: detach removes
         #: the record, so every scan below costs O(live), not O(history).
@@ -217,8 +214,6 @@ class GPUDevice:
         pid: int,
         name: str,
         now: float = 0.0,
-        process_type: ProcessType = ProcessType.COMPUTE,
-        context_overhead: int | None = None,
     ) -> GPUProcess:
         """Attach a host process (create its CUDA context) on this device.
 
@@ -244,11 +239,8 @@ class GPUDevice:
                 f"GPU {self.minor_number}: Exclusive_Process mode and a "
                 "context already exists (cudaErrorDevicesUnavailable)"
             )
-        proc = GPUProcess(pid=pid, name=name, process_type=process_type, start_time=now)
-        if context_overhead is None:
-            self.memory.register_context(pid)
-        else:
-            self.memory.register_context(pid, context_overhead)
+        proc = GPUProcess(pid=pid, name=name, start_time=now)
+        self.memory.register_context(pid)
         self._processes[pid] = proc
         self._version += 1
         self.pcie_generation_current = self.arch.pcie_generation_max
@@ -270,11 +262,7 @@ class GPUDevice:
     @hot_path
     def compute_processes(self) -> list[GPUProcess]:
         """Live compute processes, in attach order (nvidia-smi row order)."""
-        return [
-            p
-            for p in self._processes.values()
-            if p.process_type is ProcessType.COMPUTE
-        ]
+        return list(self._processes.values())
 
     def process_pids(self) -> list[int]:
         """PIDs of live compute processes."""

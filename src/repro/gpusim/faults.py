@@ -344,7 +344,12 @@ class FaultInjector:
 # --------------------------------------------------------------------- #
 # named scenarios
 # --------------------------------------------------------------------- #
-def _k80_die_midrun(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
+#: Dies the named scenarios pick their victims from: the paper's one
+#: K80 board.
+SCENARIO_DEVICES = 2
+
+
+def _k80_die_midrun(seed: int) -> tuple[FaultEvent, ...]:
     """One K80 die dies mid-workload while NVML flakes around it.
 
     This is the acceptance scenario: the die death strands any job
@@ -353,7 +358,7 @@ def _k80_die_midrun(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     quarantine *before* the crash.
     """
     rng = random.Random(seed)
-    victim = rng.randrange(device_count)
+    victim = rng.randrange(SCENARIO_DEVICES)
     death = round(rng.uniform(8.0, 20.0), 3)
     events = [
         FaultEvent(time=round(death * 0.5, 3), kind=FaultKind.ECC_ERRORS,
@@ -377,7 +382,7 @@ def _k80_die_midrun(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     return tuple(events)
 
 
-def _nvml_flaky(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
+def _nvml_flaky(seed: int) -> tuple[FaultEvent, ...]:
     """No device ever dies; NVML just lies intermittently."""
     rng = random.Random(seed)
     return tuple(
@@ -393,7 +398,7 @@ def _nvml_flaky(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     )
 
 
-def _container_flaky(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
+def _container_flaky(seed: int) -> tuple[FaultEvent, ...]:
     """The container daemon drops a few launches."""
     rng = random.Random(seed)
     return tuple(
@@ -408,10 +413,10 @@ def _container_flaky(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     )
 
 
-def _ecc_storm(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
+def _ecc_storm(seed: int) -> tuple[FaultEvent, ...]:
     """A device accumulates ECC errors until quarantine, then recovers."""
     rng = random.Random(seed)
-    victim = rng.randrange(device_count)
+    victim = rng.randrange(SCENARIO_DEVICES)
     events = [
         FaultEvent(time=round(1.0 + i * rng.uniform(1.0, 3.0), 3),
                    kind=FaultKind.ECC_ERRORS, device=victim, count=1)
@@ -425,7 +430,7 @@ def _ecc_storm(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     return tuple(events)
 
 
-def _burst_storm(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
+def _burst_storm(seed: int) -> tuple[FaultEvent, ...]:
     """Infrastructure distress clustered inside a submission burst.
 
     The overload acceptance scenario: NVML flakes and container-daemon
@@ -463,7 +468,7 @@ def _burst_storm(seed: int, device_count: int) -> tuple[FaultEvent, ...]:
     return tuple(events)
 
 
-#: Named scenario generators: ``(seed, device_count) -> events``.
+#: Named scenario generators: ``seed -> events``.
 SCENARIOS = {
     "k80-die-midrun": _k80_die_midrun,
     "nvml-flaky": _nvml_flaky,
@@ -473,7 +478,7 @@ SCENARIOS = {
 }
 
 
-def build_scenario(name: str, seed: int = 0, device_count: int = 2) -> InjectionPlan:
+def build_scenario(name: str, seed: int = 0) -> InjectionPlan:
     """Materialise a named scenario into a concrete, seeded plan."""
     try:
         generator = SCENARIOS[name]
@@ -482,5 +487,5 @@ def build_scenario(name: str, seed: int = 0, device_count: int = 2) -> Injection
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
         ) from None
     return InjectionPlan(
-        name=name, seed=seed, events=generator(seed, device_count)
+        name=name, seed=seed, events=generator(seed)
     )

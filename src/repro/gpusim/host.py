@@ -79,38 +79,32 @@ class GPUHost:
         of a single board (GPU 0 and GPU 1 in Figs. 8-11).
     arch:
         Architecture of each die.
-    driver_version / cuda_version:
-        Strings rendered verbatim by the ``nvidia-smi`` emulator; defaults
-        match the paper's Fig. 10 banner.
     """
+
+    #: The driver and CUDA versions the ``nvidia-smi`` emulator renders
+    #: verbatim: the paper's Fig. 10 banner.
+    driver_version = "455.45.01"
+    cuda_version = "11.1"
+    #: Dies per physical accelerator board (2 for a Tesla K80): dies
+    #: 2i and 2i+1 sit behind the same PLX switch.
+    dies_per_board = TESLA_K80_BOARD.dies
 
     def __init__(
         self,
         device_count: int = 2,
         arch: GPUArchitecture = TESLA_GK210,
         hostname: str = "gyan-node-0",
-        driver_version: str = "455.45.01",
-        cuda_version: str = "11.1",
         clock: VirtualClock | None = None,
-        first_pid: int = 39953,
-        dies_per_board: int = 2,
     ) -> None:
         if device_count <= 0:
             raise ValueError("a GPU host needs at least one device")
-        if dies_per_board <= 0:
-            raise ValueError("dies_per_board must be positive")
-        #: Dies per physical accelerator board (2 for a Tesla K80): dies
-        #: 2i and 2i+1 sit behind the same PLX switch.
-        self.dies_per_board = dies_per_board
         self.hostname = hostname
-        self.driver_version = driver_version
-        self.cuda_version = cuda_version
         self.clock = clock or VirtualClock()
         self.timeline = Timeline()
         self.devices: list[GPUDevice] = [
             GPUDevice(minor_number=i, arch=arch) for i in range(device_count)
         ]
-        self.pids = PidAllocator(first_pid=first_pid)
+        self.pids = PidAllocator()
         self._processes: dict[int, HostProcess] = {}
         #: Pending injected transient failures, consumed by the NVML shim,
         #: ``nvidia-smi`` emulator and container runtimes.
@@ -182,8 +176,6 @@ class GPUHost:
         self,
         name: str,
         cuda_visible_devices: str | None = None,
-        attach: bool = True,
-        context_overhead: int | None = None,
     ) -> HostProcess:
         """Start a host process, attaching CUDA contexts on visible devices.
 
@@ -193,19 +185,13 @@ class GPUHost:
             Process name as it should appear in ``nvidia-smi``.
         cuda_visible_devices:
             The mask exported by GYAN; ``None`` means all devices.
-        attach:
-            If False, the process starts but creates no GPU context (a
-            CPU-only tool).
         """
         pid = self.pids.next_pid()
         now = self.clock.now
         proc = HostProcess(pid=pid, name=name, start_time=now)
-        if attach:
-            for dev in self.visible_devices(cuda_visible_devices):
-                dev.attach_process(
-                    pid, name, now=now, context_overhead=context_overhead
-                )
-                proc.device_indices.append(dev.minor_number)
+        for dev in self.visible_devices(cuda_visible_devices):
+            dev.attach_process(pid, name, now=now)
+            proc.device_indices.append(dev.minor_number)
         self._processes[pid] = proc
         self._version += 1
         self.timeline.record(now, "process_start", {"pid": pid, "name": name})

@@ -238,8 +238,9 @@ class KernelTimingModel:
         )
 
     @staticmethod
-    def price_sync(name: str = "cudaStreamSynchronize") -> PricedStep:
-        """Price a synchronisation call once, for :meth:`replay`."""
+    def price_sync() -> PricedStep:
+        """Price a ``cudaStreamSynchronize`` call once, for :meth:`replay`."""
+        name = "cudaStreamSynchronize"
         return PricedStep("sync", name, "sync", SYNC_CALL_S, name, "", 0.0, 0.0, {})
 
     def _step(self, step: PricedStep) -> float:
@@ -316,9 +317,9 @@ class KernelTimingModel:
         self._step(step)
         return step.duration
 
-    def synchronize(self, name: str = "cudaStreamSynchronize") -> float:
-        """A synchronisation API call; returns the duration."""
-        self._step(self.price_sync(name))
+    def synchronize(self) -> float:
+        """A ``cudaStreamSynchronize`` call; returns the duration."""
+        self._step(self.price_sync())
         return SYNC_CALL_S
 
     def malloc(self, nbytes: int, tag: str = "") -> Allocation:

@@ -133,23 +133,21 @@ class MemoryAllocator:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def register_context(
-        self, pid: int, overhead_bytes: int = CUDA_CONTEXT_OVERHEAD_BYTES
-    ) -> None:
+    def register_context(self, pid: int) -> None:
         """Charge the per-process CUDA context overhead for ``pid``.
 
         Idempotent for a given PID — re-registering does not double-charge.
         """
         if pid in self._context_overhead:
             return
-        if overhead_bytes > self.free_bytes:
+        if CUDA_CONTEXT_OVERHEAD_BYTES > self.free_bytes:
             raise DeviceOutOfMemoryError(
-                overhead_bytes, self.free_bytes, self.device_index
+                CUDA_CONTEXT_OVERHEAD_BYTES, self.free_bytes, self.device_index
             )
         if _footprint._RECORDER is not None:
             _footprint._RECORDER.write(self._footprint_key)
-        self._context_overhead[pid] = int(overhead_bytes)
-        self._used_bytes += int(overhead_bytes)
+        self._context_overhead[pid] = CUDA_CONTEXT_OVERHEAD_BYTES
+        self._used_bytes += CUDA_CONTEXT_OVERHEAD_BYTES
         self._version += 1
 
     def alloc(self, size: int, owner_pid: int, tag: str = "") -> Allocation:

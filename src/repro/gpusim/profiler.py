@@ -101,11 +101,9 @@ class CudaProfiler:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def total_time(self, category: str | None = None) -> float:
-        """Summed duration, optionally restricted to one category."""
-        return sum(
-            r.duration for r in self.records if category is None or r.category == category
-        )
+    def total_time(self) -> float:
+        """Summed duration of every record."""
+        return sum(r.duration for r in self.records)
 
     def call_count(self, name: str | None = None) -> int:
         """Number of records, optionally restricted to one call name."""
@@ -136,9 +134,7 @@ class CudaProfiler:
     # ------------------------------------------------------------------ #
     # stall attribution
     # ------------------------------------------------------------------ #
-    def stall_analysis(
-        self, other_fraction: float = OTHER_STALL_FRACTION
-    ) -> StallAnalysis:
+    def stall_analysis(self) -> StallAnalysis:
         """Attribute warp stalls from the kernels' roofline split.
 
         For each kernel the memory-bound fraction of its execution maps to
@@ -156,11 +152,11 @@ class CudaProfiler:
         denom = mem + comp
         if denom <= 0:
             return StallAnalysis(0.0, 0.0, 100.0)
-        scale = 100.0 * (1.0 - other_fraction)
+        scale = 100.0 * (1.0 - OTHER_STALL_FRACTION)
         return StallAnalysis(
             memory_dependency_pct=round(scale * mem / denom, 2),
             execution_dependency_pct=round(scale * comp / denom, 2),
-            other_pct=round(100.0 * other_fraction, 2),
+            other_pct=round(100.0 * OTHER_STALL_FRACTION, 2),
         )
 
     # ------------------------------------------------------------------ #

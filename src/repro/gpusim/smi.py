@@ -34,7 +34,7 @@ def _gpu_xml(dev: GPUDevice) -> str:
         procs.append(
             "      <process_info>\n"
             f"        <pid>{p.pid}</pid>\n"
-            f"        <type>{p.process_type.value}</type>\n"
+            "        <type>C</type>\n"
             f"        <process_name>{escape(p.name, quote=False)}</process_name>\n"
             f"        <used_memory>{dev.memory.used_by(p.pid) // (1024 * 1024)} MiB</used_memory>\n"
             "      </process_info>"
@@ -215,7 +215,7 @@ def render_table(host: GPUHost) -> str:
             mem = f"{dev.memory.used_by(proc.pid) // (1024 * 1024)}MiB"
             lines.append(
                 f"|  {dev.minor_number:>3}   N/A  N/A   {proc.pid:>8}      "
-                f"{proc.process_type.value}   {proc.name:<28}  {mem:>9} |"
+                f"C   {proc.name:<28}  {mem:>9} |"
             )
     if not any_proc:
         lines.append("|  No running processes found                                                 |")

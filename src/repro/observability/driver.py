@@ -151,11 +151,7 @@ def trace_workload(
     )
 
 
-def trace_chaos(
-    plan,
-    jobs: int | None = None,
-    resilient: bool | None = None,
-) -> TraceArtifacts:
+def trace_chaos(plan, jobs: int | None = None) -> TraceArtifacts:
     """Replay a fault-injection plan with tracing enabled.
 
     The chaos harness builds the deployment itself; ``trace=True`` hands
@@ -166,7 +162,7 @@ def trace_chaos(
     """
     from repro.workloads.chaos import run_chaos
 
-    result = run_chaos(plan, jobs=jobs, resilient=resilient, trace=True)
+    result = run_chaos(plan, jobs=jobs, trace=True)
     metadata = {
         "mode": "chaos",
         "plan": plan.name,

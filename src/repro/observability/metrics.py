@@ -264,12 +264,11 @@ class MetricsRegistry:
         self,
         name: str,
         help: str = "",
-        labels: Iterable[str] = (),
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Instrument:
-        """Get or create a histogram family."""
+        """Get or create an unlabelled histogram family."""
         return Instrument(
-            self._family(name, "histogram", help, labels, buckets=tuple(buckets))
+            self._family(name, "histogram", help, (), buckets=tuple(buckets))
         )
 
     # ------------------------------------------------------------------ #

@@ -73,9 +73,9 @@ def collect_headline_results() -> HeadlineResults:
     return results
 
 
-def render_report(results: HeadlineResults | None = None) -> str:
+def render_report() -> str:
     """The consolidated paper-vs-measured text report."""
-    results = results or collect_headline_results()
+    results = collect_headline_results()
     out = io.StringIO()
 
     def line(label: str, measured: str, paper: str) -> None:

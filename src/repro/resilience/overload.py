@@ -189,11 +189,11 @@ class OverloadController:
             return None
         return submitted_at + window
 
-    def expired(self, job, now: float | None = None) -> bool:
+    def expired(self, job) -> bool:
         deadline = job.metrics.deadline
         if deadline is None:
             return False
-        return (self.clock.now if now is None else now) > deadline
+        return self.clock.now > deadline
 
     def runtime_budget(self, destination) -> float | None:
         return destination_runtime_budget_s(destination)

@@ -50,31 +50,15 @@ class AssemblyResult:
 
 
 class GreedyAssembler:
-    """Greedy suffix-prefix assembly over minimizer overlaps.
+    """Greedy suffix-prefix assembly over minimizer overlaps."""
 
-    Parameters
-    ----------
-    k / w:
-        Minimizer parameters for overlap detection.
-    min_overlap:
-        Smallest usable overlap length in bases.
-    min_shared:
-        Minimum shared minimizers for a candidate overlap.
-    """
-
-    def __init__(
-        self,
-        k: int = 13,
-        w: int = 5,
-        min_overlap: int = 40,
-        min_shared: int = 3,
-    ) -> None:
-        if min_overlap <= k:
-            raise ValueError("min_overlap must exceed k")
-        self.k = k
-        self.w = w
-        self.min_overlap = min_overlap
-        self.min_shared = min_shared
+    #: Minimizer parameters for overlap detection.
+    k = 13
+    w = 5
+    #: Smallest usable overlap length in bases.
+    min_overlap = 40
+    #: Minimum shared minimizers for a candidate overlap.
+    min_shared = 3
 
     # ------------------------------------------------------------------ #
     # overlap detection
@@ -196,11 +180,7 @@ class GreedyAssembler:
         )
 
 
-def assemble_and_polish(
-    reads: list[SeqRecord],
-    assembler: GreedyAssembler | None = None,
-    window_length: int = 250,
-):
+def assemble_and_polish(reads: list[SeqRecord]):
     """The §V-A pipeline on real data: assemble, map back, polish.
 
     Returns (draft AssemblyResult, polished PolishResult).
@@ -208,10 +188,10 @@ def assemble_and_polish(
     from repro.tools.mapping import MinimizerMapper
     from repro.tools.racon.consensus import RaconPolisher
 
-    assembler = assembler or GreedyAssembler()
+    assembler = GreedyAssembler()
     assembly = assembler.assemble(reads)
     mapper = MinimizerMapper(assembly.contig, k=assembler.k, w=assembler.w)
     mappings = mapper.map_reads(reads)
-    polisher = RaconPolisher(window_length=window_length)
+    polisher = RaconPolisher(window_length=250)
     polish = polisher.polish(assembly.contig, reads, mappings)
     return assembly, polish

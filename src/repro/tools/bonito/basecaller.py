@@ -86,21 +86,14 @@ class Basecaller:
         self,
         pore: PoreModel,
         timing: KernelTimingModel | None = None,
-        step_threshold_pa: float | None = None,
     ) -> None:
-        if step_threshold_pa is not None and step_threshold_pa <= 0:
-            raise ValueError("step_threshold_pa must be positive")
         self.pore = pore
         self.timing = timing
         self.smoother = Conv1dLayer.smoothing(window=3)
         self.scorer = TemplateScorer(pore)
-        #: Fixed override; ``None`` selects the adaptive MAD threshold.
-        self.step_threshold = step_threshold_pa
 
     def _threshold_for(self, diff: np.ndarray) -> float:
-        """Segmentation threshold: fixed override or adaptive from noise."""
-        if self.step_threshold is not None:
-            return self.step_threshold
+        """Segmentation threshold, adaptive from the signal's noise."""
         if diff.size == 0:
             return MIN_STEP_THRESHOLD_PA
         scale = float(np.quantile(diff, ADAPTIVE_NOISE_QUANTILE))

@@ -156,23 +156,25 @@ def _observations(
     return np.asarray(kmer_ids, dtype=np.int64), np.asarray(levels, dtype=np.float32)
 
 
+#: How far each ``bonito train`` epoch moves the levels toward its estimates.
+LEARNING_RATE = 0.7
+
+
 def bonito_train(
     initial: PoreModel,
     chunks: TrainingChunks,
     epochs: int = 3,
-    learning_rate: float = 0.7,
     reference_model: PoreModel | None = None,
 ) -> tuple[PoreModel, TrainingReport]:
     """``bonito train`` — fit the k-mer levels to labelled squiggles.
 
     Each epoch computes method-of-moments level estimates from the
     uniform-partition observations and moves the model toward them by
-    ``learning_rate``.  The returned model is a *new* object (the input
-    is untouched); the report tracks RMSE against ``reference_model``
-    (the generating truth) when given, else against the initial model.
+    :data:`LEARNING_RATE`.  The returned model is a *new* object (the
+    input is untouched); the report tracks RMSE against
+    ``reference_model`` (the generating truth) when given, else against
+    the initial model.
     """
-    if not 0 < learning_rate <= 1:
-        raise ValueError("learning_rate must be in (0, 1]")
     if epochs <= 0:
         raise ValueError("epochs must be positive")
     truth = reference_model or initial
@@ -197,7 +199,7 @@ def bonito_train(
         observed_set = int(seen.sum())
         estimates = np.where(seen, sums / np.maximum(counts, 1), trained.levels)
         trained.levels = (
-            (1 - learning_rate) * trained.levels + learning_rate * estimates
+            (1 - LEARNING_RATE) * trained.levels + LEARNING_RATE * estimates
         ).astype(np.float32)
         history.append(rmse(trained))
     return trained, TrainingReport(

@@ -22,19 +22,19 @@ import numpy as np
 from repro.tools.bonito.signal import PoreModel
 
 
-def im2col(signal: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
+def im2col(signal: np.ndarray, window: int) -> np.ndarray:
     """Lower a 1-D signal to the (frames x window) patch matrix.
 
     This is the standard conv-to-GEMM lowering; frames are the sliding
-    windows at the given stride.
+    windows at stride 1.
     """
-    if window <= 0 or stride <= 0:
-        raise ValueError("window and stride must be positive")
+    if window <= 0:
+        raise ValueError("window must be positive")
     signal = np.asarray(signal, dtype=np.float32)
-    n_frames = (len(signal) - window) // stride + 1
+    n_frames = len(signal) - window + 1
     if n_frames <= 0:
         return np.empty((0, window), dtype=np.float32)
-    strides = (signal.strides[0] * stride, signal.strides[0])
+    strides = (signal.strides[0], signal.strides[0])
     return np.lib.stride_tricks.as_strided(
         signal, shape=(n_frames, window), strides=strides, writeable=False
     )
@@ -42,7 +42,7 @@ def im2col(signal: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
 
 @dataclass
 class Conv1dLayer:
-    """A 1-D convolution realised as im2col + GEMM.
+    """A 1-D convolution realised as im2col + GEMM, at frame stride 1.
 
     Attributes
     ----------
@@ -50,13 +50,10 @@ class Conv1dLayer:
         (out_channels x window) filter bank.
     bias:
         (out_channels,) bias added after the multiply.
-    stride:
-        Frame stride.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    stride: int = 1
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float32)
@@ -82,18 +79,17 @@ class Conv1dLayer:
         The FLOP count (2*m*n*k of the GEMM) is what the GPU execution
         path charges to the device.
         """
-        patches = im2col(signal, self.window, self.stride)
+        patches = im2col(signal, self.window)
         output = patches @ self.weights.T + self.bias
         flops = 2 * patches.shape[0] * self.window * self.out_channels
         return output.astype(np.float32), int(flops)
 
     @classmethod
-    def smoothing(cls, window: int = 3, stride: int = 1) -> "Conv1dLayer":
+    def smoothing(cls, window: int = 3) -> "Conv1dLayer":
         """A single moving-average denoising filter."""
         return cls(
             weights=np.full((1, window), 1.0 / window, dtype=np.float32),
             bias=np.zeros(1, dtype=np.float32),
-            stride=stride,
         )
 
 

@@ -56,17 +56,8 @@ class BonitoTiming:
 class BonitoPerfModel:
     """Bonito timing predictions at paper scale."""
 
-    def __init__(
-        self,
-        cpu_bytes_per_second: float = CPU_BYTES_PER_SECOND,
-        gpu_speedup: float = GPU_SPEEDUP,
-    ) -> None:
-        if cpu_bytes_per_second <= 0:
-            raise ValueError("cpu_bytes_per_second must be positive")
-        if gpu_speedup <= 1:
-            raise ValueError("gpu_speedup must exceed 1")
-        self.cpu_bytes_per_second = cpu_bytes_per_second
-        self.gpu_speedup = gpu_speedup
+    cpu_bytes_per_second = CPU_BYTES_PER_SECOND
+    gpu_speedup = GPU_SPEEDUP
 
     def cpu_time(self, dataset: DatasetDescriptor) -> BonitoTiming:
         """Paper-scale CPU basecalling time."""

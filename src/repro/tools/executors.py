@@ -117,10 +117,9 @@ def kernel_for_duration(
     seconds: float,
     mem_to_comp: float = 3.5,
     grid_blocks: int = 60,
-    threads_per_block: int = 256,
 ) -> KernelLaunch | None:
-    """A kernel engineered to run for ~``seconds`` on the device, or
-    ``None`` when the budget is not positive.
+    """A kernel of 256-thread blocks engineered to run for ~``seconds`` on
+    the device, or ``None`` when the budget is not positive.
 
     ``mem_to_comp`` sets the memory-time / compute-time ratio, which is
     what the stall-attribution model reads: >1 yields memory-dependency-
@@ -133,7 +132,7 @@ def kernel_for_duration(
     probe = KernelLaunch(
         name=name,
         grid_blocks=grid_blocks,
-        threads_per_block=threads_per_block,
+        threads_per_block=256,
         flops=1.0,
         bytes_read=1.0,
         bytes_written=0.0,
@@ -152,7 +151,7 @@ def kernel_for_duration(
     return KernelLaunch(
         name=name,
         grid_blocks=grid_blocks,
-        threads_per_block=threads_per_block,
+        threads_per_block=256,
         flops=compute_time * achievable_flops,
         bytes_read=total_bytes * 0.75,
         bytes_written=total_bytes * 0.25,

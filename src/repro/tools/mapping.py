@@ -114,17 +114,12 @@ class MinimizerIndex:
 class MinimizerMapper:
     """Maps reads to a single target via best-diagonal voting."""
 
-    def __init__(
-        self,
-        target: SeqRecord,
-        k: int = 15,
-        w: int = 10,
-        min_seeds: int = 3,
-        diagonal_slop: int = 100,
-    ) -> None:
+    #: Seeds a read needs on its best diagonal, and the diagonal bin width.
+    min_seeds = 3
+    diagonal_slop = 100
+
+    def __init__(self, target: SeqRecord, k: int = 15, w: int = 10) -> None:
         self.index = MinimizerIndex.build(target, k=k, w=w)
-        self.min_seeds = min_seeds
-        self.diagonal_slop = diagonal_slop
 
     def _vote(self, seeds: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]] | None:
         """Bin seeds by diagonal; return (votes, seeds) of the best bin."""

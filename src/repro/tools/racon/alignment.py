@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Racon's default scoring (match, mismatch, gap).
-DEFAULT_MATCH = 3
-DEFAULT_MISMATCH = -5
-DEFAULT_GAP = -4
+#: Racon's default scoring (match, mismatch, gap), used by every
+#: alignment and POA fusion here.
+MATCH = 3
+MISMATCH = -5
+GAP = -4
 
 _NEG_INF = np.iinfo(np.int32).min // 4
 
@@ -91,9 +92,6 @@ def _traceback(
 def global_alignment(
     query: str,
     target: str,
-    match: int = DEFAULT_MATCH,
-    mismatch: int = DEFAULT_MISMATCH,
-    gap: int = DEFAULT_GAP,
 ) -> AlignmentResult:
     """Needleman-Wunsch global alignment with linear gap penalty.
 
@@ -108,24 +106,24 @@ def global_alignment(
     t = _encode(target)
     score = np.empty((n + 1, m + 1), dtype=np.int32)
     pointer = np.zeros((n + 1, m + 1), dtype=np.uint8)
-    score[0, :] = np.arange(m + 1, dtype=np.int32) * gap
-    score[:, 0] = np.arange(n + 1, dtype=np.int32) * gap
+    score[0, :] = np.arange(m + 1, dtype=np.int32) * GAP
+    score[:, 0] = np.arange(n + 1, dtype=np.int32) * GAP
     pointer[0, 1:] = 2
     pointer[1:, 0] = 1
     steps = np.arange(1, m + 1, dtype=np.int32)
     for i in range(1, n + 1):
-        sub = np.where(t == q[i - 1], match, mismatch).astype(np.int32)
+        sub = np.where(t == q[i - 1], MATCH, MISMATCH).astype(np.int32)
         diag = score[i - 1, :-1] + sub
-        up = score[i - 1, 1:] + gap
+        up = score[i - 1, 1:] + GAP
         best = np.maximum(diag, up)
         ptr_row = np.where(diag >= up, 0, 1).astype(np.uint8)
         # Left (gap-in-query) chains have a serial dependency; with a
         # linear gap penalty they reduce to a prefix max:
-        #   row[j] = j*gap + max(row[0], max_{k<=j}(best[k-1] - k*gap))
+        #   row[j] = j*GAP + max(row[0], max_{k<=j}(best[k-1] - k*GAP))
         row = score[i]
-        adjusted = best - steps * gap
+        adjusted = best - steps * GAP
         prefix = np.maximum.accumulate(np.maximum(adjusted, row[0]))
-        row[1:] = steps * gap + prefix
+        row[1:] = steps * GAP + prefix
         from_best = row[1:] == best
         pointer[i, 1:] = np.where(from_best, ptr_row, 2)
     cigar, qa, ta = _traceback(pointer, query, target)
@@ -138,9 +136,6 @@ def banded_alignment(
     query: str,
     target: str,
     band: int = 64,
-    match: int = DEFAULT_MATCH,
-    mismatch: int = DEFAULT_MISMATCH,
-    gap: int = DEFAULT_GAP,
 ) -> AlignmentResult:
     """Global alignment restricted to a diagonal band of half-width ``band``.
 
@@ -161,10 +156,10 @@ def banded_alignment(
     pointer = np.zeros((n + 1, m + 1), dtype=np.uint8)
     score[0, 0] = 0
     upper = min(m, band)
-    score[0, 1 : upper + 1] = np.arange(1, upper + 1, dtype=np.int32) * gap
+    score[0, 1 : upper + 1] = np.arange(1, upper + 1, dtype=np.int32) * GAP
     pointer[0, 1 : upper + 1] = 2
     lower = min(n, band)
-    score[1 : lower + 1, 0] = np.arange(1, lower + 1, dtype=np.int32) * gap
+    score[1 : lower + 1, 0] = np.arange(1, lower + 1, dtype=np.int32) * GAP
     pointer[1 : lower + 1, 0] = 1
     for i in range(1, n + 1):
         j_low = max(1, i - band)
@@ -172,9 +167,9 @@ def banded_alignment(
         if j_low > j_high:
             continue
         js = np.arange(j_low, j_high + 1)
-        sub = np.where(t[js - 1] == q[i - 1], match, mismatch).astype(np.int32)
+        sub = np.where(t[js - 1] == q[i - 1], MATCH, MISMATCH).astype(np.int32)
         diag = score[i - 1, j_low - 1 : j_high] + sub
-        up = score[i - 1, j_low : j_high + 1] + gap
+        up = score[i - 1, j_low : j_high + 1] + GAP
         best = np.maximum(diag, up)
         ptr_row = np.where(diag >= up, 0, 1).astype(np.uint8)
         row = score[i]
@@ -182,11 +177,11 @@ def banded_alignment(
         # :func:`global_alignment`, restricted to the band.
         width = j_high - j_low + 1
         steps = np.arange(1, width + 1, dtype=np.int64)
-        adjusted = best.astype(np.int64) - steps * gap
+        adjusted = best.astype(np.int64) - steps * GAP
         prefix = np.maximum.accumulate(
             np.maximum(adjusted, np.int64(row[j_low - 1]))
         )
-        segment = steps * gap + prefix
+        segment = steps * GAP + prefix
         row[j_low : j_high + 1] = segment
         from_best = segment == best
         pointer[i, j_low : j_high + 1] = np.where(from_best, ptr_row, 2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.tools.racon.alignment import DEFAULT_GAP, DEFAULT_MATCH, DEFAULT_MISMATCH
 from repro.tools.racon.poa import POAGraph
 from repro.tools.seqio.paf import PafRecord
 from repro.tools.seqio.records import SeqRecord, reverse_complement
@@ -78,7 +77,7 @@ class RaconPolisher:
     ----------
     window_length:
         Backbone window size (Racon default 500).
-    banded / band:
+    banded:
         The paper's *banding approximation*.  In this reproduction the
         consensus itself is computed identically with or without banding
         (the adaptive band always covers window-scale indel drift); the
@@ -90,11 +89,7 @@ class RaconPolisher:
     def __init__(
         self,
         window_length: int = DEFAULT_WINDOW_LENGTH,
-        match: int = DEFAULT_MATCH,
-        mismatch: int = DEFAULT_MISMATCH,
-        gap: int = DEFAULT_GAP,
         banded: bool = False,
-        band: int = 64,
         quality_threshold: float | None = None,
         weight_by_quality: bool = False,
     ) -> None:
@@ -111,11 +106,7 @@ class RaconPolisher:
         if window_length <= 0:
             raise ValueError("window_length must be positive")
         self.window_length = window_length
-        self.match = match
-        self.mismatch = mismatch
-        self.gap = gap
         self.banded = banded
-        self.band = band
         self.quality_threshold = quality_threshold
         self.weight_by_quality = weight_by_quality
 
@@ -220,12 +211,7 @@ class RaconPolisher:
         """POA consensus of one window (backbone kept when unsupported)."""
         if not window.fragments or not window.backbone_fragment:
             return window.backbone_fragment
-        graph = POAGraph(
-            window.backbone_fragment,
-            match=self.match,
-            mismatch=self.mismatch,
-            gap=self.gap,
-        )
+        graph = POAGraph(window.backbone_fragment)
         for position, fragment in enumerate(window.fragments):
             graph.add_sequence(fragment, weight=window.fragment_weight(position))
         return graph.consensus()
@@ -270,9 +256,6 @@ class RaconPolisher:
         backbone: SeqRecord,
         reads: list[SeqRecord],
         rounds: int = 2,
-        mapper_k: int = 13,
-        mapper_w: int = 5,
-        window_processor=None,
     ) -> list[PolishResult]:
         """Iterative polishing — how Racon is used in practice.
 
@@ -288,11 +271,9 @@ class RaconPolisher:
         results: list[PolishResult] = []
         current = backbone
         for round_index in range(rounds):
-            mapper = MinimizerMapper(current, k=mapper_k, w=mapper_w)
+            mapper = MinimizerMapper(current, k=13, w=5)
             mappings = mapper.map_reads(reads)
-            result = self.polish(
-                current, reads, mappings, window_processor=window_processor
-            )
+            result = self.polish(current, reads, mappings)
             result.polished.name = f"{backbone.name}_round{round_index + 1}"
             results.append(result)
             current = result.polished

@@ -55,7 +55,6 @@ class CudaPolishStats:
 
     batches: list[CudaBatchStats] = field(default_factory=list)
     windows_on_gpu: int = 0
-    windows_on_cpu: int = 0
     alloc_seconds: float = 0.0
 
     @property
@@ -83,9 +82,8 @@ class CudaPOABatcher:
         The ``--cudapoa-batches`` count: windows are spread across this
         many device batches.
     banded:
-        Banding approximation: shrinks per-window DP cell counts.
-    band:
-        Band half-width when ``banded``.
+        Banding approximation: shrinks per-window DP cell counts (band
+        half-width 64).
     """
 
     def __init__(
@@ -93,14 +91,12 @@ class CudaPOABatcher:
         timing: KernelTimingModel,
         batches: int = 1,
         banded: bool = False,
-        band: int = 64,
     ) -> None:
         if batches <= 0:
             raise ValueError("batches must be positive")
         self.timing = timing
         self.batches = batches
         self.banded = banded
-        self.band = band
         self.stats = CudaPolishStats()
 
     # ------------------------------------------------------------------ #
@@ -151,7 +147,7 @@ class CudaPOABatcher:
         polisher: RaconPolisher,
         results: list[str | None],
     ) -> None:
-        cells = sum(w.workload_cells(self.banded, self.band) for w in batch)
+        cells = sum(w.workload_cells(self.banded) for w in batch)
         htod = float(sum(sum(len(f) for f in w.fragments) for w in batch))
         t0 = self.timing.host.clock.now
 

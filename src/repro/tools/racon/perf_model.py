@@ -95,7 +95,6 @@ class RaconTiming:
     threads: int = 4
     batches: int | None = None
     banded: bool = False
-    containerized: bool = False
 
 
 class RaconPerfModel:
@@ -177,13 +176,12 @@ class RaconPerfModel:
         self,
         banded: bool,
         containerized: bool = False,
-        thread_choices: tuple[int, ...] = (1, 2, 4, 8),
-        batch_choices: tuple[int, ...] = (1, 4, 8, 16),
     ) -> tuple[int, int, float]:
-        """(threads, batches, seconds) minimising the unit time."""
+        """(threads, batches, seconds) minimising the unit time over the
+        thread and batch counts of the paper's Figs. 3 and 7."""
         best: tuple[int, int, float] | None = None
-        for threads in thread_choices:
-            for batches in batch_choices:
+        for threads in (1, 2, 4, 8):
+            for batches in (1, 4, 8, 16):
                 t = self.gpu_unit_time(threads, batches, banded, containerized)
                 if best is None or t < best[2]:
                     best = (threads, batches, t)
@@ -220,7 +218,6 @@ class RaconPerfModel:
         threads: int = 4,
         batches: int = 1,
         banded: bool = False,
-        containerized: bool = False,
     ) -> RaconTiming:
         """Paper-scale GPU run with the §VI-A phase breakdown."""
         scale = self._scale(dataset)
@@ -236,8 +233,6 @@ class RaconPerfModel:
             "cpu_tail": GPU_CPU_TAIL_S,
             "cuda_api_overhead": api,
         }
-        if containerized:
-            breakdown["container_overhead"] = CONTAINER_OVERHEAD_S
         return RaconTiming(
             device="gpu",
             total_seconds=sum(breakdown.values()),
@@ -245,14 +240,11 @@ class RaconPerfModel:
             threads=threads,
             batches=batches,
             banded=banded,
-            containerized=containerized,
         )
 
-    def speedup(
-        self, dataset: DatasetDescriptor = ALZHEIMERS_NFL, threads: int = 4
-    ) -> float:
+    def speedup(self) -> float:
         """End-to-end GPU speedup over CPU (paper: ~2x on NFL)."""
         return (
-            self.cpu_end_to_end(dataset, threads).total_seconds
-            / self.gpu_end_to_end(dataset, threads).total_seconds
+            self.cpu_end_to_end().total_seconds
+            / self.gpu_end_to_end().total_seconds
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tools.racon.alignment import DEFAULT_GAP, DEFAULT_MATCH, DEFAULT_MISMATCH
+from repro.tools.racon.alignment import GAP, MATCH, MISMATCH
 
 _NEG_INF = np.int64(np.iinfo(np.int32).min // 4)
 
@@ -41,22 +41,13 @@ class POAGraph:
     sequence:
         The seed sequence (Racon seeds each window's graph with the
         backbone fragment).
-    match / mismatch / gap:
-        Alignment scoring used for every subsequent fusion.
+
+    Every fusion scores with Racon's default (match, mismatch, gap).
     """
 
-    def __init__(
-        self,
-        sequence: str,
-        match: int = DEFAULT_MATCH,
-        mismatch: int = DEFAULT_MISMATCH,
-        gap: int = DEFAULT_GAP,
-    ) -> None:
+    def __init__(self, sequence: str) -> None:
         if not sequence:
             raise ValueError("POA graph needs a non-empty seed sequence")
-        self.match = match
-        self.mismatch = mismatch
-        self.gap = gap
         self._nodes: list[_Node] = []
         self._out: dict[int, dict[int, int]] = {}  # u -> {v: weight}
         self._in: dict[int, set[int]] = {}
@@ -127,14 +118,14 @@ class POAGraph:
         move = np.full((n_rows, length + 1), 3, dtype=np.uint8)
         pred = np.zeros((n_rows, length + 1), dtype=np.int32)
 
-        gap = np.int64(self.gap)
+        gap = np.int64(GAP)
         steps = np.arange(1, length + 1, dtype=np.int64)
         zero = np.int64(0)
         for r, nid in enumerate(order, start=1):
             node = self._nodes[nid]
             preds = [rank_of[p] for p in self._in[nid]] or [0]
             sub = np.where(
-                seq == ord(node.base), self.match, self.mismatch
+                seq == ord(node.base), MATCH, MISMATCH
             ).astype(np.int64)
             # Best over predecessors for diagonal and deletion moves.
             if len(preds) == 1:

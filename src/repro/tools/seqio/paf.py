@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PafRecord:
-    """One PAF line (the 12 mandatory columns)."""
+    """One PAF line: the mandatory columns the consensus stage reads
+    (mapping quality is not modelled)."""
 
     query_name: str
     query_length: int
@@ -26,7 +27,6 @@ class PafRecord:
     target_end: int
     residue_matches: int
     alignment_block_length: int
-    mapping_quality: int = 60
 
     def __post_init__(self) -> None:
         if self.strand not in "+-":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,7 +24,6 @@ class SeqRecord:
     name: str
     sequence: str
     quality: str | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.quality is not None and len(self.quality) != len(self.sequence):
@@ -48,9 +48,9 @@ class SignalRead:
 
     read_id: str
     signal: np.ndarray
-    sample_rate_hz: float = 4000.0
     true_sequence: str | None = None
-    channel: int = 1
+    #: MinION's sampling rate.
+    sample_rate_hz: ClassVar[float] = 4000.0
 
     def __post_init__(self) -> None:
         self.signal = np.asarray(self.signal, dtype=np.float32)

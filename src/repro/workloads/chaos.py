@@ -140,13 +140,11 @@ def resolve_plan(
     scenario: str | None = None,
     plan_file=None,
     seed: int = 0,
-    device_count: int = 2,
 ) -> InjectionPlan:
     """A plan from a named scenario or a JSON file (file wins)."""
     if plan_file is not None:
         return InjectionPlan.from_file(plan_file)
-    return build_scenario(scenario or "k80-die-midrun", seed=seed,
-                          device_count=device_count)
+    return build_scenario(scenario or "k80-die-midrun", seed=seed)
 
 
 @hot_path
@@ -154,7 +152,6 @@ def run_chaos(
     plan: InjectionPlan,
     jobs: int | None = None,
     resilient: bool | None = None,
-    tools: tuple[str, ...] | None = None,
     trace: bool = False,
     clock=None,
 ) -> ChaosRunResult:
@@ -191,8 +188,7 @@ def run_chaos(
         jobs = spec.jobs if spec is not None else 8
     if resilient is None:
         resilient = spec.resilient if spec is not None else True
-    if tools is None:
-        tools = spec.tools if spec is not None else DEFAULT_TOOLS
+    tools = spec.tools if spec is not None else DEFAULT_TOOLS
 
     node = ComputeNode.paper_testbed(clock=clock)
     tracer = Tracer(node.clock) if trace else None

@@ -17,16 +17,12 @@ from repro.tools.seqio.records import DNA_ALPHABET, SeqRecord, reverse_complemen
 _BASES = np.frombuffer(DNA_ALPHABET.encode(), dtype=np.uint8)
 
 
-def simulate_genome(length: int, seed: int = 0, gc_content: float = 0.5) -> str:
-    """A random genome of ``length`` bases with the given GC fraction."""
+def simulate_genome(length: int, seed: int = 0) -> str:
+    """A random genome of ``length`` bases, each base equally likely."""
     if length <= 0:
         raise ValueError("genome length must be positive")
-    if not 0.0 <= gc_content <= 1.0:
-        raise ValueError("gc_content must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    at = (1.0 - gc_content) / 2.0
-    gc = gc_content / 2.0
-    indices = rng.choice(4, size=length, p=[at, gc, gc, at])  # A C G T
+    indices = rng.choice(4, size=length, p=[0.25, 0.25, 0.25, 0.25])  # A C G T
     return _BASES[indices].tobytes().decode()
 
 

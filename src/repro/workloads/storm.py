@@ -39,47 +39,45 @@ from repro.workloads.traces import (
 #: Serialisation schema tag for :meth:`StormResult.to_json`.
 STORM_SCHEMA = "gyan.storm/v1"
 
+#: A storm wave: ``CALM_JOBS`` arrivals at ``BASE_INTERARRIVAL_S`` mean
+#: spacing, then ``BURST_JOBS`` arrivals ``burst_factor`` times faster.
+BASE_INTERARRIVAL_S = 4.0
+CALM_JOBS = 6
+BURST_JOBS = 10
+
 
 def generate_storm_trace(
     n_jobs: int = 48,
     seed: int = 0,
-    base_interarrival_s: float = 4.0,
     burst_factor: float = 10.0,
-    calm_jobs: int = 6,
-    burst_jobs: int = 10,
-    tool_mix: dict[str, float] | None = None,
-    durations: dict[str, float] | None = None,
 ) -> ArrivalTrace:
     """A seeded arrival trace alternating calm stretches and bursts.
 
-    Jobs arrive in repeating waves of ``calm_jobs`` submissions at the
-    base interarrival time followed by ``burst_jobs`` submissions
-    ``burst_factor`` times faster — the thundering-herd shape (pipeline
-    kick-offs, class assignments due at midnight) that motivates bounded
-    queues.  Pure :mod:`random` seeded by ``seed``; no wall clock.
+    Jobs arrive in repeating waves of :data:`CALM_JOBS` submissions at
+    the base interarrival time followed by :data:`BURST_JOBS`
+    submissions ``burst_factor`` times faster — the thundering-herd
+    shape (pipeline kick-offs, class assignments due at midnight) that
+    motivates bounded queues.  Tools and durations follow the trace
+    module's default mix.  Pure :mod:`random` seeded by ``seed``; no
+    wall clock.
     """
     if n_jobs <= 0:
         raise ValueError("n_jobs must be positive")
-    if base_interarrival_s <= 0:
-        raise ValueError("base_interarrival_s must be positive")
     if not 1.0 <= burst_factor < math.inf:
         raise ValueError(
             "burst_factor must be finite and >= 1 (a burst is faster), "
             f"got {burst_factor}"
         )
-    if calm_jobs < 1 or burst_jobs < 1:
-        raise ValueError("calm_jobs and burst_jobs must be positive")
-    tool_mix = tool_mix or DEFAULT_TOOL_MIX
-    durations = durations or DEFAULT_DURATIONS
+    tool_mix = DEFAULT_TOOL_MIX
     tools = sorted(tool_mix)
     total_weight = sum(tool_mix[t] for t in tools)
     rng = random.Random(seed)
-    wave = calm_jobs + burst_jobs
+    wave = CALM_JOBS + BURST_JOBS
     now = 0.0
     entries: list[TraceEntry] = []
     for i in range(n_jobs):
-        in_burst = (i % wave) >= calm_jobs
-        mean = base_interarrival_s / (burst_factor if in_burst else 1.0)
+        in_burst = (i % wave) >= CALM_JOBS
+        mean = BASE_INTERARRIVAL_S / (burst_factor if in_burst else 1.0)
         now += rng.expovariate(1.0 / mean)
         pick = rng.random() * total_weight
         tool_id = tools[-1]
@@ -88,7 +86,7 @@ def generate_storm_trace(
             if pick <= 0:
                 tool_id = candidate
                 break
-        duration = durations[tool_id] * rng.uniform(0.9, 1.1)
+        duration = DEFAULT_DURATIONS[tool_id] * rng.uniform(0.9, 1.1)
         entries.append(
             TraceEntry(
                 arrival_time=round(now, 6),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import sanitizer as simsan
-from repro.analysis.sanitizer import SanitizerError, SimSanitizer
+from repro.analysis.sanitizer import SanitizerError
 from repro.gpusim.clock import VirtualClock
 from repro.gpusim.errors import DoubleFreeError
 
@@ -87,18 +87,6 @@ def test_accounting_corruption_fails_allocator_check(host):
     del allocator._context_overhead[4242]
 
 
-def test_collect_mode_records_instead_of_raising(host):
-    """raise_on_violation=False turns simsan into a diagnostics sweep."""
-    san = SimSanitizer(raise_on_violation=False)
-    host.devices[0].sm_utilization = -1.0
-    host.devices[1].sm_utilization = 400.0
-    for device in host.devices:
-        san.check_device(device)
-    assert _rule_ids(san.violations) == ["SIM303", "SIM303"]
-    host.devices[0].sm_utilization = 0.0
-    host.devices[1].sm_utilization = 0.0
-
-
 def test_lost_device_with_live_process_fails_snapshot(host):
     """SIM306: a device marked unhealthy must hold no live contexts."""
     host.launch_process("orphan_tool", cuda_visible_devices="0")
@@ -142,9 +130,11 @@ def test_install_is_idempotent_and_uninstall_restores():
     [("1", True), ("true", True), ("on", True), ("", False), ("0", False),
      ("false", False), ("no", False)],
 )
-def test_enabled_from_env(value, expected):
-    assert simsan.enabled_from_env({simsan.SIMSAN_ENV_VAR: value}) is expected
+def test_enabled_from_env(value, expected, monkeypatch):
+    monkeypatch.setenv(simsan.SIMSAN_ENV_VAR, value)
+    assert simsan.enabled_from_env() is expected
 
 
-def test_enabled_from_env_unset():
-    assert simsan.enabled_from_env({}) is False
+def test_enabled_from_env_unset(monkeypatch):
+    monkeypatch.delenv(simsan.SIMSAN_ENV_VAR, raising=False)
+    assert simsan.enabled_from_env() is False

@@ -443,7 +443,7 @@ class TestPlacementSemantics:
         arm, leaving the queues to high-benefit tools."""
         config = FleetConfig(
             nodes=2, gpus_per_node=2, queue_limit=4,
-            placement=PLACEMENT_BENEFIT, benefit_threshold=12.0,
+            placement=PLACEMENT_BENEFIT,
             gpu_reserve_fraction=0.25,
         )
         profile = DiurnalProfile(

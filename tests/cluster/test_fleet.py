@@ -106,10 +106,10 @@ class TestColumnarReferenceParity:
         assert result.shed == reference.shed
 
     def test_parity_with_queue_full_shedding(self):
-        """degrade_to_cpu off: overflow becomes QUEUE_FULL sheds."""
+        """Overflow of a class that cannot degrade becomes QUEUE_FULL sheds."""
         config = FleetConfig(
             nodes=2, gpus_per_node=1, queue_limit=2,
-            deadline_seconds=600.0, max_hops=1, degrade_to_cpu=False,
+            deadline_seconds=600.0, max_hops=1,
         )
         profile = DiurnalProfile(
             users=800, jobs_per_user_day=4.0, days=0.25,
@@ -303,7 +303,6 @@ class TestFleetSemantics:
         )
 
     def test_config_validation(self):
-        FleetConfig(nodes=2, benefit_threshold=float("inf"))  # "nobody is"
         with pytest.raises(ValueError):
             FleetConfig(nodes=0)
         with pytest.raises(ValueError):
@@ -338,13 +337,12 @@ class TestFleetSemantics:
         {"deadline_seconds": -5.0},
         {"deadline_seconds": float("inf")},
         {"deadline_seconds": float("nan")},
-        # A product of two negatives is a positive slot count.
-        {"gpus_per_node": -8, "slots_per_gpu": -1},
-        {"slots_per_gpu": 0},
-        # NaN fails every comparison: it used to pass `<= 0` and turn
-        # benefit-aware into spread.
-        {"benefit_threshold": float("nan")},
-        {"benefit_threshold": 0.0},
+        {"gpus_per_node": -8},
+        {"gpu_reserve_fraction": 1.0},
+        # NaN fails every comparison, so the range check must be written
+        # to refuse it.
+        {"gpu_reserve_fraction": float("nan")},
+        {"placement": "nowhere"},
     ])
     def test_degenerate_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):

@@ -47,30 +47,30 @@ class TestComputeNode:
             ComputeNode("n", NodeResources(cpu_slots=4, memory_gib=8, gpu_count=2))
 
     def test_cpu_reservation_lifecycle(self):
-        node = ComputeNode.cpu_only(cpu_slots=8)
-        token = node.reserve_cpus(5)
+        node = ComputeNode.cpu_only()
+        token = node.reserve_cpus(45)
         assert node.cpu_slots_free == 3
-        assert node.release_cpus(token) == 5
-        assert node.cpu_slots_free == 8
+        assert node.release_cpus(token) == 45
+        assert node.cpu_slots_free == 48
 
     def test_overcommit_rejected(self):
-        node = ComputeNode.cpu_only(cpu_slots=4)
-        node.reserve_cpus(4)
+        node = ComputeNode.cpu_only()
+        node.reserve_cpus(48)
         with pytest.raises(ValueError):
             node.reserve_cpus(1)
 
     def test_invalid_reservations(self):
-        node = ComputeNode.cpu_only(cpu_slots=4)
+        node = ComputeNode.cpu_only()
         with pytest.raises(ValueError):
             node.reserve_cpus(0)
         with pytest.raises(ValueError):
             node.release_cpus(999)
 
     def test_independent_reservations(self):
-        node = ComputeNode.cpu_only(cpu_slots=8)
+        node = ComputeNode.cpu_only()
         t1 = node.reserve_cpus(2)
         t2 = node.reserve_cpus(3)
         node.release_cpus(t1)
-        assert node.cpu_slots_free == 5
+        assert node.cpu_slots_free == 45
         node.release_cpus(t2)
-        assert node.cpu_slots_free == 8
+        assert node.cpu_slots_free == 48

@@ -27,7 +27,7 @@ class TestImages:
 
 class TestRegistry:
     def test_cold_pull_costs_time_proportional_to_size(self):
-        registry = ImageRegistry(bandwidth_gbps=0.15)
+        registry = ImageRegistry()
         _, record = registry.pull(RACON_GPU_IMAGE.reference)
         assert not record.cached
         expected = RACON_GPU_IMAGE.size_bytes / 0.15e9
@@ -54,7 +54,3 @@ class TestRegistry:
         registry.pull(RACON_GPU_IMAGE.reference)
         registry.pull(RACON_GPU_IMAGE.reference)
         assert [r.cached for r in registry.pull_log] == [False, True]
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            ImageRegistry(bandwidth_gbps=0)

@@ -228,7 +228,7 @@ class TestSparkline:
         exactly — every value lands in exactly one bucket."""
         width = 32
         values = [0.0] * width + [100.0]
-        line = GPUUsageMonitor._sparkline(values, width=width)
+        line = GPUUsageMonitor._sparkline(values)
         assert len(line) == width
         assert line[-1] == "@"  # the extra max value was not dropped
         assert set(line[:-1]) == {" "}
@@ -236,18 +236,18 @@ class TestSparkline:
     def test_much_longer_than_width_keeps_the_peak(self):
         width = 32
         values = [0.0] * 9_999 + [100.0]
-        line = GPUUsageMonitor._sparkline(values, width=width)
+        line = GPUUsageMonitor._sparkline(values)
         assert len(line) == width
         assert line[-1] == "@"
         peak_anywhere = [0.0] * 5_000 + [100.0] + [0.0] * 4_999
-        assert "@" in GPUUsageMonitor._sparkline(peak_anywhere, width=width)
+        assert "@" in GPUUsageMonitor._sparkline(peak_anywhere)
 
     def test_short_input_rendered_verbatim(self):
-        line = GPUUsageMonitor._sparkline([0.0, 50.0, 100.0], width=32)
+        line = GPUUsageMonitor._sparkline([0.0, 50.0, 100.0])
         assert line == " =@"
 
     def test_empty_input(self):
-        assert GPUUsageMonitor._sparkline([], width=32) == ""
+        assert GPUUsageMonitor._sparkline([]) == ""
 
     def test_bucket_maxima_are_exact_at_awkward_strides(self):
         """Place one spike per bucket at stride len/width = 7.03125 and
@@ -260,7 +260,7 @@ class TestSparkline:
             lo, hi = (i * count) // width, ((i + 1) * count) // width
             values[lo] = 100.0
             assert hi > lo  # every bucket non-empty
-        line = GPUUsageMonitor._sparkline(values, width=width)
+        line = GPUUsageMonitor._sparkline(values)
         assert line == "@" * width
 
 

@@ -79,6 +79,7 @@ COMMANDS = (
     (0, "GYAN_SIMSAN=1 repro smi --demo"),
     (0, "repro racon --workload dataset --container"),
     (0, "repro racon --threads 8 --batches 2 --banded --allocation memory"),
+    (2, "repro racon --threads 49"),
     (0, "repro racon --workload dataset --allocation utilization"),
     (0, "repro bonito"),
     (0, "repro bonito --workload unit --allocation memory"),
@@ -180,6 +181,7 @@ COMMANDS = (
     (0, "repro fleet --autoscale --min-nodes 2 --nodes 12 --jobs 20000"
         " --check-parity"),
     (2, "repro fleet --autoscale --min-nodes 2 --nodes 4 --eval-interval nan"),
+    (2, "repro fleet --jobs 100000000000000000000 --nodes 3"),
     # race: every scenario
     (0, "repro race src/ examples/"),
     (0, "repro race --list-scenarios"),

@@ -23,9 +23,9 @@ class TestLifecycle:
         job = make_job()
         job.transition(JobState.QUEUED)
         job.transition(JobState.RUNNING)
-        job.fail("boom", exit_code=2)
+        job.fail("boom")
         assert job.state is JobState.ERROR
-        assert job.exit_code == 2
+        assert job.exit_code == 1
         assert "boom" in job.stderr
 
     def test_queued_can_error_directly(self):

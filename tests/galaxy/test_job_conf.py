@@ -172,7 +172,6 @@ class TestParseBoolParam:
         from repro.galaxy.job_conf import parse_bool_param
 
         assert parse_bool_param(None) is False
-        assert parse_bool_param(None, default=True) is True
 
     @pytest.mark.parametrize("raw", ["True", "YES", " on "])
     def test_destination_flags_accept_all_spellings(self, raw):

@@ -52,8 +52,3 @@ class TestBuildParamDict:
         assert params["__tool_id__"] == "t"
         assert params["__tool_version__"] == "3.1"
         assert params["__job_id__"] == job.job_id
-
-    def test_extra_entries_override(self):
-        job = GalaxyJob(tool=TOOL)
-        params = build_param_dict(job, extra={"output_path": "/tmp/x"})
-        assert params["output_path"] == "/tmp/x"

@@ -12,7 +12,6 @@ from repro.gpusim.errors import ClockError
 class TestVirtualClock:
     def test_starts_at_epoch(self):
         assert VirtualClock().now == 0.0
-        assert VirtualClock(epoch=10.0).now == 10.0
 
     def test_advance_moves_forward(self):
         clock = VirtualClock()

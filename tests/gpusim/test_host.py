@@ -64,12 +64,6 @@ class TestHost:
         proc = host.launch_process("tool")
         assert proc.device_indices == [0, 1]
 
-    def test_launch_cpu_only(self):
-        host = make_k80_host()
-        proc = host.launch_process("cpu_tool", attach=False)
-        assert proc.device_indices == []
-        assert host.device(0).is_idle and host.device(1).is_idle
-
     def test_pids_monotone_and_paperlike(self):
         host = make_k80_host()
         first = host.launch_process("a").pid

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpusim.errors import InvalidDeviceError
-from repro.gpusim.host import GPUHost, make_k80_host
+from repro.gpusim.host import make_k80_host
 from repro.gpusim.smi import render_topology
 
 
@@ -16,8 +16,6 @@ class TestBoardGeometry:
         assert not host.same_board(1, 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GPUHost(device_count=2, dies_per_board=0)
         with pytest.raises(InvalidDeviceError):
             make_k80_host().board_of(9)
 

@@ -42,10 +42,10 @@ class TestStormTrace:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_jobs": 0},
-        {"base_interarrival_s": 0.0},
+        {"n_jobs": -3},
         {"burst_factor": 0.5},
-        {"calm_jobs": 0},
-        {"burst_jobs": 0},
+        {"burst_factor": float("inf")},
+        {"burst_factor": float("nan")},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from repro.observability.tracing import (
 )
 
 
-def make_tracer(epoch: float = 0.0) -> tuple[Tracer, VirtualClock]:
-    clock = VirtualClock(epoch)
+def make_tracer() -> tuple[Tracer, VirtualClock]:
+    clock = VirtualClock()
     return Tracer(clock), clock
 
 

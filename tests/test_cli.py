@@ -169,12 +169,28 @@ class TestCountsOutOfRange:
         (["trace", "--jobs", "2", "--interarrival", "1e17"],
          "trace: cannot move clock to t=6.799319039689096e+16: "
          "instants stop below 2**53 s"),
+        # One more thread than the testbed's 48 CPU slots.
+        (["racon", "--threads", "49"],
+         "racon: gyan-node-0: requested 49 CPU slots, only 48 free; "
+         "lower --threads (now 49)"),
+        # Row indices are signed 64-bit: refused before any day runs.
+        (["fleet", "--jobs", "100000000000000000000", "--nodes", "3"],
+         "fleet: a fleet day holds at most 9223372036854775807 jobs (a "
+         "signed 64-bit row index), got 100000000000000000000"),
+        (["fleet", "--jobs", "10000000000000000000", "--nodes", "3"],
+         "fleet: a fleet day holds at most 9223372036854775807 jobs (a "
+         "signed 64-bit row index), got 10000000000000000000"),
     ])
     def test_is_a_usage_error(self, capsys, argv, line):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line + "\n"
+
+    def test_racon_in_a_container_reserves_no_cpu_slots(self, capsys):
+        """The Docker runner charges no CPU slots, so 49 threads run."""
+        assert main(["racon", "--threads", "49", "--container"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_faults_with_zero_jobs_is_the_empty_run(self, capsys):
         assert main(["faults", "--jobs", "0"]) == 0

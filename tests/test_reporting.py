@@ -21,8 +21,8 @@ class TestCollection:
         assert results.bonito_cpu_hours["Acinetobacter_pittii"] > 210
         assert results.stalls["memory_dependency"] == pytest.approx(70, abs=5)
 
-    def test_report_renders_every_section(self, results):
-        report = render_report(results)
+    def test_report_renders_every_section(self):
+        report = render_report()
         for needle in (
             "Racon GPU best (unbanded)",
             "Racon speedup",

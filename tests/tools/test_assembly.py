@@ -35,11 +35,7 @@ class TestOverlapDetection:
         genome = simulate_genome(600, seed=5)
         a = SeqRecord(name="a", sequence=genome[:310])
         b = SeqRecord(name="b", sequence=genome[290:600])  # 20bp overlap
-        assert GreedyAssembler(min_overlap=40).find_suffix_prefix_overlap(a, b) is None
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            GreedyAssembler(k=13, min_overlap=10)
+        assert GreedyAssembler().find_suffix_prefix_overlap(a, b) is None
 
 
 class TestAssembly:

@@ -72,10 +72,6 @@ class TestSegmentation:
         assert events == 1
         assert len(record.sequence) == 1
 
-    def test_threshold_validation(self, pore_model):
-        with pytest.raises(ValueError):
-            Basecaller(pore_model, step_threshold_pa=0.0)
-
 
 class TestGpuPath:
     def test_gpu_and_cpu_basecalls_identical(self, pore_model, squiggle_reads, host):

@@ -120,8 +120,6 @@ class TestTrain:
     def test_validation(self, pore_model, training_data):
         with pytest.raises(ValueError):
             bonito_train(pore_model, training_data, epochs=0)
-        with pytest.raises(ValueError):
-            bonito_train(pore_model, training_data, learning_rate=0.0)
 
 
 class TestEvaluate:

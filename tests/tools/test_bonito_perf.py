@@ -46,9 +46,3 @@ class TestPhaseStructure:
     def test_breakdown_sums_to_total(self, model):
         timing = model.gpu_time(KLEBSIELLA_KSB2)
         assert sum(timing.breakdown.values()) == pytest.approx(timing.total_seconds)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BonitoPerfModel(cpu_bytes_per_second=0)
-        with pytest.raises(ValueError):
-            BonitoPerfModel(gpu_speedup=0.5)

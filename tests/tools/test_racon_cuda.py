@@ -50,7 +50,7 @@ class TestResultEquality:
         polisher = RaconPolisher(window_length=200)
         plain = CudaPOABatcher(timing, batches=2, banded=False)
         polisher.polish(backbone, reads, mappings, window_processor=plain)
-        banded = CudaPOABatcher(timing, batches=2, banded=True, band=32)
+        banded = CudaPOABatcher(timing, batches=2, banded=True)
         result = polisher.polish(backbone, reads, mappings, window_processor=banded)
         unbanded_cells = sum(b.cells for b in plain.stats.batches)
         banded_cells = sum(b.cells for b in banded.stats.batches)

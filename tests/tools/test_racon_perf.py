@@ -107,7 +107,9 @@ class TestEndToEndSection6A:
             205.0, abs=1.0
         )
         # speedup roughly preserved under scaling (alloc is fixed)
-        assert model.speedup(HALF_NFL) == pytest.approx(2.05, abs=0.15)
+        speedup = (model.cpu_end_to_end(HALF_NFL).total_seconds
+                   / model.gpu_end_to_end(HALF_NFL).total_seconds)
+        assert speedup == pytest.approx(2.05, abs=0.15)
 
     def test_banded_shrinks_kernels_only(self, model):
         plain = model.gpu_end_to_end(banded=False)

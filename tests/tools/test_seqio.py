@@ -53,7 +53,7 @@ class TestPaf:
 
 class TestSignalRead:
     def test_basic(self):
-        read = SignalRead(read_id="r", signal=np.zeros(4000), sample_rate_hz=4000.0)
+        read = SignalRead(read_id="r", signal=np.zeros(4000))
         assert len(read) == 4000
 
     def test_dtype_normalised(self):

@@ -49,11 +49,9 @@ class TestGenomeSimulation:
         assert set(genome) <= set("ACGT")
 
     def test_gc_content_controlled(self):
-        low = simulate_genome(20_000, seed=1, gc_content=0.2)
-        high = simulate_genome(20_000, seed=1, gc_content=0.8)
-        gc = lambda s: sum(1 for b in s if b in "GC") / len(s)
-        assert gc(low) == pytest.approx(0.2, abs=0.02)
-        assert gc(high) == pytest.approx(0.8, abs=0.02)
+        genome = simulate_genome(20_000, seed=1)
+        gc = sum(1 for b in genome if b in "GC") / len(genome)
+        assert gc == pytest.approx(0.5, abs=0.02)
 
     def test_deterministic_by_seed(self):
         assert simulate_genome(500, seed=7) == simulate_genome(500, seed=7)
@@ -62,8 +60,6 @@ class TestGenomeSimulation:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_genome(0)
-        with pytest.raises(ValueError):
-            simulate_genome(10, gc_content=1.5)
 
 
 class TestMutation:
