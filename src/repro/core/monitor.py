@@ -32,6 +32,10 @@ expand on demand: ``np.add.accumulate`` adds strictly left to right, so
 it replays the walk, and ``np.repeat`` expands runs.
 ``session.samples`` is a lazy sequence of :class:`UsageSample` objects;
 see ``docs/performance.md``.
+
+NumPy is imported by those readers alone (:meth:`DeviceSeries.utilization`,
+:attr:`MonitoredJob.times` and the report sparkline), so the CSV, the
+sparkline and the report load it and a job that is only sampled does not.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.galaxy.job import GalaxyJob
 from repro.gpusim.clock import HORIZON
 from repro.gpusim.host import GPUHost
 from repro.hotpath import hot_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Rows per chunk emitted by the buffered CSV writer.  Large enough to
 #: amortise the join/write per chunk, small enough to keep the streaming
@@ -214,6 +219,8 @@ class DeviceSeries:
         The buffer views die with this call, so the series can keep
         growing after a reading.
         """
+        import numpy as np
+
         return np.frombuffer(self.run_util).repeat(np.frombuffer(self.run_lens, dtype=np.int64))
 
     def statistics(self) -> UsageStatistics | None:
@@ -340,6 +347,8 @@ class MonitoredJob:
         if self.stopped_at is not None:
             times[-1] = self.stopped_at
         if self.walk_len:
+            import numpy as np
+
             times[1] = self.first_due
             walk = np.frombuffer(times)[1 : 1 + self.walk_len]
             np.add.accumulate(walk, out=walk)
@@ -549,6 +558,8 @@ class GPUUsageMonitor:
         blocks = " .:-=+*#%@"
         width = 32
         if count > width:
+            import numpy as np
+
             starts = [(i * count) // width for i in range(width)]
             values = np.maximum.reduceat(np.asarray(values, dtype=float), starts).tolist()
         return "".join(

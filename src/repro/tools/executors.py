@@ -23,7 +23,9 @@ Three workload modes, chosen by the job parameter ``workload``:
 ``payload``
     Real data: the actual algorithms run on the miniature payload
     (``payload`` parameter), producing genuine polished sequences or
-    basecalls; device time is whatever the kernels cost.
+    basecalls; device time is whatever the kernels cost.  The branches
+    of this mode import the algorithms (and so NumPy) themselves: the
+    timed modes load neither.
 
 The timed modes shape device activity with :func:`kernel_for_duration`,
 which designs a kernel for a time budget; a streamed run designs its
@@ -39,7 +41,7 @@ only the installers of the tools it uses.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.galaxy.app import GalaxyApp, ToolExecutionContext, ToolExecutionResult
 from repro.gpusim.kernels import (
@@ -48,13 +50,12 @@ from repro.gpusim.kernels import (
     KernelTimingModel,
     MemcpyKind,
 )
-from repro.tools.bonito.basecaller import Basecaller
 from repro.tools.bonito.perf_model import GPU_PHASE_FRACTIONS, BonitoPerfModel
-from repro.tools.bonito.signal import PoreModel
-from repro.tools.racon.consensus import RaconPolisher
-from repro.tools.racon.cuda import CudaPOABatcher
 from repro.tools.racon.perf_model import GPU_CPU_TAIL_S, RaconPerfModel
 from repro.workloads.datasets import ALZHEIMERS_NFL, PAPER_DATASETS, DatasetDescriptor
+
+if TYPE_CHECKING:
+    from repro.tools.bonito.signal import PoreModel
 
 GIB = 1024**3
 MIB = 1024**2
@@ -168,6 +169,8 @@ def racon_cpu_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecut
     workload = ctx.job.params.get("workload", "unit")
 
     if workload == "payload":
+        from repro.tools.racon.consensus import RaconPolisher
+
         payload = ctx.job.params["payload"]
         polisher = RaconPolisher(
             window_length=int(ctx.job.params.get("window_length", 250))
@@ -218,6 +221,9 @@ def racon_gpu_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecut
     containerized = ctx.job.metrics.container is not None
 
     if workload == "payload":
+        from repro.tools.racon.consensus import RaconPolisher
+        from repro.tools.racon.cuda import CudaPOABatcher
+
         payload = ctx.job.params["payload"]
         timing = _timing_for(ctx)
         batcher = CudaPOABatcher(timing, batches=batches, banded=banded)
@@ -362,6 +368,8 @@ def bonito_executor(argv: list[str], ctx: ToolExecutionContext) -> ToolExecution
     model = BonitoPerfModel()
 
     if workload == "payload":
+        from repro.tools.bonito.basecaller import Basecaller
+
         payload = ctx.job.params["payload"]
         pore: PoreModel = payload["pore"]
         reads = payload["reads"]

@@ -140,3 +140,36 @@ def test_one_count_probe_per_gpu_job(monkeypatch):
         LOCAL_GPU_DESTINATION
     ] * len(jobs)
     assert len(calls) == len(jobs)
+
+
+def test_cpu_arm_job_takes_a_die_that_recovers_before_launch():
+    """The open case of ROADMAP item 12, recorded as it behaves today.
+
+    DESIGN.md §1(b) has the rule map the job from live GPU availability
+    and §1(c) has the runner launch it with ``CUDA_VISIBLE_DEVICES``.
+    The launch asks the mapper again, and the stock job_conf's
+    ``local_cpu`` pins no ``gpu_enabled_override``.  So a GPU tool the
+    rule sent to the CPU arm because every die was lost still gets die
+    0 when it recovers between mapping and launch: it runs the GPU
+    binary on ``local_cpu``.  Item 12 decides whether the rule's arm or
+    the launch-time probe wins; this test changes with that decision.
+    """
+    deployment = build_deployment()
+    register_paper_tools(deployment.app)
+    for device in deployment.gpu_host.devices:
+        device.mark_failed()
+    job = deployment.app.submit("racon", {"workload": "unit"})
+    destination = deployment.app.map_destination(job)
+    assert destination.destination_id == LOCAL_CPU_DESTINATION
+
+    deployment.gpu_host.devices[0].recover()
+    runner = deployment.app.runner_for(destination)
+    launched = runner.launch(job, destination)
+
+    assert launched.context.environment[GPU_ENABLED_ENV_VAR] == "true"
+    assert launched.context.environment["CUDA_VISIBLE_DEVICES"] == "0"
+    done = runner.finish(launched)
+    assert done.state.value == "ok"
+    assert done.metrics.destination_id == LOCAL_CPU_DESTINATION
+    assert done.metrics.gpu_ids == ["0"]
+    assert done.command_line.startswith("racon_gpu ")

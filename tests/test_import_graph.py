@@ -39,6 +39,20 @@ _OBJECT_VERB_STRANGERS = (
     "urllib.request",
 )
 
+#: What only the executors' ``payload`` mode runs: the real algorithms.
+#: No paper verb runs that mode, and none of them calls NumPy
+#: (``docs/performance.md``, "Start-up").
+_RACON_PAYLOAD = (
+    "repro.tools.racon.poa", "repro.tools.racon.alignment",
+    "repro.tools.racon.consensus", "repro.tools.racon.cuda",
+    "repro.tools.seqio.records",
+)
+_PAYLOAD_ONLY = (
+    *_RACON_PAYLOAD, "repro.tools.bonito.basecaller",
+    "repro.tools.bonito.model", "repro.tools.bonito.signal",
+)
+_PAPER_VERB_STRANGERS = (*_OBJECT_VERB_STRANGERS, "numpy", *_PAYLOAD_ONLY)
+
 #: (id, statement, the exact ``repro*`` modules it may load or None for
 #: any, module trees it must not load).
 ROWS = [
@@ -54,16 +68,45 @@ ROWS = [
      ("numpy", "repro.tools", "repro.cluster.fleet")),
     ("perf", _main("perf", "src/repro/hotpath.py"), None,
      ("numpy", "repro.cluster")),
-    ("racon", _main("racon"), None, _OBJECT_VERB_STRANGERS),
-    ("info", _main("info"), None, _OBJECT_VERB_STRANGERS),
+    ("racon", _main("racon"), None, _PAPER_VERB_STRANGERS),
+    ("info", _main("info"), None, _PAPER_VERB_STRANGERS),
+    ("racon-dataset-container",
+     _main("racon", "--workload", "dataset", "--container"), None,
+     _PAPER_VERB_STRANGERS),
+    ("bonito", _main("bonito"), None, _PAPER_VERB_STRANGERS),
+    ("cases", _main("cases"), None, _PAPER_VERB_STRANGERS),
+    ("smi-demo", _main("smi", "--demo"), None, _PAPER_VERB_STRANGERS),
+    ("experiment-all", _main("experiment", "all"), None, _PAPER_VERB_STRANGERS),
+    ("verify-examples", _main("verify", "examples", "--no-model-check"), None,
+     ("numpy", *_PAYLOAD_ONLY)),
+    ("faults-nvml-flaky",
+     _main("faults", "--scenario", "nvml-flaky", "--jobs", "3"), None,
+     _PAPER_VERB_STRANGERS),
 ]
+
+#: A Racon job in ``payload`` mode on a miniature read set: the one path
+#: that runs the real polishing algorithms, so it loads them.
+PAYLOAD_RACON = """\
+from repro import build_deployment, register_paper_tools
+from repro.tools.mapping import MinimizerMapper
+from repro.workloads.generator import corrupted_backbone, simulate_read_set
+read_set = simulate_read_set(genome_length=600, coverage=6, mean_read_length=200, seed=1)
+draft = corrupted_backbone(read_set, seed=2)
+mappings = MinimizerMapper(draft, k=13, w=5).map_reads(read_set.records)
+deployment = build_deployment()
+register_paper_tools(deployment.app)
+payload = {"backbone": draft, "reads": read_set.records, "mappings": mappings}
+job = deployment.run_tool("racon", {"workload": "payload", "payload": payload})
+assert job.metrics.gpu_ids == ["0"], job.metrics.gpu_ids
+"""
 
 
 def _modules_after(statement: str) -> list[str]:
     env = {k: v for k, v in os.environ.items() if k != "GYAN_SIMSAN"}
     env["PYTHONPATH"] = str(SRC)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD.format(statement=statement)],
+        [sys.executable, "-c",
+         CHILD.format(statement=statement.strip().replace("\n", "\n    "))],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
@@ -82,6 +125,11 @@ def test_loads_only_its_tier(statement, repro_modules, forbidden):
         if any(m == tree or m.startswith(tree + ".") for tree in forbidden)
     ]
     assert strangers == []
+
+
+def test_payload_racon_loads_the_algorithms():
+    modules = set(_modules_after(PAYLOAD_RACON))
+    assert [m for m in ("numpy", *_RACON_PAYLOAD) if m not in modules] == []
 
 
 def test_no_package_init_imports_repro():
