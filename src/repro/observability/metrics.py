@@ -48,8 +48,6 @@ def format_value(value: float) -> str:
     and everything else through ``repr``, which round-trips exactly —
     the byte-stability contract.
     """
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return "1" if value else "0"
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))

@@ -57,8 +57,6 @@ def minimizers(sequence: str, k: int = 15, w: int = 10) -> list[tuple[int, int]]
     the poly-A pathology of raw lexicographic minima.
     """
     codes = kmer_codes(sequence, k)
-    if codes.size == 0:
-        return []
     # Simple integer hash (xorshift-multiply), vectorised.  Arithmetic in
     # uint64 with explicit wraparound keeps NumPy happy.
     hashed = codes.astype(np.uint64)

@@ -193,10 +193,6 @@ def banded_alignment(
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance, vectorised row DP."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     bv = _encode(b)
     previous = np.arange(len(b) + 1, dtype=np.int32)
     for i, ch in enumerate(_encode(a), start=1):

@@ -105,8 +105,6 @@ class POAGraph:
         is what keeps window-boundary slop from fusing into the graph as
         spurious insertions — mirroring Racon's per-window clipping.
         """
-        if not sequence:
-            return []
         order = self.topological_order()
         rank_of = {nid: r for r, nid in enumerate(order, start=1)}
         n_rows = len(order) + 1
@@ -173,8 +171,6 @@ class POAGraph:
         pairs: list[tuple[int | None, int | None]] = []
         while r > 0 and score[r, j] > 0:
             m = move[r, j]
-            if m == 3:
-                break
             if m == 0:
                 pairs.append((order[r - 1], j - 1))
                 r = int(pred[r, j])
