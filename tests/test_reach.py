@@ -119,7 +119,8 @@ def test_the_walker_finds_every_arm(tmp_path):
     assert arms["spanning:49"].span == (49, 51)
 
 
-def test_one_trace_feeds_the_module_function_and_branch_levels(tmp_path):
+def _trace(tmp_path):
+    """The walked synthetic module and what one traced run of it entered and took."""
     module = _walk(tmp_path)
     trace, dump = reach._tracer(reach.arm_table([module], root=tmp_path))
     spec = importlib.util.spec_from_file_location("reach_synthetic", tmp_path / "mod.py")
@@ -140,7 +141,11 @@ def test_one_trace_feeds_the_module_function_and_branch_levels(tmp_path):
         sys.settrace(previous)
     (tmp_path / "trace").mkdir()
     dump(tmp_path / "trace" / "1.tsv")
-    entered, taken = reach.read_trace(tmp_path / "trace", root=tmp_path)
+    return (module, *reach.read_trace(tmp_path / "trace", root=tmp_path))
+
+
+def test_one_trace_feeds_the_module_function_and_branch_levels(tmp_path):
+    module, entered, taken = _trace(tmp_path)
     lines, tally = reach.trace_problems([module], entered, taken, [])
     assert lines == [
         "mod.py:14 idle",
@@ -151,17 +156,6 @@ def test_one_trace_feeds_the_module_function_and_branch_levels(tmp_path):
         "mod.py:60 guarded:60",
     ]
     assert tally == "1 of 1 modules, 11 of 12 functions, 9 of 14 arms taken"
-    rows = [("seam", "mod.py", "idle", "kept"), ("defensive", "mod.py", "chain:46", "x"),
-            ("seam", "mod.py", "used", "stale"), ("nope", "mod.py", "tail:37", "bad kind")]
-    assert reach.trace_problems([module], entered, taken, rows)[0] == [
-        "mod.py:11 used (allowlist: now used)",
-        "mod.py:32 loop:32",
-        "mod.py:37 tail:37 (allowlist: unknown kind 'nope')",
-        "mod.py:49 spanning:49",
-        "mod.py:60 guarded:60",
-    ]
-    assert reach.unknown_rows([module], rows + [("seam", "mod.py", "abstract", "x")]) == [
-        "mod.py:0 abstract (allowlist: no such item)"]
 
 
 PARAMETERS = '''\
@@ -211,11 +205,15 @@ def caller(h, cfg, args, tally):
 '''
 
 
-def test_the_parameter_level_matches_callees_by_name_and_position(tmp_path):
+def _parameters(tmp_path):
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(PARAMETERS)
-    modules = reach.walk_tree(package, root=tmp_path)
+    return reach.walk_tree(package, root=tmp_path)
+
+
+def test_the_parameter_level_matches_callees_by_name_and_position(tmp_path):
+    modules = _parameters(tmp_path)
     assert {p.label for p in modules[0].parameters} == {
         "plain(b)", "plain(c)", "Holder.__init__(y)", "Holder.__init__(z)",
         "Holder.method(p)", "Holder.method(q)", "Holder.make(w)",
